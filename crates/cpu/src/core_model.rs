@@ -17,6 +17,11 @@ use crate::op::{MemOp, MemOpKind, OpSource};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreObs {
     /// ROB occupancy (unretired instructions) sampled at each advance.
+    ///
+    /// One sample per [`CoreSim::advance`] call, so the distribution is
+    /// weighted by calls, not by simulated time: a change to when the run
+    /// loop wakes the core (such as sleeping through non-memory gaps)
+    /// moves it without any change to the timing model.
     pub rob_occupancy: Log2Histogram,
 }
 
@@ -334,11 +339,16 @@ impl CoreSim {
             // Execute the gap (non-memory instructions).
             let gap_left = self.pending.as_ref().map_or(0, |p| p.gap_left);
             if gap_left > 0 {
+                let rob_space = self.rob - (self.exec_seq - self.retired_seq());
                 if self.exec_slot >= now_slot {
-                    self.wait = WaitState::UntilSlot(self.exec_slot + 1);
+                    // Until the gap ends or the ROB fills, execution only
+                    // retires non-memory instructions: sleep to the first
+                    // slot at which the memory op can issue or the ROB is
+                    // full.
+                    let run = u64::from(gap_left).min(rob_space);
+                    self.wait = WaitState::UntilSlot(self.exec_slot + run + 1);
                     return;
                 }
-                let rob_space = self.rob - (self.exec_seq - self.retired_seq());
                 if rob_space == 0 {
                     // ROB full: retire the head load (charging its
                     // completion time) or stall until it returns.

@@ -1,8 +1,8 @@
 //! Property tests of the core model: instruction accounting, IPC bounds,
-//! and liveness under random op streams served by a random-latency
-//! memory.
+//! liveness under random op streams served by a random-latency memory,
+//! and equivalence of event-driven and every-cycle advancing.
 
-use profess_check::strategy::{any_bool, tuple4, u8_range, vec_of};
+use profess_check::strategy::{any_bool, tuple4, u32_range, u8_range, vec_of};
 use profess_check::{check_with, prop_assert, prop_assert_eq, Config, Strategy};
 use profess_cpu::{CoreSim, MemOp, MemOpKind, OpSource, WaitState};
 use profess_types::clock::ClockSpec;
@@ -21,7 +21,7 @@ fn cfg() -> CpuConfig {
 
 #[derive(Debug, Clone)]
 struct OpSpec {
-    gap: u8,
+    gap: u32,
     store: bool,
     dependent: bool,
     latency: u8,
@@ -30,7 +30,7 @@ struct OpSpec {
 impl OpSpec {
     fn from_tuple(&(gap, store, dependent, latency): &(u8, bool, bool, u8)) -> OpSpec {
         OpSpec {
-            gap,
+            gap: u32::from(gap),
             store,
             dependent,
             latency,
@@ -71,14 +71,26 @@ impl OpSource for Scripted {
     }
 }
 
-/// Runs the core against per-request latencies; returns (instructions,
-/// finish cycle, requests issued).
-fn run(specs: &[OpSpec]) -> (u64, Cycle, usize) {
+/// What one run produced: the `(request id, issue cycle)` log and the
+/// core's final counters.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    log: Vec<(u64, Cycle)>,
+    instructions: u64,
+    core_cycles: u64,
+    ipc_bits: u64,
+    finish: Cycle,
+}
+
+/// Runs the core against per-request latencies, advancing either at every
+/// memory cycle or only at the earlier of the core's next event and the
+/// next completion.
+fn run(specs: &[OpSpec], every_cycle: bool) -> Outcome {
     let ops: Vec<MemOp> = specs
         .iter()
         .enumerate()
         .map(|(i, s)| MemOp {
-            gap: u32::from(s.gap),
+            gap: s.gap,
             kind: if s.store {
                 MemOpKind::Store
             } else {
@@ -91,8 +103,8 @@ fn run(specs: &[OpSpec]) -> (u64, Cycle, usize) {
     let clock = ClockSpec::paper();
     let mut core = CoreSim::new(&cfg(), &clock, Box::new(Scripted { ops, i: 0 }));
     let mut pending: Vec<(Cycle, u64)> = Vec::new();
+    let mut log = Vec::new();
     let mut now = Cycle(0);
-    let mut issued = 0usize;
     let mut guard = 0;
     loop {
         guard += 1;
@@ -103,7 +115,7 @@ fn run(specs: &[OpSpec]) -> (u64, Cycle, usize) {
             // Latency keyed by the op order (line encodes the index).
             let lat = u64::from(specs[r.line as usize].latency);
             pending.push((now + lat, r.id));
-            issued += 1;
+            log.push((r.id, now));
         }
         if core.is_finished() {
             break;
@@ -117,7 +129,11 @@ fn run(specs: &[OpSpec]) -> (u64, Cycle, usize) {
             "deadlock: core waits but no memory pending (state {:?})",
             core.wait_state()
         );
-        now = next.max(now + 1);
+        now = if every_cycle {
+            now + 1
+        } else {
+            next.max(now + 1)
+        };
         let mut i = 0;
         while i < pending.len() {
             if pending[i].0 <= now {
@@ -128,7 +144,13 @@ fn run(specs: &[OpSpec]) -> (u64, Cycle, usize) {
             }
         }
     }
-    (core.instructions(), now, issued)
+    Outcome {
+        log,
+        instructions: core.instructions(),
+        core_cycles: core.instance_core_cycles(),
+        ipc_bits: core.ipc().to_bits(),
+        finish: now,
+    }
 }
 
 #[test]
@@ -140,11 +162,11 @@ fn instruction_accounting_and_liveness() {
         ops_strategy(),
         |raw| {
             let specs = specs_of(raw);
-            let (instructions, finish, issued) = run(&specs);
+            let o = run(&specs, false);
             let expected: u64 = specs.iter().map(|s| u64::from(s.gap) + 1).sum();
-            prop_assert_eq!(instructions, expected);
-            prop_assert_eq!(issued, specs.len());
-            prop_assert!(finish > Cycle::ZERO);
+            prop_assert_eq!(o.instructions, expected);
+            prop_assert_eq!(o.log.len(), specs.len());
+            prop_assert!(o.finish > Cycle::ZERO);
             Ok(())
         },
     );
@@ -163,7 +185,7 @@ fn ipc_never_exceeds_width() {
                 .iter()
                 .enumerate()
                 .map(|(i, s)| MemOp {
-                    gap: u32::from(s.gap),
+                    gap: s.gap,
                     kind: if s.store {
                         MemOpKind::Store
                     } else {
@@ -223,9 +245,42 @@ fn slower_memory_never_finishes_earlier() {
                     s
                 })
                 .collect();
-            let (_, t_fast, _) = run(&fast);
-            let (_, t_slow, _) = run(&slow);
+            let t_fast = run(&fast, false).finish;
+            let t_slow = run(&slow, false).finish;
             prop_assert!(t_slow >= t_fast, "slow {} < fast {}", t_slow, t_fast);
+            Ok(())
+        },
+    );
+}
+
+/// Sleeping through a non-memory gap is exact: a core advanced only at
+/// its reported next events issues every request at the same cycle, and
+/// ends with the same instruction count, cycles and IPC, as one advanced
+/// at every memory cycle. Gaps run up to several times the 64-entry ROB,
+/// so the ROB fills mid-gap behind outstanding loads.
+#[test]
+fn event_driven_matches_every_cycle() {
+    check_with(
+        &cases64(),
+        &[],
+        "event_driven_matches_every_cycle",
+        vec_of(
+            tuple4(u32_range(0..360), any_bool(), any_bool(), u8_range(1..200)),
+            1..60,
+        ),
+        |raw| {
+            let specs: Vec<OpSpec> = raw
+                .iter()
+                .map(|&(gap, store, dependent, latency)| OpSpec {
+                    gap,
+                    store,
+                    dependent,
+                    latency,
+                })
+                .collect();
+            let events = run(&specs, false);
+            prop_assert_eq!(events.log.len(), specs.len());
+            prop_assert_eq!(events, run(&specs, true));
             Ok(())
         },
     );

@@ -30,18 +30,21 @@ struct Queued {
     enq: Cycle,
 }
 
-/// Cached per-queue [`ChannelSim::next_event`] contributions, valid only
-/// at cycle `at` while the channel is unblocked.
+/// Cached per-queue [`ChannelSim::next_event`] contributions: the first
+/// cycle at which each queue could start anything. Valid at every cycle
+/// while the channel is unblocked and no bank, bus or queue state changes.
 ///
 /// [`ChannelSim::advance`] ends its issue loop with both queues refusing
 /// to start anything; the refusal cycles it computed are exactly what
 /// `next_event` would re-derive by scanning both queues again, so they
-/// are recorded here instead. [`ChannelSim::push`] folds a new request's
-/// contribution in incrementally (it cannot change any existing entry's
-/// plan), and every other state mutation drops the hint.
+/// are recorded here instead. Every plan is `max(bound from state, now)`,
+/// so a refusal computed at `t0` stays exact at every later `now` below
+/// it: `advance` skips the issue loop until then. [`ChannelSim::push`]
+/// folds a new request's contribution in incrementally (it cannot change
+/// any existing entry's plan); an issue overwrites the hint, and every
+/// other state mutation (a swap, a refresh, a restore) drops it.
 #[derive(Debug, Clone, Copy)]
 struct SchedHint {
-    at: Cycle,
     read: Cycle,
     write: Cycle,
 }
@@ -153,23 +156,20 @@ impl ChannelSim {
     /// older starved request that unskips a capped row hit — so the only
     /// delta versus the recorded refusal cycles is the new entry's own
     /// contribution: its first-command cycle if it cannot start at
-    /// `now`, `now + 1` if it can (the queue pick would return `Ok`),
-    /// and nothing at all if the cap forces it to yield.
+    /// `now`, `now` itself if it can (so an `advance` at `now` runs the
+    /// issue loop; `next_event` clamps it to `now + 1`), and nothing at
+    /// all if the cap forces it to yield.
     fn note_push(&mut self, q: &Queued, now: Cycle) {
         let Some(h) = self.sched_hint else {
             return;
         };
-        if h.at != now {
-            self.sched_hint = None;
-            return;
-        }
-        // Refusal cycles are strictly after `now`, so a queue already at
-        // `now + 1` cannot get earlier — skip planning the new entry.
+        // A queue that can already start something by `now` cannot get
+        // earlier — skip planning the new entry.
         let queue_at = match q.req.kind {
             AccessKind::Read => h.read,
             AccessKind::Write => h.write,
         };
-        if queue_at <= now + 1 {
+        if queue_at <= now {
             return;
         }
         let (first_cmd, p) = self.plan(q, now);
@@ -192,7 +192,7 @@ impl ChannelSim {
             if yields {
                 Cycle::NEVER
             } else {
-                now + 1
+                now
             }
         };
         // profess: allow(panic): checked Some above; no mutation since
@@ -429,29 +429,29 @@ impl ChannelSim {
     /// Advances the channel to `now`, appending completions (data delivered
     /// at or before `now`) to `served`.
     pub fn advance(&mut self, now: Cycle, served: &mut Vec<Served>) {
-        self.run_refresh(now);
-        if self.blocked_until > now {
+        if self.next_refresh <= now {
+            // A fired refresh rewrites bank state: the hint cannot survive it.
             self.sched_hint = None;
+            self.run_refresh(now);
+        }
+        if self.blocked_until > now {
+            // `begin_swap` dropped the hint; nothing sets it while blocked.
             self.drain_done(now, served);
             return;
         }
-        if self.read_q.is_empty() && self.write_q.is_empty() {
-            // Nothing to schedule: an empty pass through the issue loop,
-            // with the drain-mode update it would have applied.
+        if self.sched_hint.is_some_and(|h| now < h.read.min(h.write)) {
+            // Both queues still refuse: a pass through the issue loop
+            // would only apply its drain-mode update.
             self.update_drain_mode();
-            self.sched_hint = Some(SchedHint {
-                at: now,
-                read: Cycle::NEVER,
-                write: Cycle::NEVER,
-            });
             self.drain_done(now, served);
             return;
         }
         // Issue loop: schedule every request whose command chain can start
         // by `now`, respecting read priority and write draining. The loop
         // only ends once both queues refuse, and those two refusal cycles
-        // are this cycle's `next_event` queue contributions — cache them
-        // so `next_event` needn't rescan the queues.
+        // are the `next_event` queue contributions until state changes —
+        // cache them so neither `next_event` nor a later `advance` needs
+        // to rescan the queues.
         self.sched_hint = loop {
             self.update_drain_mode();
             let use_writes =
@@ -494,11 +494,7 @@ impl ChannelSim {
                             } else {
                                 (primary_at, other_at)
                             };
-                            break Some(SchedHint {
-                                at: now,
-                                read,
-                                write,
-                            });
+                            break Some(SchedHint { read, write });
                         }
                     }
                 }
@@ -539,7 +535,7 @@ impl ChannelSim {
         let mut t = self.inflight_min_done;
         if self.blocked_until > now {
             t = t.min(self.blocked_until);
-        } else if let Some(h) = self.sched_hint.filter(|h| h.at == now) {
+        } else if let Some(h) = self.sched_hint {
             t = t.min(h.read).min(h.write);
         } else {
             if let Err(e) = self.pick(&self.read_q, now) {

@@ -1,7 +1,8 @@
 //! Property tests of the channel timing model: conservation (every pushed
 //! request is served exactly once), causality (no service before arrival,
-//! minimum service latency respected), and monotonic event-driven
-//! progress under random request streams.
+//! minimum service latency respected), monotonic event-driven progress
+//! under random request streams, and equivalence of the cached scheduling
+//! refusal with a channel that re-derives it on every call.
 
 use profess_check::strategy::{any_bool, tuple2, tuple5, u32_range, u64_range, u8_range, vec_of};
 use profess_check::{check_with, prop_assert, prop_assert_eq, Config, Strategy};
@@ -224,6 +225,142 @@ fn energy_counts_match_traffic() {
             prop_assert_eq!(e.m1_writes + e.m2_writes, writes);
             // Activations cannot exceed accesses.
             prop_assert!(e.m1_acts + e.m2_acts <= reads + writes);
+            Ok(())
+        },
+    );
+}
+
+fn paper_channel() -> ChannelSim {
+    ChannelSim::new(
+        MemTimingConfig::paper(),
+        EnergyConfig::default_values(),
+        16,
+        32,
+    )
+}
+
+/// A channel driven in lockstep with a hint-free reference copy: before
+/// every call the reference goes through `snapshot_state` /
+/// `restore_state`, which drops its cached scheduling refusal, so it
+/// re-derives every decision from bank, bus and queue state.
+struct Lockstep {
+    hinted: ChannelSim,
+    reference: ChannelSim,
+    served: Vec<Served>,
+    reference_served: Vec<Served>,
+}
+
+impl Lockstep {
+    fn reset_reference(&mut self) {
+        let snap = self.reference.snapshot_state();
+        self.reference
+            .restore_state(&snap)
+            .expect("restore own snapshot");
+    }
+
+    fn advance(&mut self, now: Cycle) -> Result<(), String> {
+        self.reset_reference();
+        self.hinted.advance(now, &mut self.served);
+        self.reference.advance(now, &mut self.reference_served);
+        prop_assert!(
+            self.served == self.reference_served,
+            "served streams diverge at {now}"
+        );
+        self.check_next_event(now)
+    }
+
+    fn push(&mut self, req: PhysRequest, now: Cycle) -> Result<(), String> {
+        self.reset_reference();
+        self.hinted.push(req, now);
+        self.reference.push(req, now);
+        self.check_next_event(now)
+    }
+
+    fn check_next_event(&mut self, now: Cycle) -> Result<(), String> {
+        self.reset_reference();
+        let (t, r) = (self.hinted.next_event(now), self.reference.next_event(now));
+        prop_assert!(t == r, "next_event at {now}: hinted {t}, reference {r}");
+        Ok(())
+    }
+}
+
+/// The cached FR-FCFS-Cap refusal is exact at every later cycle: a
+/// channel that keeps it across calls must schedule, complete and report
+/// next events exactly like one that recomputes it on every call. Few
+/// banks and rows make hits, conflicts and the hit cap collide; gap 0
+/// repeats a cycle, and each request is pushed either before or after
+/// the channel advances to its cycle. Streams start shortly before the
+/// first M1 refresh, so refreshes fire among queued requests. Like
+/// `System::run`, the driver advances the channel at every event up to a
+/// request's cycle before that request's calls.
+#[test]
+fn standing_refusal_matches_hint_free_reference() {
+    check_with(
+        &cases64(),
+        &[],
+        "standing_refusal_matches_hint_free_reference",
+        tuple2(
+            u64_range(0..2_000),
+            vec_of(
+                tuple5(
+                    u8_range(0..24),
+                    u8_range(0..4),
+                    u8_range(0..3),
+                    any_bool(),
+                    any_bool(),
+                ),
+                1..120,
+            ),
+        ),
+        |(lead, raw)| {
+            let mut l = Lockstep {
+                hinted: paper_channel(),
+                reference: paper_channel(),
+                served: Vec::new(),
+                reference_served: Vec::new(),
+            };
+            let refi = MemTimingConfig::paper().m1.t_refi.expect("M1 refreshes");
+            let mut now = Cycle(refi.saturating_sub(*lead));
+            for (i, &(gap, bank, row, write, push_first)) in raw.iter().enumerate() {
+                let at = now + u64::from(gap);
+                loop {
+                    let t = l.hinted.next_event(now);
+                    if t > at {
+                        break;
+                    }
+                    now = t;
+                    l.advance(now)?;
+                }
+                now = at;
+                let req = PhysRequest {
+                    id: i as u64,
+                    kind: if write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
+                    loc: MemLoc {
+                        module: Module::M1,
+                        bank: u32::from(bank),
+                        row: u64::from(row),
+                    },
+                };
+                if push_first {
+                    l.push(req, now)?;
+                    l.advance(now)?;
+                } else {
+                    l.advance(now)?;
+                    l.push(req, now)?;
+                }
+            }
+            while !l.hinted.is_idle() {
+                now = l.hinted.next_event(now);
+                prop_assert!(now < Cycle::NEVER, "channel stuck with work pending");
+                l.advance(now)?;
+            }
+            prop_assert!(l.reference.is_idle());
+            prop_assert_eq!(l.served.len(), raw.len());
+            prop_assert_eq!(l.hinted.stats(), l.reference.stats());
             Ok(())
         },
     );

@@ -71,6 +71,14 @@ PROFESS_RESULTS_DIR="$smoke_dir" \
     cargo run --release --offline -q -p profess-bench --bin fig05 -- 200 > /dev/null
 test -s "$smoke_dir/BENCH_fig05.json"
 
+# Golden smoke: the benchmark's short_cells workload runs all 19 mixes
+# under PoM and ProFess and holds every cell, plus the public sweep's
+# rows, to examples/perf/golden.json; it exits 1 on any mismatch. So a
+# scheduler or core change that is not exact fails here in seconds, not
+# only in the benchmark pipeline.
+echo "==> golden smoke (perf --workload short_cells)"
+cargo run --release --offline -q --example perf -- --workload short_cells > /dev/null
+
 # Bench trend gate (DESIGN.md §12): first prove the comparator itself —
 # the committed synthetic >15% regression fixture MUST fail (exit 2) and
 # the within-threshold fixture must pass — then gate the fresh engine
