@@ -19,9 +19,9 @@
 
 use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::{
-    init_trace_flag, journal_from_env, normalized_sweep_supervised, print_sweep,
+    exit, init_trace_flag, journal_from_env, normalized_sweep_supervised, print_sweep,
     report_sweep_health, snapshot_mode_from_env, supervise_from_env, sweep_args,
-    write_rows_artifact, Pool, MULTI_TARGET_MISSES, SWEEP_FAILURE_EXIT_CODE,
+    write_rows_artifact, Pool, MULTI_TARGET_MISSES,
 };
 use profess_core::system::PolicyKind;
 use profess_metrics::geomean;
@@ -125,10 +125,11 @@ fn main() {
     } else {
         eprintln!("mechanism check skipped: sweep incomplete");
     }
-    let ok = report_sweep_health(&run) & report_sweep_health(&mdm_run);
+    let ok = report_sweep_health(&run.cells, "workloads", &run.skipped)
+        & report_sweep_health(&mdm_run.cells, "workloads", &mdm_run.skipped);
     traces.finish();
     bench.finish();
     if !ok {
-        std::process::exit(SWEEP_FAILURE_EXIT_CODE);
+        std::process::exit(exit::SWEEP_FAILURE);
     }
 }

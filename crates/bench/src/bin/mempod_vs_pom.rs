@@ -15,8 +15,8 @@
 
 use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::{
-    init_trace_flag, run_solo, run_workload, summarize, supervise_from_env, target_from_args,
-    CellRecord, Pool, MULTI_TARGET_MISSES, SWEEP_FAILURE_EXIT_CODE,
+    exit, init_trace_flag, report_sweep_health, run_solo, run_workload, summarize,
+    supervise_from_env, target_from_args, CellRecord, Pool, MULTI_TARGET_MISSES,
 };
 use profess_core::system::{PolicyKind, SystemReport};
 use profess_metrics::table::TextTable;
@@ -119,21 +119,12 @@ fn main() {
             }
         );
     }
-    let failed = cells.iter().filter(|c| c.error.is_some()).count();
-    for c in cells.iter().filter(|c| c.error.is_some()) {
-        eprintln!(
-            "cell failed: {} [{}] after {} attempt(s): {}",
-            c.label,
-            c.status,
-            c.attempts,
-            c.error.as_deref().unwrap_or("unknown")
-        );
-    }
+    let ok = report_sweep_health(&cells, "cells", &[]);
     bench.push_cells(&cells);
     traces.finish();
     bench.finish();
-    if failed > 0 {
-        std::process::exit(SWEEP_FAILURE_EXIT_CODE);
+    if !ok {
+        std::process::exit(exit::SWEEP_FAILURE);
     }
 }
 
@@ -146,13 +137,6 @@ fn record_cells<T>(
 ) {
     for (job, out) in jobs.iter().zip(outs) {
         let label = label(job);
-        cells.push(CellRecord {
-            key: label.clone(),
-            label,
-            status: out.outcome.label(),
-            attempts: out.attempts,
-            history: out.history.clone(),
-            error: out.outcome.error(),
-        });
+        cells.push(CellRecord::new(&label, &label, Some(out)));
     }
 }

@@ -24,12 +24,11 @@
 //! `PROFESS_SURFACE_INTENSITIES`). `--workers 0` skips the worker
 //! phase entirely — a fully in-process run, useful for generating
 //! golden artifacts to diff sharded runs against. `PROFESS_FAULT`
-//! accepts the process-level kinds `worker_kill@k[*n]` /
-//! `worker_hang@k[*n]` (fire when worker `k` starts its `n`-th dealt
-//! cell) alongside the task-level `panic`/`stall`/`exit` kinds, which
-//! are forwarded to the workers. In a worker, each dealt cell is its
-//! own single-slot supervision batch, so task-fault entries only fire
-//! at index `@0`.
+//! accepts the worker kinds `worker_kill@k[*n]` / `worker_hang@k[*n]`
+//! (fire when worker `k` starts its `n`-th dealt cell) alongside the
+//! task kinds `panic`/`stall`/`exit`; workers inherit the variable
+//! unchanged. In a worker, each dealt cell is its own single-slot
+//! supervision batch, so task-fault entries only fire at index `@0`.
 //!
 //! Exit codes follow the shared [`profess_bench::exit`] taxonomy;
 //! losing a cell past its re-deal budget exits
@@ -44,24 +43,19 @@ use std::path::PathBuf;
 
 use profess_bench::harness::{results_dir, BenchJson, TraceCollector};
 use profess_bench::shard::{
-    main_journal_path, merge_shards, run_sharded, shard_journal_path, Frame, ShardPlan,
+    main_journal_path, merge_shards, run_sharded, shard_journal_path, Frame, ShardPlan, ShardSweep,
 };
 use profess_bench::surface::{
-    axis_from_env, parse_policy, policy_cli_name, run_surface_cell, surface_cell_keys,
-    surface_sweep, surface_to_json, write_surface_artifact, SurfaceSpec, DEFAULT_INTENSITIES,
-    DEFAULT_POLICIES, DEFAULT_READ_FRACS, DEFAULT_TARGET_OPS, INTENSITIES_ENV, POLICY_NAMES,
-    RATIOS_ENV,
+    policy_cli_name, surface_spec_from_args, surface_sweep, surface_to_json, write_surface_artifact,
 };
 use profess_bench::{
-    checkpoint, exit, init_trace_flag, normalized_cell_keys, normalized_sweep_supervised,
-    report_sweep_health, run_normalized_cell, workload_or_usage, Journal, Pool, SnapshotMode,
-    SuperviseConfig, MULTI_TARGET_MISSES,
+    checkpoint, exit, init_trace_flag, normalized_sweep_supervised, report_sweep_health,
+    supervise_from_env, sweep_args_from, usage_error, write_rows_artifact, Journal, Pool,
+    SnapshotMode, MULTI_TARGET_MISSES,
 };
-use profess_bench::{usage_error, write_rows_artifact};
 use profess_core::errors::SimError;
 use profess_core::system::PolicyKind;
-use profess_par::{worker_fault, ProcessFaultPlan, ShardSupervision, FAULT_ENV, SHARD_FAULT_ENV};
-use profess_trace::workload::Workload;
+use profess_par::worker_fault;
 use profess_types::SystemConfig;
 
 /// Parsed command line.
@@ -107,144 +101,47 @@ fn parse_args() -> Args {
     args
 }
 
-/// Which sweep is being sharded. Supervisor and workers derive this
-/// identically from the same positionals + environment, so both sides
-/// agree on every cell key.
-#[derive(Debug)]
-enum Mode {
-    Normalized {
-        target: u64,
-        ids: Vec<String>,
-        workloads: Vec<Workload>,
-    },
-    Surface {
-        spec: SurfaceSpec,
-    },
-}
-
-/// Replicates `sweep_args`' `PROFESS_TARGET` fallback.
-fn target_from_env(default: u64) -> u64 {
-    match std::env::var("PROFESS_TARGET") {
-        Ok(v) => v.parse().unwrap_or_else(|_| {
-            usage_error(&format!(
-                "memory-operation target PROFESS_TARGET `{v}` is not an unsigned integer"
-            ))
-        }),
-        Err(_) => default,
+/// Which sweep is being sharded: the `fig10_12` normalized sweep (MDM
+/// vs PoM), or the surface characterization with `--surface`.
+fn sweep_from(args: &Args) -> ShardSweep {
+    if args.surface {
+        ShardSweep::Surface(surface_spec_from_args(&args.positional))
+    } else {
+        let (target_misses, workloads) = sweep_args_from(&args.positional, MULTI_TARGET_MISSES);
+        ShardSweep::Normalized {
+            policy: PolicyKind::Mdm,
+            target_misses,
+            workloads,
+        }
     }
 }
 
-impl Mode {
-    fn from(args: &Args) -> Mode {
-        let rest = &args.positional;
-        if args.surface {
-            let (target_ops, names): (u64, &[String]) = match rest.split_first() {
-                Some((first, tail)) => match first.parse::<u64>() {
-                    Ok(t) => (t, tail),
-                    Err(_) => (DEFAULT_TARGET_OPS, &rest[..]),
-                },
-                None => (DEFAULT_TARGET_OPS, &rest[..]),
-            };
-            let policies = if names.is_empty() {
-                DEFAULT_POLICIES.to_vec()
-            } else {
-                names
-                    .iter()
-                    .map(|n| {
-                        parse_policy(n).unwrap_or_else(|| {
-                            let known: Vec<&str> = POLICY_NAMES.iter().map(|(n, _)| *n).collect();
-                            usage_error(&format!(
-                                "unknown policy `{n}` (known: {})",
-                                known.join(" ")
-                            ))
-                        })
-                    })
-                    .collect()
-            };
-            let mut spec = SurfaceSpec::new(policies);
-            spec.target_ops = target_ops;
-            spec.read_fracs =
-                axis_from_env(RATIOS_ENV, &DEFAULT_READ_FRACS).unwrap_or_else(|e| usage_error(&e));
-            spec.intensities = axis_from_env(INTENSITIES_ENV, &DEFAULT_INTENSITIES)
-                .unwrap_or_else(|e| usage_error(&e));
-            if let Err(e) = spec.validate() {
-                usage_error(&e);
-            }
-            Mode::Surface { spec }
-        } else {
-            let (target, ids): (u64, Vec<String>) = match rest.split_first() {
-                Some((first, tail)) => match first.parse::<u64>() {
-                    Ok(t) => (t, tail.to_vec()),
-                    Err(_) => (target_from_env(MULTI_TARGET_MISSES), rest.clone()),
-                },
-                None => (target_from_env(MULTI_TARGET_MISSES), rest.clone()),
-            };
-            let workloads = if ids.is_empty() {
-                profess_trace::workloads().to_vec()
-            } else {
-                ids.iter().map(|id| workload_or_usage(id)).collect()
-            };
-            Mode::Normalized {
-                target,
-                ids,
-                workloads,
-            }
-        }
+/// The artifact name — also names the journals.
+fn sweep_name(sweep: &ShardSweep) -> &'static str {
+    match sweep {
+        ShardSweep::Normalized { .. } => "fig10_12",
+        ShardSweep::Surface(_) => "surface",
     }
+}
 
-    /// The artifact name — also names the journals.
-    fn name(&self) -> &'static str {
-        match self {
-            Mode::Normalized { .. } => "fig10_12",
-            Mode::Surface { .. } => "surface",
-        }
-    }
-
-    /// Every cell key, in canonical spec order.
-    fn keys(&self, cfg: &SystemConfig) -> Vec<String> {
-        match self {
-            Mode::Normalized {
-                target, workloads, ..
-            } => normalized_cell_keys(cfg, PolicyKind::Mdm, *target, workloads),
-            Mode::Surface { spec } => surface_cell_keys(cfg, spec),
-        }
-    }
-
-    /// Runs one cell by key (the worker's unit of work).
-    fn run_cell(
-        &self,
-        cfg: &SystemConfig,
-        sup: &SuperviseConfig,
-        journal: &Journal,
-        key: &str,
-    ) -> Result<bool, String> {
-        match self {
-            Mode::Normalized {
-                target, workloads, ..
-            } => run_normalized_cell(cfg, PolicyKind::Mdm, *target, workloads, sup, journal, key),
-            Mode::Surface { spec } => run_surface_cell(cfg, spec, sup, journal, key),
-        }
-    }
-
-    /// The positional spec a worker needs to re-derive this mode
-    /// (resolved target first, so `PROFESS_TARGET` ambiguity is gone).
-    fn worker_positionals(&self) -> Vec<String> {
-        match self {
-            Mode::Normalized { target, ids, .. } => {
-                let mut p = vec![target.to_string()];
-                p.extend(ids.iter().cloned());
-                p
-            }
-            Mode::Surface { spec } => {
-                let mut p = vec![spec.target_ops.to_string()];
-                p.extend(spec.policies.iter().map(|&pk| {
-                    policy_cli_name(pk)
-                        .unwrap_or_else(|| usage_error(&format!("policy {pk:?} has no CLI name")))
-                        .to_string()
-                }));
-                p
-            }
-        }
+/// The positional spec a worker needs to re-derive `sweep` (resolved
+/// target first, so `PROFESS_TARGET` ambiguity is gone).
+fn worker_positionals(sweep: &ShardSweep) -> Vec<String> {
+    match sweep {
+        ShardSweep::Normalized {
+            target_misses,
+            workloads,
+            ..
+        } => std::iter::once(target_misses.to_string())
+            .chain(workloads.iter().map(|w| w.id.to_string()))
+            .collect(),
+        ShardSweep::Surface(spec) => std::iter::once(spec.target_ops.to_string())
+            .chain(spec.policies.iter().map(|&pk| {
+                policy_cli_name(pk)
+                    .unwrap_or_else(|| usage_error(&format!("policy {pk:?} has no CLI name")))
+                    .to_string()
+            }))
+            .collect(),
     }
 }
 
@@ -265,9 +162,9 @@ fn worker_main(args: &Args, k: usize) -> ! {
     let Some(dir) = &args.dir else {
         usage_error("--worker requires --dir");
     };
-    let mode = Mode::from(args);
+    let sweep = sweep_from(args);
     let cfg = SystemConfig::scaled_quad();
-    let path = shard_journal_path(dir, mode.name(), k);
+    let path = shard_journal_path(dir, sweep_name(&sweep), k);
     let journal = match Journal::load(&path) {
         Ok(j) => j,
         Err(e) => {
@@ -275,10 +172,9 @@ fn worker_main(args: &Args, k: usize) -> ! {
             std::process::exit(exit::VALIDATION_FAIL);
         }
     };
-    // The supervisor forwards only task-side fault entries in
-    // PROFESS_FAULT and the worker_* entries in PROFESS_SHARD_FAULT.
-    let sup = SuperviseConfig::from_env().unwrap_or_else(|e| usage_error(&e));
-    let faults = ProcessFaultPlan::from_env().unwrap_or_else(|e| usage_error(&e));
+    // PROFESS_FAULT is inherited from the supervisor: its task entries
+    // drive this worker's supervision, its worker_* entries fire here.
+    let sup = supervise_from_env();
     println!("{}", Frame::Hello { worker: k }.to_line());
     let stdin = std::io::stdin();
     let mut nth: u32 = 0;
@@ -306,12 +202,12 @@ fn worker_main(args: &Args, k: usize) -> ! {
         };
         nth += 1;
         println!("{}", Frame::Start { key: key.clone() }.to_line());
-        if let Some(kind) = faults.action(k, nth) {
+        if let Some(kind) = sup.faults.worker_action(k, nth) {
             eprintln!("profess-shard worker {k}: injected fault on cell {nth}");
             worker_fault(kind);
         }
-        let (ok, error) = match mode.run_cell(&cfg, &sup, &journal, &key) {
-            Ok(_ran) => (true, None),
+        let (ok, error) = match sweep.run_cell(&cfg, &sup, &journal, &key) {
+            Ok(()) => (true, None),
             Err(e) => (false, Some(e)),
         };
         println!("{}", Frame::Done { key, ok, error }.to_line());
@@ -325,11 +221,11 @@ fn main() {
     if let Some(k) = args.worker {
         worker_main(&args, k);
     }
-    let mode = Mode::from(&args);
-    let name = mode.name();
-    let shard = ShardSupervision::from_env().unwrap_or_else(|e| usage_error(&e));
+    let sweep = sweep_from(&args);
+    let name = sweep_name(&sweep);
+    let sup = supervise_from_env();
     let cfg = SystemConfig::scaled_quad();
-    let keys = mode.keys(&cfg);
+    let keys = sweep.cell_keys(&cfg);
     let dir = args.dir.clone().unwrap_or_else(journal_dir_from_env);
     let main_path = main_journal_path(&dir, name);
     let workers = args.workers.unwrap_or_else(profess_par::default_threads);
@@ -355,21 +251,14 @@ fn main() {
         }
         worker_args.push("--dir".to_string());
         worker_args.push(dir.display().to_string());
-        worker_args.extend(mode.worker_positionals());
+        worker_args.extend(worker_positionals(&sweep));
         let plan = ShardPlan {
             workers,
             worker_args,
-            worker_envs: vec![
-                (FAULT_ENV.to_string(), shard.task_fault_spec.clone()),
-                (
-                    SHARD_FAULT_ENV.to_string(),
-                    shard.process_fault_spec.clone(),
-                ),
-            ],
-            deal_budget: shard.sup.retries + 1,
+            deal_budget: sup.retries + 1,
             // Workers enforce the per-attempt timeout themselves; the
             // supervisor's watchdog is the outer ring, so give it 2x.
-            deadline: shard.sup.timeout.map(|t| t * 2),
+            deadline: sup.timeout.map(|t| t * 2),
         };
         println!(
             "sharding {} pending cell(s) across {} worker(s) into {}",
@@ -438,17 +327,19 @@ fn main() {
     );
     let mut bench = BenchJson::start(name);
     let mut traces = TraceCollector::from_env(name);
-    let ok = match &mode {
-        Mode::Normalized {
-            target, workloads, ..
+    let ok = match &sweep {
+        ShardSweep::Normalized {
+            policy,
+            target_misses,
+            workloads,
         } => {
             let run = normalized_sweep_supervised(
                 &Pool::from_env(),
                 &cfg,
-                PolicyKind::Mdm,
-                *target,
+                *policy,
+                *target_misses,
                 workloads,
-                &shard.sup,
+                &sup,
                 &journal,
                 &SnapshotMode::disabled(),
                 &mut traces,
@@ -457,14 +348,14 @@ fn main() {
             bench.push_cells(&run.cells);
             bench.set_skipped_malformed(run.skipped_malformed as u64);
             write_rows_artifact(name, &run.rows);
-            report_sweep_health(&run)
+            report_sweep_health(&run.cells, "workloads", &run.skipped)
         }
-        Mode::Surface { spec } => {
+        ShardSweep::Surface(spec) => {
             let run = surface_sweep(
                 &Pool::from_env(),
                 &cfg,
                 spec,
-                &shard.sup,
+                &sup,
                 &journal,
                 &SnapshotMode::disabled(),
                 &mut traces,
@@ -473,20 +364,7 @@ fn main() {
             bench.push_cells(&run.cells);
             bench.set_skipped_malformed(run.skipped_malformed as u64);
             write_surface_artifact(name, &surface_to_json(name, spec, &run.points));
-            let ok = run.all_ok();
-            for c in run.failed_cells() {
-                eprintln!(
-                    "cell failed: {} [{}] after {} attempt(s): {}",
-                    c.label,
-                    c.status,
-                    c.attempts,
-                    c.error.as_deref().unwrap_or("unknown")
-                );
-            }
-            if !ok {
-                eprintln!("cells without results: {}", run.skipped.join(" "));
-            }
-            ok
+            report_sweep_health(&run.cells, "cells", &run.skipped)
         }
     };
     traces.finish();

@@ -24,63 +24,23 @@
 
 use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::surface::{
-    axis_from_env, parse_policy, surface_sweep, surface_to_json, write_surface_artifact,
-    SurfaceSpec, DEFAULT_INTENSITIES, DEFAULT_POLICIES, DEFAULT_READ_FRACS, DEFAULT_TARGET_OPS,
-    INTENSITIES_ENV, POLICY_NAMES, RATIOS_ENV,
+    surface_spec_from_args, surface_sweep, surface_to_json, write_surface_artifact,
 };
 use profess_bench::{
-    init_trace_flag, journal_from_env, snapshot_mode_from_env, supervise_from_env, usage_error,
-    Pool, SWEEP_FAILURE_EXIT_CODE,
+    exit, init_trace_flag, journal_from_env, report_sweep_health, snapshot_mode_from_env,
+    supervise_from_env, Pool,
 };
-use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_obs::Log2Histogram;
 use profess_types::SystemConfig;
 
-/// Parses `[--trace] [<target-ops>] [<policy>...]`.
-fn parse_args() -> (u64, Vec<PolicyKind>) {
+fn main() {
+    init_trace_flag();
     let rest: Vec<String> = std::env::args()
         .skip(1)
         .filter(|a| !a.starts_with('-'))
         .collect();
-    let (target, names): (u64, &[String]) = match rest.split_first() {
-        Some((first, tail)) => match first.parse::<u64>() {
-            Ok(t) => (t, tail),
-            Err(_) => (DEFAULT_TARGET_OPS, &rest[..]),
-        },
-        None => (DEFAULT_TARGET_OPS, &rest[..]),
-    };
-    let policies = if names.is_empty() {
-        DEFAULT_POLICIES.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| {
-                parse_policy(n).unwrap_or_else(|| {
-                    let known: Vec<&str> = POLICY_NAMES.iter().map(|(n, _)| *n).collect();
-                    usage_error(&format!(
-                        "unknown policy `{n}` (known: {})",
-                        known.join(" ")
-                    ))
-                })
-            })
-            .collect()
-    };
-    (target, policies)
-}
-
-fn main() {
-    init_trace_flag();
-    let (target_ops, policies) = parse_args();
-    let mut spec = SurfaceSpec::new(policies);
-    spec.target_ops = target_ops;
-    spec.read_fracs =
-        axis_from_env(RATIOS_ENV, &DEFAULT_READ_FRACS).unwrap_or_else(|e| usage_error(&e));
-    spec.intensities =
-        axis_from_env(INTENSITIES_ENV, &DEFAULT_INTENSITIES).unwrap_or_else(|e| usage_error(&e));
-    if let Err(e) = spec.validate() {
-        usage_error(&e);
-    }
+    let spec = surface_spec_from_args(&rest);
     let cfg = SystemConfig::scaled_quad();
     let sup = supervise_from_env();
     let journal = journal_from_env("surface");
@@ -151,37 +111,10 @@ fn main() {
             }
         }
     }
-    let ok = report_sweep_health_surface(&run);
+    let ok = report_sweep_health(&run.cells, "cells", &run.skipped);
     traces.finish();
     bench.finish();
     if !ok {
-        std::process::exit(SWEEP_FAILURE_EXIT_CODE);
+        std::process::exit(exit::SWEEP_FAILURE);
     }
-}
-
-/// `report_sweep_health`'s contract, for a surface run.
-fn report_sweep_health_surface(run: &profess_bench::surface::SurfaceRun) -> bool {
-    if run.resumed > 0 {
-        println!(
-            "checkpoint: {} cell(s) restored from journal, {} executed",
-            run.resumed,
-            run.executed()
-        );
-    }
-    for c in run.failed_cells() {
-        eprintln!(
-            "cell failed: {} [{}] after {} attempt(s): {}",
-            c.label,
-            c.status,
-            c.attempts,
-            c.error.as_deref().unwrap_or("unknown")
-        );
-        for h in &c.history {
-            eprintln!("  {h}");
-        }
-    }
-    if !run.all_ok() {
-        eprintln!("cells without results: {}", run.skipped.join(" "));
-    }
-    run.all_ok()
 }

@@ -137,7 +137,7 @@ pub fn solo_ipc_from_json(j: &Json) -> Option<f64> {
 
 /// A numeric JSON value as `f64` (integers included: the parser reads
 /// `2` as `UInt` even where the writer emitted `2.0`-style floats).
-fn json_f64(j: &Json) -> Option<f64> {
+pub(crate) fn json_f64(j: &Json) -> Option<f64> {
     match *j {
         Json::Num(x) => Some(x),
         Json::UInt(n) => Some(n as f64),
@@ -147,7 +147,7 @@ fn json_f64(j: &Json) -> Option<f64> {
 }
 
 /// A non-negative integer JSON value.
-fn json_u64(j: &Json) -> Option<u64> {
+pub(crate) fn json_u64(j: &Json) -> Option<u64> {
     match *j {
         Json::UInt(n) => Some(n),
         _ => None,

@@ -189,15 +189,20 @@ pub fn journal_from_env(name: &str) -> Journal {
 
 /// Parses the sweep binaries' shared CLI shape — `[--trace] [<target>]
 /// [<workload-id>...]` — into the memory-operation target and the
-/// workload subset. A numeric first non-flag argument is the target
-/// (else `PROFESS_TARGET`, else `default_target`); the remaining
-/// non-flag arguments select workloads (default: all Table 10
-/// workloads). Unknown ids are usage errors.
+/// workload subset (see [`sweep_args_from`]).
 pub fn sweep_args(default_target: u64) -> (u64, Vec<Workload>) {
     let rest: Vec<String> = std::env::args()
         .skip(1)
         .filter(|a| !a.starts_with('-'))
         .collect();
+    sweep_args_from(&rest, default_target)
+}
+
+/// [`sweep_args`] over already-extracted positional arguments: a
+/// numeric first argument is the target (else `PROFESS_TARGET`, else
+/// `default_target`); the remaining arguments select workloads
+/// (default: all Table 10 workloads). Unknown ids are usage errors.
+pub fn sweep_args_from(rest: &[String], default_target: u64) -> (u64, Vec<Workload>) {
     // profess: allow(determinism_taint): target override is config echoed into the checkpoint fingerprint; resumed runs see identical values
     let env_target = || match std::env::var("PROFESS_TARGET") {
         Ok(v) => match v.parse() {
@@ -208,12 +213,12 @@ pub fn sweep_args(default_target: u64) -> (u64, Vec<Workload>) {
         },
         Err(_) => default_target,
     };
-    let (target, ids): (u64, &[String]) = match rest.split_first() {
+    let (target, ids) = match rest.split_first() {
         Some((first, tail)) => match first.parse::<u64>() {
             Ok(t) => (t, tail),
-            Err(_) => (env_target(), &rest[..]),
+            Err(_) => (env_target(), rest),
         },
-        None => (env_target(), &rest[..]),
+        None => (env_target(), rest),
     };
     let workloads = if ids.is_empty() {
         profess_trace::workloads().to_vec()
@@ -393,40 +398,6 @@ impl SoloCache {
             .map(|&p| self.solo_ipc(cfg, policy, p, target_misses))
             .collect()
     }
-
-    /// Pre-fills the cache for every (policy, program) pair the given
-    /// workloads will ask for, running the missing solos on `pool`.
-    ///
-    /// Each solo run is independent and internally deterministic, so the
-    /// cache ends up with exactly the values serial on-demand filling
-    /// would produce.
-    // profess: allow(dead_item): public batch pre-warm API; the documented serial-equivalent entry point for external sweeps
-    pub fn warm(
-        &mut self,
-        pool: &Pool,
-        cfg: &SystemConfig,
-        policies: &[PolicyKind],
-        workloads: &[Workload],
-        target_misses: u64,
-    ) {
-        let mut todo: Vec<(PolicyKind, SpecProgram)> = Vec::new();
-        for &pk in policies {
-            for w in workloads {
-                for p in w.programs {
-                    let key = (pk.name(), p);
-                    if !self.entries.contains_key(&key) && !todo.contains(&(pk, p)) {
-                        todo.push((pk, p));
-                    }
-                }
-            }
-        }
-        let ipcs = pool.map(&todo, |&(pk, p)| {
-            run_solo(cfg, pk, p, target_misses).programs[0].ipc
-        });
-        for (&(pk, p), ipc) in todo.iter().zip(ipcs) {
-            self.entries.insert((pk.name(), p), ipc);
-        }
-    }
 }
 
 /// One row of a normalized multiprogram sweep: `policy` metrics over the
@@ -447,34 +418,12 @@ pub struct NormalizedRow {
     pub swap_fraction: f64,
 }
 
-/// Runs every Table 10 workload under `policy` and the PoM baseline and
+/// Runs `workloads` under `policy` and the PoM baseline on `pool` and
 /// returns the normalized figures of merit. The solo references for the
 /// slowdowns are measured per policy, as in the paper (eq. 1).
 ///
-/// Simulations run on a [`Pool`] sized from `PROFESS_THREADS` (default:
-/// available parallelism); the result is byte-identical to a serial
-/// sweep regardless of the thread count.
-// profess: allow(dead_item): documented convenience wrapper over `normalized_sweep_on`; CI drives the supervised variant
-pub fn normalized_sweep(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-) -> Vec<NormalizedRow> {
-    normalized_sweep_on(
-        &Pool::from_env(),
-        cfg,
-        policy,
-        target_misses,
-        &profess_trace::workloads(),
-    )
-}
-
-/// [`normalized_sweep`] over explicit workloads on an explicit pool.
-///
-/// All solo reference runs are warmed first (deduplicated, in input
-/// order), then the two multiprogram runs per workload are mapped across
-/// the pool; rows are assembled in workload order, so the output does
-/// not depend on the pool's thread count or scheduling.
+/// Rows are assembled in workload order, so the output does not depend
+/// on the pool's thread count or scheduling.
 pub fn normalized_sweep_on(
     pool: &Pool,
     cfg: &SystemConfig,
@@ -533,43 +482,239 @@ fn strict_supervision() -> SuperviseConfig {
     }
 }
 
+/// One sweep cell's identity: its checkpoint-journal key, its display
+/// label, and what to run.
+#[derive(Debug)]
+pub(crate) struct CellSpec<K> {
+    /// The cell's checkpoint-journal key.
+    pub key: String,
+    /// Display label (`w03:profess`, `solo:pom:mcf`).
+    pub label: String,
+    /// What the sweep runs for this cell.
+    pub kind: K,
+}
+
+/// The sweep-specific half of [`run_cells`]: what a sweep's cells are,
+/// and how one is built and reduced to its journaled value. The
+/// normalized and surface sweeps differ only here.
+pub(crate) trait CellSweep: Sync {
+    /// What one cell runs.
+    type Kind: Sync;
+    /// A completed cell's value.
+    type Value: Send;
+    /// Every cell, in canonical spec order: the serial journal's append
+    /// order, the shard supervisor's deal order, and the merged
+    /// journal's line order.
+    fn specs(&self) -> Vec<CellSpec<Self::Kind>>;
+    /// Decodes a journal payload (`None` on any shape mismatch — the
+    /// cell then reruns).
+    fn decode(&self, kind: &Self::Kind, payload: &Json) -> Option<Self::Value>;
+    /// Builds the cell's simulation (nothing run yet).
+    fn build(&self, kind: &Self::Kind) -> SystemBuilder;
+    /// Reduces a finished run to its journal payload.
+    fn reduce(&self, kind: &Self::Kind, report: &SystemReport) -> Json;
+}
+
+/// What [`run_cells`] produced, in spec order.
+pub(crate) struct CellRun<V> {
+    /// Each cell's value; `None` where the cell failed.
+    pub(crate) values: Vec<Option<V>>,
+    /// Each cell's execution record.
+    pub(crate) cells: Vec<CellRecord>,
+    /// Cells restored from the journal instead of running.
+    pub(crate) resumed: usize,
+}
+
+/// The one cell engine every sweep runs on.
+///
+/// Cells already in `journal` with a decodable payload are restored
+/// instead of re-run. The rest — the *pending* cells, kept in spec
+/// order, so fault-plan indices are positions in that list — run under
+/// [`Pool::try_run_supervised`] with `sup`'s retry / timeout /
+/// fault-injection settings. A completed cell is reduced to its
+/// payload, journaled the moment it completes, and decoded back into
+/// its value, so fresh and restored cells reach the caller through the
+/// same decode and a resumed sweep is byte-identical to an
+/// uninterrupted one. Reports of cells that ran this process go to
+/// `traces` in cell order.
+///
+/// With `snap` enabled, a preempted cell (watchdog cancel under
+/// `snap.on_cancel`, or the deterministic `snap.at` clock on first
+/// attempts) journals a mid-run [`SystemSnapshot`] under
+/// [`snapshot_key`] and fails the attempt; the retry restores the
+/// snapshot and runs only the remaining cycles. Snapshot-restored
+/// completions are byte-identical to straight-through runs.
+pub(crate) fn run_cells<S: CellSweep>(
+    sweep: &S,
+    specs: &[CellSpec<S::Kind>],
+    pool: &Pool,
+    sup: &SuperviseConfig,
+    journal: &Journal,
+    snap: &SnapshotMode,
+    traces: &mut harness::TraceCollector,
+) -> CellRun<S::Value> {
+    let mut values: Vec<Option<S::Value>> = specs
+        .iter()
+        .map(|s| {
+            journal
+                .lookup(&s.key)
+                .and_then(|p| sweep.decode(&s.kind, &p))
+        })
+        .collect();
+    let pending: Vec<usize> = (0..specs.len()).filter(|&i| values[i].is_none()).collect();
+    let keep_reports = traces.is_enabled();
+    let outs = pool.try_run_supervised(&pending, sup, |ctx, &i| {
+        let spec = &specs[i];
+        let b = sweep.build(&spec.kind);
+        let report = run_cell(b, snap, journal, &snapshot_key(&spec.key), &ctx)?;
+        let payload = sweep.reduce(&spec.kind, &report);
+        let value = sweep
+            .decode(&spec.kind, &payload)
+            .ok_or_else(|| format!("cell `{}` reduced to an undecodable payload", spec.key))?;
+        journal.record(&spec.key, payload);
+        Ok((value, keep_reports.then_some(report)))
+    });
+    let mut cells: Vec<CellRecord> = specs
+        .iter()
+        .map(|s| CellRecord::new::<()>(&s.key, &s.label, None))
+        .collect();
+    for (&i, out) in pending.iter().zip(outs) {
+        cells[i] = CellRecord::new(&specs[i].key, &specs[i].label, Some(&out));
+        if let TaskOutcome::Ok((value, report)) = out.outcome {
+            values[i] = Some(value);
+            if let Some(r) = report {
+                traces.record(&specs[i].label, &r);
+            }
+        }
+    }
+    CellRun {
+        values,
+        cells,
+        resumed: specs.len() - pending.len(),
+    }
+}
+
+/// Runs (or skips) the one cell of `sweep` keyed `key` — the shard
+/// worker's unit of work — through [`run_cells`] on a one-element spec
+/// slice: one thread, no snapshots, no traces. `Ok` once the cell is in
+/// `journal` (just run, or already there); `Err` with the failure
+/// description on terminal failure, and for a key that is not one of
+/// the sweep's cells — a worker must never silently accept a cell it
+/// cannot map back to the sweep spec.
+pub(crate) fn run_keyed_cell<S: CellSweep>(
+    sweep: &S,
+    sup: &SuperviseConfig,
+    journal: &Journal,
+    key: &str,
+) -> Result<(), String> {
+    let Some(spec) = sweep.specs().into_iter().find(|s| s.key == key) else {
+        return Err(format!("unknown cell key `{key}`"));
+    };
+    let run = run_cells(
+        sweep,
+        &[spec],
+        &Pool::new(1),
+        sup,
+        journal,
+        &SnapshotMode::disabled(),
+        &mut harness::TraceCollector::disabled(),
+    );
+    match run.cells.into_iter().next().and_then(|c| c.error) {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
+}
+
 /// One cell of a normalized sweep.
 #[derive(Debug, Clone, Copy)]
-enum CellKind {
+pub(crate) enum CellKind {
     /// A solo (uncontended) reference run of one program.
     Solo(PolicyKind, SpecProgram),
     /// A multiprogram run of workload `workloads[i]`.
     Multi(usize, PolicyKind),
 }
 
-/// A cell's identity: journal key, display label, and what to run.
+/// A completed normalized-sweep cell's value.
 #[derive(Debug)]
-struct CellSpec {
-    key: String,
-    label: String,
-    kind: CellKind,
-}
-
-/// A completed cell's value. Fresh multiprogram cells keep their full
-/// report so traces can be recorded; journal-restored cells do not
-/// (traces only cover cells that actually ran this process).
-#[derive(Debug)]
-enum CellValue {
+pub(crate) enum CellValue {
     Solo(f64),
-    Multi(MultiCell, Option<SystemReport>),
+    Multi(MultiCell),
 }
 
-fn encode_cell(v: &CellValue) -> Json {
-    match v {
-        CellValue::Solo(ipc) => Json::obj([("ipc", Json::Num(*ipc))]),
-        CellValue::Multi(cell, _) => cell.to_json(),
+/// The cells of a normalized sweep of `policy` against the PoM baseline.
+#[derive(Debug)]
+pub(crate) struct NormalizedCells<'a> {
+    pub(crate) cfg: &'a SystemConfig,
+    pub(crate) policy: PolicyKind,
+    pub(crate) target_misses: u64,
+    pub(crate) workloads: &'a [Workload],
+}
+
+impl CellSweep for NormalizedCells<'_> {
+    type Kind = CellKind;
+    type Value = CellValue;
+
+    /// Deduplicated solo references first (policy-major, first-seen
+    /// program order), then two multiprogram cells per workload, PoM
+    /// before `policy`.
+    fn specs(&self) -> Vec<CellSpec<CellKind>> {
+        let cfgfp = checkpoint::config_fingerprint(self.cfg, self.target_misses);
+        let policies = [PolicyKind::Pom, self.policy];
+        let mut specs: Vec<CellSpec<CellKind>> = Vec::new();
+        let mut seen: Vec<(&'static str, SpecProgram)> = Vec::new();
+        for &pk in &policies {
+            for w in self.workloads {
+                for &p in w.programs.iter() {
+                    if !seen.contains(&(pk.name(), p)) {
+                        seen.push((pk.name(), p));
+                        specs.push(CellSpec {
+                            key: format!("solo|{}|{}|{}", pk.name(), p.name(), cfgfp),
+                            label: format!("solo:{}:{}", pk.name(), p.name()),
+                            kind: CellKind::Solo(pk, p),
+                        });
+                    }
+                }
+            }
+        }
+        for (wi, w) in self.workloads.iter().enumerate() {
+            for &pk in &policies {
+                specs.push(CellSpec {
+                    key: format!("multi|{}|{}|{}", pk.name(), w.id, cfgfp),
+                    label: format!("{}:{}", w.id, pk.name()),
+                    kind: CellKind::Multi(wi, pk),
+                });
+            }
+        }
+        specs
     }
-}
 
-fn decode_cell(kind: CellKind, payload: &Json) -> Option<CellValue> {
-    match kind {
-        CellKind::Solo(..) => Some(CellValue::Solo(checkpoint::solo_ipc_from_json(payload)?)),
-        CellKind::Multi(..) => Some(CellValue::Multi(MultiCell::from_json(payload)?, None)),
+    fn decode(&self, kind: &CellKind, payload: &Json) -> Option<CellValue> {
+        match kind {
+            CellKind::Solo(..) => Some(CellValue::Solo(checkpoint::solo_ipc_from_json(payload)?)),
+            CellKind::Multi(..) => Some(CellValue::Multi(MultiCell::from_json(payload)?)),
+        }
+    }
+
+    /// Solo references record no trace: a sweep's trace artifact holds
+    /// its multiprogram runs only.
+    fn build(&self, kind: &CellKind) -> SystemBuilder {
+        let b = SystemBuilder::new(self.cfg.clone());
+        match *kind {
+            CellKind::Solo(pk, p) => b
+                .policy(pk)
+                .trace(profess_obs::TraceConfig::off())
+                .spec_program(p, p.budget_for_misses(self.target_misses)),
+            CellKind::Multi(wi, pk) => b
+                .policy(pk)
+                .workload(&self.workloads[wi], self.target_misses),
+        }
+    }
+
+    fn reduce(&self, kind: &CellKind, report: &SystemReport) -> Json {
+        match kind {
+            CellKind::Solo(..) => Json::obj([("ipc", Json::Num(report.programs[0].ipc))]),
+            CellKind::Multi(..) => MultiCell::from_report(report).to_json(),
+        }
     }
 }
 
@@ -580,7 +725,9 @@ pub struct CellRecord {
     pub key: String,
     /// Display label (`w03:profess`, `solo:pom:mcf`).
     pub label: String,
-    /// `cached`, `ok`, `panicked`, `timed_out`, or `exhausted`.
+    /// `cached` (restored from the journal), or the supervised outcome's
+    /// label: `ok`, `failed` (panicked or returned an error with no
+    /// retry budget), `timed_out`, or `exhausted`.
     pub status: &'static str,
     /// Attempts made (0 for journal-restored cells).
     pub attempts: u32,
@@ -588,6 +735,30 @@ pub struct CellRecord {
     pub history: Vec<String>,
     /// Terminal failure description, if the cell failed.
     pub error: Option<String>,
+}
+
+impl CellRecord {
+    /// The record of cell `key`: `run` is its supervised execution, or
+    /// `None` when it was restored from the journal.
+    pub fn new<R>(key: &str, label: &str, run: Option<&Supervised<R>>) -> CellRecord {
+        let (status, attempts, history, error) = match run {
+            None => ("cached", 0, Vec::new(), None),
+            Some(s) => (
+                s.outcome.label(),
+                s.attempts,
+                s.history.clone(),
+                s.outcome.error(),
+            ),
+        };
+        CellRecord {
+            key: key.to_string(),
+            label: label.to_string(),
+            status,
+            attempts,
+            history,
+            error,
+        }
+    }
 }
 
 /// Everything a supervised sweep produced.
@@ -626,26 +797,22 @@ impl SweepRun {
     }
 }
 
-/// Exit status the figure binaries use when a supervised sweep ends
-/// with at least one terminally-failed cell (distinct from the usage
-/// error exit 2 and the fault-injected kill exit
-/// [`profess_par::FAULT_EXIT_CODE`]). Alias of [`exit::SWEEP_FAILURE`],
-/// kept for the existing binaries' imports.
-pub const SWEEP_FAILURE_EXIT_CODE: i32 = exit::SWEEP_FAILURE;
-
 /// Prints a supervised sweep's resume and failure summary and returns
-/// whether every workload completed. The figure binaries exit with
-/// [`SWEEP_FAILURE_EXIT_CODE`] when this is false — after writing
+/// whether every cell succeeded. `skipped` lists the outputs (`what`:
+/// workloads, cells) left without results. The sweep binaries exit
+/// with [`exit::SWEEP_FAILURE`] when this is false — after writing
 /// their artifacts, so the per-cell outcomes are still inspectable.
-pub fn report_sweep_health(run: &SweepRun) -> bool {
-    if run.resumed > 0 {
+pub fn report_sweep_health(cells: &[CellRecord], what: &str, skipped: &[String]) -> bool {
+    let resumed = cells.iter().filter(|c| c.status == "cached").count();
+    if resumed > 0 {
         println!(
-            "checkpoint: {} cell(s) restored from journal, {} executed",
-            run.resumed,
-            run.executed()
+            "checkpoint: {resumed} cell(s) restored from journal, {} executed",
+            cells.len() - resumed
         );
     }
-    for c in run.failed_cells() {
+    let mut ok = true;
+    for c in cells.iter().filter(|c| c.error.is_some()) {
+        ok = false;
         eprintln!(
             "cell failed: {} [{}] after {} attempt(s): {}",
             c.label,
@@ -657,43 +824,24 @@ pub fn report_sweep_health(run: &SweepRun) -> bool {
             eprintln!("  {h}");
         }
     }
-    if !run.all_ok() {
-        eprintln!("workloads without results: {}", run.skipped.join(" "));
+    if !skipped.is_empty() {
+        eprintln!("{what} without results: {}", skipped.join(" "));
     }
-    run.all_ok()
-}
-
-/// Builds the simulation one cell describes (policy and program set
-/// applied, nothing run yet).
-fn cell_builder(
-    cfg: &SystemConfig,
-    kind: CellKind,
-    workloads: &[Workload],
-    target_misses: u64,
-) -> SystemBuilder {
-    match kind {
-        CellKind::Solo(pk, p) => SystemBuilder::new(cfg.clone())
-            .policy(pk)
-            .spec_program(p, p.budget_for_misses(target_misses)),
-        CellKind::Multi(wi, pk) => SystemBuilder::new(cfg.clone())
-            .policy(pk)
-            .workload(&workloads[wi], target_misses),
-    }
+    ok && skipped.is_empty()
 }
 
 /// Runs one cell under a cancel token, with the snapshot mode applied.
-/// Simulator errors (budget, deadlock, cancellation) become panics so
-/// the supervisor classifies them per cell instead of the process
-/// dying. A preempted run journals its snapshot under
-/// [`snapshot_key`] and then panics: the supervisor counts the attempt
-/// as failed and the retry finds the snapshot and warm-starts from it.
-pub(crate) fn run_cell(
+/// A simulator error (budget, deadlock, cancellation) is an `Err`, which
+/// the supervisor counts as a failed attempt. A preempted run journals
+/// its snapshot under [`snapshot_key`] and returns an `Err` too: the
+/// retry finds the snapshot and warm-starts from it.
+fn run_cell(
     b: SystemBuilder,
     snap: &SnapshotMode,
     journal: &Journal,
     snap_key: &str,
     ctx: &profess_par::TaskCtx<'_>,
-) -> SystemReport {
+) -> Result<SystemReport, String> {
     let mut b = b
         .cancel_token(ctx.cancel.clone())
         .snapshot_on_cancel(snap.on_cancel);
@@ -717,158 +865,25 @@ pub(crate) fn run_cell(
         }
     }
     match b.try_run_preemptible() {
-        Ok(RunOutcome::Completed(r)) => r,
+        Ok(RunOutcome::Completed(r)) => Ok(r),
         Ok(RunOutcome::Preempted(s)) => {
             journal.record(snap_key, s.to_json());
-            // profess: allow(panic): hands the preempted cell back to the supervisor, whose retry warm-starts from the journaled snapshot
-            panic!("preempted into snapshot at cycle {}", s.clock())
+            Err(format!("preempted into snapshot at cycle {}", s.clock()))
         }
-        // profess: allow(panic): converts the typed SimError into a supervised per-cell failure
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Enumerates the cells of a normalized sweep, in spec order:
-/// deduplicated solo references first (policy-major, first-seen program
-/// order), then two multiprogram cells per workload, PoM before
-/// `policy`. This order is the canonical *cell order* every consumer
-/// shares — the sweep's journal append order when run serially, the
-/// shard supervisor's deal order, and the merged journal's line order.
-fn normalized_cell_specs(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-    workloads: &[Workload],
-) -> Vec<CellSpec> {
-    let cfgfp = checkpoint::config_fingerprint(cfg, target_misses);
-    let policies = [PolicyKind::Pom, policy];
-    let mut specs: Vec<CellSpec> = Vec::new();
-    let mut seen: Vec<(&'static str, SpecProgram)> = Vec::new();
-    for &pk in &policies {
-        for w in workloads {
-            for &p in w.programs.iter() {
-                if !seen.contains(&(pk.name(), p)) {
-                    seen.push((pk.name(), p));
-                    specs.push(CellSpec {
-                        key: format!("solo|{}|{}|{}", pk.name(), p.name(), cfgfp),
-                        label: format!("solo:{}:{}", pk.name(), p.name()),
-                        kind: CellKind::Solo(pk, p),
-                    });
-                }
-            }
-        }
-    }
-    for (wi, w) in workloads.iter().enumerate() {
-        for &pk in &policies {
-            specs.push(CellSpec {
-                key: format!("multi|{}|{}|{}", pk.name(), w.id, cfgfp),
-                label: format!("{}:{}", w.id, pk.name()),
-                kind: CellKind::Multi(wi, pk),
-            });
-        }
-    }
-    specs
-}
-
-/// The spec-order journal keys of a normalized sweep's cells — the
-/// shard units `profess-shard` deals to worker processes, and the line
-/// order of a merged shard journal.
-pub fn normalized_cell_keys(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-    workloads: &[Workload],
-) -> Vec<String> {
-    normalized_cell_specs(cfg, policy, target_misses, workloads)
-        .into_iter()
-        .map(|s| s.key)
-        .collect()
-}
-
-/// Runs (or skips) **one** normalized-sweep cell, identified by its
-/// journal key — the shard worker's unit of work. A cell already in
-/// `journal` with a decodable payload is skipped (`Ok(false)`); a
-/// fresh cell runs under single-slot supervision with `sup`'s retry
-/// budget and is journaled on success (`Ok(true)`). A terminal failure
-/// (retries exhausted) is `Err` with the failure description, as is an
-/// unknown key — a worker must never silently accept a cell it cannot
-/// map back to the sweep spec.
-pub fn run_normalized_cell(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-    workloads: &[Workload],
-    sup: &SuperviseConfig,
-    journal: &Journal,
-    key: &str,
-) -> Result<bool, String> {
-    let specs = normalized_cell_specs(cfg, policy, target_misses, workloads);
-    let Some(spec) = specs.iter().find(|s| s.key == key) else {
-        return Err(format!("unknown cell key `{key}`"));
-    };
-    if journal
-        .lookup(key)
-        .and_then(|p| decode_cell(spec.kind, &p))
-        .is_some()
-    {
-        return Ok(false);
-    }
-    let outs = Pool::new(1).run_supervised(&[()], sup, |ctx, &()| {
-        let b = cell_builder(cfg, spec.kind, workloads, target_misses);
-        let report = run_cell(
-            b,
-            &SnapshotMode::disabled(),
-            journal,
-            &snapshot_key(key),
-            &ctx,
-        );
-        let value = match spec.kind {
-            CellKind::Solo(..) => CellValue::Solo(report.programs[0].ipc),
-            CellKind::Multi(..) => CellValue::Multi(MultiCell::from_report(&report), Some(report)),
-        };
-        journal.record(key, encode_cell(&value));
-    });
-    conclude_single_cell(outs)
-}
-
-/// Reduces a single-slot supervised run to the worker contract:
-/// `Ok(true)` on success, `Err(description)` on terminal failure.
-pub(crate) fn conclude_single_cell(outs: Vec<Supervised<()>>) -> Result<bool, String> {
-    match outs.into_iter().next() {
-        Some(s) => match s.outcome {
-            TaskOutcome::Ok(()) => Ok(true),
-            o => Err(o.error().unwrap_or_else(|| "failed".to_string())),
-        },
-        None => Err("supervision returned no slot".to_string()),
+        Err(e) => Err(e.to_string()),
     }
 }
 
 /// The supervised, checkpointable normalized sweep all `normalized_sweep*`
-/// entry points are built on.
-///
-/// The sweep decomposes into cells — deduplicated solo references (in
-/// [`SoloCache::warm`]'s order), then two multiprogram runs per
-/// workload, PoM before `policy`. Cells already present in `journal`
-/// (same key, valid fingerprint) are restored instead of re-run; the
-/// rest execute under [`Pool::run_supervised`] with `sup`'s retry /
-/// timeout / fault-injection settings, and each is journaled the moment
-/// it completes. Fault-plan indices refer to positions in the *pending*
-/// (not-yet-journaled) cell list.
+/// entry points are built on: a normalized sweep's cells, run by
+/// [`run_cells`] (journal replay, supervision, snapshots, traces), then
+/// reduced to rows.
 ///
 /// Rows are assembled only for workloads whose four cell kinds all
 /// succeeded; the rest are listed in [`SweepRun::skipped`]. Both fresh
 /// and restored cells flow through [`workload_metrics_cell`], so a
-/// resumed sweep's rows are byte-identical to an uninterrupted run's.
-/// Traces are recorded in cell order for multiprogram cells that ran
-/// this process (restored cells have no trace to contribute).
-///
-/// With `snap` enabled, a preempted cell (watchdog cancel under
-/// `snap.on_cancel`, or the deterministic `snap.at` clock on first
-/// attempts) journals a mid-run [`SystemSnapshot`] under
-/// [`snapshot_key`] and fails the attempt; the retry restores the
-/// snapshot and runs only the remaining cycles. Snapshot-restored
-/// completions are byte-identical to straight-through runs, so the
-/// emitted rows do not depend on whether any cell was preempted.
+/// resumed or warm-started sweep's rows are byte-identical to an
+/// uninterrupted run's.
 #[allow(clippy::too_many_arguments)]
 pub fn normalized_sweep_supervised(
     pool: &Pool,
@@ -881,77 +896,26 @@ pub fn normalized_sweep_supervised(
     snap: &SnapshotMode,
     traces: &mut harness::TraceCollector,
 ) -> SweepRun {
-    let specs = normalized_cell_specs(cfg, policy, target_misses, workloads);
-
-    // Replay the journal; only the remaining cells run.
-    let mut values: Vec<Option<CellValue>> = specs.iter().map(|_| None).collect();
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, s) in specs.iter().enumerate() {
-        match journal.lookup(&s.key).and_then(|p| decode_cell(s.kind, &p)) {
-            Some(v) => values[i] = Some(v),
-            None => pending.push(i),
-        }
-    }
-    let resumed = specs.len() - pending.len();
-
-    let outs = pool.run_supervised(&pending, sup, |ctx, &si| {
-        let spec = &specs[si];
-        let skey = snapshot_key(&spec.key);
-        let b = cell_builder(cfg, spec.kind, workloads, target_misses);
-        let report = run_cell(b, snap, journal, &skey, &ctx);
-        let value = match spec.kind {
-            CellKind::Solo(..) => CellValue::Solo(report.programs[0].ipc),
-            CellKind::Multi(..) => CellValue::Multi(MultiCell::from_report(&report), Some(report)),
-        };
-        journal.record(&spec.key, encode_cell(&value));
-        value
-    });
-
-    let mut cells: Vec<CellRecord> = specs
-        .iter()
-        .map(|s| CellRecord {
-            key: s.key.clone(),
-            label: s.label.clone(),
-            status: "cached",
-            attempts: 0,
-            history: Vec::new(),
-            error: None,
-        })
-        .collect();
-    for (&si, out) in pending.iter().zip(outs) {
-        let profess_par::Supervised {
-            outcome,
-            attempts,
-            history,
-        } = out;
-        let rec = &mut cells[si];
-        rec.status = outcome.label();
-        rec.attempts = attempts;
-        rec.history = history;
-        rec.error = outcome.error();
-        if let Some(v) = outcome.into_ok() {
-            values[si] = Some(v);
-        }
-    }
-
-    // Traces, in deterministic cell order (fresh multiprogram cells).
-    for (s, v) in specs.iter().zip(&values) {
-        if let Some(CellValue::Multi(_, Some(report))) = v {
-            traces.record(&s.label, report);
-        }
-    }
+    let sweep = NormalizedCells {
+        cfg,
+        policy,
+        target_misses,
+        workloads,
+    };
+    let specs = sweep.specs();
+    let run = run_cells(&sweep, &specs, pool, sup, journal, snap, traces);
 
     // Row assembly from the cell values alone.
     let mut solo_map: std::collections::BTreeMap<(&'static str, SpecProgram), f64> =
         std::collections::BTreeMap::new();
     let mut multi_map: std::collections::BTreeMap<(usize, &'static str), &MultiCell> =
         std::collections::BTreeMap::new();
-    for (s, v) in specs.iter().zip(&values) {
+    for (s, v) in specs.iter().zip(&run.values) {
         match (s.kind, v) {
             (CellKind::Solo(pk, p), Some(CellValue::Solo(ipc))) => {
                 solo_map.insert((pk.name(), p), *ipc);
             }
-            (CellKind::Multi(wi, pk), Some(CellValue::Multi(cell, _))) => {
+            (CellKind::Multi(wi, pk), Some(CellValue::Multi(cell))) => {
                 multi_map.insert((wi, pk.name()), cell);
             }
             _ => {}
@@ -991,9 +955,9 @@ pub fn normalized_sweep_supervised(
     }
     SweepRun {
         rows,
-        cells,
+        cells: run.cells,
         skipped,
-        resumed,
+        resumed: run.resumed,
         skipped_malformed: journal.rejected(),
     }
 }

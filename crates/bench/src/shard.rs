@@ -35,10 +35,86 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use profess_core::system::PolicyKind;
 use profess_metrics::Json;
-use profess_par::{WorkerEvent, WorkerExit, WorkerPool, WorkerSpec};
+use profess_par::{WorkerEvent, WorkerExit, WorkerPool};
+use profess_trace::Workload;
+use profess_types::SystemConfig;
 
-use crate::checkpoint::decode_line;
+use crate::checkpoint::{decode_line, Journal};
+use crate::surface::{SurfaceCells, SurfaceSpec};
+use crate::{run_keyed_cell, CellSweep, NormalizedCells, SuperviseConfig};
+
+/// The sweep a sharded run deals to worker processes, one keyed cell
+/// at a time. Supervisor and workers derive it identically from the
+/// same arguments and environment, so both sides agree on every key.
+#[derive(Debug, Clone)]
+pub enum ShardSweep {
+    /// The cells of [`crate::normalized_sweep_supervised`] for `policy`.
+    Normalized {
+        /// The policy normalized against PoM.
+        policy: PolicyKind,
+        /// Memory operations per program.
+        target_misses: u64,
+        /// The workloads swept.
+        workloads: Vec<Workload>,
+    },
+    /// The cells of [`crate::surface::surface_sweep`].
+    Surface(SurfaceSpec),
+}
+
+impl ShardSweep {
+    /// Every cell key, in canonical spec order: the shard units, and
+    /// the line order of a merged shard journal.
+    pub fn cell_keys(&self, cfg: &SystemConfig) -> Vec<String> {
+        fn keys<S: CellSweep>(sweep: S) -> Vec<String> {
+            sweep.specs().into_iter().map(|s| s.key).collect()
+        }
+        match self {
+            ShardSweep::Normalized {
+                policy,
+                target_misses,
+                workloads,
+            } => keys(NormalizedCells {
+                cfg,
+                policy: *policy,
+                target_misses: *target_misses,
+                workloads,
+            }),
+            ShardSweep::Surface(spec) => keys(SurfaceCells { cfg, spec }),
+        }
+    }
+
+    /// Runs (or skips, when already journaled) the one cell keyed
+    /// `key` — a worker's unit of work. `Err` carries the terminal
+    /// failure, or names a key that is not one of the sweep's cells.
+    pub fn run_cell(
+        &self,
+        cfg: &SystemConfig,
+        sup: &SuperviseConfig,
+        journal: &Journal,
+        key: &str,
+    ) -> Result<(), String> {
+        match self {
+            ShardSweep::Normalized {
+                policy,
+                target_misses,
+                workloads,
+            } => {
+                let sweep = NormalizedCells {
+                    cfg,
+                    policy: *policy,
+                    target_misses: *target_misses,
+                    workloads,
+                };
+                run_keyed_cell(&sweep, sup, journal, key)
+            }
+            ShardSweep::Surface(spec) => {
+                run_keyed_cell(&SurfaceCells { cfg, spec }, sup, journal, key)
+            }
+        }
+    }
+}
 
 /// One line of the supervisor↔worker protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -292,10 +368,9 @@ pub struct ShardPlan {
     /// Worker processes to spawn.
     pub workers: usize,
     /// Worker-mode argv for the re-exec (everything but the trailing
-    /// `--worker <k>`, which [`run_sharded`] appends per spawn).
+    /// `--worker <k>`, which [`run_sharded`] appends per spawn). Workers
+    /// inherit the supervisor's environment, `PROFESS_FAULT` included.
     pub worker_args: Vec<String>,
-    /// Environment overrides for every worker (the split fault specs).
-    pub worker_envs: Vec<(String, String)>,
     /// Deals allowed per cell: the in-process retry budget plus one
     /// (initial deal). Exceeding it declares the run lost.
     pub deal_budget: u32,
@@ -356,15 +431,12 @@ pub fn run_sharded(plan: &ShardPlan, keys: &[String]) -> ShardOutcome {
     let mut pool = WorkerPool::new();
     let mut st: Vec<WorkerState> = Vec::new();
     for _ in 0..plan.workers.min(queue.len()) {
-        let mut spec = WorkerSpec {
-            args: plan.worker_args.clone(),
-            envs: plan.worker_envs.clone(),
-        };
         let k = pool.len();
-        spec.args.push("--worker".to_string());
-        spec.args.push(k.to_string());
+        let mut args = plan.worker_args.clone();
+        args.push("--worker".to_string());
+        args.push(k.to_string());
         // profess: allow(thread_spawn): WorkerPool::spawn forks a worker *process* via profess-par, not a thread
-        match pool.spawn(&spec) {
+        match pool.spawn(&args) {
             Ok(_) => st.push(WorkerState {
                 alive: true,
                 ..WorkerState::default()
@@ -656,7 +728,6 @@ mod tests {
         let plan = ShardPlan {
             workers: 0,
             worker_args: vec![],
-            worker_envs: vec![],
             deal_budget: 2,
             deadline: None,
         };

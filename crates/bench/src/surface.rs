@@ -29,9 +29,11 @@ use profess_trace::patterns::{seeded_rng, Hotspot, Mix, MultiStream};
 use profess_trace::{ProgramGen, ProgramParams};
 use profess_types::SystemConfig;
 
-use crate::checkpoint::{self, Journal};
+use crate::checkpoint::{self, json_f64, json_u64, Journal};
 use crate::harness::TraceCollector;
-use crate::{run_cell, snapshot_key, CellRecord, Pool, SnapshotMode, SuperviseConfig, Supervised};
+use crate::{
+    run_cells, usage_error, CellRecord, CellSpec, CellSweep, Pool, SnapshotMode, SuperviseConfig,
+};
 
 /// The fields of one surface point, in emission order.
 ///
@@ -219,22 +221,6 @@ impl SurfacePoint {
     }
 }
 
-fn json_f64(j: &Json) -> Option<f64> {
-    match *j {
-        Json::Num(x) => Some(x),
-        Json::UInt(n) => Some(n as f64),
-        Json::Int(n) => Some(n as f64),
-        _ => None,
-    }
-}
-
-fn json_u64(j: &Json) -> Option<u64> {
-    match *j {
-        Json::UInt(n) => Some(n),
-        _ => None,
-    }
-}
-
 /// Everything a surface sweep produced.
 #[derive(Debug)]
 pub struct SurfaceRun {
@@ -330,15 +316,55 @@ pub fn surface_cell_builder(
     b
 }
 
+/// The cells of a surface sweep: one per grid point, keyed by
+/// `(policy, read fraction, intensity)`.
+#[derive(Debug)]
+pub(crate) struct SurfaceCells<'a> {
+    pub(crate) cfg: &'a SystemConfig,
+    pub(crate) spec: &'a SurfaceSpec,
+}
+
+impl CellSweep for SurfaceCells<'_> {
+    type Kind = (PolicyKind, f64, f64);
+    type Value = SurfacePoint;
+
+    /// Grid order: policy-major, then read fraction, then intensity.
+    fn specs(&self) -> Vec<CellSpec<Self::Kind>> {
+        let cfgfp = checkpoint::config_fingerprint(self.cfg, self.spec.target_ops);
+        let mut grid = Vec::with_capacity(self.spec.cells());
+        for &pk in &self.spec.policies {
+            for &rf in &self.spec.read_fracs {
+                for &it in &self.spec.intensities {
+                    grid.push(CellSpec {
+                        key: surface_cell_key(pk, rf, it, &cfgfp),
+                        label: format!("surface:{}:r{rf:?}:i{it:?}", pk.name()),
+                        kind: (pk, rf, it),
+                    });
+                }
+            }
+        }
+        grid
+    }
+
+    fn decode(&self, _: &Self::Kind, payload: &Json) -> Option<SurfacePoint> {
+        SurfacePoint::from_json(payload)
+    }
+
+    fn build(&self, &(pk, rf, it): &Self::Kind) -> SystemBuilder {
+        surface_cell_builder(self.cfg, pk, rf, it, self.spec.target_ops)
+    }
+
+    fn reduce(&self, &(pk, rf, it): &Self::Kind, report: &SystemReport) -> Json {
+        SurfacePoint::from_report(pk, rf, it, report).to_json()
+    }
+}
+
 /// Runs a surface sweep: every grid cell of `spec`, supervised,
-/// journaled and snapshot-capable exactly like the figure sweeps.
-///
-/// Cells already present in `journal` (same key, valid payload) are
-/// restored instead of re-run; the rest execute under
-/// [`Pool::run_supervised`] and journal the moment they complete.
-/// Points are assembled in grid order from the cell values alone, and
-/// every float round-trips through the journal exactly, so the
-/// artifact is byte-identical across thread counts and kill/resume.
+/// journaled and snapshot-capable exactly like the figure sweeps (the
+/// same [`run_cells`] engine). Points are assembled in grid order from
+/// the cell values alone, and every float round-trips through the
+/// journal exactly, so the artifact is byte-identical across thread
+/// counts and kill/resume.
 pub fn surface_sweep(
     pool: &Pool,
     cfg: &SystemConfig,
@@ -348,153 +374,24 @@ pub fn surface_sweep(
     snap: &SnapshotMode,
     traces: &mut TraceCollector,
 ) -> SurfaceRun {
-    let grid = surface_grid(cfg, spec);
-
-    // Replay the journal; only the remaining cells run.
-    let mut values: Vec<Option<SurfacePoint>> = grid.iter().map(|_| None).collect();
-    let mut reports: Vec<Option<SystemReport>> = grid.iter().map(|_| None).collect();
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, (_, _, _, key, _)) in grid.iter().enumerate() {
-        match journal
-            .lookup(key)
-            .and_then(|p| SurfacePoint::from_json(&p))
-        {
-            Some(v) => values[i] = Some(v),
-            None => pending.push(i),
-        }
-    }
-    let resumed = grid.len() - pending.len();
-
-    let outs = pool.run_supervised(&pending, sup, |ctx, &gi| {
-        let (pk, rf, it, key, _) = &grid[gi];
-        let b = surface_cell_builder(cfg, *pk, *rf, *it, spec.target_ops);
-        let report = run_cell(b, snap, journal, &snapshot_key(key), &ctx);
-        let point = SurfacePoint::from_report(*pk, *rf, *it, &report);
-        journal.record(key, point.to_json());
-        (point, report)
-    });
-
-    let mut cells: Vec<CellRecord> = grid
-        .iter()
-        .map(|(_, _, _, key, label)| CellRecord {
-            key: key.clone(),
-            label: label.clone(),
-            status: "cached",
-            attempts: 0,
-            history: Vec::new(),
-            error: None,
-        })
-        .collect();
-    for (&gi, out) in pending.iter().zip(outs) {
-        let Supervised {
-            outcome,
-            attempts,
-            history,
-        } = out;
-        let rec = &mut cells[gi];
-        rec.status = outcome.label();
-        rec.attempts = attempts;
-        rec.history = history;
-        rec.error = outcome.error();
-        if let Some((point, report)) = outcome.into_ok() {
-            values[gi] = Some(point);
-            reports[gi] = Some(report);
-        }
-    }
-
-    // Traces, in grid order, for cells that ran this process.
-    for ((_, _, _, _, label), report) in grid.iter().zip(&reports) {
-        if let Some(r) = report {
-            traces.record(label, r);
-        }
-    }
-
+    let sweep = SurfaceCells { cfg, spec };
+    let specs = sweep.specs();
+    let run = run_cells(&sweep, &specs, pool, sup, journal, snap, traces);
     let mut points = Vec::new();
     let mut skipped = Vec::new();
-    for ((_, _, _, _, label), v) in grid.iter().zip(values) {
+    for (s, v) in specs.iter().zip(run.values) {
         match v {
             Some(p) => points.push(p),
-            None => skipped.push(label.clone()),
+            None => skipped.push(s.label.clone()),
         }
     }
     SurfaceRun {
         points,
-        cells,
+        cells: run.cells,
         skipped,
-        resumed,
+        resumed: run.resumed,
         skipped_malformed: journal.rejected(),
     }
-}
-
-/// Enumerates the surface grid in sweep order (policy-major, then read
-/// fraction, then intensity): `(policy, read_frac, intensity, key,
-/// label)` per cell. This is the canonical cell order shared by the
-/// serial journal, the shard supervisor's deal order, and the merged
-/// journal's line order.
-fn surface_grid(
-    cfg: &SystemConfig,
-    spec: &SurfaceSpec,
-) -> Vec<(PolicyKind, f64, f64, String, String)> {
-    let cfgfp = checkpoint::config_fingerprint(cfg, spec.target_ops);
-    let mut grid: Vec<(PolicyKind, f64, f64, String, String)> = Vec::with_capacity(spec.cells());
-    for &pk in &spec.policies {
-        for &rf in &spec.read_fracs {
-            for &it in &spec.intensities {
-                let key = surface_cell_key(pk, rf, it, &cfgfp);
-                let label = format!("surface:{}:r{rf:?}:i{it:?}", pk.name());
-                grid.push((pk, rf, it, key, label));
-            }
-        }
-    }
-    grid
-}
-
-/// The spec-order journal keys of a surface sweep's cells — the shard
-/// units `profess-shard` deals to worker processes, and the line order
-/// of a merged shard journal.
-pub fn surface_cell_keys(cfg: &SystemConfig, spec: &SurfaceSpec) -> Vec<String> {
-    surface_grid(cfg, spec)
-        .into_iter()
-        .map(|(_, _, _, key, _)| key)
-        .collect()
-}
-
-/// Runs (or skips) **one** surface cell, identified by its journal key
-/// — the shard worker's unit of work. Mirrors
-/// [`crate::run_normalized_cell`]: `Ok(false)` when the cell is already
-/// journaled with a decodable payload, `Ok(true)` after a fresh run is
-/// journaled, `Err` on terminal failure or an unknown key.
-pub fn run_surface_cell(
-    cfg: &SystemConfig,
-    spec: &SurfaceSpec,
-    sup: &SuperviseConfig,
-    journal: &Journal,
-    key: &str,
-) -> Result<bool, String> {
-    let grid = surface_grid(cfg, spec);
-    let Some((pk, rf, it, cell_key, _)) = grid.into_iter().find(|(_, _, _, k, _)| k == key) else {
-        return Err(format!("unknown cell key `{key}`"));
-    };
-    if journal
-        .lookup(&cell_key)
-        .and_then(|p| SurfacePoint::from_json(&p))
-        .is_some()
-    {
-        return Ok(false);
-    }
-    let outs = Pool::new(1).run_supervised(&[()], sup, |ctx, &()| {
-        let b = surface_cell_builder(cfg, pk, rf, it, spec.target_ops);
-        let report = run_cell(
-            b,
-            &SnapshotMode::disabled(),
-            journal,
-            &snapshot_key(&cell_key),
-            &ctx,
-        );
-        let point = SurfacePoint::from_report(pk, rf, it, &report);
-        journal.record(&cell_key, point.to_json());
-    });
-    crate::conclude_single_cell(outs)
 }
 
 /// Renders a surface artifact document: the spec's axes plus every
@@ -676,6 +573,46 @@ pub fn axis_from_env(var: &str, default: &[f64]) -> Result<Vec<f64>, String> {
             })
             .collect(),
     }
+}
+
+/// The surface binaries' shared CLI shape — `[<target-ops>]
+/// [<policy>...]` (flags already removed) — plus the axis environment
+/// variables, as a validated [`SurfaceSpec`]. Policies default to
+/// [`DEFAULT_POLICIES`]; every problem is a usage error.
+pub fn surface_spec_from_args(rest: &[String]) -> SurfaceSpec {
+    let (target, names) = match rest.split_first() {
+        Some((first, tail)) => match first.parse::<u64>() {
+            Ok(t) => (t, tail),
+            Err(_) => (DEFAULT_TARGET_OPS, rest),
+        },
+        None => (DEFAULT_TARGET_OPS, rest),
+    };
+    let policies = if names.is_empty() {
+        DEFAULT_POLICIES.to_vec()
+    } else {
+        names
+            .iter()
+            .map(|n| {
+                parse_policy(n).unwrap_or_else(|| {
+                    let known: Vec<&str> = POLICY_NAMES.iter().map(|(n, _)| *n).collect();
+                    usage_error(&format!(
+                        "unknown policy `{n}` (known: {})",
+                        known.join(" ")
+                    ))
+                })
+            })
+            .collect()
+    };
+    let mut spec = SurfaceSpec::new(policies);
+    spec.target_ops = target;
+    spec.read_fracs =
+        axis_from_env(RATIOS_ENV, &DEFAULT_READ_FRACS).unwrap_or_else(|e| usage_error(&e));
+    spec.intensities =
+        axis_from_env(INTENSITIES_ENV, &DEFAULT_INTENSITIES).unwrap_or_else(|e| usage_error(&e));
+    if let Err(e) = spec.validate() {
+        usage_error(&e);
+    }
+    spec
 }
 
 #[cfg(test)]

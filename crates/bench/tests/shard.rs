@@ -16,7 +16,6 @@ const PROFESS_ENVS: &[&str] = &[
     "PROFESS_TASK_TIMEOUT_MS",
     "PROFESS_THREADS",
     "PROFESS_CHECKPOINT",
-    "PROFESS_SHARD_FAULT",
     "PROFESS_TARGET",
     "PROFESS_TRACE",
     "PROFESS_SNAPSHOT",

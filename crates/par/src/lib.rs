@@ -21,13 +21,10 @@
 pub mod process;
 pub mod supervise;
 
-pub use process::{
-    split_fault_spec, worker_fault, ProcessFault, ProcessFaultKind, ProcessFaultPlan,
-    ShardSupervision, WorkerEvent, WorkerExit, WorkerPool, WorkerSpec, SHARD_FAULT_ENV,
-};
+pub use process::{WorkerEvent, WorkerExit, WorkerPool};
 pub use supervise::{
-    CancelToken, Fault, FaultKind, FaultPlan, SuperviseConfig, Supervised, TaskCtx, TaskOutcome,
-    FAULT_ENV, FAULT_EXIT_CODE, RETRIES_ENV, TIMEOUT_ENV,
+    worker_fault, CancelToken, Fault, FaultKind, FaultPlan, SuperviseConfig, Supervised, TaskCtx,
+    TaskOutcome, FAULT_ENV, FAULT_EXIT_CODE, RETRIES_ENV, TIMEOUT_ENV,
 };
 
 use std::sync::atomic::{AtomicUsize, Ordering};

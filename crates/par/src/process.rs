@@ -10,9 +10,11 @@
 //! address space. The policy — what to deal, when a silent worker is
 //! dead, where its cells go — lives with the caller; this module owns
 //! the mechanism: process lifecycle, non-blocking line I/O (one reader
-//! thread per worker feeding a shared channel), exit classification,
-//! and the deterministic process-level fault plan
-//! (`worker_kill@k`/`worker_hang@k` entries of `PROFESS_FAULT`).
+//! thread per worker feeding a shared channel), and exit
+//! classification. Worker-process faults are ordinary
+//! [`crate::FaultPlan`] entries (`worker_kill@k`/`worker_hang@k` in
+//! `PROFESS_FAULT`), which workers inherit with the rest of the
+//! environment.
 //!
 //! Everything here is std-only: `std::process::Command` +
 //! `std::sync::mpsc`, no dependencies, per the workspace's hermetic
@@ -24,177 +26,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
-
-use crate::supervise::{SuperviseConfig, FAULT_ENV};
-
-/// Env var carrying the process-side fault plan to a worker (set by
-/// the shard supervisor, never by hand): the `worker_*` entries split
-/// out of the supervisor's own `PROFESS_FAULT`.
-pub const SHARD_FAULT_ENV: &str = "PROFESS_SHARD_FAULT";
-
-/// Which process-level failure a fault injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcessFaultKind {
-    /// The worker aborts (SIGABRT — no exit code, like `kill -9`).
-    Kill,
-    /// The worker stops responding without exiting, exercising the
-    /// supervisor's deadline watchdog.
-    Hang,
-}
-
-/// One injected process fault: `kind` fires when worker `worker`
-/// begins its `nth_cell`-th dealt cell (1-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProcessFault {
-    /// The failure to inject.
-    pub kind: ProcessFaultKind,
-    /// The worker index it targets.
-    pub worker: usize,
-    /// Which of the worker's dealt cells triggers it (1 = its first).
-    pub nth_cell: u32,
-}
-
-/// A deterministic process-level fault schedule, keyed by worker index.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProcessFaultPlan {
-    faults: Vec<ProcessFault>,
-}
-
-impl ProcessFaultPlan {
-    /// The empty plan: inject nothing.
-    pub fn none() -> ProcessFaultPlan {
-        ProcessFaultPlan::default()
-    }
-
-    /// Is this the empty plan?
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Parses a spec: comma-separated `worker_kill@worker[*nth]` /
-    /// `worker_hang@worker[*nth]` entries; `nth` defaults to 1 (the
-    /// worker's first dealt cell). An empty spec is the empty plan.
-    pub fn parse(spec: &str) -> Result<ProcessFaultPlan, String> {
-        let mut faults = Vec::new();
-        for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-            let (kind_s, rest) = entry
-                .split_once('@')
-                .ok_or_else(|| format!("process fault `{entry}`: expected kind@worker[*nth]"))?;
-            let kind = match kind_s {
-                "worker_kill" => ProcessFaultKind::Kill,
-                "worker_hang" => ProcessFaultKind::Hang,
-                _ => return Err(format!("process fault `{entry}`: unknown kind `{kind_s}`")),
-            };
-            let (worker_s, nth_s) = match rest.split_once('*') {
-                Some((w, n)) => (w, Some(n)),
-                None => (rest, None),
-            };
-            let worker = worker_s
-                .parse::<usize>()
-                .map_err(|_| format!("process fault `{entry}`: bad worker `{worker_s}`"))?;
-            let nth_cell =
-                match nth_s {
-                    Some(n) => n.parse::<u32>().ok().filter(|&c| c > 0).ok_or_else(|| {
-                        format!("process fault `{entry}`: bad cell ordinal `{n}`")
-                    })?,
-                    None => 1,
-                };
-            faults.push(ProcessFault {
-                kind,
-                worker,
-                nth_cell,
-            });
-        }
-        Ok(ProcessFaultPlan { faults })
-    }
-
-    /// Reads the plan from [`SHARD_FAULT_ENV`] (empty plan when unset).
-    /// Workers call this; the supervisor sets the variable per child.
-    pub fn from_env() -> Result<ProcessFaultPlan, String> {
-        match std::env::var(SHARD_FAULT_ENV) {
-            Ok(spec) => ProcessFaultPlan::parse(&spec),
-            Err(_) => Ok(ProcessFaultPlan::none()),
-        }
-    }
-
-    /// The fault scheduled for worker `worker`'s `nth_cell`-th dealt
-    /// cell, if any.
-    pub fn action(&self, worker: usize, nth_cell: u32) -> Option<ProcessFaultKind> {
-        self.faults
-            .iter()
-            .find(|f| f.worker == worker && f.nth_cell == nth_cell)
-            .map(|f| f.kind)
-    }
-}
-
-/// Splits a `PROFESS_FAULT` spec into its task-side and process-side
-/// parts: entries whose kind starts with `worker_` go to the process
-/// plan, the rest stay task-side (`panic`/`stall`/`exit`, handled by
-/// [`crate::supervise::FaultPlan`]). Entry order is preserved within
-/// each side; neither part is validated here.
-pub fn split_fault_spec(spec: &str) -> (String, String) {
-    let (mut task, mut process) = (Vec::new(), Vec::new());
-    for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-        let kind = entry.split('@').next().unwrap_or(entry);
-        if kind.starts_with("worker_") {
-            process.push(entry);
-        } else {
-            task.push(entry);
-        }
-    }
-    (task.join(","), process.join(","))
-}
-
-/// The supervision environment, split across the process boundary:
-/// what the shard supervisor keeps for itself and what it forwards to
-/// its workers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSupervision {
-    /// In-process supervision (retries, timeout, task-side faults) —
-    /// the supervisor's retry budget doubles as the per-cell re-deal
-    /// budget, and the config workers rebuild from the forwarded env
-    /// is identical.
-    pub sup: SuperviseConfig,
-    /// Task-side fault entries, forwarded to workers as their
-    /// `PROFESS_FAULT`.
-    pub task_fault_spec: String,
-    /// Process-side (`worker_*`) fault entries, forwarded to workers
-    /// as [`SHARD_FAULT_ENV`].
-    pub process_fault_spec: String,
-}
-
-impl ShardSupervision {
-    /// Reads `PROFESS_RETRIES`, `PROFESS_TASK_TIMEOUT_MS`, and
-    /// `PROFESS_FAULT` like [`SuperviseConfig::from_env`], but splits
-    /// `worker_*` entries out of the fault spec first (plain
-    /// `SuperviseConfig::from_env` rejects them as unknown kinds).
-    /// Both halves are validated.
-    pub fn from_env() -> Result<ShardSupervision, String> {
-        let raw = std::env::var(FAULT_ENV).unwrap_or_default();
-        let (task_fault_spec, process_fault_spec) = split_fault_spec(&raw);
-        ProcessFaultPlan::parse(&process_fault_spec)?;
-        let mut sup = SuperviseConfig::base_from_env()?;
-        sup.faults = crate::supervise::FaultPlan::parse(&task_fault_spec)?;
-        Ok(ShardSupervision {
-            sup,
-            task_fault_spec,
-            process_fault_spec,
-        })
-    }
-}
-
-/// Fires a process-level fault in a worker. Diverges: the kill aborts
-/// (SIGABRT, so the parent sees a signal death, not an exit code —
-/// the same observable as an OOM kill), and the hang parks the thread
-/// forever (the supervisor's deadline watchdog must reap it).
-pub fn worker_fault(kind: ProcessFaultKind) -> ! {
-    match kind {
-        ProcessFaultKind::Kill => std::process::abort(),
-        ProcessFaultKind::Hang => loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        },
-    }
-}
 
 /// How a worker process ended, as the supervisor classifies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,17 +69,6 @@ impl WorkerExit {
     pub fn is_ok(&self) -> bool {
         matches!(self, WorkerExit::Ok)
     }
-}
-
-/// What to run a worker as: arguments and extra environment for a
-/// re-exec of the current binary.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerSpec {
-    /// Command-line arguments.
-    pub args: Vec<String>,
-    /// Environment overrides applied on top of the inherited
-    /// environment (set per-child, never via global `set_var`).
-    pub envs: Vec<(String, String)>,
 }
 
 /// An event from some worker's stdout.
@@ -310,23 +130,21 @@ impl WorkerPool {
         self.workers.is_empty()
     }
 
-    /// Spawns one worker: the **current executable** with `spec`'s
-    /// arguments and environment, stdin/stdout piped for the protocol,
+    /// Spawns one worker: the **current executable** with `args` and
+    /// the inherited environment, stdin/stdout piped for the protocol,
     /// stderr inherited. Returns the worker's index in this pool.
     ///
     /// A spawn failure is an `Err`, not a panic — the caller degrades
     /// to in-process execution.
-    pub fn spawn(&mut self, spec: &WorkerSpec) -> Result<usize, String> {
-        let mut cmd =
-            Command::new(std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?);
-        cmd.args(&spec.args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        for (k, v) in &spec.envs {
-            cmd.env(k, v);
-        }
-        let mut child = cmd.spawn().map_err(|e| format!("spawn worker: {e}"))?;
+    pub fn spawn(&mut self, args: &[String]) -> Result<usize, String> {
+        let mut child =
+            Command::new(std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?)
+                .args(args)
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::inherit())
+                .spawn()
+                .map_err(|e| format!("spawn worker: {e}"))?;
         let id = self.workers.len();
         let stdin = child.stdin.take();
         let Some(stdout) = child.stdout.take() else {
@@ -443,37 +261,6 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn process_fault_plan_parses_and_rejects() {
-        let p = ProcessFaultPlan::parse("worker_kill@1, worker_hang@0*3").unwrap();
-        assert_eq!(p.action(1, 1), Some(ProcessFaultKind::Kill));
-        assert_eq!(p.action(1, 2), None);
-        assert_eq!(p.action(0, 3), Some(ProcessFaultKind::Hang));
-        assert_eq!(p.action(0, 1), None);
-        assert_eq!(p.action(2, 1), None);
-        assert!(ProcessFaultPlan::parse("").unwrap().is_empty());
-        assert!(ProcessFaultPlan::parse("worker_kill@x").is_err());
-        assert!(ProcessFaultPlan::parse("worker_kill@1*0").is_err());
-        assert!(ProcessFaultPlan::parse("panic@1").is_err());
-        assert!(ProcessFaultPlan::parse("worker_kill").is_err());
-    }
-
-    #[test]
-    fn fault_spec_splits_by_kind_prefix() {
-        let (task, process) = split_fault_spec("panic@3,worker_kill@0,stall@1*2,worker_hang@2*4");
-        assert_eq!(task, "panic@3,stall@1*2");
-        assert_eq!(process, "worker_kill@0,worker_hang@2*4");
-        assert_eq!(split_fault_spec(""), (String::new(), String::new()));
-        assert_eq!(
-            split_fault_spec("worker_kill@0"),
-            (String::new(), "worker_kill@0".to_string())
-        );
-        assert_eq!(
-            split_fault_spec("exit@6"),
-            ("exit@6".to_string(), String::new())
-        );
-    }
 
     #[test]
     fn worker_exit_labels_are_stable() {

@@ -3,10 +3,10 @@
 //!
 //! [`Pool::map`](crate::Pool::map) is all-or-nothing: one worker panic
 //! aborts the whole batch via `resume_unwind`, and a hung task stalls
-//! the pool forever. [`Pool::run_supervised`](crate::Pool::run_supervised)
-//! instead wraps every attempt in `catch_unwind` and returns a
-//! [`TaskOutcome`] per input slot, so one bad cell cannot take down a
-//! sweep of hundreds.
+//! the pool forever. [`Pool::try_run_supervised`](crate::Pool::try_run_supervised)
+//! instead wraps every attempt in `catch_unwind`, treats a returned
+//! `Err` exactly like a panic, and returns a [`TaskOutcome`] per input
+//! slot, so one bad cell cannot take down a sweep of hundreds.
 //!
 //! Determinism contract: supervision never feeds wall time or attempt
 //! counts into a task's *result* — a task that succeeds returns exactly
@@ -15,11 +15,13 @@
 //! to fire a [`CancelToken`]; timeouts are opt-in and off by default.
 //!
 //! Fault injection ([`FaultPlan`], `PROFESS_FAULT`) deterministically
-//! targets task *indices*, so every recovery path (panic, stall, kill)
-//! is exercisable from tests and CI without touching the task code.
+//! targets task *indices* — or, for the `worker_*` kinds, a sharded
+//! sweep's worker processes — so every recovery path (panic, stall,
+//! exit, worker kill, worker hang) is exercisable from tests and CI
+//! without touching the task code.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -64,9 +66,10 @@ impl CancelToken {
 pub enum TaskOutcome<R> {
     /// The task returned a value (possibly after retries).
     Ok(R),
-    /// The task panicked and no retries were configured.
-    Panicked {
-        /// The panic payload, rendered as text.
+    /// The task panicked or returned an error, and no retries were
+    /// configured.
+    Failed {
+        /// The failure: `panicked: <payload>` or the returned error.
         msg: String,
     },
     /// The task's watchdog deadline fired and no retries were
@@ -95,20 +98,12 @@ impl<R> TaskOutcome<R> {
         }
     }
 
-    /// Consumes the outcome into its value, if any.
-    pub fn into_ok(self) -> Option<R> {
-        match self {
-            TaskOutcome::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// A stable machine-readable label (`ok`, `panicked`, `timed_out`,
+    /// A stable machine-readable label (`ok`, `failed`, `timed_out`,
     /// `exhausted`) for JSON artifacts.
     pub fn label(&self) -> &'static str {
         match self {
             TaskOutcome::Ok(_) => "ok",
-            TaskOutcome::Panicked { .. } => "panicked",
+            TaskOutcome::Failed { .. } => "failed",
             TaskOutcome::TimedOut => "timed_out",
             TaskOutcome::Exhausted { .. } => "exhausted",
         }
@@ -118,7 +113,7 @@ impl<R> TaskOutcome<R> {
     pub fn error(&self) -> Option<String> {
         match self {
             TaskOutcome::Ok(_) => None,
-            TaskOutcome::Panicked { msg } => Some(format!("panicked: {msg}")),
+            TaskOutcome::Failed { msg } => Some(msg.clone()),
             TaskOutcome::TimedOut => Some("timed out".to_string()),
             TaskOutcome::Exhausted {
                 attempts,
@@ -165,6 +160,12 @@ pub enum FaultKind {
     /// Terminate the whole process with [`FAULT_EXIT_CODE`], simulating
     /// an external kill for checkpoint/resume tests.
     Exit,
+    /// A sharded sweep's worker process aborts (SIGABRT — no exit code,
+    /// like `kill -9`) as it starts a dealt cell.
+    WorkerKill,
+    /// A sharded sweep's worker process stops responding without
+    /// exiting, exercising the supervisor's deadline watchdog.
+    WorkerHang,
 }
 
 impl FaultKind {
@@ -173,20 +174,29 @@ impl FaultKind {
             "panic" => Some(FaultKind::Panic),
             "stall" => Some(FaultKind::Stall),
             "exit" => Some(FaultKind::Exit),
+            "worker_kill" => Some(FaultKind::WorkerKill),
+            "worker_hang" => Some(FaultKind::WorkerHang),
             _ => None,
         }
     }
+
+    /// Does this kind target a worker process rather than a task?
+    fn is_worker(self) -> bool {
+        matches!(self, FaultKind::WorkerKill | FaultKind::WorkerHang)
+    }
 }
 
-/// One injected fault: `kind` fires on task `index` for the first
-/// `times` attempts.
+/// One injected fault. Task kinds fire on task `index` for the first
+/// `times` attempts; worker kinds fire when worker process `index`
+/// starts its `times`-th dealt cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
     /// The failure to inject.
     pub kind: FaultKind,
-    /// The task slot it targets.
+    /// The task slot (or, for worker kinds, the worker) it targets.
     pub index: usize,
-    /// How many attempts it poisons (attempts beyond this succeed).
+    /// How many attempts it poisons (attempts beyond this succeed);
+    /// for worker kinds, which dealt cell triggers it (1 = the first).
     pub times: u32,
 }
 
@@ -208,9 +218,10 @@ impl FaultPlan {
     }
 
     /// Parses a spec: comma-separated `kind@index[*times]` entries,
-    /// e.g. `panic@3`, `panic@0*2,stall@5`, `exit@7`. Kinds are
-    /// `panic`, `stall`, `exit`; `times` defaults to 1. An empty spec
-    /// is the empty plan.
+    /// e.g. `panic@3`, `panic@0*2,stall@5`, `exit@7`, `worker_kill@1*2`.
+    /// Kinds are `panic`, `stall`, `exit`, `worker_kill`,
+    /// `worker_hang`; `times` defaults to 1. An empty spec is the empty
+    /// plan.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut faults = Vec::new();
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
@@ -247,8 +258,18 @@ impl FaultPlan {
         }
     }
 
-    /// Fires any fault scheduled for (`index`, `attempt`). Called at
-    /// attempt start, inside the catch_unwind boundary.
+    /// The worker fault scheduled for worker `worker`'s `nth`-th dealt
+    /// cell (1-based), if any. Only `worker_*` kinds are returned.
+    pub fn worker_action(&self, worker: usize, nth: u32) -> Option<FaultKind> {
+        self.faults
+            .iter()
+            .find(|f| f.kind.is_worker() && f.index == worker && f.times == nth)
+            .map(|f| f.kind)
+    }
+
+    /// Fires any task fault scheduled for (`index`, `attempt`). Called
+    /// at attempt start, inside the catch_unwind boundary. Worker kinds
+    /// are ignored here (see [`FaultPlan::worker_action`]).
     fn trigger(&self, index: usize, attempt: u32, cancel: &CancelToken) {
         for f in &self.faults {
             if f.index != index || attempt > f.times {
@@ -267,12 +288,27 @@ impl FaultPlan {
                     panic!("injected fault: stall (task {index}, attempt {attempt})")
                 }
                 FaultKind::Exit => std::process::exit(FAULT_EXIT_CODE),
+                FaultKind::WorkerKill | FaultKind::WorkerHang => {}
             }
         }
     }
 }
 
-/// Configuration for [`Pool::run_supervised`](crate::Pool::run_supervised).
+/// Fires a worker fault returned by [`FaultPlan::worker_action`].
+/// Diverges: a hang parks the thread forever (the supervisor's deadline
+/// watchdog must reap it), and a kill — any other kind — aborts
+/// (SIGABRT, so the parent sees a signal death, not an exit code — the
+/// same observable as an OOM kill).
+pub fn worker_fault(kind: FaultKind) -> ! {
+    match kind {
+        FaultKind::WorkerHang => loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        },
+        _ => std::process::abort(),
+    }
+}
+
+/// Configuration for [`Pool::try_run_supervised`](crate::Pool::try_run_supervised).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuperviseConfig {
     /// Extra attempts after a failed one (total attempts = retries + 1).
@@ -300,18 +336,6 @@ impl SuperviseConfig {
     /// `PROFESS_FAULT`. Invalid values are an error, not a silent
     /// default: a typo'd fault plan must not quietly run fault-free.
     pub fn from_env() -> Result<SuperviseConfig, String> {
-        let mut cfg = SuperviseConfig::base_from_env()?;
-        cfg.faults = FaultPlan::from_env()?;
-        Ok(cfg)
-    }
-
-    /// [`SuperviseConfig::from_env`] without the fault plan: retries and
-    /// timeout only, `faults` left empty. The shard supervisor uses this
-    /// because its `PROFESS_FAULT` may carry process-level `worker_*`
-    /// entries that [`FaultPlan::parse`] rightly rejects — it splits the
-    /// spec itself and parses only the task-side remainder (see
-    /// [`crate::process::ShardSupervision::from_env`]).
-    pub fn base_from_env() -> Result<SuperviseConfig, String> {
         let mut cfg = SuperviseConfig::default();
         if let Ok(v) = std::env::var(RETRIES_ENV) {
             cfg.retries = v
@@ -326,6 +350,7 @@ impl SuperviseConfig {
                 .map_err(|_| format!("{TIMEOUT_ENV}={v}: expected milliseconds"))?;
             cfg.timeout = (ms > 0).then(|| Duration::from_millis(ms));
         }
+        cfg.faults = FaultPlan::from_env()?;
         Ok(cfg)
     }
 }
@@ -344,15 +369,8 @@ fn lock_slot(slot: &Mutex<Option<Inflight>>) -> std::sync::MutexGuard<'_, Option
 }
 
 impl Pool {
-    /// Applies `f` to every item under supervision and returns one
-    /// [`Supervised`] per input slot, in input order.
-    ///
-    /// Unlike [`Pool::map`], a panicking task does not abort the batch:
-    /// each attempt runs under `catch_unwind`, failed attempts retry up
-    /// to `cfg.retries` times, and a per-attempt watchdog (when
-    /// `cfg.timeout` is set) fires the attempt's [`CancelToken`] so
-    /// cooperative tasks can bail out. Successful results are
-    /// byte-identical to what [`Pool::map`] would have produced.
+    /// [`Pool::try_run_supervised`] for a task that cannot return an
+    /// error: only panics and timeouts fail its attempts.
     pub fn run_supervised<T, R, F>(
         &self,
         items: &[T],
@@ -364,79 +382,57 @@ impl Pool {
         R: Send,
         F: Fn(TaskCtx<'_>, &T) -> R + Sync,
     {
-        let f = &f;
-        let workers = self.threads().min(items.len());
-        // Serial fast path: no watchdog needed, run in the caller.
-        if workers <= 1 && cfg.timeout.is_none() {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| supervise_one(i, item, cfg, None, f))
-                .collect();
-        }
-        let workers = workers.max(1);
-        let cursor = AtomicUsize::new(0);
-        let all_done = AtomicBool::new(false);
-        let registry: Vec<Mutex<Option<Inflight>>> =
-            (0..workers).map(|_| Mutex::new(None)).collect();
-        let (cursor, all_done, registry) = (&cursor, &all_done, &registry);
+        self.try_run_supervised(items, cfg, |ctx, item| Ok(f(ctx, item)))
+    }
 
-        let mut slots: Vec<Option<Supervised<R>>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
+    /// Applies `f` to every item under supervision and returns one
+    /// [`Supervised`] per input slot, in input order.
+    ///
+    /// Unlike [`Pool::map`], a failing task does not abort the batch:
+    /// each attempt runs under `catch_unwind`, an attempt that panics or
+    /// returns `Err` is retried up to `cfg.retries` times, and a
+    /// per-attempt watchdog (when `cfg.timeout` is set) fires the
+    /// attempt's [`CancelToken`] so cooperative tasks can bail out.
+    /// Successful results are byte-identical to what [`Pool::map`]
+    /// would have produced.
+    pub fn try_run_supervised<T, R, F>(
+        &self,
+        items: &[T],
+        cfg: &SuperviseConfig,
+        f: F,
+    ) -> Vec<Supervised<R>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(TaskCtx<'_>, &T) -> Result<R, String> + Sync,
+    {
+        let Some(timeout) = cfg.timeout else {
+            return self.map_indexed(items, |i, item| supervise_one(i, item, cfg, None, &f));
+        };
+        // One registry slot per item; the watchdog scans them all.
+        let registry: Vec<Mutex<Option<Inflight>>> =
+            items.iter().map(|_| Mutex::new(None)).collect();
+        let all_done = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let watchdog = cfg.timeout.map(|_| {
-                scope.spawn(move || {
-                    while !all_done.load(Ordering::Acquire) {
-                        for slot in registry {
-                            let guard = lock_slot(slot);
-                            if let Some(inflight) = guard.as_ref() {
-                                // profess: allow(determinism_taint): watchdog deadline bounds hung tasks; retries are deterministic and journal-keyed
-                                if Instant::now() >= inflight.deadline {
-                                    inflight.token.cancel();
-                                }
+            scope.spawn(|| {
+                while !all_done.load(Ordering::Acquire) {
+                    for slot in &registry {
+                        if let Some(inflight) = lock_slot(slot).as_ref() {
+                            // profess: allow(determinism_taint): watchdog deadline bounds hung tasks; retries are deterministic and journal-keyed
+                            if Instant::now() >= inflight.deadline {
+                                inflight.token.cancel();
                             }
                         }
-                        std::thread::sleep(Duration::from_millis(2));
                     }
-                })
-            });
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut done: Vec<(usize, Supervised<R>)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                return done;
-                            }
-                            let reg = cfg.timeout.is_some().then(|| &registry[w]);
-                            done.push((i, supervise_one(i, &items[i], cfg, reg, f)));
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(pairs) => {
-                        for (i, r) in pairs {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    // Workers only run caught code; a panic here is a
-                    // supervisor bug and must stay loud.
-                    Err(payload) => std::panic::resume_unwind(payload),
+                    std::thread::sleep(Duration::from_millis(2));
                 }
-            }
+            });
+            let out = self.map_indexed(items, |i, item| {
+                supervise_one(i, item, cfg, Some((&registry[i], timeout)), &f)
+            });
             all_done.store(true, Ordering::Release);
-            if let Some(w) = watchdog {
-                let _ = w.join();
-            }
-        });
-        slots
-            .into_iter()
-            // profess: allow(panic): the atomic index counter hands out each slot exactly once
-            .map(|r| r.expect("every index claimed exactly once"))
-            .collect()
+            out
+        })
     }
 }
 
@@ -445,18 +441,18 @@ fn supervise_one<T, R, F>(
     index: usize,
     item: &T,
     cfg: &SuperviseConfig,
-    registry: Option<&Mutex<Option<Inflight>>>,
+    watch: Option<(&Mutex<Option<Inflight>>, Duration)>,
     f: &F,
 ) -> Supervised<R>
 where
-    F: Fn(TaskCtx<'_>, &T) -> R,
+    F: Fn(TaskCtx<'_>, &T) -> Result<R, String>,
 {
     let mut history = Vec::new();
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         let token = CancelToken::new();
-        if let (Some(slot), Some(timeout)) = (registry, cfg.timeout) {
+        if let Some((slot, timeout)) = watch {
             *lock_slot(slot) = Some(Inflight {
                 // profess: allow(determinism_taint): watchdog deadline bounds hung tasks; retries are deterministic and journal-keyed
                 deadline: Instant::now() + timeout,
@@ -474,43 +470,36 @@ where
                 item,
             )
         }));
-        if let Some(slot) = registry {
+        if let Some((slot, _)) = watch {
             *lock_slot(slot) = None;
         }
         // Classify the attempt. A fired token outranks everything: a
         // result produced after cancellation is truncated work, and the
         // stall fault's unwinding panic is a timeout, not a crash.
-        let failure = match result {
-            Ok(r) if !token.is_cancelled() => {
+        let cancelled = token.is_cancelled();
+        let (timed_out, failure) = match result {
+            Ok(Ok(r)) if !cancelled => {
                 return Supervised {
                     outcome: TaskOutcome::Ok(r),
                     attempts: attempt,
                     history,
                 };
             }
-            Ok(_) => "timed out".to_string(),
-            Err(_) if token.is_cancelled() => "timed out".to_string(),
-            Err(payload) => format!("panicked: {}", panic_msg(payload.as_ref())),
+            Ok(Err(e)) if !cancelled => (false, e),
+            Err(payload) if !cancelled => {
+                (false, format!("panicked: {}", panic_msg(payload.as_ref())))
+            }
+            _ => (true, "timed out".to_string()),
         };
-        let timed_out = failure == "timed out";
         history.push(format!("attempt {attempt}: {failure}"));
         if attempt > cfg.retries {
-            let outcome = if cfg.retries == 0 {
-                if timed_out {
-                    TaskOutcome::TimedOut
-                } else {
-                    TaskOutcome::Panicked {
-                        msg: failure
-                            .strip_prefix("panicked: ")
-                            .unwrap_or(&failure)
-                            .to_string(),
-                    }
-                }
-            } else {
-                TaskOutcome::Exhausted {
+            let outcome = match (cfg.retries, timed_out) {
+                (0, true) => TaskOutcome::TimedOut,
+                (0, false) => TaskOutcome::Failed { msg: failure },
+                _ => TaskOutcome::Exhausted {
                     attempts: attempt,
                     last_error: failure,
-                }
+                },
             };
             return Supervised {
                 outcome,
@@ -577,6 +566,17 @@ mod tests {
                 assert_eq!(s.attempts, 1);
             }
         }
+        // A returned error is retried exactly like a panic.
+        let cfg = SuperviseConfig::default();
+        let out = Pool::new(4).try_run_supervised(&items, &cfg, |ctx, &x| {
+            if x == 3 && ctx.attempt == 1 {
+                return Err(format!("bad cell {x}"));
+            }
+            Ok(x + 1)
+        });
+        assert_eq!(out[3].outcome, TaskOutcome::Ok(4));
+        assert_eq!(out[3].attempts, 2);
+        assert_eq!(out[3].history, vec!["attempt 1: bad cell 3".to_string()]);
     }
 
     #[test]
@@ -602,10 +602,30 @@ mod tests {
         assert!(out[0].outcome.is_ok());
         assert!(out[2].outcome.is_ok());
         assert!(out[3].outcome.is_ok());
+        // A persistent returned error exhausts the same budget.
+        let cfg = SuperviseConfig {
+            faults: FaultPlan::none(),
+            ..cfg
+        };
+        let out = Pool::new(2).try_run_supervised(&items, &cfg, |_, &x| {
+            if x == 1 {
+                return Err("always".to_string());
+            }
+            Ok(x)
+        });
+        assert_eq!(
+            out[1].outcome,
+            TaskOutcome::Exhausted {
+                attempts: 3,
+                last_error: "always".to_string()
+            }
+        );
+        assert_eq!(out[1].history.len(), 3);
+        assert_eq!(out[0].outcome, TaskOutcome::Ok(0));
     }
 
     #[test]
-    fn zero_retries_reports_panicked() {
+    fn zero_retries_reports_failed() {
         let items = [0u8, 1];
         let cfg = SuperviseConfig {
             retries: 0,
@@ -614,10 +634,23 @@ mod tests {
         };
         let out = quiet(|| Pool::new(1).run_supervised(&items, &cfg, |_, &x| x));
         match &out[0].outcome {
-            TaskOutcome::Panicked { msg } => assert!(msg.contains("injected"), "{msg}"),
-            o => panic!("expected Panicked, got {o:?}"),
+            TaskOutcome::Failed { msg } => assert!(msg.contains("injected"), "{msg}"),
+            o => panic!("expected Failed, got {o:?}"),
         }
         assert_eq!(out[1].outcome, TaskOutcome::Ok(1));
+        // A returned error ends `Failed` too, carrying the error text.
+        let out = Pool::new(1).try_run_supervised(&items, &cfg, |_, &x| {
+            if x == 1 {
+                return Err("nope".to_string());
+            }
+            Ok(x)
+        });
+        let failed = TaskOutcome::Failed {
+            msg: "nope".to_string(),
+        };
+        assert_eq!(out[1].outcome, failed);
+        assert_eq!(out[1].outcome.error().as_deref(), Some("nope"));
+        assert_eq!(out[1].attempts, 1);
     }
 
     #[test]
@@ -628,15 +661,17 @@ mod tests {
             timeout: Some(Duration::from_millis(20)),
             faults: FaultPlan::parse("stall@2").unwrap(),
         };
-        let out = quiet(|| Pool::new(2).run_supervised(&items, &cfg, |_, &x| x));
-        assert_eq!(out[2].outcome, TaskOutcome::TimedOut);
-        assert!(
-            out[2].history[0].contains("timed out"),
-            "{:?}",
-            out[2].history
-        );
-        for i in [0usize, 1, 3] {
-            assert_eq!(out[i].outcome, TaskOutcome::Ok(items[i]), "slot {i}");
+        for threads in [1, 4] {
+            let out = quiet(|| Pool::new(threads).run_supervised(&items, &cfg, |_, &x| x));
+            assert_eq!(out[2].outcome, TaskOutcome::TimedOut, "{threads} threads");
+            assert!(
+                out[2].history[0].contains("timed out"),
+                "{:?}",
+                out[2].history
+            );
+            for i in [0usize, 1, 3] {
+                assert_eq!(out[i].outcome, TaskOutcome::Ok(items[i]), "slot {i}");
+            }
         }
     }
 
@@ -681,9 +716,23 @@ mod tests {
             faults: FaultPlan::parse("panic@4,panic@7*99").unwrap(),
         };
         let serial = quiet(|| Pool::new(1).run_supervised(&items, &cfg, |_, &x| x ^ 0xABCD));
+        // A fallible task mixing returned errors with the panic faults.
+        let fallible = |ctx: TaskCtx<'_>, &x: &u64| {
+            if x % 5 == 0 && ctx.attempt == 1 {
+                return Err(format!("error at {x}"));
+            }
+            Ok(x ^ 0xABCD)
+        };
+        let serial_fallible = quiet(|| Pool::new(1).try_run_supervised(&items, &cfg, fallible));
+        assert_eq!(serial_fallible[5].attempts, 2);
         for threads in [2, 4, 8] {
             let par = quiet(|| Pool::new(threads).run_supervised(&items, &cfg, |_, &x| x ^ 0xABCD));
             assert_eq!(par, serial, "{threads} threads diverged");
+            let par = quiet(|| Pool::new(threads).try_run_supervised(&items, &cfg, fallible));
+            assert_eq!(
+                par, serial_fallible,
+                "{threads} threads diverged (fallible)"
+            );
         }
     }
 
@@ -759,8 +808,8 @@ mod tests {
             assert_eq!(s.outcome, TaskOutcome::Ok(items[i] + 100), "slot {i}");
         }
         match &out[n - 1].outcome {
-            TaskOutcome::Panicked { msg } => assert!(msg.contains("injected"), "{msg}"),
-            o => panic!("expected Panicked on the final cell, got {o:?}"),
+            TaskOutcome::Failed { msg } => assert!(msg.contains("injected"), "{msg}"),
+            o => panic!("expected Failed on the final cell, got {o:?}"),
         }
     }
 
@@ -794,6 +843,41 @@ mod tests {
         assert!(FaultPlan::parse("panic@x").is_err());
         assert!(FaultPlan::parse("panic@1*0").is_err());
         assert!(FaultPlan::parse("panic").is_err());
+        assert_eq!(
+            FaultPlan::parse("worker_kill@0,worker_hang@2*3").unwrap(),
+            FaultPlan {
+                faults: vec![
+                    Fault {
+                        kind: FaultKind::WorkerKill,
+                        index: 0,
+                        times: 1
+                    },
+                    Fault {
+                        kind: FaultKind::WorkerHang,
+                        index: 2,
+                        times: 3
+                    },
+                ]
+            }
+        );
+        assert!(FaultPlan::parse("worker_kill@x").is_err());
+        assert!(FaultPlan::parse("worker_kill@1*0").is_err());
+        assert!(FaultPlan::parse("worker_kill").is_err());
+
+        // Worker kinds answer `worker_action` and never fire on a task.
+        let p = FaultPlan::parse("worker_kill@1, worker_hang@0*3, panic@1").unwrap();
+        assert_eq!(p.worker_action(1, 1), Some(FaultKind::WorkerKill));
+        assert_eq!(p.worker_action(1, 2), None);
+        assert_eq!(p.worker_action(0, 3), Some(FaultKind::WorkerHang));
+        assert_eq!(p.worker_action(0, 1), None);
+        assert_eq!(p.worker_action(2, 1), None);
+        let cfg = SuperviseConfig {
+            retries: 0,
+            timeout: None,
+            faults: FaultPlan::parse("worker_kill@0,worker_hang@1").unwrap(),
+        };
+        let out = Pool::new(1).run_supervised(&[0u8, 1, 2], &cfg, |_, &x| x);
+        assert!(out.iter().all(|s| s.outcome.is_ok() && s.attempts == 1));
     }
 
     #[test]
@@ -801,8 +885,8 @@ mod tests {
         assert_eq!(TaskOutcome::Ok(1u8).label(), "ok");
         assert_eq!(TaskOutcome::<u8>::TimedOut.label(), "timed_out");
         assert_eq!(
-            TaskOutcome::<u8>::Panicked { msg: "m".into() }.label(),
-            "panicked"
+            TaskOutcome::<u8>::Failed { msg: "m".into() }.label(),
+            "failed"
         );
         assert_eq!(
             TaskOutcome::<u8>::Exhausted {

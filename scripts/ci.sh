@@ -118,7 +118,7 @@ cargo run --release --offline -q -p profess-bench --bin tracecheck -- \
 # checkpoint journal instead of starting over.
 echo "==> resilience smoke (fig10_12: injected fault, kill, resume)"
 # (a) A terminal injected panic (poisoned past the retry budget) fails
-# exactly its cell: the sweep exits SWEEP_FAILURE_EXIT_CODE (3) and the
+# exactly its cell: the sweep exits exit::SWEEP_FAILURE (3) and the
 # cells array records the exhausted outcome with its retry history.
 rc=0
 PROFESS_RESULTS_DIR="$smoke_dir" PROFESS_THREADS=2 PROFESS_RETRIES=1 \
@@ -167,6 +167,9 @@ PROFESS_RESULTS_DIR="$snap_dir" PROFESS_THREADS=2 PROFESS_RETRIES=1 \
     cargo run --release --offline -q -p profess-bench --bin fig10_12 -- 400 w01 \
     > "$snap_dir/preempt.out" 2> /dev/null
 grep -q 'preempted into snapshot' "$snap_dir/BENCH_fig10_12.json"
+# Preemption is a returned value, never a panic. (`set -e` ignores a
+# negated command, hence the explicit exit.)
+! grep -q 'panicked: preempted' "$snap_dir/BENCH_fig10_12.json" || exit 1
 cargo run --release --offline -q -p profess-bench --bin snapshotcheck -- \
     journal --min-snapshots 1 "$snap_dir/CHECKPOINT_fig10_12.jsonl"
 cargo run --release --offline -q -p profess-bench --bin snapshotcheck -- \

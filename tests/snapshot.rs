@@ -202,6 +202,21 @@ fn warm_started_sweep_is_byte_identical() {
             "every cell's first attempt must have been preempted"
         );
         assert!(preempted.iter().all(|c| c.attempts == 2));
+        // Preemption hands the snapshot back as a value, not a panic.
+        for c in &run.cells {
+            assert!(
+                c.history[0].starts_with("attempt 1: preempted into snapshot at cycle "),
+                "{}: {:?}",
+                c.label,
+                c.history
+            );
+            assert!(
+                c.history.iter().all(|h| !h.contains("panicked")),
+                "{}: {:?}",
+                c.label,
+                c.history
+            );
+        }
         assert_eq!(
             rows_to_json(&run.rows),
             golden,
