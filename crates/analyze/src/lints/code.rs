@@ -20,9 +20,9 @@ pub const HOT_PATH_MAP: &str = "hot_path_map";
 /// No `Command::new` outside the shard supervisor; workers re-exec self.
 pub const PROCESS_SPAWN: &str = "process_spawn";
 
-/// The one module allowed to spawn processes: the shard supervisor's
-/// worker pool, which must re-exec the running binary
-/// (`std::env::current_exe()`) so workers share its exact build.
+/// The one module allowed to spawn processes: `run_child`, which runs
+/// a sharded sweep's attempts and must re-exec the running binary
+/// (`std::env::current_exe()`) so children share its exact build.
 const PROCESS_SPAWN_MODULE: &str = "crates/par/src/process.rs";
 
 /// Crates whose library code holds simulator state that must iterate

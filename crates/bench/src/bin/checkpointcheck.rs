@@ -16,19 +16,20 @@
 //! the tolerant drop path exists so a torn write costs one rerun, not
 //! so decay passes silently through CI.
 //!
-//! Journals are additionally checked for *conflicting duplicates*: two
-//! lines claiming the same cell key with different fingerprints (as a
-//! buggy shard merge could produce — see `profess-shard`). The tolerant
-//! loader would silently let the later line win; here both offending
-//! lines are reported and the check fails.
+//! Journals must also hold **exactly one line per cell key**: every
+//! cell runs once, so a repeated key — even with identical bytes —
+//! means a cell executed twice (a retried `profess-shard` attempt whose
+//! first child was not really lost, say). Snapshot entries
+//! (`snapshot|…`) are exempt. The repeat is reported with both line
+//! numbers and the check fails.
 //!
 //! Exits 0 with per-file diagnostics on success; exits 1 (the shared
 //! [`profess_bench::exit`] taxonomy's validation failure) on the first
-//! invalid line, conflicting duplicate, or nonzero drop count.
+//! invalid line, repeated cell key, or nonzero drop count.
 //!
 //! [`Journal::load`]: profess_bench::Journal::load
 
-use profess_bench::checkpoint::{key_conflicts, validate_file};
+use profess_bench::checkpoint::{check_unique_keys, validate_file};
 use profess_bench::exit;
 use profess_metrics::Json;
 
@@ -75,27 +76,12 @@ fn main() {
             continue;
         }
         let path = std::path::Path::new(f);
-        match validate_file(path) {
+        // A journal whose every line validates can still be wrong as a
+        // *record*: two entries for one key mean the cell executed twice.
+        match validate_file(path).and_then(|cells| check_unique_keys(path).map(|()| cells)) {
             Ok(cells) => {
                 println!("{f}: ok ({cells} cells)");
                 total += cells;
-            }
-            Err(e) => {
-                eprintln!("checkpointcheck: {e}");
-                std::process::exit(exit::VALIDATION_FAIL);
-            }
-        }
-        // A journal whose every line validates can still be wrong as a
-        // *record*: two entries for one key with different fingerprints
-        // mean two different executions claimed the same cell (the
-        // tolerant loader would silently let the later one win).
-        match key_conflicts(path) {
-            Ok(conflicts) if conflicts.is_empty() => {}
-            Ok(conflicts) => {
-                for c in &conflicts {
-                    eprintln!("checkpointcheck: {f}: {c}");
-                }
-                std::process::exit(exit::VALIDATION_FAIL);
             }
             Err(e) => {
                 eprintln!("checkpointcheck: {e}");

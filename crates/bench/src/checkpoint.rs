@@ -294,8 +294,8 @@ impl Journal {
 }
 
 /// Renders one journal line (trailing newline included). Crate-visible
-/// so the shard merge (see [`crate::shard`]) can rewrite a merged
-/// journal in exactly the format [`Journal::record`] appends.
+/// so a sharded run's child process (see [`crate::shard`]) can hand its
+/// cell back in exactly the format [`Journal::record`] appends.
 pub(crate) fn encode_line(key: &str, payload: &Json) -> String {
     let fp = fingerprint(&payload.to_string());
     let mut line = Json::obj([
@@ -309,7 +309,8 @@ pub(crate) fn encode_line(key: &str, payload: &Json) -> String {
 }
 
 /// Decodes one journal line, verifying the payload fingerprint.
-/// Crate-visible for the shard merge.
+/// Crate-visible for a sharded run's parent, which decodes its child
+/// processes' lines.
 pub(crate) fn decode_line(line: &str) -> Option<(String, Json)> {
     let j = Json::parse(line).ok()?;
     let Json::Str(key) = j.get("key")? else {
@@ -325,9 +326,81 @@ pub(crate) fn decode_line(line: &str) -> Option<(String, Json)> {
     Some((key.clone(), payload.clone()))
 }
 
+/// Rewrites the journal at `path` in `keys` order, one line per key
+/// (temp file + rename). Cells journal in completion order, which
+/// depends on scheduling; this canonical order makes a finished
+/// journal byte-identical at any thread or worker count. Undecodable
+/// lines (a torn tail) and snapshot entries are dropped. A cell key on
+/// two lines is an `Err` that leaves the file untouched (see
+/// [`check_unique_keys`]).
+pub fn rewrite_in_order(path: &Path, keys: &[String]) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let lines = cell_lines(path, &text, false)?;
+    let mut out = String::new();
+    for (_, line) in keys.iter().filter_map(|k| lines.get(k)) {
+        out.push_str(line);
+        out.push('\n');
+    }
+    let tmp = path.with_extension("jsonl.tmp");
+    std::fs::write(&tmp, out)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Strictly checks that a journal holds every cell key on one line,
+/// identical bytes included: every cell is journaled once, so a repeat
+/// means a cell executed twice (the tolerant loader would silently let
+/// the later line win). Snapshot entries (`snapshot|…`) are exempt — a
+/// cell preempted on several attempts journals a snapshot each time.
+/// Every line must decode (CI semantics, like [`entries_of_file`]).
+pub fn check_unique_keys(path: &Path) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    cell_lines(path, &text, true).map(|_| ())
+}
+
+/// The cell lines of journal `text` (read from `path`) by key, with
+/// their 1-based line numbers; snapshot entries are skipped. A repeated
+/// cell key is an `Err` naming both lines, and so, when `strict`, is an
+/// undecodable line (otherwise skipped).
+fn cell_lines<'a>(
+    path: &Path,
+    text: &'a str,
+    strict: bool,
+) -> Result<BTreeMap<String, (usize, &'a str)>, String> {
+    let mut lines = BTreeMap::new();
+    for (idx, line) in text.lines().enumerate() {
+        let lineno = idx + 1;
+        let Some((key, _)) = decode_line(line) else {
+            if strict && !line.trim().is_empty() {
+                return Err(format!(
+                    "{}:{lineno}: invalid checkpoint line",
+                    path.display()
+                ));
+            }
+            continue;
+        };
+        if key.starts_with("snapshot|") {
+            continue;
+        }
+        if let Some((first, first_line)) = lines.insert(key.clone(), (lineno, line)) {
+            let how = if first_line == line {
+                "identical"
+            } else {
+                "differing"
+            };
+            return Err(format!(
+                "{}:{lineno}: cell key `{key}` journaled twice ({how} to line {first}): \
+                 a cell executed twice",
+                path.display()
+            ));
+        }
+    }
+    Ok(lines)
+}
+
 /// Strictly validates a journal file for CI: every line must decode and
-/// fingerprint-match. Returns the cell count (later duplicates of a key
-/// are allowed — a rerun after a drop re-records — and counted once).
+/// fingerprint-match. Returns the cell count (a repeated key counts
+/// once; [`check_unique_keys`] rejects it).
 pub fn validate_file(path: &Path) -> Result<usize, String> {
     Ok(entries_of_file(path)?.len())
 }
@@ -349,71 +422,6 @@ pub fn entries_of_file(path: &Path) -> Result<BTreeMap<String, Json>, String> {
         entries.insert(key, payload);
     }
     Ok(entries)
-}
-
-/// Two journal lines claiming the same cell key with **different**
-/// payload fingerprints — two different executions both said "this is
-/// cell K's result" and disagreed. The tolerant loader silently lets
-/// the later one win; [`key_conflicts`] makes the disagreement loud.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyConflict {
-    /// The contested cell key.
-    pub key: String,
-    /// 1-based line number of the first entry for the key.
-    pub first_lineno: usize,
-    /// The first entry's raw journal line.
-    pub first_line: String,
-    /// 1-based line number of the conflicting later entry.
-    pub second_lineno: usize,
-    /// The conflicting entry's raw journal line.
-    pub second_line: String,
-}
-
-impl std::fmt::Display for KeyConflict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "conflicting entries for cell key `{}`:\n  line {}: {}\n  line {}: {}",
-            self.key, self.first_lineno, self.first_line, self.second_lineno, self.second_line
-        )
-    }
-}
-
-/// Strictly scans a journal for duplicate cell keys whose payload
-/// fingerprints differ (see [`KeyConflict`]). Benign duplicates —
-/// identical key *and* fingerprint, as when a re-dealt shard cell ran
-/// twice deterministically — are fine; a mismatch means two runs
-/// disagreed about one cell and the journal cannot be trusted. Every
-/// line must decode (CI semantics, like [`entries_of_file`]).
-pub fn key_conflicts(path: &Path) -> Result<Vec<KeyConflict>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut first_seen: BTreeMap<String, (usize, String, String)> = BTreeMap::new();
-    let mut conflicts = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        let (key, payload) = decode_line(line)
-            .ok_or_else(|| format!("{}:{}: invalid checkpoint line", path.display(), lineno))?;
-        let fp = fingerprint(&payload.to_string());
-        match first_seen.get(&key) {
-            None => {
-                first_seen.insert(key, (lineno, fp, line.to_string()));
-            }
-            Some((first_lineno, first_fp, first_line)) if *first_fp != fp => {
-                conflicts.push(KeyConflict {
-                    key,
-                    first_lineno: *first_lineno,
-                    first_line: first_line.clone(),
-                    second_lineno: lineno,
-                    second_line: line.to_string(),
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(conflicts)
 }
 
 #[cfg(test)]
@@ -509,38 +517,84 @@ mod tests {
     }
 
     #[test]
-    fn key_conflicts_flags_disagreeing_duplicates_only() {
-        let path = tmp("conflicts.jsonl");
+    fn check_unique_keys_rejects_every_repeated_cell_key() {
+        let path = tmp("unique.jsonl");
         std::fs::remove_file(&path).ok();
         let j = Journal::load(&path).expect("create");
         j.record("a", Json::UInt(1));
+        j.record("snapshot|a", Json::UInt(7));
         j.record("b", Json::UInt(2));
-        // A benign duplicate: same key, same payload (re-dealt cell
-        // executed twice, deterministically).
-        j.record("a", Json::UInt(1));
+        // Snapshots may repeat: each preempted attempt journals one.
+        j.record("snapshot|a", Json::UInt(8));
         drop(j);
-        assert_eq!(key_conflicts(&path), Ok(vec![]));
-
-        // A conflicting duplicate: same key, different payload.
-        let j = Journal::load(&path).expect("reopen");
-        j.record("b", Json::UInt(99));
-        drop(j);
-        let conflicts = key_conflicts(&path).expect("scan");
-        assert_eq!(conflicts.len(), 1);
-        assert_eq!(conflicts[0].key, "b");
-        assert_eq!(conflicts[0].first_lineno, 2);
-        assert_eq!(conflicts[0].second_lineno, 4);
-        assert!(conflicts[0].first_line.contains(":2}"), "{conflicts:?}");
-        assert!(conflicts[0].second_line.contains(":99}"), "{conflicts:?}");
-        let msg = conflicts[0].to_string();
-        assert!(msg.contains("line 2"), "{msg}");
-        assert!(msg.contains("line 4"), "{msg}");
-
+        assert_eq!(check_unique_keys(&path), Ok(()));
+        let clean = std::fs::read_to_string(&path).unwrap();
+        // A cell that ran twice fails even with identical bytes, and so
+        // does one whose runs disagreed.
+        for (key, v, how) in [
+            ("a", 1, "identical to line 1"),
+            ("b", 99, "differing to line 3"),
+        ] {
+            std::fs::write(&path, clean.clone() + &encode_line(key, &Json::UInt(v))).unwrap();
+            let err = check_unique_keys(&path).unwrap_err();
+            assert!(
+                err.contains(&format!(":5: cell key `{key}` journaled twice ({how})")),
+                "{err}"
+            );
+        }
         // Strict like the rest of CI: an undecodable line is an error.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text + "{\"key\":\"torn").unwrap();
-        assert!(key_conflicts(&path).is_err());
+        std::fs::write(&path, clean + "{\"key\":\"torn").unwrap();
+        assert!(check_unique_keys(&path)
+            .unwrap_err()
+            .contains(":5: invalid"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rewrite_in_order_keeps_one_line_per_key_in_key_order() {
+        let path = tmp("rewrite.jsonl");
+        std::fs::remove_file(&path).ok();
+        let j = Journal::load(&path).expect("create");
+        for (key, v) in [
+            ("c", 3),
+            ("snapshot|a", 9),
+            ("snapshot|a", 8),
+            ("a", 1),
+            ("b", 2),
+        ] {
+            j.record(key, Json::UInt(v));
+        }
+        drop(j);
+        let torn = std::fs::read_to_string(&path).unwrap() + "{\"key\":\"d\",\"fp\"";
+        std::fs::write(&path, torn).unwrap();
+        let keys: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
+        rewrite_in_order(&path, &keys).unwrap();
+        let expect: String = [("a", 1), ("b", 2), ("c", 3)]
+            .iter()
+            .map(|&(k, v)| encode_line(k, &Json::UInt(v)))
+            .collect();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expect);
+        assert_eq!(check_unique_keys(&path), Ok(()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rewrite_in_order_refuses_a_cell_journaled_twice() {
+        let keys = vec!["a".to_string(), "b".to_string()];
+        for second in [0, 1] {
+            let path = tmp(&format!("rewrite_twice_{second}.jsonl"));
+            std::fs::remove_file(&path).ok();
+            let j = Journal::load(&path).expect("create");
+            j.record("a", Json::UInt(0));
+            j.record("b", Json::UInt(2));
+            j.record("a", Json::UInt(second));
+            drop(j);
+            let before = std::fs::read_to_string(&path).unwrap();
+            let err = rewrite_in_order(&path, &keys).unwrap_err();
+            assert!(err.contains(":3: cell key `a` journaled twice"), "{err}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | 1    | validation failed (regression, malformed artifact, diff) |
 //! | 2    | usage error (bad flags, unreadable config, bad env) |
 //! | 3    | sweep ended with terminally-failed cells |
-//! | 4    | a sharded sweep lost a worker past its re-deal budget |
+//! | 4    | a sharded sweep cell's final attempt lost its child process |
 //!
 //! Injected faults are the one exception: a worker killed by
 //! `PROFESS_FAULT=exit@N` dies with
@@ -35,8 +35,10 @@ pub const USAGE: i32 = 2;
 /// terminally (retries exhausted, timed out, panicked).
 pub const SWEEP_FAILURE: i32 = 3;
 
-/// A sharded sweep lost a worker process and could not re-deal its
-/// cells within the retry budget.
+/// A sharded sweep (`profess-shard --workers N`) had a cell whose final
+/// attempt lost its child process — killed, hung past its deadline,
+/// crashed, unreadable, or never spawned — so the retry budget ran out
+/// on a lost worker rather than on the cell's own error.
 pub const WORKER_LOST: i32 = 4;
 
 #[cfg(test)]

@@ -503,8 +503,7 @@ pub(crate) trait CellSweep: Sync {
     /// A completed cell's value.
     type Value: Send;
     /// Every cell, in canonical spec order: the serial journal's append
-    /// order, the shard supervisor's deal order, and the merged
-    /// journal's line order.
+    /// order, and the order a sharded run rewrites its journal into.
     fn specs(&self) -> Vec<CellSpec<Self::Kind>>;
     /// Decodes a journal payload (`None` on any shape mismatch — the
     /// cell then reruns).
@@ -513,6 +512,18 @@ pub(crate) trait CellSweep: Sync {
     fn build(&self, kind: &Self::Kind) -> SystemBuilder;
     /// Reduces a finished run to its journal payload.
     fn reduce(&self, kind: &Self::Kind, report: &SystemReport) -> Json;
+}
+
+/// Where [`run_cells`] runs each attempt. Crate-private: only
+/// [`shard::ShardSweep::run_on`] picks child processes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Executor<'a> {
+    /// On the pool's own threads.
+    Threads,
+    /// In a child process per attempt: the current executable with
+    /// these arguments plus `--worker <cell key>` (see
+    /// [`shard::child_attempt`]). Children take no snapshots.
+    Processes(&'a [String]),
 }
 
 /// What [`run_cells`] produced, in spec order.
@@ -531,12 +542,12 @@ pub(crate) struct CellRun<V> {
 /// instead of re-run. The rest — the *pending* cells, kept in spec
 /// order, so fault-plan indices are positions in that list — run under
 /// [`Pool::try_run_supervised`] with `sup`'s retry / timeout /
-/// fault-injection settings. A completed cell is reduced to its
-/// payload, journaled the moment it completes, and decoded back into
-/// its value, so fresh and restored cells reach the caller through the
-/// same decode and a resumed sweep is byte-identical to an
-/// uninterrupted one. Reports of cells that ran this process go to
-/// `traces` in cell order.
+/// fault-injection settings, each attempt on `exec`. A completed cell
+/// is reduced to its payload, journaled the moment it completes, and
+/// decoded back into its value, so fresh and restored cells reach the
+/// caller through the same decode and a resumed sweep is
+/// byte-identical to an uninterrupted one. Reports of cells that ran on
+/// this process's threads go to `traces` in cell order.
 ///
 /// With `snap` enabled, a preempted cell (watchdog cancel under
 /// `snap.on_cancel`, or the deterministic `snap.at` clock on first
@@ -544,6 +555,7 @@ pub(crate) struct CellRun<V> {
 /// [`snapshot_key`] and fails the attempt; the retry restores the
 /// snapshot and runs only the remaining cycles. Snapshot-restored
 /// completions are byte-identical to straight-through runs.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cells<S: CellSweep>(
     sweep: &S,
     specs: &[CellSpec<S::Kind>],
@@ -551,6 +563,7 @@ pub(crate) fn run_cells<S: CellSweep>(
     sup: &SuperviseConfig,
     journal: &Journal,
     snap: &SnapshotMode,
+    exec: Executor<'_>,
     traces: &mut harness::TraceCollector,
 ) -> CellRun<S::Value> {
     let mut values: Vec<Option<S::Value>> = specs
@@ -565,14 +578,26 @@ pub(crate) fn run_cells<S: CellSweep>(
     let keep_reports = traces.is_enabled();
     let outs = pool.try_run_supervised(&pending, sup, |ctx, &i| {
         let spec = &specs[i];
-        let b = sweep.build(&spec.kind);
-        let report = run_cell(b, snap, journal, &snapshot_key(&spec.key), &ctx)?;
-        let payload = sweep.reduce(&spec.kind, &report);
+        let (payload, report) = match exec {
+            Executor::Processes(args) => (
+                shard::child_attempt(args, &spec.key, &ctx, &sup.faults)?,
+                None,
+            ),
+            Executor::Threads => {
+                let b = sweep.build(&spec.kind);
+                let report = run_cell(b, snap, journal, &snapshot_key(&spec.key), &ctx)?;
+                (sweep.reduce(&spec.kind, &report), Some(report))
+            }
+        };
         let value = sweep
             .decode(&spec.kind, &payload)
             .ok_or_else(|| format!("cell `{}` reduced to an undecodable payload", spec.key))?;
+        // A cancel after the record would retry a journaled cell.
+        if !ctx.cancel.settle() {
+            return Err(profess_par::TIMED_OUT.to_string());
+        }
         journal.record(&spec.key, payload);
-        Ok((value, keep_reports.then_some(report)))
+        Ok((value, report.filter(|_| keep_reports)))
     });
     let mut cells: Vec<CellRecord> = specs
         .iter()
@@ -591,37 +616,6 @@ pub(crate) fn run_cells<S: CellSweep>(
         values,
         cells,
         resumed: specs.len() - pending.len(),
-    }
-}
-
-/// Runs (or skips) the one cell of `sweep` keyed `key` — the shard
-/// worker's unit of work — through [`run_cells`] on a one-element spec
-/// slice: one thread, no snapshots, no traces. `Ok` once the cell is in
-/// `journal` (just run, or already there); `Err` with the failure
-/// description on terminal failure, and for a key that is not one of
-/// the sweep's cells — a worker must never silently accept a cell it
-/// cannot map back to the sweep spec.
-pub(crate) fn run_keyed_cell<S: CellSweep>(
-    sweep: &S,
-    sup: &SuperviseConfig,
-    journal: &Journal,
-    key: &str,
-) -> Result<(), String> {
-    let Some(spec) = sweep.specs().into_iter().find(|s| s.key == key) else {
-        return Err(format!("unknown cell key `{key}`"));
-    };
-    let run = run_cells(
-        sweep,
-        &[spec],
-        &Pool::new(1),
-        sup,
-        journal,
-        &SnapshotMode::disabled(),
-        &mut harness::TraceCollector::disabled(),
-    );
-    match run.cells.into_iter().next().and_then(|c| c.error) {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -896,69 +890,84 @@ pub fn normalized_sweep_supervised(
     snap: &SnapshotMode,
     traces: &mut harness::TraceCollector,
 ) -> SweepRun {
-    let sweep = NormalizedCells {
+    NormalizedCells {
         cfg,
         policy,
         target_misses,
         workloads,
-    };
-    let specs = sweep.specs();
-    let run = run_cells(&sweep, &specs, pool, sup, journal, snap, traces);
+    }
+    .run_on(pool, sup, journal, snap, Executor::Threads, traces)
+}
 
-    // Row assembly from the cell values alone.
-    let mut solo_map: std::collections::BTreeMap<(&'static str, SpecProgram), f64> =
-        std::collections::BTreeMap::new();
-    let mut multi_map: std::collections::BTreeMap<(usize, &'static str), &MultiCell> =
-        std::collections::BTreeMap::new();
-    for (s, v) in specs.iter().zip(&run.values) {
-        match (s.kind, v) {
-            (CellKind::Solo(pk, p), Some(CellValue::Solo(ipc))) => {
-                solo_map.insert((pk.name(), p), *ipc);
+impl NormalizedCells<'_> {
+    /// [`normalized_sweep_supervised`] with every attempt on `exec`.
+    pub(crate) fn run_on(
+        &self,
+        pool: &Pool,
+        sup: &SuperviseConfig,
+        journal: &Journal,
+        snap: &SnapshotMode,
+        exec: Executor<'_>,
+        traces: &mut harness::TraceCollector,
+    ) -> SweepRun {
+        let specs = self.specs();
+        let run = run_cells(self, &specs, pool, sup, journal, snap, exec, traces);
+
+        // Row assembly from the cell values alone.
+        let mut solo_map: std::collections::BTreeMap<(&'static str, SpecProgram), f64> =
+            std::collections::BTreeMap::new();
+        let mut multi_map: std::collections::BTreeMap<(usize, &'static str), &MultiCell> =
+            std::collections::BTreeMap::new();
+        for (s, v) in specs.iter().zip(&run.values) {
+            match (s.kind, v) {
+                (CellKind::Solo(pk, p), Some(CellValue::Solo(ipc))) => {
+                    solo_map.insert((pk.name(), p), *ipc);
+                }
+                (CellKind::Multi(wi, pk), Some(CellValue::Multi(cell))) => {
+                    multi_map.insert((wi, pk.name()), cell);
+                }
+                _ => {}
             }
-            (CellKind::Multi(wi, pk), Some(CellValue::Multi(cell))) => {
-                multi_map.insert((wi, pk.name()), cell);
+        }
+        let mut rows = Vec::new();
+        let mut skipped = Vec::new();
+        for (wi, w) in self.workloads.iter().enumerate() {
+            let row = (|| {
+                let base_cell = multi_map.get(&(wi, PolicyKind::Pom.name()))?;
+                let m_cell = multi_map.get(&(wi, self.policy.name()))?;
+                let base_solo: Vec<f64> = w
+                    .programs
+                    .iter()
+                    .map(|p| solo_map.get(&(PolicyKind::Pom.name(), *p)).copied())
+                    .collect::<Option<_>>()?;
+                let solo: Vec<f64> = w
+                    .programs
+                    .iter()
+                    .map(|p| solo_map.get(&(self.policy.name(), *p)).copied())
+                    .collect::<Option<_>>()?;
+                let base = workload_metrics_cell(w.id, base_cell, &base_solo);
+                let m = workload_metrics_cell(w.id, m_cell, &solo);
+                Some(NormalizedRow {
+                    id: w.id.to_string(),
+                    unfairness: m.unfairness / base.unfairness,
+                    weighted_speedup: m.weighted_speedup / base.weighted_speedup,
+                    energy_efficiency: m.energy_efficiency / base.energy_efficiency,
+                    read_latency: m.read_latency / base.read_latency,
+                    swap_fraction: m.swap_fraction / base.swap_fraction.max(1e-12),
+                })
+            })();
+            match row {
+                Some(r) => rows.push(r),
+                None => skipped.push(w.id.to_string()),
             }
-            _ => {}
         }
-    }
-    let mut rows = Vec::new();
-    let mut skipped = Vec::new();
-    for (wi, w) in workloads.iter().enumerate() {
-        let row = (|| {
-            let base_cell = multi_map.get(&(wi, PolicyKind::Pom.name()))?;
-            let m_cell = multi_map.get(&(wi, policy.name()))?;
-            let base_solo: Vec<f64> = w
-                .programs
-                .iter()
-                .map(|p| solo_map.get(&(PolicyKind::Pom.name(), *p)).copied())
-                .collect::<Option<_>>()?;
-            let solo: Vec<f64> = w
-                .programs
-                .iter()
-                .map(|p| solo_map.get(&(policy.name(), *p)).copied())
-                .collect::<Option<_>>()?;
-            let base = workload_metrics_cell(w.id, base_cell, &base_solo);
-            let m = workload_metrics_cell(w.id, m_cell, &solo);
-            Some(NormalizedRow {
-                id: w.id.to_string(),
-                unfairness: m.unfairness / base.unfairness,
-                weighted_speedup: m.weighted_speedup / base.weighted_speedup,
-                energy_efficiency: m.energy_efficiency / base.energy_efficiency,
-                read_latency: m.read_latency / base.read_latency,
-                swap_fraction: m.swap_fraction / base.swap_fraction.max(1e-12),
-            })
-        })();
-        match row {
-            Some(r) => rows.push(r),
-            None => skipped.push(w.id.to_string()),
+        SweepRun {
+            rows,
+            cells: run.cells,
+            skipped,
+            resumed: run.resumed,
+            skipped_malformed: journal.rejected(),
         }
-    }
-    SweepRun {
-        rows,
-        cells: run.cells,
-        skipped,
-        resumed: run.resumed,
-        skipped_malformed: journal.rejected(),
     }
 }
 

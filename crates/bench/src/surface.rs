@@ -32,7 +32,8 @@ use profess_types::SystemConfig;
 use crate::checkpoint::{self, json_f64, json_u64, Journal};
 use crate::harness::TraceCollector;
 use crate::{
-    run_cells, usage_error, CellRecord, CellSpec, CellSweep, Pool, SnapshotMode, SuperviseConfig,
+    run_cells, usage_error, CellRecord, CellSpec, CellSweep, Executor, Pool, SnapshotMode,
+    SuperviseConfig,
 };
 
 /// The fields of one surface point, in emission order.
@@ -374,23 +375,37 @@ pub fn surface_sweep(
     snap: &SnapshotMode,
     traces: &mut TraceCollector,
 ) -> SurfaceRun {
-    let sweep = SurfaceCells { cfg, spec };
-    let specs = sweep.specs();
-    let run = run_cells(&sweep, &specs, pool, sup, journal, snap, traces);
-    let mut points = Vec::new();
-    let mut skipped = Vec::new();
-    for (s, v) in specs.iter().zip(run.values) {
-        match v {
-            Some(p) => points.push(p),
-            None => skipped.push(s.label.clone()),
+    SurfaceCells { cfg, spec }.run_on(pool, sup, journal, snap, Executor::Threads, traces)
+}
+
+impl SurfaceCells<'_> {
+    /// [`surface_sweep`] with every attempt on `exec`.
+    pub(crate) fn run_on(
+        &self,
+        pool: &Pool,
+        sup: &SuperviseConfig,
+        journal: &Journal,
+        snap: &SnapshotMode,
+        exec: Executor<'_>,
+        traces: &mut TraceCollector,
+    ) -> SurfaceRun {
+        let specs = self.specs();
+        let run = run_cells(self, &specs, pool, sup, journal, snap, exec, traces);
+        let mut points = Vec::new();
+        let mut skipped = Vec::new();
+        for (s, v) in specs.iter().zip(run.values) {
+            match v {
+                Some(p) => points.push(p),
+                None => skipped.push(s.label.clone()),
+            }
         }
-    }
-    SurfaceRun {
-        points,
-        cells: run.cells,
-        skipped,
-        resumed: run.resumed,
-        skipped_malformed: journal.rejected(),
+        SurfaceRun {
+            points,
+            cells: run.cells,
+            skipped,
+            resumed: run.resumed,
+            skipped_malformed: journal.rejected(),
+        }
     }
 }
 

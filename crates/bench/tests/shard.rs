@@ -1,12 +1,15 @@
 //! End-to-end tests for the `profess-shard` supervisor: a sharded
-//! multi-process sweep with workers killed or hung mid-cell must still
+//! multi-process sweep with children killed or hung mid-cell must still
 //! produce CHECKPOINT/ROWS/SURFACE artifacts **byte-identical** to a
-//! fully in-process run, re-dealt cells must never execute twice in
-//! the merged record (`shardcheck`), and losing a cell past its
-//! re-deal budget must exit with the `worker-lost` code.
+//! fully in-process run, a retried cell must never execute twice in the
+//! journal, fault indices must mean the same at every worker count, and
+//! a cell that loses its child on every allowed attempt must exit with
+//! the `worker-lost` code.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use profess_metrics::Json;
 
 /// Every knob the binary under test reads; cleared before each run so
 /// the developer's shell cannot leak into a determinism assertion.
@@ -65,6 +68,52 @@ fn golden(name: &str, args: &[&str], envs: &[(&str, &str)]) -> PathBuf {
     dir
 }
 
+/// One cell's record in `BENCH_<name>.json`: key, status, attempts,
+/// history.
+#[derive(Debug, PartialEq)]
+struct Cell {
+    key: String,
+    status: String,
+    attempts: u64,
+    history: Vec<String>,
+}
+
+/// The per-cell records of `BENCH_<name>.json`, in spec order.
+fn cells(dir: &Path, name: &str) -> Vec<Cell> {
+    let text = String::from_utf8(read(dir, &format!("BENCH_{name}.json"))).unwrap();
+    let doc = Json::parse(&text).expect("BENCH artifact is JSON");
+    let Some(Json::Arr(cells)) = doc.get("cells") else {
+        panic!("no cells array in BENCH_{name}.json");
+    };
+    let text_of = |c: &Json, k: &str| c.get(k).and_then(Json::as_str).unwrap().to_string();
+    cells
+        .iter()
+        .map(|c| Cell {
+            key: text_of(c, "key"),
+            status: text_of(c, "status"),
+            attempts: c.get("attempts").and_then(Json::as_u64).unwrap(),
+            history: match c.get("history") {
+                Some(Json::Arr(h)) => h.iter().map(|l| l.as_str().unwrap().to_string()).collect(),
+                _ => panic!("cell without history"),
+            },
+        })
+        .collect()
+}
+
+/// Asserts that only cell `killed` was retried, recovering on its
+/// second attempt, after a first attempt that failed with `failure`.
+fn assert_only_retried(cells: &[Cell], killed: usize, failure: &str) {
+    for (i, c) in cells.iter().enumerate() {
+        assert_eq!(c.status, "ok", "{c:?}");
+        if i == killed {
+            assert_eq!(c.attempts, 2, "{c:?}");
+            assert!(c.history[0].contains(failure), "{c:?}");
+        } else {
+            assert_eq!(c.attempts, 1, "{c:?}");
+        }
+    }
+}
+
 #[test]
 fn killed_worker_at_two_and_four_workers_matches_serial_artifacts() {
     let args = &["300", "w01"];
@@ -73,11 +122,11 @@ fn killed_worker_at_two_and_four_workers_matches_serial_artifacts() {
     let one = scratch("norm-one");
     let (code, stdout, stderr) = run_shard(&one, &["--workers", "1", "300", "w01"], &[]);
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
-    // Kill a worker on its first dealt cell at both fleet sizes; the
-    // default retry budget (1) allows exactly one re-deal per cell.
-    for (name, workers, fault) in [
-        ("norm-kill2", "2", "worker_kill@0"),
-        ("norm-kill4", "4", "worker_kill@1"),
+    // Kill the child of a cell's first attempt at both fleet sizes; the
+    // default retry budget (1) allows exactly one more attempt.
+    for (name, workers, fault, killed) in [
+        ("norm-kill2", "2", "worker_kill@0", 0),
+        ("norm-kill4", "4", "worker_kill@1", 1),
     ] {
         let dir = scratch(name);
         let (code, stdout, stderr) = run_shard(
@@ -86,11 +135,7 @@ fn killed_worker_at_two_and_four_workers_matches_serial_artifacts() {
             &[("PROFESS_FAULT", fault)],
         );
         assert_eq!(code, Some(0), "{stdout}\n{stderr}");
-        assert!(
-            stderr.contains("re-dealing"),
-            "no re-deal observed:\n{stderr}"
-        );
-        assert!(stdout.contains("merged journal"), "{stdout}");
+        assert_only_retried(&cells(&dir, "fig10_12"), killed, "killed by a signal");
         for artifact in ["CHECKPOINT_fig10_12.jsonl", "ROWS_fig10_12.json"] {
             assert_eq!(
                 read(&dir, artifact),
@@ -107,26 +152,21 @@ fn killed_worker_at_two_and_four_workers_matches_serial_artifacts() {
 }
 
 #[test]
-fn redealt_cells_never_execute_twice_in_the_merged_record() {
+fn retried_cells_never_execute_twice_in_the_journal() {
     let dir = scratch("norm-unique");
     let (code, stdout, stderr) = run_shard(
         &dir,
         &["--workers", "2", "300", "w01"],
         &[("PROFESS_FAULT", "worker_kill@0")],
     );
+    // A cell key journaled twice makes profess-shard's final rewrite
+    // fail (a validation exit, not 0); checkpointcheck then holds the
+    // rewritten file to exactly one line per cell key.
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
-    // shardcheck enforces exactly one merged line per cell key and that
-    // every shard line is covered byte-identically.
-    let merged = dir.join("CHECKPOINT_fig10_12.jsonl");
-    let shards = [
-        dir.join("CHECKPOINT_fig10_12.shard0.jsonl"),
-        dir.join("CHECKPOINT_fig10_12.shard1.jsonl"),
-    ];
-    let out = Command::new(env!("CARGO_BIN_EXE_shardcheck"))
-        .arg(&merged)
-        .args(&shards)
+    let out = Command::new(env!("CARGO_BIN_EXE_checkpointcheck"))
+        .arg(dir.join("CHECKPOINT_fig10_12.jsonl"))
         .output()
-        .expect("run shardcheck");
+        .expect("run checkpointcheck");
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -139,20 +179,33 @@ fn redealt_cells_never_execute_twice_in_the_merged_record() {
 #[test]
 fn cell_lost_past_the_redeal_budget_exits_worker_lost() {
     let dir = scratch("norm-lost");
-    // With a zero retry budget each cell may be dealt exactly once, so
-    // the kill's re-deal attempt is over budget: exit 4, and the
-    // survivor's completed cells stay merged (durable partial progress).
+    // Cell 0's child is killed on both attempts the retry budget (1)
+    // allows: exit 4 after exactly PROFESS_RETRIES+1 attempts — a third
+    // attempt would have succeeded — and every other cell still lands
+    // in the journal (durable partial progress).
     let (code, stdout, stderr) = run_shard(
         &dir,
         &["--workers", "2", "300", "w01"],
-        &[("PROFESS_FAULT", "worker_kill@0"), ("PROFESS_RETRIES", "0")],
+        &[
+            ("PROFESS_FAULT", "worker_kill@0*2"),
+            ("PROFESS_RETRIES", "1"),
+        ],
     );
     assert_eq!(code, Some(4), "{stdout}\n{stderr}");
-    assert!(stderr.contains("lost after"), "{stderr}");
-    assert!(
-        stdout.contains("merged journal"),
-        "partial progress not merged:\n{stdout}"
-    );
+    assert!(stderr.contains("lost after 2"), "{stderr}");
+    let cells = cells(&dir, "fig10_12");
+    assert_eq!(cells[0].status, "exhausted", "{:?}", cells[0]);
+    assert_eq!(cells[0].attempts, 2, "{:?}", cells[0]);
+    let journal = String::from_utf8(read(&dir, "CHECKPOINT_fig10_12.jsonl")).unwrap();
+    let keys: Vec<String> = journal
+        .lines()
+        .map(|l| {
+            let line = Json::parse(l).expect("journal line is JSON");
+            line.get("key").and_then(Json::as_str).unwrap().to_string()
+        })
+        .collect();
+    let others: Vec<String> = cells[1..].iter().map(|c| c.key.clone()).collect();
+    assert_eq!(keys, others, "every other cell journaled, in spec order");
 }
 
 #[test]
@@ -169,11 +222,11 @@ fn hung_worker_is_timed_out_killed_and_redealt() {
         ],
     );
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
-    assert!(stderr.contains("missed its deadline"), "{stderr}");
+    assert_only_retried(&cells(&dir, "fig10_12"), 1, "timed out");
     assert_eq!(
         read(&dir, "CHECKPOINT_fig10_12.jsonl"),
         read(&serial, "CHECKPOINT_fig10_12.jsonl"),
-        "checkpoint journal differs after a hang + timeout + re-deal"
+        "checkpoint journal differs after a hang + timeout + retry"
     );
 }
 
@@ -194,7 +247,7 @@ fn sharded_surface_sweep_with_a_kill_matches_serial_artifacts() {
         &all,
     );
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
-    assert!(stderr.contains("re-dealing"), "{stderr}");
+    assert_only_retried(&cells(&dir, "surface"), 1, "killed by a signal");
     for artifact in ["CHECKPOINT_surface.jsonl", "SURFACE_surface.json"] {
         assert_eq!(
             read(&dir, artifact),
@@ -202,4 +255,25 @@ fn sharded_surface_sweep_with_a_kill_matches_serial_artifacts() {
             "{artifact} differs from the serial golden after a sharded kill"
         );
     }
+}
+
+#[test]
+fn fault_indices_mean_the_same_at_every_worker_count() {
+    // `panic@0` poisons the first attempt of pending cell 0, whether
+    // attempts run on threads or in child processes.
+    let fault = [("PROFESS_FAULT", "panic@0")];
+    let serial = golden("panic-serial", &["300", "w01"], &fault);
+    let dir = scratch("panic-sharded");
+    let (code, stdout, stderr) = run_shard(&dir, &["--workers", "2", "300", "w01"], &fault);
+    assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+    let outcomes = |dir: &Path| -> Vec<(String, u64)> {
+        cells(dir, "fig10_12")
+            .into_iter()
+            .map(|c| (c.status, c.attempts))
+            .collect()
+    };
+    let sharded = outcomes(&dir);
+    assert_eq!(sharded, outcomes(&serial));
+    // Exactly one cell, pending cell 0, made a second attempt.
+    assert_only_retried(&cells(&dir, "fig10_12"), 0, "injected fault");
 }

@@ -121,13 +121,13 @@ pub enum SimError {
         /// Which feature blocks snapshotting.
         what: String,
     },
-    /// A sharded sweep lost a cell's work past recovery: every re-deal
-    /// of the cell to a worker process ended with the worker dead.
+    /// A sharded sweep lost a cell's work past recovery: its final
+    /// attempt ended with the worker process running it dead.
     WorkerLost {
         /// The checkpoint cell key that could not be completed.
         cell: String,
-        /// Times the cell was dealt before the run was declared lost.
-        deals: u32,
+        /// Attempts made before the run was declared lost.
+        attempts: u32,
     },
 }
 
@@ -190,9 +190,9 @@ impl std::fmt::Display for SimError {
             SimError::SnapshotUnsupported { what } => {
                 write!(f, "snapshot unsupported: {what}")
             }
-            SimError::WorkerLost { cell, deals } => write!(
+            SimError::WorkerLost { cell, attempts } => write!(
                 f,
-                "cell `{cell}` lost after {deals} deal(s) to worker processes"
+                "cell `{cell}` lost after {attempts} attempt(s) in worker processes"
             ),
         }
     }
@@ -281,11 +281,11 @@ mod tests {
         assert_eq!(u.label(), "snapshot_unsupported");
         let w = SimError::WorkerLost {
             cell: "multi|mdm|w01|abc".to_string(),
-            deals: 2,
+            attempts: 2,
         };
         assert_eq!(
             w.to_string(),
-            "cell `multi|mdm|w01|abc` lost after 2 deal(s) to worker processes"
+            "cell `multi|mdm|w01|abc` lost after 2 attempt(s) in worker processes"
         );
         assert_eq!(w.label(), "worker_lost");
     }

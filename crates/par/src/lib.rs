@@ -21,10 +21,10 @@
 pub mod process;
 pub mod supervise;
 
-pub use process::{WorkerEvent, WorkerExit, WorkerPool};
+pub use process::{fire_worker_fault, run_child, ChildExit};
 pub use supervise::{
-    worker_fault, CancelToken, Fault, FaultKind, FaultPlan, SuperviseConfig, Supervised, TaskCtx,
-    TaskOutcome, FAULT_ENV, FAULT_EXIT_CODE, RETRIES_ENV, TIMEOUT_ENV,
+    panic_failure, CancelToken, Fault, FaultKind, FaultPlan, SuperviseConfig, Supervised, TaskCtx,
+    TaskOutcome, FAULT_ENV, FAULT_EXIT_CODE, RETRIES_ENV, TIMED_OUT, TIMEOUT_ENV,
 };
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -15,13 +15,13 @@
 //! to fire a [`CancelToken`]; timeouts are opt-in and off by default.
 //!
 //! Fault injection ([`FaultPlan`], `PROFESS_FAULT`) deterministically
-//! targets task *indices* — or, for the `worker_*` kinds, a sharded
-//! sweep's worker processes — so every recovery path (panic, stall,
-//! exit, worker kill, worker hang) is exercisable from tests and CI
-//! without touching the task code.
+//! targets task *indices* and attempts — the `worker_*` kinds fire in
+//! the child process a sharded sweep runs that attempt in — so every
+//! recovery path (panic, stall, exit, worker kill, worker hang) is
+//! exercisable from tests and CI without touching the task code.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -39,10 +39,20 @@ pub const TIMEOUT_ENV: &str = "PROFESS_TASK_TIMEOUT_MS";
 /// stand-in for `kill -9` in resume tests).
 pub const FAULT_EXIT_CODE: i32 = 86;
 
+/// How a supervised attempt's failure reads when its watchdog fired:
+/// the [`TaskOutcome::TimedOut`] error and the text a timed-out attempt
+/// leaves in [`Supervised::history`] (`attempt N: timed out`).
+pub const TIMED_OUT: &str = "timed out";
+
+/// [`CancelToken`] states.
+const LIVE: u8 = 0;
+const CANCELLED: u8 = 1;
+const SETTLED: u8 = 2;
+
 /// A shared cancellation flag polled cooperatively by long-running
 /// tasks. Cloning yields another handle to the same flag.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken(Arc<AtomicU8>);
 
 impl CancelToken {
     /// A fresh, uncancelled token.
@@ -50,14 +60,34 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Fires the token. Idempotent.
+    /// Fires the token, unless [`CancelToken::settle`] got there first.
+    /// Idempotent.
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
+        let _ = self
+            .0
+            .compare_exchange(LIVE, CANCELLED, Ordering::AcqRel, Ordering::Acquire);
     }
 
-    /// Has [`CancelToken::cancel`] been called on any handle?
+    /// Has [`CancelToken::cancel`] fired the token?
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        self.0.load(Ordering::Acquire) == CANCELLED
+    }
+
+    /// Claims the attempt's result against the watchdog: `false` if the
+    /// token already fired, otherwise every later
+    /// [`CancelToken::cancel`] is a no-op, so the supervisor accepts the
+    /// result. A task calls this right before a side effect that must
+    /// happen at most once per cell (journaling it): a cancel landing
+    /// after the effect would otherwise count the attempt as timed out
+    /// and run the effect again on the retry.
+    pub fn settle(&self) -> bool {
+        match self
+            .0
+            .compare_exchange(LIVE, SETTLED, Ordering::AcqRel, Ordering::Acquire)
+        {
+            Ok(_) => true,
+            Err(state) => state == SETTLED,
+        }
     }
 }
 
@@ -114,7 +144,7 @@ impl<R> TaskOutcome<R> {
         match self {
             TaskOutcome::Ok(_) => None,
             TaskOutcome::Failed { msg } => Some(msg.clone()),
-            TaskOutcome::TimedOut => Some("timed out".to_string()),
+            TaskOutcome::TimedOut => Some(TIMED_OUT.to_string()),
             TaskOutcome::Exhausted {
                 attempts,
                 last_error,
@@ -160,24 +190,37 @@ pub enum FaultKind {
     /// Terminate the whole process with [`FAULT_EXIT_CODE`], simulating
     /// an external kill for checkpoint/resume tests.
     Exit,
-    /// A sharded sweep's worker process aborts (SIGABRT — no exit code,
-    /// like `kill -9`) as it starts a dealt cell.
+    /// The child process running the attempt in a sharded sweep aborts
+    /// (SIGABRT — no exit code, like `kill -9`) before it starts the
+    /// cell.
     WorkerKill,
-    /// A sharded sweep's worker process stops responding without
-    /// exiting, exercising the supervisor's deadline watchdog.
+    /// The child process running the attempt in a sharded sweep stops
+    /// responding without exiting, until the watchdog has it killed.
     WorkerHang,
 }
 
 impl FaultKind {
-    fn parse(s: &str) -> Option<FaultKind> {
-        match s {
-            "panic" => Some(FaultKind::Panic),
-            "stall" => Some(FaultKind::Stall),
-            "exit" => Some(FaultKind::Exit),
-            "worker_kill" => Some(FaultKind::WorkerKill),
-            "worker_hang" => Some(FaultKind::WorkerHang),
-            _ => None,
+    const ALL: [FaultKind; 5] = [
+        FaultKind::Panic,
+        FaultKind::Stall,
+        FaultKind::Exit,
+        FaultKind::WorkerKill,
+        FaultKind::WorkerHang,
+    ];
+
+    /// The kind's name in a `PROFESS_FAULT` spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultKind::Panic => "panic",
+            FaultKind::Stall => "stall",
+            FaultKind::Exit => "exit",
+            FaultKind::WorkerKill => "worker_kill",
+            FaultKind::WorkerHang => "worker_hang",
         }
+    }
+
+    fn parse(s: &str) -> Option<FaultKind> {
+        FaultKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// Does this kind target a worker process rather than a task?
@@ -186,17 +229,16 @@ impl FaultKind {
     }
 }
 
-/// One injected fault. Task kinds fire on task `index` for the first
-/// `times` attempts; worker kinds fire when worker process `index`
-/// starts its `times`-th dealt cell.
+/// One injected fault: it fires on task `index` for the first `times`
+/// attempts, in the supervisor for task kinds and in the attempt's
+/// child process for worker kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
     /// The failure to inject.
     pub kind: FaultKind,
-    /// The task slot (or, for worker kinds, the worker) it targets.
+    /// The task slot it targets.
     pub index: usize,
-    /// How many attempts it poisons (attempts beyond this succeed);
-    /// for worker kinds, which dealt cell triggers it (1 = the first).
+    /// How many attempts it poisons (attempts beyond this succeed).
     pub times: u32,
 }
 
@@ -258,12 +300,13 @@ impl FaultPlan {
         }
     }
 
-    /// The worker fault scheduled for worker `worker`'s `nth`-th dealt
-    /// cell (1-based), if any. Only `worker_*` kinds are returned.
-    pub fn worker_action(&self, worker: usize, nth: u32) -> Option<FaultKind> {
+    /// The worker fault scheduled for (`index`, `attempt`), if any:
+    /// what the child process running that attempt must suffer. Only
+    /// `worker_*` kinds are returned.
+    pub fn worker_action(&self, index: usize, attempt: u32) -> Option<FaultKind> {
         self.faults
             .iter()
-            .find(|f| f.kind.is_worker() && f.index == worker && f.times == nth)
+            .find(|f| f.kind.is_worker() && f.index == index && attempt <= f.times)
             .map(|f| f.kind)
     }
 
@@ -291,20 +334,6 @@ impl FaultPlan {
                 FaultKind::WorkerKill | FaultKind::WorkerHang => {}
             }
         }
-    }
-}
-
-/// Fires a worker fault returned by [`FaultPlan::worker_action`].
-/// Diverges: a hang parks the thread forever (the supervisor's deadline
-/// watchdog must reap it), and a kill — any other kind — aborts
-/// (SIGABRT, so the parent sees a signal death, not an exit code — the
-/// same observable as an OOM kill).
-pub fn worker_fault(kind: FaultKind) -> ! {
-    match kind {
-        FaultKind::WorkerHang => loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        },
-        _ => std::process::abort(),
     }
 }
 
@@ -486,10 +515,8 @@ where
                 };
             }
             Ok(Err(e)) if !cancelled => (false, e),
-            Err(payload) if !cancelled => {
-                (false, format!("panicked: {}", panic_msg(payload.as_ref())))
-            }
-            _ => (true, "timed out".to_string()),
+            Err(payload) if !cancelled => (false, panic_failure(payload.as_ref())),
+            _ => (true, TIMED_OUT.to_string()),
         };
         history.push(format!("attempt {attempt}: {failure}"));
         if attempt > cfg.retries {
@@ -510,15 +537,17 @@ where
     }
 }
 
-/// Renders a panic payload as text (the two shapes `panic!` produces).
-fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
+/// How a panicked attempt's failure reads: `panicked: <payload>` (the
+/// two payload shapes `panic!` produces, rendered as text).
+pub fn panic_failure(payload: &(dyn std::any::Any + Send)) -> String {
+    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+        s
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
+        s.as_str()
     } else {
-        "non-string panic payload".to_string()
-    }
+        "non-string panic payload"
+    };
+    format!("panicked: {msg}")
 }
 
 #[cfg(test)]
@@ -864,13 +893,20 @@ mod tests {
         assert!(FaultPlan::parse("worker_kill@1*0").is_err());
         assert!(FaultPlan::parse("worker_kill").is_err());
 
-        // Worker kinds answer `worker_action` and never fire on a task.
-        let p = FaultPlan::parse("worker_kill@1, worker_hang@0*3, panic@1").unwrap();
+        // Worker kinds answer `worker_action` with the task kinds'
+        // meaning (task index, first `times` attempts) and never fire on
+        // a task.
+        let p = FaultPlan::parse("worker_kill@1, worker_hang@0*3, panic@2").unwrap();
         assert_eq!(p.worker_action(1, 1), Some(FaultKind::WorkerKill));
         assert_eq!(p.worker_action(1, 2), None);
-        assert_eq!(p.worker_action(0, 3), Some(FaultKind::WorkerHang));
-        assert_eq!(p.worker_action(0, 1), None);
+        for attempt in 1..=3 {
+            assert_eq!(p.worker_action(0, attempt), Some(FaultKind::WorkerHang));
+        }
+        assert_eq!(p.worker_action(0, 4), None);
         assert_eq!(p.worker_action(2, 1), None);
+        for kind in FaultKind::ALL {
+            assert_eq!(FaultKind::parse(kind.name()), Some(kind));
+        }
         let cfg = SuperviseConfig {
             retries: 0,
             timeout: None,
@@ -878,6 +914,19 @@ mod tests {
         };
         let out = Pool::new(1).run_supervised(&[0u8, 1, 2], &cfg, |_, &x| x);
         assert!(out.iter().all(|s| s.outcome.is_ok() && s.attempts == 1));
+    }
+
+    #[test]
+    fn a_settled_token_ignores_later_cancels() {
+        let token = CancelToken::new();
+        assert!(token.settle());
+        token.cancel();
+        assert!(!token.is_cancelled());
+        assert!(token.settle(), "settling twice still holds the claim");
+        let fired = CancelToken::new();
+        fired.cancel();
+        assert!(!fired.settle());
+        assert!(fired.is_cancelled());
     }
 
     #[test]

@@ -219,22 +219,22 @@ cargo run --release --offline -q -p profess-bench --bin checkpointcheck -- \
     "$surf_dir/CHECKPOINT_surface.jsonl"
 
 # Shard smoke: the multi-process sweep backend end to end (DESIGN.md
-# §15). A 2-worker sharded run with worker 0 killed on its first dealt
-# cell must re-deal the cell to the survivor, merge the shard journals,
-# and reproduce the committed single-process goldens byte-for-byte.
-# shardcheck pins the no-double-execution invariant (exactly one merged
-# line per cell, every shard line covered) and checkpointcheck
-# strict-decodes the merged journal, conflicting duplicates included.
-echo "==> shard smoke (2 workers, injected worker_kill, merge, diff)"
+# §15). A 2-worker sharded run whose first pending cell loses the child
+# of its first attempt must retry that cell (its BENCH record shows two
+# attempts) and reproduce the committed single-process goldens
+# byte-for-byte. profess-shard fails its final journal rewrite if a cell
+# key was journaled twice (no cell executed twice); checkpointcheck
+# strict-decodes the rewritten journal and holds it to one line per key.
+echo "==> shard smoke (2 workers, injected worker_kill, retry, diff)"
 shard_dir="$smoke_dir/shard"
 mkdir -p "$shard_dir"
 PROFESS_RESULTS_DIR="$shard_dir" PROFESS_FAULT='worker_kill@0' \
     cargo run --release --offline -q -p profess-bench --bin profess-shard -- \
     --workers 2 400 w01 > /dev/null 2> "$shard_dir/shard.err"
-grep -q 're-dealing' "$shard_dir/shard.err"  # the kill actually landed
-cargo run --release --offline -q -p profess-bench --bin shardcheck -- \
-    "$shard_dir/CHECKPOINT_fig10_12.jsonl" \
-    "$shard_dir"/CHECKPOINT_fig10_12.shard*.jsonl
+# the kill actually landed: pending cell 0 (the first solo reference)
+# was retried once
+grep -q '"label":"solo:PoM:mcf","status":"ok","attempts":2,' \
+    "$shard_dir/BENCH_fig10_12.json"
 cargo run --release --offline -q -p profess-bench --bin checkpointcheck -- \
     "$shard_dir/CHECKPOINT_fig10_12.jsonl"
 cmp results/CHECKPOINT_shard_ci.jsonl "$shard_dir/CHECKPOINT_fig10_12.jsonl"
