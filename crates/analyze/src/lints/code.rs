@@ -121,8 +121,8 @@ pub fn check(f: &SourceFile, s: &Scan, tests: &[(u32, u32)], out: &mut Vec<Diagn
                         &f.rel_path,
                         t.line,
                         "`Command::new` outside the shard supervisor \
-                         (crates/par/src/process.rs): worker processes are spawned only by \
-                         `WorkerPool`; suppress a genuine toolchain probe with \
+                         (crates/par/src/process.rs): child processes are spawned only by \
+                         `run_child`; suppress a genuine toolchain probe with \
                          `// profess: allow(process_spawn): <why>`",
                     ));
                 } else if !paren_group_has_ident(s, i + 4, "current_exe") {

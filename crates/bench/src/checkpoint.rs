@@ -198,8 +198,10 @@ impl Journal {
     pub fn load(path: &Path) -> std::io::Result<Journal> {
         let mut entries = BTreeMap::new();
         let mut rejected = 0usize;
+        let mut torn_tail = false;
         if path.exists() {
             let text = std::fs::read_to_string(path)?;
+            torn_tail = !text.is_empty() && !text.ends_with('\n');
             for (lineno, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
@@ -224,7 +226,13 @@ impl Journal {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let writer = OpenOptions::new().create(true).append(true).open(path)?;
+        let mut writer = OpenOptions::new().create(true).append(true).open(path)?;
+        if torn_tail {
+            // A process killed mid-write left a fragment with no newline:
+            // end it, so the next record starts a line of its own instead
+            // of being glued to the fragment and lost with it.
+            writer.write_all(b"\n")?;
+        }
         Ok(Journal {
             path: Some(path.to_path_buf()),
             loaded: entries.len(),
@@ -513,6 +521,28 @@ mod tests {
         assert_eq!(j2.lookup("a"), None, "tampered cell must rerun");
         assert_eq!(j2.lookup("b"), Some(Json::UInt(2)));
         assert!(validate_file(&path).is_err(), "CI validation is strict");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_torn_tail_does_not_swallow_the_next_record() {
+        let path = tmp("torn_tail.jsonl");
+        std::fs::remove_file(&path).ok();
+        let torn = encode_line("a", &Json::UInt(1)) + "{\"key\":\"b\",\"fp";
+        std::fs::write(&path, torn).unwrap();
+        let j = Journal::load(&path).expect("load");
+        assert_eq!((j.loaded(), j.rejected()), (1, 1));
+        j.record("c", Json::UInt(3));
+        drop(j);
+
+        let j2 = Journal::load(&path).expect("reload");
+        assert_eq!(
+            j2.loaded(),
+            2,
+            "the cell recorded after the fragment survives"
+        );
+        assert_eq!(j2.rejected(), 1, "only the fragment is dropped");
+        assert_eq!(j2.lookup("c"), Some(Json::UInt(3)));
         std::fs::remove_file(&path).ok();
     }
 

@@ -62,6 +62,16 @@ impl RegionMap {
         self.num_regions
     }
 
+    /// Regions `0..private_count()` are private (one per program); the
+    /// rest are shared.
+    pub(crate) fn private_count(&self) -> u32 {
+        if self.enabled {
+            self.num_programs
+        } else {
+            0
+        }
+    }
+
     /// The program a region is private to, if any.
     pub fn owner_of_region(&self, region: RegionId) -> Option<ProgramId> {
         if self.enabled && u32::from(region.0) < self.num_programs {

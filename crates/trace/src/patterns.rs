@@ -8,6 +8,9 @@
 //! policies: MDM's per-block cost-benefit analysis wins exactly when some
 //! 2 KB blocks are worth promoting on first touch and others are not.
 
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
+
 use profess_rng::Rng;
 
 /// Lines per 2 KB swap block.
@@ -139,7 +142,7 @@ impl Pattern for PointerChase {
 #[derive(Debug, Clone)]
 pub struct Hotspot {
     blocks: u64,
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
     perm: Vec<u32>,
     phase_refs: u64,
     refs_in_phase: u64,
@@ -157,19 +160,9 @@ impl Hotspot {
     pub fn new(lines: u64, exponent: f64, phase_refs: u64, dependent: bool, rng: &mut Rng) -> Self {
         let blocks = lines / LINES_PER_BLOCK;
         assert!(blocks > 0, "footprint smaller than one block");
-        let mut cdf = Vec::with_capacity(blocks as usize);
-        let mut acc = 0.0;
-        for i in 0..blocks {
-            acc += 1.0 / ((i + 1) as f64).powf(exponent);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
         let mut h = Hotspot {
             blocks,
-            cdf,
+            cdf: shared_zipf_cdf(blocks, exponent),
             perm: Vec::new(),
             phase_refs,
             refs_in_phase: 0,
@@ -186,6 +179,74 @@ impl Hotspot {
         self.perm = perm;
         self.refs_in_phase = 0;
     }
+}
+
+/// The most normalized Zipf CDFs the process-wide table keeps. At the
+/// scaled presets a CDF is at most ~70 KB (8.8k blocks), so the table
+/// holds at most a few MB; at paper scale at most ~70 MB.
+const ZIPF_TABLE_ENTRIES: usize = 32;
+
+/// The normalized Zipf(`exponent`) CDF over `blocks` ranks: entry `i` is
+/// the probability that a draw lands on rank `i` or below.
+fn zipf_cdf(blocks: u64, exponent: f64) -> Vec<f64> {
+    let mut cdf = Vec::with_capacity(blocks as usize);
+    let mut acc = 0.0;
+    for i in 0..blocks {
+        acc += 1.0 / ((i + 1) as f64).powf(exponent);
+        cdf.push(acc);
+    }
+    let total = acc;
+    for v in &mut cdf {
+        *v /= total;
+    }
+    cdf
+}
+
+/// A bounded table of Zipf CDFs keyed by `(blocks, exponent bits)`,
+/// holding at most [`ZIPF_TABLE_ENTRIES`] and evicting the oldest first.
+///
+/// A CDF is a pure function of its key (no RNG, the same arithmetic in
+/// the same order), so a shared one is bit-equal to a fresh one and
+/// sharing cannot change any generated stream.
+#[derive(Debug)]
+struct ZipfTable {
+    entries: VecDeque<((u64, u64), Arc<[f64]>)>,
+}
+
+impl ZipfTable {
+    const fn new() -> Self {
+        ZipfTable {
+            entries: VecDeque::new(),
+        }
+    }
+
+    fn get_or_build(&mut self, blocks: u64, exponent: f64) -> Arc<[f64]> {
+        let key = (blocks, exponent.to_bits());
+        if let Some((_, cdf)) = self.entries.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(cdf);
+        }
+        let cdf: Arc<[f64]> = zipf_cdf(blocks, exponent).into();
+        if self.entries.len() == ZIPF_TABLE_ENTRIES {
+            self.entries.pop_front();
+        }
+        self.entries.push_back((key, Arc::clone(&cdf)));
+        cdf
+    }
+}
+
+/// One table per process: generators of every cell, thread and program
+/// restart share it.
+static ZIPF_TABLE: Mutex<ZipfTable> = Mutex::new(ZipfTable::new());
+
+/// The Zipf CDF for `(blocks, exponent)` from the process-wide table,
+/// built on first use.
+fn shared_zipf_cdf(blocks: u64, exponent: f64) -> Arc<[f64]> {
+    // A panic while holding the lock cannot leave a torn entry: entries
+    // are pushed whole, so a poisoned table is still valid.
+    ZIPF_TABLE
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get_or_build(blocks, exponent)
 }
 
 impl Pattern for Hotspot {
@@ -601,6 +662,70 @@ mod tests {
             top10 as f64 > 0.2 * 20_000.0,
             "top-10 share too small: {top10}"
         );
+    }
+
+    /// Every Zipf exponent `SpecProgram::pattern` and the surface load
+    /// generator pass to `Hotspot::new`.
+    const PATTERN_EXPONENTS: [f64; 8] = [0.60, 0.70, 0.95, 1.00, 1.05, 1.10, 1.15, 1.20];
+
+    #[test]
+    fn shared_zipf_cdfs_are_bit_equal_to_fresh_ones() {
+        use crate::spec::SpecProgram;
+        // A local table: 112 keys through the process-wide one would
+        // evict the entries other tests in this binary are sharing.
+        let mut table = ZipfTable::new();
+        let programs = SpecProgram::ALL.iter().chain(&SpecProgram::SYNTHETIC);
+        for p in programs {
+            let blocks = p.footprint_lines(32) / LINES_PER_BLOCK;
+            for &e in &PATTERN_EXPONENTS {
+                let fresh = zipf_cdf(blocks, e);
+                // Twice: the first call builds the entry, the second
+                // reads it back.
+                for _ in 0..2 {
+                    let shared = table.get_or_build(blocks, e);
+                    assert_eq!(shared.len(), fresh.len());
+                    assert!(
+                        shared
+                            .iter()
+                            .zip(&fresh)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{}: Zipf({e}) over {blocks} blocks differs",
+                        p.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hotspots_share_one_cdf() {
+        let mut rng = seeded_rng(6);
+        let a = Hotspot::new(32 * 300, 1.05, 0, false, &mut rng);
+        let b = Hotspot::new(32 * 300, 1.05, 0, true, &mut rng);
+        let c = Hotspot::new(32 * 300, 1.10, 0, false, &mut rng);
+        assert!(Arc::ptr_eq(&a.cdf, &b.cdf));
+        assert!(!Arc::ptr_eq(&a.cdf, &c.cdf));
+    }
+
+    #[test]
+    fn zipf_table_stays_within_its_bound() {
+        let mut table = ZipfTable::new();
+        let keys = 3 * ZIPF_TABLE_ENTRIES as u64;
+        for blocks in 1..=keys {
+            let cdf = table.get_or_build(blocks, 0.9);
+            assert_eq!(cdf.len() as u64, blocks);
+            assert!(table.entries.len() <= ZIPF_TABLE_ENTRIES);
+        }
+        assert_eq!(table.entries.len(), ZIPF_TABLE_ENTRIES);
+        // The oldest keys went first: the newest `ZIPF_TABLE_ENTRIES`
+        // remain, in insertion order.
+        let kept: Vec<u64> = table.entries.iter().map(|((b, _), _)| *b).collect();
+        let newest: Vec<u64> = (keys - ZIPF_TABLE_ENTRIES as u64 + 1..=keys).collect();
+        assert_eq!(kept, newest);
+        // A hit neither grows the table nor rebuilds the entry.
+        let hit = table.get_or_build(keys, 0.9);
+        assert_eq!(table.entries.len(), ZIPF_TABLE_ENTRIES);
+        assert!(Arc::ptr_eq(&hit, &table.entries[ZIPF_TABLE_ENTRIES - 1].1));
     }
 
     #[test]
