@@ -1,5 +1,6 @@
 //! The `analyzegate` baseline: diffing a fresh analysis against the
-//! committed `results/ANALYZE.json`, mirroring `benchgate`.
+//! committed `results/ANALYZE.json`, mirroring the bench trend gate
+//! (`profess-validate trend`).
 //!
 //! The gate answers one question: *did this change introduce any
 //! diagnostic that was not already reviewed?* New entries — including

@@ -9,14 +9,12 @@
 //! * **hermeticity lints** ([`hermetic`]) — manifest/lockfile checks;
 //!   deliberately *not* suppressible (an allowed external dependency is
 //!   a contradiction in terms here);
-//! * **cross-file schema lints** ([`trace_schema`], [`snapshot_schema`],
-//!   [`surface_schema`], [`doc_sync`]) — consistency between the typed
-//!   `TraceEvent` enum and the places that name its kinds as strings,
-//!   between the snapshot payload constant and the DESIGN.md schema
-//!   table, between the surface point-field constant and its DESIGN.md
-//!   table, and between the top-level docs and the build
-//!   targets/workloads they tell the reader to run; not suppressible
-//!   either.
+//! * **cross-file lints** ([`schema_sync`], [`doc_sync`]) — the
+//!   DESIGN.md schema tables against the code that emits them (snapshot
+//!   payload, surface point, trace events, and the trace kinds every
+//!   `profess-validate trace` invocation requires), and the top-level
+//!   docs against the build targets/workloads they tell the reader to
+//!   run; not suppressible either.
 //!
 //! Adding a lint: write a `check` that pushes [`Diagnostic`]s, call it
 //! from [`run_all`], give it a unique name, document it in DESIGN.md §9,
@@ -29,9 +27,7 @@ pub mod determinism;
 pub mod doc_sync;
 pub mod hermetic;
 pub mod panic_reach;
-pub mod snapshot_schema;
-pub mod surface_schema;
-pub mod trace_schema;
+pub mod schema_sync;
 
 use crate::diag::{self, Diagnostic, Level};
 use crate::graph::{GraphStats, ItemGraph};
@@ -122,17 +118,7 @@ pub const REGISTRY: &[LintInfo] = &[
         suppressible: false,
     },
     LintInfo {
-        name: trace_schema::TRACE_SCHEMA,
-        level: Level::Error,
-        suppressible: false,
-    },
-    LintInfo {
-        name: snapshot_schema::SNAPSHOT_SCHEMA,
-        level: Level::Error,
-        suppressible: false,
-    },
-    LintInfo {
-        name: surface_schema::SURFACE_SCHEMA,
+        name: schema_sync::SCHEMA_SYNC,
         level: Level::Error,
         suppressible: false,
     },
@@ -158,9 +144,7 @@ pub const ALL_LINTS: &[&str] = &[
     STALE_ALLOW,
     hermetic::HERMETIC_DEPS,
     hermetic::HERMETIC_LOCK,
-    trace_schema::TRACE_SCHEMA,
-    snapshot_schema::SNAPSHOT_SCHEMA,
-    surface_schema::SURFACE_SCHEMA,
+    schema_sync::SCHEMA_SYNC,
     doc_sync::DOC_SYNC,
 ];
 
@@ -216,9 +200,7 @@ pub fn run_all(ws: &Workspace) -> Suite {
     drop(graph);
     // Cross-file lints.
     hermetic::check(ws, &mut diags);
-    trace_schema::check(ws, &mut diags);
-    snapshot_schema::check(ws, &mut diags);
-    surface_schema::check(ws, &mut diags);
+    schema_sync::check(ws, &mut diags);
     doc_sync::check(ws, &mut diags);
     // Suppression inventory + stale_allow, after every producer ran.
     let allows = allow_inventory(&parsed, &diags);

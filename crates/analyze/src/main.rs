@@ -17,8 +17,8 @@
 //!
 //! **Gate mode**: diffs a fresh run against a committed baseline
 //! (`--baseline` > `PROFESS_ANALYZE_BASELINE` > `<root>/results/
-//! ANALYZE.json`), mirroring `benchgate`. Any diagnostic not in the
-//! baseline — suppressed ones included, so new `allow` markers are
+//! ANALYZE.json`), mirroring the bench trend gate. Any diagnostic not in
+//! the baseline — suppressed ones included, so new `allow` markers are
 //! always a reviewed refresh — exits 2; diagnostics that disappeared
 //! pass with a refresh prompt; `--write-baseline` rewrites the baseline
 //! in place. Exit 1 means the gate itself could not run.

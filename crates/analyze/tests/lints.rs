@@ -116,35 +116,36 @@ fn hermetic_lock_positive_and_negative() {
     assert_eq!(active(&[("Cargo.lock", ok)], "hermetic_lock"), 0);
 }
 
+/// A `kind()` arm plus the matching `to_json()` arm, as in event.rs.
+fn event_rs(kind: &str) -> String {
+    format!(
+        "impl TraceEvent {{\n\
+         pub fn kind(&self) -> &'static str {{ match self {{ TraceEvent::SwapBegin {{ .. }} => \"{kind}\" }} }}\n\
+         pub fn to_json(&self) -> Json {{ match *self {{ TraceEvent::SwapBegin {{ at }} => Json::obj([kind, (\"at\", Json::UInt(at))]) }} }}\n\
+         }}\n"
+    )
+}
+
 #[test]
-fn trace_schema_positive_and_negative() {
-    let event_ok = r#"
-        impl TraceEvent {
-            pub fn kind(&self) -> &'static str {
-                match self {
-                    TraceEvent::SwapBegin { .. } => "swap_begin",
-                }
-            }
-        }
-    "#;
-    let event_bad = r#"
-        impl TraceEvent {
-            pub fn kind(&self) -> &'static str {
-                match self {
-                    TraceEvent::SwapBegin { .. } => "swap_start",
-                }
-            }
-        }
-    "#;
+fn schema_sync_trace_kinds_positive_and_negative() {
     let ev = "crates/obs/src/event.rs";
-    assert_eq!(active(&[(ev, event_bad)], "trace_schema"), 1);
-    assert_eq!(active(&[(ev, event_ok)], "trace_schema"), 0);
+    let (event_ok, event_bad) = (event_rs("swap_begin"), event_rs("swap_start"));
+    assert_eq!(active(&[(ev, &event_bad)], "schema_sync"), 1);
+    assert_eq!(active(&[(ev, &event_ok)], "schema_sync"), 0);
     // A CI script demanding a nonexistent kind is flagged too.
     let ci = (
         "scripts/ci.sh",
-        "tracecheck \"$f\" run swap_begin bogus_kind\n",
+        "profess-validate trace \"$f\" run swap_begin bogus_kind\n",
     );
-    assert_eq!(active(&[(ev, event_ok), ci], "trace_schema"), 1);
+    assert_eq!(active(&[(ev, &event_ok), ci], "schema_sync"), 1);
+    // So is a README example naming a misspelt kind; prose is not.
+    let readme = (
+        "README.md",
+        "```bash\ncargo run -p profess-bench --bin profess-validate -- \\\n    \
+         trace results/TRACE_fig05.jsonl swap_begin mdm_decisoin\n```\n\
+         `profess-validate trace FILE` checks each line.\n",
+    );
+    assert_eq!(active(&[(ev, &event_ok), readme], "schema_sync"), 1);
 }
 
 #[test]
@@ -194,49 +195,39 @@ fn binary_gates_fixture_trees() {
 }
 
 #[test]
-fn snapshot_schema_positive_and_negative() {
-    let snap = (
-        "crates/core/src/snapshot.rs",
-        "pub const PAYLOAD_FIELDS: &[&str] = &[\"clock\", \"policy\"];\n",
-    );
-    let design_ok = (
-        "DESIGN.md",
-        "### 11.2 Snapshot schema\n\n| `field` | contents |\n|---|---|\n\
-         | `clock` | clock |\n| `policy` | policy state |\n",
-    );
-    assert_eq!(active(&[snap, design_ok], "snapshot_schema"), 0);
-    // A documented field the emitter dropped is flagged; immune to
-    // inline allows, like the other cross-file lints.
-    let design_bad = (
-        "DESIGN.md",
-        "<!-- profess: allow(snapshot_schema): nope -->\n\
-         ### 11.2 Snapshot schema\n\n| `field` | contents |\n|---|---|\n\
-         | `clock` | clock |\n| `policy` | policy state |\n| `ghost` | gone |\n",
-    );
-    assert_eq!(active(&[snap, design_bad], "snapshot_schema"), 1);
-}
-
-#[test]
-fn surface_schema_positive_and_negative() {
-    let surf = (
-        "crates/bench/src/surface.rs",
-        "pub const SURFACE_FIELDS: &[&str] = &[\"policy\", \"intensity\"];\n",
-    );
-    let design_ok = (
-        "DESIGN.md",
-        "### 13.1 Surface schema\n\n| `field` | contents |\n|---|---|\n\
-         | `policy` | policy name |\n| `intensity` | offered load |\n",
-    );
-    assert_eq!(active(&[surf, design_ok], "surface_schema"), 0);
-    // A documented field the emitter dropped is flagged; immune to
-    // inline allows, like the other cross-file lints.
-    let design_bad = (
-        "DESIGN.md",
-        "<!-- profess: allow(surface_schema): nope -->\n\
-         ### 13.1 Surface schema\n\n| `field` | contents |\n|---|---|\n\
-         | `policy` | policy name |\n| `intensity` | offered load |\n| `ghost` | gone |\n",
-    );
-    assert_eq!(active(&[surf, design_bad], "surface_schema"), 1);
+fn schema_sync_tables_positive_and_negative() {
+    // (source file, constant text, DESIGN heading), one per const table.
+    let tables = [
+        (
+            "crates/core/src/snapshot.rs",
+            "pub const PAYLOAD_FIELDS: &[&str] = &[\"clock\", \"policy\"];\n",
+            "### 11.2 Snapshot schema",
+            ["clock", "policy"],
+        ),
+        (
+            "crates/bench/src/surface.rs",
+            "pub const SURFACE_FIELDS: &[&str] = &[\"policy\", \"intensity\"];\n",
+            "### 13.2 Surface schema",
+            ["policy", "intensity"],
+        ),
+    ];
+    for (path, src, heading, [a, b]) in tables {
+        let table = format!(
+            "{heading}\n\n| `field` | contents |\n|---|---|\n| `{a}` | x |\n| `{b}` | y |\n"
+        );
+        assert_eq!(
+            active(&[(path, src), ("DESIGN.md", &table)], "schema_sync"),
+            0
+        );
+        // A documented field the emitter dropped is flagged; immune to
+        // inline allows, like the other cross-file lints.
+        let ghost =
+            format!("<!-- profess: allow(schema_sync): nope -->\n{table}| `ghost` | gone |\n");
+        assert_eq!(
+            active(&[(path, src), ("DESIGN.md", &ghost)], "schema_sync"),
+            1
+        );
+    }
 }
 
 #[test]
@@ -256,14 +247,12 @@ fn lint_list_is_complete() {
         "stale_allow",
         "hermetic_deps",
         "hermetic_lock",
-        "trace_schema",
-        "snapshot_schema",
-        "surface_schema",
+        "schema_sync",
         "doc_sync",
     ] {
         assert!(lints::ALL_LINTS.contains(&lint), "{lint} not registered");
     }
-    assert_eq!(lints::ALL_LINTS.len(), 17);
+    assert_eq!(lints::ALL_LINTS.len(), 15);
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! The analyzer's strongest test is the workspace itself: the shipped
-//! tree must be clean, and the cross-file trace-schema extraction must
-//! still find the real `TraceEvent` enum (a restructure that silently
-//! blinds the lint shows up here, not in CI three PRs later).
+//! tree must be clean, and every `schema_sync` registry entry must still
+//! find its real source and its DESIGN.md table (a restructure that
+//! silently blinds the lint shows up here, not in CI three PRs later).
 
 use std::path::Path;
 
-use profess_analyze::{analyze_root, lints::trace_schema, Analysis};
+use profess_analyze::{analyze_root, lints::schema_sync, Analysis};
 
 fn workspace_analysis() -> Analysis {
     let root = profess_analyze::workspace::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -43,20 +43,29 @@ fn coverage_is_plausible() {
 }
 
 #[test]
-fn trace_schema_extraction_still_works() {
+fn every_schema_sync_entry_sees_its_source_and_table() {
     let root = profess_analyze::workspace::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root");
     let ws = profess_analyze::Workspace::load(&root).expect("load");
-    assert!(
-        ws.get(trace_schema::EVENT_RS).is_some(),
-        "{} moved — update the trace_schema lint paths",
-        trace_schema::EVENT_RS
-    );
+    let design = ws.get(schema_sync::DESIGN_MD).expect("DESIGN.md");
+    for schema in schema_sync::SCHEMAS {
+        let src = ws
+            .get(schema.source)
+            .unwrap_or_else(|| panic!("{} moved — update the schema_sync registry", schema.source));
+        let emitted = schema.emitted(&src.text);
+        assert!(!emitted.is_empty(), "{}: no rows extracted", schema.source);
+        let rows = schema_sync::design_table(&design.text, schema.heading).1;
+        assert!(
+            !rows.is_empty(),
+            "DESIGN.md \"{}\" section yields no rows",
+            schema.heading
+        );
+    }
     let a = workspace_analysis();
     assert!(
         !a.diagnostics
             .iter()
             .any(|d| d.message.contains("no longer verify")),
-        "trace_schema lint can no longer parse the TraceEvent kind() arms"
+        "schema_sync can no longer read a registered source or table"
     );
 }

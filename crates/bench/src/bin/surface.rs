@@ -20,7 +20,8 @@
 //! deterministic failures, and `PROFESS_SNAPSHOT` /
 //! `PROFESS_SNAPSHOT_AT` preempt cells into journaled mid-run
 //! snapshots. The emitted artifact is byte-identical across thread
-//! counts and across a kill-and-resume (verified by `surfacecheck`).
+//! counts and across a kill-and-resume (verified by `profess-validate
+//! diff`).
 
 use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::surface::{

@@ -1,9 +1,5 @@
-//! The shared exit-code taxonomy for every bench binary.
-//!
-//! Historically each binary picked its own codes, and two of them
-//! (`benchgate`, `tracecheck`) returned a bare `1` for usage errors —
-//! indistinguishable from a real validation failure in CI scripts that
-//! branch on the code. One vocabulary, used everywhere:
+//! The shared exit-code taxonomy for every bench binary, so a CI script
+//! can branch on the code alone:
 //!
 //! | code | meaning |
 //! |------|---------|

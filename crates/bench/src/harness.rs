@@ -19,8 +19,8 @@
 //! timed harness samples, the thread count, and a `meta` block naming
 //! the host, toolchain and commit the numbers came from — so the
 //! performance trajectory is tracked across changes and every recorded
-//! number is attributable to the machine that produced it (the
-//! `benchgate` binary compares these artifacts across commits).
+//! number is attributable to the machine that produced it
+//! (`profess-validate trend` compares these artifacts across commits).
 //! `PROFESS_RESULTS_DIR` overrides the output directory.
 
 use std::path::PathBuf;
@@ -387,7 +387,7 @@ impl BenchJson {
     /// tolerant loader dropped (see
     /// [`SweepRun::skipped_malformed`](crate::SweepRun::skipped_malformed)).
     /// The artifact then carries a `"skipped_malformed"` count that
-    /// `checkpointcheck` asserts is zero in strict CI mode — the
+    /// `profess-validate sweep` asserts is zero in strict CI mode — the
     /// tolerant drop path must never pass silently through CI.
     pub fn set_skipped_malformed(&mut self, n: u64) {
         self.skipped_malformed = Some(n);

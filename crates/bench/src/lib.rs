@@ -995,7 +995,7 @@ pub fn rows_to_json(rows: &[NormalizedRow]) -> String {
 /// Writes a sweep's rows as `ROWS_<name>.json` into
 /// [`harness::results_dir`] (the [`rows_to_json`] canonical rendering),
 /// so CI can byte-compare a preempted-and-resumed sweep's rows against
-/// an uninterrupted golden run with `snapshotcheck diff`. An I/O
+/// an uninterrupted golden run with `profess-validate diff`. An I/O
 /// failure is a warning — a missing artifact must not fail the sweep
 /// that produced real results.
 pub fn write_rows_artifact(name: &str, rows: &[NormalizedRow]) {

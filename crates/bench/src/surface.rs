@@ -18,10 +18,10 @@
 //! and the emitted `SURFACE_<name>.json` is byte-identical whether the
 //! sweep ran on one thread, many threads, or across a kill/resume.
 //!
-//! The `surfacecheck` binary validates artifacts: schema (exactly
-//! [`SURFACE_FIELDS`] per point, in order), monotonicity sanity (read
-//! latency non-decreasing with intensity at a fixed ratio), and
-//! golden-vs-resumed byte identity.
+//! `profess-validate surface` validates artifacts: schema (exactly
+//! [`SURFACE_FIELDS`] per point, in order) and monotonicity sanity (read
+//! latency non-decreasing with intensity at a fixed ratio);
+//! `profess-validate diff` checks golden-vs-resumed byte identity.
 
 use profess_core::system::{PolicyKind, SystemBuilder, SystemReport};
 use profess_metrics::Json;
@@ -39,10 +39,10 @@ use crate::{
 /// The fields of one surface point, in emission order.
 ///
 /// This constant is the source of truth for the surface schema: the
-/// `surface_schema` lint in `profess-analyze` checks that the DESIGN.md
+/// `schema_sync` lint in `profess-analyze` checks that the DESIGN.md
 /// schema table documents exactly these fields, and
-/// [`SurfacePoint::to_json`] emits them in exactly this order (the
-/// `surfacecheck` validator rejects any other layout).
+/// [`SurfacePoint::to_json`] emits them in exactly this order
+/// (`profess-validate surface` rejects any other layout).
 pub const SURFACE_FIELDS: &[&str] = &[
     "policy",
     "read_frac",

@@ -1,7 +1,7 @@
-//! End-to-end tests for the `benchgate` binary against the committed
-//! fixture artifacts — the same fixtures `scripts/ci.sh` uses to prove
-//! the gate catches a synthetic regression before trusting it with the
-//! real smoke artifacts.
+//! End-to-end tests for the bench trend gate (`profess-validate trend`)
+//! against the committed fixture artifacts — the same fixtures
+//! `scripts/ci.sh` uses to prove the gate catches a synthetic regression
+//! before trusting it with the real smoke artifacts.
 //!
 //! Exit-code contract (the shared `bench::exit` taxonomy): 0 = within
 //! threshold, 1 = regression or I/O/parse error, 2 = usage error.
@@ -14,12 +14,13 @@ fn fixtures() -> PathBuf {
 }
 
 fn run(args: &[&str], envs: &[(&str, &str)]) -> (Option<i32>, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_benchgate"))
+    let out = Command::new(env!("CARGO_BIN_EXE_profess-validate"))
+        .arg("trend")
         .args(args)
         .env_remove("PROFESS_BENCH_BASELINE")
         .envs(envs.iter().map(|&(k, v)| (k, v)))
         .output()
-        .expect("run benchgate");
+        .expect("run profess-validate trend");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),

@@ -160,13 +160,14 @@ fn retried_cells_never_execute_twice_in_the_journal() {
         &[("PROFESS_FAULT", "worker_kill@0")],
     );
     // A cell key journaled twice makes profess-shard's final rewrite
-    // fail (a validation exit, not 0); checkpointcheck then holds the
-    // rewritten file to exactly one line per cell key.
+    // fail (a validation exit, not 0); `profess-validate journal` then
+    // holds the rewritten file to exactly one line per cell key.
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
-    let out = Command::new(env!("CARGO_BIN_EXE_checkpointcheck"))
+    let out = Command::new(env!("CARGO_BIN_EXE_profess-validate"))
+        .arg("journal")
         .arg(dir.join("CHECKPOINT_fig10_12.jsonl"))
         .output()
-        .expect("run checkpointcheck");
+        .expect("run profess-validate");
     assert_eq!(
         out.status.code(),
         Some(0),

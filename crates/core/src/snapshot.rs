@@ -41,7 +41,7 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// Top-level payload fields, in emission order.
 ///
 /// This constant is the source of truth for the snapshot schema: the
-/// `snapshot_schema` lint in `profess-analyze` checks that the DESIGN.md
+/// `schema_sync` lint in `profess-analyze` checks that the DESIGN.md
 /// schema table documents exactly these fields.
 pub const PAYLOAD_FIELDS: &[&str] = &[
     "clock",

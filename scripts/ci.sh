@@ -21,7 +21,8 @@ cargo test -q --workspace --offline
 
 # Static analysis gate: the in-tree analyzer enforces determinism
 # (no unordered maps in simulator state), hermeticity (path-only deps,
-# registry-free lockfile), the panic policy, and trace-schema sync.
+# registry-free lockfile), the panic policy, and schema sync (the
+# DESIGN.md schema tables against their emitters).
 # Exits non-zero on any unsuppressed diagnostic; the machine-readable
 # report lands next to the smoke artifacts.
 echo "==> profess-analyze (static analysis gate)"
@@ -80,25 +81,25 @@ echo "==> golden smoke (perf --workload short_cells)"
 cargo run --release --offline -q --example perf -- --workload short_cells > /dev/null
 
 # Bench trend gate (DESIGN.md §12): first prove the comparator itself —
-# the committed synthetic >15% regression fixture MUST fail (exit 2) and
+# the committed synthetic >15% regression fixture MUST fail (exit 1) and
 # the within-threshold fixture must pass — then gate the fresh engine
 # bench against the committed results/ baseline. PROFESS_BENCH_BASELINE
 # overrides the baseline directory for intentional trajectory resets.
-echo "==> bench trend gate (benchgate: fixture self-check + engine bench)"
+echo "==> bench trend gate (profess-validate trend: fixture self-check + engine bench)"
 gate_fixtures="crates/bench/tests/fixtures/benchgate"
 rc=0
-cargo run --release --offline -q -p profess-bench --bin benchgate -- \
-    --baseline "$gate_fixtures/baseline" \
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    trend --baseline "$gate_fixtures/baseline" \
     "$gate_fixtures/fresh-regressed/BENCH_gatecheck.json" > /dev/null 2>&1 || rc=$?
 test "$rc" -eq 1  # a missed synthetic regression means the gate is dead
-cargo run --release --offline -q -p profess-bench --bin benchgate -- \
-    --baseline "$gate_fixtures/baseline" \
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    trend --baseline "$gate_fixtures/baseline" \
     "$gate_fixtures/fresh-ok/BENCH_gatecheck.json" > /dev/null
 PROFESS_RESULTS_DIR="$smoke_dir" PROFESS_BENCH_SAMPLES=7 \
     cargo bench --offline -q -p profess-bench --bench engine -- end_to_end \
     > /dev/null
-cargo run --release --offline -q -p profess-bench --bin benchgate -- \
-    "$smoke_dir/BENCH_engine.json"
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    trend "$smoke_dir/BENCH_engine.json"
 
 # Traced smoke: the same figure with --trace must write a well-formed
 # TRACE_fig05.jsonl containing every event kind the tracer promises.
@@ -108,8 +109,8 @@ echo "==> traced bench smoke (fig05 --trace)"
 PROFESS_RESULTS_DIR="$smoke_dir" \
     cargo run --release --offline -q -p profess-bench --bin fig05 -- --trace 10000 > /dev/null
 test -s "$smoke_dir/TRACE_fig05.jsonl"
-cargo run --release --offline -q -p profess-bench --bin tracecheck -- \
-    "$smoke_dir/TRACE_fig05.jsonl" \
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    trace "$smoke_dir/TRACE_fig05.jsonl" \
     run swap_begin swap_complete mdm_decision rsm_epoch queue_sample hist counters
 
 # Resilience smoke: supervised sweep execution end to end (DESIGN.md
@@ -144,16 +145,17 @@ PROFESS_RESULTS_DIR="$smoke_dir" PROFESS_CHECKPOINT="$smoke_dir" \
     cargo run --release --offline -q -p profess-bench --bin fig10_12 -- 400 w01 w08 \
     > "$smoke_dir/resume.out"
 grep -q 'restored from journal' "$smoke_dir/resume.out"
-cargo run --release --offline -q -p profess-bench --bin checkpointcheck -- "$ckpt"
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- journal "$ckpt"
 
 # Snapshot smoke: mid-run preempt/restore end to end (DESIGN.md §11).
 # A golden uninterrupted sweep pins the ROWS_<name>.json row artifact;
 # then the same sweep with every cell's first attempt preempted at a
 # clock (PROFESS_SNAPSHOT_AT) journals one snapshot per cell, and the
 # supervisor's retry warm-starts each from its snapshot. The resumed
-# sweep's rows must be byte-identical to the golden ones, the journaled
-# snapshots must strict-decode, and the perf artifact must report zero
-# dropped journal lines.
+# sweep's rows must be byte-identical to the golden ones, the journal
+# must strict-decode with one line per cell key and every journaled
+# snapshot decoding, and the perf artifact must report zero dropped
+# journal lines.
 echo "==> snapshot smoke (fig10_12: preempt at a clock, warm-start, diff)"
 snap_dir="$smoke_dir/snap"
 mkdir -p "$snap_dir"
@@ -170,12 +172,12 @@ grep -q 'preempted into snapshot' "$snap_dir/BENCH_fig10_12.json"
 # Preemption is a returned value, never a panic. (`set -e` ignores a
 # negated command, hence the explicit exit.)
 ! grep -q 'panicked: preempted' "$snap_dir/BENCH_fig10_12.json" || exit 1
-cargo run --release --offline -q -p profess-bench --bin snapshotcheck -- \
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
     journal --min-snapshots 1 "$snap_dir/CHECKPOINT_fig10_12.jsonl"
-cargo run --release --offline -q -p profess-bench --bin snapshotcheck -- \
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
     diff "$snap_dir/ROWS_golden.json" "$snap_dir/ROWS_fig10_12.json"
-cargo run --release --offline -q -p profess-bench --bin checkpointcheck -- \
-    "$snap_dir/BENCH_fig10_12.json"
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    sweep "$snap_dir/BENCH_fig10_12.json"
 
 # Surface smoke: the bandwidth–latency characterization end to end
 # (DESIGN.md §13). A tiny 2x2 grid over two policies pins the golden
@@ -191,13 +193,13 @@ PROFESS_RESULTS_DIR="$surf_dir" PROFESS_THREADS=2 \
     cargo run --release --offline -q -p profess-bench --bin surface -- 2000 pom profess \
     > /dev/null
 test -s "$surf_dir/SURFACE_surface.json"
-cargo run --release --offline -q -p profess-bench --bin surfacecheck -- \
-    check "$surf_dir/SURFACE_surface.json"
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    surface "$surf_dir/SURFACE_surface.json"
 # Committed-golden gate: this exact 2x2 config is pinned byte-for-byte
 # by results/SURFACE_ci.json — any drift in the characterization
 # numbers is a simulator behaviour change and must be a reviewed
 # refresh of the committed artifact, never an accident.
-cargo run --release --offline -q -p profess-bench --bin surfacecheck -- \
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
     diff results/SURFACE_ci.json "$surf_dir/SURFACE_surface.json"
 mv "$surf_dir/SURFACE_surface.json" "$surf_dir/SURFACE_golden.json"
 rc=0
@@ -213,18 +215,19 @@ PROFESS_RESULTS_DIR="$surf_dir" PROFESS_CHECKPOINT="$surf_dir" PROFESS_THREADS=2
     cargo run --release --offline -q -p profess-bench --bin surface -- 2000 pom profess \
     > "$surf_dir/resume.out"
 grep -q 'restored from journal' "$surf_dir/resume.out"
-cargo run --release --offline -q -p profess-bench --bin surfacecheck -- \
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
     diff "$surf_dir/SURFACE_golden.json" "$surf_dir/SURFACE_surface.json"
-cargo run --release --offline -q -p profess-bench --bin checkpointcheck -- \
-    "$surf_dir/CHECKPOINT_surface.jsonl"
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    journal "$surf_dir/CHECKPOINT_surface.jsonl"
 
 # Shard smoke: the multi-process sweep backend end to end (DESIGN.md
 # §15). A 2-worker sharded run whose first pending cell loses the child
 # of its first attempt must retry that cell (its BENCH record shows two
 # attempts) and reproduce the committed single-process goldens
 # byte-for-byte. profess-shard fails its final journal rewrite if a cell
-# key was journaled twice (no cell executed twice); checkpointcheck
-# strict-decodes the rewritten journal and holds it to one line per key.
+# key was journaled twice (no cell executed twice); `profess-validate
+# journal` strict-decodes the rewritten journal and holds it to one line
+# per key.
 echo "==> shard smoke (2 workers, injected worker_kill, retry, diff)"
 shard_dir="$smoke_dir/shard"
 mkdir -p "$shard_dir"
@@ -235,9 +238,11 @@ PROFESS_RESULTS_DIR="$shard_dir" PROFESS_FAULT='worker_kill@0' \
 # was retried once
 grep -q '"label":"solo:PoM:mcf","status":"ok","attempts":2,' \
     "$shard_dir/BENCH_fig10_12.json"
-cargo run --release --offline -q -p profess-bench --bin checkpointcheck -- \
-    "$shard_dir/CHECKPOINT_fig10_12.jsonl"
-cmp results/CHECKPOINT_shard_ci.jsonl "$shard_dir/CHECKPOINT_fig10_12.jsonl"
-cmp results/ROWS_shard_ci.json "$shard_dir/ROWS_fig10_12.json"
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    journal "$shard_dir/CHECKPOINT_fig10_12.jsonl"
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    diff results/CHECKPOINT_shard_ci.jsonl "$shard_dir/CHECKPOINT_fig10_12.jsonl"
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    diff results/ROWS_shard_ci.json "$shard_dir/ROWS_fig10_12.json"
 
 echo "ci: all tier-1 checks passed"

@@ -143,7 +143,7 @@ fn temp_journal(tag: &str) -> PathBuf {
 /// journaled snapshot; the supervisor's retry resumes it. The resulting
 /// rows must be byte-identical to an uninterrupted sweep at 1 and 4
 /// threads, and the journaled snapshots must strict-decode (what
-/// `snapshotcheck journal` enforces in CI).
+/// `profess-validate journal` enforces in CI).
 #[test]
 fn warm_started_sweep_is_byte_identical() {
     let ws = workloads();

@@ -162,8 +162,8 @@ fn injected_panic_surfaces_as_cell_outcome_with_history() {
 
 /// A malformed journal line is dropped on load (the cell reruns), but
 /// the drop is *surfaced*: `SweepRun::skipped_malformed` carries the
-/// count into the perf artifact, where strict CI (`checkpointcheck` on
-/// `BENCH_*.json`) requires it to be zero.
+/// count into the perf artifact, where strict CI (`profess-validate
+/// sweep` on `BENCH_*.json`) requires it to be zero.
 #[test]
 fn malformed_journal_lines_surface_in_sweep_run() {
     let ws = workloads();
