@@ -15,7 +15,7 @@
 //! `(lint, level, path, suppressed, message)`, compared as a multiset
 //! (two identical `.unwrap()` messages in one file are two entries).
 //!
-//! The parser below reads exactly the v2 document `Analysis::to_json`
+//! The parser below reads exactly the document `Analysis::to_json`
 //! emits. It is a small hand-rolled scanner — this crate depends on
 //! nothing, including the workspace's own JSON emitter, so it can
 //! audit it.
@@ -94,7 +94,7 @@ pub fn diff(baseline: &[Key], fresh: &[Diagnostic]) -> Diff {
     out
 }
 
-/// Parses the `diagnostics` array of an `ANALYZE.json` (v1 or v2)
+/// Parses the `diagnostics` array of an `ANALYZE.json` (v1 to v3)
 /// document into diff keys.
 pub fn parse(doc: &str) -> Result<Vec<Key>, String> {
     let marker = "\"diagnostics\":[";
@@ -252,7 +252,6 @@ mod tests {
         let a = crate::Analysis {
             diagnostics: diags.clone(),
             files_scanned: 2,
-            graph: crate::graph::GraphStats::default(),
             allows: Vec::new(),
         };
         let keys = parse(&a.to_json()).expect("parse");

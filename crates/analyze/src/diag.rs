@@ -90,7 +90,7 @@ pub fn sort(diags: &mut [Diagnostic]) {
     });
 }
 
-/// Renders one diagnostic as a JSON object (the v2 per-entry shape).
+/// Renders one diagnostic as a JSON object (the per-entry shape of v2 and v3).
 pub fn diag_json(d: &Diagnostic) -> String {
     let mut out = String::new();
     let _ = write!(

@@ -1,24 +1,15 @@
 //! Item-level parsing: from the token stream of [`crate::scan`] to a
-//! list of Rust *items* (functions, types, modules, imports) per file.
+//! list of Rust *items* (functions, types, modules, macros) per file.
 //!
-//! This is the layer the graph lints stand on. It is deliberately not a
+//! This is the layer `dead_item` stands on. It is deliberately not a
 //! full parser — it recognizes exactly the item shapes the workspace
-//! uses, tracking brace nesting so every `fn` knows its body's token
-//! range, its `impl` owner, and whether it sits inside a `#[cfg(test)]`
-//! module. Generic parameters, where-clauses and attribute contents are
-//! skipped structurally (bracket matching), never interpreted.
-//!
-//! Guarantees the graph layer relies on:
-//!
-//! * every `fn` item has a body token range `[body_start, body_end)`
-//!   into the file's token vector (empty for trait declarations);
-//! * nested named functions are their *own* items; a token belongs to
-//!   the innermost enclosing function (see [`FileItems::innermost_fn`]);
-//! * items appear in source order.
+//! uses: each item's kind, name, line, and whether it sits inside a
+//! `#[cfg(test)]` module. Nested named functions are their own items,
+//! and items appear in source order.
 
 use crate::lints::test_regions;
 use crate::scan::{Scan, Spanned, Tok};
-use crate::workspace::{Role, SourceFile};
+use crate::workspace::{Role, SourceFile, Workspace};
 
 /// What kind of item a definition is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,27 +55,10 @@ pub struct Item {
     pub kind: ItemKind,
     /// Bare name (`push`, not `SlabQueues::push`).
     pub name: String,
-    /// For `fn`s inside an `impl` block: the implementing type's name.
-    pub owner: Option<String>,
     /// 1-based line of the defining keyword.
     pub line: u32,
-    /// Token range of the body in the file's token vector, `[start, end)`.
-    /// Empty (`start == end`) for bodiless items (`fn f();`, `struct S;`).
-    pub body: (usize, usize),
-    /// Declared `pub` (any visibility restriction counts).
-    pub is_pub: bool,
     /// Sits inside a `#[cfg(test)]` module.
     pub in_test: bool,
-}
-
-impl Item {
-    /// `Owner::name` when the item is a method, else the bare name.
-    pub fn qualified(&self) -> String {
-        match &self.owner {
-            Some(o) => format!("{o}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
 }
 
 /// A file's scan plus its parsed items.
@@ -94,7 +68,7 @@ pub struct FileItems {
     pub rel_path: String,
     /// Lint-scoping role.
     pub role: Role,
-    /// The token stream the item spans index into.
+    /// The file's token stream.
     pub scan: Scan,
     /// Items in source order.
     pub items: Vec<Item>,
@@ -116,247 +90,77 @@ impl FileItems {
             test_regions: tests,
         }
     }
-
-    /// True when token index `tok` lies in fn `fi`'s body but not in the
-    /// body of a fn nested inside it — i.e. `fi` is the innermost
-    /// enclosing function. Keeps nested named fns from double-reporting.
-    pub fn innermost_fn(&self, fi: usize, tok: usize) -> bool {
-        let (s, e) = self.items[fi].body;
-        if tok < s || tok >= e {
-            return false;
-        }
-        !self.items.iter().enumerate().any(|(j, it)| {
-            j != fi
-                && it.kind == ItemKind::Fn
-                && it.body.0 >= s
-                && it.body.1 <= e
-                && (it.body.1 - it.body.0) < (e - s)
-                && tok >= it.body.0
-                && tok < it.body.1
-        })
-    }
 }
 
-/// Keywords that may precede an item keyword without breaking the
-/// "item position" judgement (`pub`, `pub(crate)`, `async fn`, ...).
-fn is_modifier(id: &str) -> bool {
-    matches!(
-        id,
-        "pub" | "crate" | "async" | "const" | "default" | "extern"
-    )
+/// Parses every `.rs` file of a workspace into items, in path order.
+pub fn parse_workspace(ws: &Workspace) -> Vec<FileItems> {
+    ws.files
+        .iter()
+        .filter(|f| f.rel_path.ends_with(".rs"))
+        .map(FileItems::parse)
+        .collect()
 }
 
 fn parse_items(tokens: &[Spanned], tests: &[(u32, u32)]) -> Vec<Item> {
-    let close = match_braces(tokens);
     let mut items = Vec::new();
-    // Stack of (depth-at-open, owner-type) for impl blocks.
-    let mut impls: Vec<(usize, String)> = Vec::new();
-    let mut depth = 0usize;
     let mut i = 0usize;
     while i < tokens.len() {
-        match &tokens[i].tok {
-            Tok::Punct('{') => {
-                depth += 1;
-                i += 1;
-            }
-            Tok::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                while impls.last().is_some_and(|(d, _)| *d >= depth) {
-                    impls.pop();
+        let Tok::Ident(id) = &tokens[i].tok else {
+            i += 1;
+            continue;
+        };
+        let item = |kind, name| Item {
+            kind,
+            name,
+            line: tokens[i].line,
+            in_test: crate::lints::in_regions(tests, tokens[i].line),
+        };
+        match id.as_str() {
+            "impl" => {
+                // Skip the header (`impl<const N: usize> Trait for Type`):
+                // generic `const` parameters there are not items.
+                while i < tokens.len() && !matches!(tokens[i].tok, Tok::Punct('{' | ';')) {
+                    i += 1;
                 }
-                i += 1;
+                continue;
             }
-            Tok::Ident(id) => {
-                let line = tokens[i].line;
-                let in_test = super::lints::in_regions(tests, line);
-                let is_pub = prev_is_pub(tokens, i);
-                match id.as_str() {
-                    "impl" => {
-                        // `impl<T> Type {` / `impl Trait for Type {` —
-                        // the owner is the last path ident before the
-                        // opening brace (or before `where`).
-                        let (owner, open) = impl_owner(tokens, i);
-                        if let Some(open) = open {
-                            impls.push((depth, owner.unwrap_or_default()));
-                            depth += 1;
-                            i = open + 1;
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    "fn" => {
-                        let Some(name) = next_ident(tokens, i) else {
-                            i += 1;
-                            continue;
-                        };
-                        let owner = impls
-                            .last()
-                            .filter(|(_, o)| !o.is_empty())
-                            .map(|(_, o)| o.clone());
-                        let body = fn_body(tokens, i, &close);
-                        items.push(Item {
-                            kind: ItemKind::Fn,
-                            name,
-                            owner,
-                            line,
-                            body,
-                            is_pub,
-                            in_test,
-                        });
-                        i += 1;
-                    }
-                    "struct" | "enum" | "trait" | "mod" | "type" | "static" => {
-                        // `const` doubles as `const fn` / `const N:` —
-                        // handled below; these five are unambiguous once
-                        // followed by an identifier.
-                        let Some(name) = next_ident(tokens, i) else {
-                            i += 1;
-                            continue;
-                        };
-                        let kind = match id.as_str() {
-                            "struct" => ItemKind::Struct,
-                            "enum" => ItemKind::Enum,
-                            "trait" => ItemKind::Trait,
-                            "mod" => ItemKind::Mod,
-                            "type" => ItemKind::TypeAlias,
-                            _ => ItemKind::Const,
-                        };
-                        items.push(Item {
-                            kind,
-                            name,
-                            owner: None,
-                            line,
-                            body: (i, i),
-                            is_pub,
-                            in_test,
-                        });
-                        i += 1;
-                    }
-                    "const" => {
-                        // `const fn` is handled by the `fn` arm on the
-                        // next token; `const NAME: T` is an item.
-                        match next_ident(tokens, i) {
-                            Some(n) if n != "fn" => {
-                                items.push(Item {
-                                    kind: ItemKind::Const,
-                                    name: n,
-                                    owner: None,
-                                    line,
-                                    body: (i, i),
-                                    is_pub,
-                                    in_test,
-                                });
-                            }
-                            _ => {}
-                        }
-                        i += 1;
-                    }
-                    "macro_rules" => {
-                        if let Some(name) = ident_at(tokens, i + 2) {
-                            if tokens.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct('!')) {
-                                items.push(Item {
-                                    kind: ItemKind::Macro,
-                                    name,
-                                    owner: None,
-                                    line,
-                                    body: (i, i),
-                                    is_pub,
-                                    in_test,
-                                });
-                            }
-                        }
-                        i += 1;
-                    }
-                    _ => {
-                        i += 1;
+            "fn" | "struct" | "enum" | "trait" | "mod" | "type" | "static" => {
+                // `const` doubles as `const fn` / `const N:` — handled
+                // below; these are unambiguous once followed by an
+                // identifier (`fn(u8)` pointer types are not).
+                if let Some(name) = next_ident(tokens, i) {
+                    let kind = match id.as_str() {
+                        "fn" => ItemKind::Fn,
+                        "struct" => ItemKind::Struct,
+                        "enum" => ItemKind::Enum,
+                        "trait" => ItemKind::Trait,
+                        "mod" => ItemKind::Mod,
+                        "type" => ItemKind::TypeAlias,
+                        _ => ItemKind::Const,
+                    };
+                    items.push(item(kind, name));
+                }
+            }
+            "const" => {
+                // `const fn` is handled by the `fn` arm on the next
+                // token; `const NAME: T` is an item.
+                match next_ident(tokens, i) {
+                    Some(n) if n != "fn" => items.push(item(ItemKind::Const, n)),
+                    _ => {}
+                }
+            }
+            "macro_rules" => {
+                if let Some(name) = ident_at(tokens, i + 2) {
+                    if tokens.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct('!')) {
+                        items.push(item(ItemKind::Macro, name));
                     }
                 }
             }
-            _ => {
-                i += 1;
-            }
+            _ => {}
         }
+        i += 1;
     }
     items
-}
-
-/// For each `{` token index, the index of its matching `}` (tokens.len()
-/// when unbalanced — truncated input degrades to "rest of file").
-fn match_braces(tokens: &[Spanned]) -> Vec<(usize, usize)> {
-    let mut stack = Vec::new();
-    let mut pairs = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        match t.tok {
-            Tok::Punct('{') => stack.push(i),
-            Tok::Punct('}') => {
-                if let Some(open) = stack.pop() {
-                    pairs.push((open, i));
-                }
-            }
-            _ => {}
-        }
-    }
-    for open in stack {
-        pairs.push((open, tokens.len()));
-    }
-    pairs.sort_unstable();
-    pairs
-}
-
-/// The body token range of the `fn` whose keyword sits at `fn_idx`:
-/// tokens strictly inside the first `{ .. }` that opens before a `;`
-/// terminates the signature (a trait declaration has no body).
-fn fn_body(tokens: &[Spanned], fn_idx: usize, close: &[(usize, usize)]) -> (usize, usize) {
-    let mut j = fn_idx + 1;
-    // Walk the signature: angle brackets may nest commas and semicolons
-    // never appear outside them before the body, except for bodiless
-    // declarations. Parentheses/brackets are skipped structurally.
-    let mut angle = 0i64;
-    while j < tokens.len() {
-        match &tokens[j].tok {
-            Tok::Punct('<') => angle += 1,
-            Tok::Punct('>') => angle -= 1,
-            Tok::Punct(';') if angle <= 0 => return (fn_idx, fn_idx),
-            Tok::Punct('{') => {
-                let end = close
-                    .iter()
-                    .find(|(o, _)| *o == j)
-                    .map(|(_, c)| *c)
-                    .unwrap_or(tokens.len());
-                return (j + 1, end);
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    (fn_idx, fn_idx)
-}
-
-/// `impl` owner type and the index of the block's opening brace.
-fn impl_owner(tokens: &[Spanned], impl_idx: usize) -> (Option<String>, Option<usize>) {
-    let mut owner = None;
-    let mut saw_for = false;
-    let mut j = impl_idx + 1;
-    while j < tokens.len() {
-        match &tokens[j].tok {
-            Tok::Punct('{') => return (owner, Some(j)),
-            Tok::Punct(';') => return (owner, None),
-            Tok::Ident(id) if id == "for" => {
-                saw_for = true;
-                owner = None;
-            }
-            Tok::Ident(id) if id == "where" => {}
-            Tok::Ident(id) => {
-                // Track the last path ident; after `for`, the trait name
-                // is discarded and the type name wins.
-                let _ = saw_for;
-                owner = Some(id.clone());
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    (owner, None)
 }
 
 /// The identifier immediately after index `i`, if any.
@@ -369,25 +173,6 @@ fn ident_at(tokens: &[Spanned], i: usize) -> Option<String> {
         Some(Tok::Ident(n)) => Some(n.clone()),
         _ => None,
     }
-}
-
-/// Is the keyword at `i` preceded (through modifiers and a possible
-/// `pub(...)` restriction) by `pub`?
-fn prev_is_pub(tokens: &[Spanned], i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        match &tokens[j].tok {
-            Tok::Ident(id) if is_modifier(id) => {
-                if id == "pub" {
-                    return true;
-                }
-            }
-            Tok::Punct('(') | Tok::Punct(')') => {}
-            _ => return false,
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -406,73 +191,38 @@ mod tests {
             .unwrap_or_else(|| panic!("item {name} not found in {:?}", fi.items))
     }
 
-    fn body_idents(fi: &FileItems, name: &str) -> Vec<String> {
-        let (s, e) = find(fi, name).body;
-        fi.scan.tokens[s..e]
-            .iter()
-            .filter_map(|t| match &t.tok {
-                Tok::Ident(i) => Some(i.clone()),
-                _ => None,
-            })
-            .collect()
+    fn names(fi: &FileItems) -> Vec<&str> {
+        fi.items.iter().map(|it| it.name.as_str()).collect()
     }
 
     #[test]
-    fn free_fns_structs_and_bodies() {
+    fn free_fns_and_types_in_source_order() {
         let fi = parse("pub fn a() { b(); }\nfn b() {}\npub struct S { x: u8 }\nenum E { V }\n");
-        assert_eq!(body_idents(&fi, "a"), vec!["b"]);
-        assert!(find(&fi, "a").is_pub);
-        assert!(!find(&fi, "b").is_pub);
+        assert_eq!(names(&fi), vec!["a", "b", "S", "E"]);
+        assert_eq!(find(&fi, "a").kind, ItemKind::Fn);
+        assert_eq!(find(&fi, "b").line, 2);
         assert_eq!(find(&fi, "S").kind, ItemKind::Struct);
         assert_eq!(find(&fi, "E").kind, ItemKind::Enum);
     }
 
     #[test]
-    fn impl_methods_carry_their_owner() {
-        let src = "struct S;\nimpl S {\n pub fn m(&self) { helper(); }\n}\n\
-                   impl Clone for S {\n fn clone(&self) -> S { S }\n}\n";
+    fn impl_methods_are_items_and_impl_headers_are_not() {
+        let src = "struct S;\nimpl<const N: usize> Clone for S {\n fn clone(&self) -> S { S }\n}\n\
+                   fn g() -> impl Fn(u8) { |_| () }\n";
         let fi = parse(src);
-        assert_eq!(find(&fi, "m").owner.as_deref(), Some("S"));
-        assert_eq!(find(&fi, "m").qualified(), "S::m");
-        // `impl Trait for Type` attributes methods to the type.
-        assert_eq!(find(&fi, "clone").owner.as_deref(), Some("S"));
+        assert_eq!(
+            names(&fi),
+            vec!["S", "clone", "g"],
+            "`const N` is a generic, not an item"
+        );
     }
 
     #[test]
-    fn generic_impls_and_where_clauses() {
-        let src = "impl<T: Clone> Wrapper<T> where T: Send {\n fn get(&self) -> T { todo() }\n}\n";
+    fn trait_decls_nested_fns_and_fn_pointers() {
+        let src = "trait T {\n fn decl(&self) -> u8;\n fn dflt(&self) { fn nested() {} }\n}\n\
+                   type F = fn(u8) -> u8;\n";
         let fi = parse(src);
-        // The last path ident before `where`/`{` is `T` inside generics —
-        // acceptable: the *owner* only needs to distinguish methods from
-        // free fns for diagnostics, and `Wrapper`'s ident still appears.
-        assert!(find(&fi, "get").owner.is_some());
-    }
-
-    #[test]
-    fn trait_decls_have_empty_bodies_and_defaults_have_real_ones() {
-        let src = "trait T {\n fn decl(&self) -> u8;\n fn dflt(&self) { decl_helper(); }\n}\n";
-        let fi = parse(src);
-        let decl = find(&fi, "decl");
-        assert_eq!(decl.body.0, decl.body.1, "declaration has no body");
-        assert_eq!(body_idents(&fi, "dflt"), vec!["decl_helper"]);
-    }
-
-    #[test]
-    fn nested_fns_are_items_and_innermost_wins() {
-        let src = "fn outer() {\n inner_call();\n fn nested() { deep(); }\n}\n";
-        let fi = parse(src);
-        let (os, oe) = find(&fi, "outer").body;
-        let (ns, ne) = find(&fi, "nested").body;
-        assert!(os < ns && ne <= oe, "nested body inside outer body");
-        let outer_idx = fi
-            .items
-            .iter()
-            .position(|it| it.name == "outer")
-            .expect("outer");
-        // A token in nested's body is not innermost-outer.
-        assert!(!fi.innermost_fn(outer_idx, ns));
-        // A token before the nested fn is.
-        assert!(fi.innermost_fn(outer_idx, os));
+        assert_eq!(names(&fi), vec!["T", "decl", "dflt", "nested", "F"]);
     }
 
     #[test]
@@ -494,12 +244,5 @@ mod tests {
         assert_eq!(find(&fi, "mk").kind, ItemKind::Macro);
         assert_eq!(find(&fi, "Alias").kind, ItemKind::TypeAlias);
         assert_eq!(find(&fi, "G").kind, ItemKind::Const);
-    }
-
-    #[test]
-    fn fn_signatures_with_generics_do_not_eat_bodies() {
-        let src = "fn g<T: Into<String>>(x: T) -> Result<(), String> { work(x) }\n";
-        let fi = parse(src);
-        assert_eq!(body_idents(&fi, "g"), vec!["work", "x"]);
     }
 }

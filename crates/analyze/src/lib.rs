@@ -1,14 +1,16 @@
 //! `profess-analyze`: the workspace's in-tree static analysis pass.
 //!
 //! The repo's headline guarantee — byte-identical reports across
-//! policies, thread counts, and tracing modes (the 18 pinned
+//! policies, thread counts, and tracing modes (the 34 pinned
 //! fingerprints in `tests/fingerprints.rs`) — rests on conventions no
 //! compiler checks: no unordered-map iteration in simulator state, no
-//! wall-clock reads in simulated behaviour, no external crates, no
-//! library panics on user-reachable paths, and event-kind strings that
+//! wall-clock or environment reads in simulated behaviour, no external
+//! crates, no undocumented library panics, and event-kind strings that
 //! match the typed `TraceEvent` enum. This crate turns those
-//! conventions into machine-checked lints, run as a CI gate
+//! conventions into per-file token lints, run as a CI gate
 //! (`cargo run -p profess-analyze`, wired into `scripts/ci.sh`).
+//! What a token lint cannot see — an env read in `bench` that reaches
+//! an artifact — is guarded dynamically by the byte-identity tests.
 //!
 //! Architecture (see DESIGN.md §9 and §14):
 //!
@@ -17,12 +19,8 @@
 //!   suppressions rather than magic strings;
 //! * [`workspace`] — the file walker and role classifier (library vs.
 //!   bin vs. test vs. script vs. manifest) that scopes each lint;
-//! * [`items`] — the token stream parsed into items (fn/struct/impl/
-//!   mod), each `fn` with its body token range and impl owner;
-//! * [`graph`] — the intra-workspace call graph over those items, with
-//!   deliberately overapproximating name resolution;
-//! * [`taint`] — nondeterminism sources, sinks, and caller-direction
-//!   propagation over the graph;
+//! * [`items`] — the token stream parsed into items (fn/struct/enum/
+//!   mod/...), the input of the `dead_item` lint;
 //! * [`lints`] — the suite itself plus the suppression plumbing;
 //! * [`baseline`] — the committed-`ANALYZE.json` diff behind the
 //!   `analyzegate` CI mode;
@@ -37,11 +35,9 @@
 
 pub mod baseline;
 pub mod diag;
-pub mod graph;
 pub mod items;
 pub mod lints;
 pub mod scan;
-pub mod taint;
 pub mod workspace;
 
 pub use diag::{Diagnostic, Level};
@@ -57,8 +53,6 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Call-graph statistics from the item layer.
-    pub graph: graph::GraphStats,
     /// Every suppression marker in the tree, with usage.
     pub allows: Vec<lints::AllowRecord>,
 }
@@ -106,11 +100,10 @@ impl Analysis {
             .collect()
     }
 
-    /// The `ANALYZE.json` v2 document: run stats, graph stats, per-lint
-    /// counts, the suppression inventory, and every diagnostic. The
-    /// document is fully deterministic — no timestamps, no host
-    /// metadata — so it can be committed and byte-diffed (wall time
-    /// goes to the separate `ANALYZE_PERF.json`).
+    /// The `ANALYZE.json` v3 document: run stats, per-lint counts, the
+    /// suppression inventory, and every diagnostic. The document is
+    /// fully deterministic — no timestamps, no wall time, no host
+    /// metadata — so it can be committed and byte-diffed.
     pub fn to_json(&self) -> String {
         let errors = self.active_errors().count();
         let warnings = self.active_warnings().count();
@@ -118,16 +111,10 @@ impl Analysis {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"tool\":\"profess-analyze\",\"version\":2,\"files_scanned\":{},\
+            "{{\"tool\":\"profess-analyze\",\"version\":3,\"files_scanned\":{},\
              \"active_errors\":{errors},\"active_warnings\":{warnings},\
              \"suppressed\":{suppressed},",
             self.files_scanned
-        );
-        let g = &self.graph;
-        let _ = write!(
-            out,
-            "\"graph\":{{\"files\":{},\"items\":{},\"fns\":{},\"calls\":{}}},",
-            g.files, g.items, g.fns, g.calls
         );
         out.push_str("\"counts\":{");
         for (i, (name, active, sup)) in self.counts().iter().enumerate() {
@@ -179,7 +166,6 @@ pub fn analyze(ws: &Workspace) -> Analysis {
     Analysis {
         diagnostics: suite.diagnostics,
         files_scanned: ws.files.len(),
-        graph: suite.graph,
         allows: suite.allows,
     }
 }

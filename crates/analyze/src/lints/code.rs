@@ -9,9 +9,12 @@ use crate::workspace::{Role, SourceFile};
 pub const HASH_COLLECTIONS: &str = "hash_collections";
 /// No `Instant`/`SystemTime` outside the bench crate.
 pub const WALL_CLOCK: &str = "wall_clock";
+/// No environment or scheduler queries in simulator-state crates.
+pub const AMBIENT_INPUT: &str = "ambient_input";
 /// No thread spawning outside `profess-par`.
 pub const THREAD_SPAWN: &str = "thread_spawn";
-/// No `unwrap`/`expect`/`panic!` in library code.
+/// No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`
+/// in library code.
 pub const PANIC: &str = "panic";
 /// No `unsafe`, and every lib.rs must `#![forbid(unsafe_code)]`.
 pub const UNSAFE_CODE: &str = "unsafe_code";
@@ -26,7 +29,8 @@ pub const PROCESS_SPAWN: &str = "process_spawn";
 const PROCESS_SPAWN_MODULE: &str = "crates/par/src/process.rs";
 
 /// Crates whose library code holds simulator state that must iterate
-/// deterministically (the report fingerprints replay their decisions).
+/// deterministically (the report fingerprints replay their decisions)
+/// and read no input but their config and seed.
 const SIM_STATE_CRATES: &[&str] = &["core", "mem", "cpu", "cache"];
 
 /// The wall clock is only legitimate where wall time is the measurement
@@ -106,14 +110,33 @@ pub fn check(f: &SourceFile, s: &Scan, tests: &[(u32, u32)], out: &mut Vec<Diagn
                     ),
                 ));
             }
+            "env" | "thread" | "available_parallelism"
+                if is_code && SIM_STATE_CRATES.contains(&crate_name) && !in_test =>
+            {
+                let what = match (id.as_str(), path_segment_after(s, i)) {
+                    ("env", Some(m @ ("var" | "var_os" | "vars" | "vars_os"))) => {
+                        format!("env::{m}")
+                    }
+                    ("thread", Some("current")) => "thread::current".to_string(),
+                    ("available_parallelism", _) => id.clone(),
+                    _ => continue,
+                };
+                out.push(Diagnostic::new(
+                    AMBIENT_INPUT,
+                    &f.rel_path,
+                    t.line,
+                    format!(
+                        "`{what}` in simulator state: simulated behaviour must depend only on \
+                         the config and the seed — read the knob outside the simulator crates \
+                         and pass it in as config"
+                    ),
+                ));
+            }
             "Command"
                 if is_code
                     && !in_test
-                    && next_is(s, i, ':')
-                    && s.tokens.get(i + 2).map(|t| &t.tok) == Some(&Tok::Punct(':'))
-                    && s.tokens.get(i + 3).map(|t| &t.tok)
-                        == Some(&Tok::Ident("new".to_string()))
-                    && s.tokens.get(i + 4).map(|t| &t.tok) == Some(&Tok::Punct('(')) =>
+                    && path_segment_after(s, i) == Some("new")
+                    && next_is(s, i + 3, '(') =>
             {
                 if f.rel_path != PROCESS_SPAWN_MODULE {
                     out.push(Diagnostic::new(
@@ -162,7 +185,7 @@ pub fn check(f: &SourceFile, s: &Scan, tests: &[(u32, u32)], out: &mut Vec<Diagn
                     ),
                 ));
             }
-            "panic"
+            "panic" | "unreachable" | "todo" | "unimplemented"
                 if is_lib
                     && !PANIC_EXEMPT_CRATES.contains(&crate_name)
                     && !in_test
@@ -172,8 +195,10 @@ pub fn check(f: &SourceFile, s: &Scan, tests: &[(u32, u32)], out: &mut Vec<Diagn
                     PANIC,
                     &f.rel_path,
                     t.line,
-                    "`panic!` in library code: return an error, or suppress with \
-                     `// profess: allow(panic): <why>` if this guards corruption",
+                    format!(
+                        "`{id}!` in library code: return an error, or suppress with \
+                         `// profess: allow(panic): <why>` if this guards corruption"
+                    ),
                 ));
             }
             "unsafe" => {
@@ -220,6 +245,17 @@ fn is_method_call(s: &Scan, i: usize) -> bool {
 
 fn next_is(s: &Scan, i: usize, p: char) -> bool {
     s.tokens.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct(p))
+}
+
+/// The path segment after `tokens[i]`: `name` in `tokens[i] :: name`.
+fn path_segment_after(s: &Scan, i: usize) -> Option<&str> {
+    match s.tokens.get(i + 1..i + 4)? {
+        [a, b, c] if a.tok == Tok::Punct(':') && b.tok == Tok::Punct(':') => match &c.tok {
+            Tok::Ident(n) => Some(n.as_str()),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// Does the paren group opening at `tokens[open]` (which must be `(`)
@@ -319,6 +355,19 @@ mod tests {
         assert!(check_source("tests/x.rs", bad).is_empty());
         assert!(check_source("examples/x.rs", bad).is_empty());
         assert!(check_source("crates/check/src/x.rs", bad).is_empty());
+    }
+
+    #[test]
+    fn panic_macros_flagged_in_lib_only() {
+        let bad =
+            "fn f() { unreachable!(\"x\") }\nfn g() { todo!() }\nfn h() { unimplemented!() }\n";
+        let d = check_source("crates/mem/src/x.rs", bad);
+        assert_eq!(d.len(), 3, "{d:?}");
+        assert!(d.iter().all(|d| d.lint == "panic"));
+        assert!(d[0].message.contains("`unreachable!`"));
+        assert!(check_source("tests/x.rs", bad).is_empty());
+        let test_mod = format!("#[cfg(test)]\nmod tests {{\n{bad}}}\n");
+        assert!(check_source("crates/mem/src/x.rs", &test_mod).is_empty());
     }
 
     #[test]

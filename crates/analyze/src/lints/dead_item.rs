@@ -2,10 +2,10 @@
 //! their own definition.
 //!
 //! The reachability question ("is this item used from any bin, test, or
-//! pub export?") is answered with the same name-level
-//! overapproximation the call graph uses, inverted: an item is *live*
-//! if its identifier occurs anywhere in the workspace beyond its
-//! definition sites — a call, a `pub use`, a type annotation, a test.
+//! pub export?") is answered with a name-level overapproximation: an
+//! item is *live* if its identifier occurs anywhere in the workspace
+//! beyond its definition sites — a call, a `pub use`, a type
+//! annotation, a test.
 //! An item that fails even that generous test is genuinely
 //! unreferenced. Reported as a **warning**: dead code is debt, not a
 //! broken guarantee, so it is baselined by `analyzegate` (new dead

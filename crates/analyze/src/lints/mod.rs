@@ -1,11 +1,13 @@
 //! The lint suite.
 //!
-//! Lints fall into three groups:
+//! Lints fall into four groups:
 //!
 //! * **code lints** ([`code`]) — token-level checks on Rust sources,
 //!   scoped by [`Role`] and exempting `#[cfg(test)]` modules; these
 //!   honor `// profess: allow(<lint>)` inline suppressions (same line
 //!   or the line above);
+//! * **the item lint** ([`dead_item`]) — a name-occurrence count over
+//!   the items [`crate::items`] parses from every file;
 //! * **hermeticity lints** ([`hermetic`]) — manifest/lockfile checks;
 //!   deliberately *not* suppressible (an allowed external dependency is
 //!   a contradiction in terms here);
@@ -23,15 +25,12 @@
 
 pub mod code;
 pub mod dead_item;
-pub mod determinism;
 pub mod doc_sync;
 pub mod hermetic;
-pub mod panic_reach;
 pub mod schema_sync;
 
 use crate::diag::{self, Diagnostic, Level};
-use crate::graph::{GraphStats, ItemGraph};
-use crate::items::FileItems;
+use crate::items::{self, FileItems};
 use crate::scan::{scan, Scan, Spanned, Tok};
 use crate::workspace::Workspace;
 
@@ -63,6 +62,11 @@ pub const REGISTRY: &[LintInfo] = &[
         suppressible: true,
     },
     LintInfo {
+        name: code::AMBIENT_INPUT,
+        level: Level::Error,
+        suppressible: true,
+    },
+    LintInfo {
         name: code::THREAD_SPAWN,
         level: Level::Error,
         suppressible: true,
@@ -84,16 +88,6 @@ pub const REGISTRY: &[LintInfo] = &[
     },
     LintInfo {
         name: code::HOT_PATH_MAP,
-        level: Level::Error,
-        suppressible: true,
-    },
-    LintInfo {
-        name: panic_reach::PANIC_REACHABILITY,
-        level: Level::Error,
-        suppressible: true,
-    },
-    LintInfo {
-        name: determinism::DETERMINISM_TAINT,
         level: Level::Error,
         suppressible: true,
     },
@@ -129,25 +123,6 @@ pub const REGISTRY: &[LintInfo] = &[
     },
 ];
 
-/// Every lint name, for documentation and `--list`.
-pub const ALL_LINTS: &[&str] = &[
-    code::HASH_COLLECTIONS,
-    code::WALL_CLOCK,
-    code::THREAD_SPAWN,
-    code::PROCESS_SPAWN,
-    code::PANIC,
-    code::UNSAFE_CODE,
-    code::HOT_PATH_MAP,
-    panic_reach::PANIC_REACHABILITY,
-    determinism::DETERMINISM_TAINT,
-    dead_item::DEAD_ITEM,
-    STALE_ALLOW,
-    hermetic::HERMETIC_DEPS,
-    hermetic::HERMETIC_LOCK,
-    schema_sync::SCHEMA_SYNC,
-    doc_sync::DOC_SYNC,
-];
-
 /// One `// profess: allow(<lint>)` marker, with whether it earned its
 /// keep this run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,8 +144,6 @@ pub struct AllowRecord {
 pub struct Suite {
     /// All diagnostics, suppressed ones included, in canonical order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Call-graph statistics.
-    pub graph: GraphStats,
     /// Every suppression marker in the tree, with usage.
     pub allows: Vec<AllowRecord>,
 }
@@ -178,7 +151,7 @@ pub struct Suite {
 /// Runs the whole suite over a workspace.
 pub fn run_all(ws: &Workspace) -> Suite {
     let mut diags = Vec::new();
-    let parsed: Vec<FileItems> = crate::graph::parse_workspace(ws);
+    let parsed: Vec<FileItems> = items::parse_workspace(ws);
     // Code lints ride the same scans the item parser produced.
     for p in &parsed {
         let Some(f) = ws.get(&p.rel_path) else {
@@ -191,13 +164,7 @@ pub fn run_all(ws: &Workspace) -> Suite {
             diags.push(d);
         }
     }
-    // Graph lints.
-    let graph = ItemGraph::build(&parsed);
-    panic_reach::check(&graph, &mut diags);
-    determinism::check(&graph, &mut diags);
     dead_item::check(&parsed, &mut diags);
-    let stats = graph.stats();
-    drop(graph);
     // Cross-file lints.
     hermetic::check(ws, &mut diags);
     schema_sync::check(ws, &mut diags);
@@ -219,15 +186,12 @@ pub fn run_all(ws: &Workspace) -> Suite {
     diag::sort(&mut diags);
     Suite {
         diagnostics: diags,
-        graph: stats,
         allows,
     }
 }
 
 /// Builds the suppression inventory: every allow marker, marked used
-/// when it covers at least one suppressed diagnostic. An `allow(panic)`
-/// also earns its keep by covering a `panic_reachability` site (the
-/// carry-over rule in [`panic_reach`]).
+/// when it covers at least one suppressed diagnostic.
 fn allow_inventory(parsed: &[FileItems], diags: &[Diagnostic]) -> Vec<AllowRecord> {
     let mut out = Vec::new();
     for p in parsed {
@@ -243,8 +207,7 @@ fn allow_inventory(parsed: &[FileItems], diags: &[Diagnostic]) -> Vec<AllowRecor
                 d.suppressed
                     && d.path == p.rel_path
                     && (d.line == s.line || d.line == s.line + 1)
-                    && (d.lint == s.lint
-                        || (s.lint == code::PANIC && d.lint == panic_reach::PANIC_REACHABILITY))
+                    && d.lint == s.lint
             });
             out.push(AllowRecord {
                 path: p.rel_path.clone(),
@@ -380,19 +343,10 @@ mod tests {
 
     #[test]
     fn lint_names_unique() {
-        let mut names = ALL_LINTS.to_vec();
+        let mut names: Vec<&str> = REGISTRY.iter().map(|l| l.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), ALL_LINTS.len());
-    }
-
-    #[test]
-    fn registry_matches_all_lints() {
-        assert_eq!(
-            REGISTRY.iter().map(|l| l.name).collect::<Vec<_>>(),
-            ALL_LINTS.to_vec(),
-            "REGISTRY and ALL_LINTS must list the same lints in the same order"
-        );
+        assert_eq!(names.len(), REGISTRY.len());
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! any unsuppressed *error* remains (warnings are advisory). `--json`
 //! additionally writes the machine-readable `ANALYZE.json`; with
 //! `PROFESS_RESULTS_DIR` set and no `--json`, the report lands in
-//! `$PROFESS_RESULTS_DIR/ANALYZE.json`, next to an `ANALYZE_PERF.json`
-//! holding the run's wall time and per-lint counts (kept out of
-//! `ANALYZE.json` so the committed baseline stays byte-deterministic).
+//! `$PROFESS_RESULTS_DIR/ANALYZE.json`.
 //!
 //! **Gate mode**: diffs a fresh run against a committed baseline
 //! (`--baseline` > `PROFESS_ANALYZE_BASELINE` > `<root>/results/
@@ -65,8 +63,8 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--list" => {
-                for lint in lints::ALL_LINTS {
-                    println!("{lint}");
+                for l in lints::REGISTRY {
+                    println!("{}", l.name);
                 }
                 return ExitCode::SUCCESS;
             }
@@ -93,8 +91,6 @@ fn main() -> ExitCode {
         Err(code) => return code,
     };
 
-    // profess: allow(wall_clock, determinism_taint): measures the analyzer's own run; lands only in ANALYZE_PERF.json, never the baseline
-    let t0 = std::time::Instant::now();
     let analysis = match analyze_root(&root) {
         Ok(a) => a,
         Err(e) => {
@@ -102,7 +98,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let wall_ms = t0.elapsed().as_millis();
 
     for d in &analysis.diagnostics {
         println!("{}", d.render());
@@ -111,20 +106,14 @@ fn main() -> ExitCode {
     let warnings = analysis.active_warnings().count();
     let suppressed = analysis.diagnostics.len() - errors - warnings;
     println!(
-        "profess-analyze: {} file(s), {} violation(s), {} warning(s), {} allowed; \
-         graph: {} fn(s), {} call edge(s)",
-        analysis.files_scanned,
-        errors,
-        warnings,
-        suppressed,
-        analysis.graph.fns,
-        analysis.graph.calls
+        "profess-analyze: {} file(s), {errors} violation(s), {warnings} warning(s), \
+         {suppressed} allowed",
+        analysis.files_scanned
     );
 
-    // profess: allow(determinism_taint): results-dir layout is operator I/O plumbing; artifact contents are deterministic
-    let results_dir = std::env::var_os("PROFESS_RESULTS_DIR").map(PathBuf::from);
     if json_path.is_none() {
-        json_path = results_dir.as_ref().map(|d| d.join("ANALYZE.json"));
+        json_path =
+            std::env::var_os("PROFESS_RESULTS_DIR").map(|d| PathBuf::from(d).join("ANALYZE.json"));
     }
     if let Some(path) = json_path {
         let io = path
@@ -139,47 +128,11 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(dir) = results_dir {
-        let path = dir.join("ANALYZE_PERF.json");
-        if let Err(e) = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(&path, perf_json(&analysis, wall_ms)))
-        {
-            eprintln!("profess-analyze: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("perf artifact: {}", path.display());
-    }
-
     if errors == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// The `ANALYZE_PERF.json` document: the analyzer's own trend line.
-/// Unlike `ANALYZE.json` it carries wall time, so it is never committed.
-fn perf_json(a: &Analysis, wall_ms: u128) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"tool\":\"profess-analyze-perf\",\"version\":1,\"wall_ms\":{wall_ms},\
-         \"files_scanned\":{},\"graph\":{{\"files\":{},\"items\":{},\"fns\":{},\"calls\":{}}},\
-         \"counts\":{{",
-        a.files_scanned, a.graph.files, a.graph.items, a.graph.fns, a.graph.calls
-    );
-    for (i, (name, active, sup)) in a.counts().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{name}\":{{\"active\":{active},\"suppressed\":{sup}}}"
-        );
-    }
-    out.push_str("}}");
-    out
 }
 
 /// The `gate` subcommand. Exit 0 = no new diagnostics, 1 = the gate
@@ -206,7 +159,6 @@ fn gate(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(code) => return code,
     };
-    // profess: allow(determinism_taint): baseline-path selection is operator plumbing; the diff itself is deterministic
     let env_baseline = std::env::var_os("PROFESS_ANALYZE_BASELINE").map(PathBuf::from);
     let baseline_path = baseline_arg
         .or(env_baseline)

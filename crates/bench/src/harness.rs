@@ -42,7 +42,8 @@ pub struct BenchConfig {
 impl Default for BenchConfig {
     fn default() -> Self {
         let env_u32 = |k: &str| {
-            // profess: allow(determinism_taint): bench sample-count knobs shape how many timing samples run, never simulator output
+            // Sample-count knobs shape how many timing samples run, never
+            // simulator output.
             std::env::var(k)
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -51,7 +52,6 @@ impl Default for BenchConfig {
         BenchConfig {
             samples: env_u32("PROFESS_BENCH_SAMPLES").unwrap_or(10),
             warmup: env_u32("PROFESS_BENCH_WARMUP").unwrap_or(3),
-            // profess: allow(determinism_taint): bench filter knob selects which benches run, never simulator output
             filter: std::env::var("PROFESS_BENCH_FILTER")
                 .ok()
                 .or_else(|| std::env::args().nth(1).filter(|a| !a.starts_with('-'))),
@@ -97,7 +97,6 @@ impl Runner {
         Runner {
             cfg,
             results: Vec::new(),
-            // profess: allow(determinism_taint): wall time is the quantity a bench run exists to measure
             started: Instant::now(),
         }
     }
@@ -128,7 +127,6 @@ impl Runner {
         let mut times = Vec::with_capacity(self.cfg.samples as usize);
         for _ in 0..self.cfg.samples {
             let input = setup();
-            // profess: allow(determinism_taint): wall time is the quantity a bench run exists to measure
             let start = Instant::now();
             std::hint::black_box(routine(std::hint::black_box(input)));
             times.push(start.elapsed());
@@ -222,7 +220,8 @@ fn hostname() -> String {
         .ok()
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        // profess: allow(determinism_taint): host metadata lands in BENCH meta for A/B honesty, never in report fingerprints
+        // Host metadata lands in BENCH meta for A/B honesty, never in report
+        // fingerprints.
         .or_else(|| std::env::var("HOSTNAME").ok())
         .unwrap_or_else(|| "unknown".to_string())
 }
@@ -280,7 +279,6 @@ fn git_commit() -> String {
 /// holding a `Cargo.lock` (the workspace root owns the lockfile) and
 /// anchor there; outside any cargo tree, fall back to `./results`.
 pub fn results_dir() -> PathBuf {
-    // profess: allow(determinism_taint): selects where artifacts land, not what they contain
     if let Some(dir) = std::env::var_os("PROFESS_RESULTS_DIR") {
         return PathBuf::from(dir);
     }
@@ -327,7 +325,6 @@ impl BenchJson {
             sim_ops: 0,
             harness_samples: 0,
             meta: RunMeta::collect(),
-            // profess: allow(determinism_taint): wall time is the quantity a bench run exists to measure
             started: Instant::now(),
             results: Vec::new(),
             cells: None,

@@ -203,7 +203,8 @@ pub fn sweep_args(default_target: u64) -> (u64, Vec<Workload>) {
 /// `default_target`); the remaining arguments select workloads
 /// (default: all Table 10 workloads). Unknown ids are usage errors.
 pub fn sweep_args_from(rest: &[String], default_target: u64) -> (u64, Vec<Workload>) {
-    // profess: allow(determinism_taint): target override is config echoed into the checkpoint fingerprint; resumed runs see identical values
+    // The target override is config echoed into the checkpoint fingerprint,
+    // so resumed runs see identical values.
     let env_target = || match std::env::var("PROFESS_TARGET") {
         Ok(v) => match v.parse() {
             Ok(t) => t,

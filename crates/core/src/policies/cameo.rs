@@ -29,7 +29,7 @@ impl MigrationPolicy for CameoPolicy {
         "CAMEO"
     }
 
-    // profess: allow(panic_reachability): per-group state vec sized from config geometry at construction
+    // The per-group state vec is sized from the config geometry at construction.
     fn on_access(&mut self, ctx: &mut AccessCtx<'_>) -> Decision {
         if ctx.actual_slot.is_m2() && ctx.entry.ac[ctx.orig_slot.index()] >= self.params.threshold {
             Decision::Promote

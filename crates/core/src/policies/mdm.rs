@@ -63,7 +63,7 @@ impl MdmProgramState {
 
     /// Eq. 6: average access count per eviction-time class, with a bucket
     /// midpoint default before data exists.
-    // profess: allow(panic_reachability): class indices bounded by geometry fixed at construction
+    // Class indices are bounded by the geometry fixed at construction.
     fn avg_cnt(&self, q_e: usize) -> f64 {
         if self.num_q_sum_i[q_e] == 0 {
             DEFAULT_AVG[q_e]
@@ -73,13 +73,11 @@ impl MdmProgramState {
     }
 
     /// Eq. 7: Laplace-smoothed transition probability.
-    // profess: allow(panic_reachability): class indices bounded by geometry fixed at construction
     fn p(&self, q_e: usize, q_i: usize) -> f64 {
         (self.num_q[q_i][q_e] + 1) as f64 / (self.num_q_sum_e[q_i] + qac::NUM_QE as u64) as f64
     }
 
     /// Eq. 5: recompute the registered `exp_cnt(q_I)` values.
-    // profess: allow(panic_reachability): class indices bounded by geometry fixed at construction
     fn recompute(&mut self) {
         for q_i in 0..qac::NUM_Q {
             let mut e = 0.0;
@@ -91,12 +89,10 @@ impl MdmProgramState {
     }
 
     /// The registered expected access count for insertion class `q_i`.
-    // profess: allow(panic_reachability): class indices bounded by geometry fixed at construction
     pub fn exp_cnt(&self, q_i: u8) -> f64 {
         self.exp_cnt[q_i as usize]
     }
 
-    // profess: allow(panic_reachability): class indices bounded by geometry fixed at construction
     fn record(&mut self, params: &MdmParams, q_i: u8, q_e: u8, count: u32) {
         let (qi, qe) = (q_i as usize, q_e as usize);
         self.accum_cnt[qe] += u64::from(count);
@@ -216,14 +212,13 @@ impl MdmCore {
     }
 
     /// Per-program state (read access, for diagnostics).
-    // profess: allow(panic_reachability): core id indexes the per-core vec built from config
+    // Program ids index the per-core vec built from config.
     pub fn state(&self, p: ProgramId) -> &MdmProgramState {
         &self.states[p.index()]
     }
 
     /// Predicted remaining accesses for a block of `program` with
     /// insertion class `q_i` and current count `cnt` (eq. 8).
-    // profess: allow(panic_reachability): core id indexes the per-core vec built from config
     pub fn remaining(&self, program: ProgramId, q_i: u8, cnt: u32) -> f64 {
         self.states[program.index()].exp_cnt(q_i) - f64::from(cnt)
     }
@@ -236,7 +231,6 @@ impl MdmCore {
 
     /// [`MdmCore::analyze`] with the remaining-access estimates exposed
     /// (for trace events).
-    // profess: allow(panic_reachability): core ids bounded by construction-time geometry
     pub fn assess(&self, ctx: &AccessCtx<'_>, ignore_m1: bool) -> MdmAssessment {
         debug_assert!(ctx.actual_slot.is_m2());
         let min_benefit = f64::from(self.params.min_benefit);
@@ -286,7 +280,6 @@ impl MdmCore {
     }
 
     /// Feeds STC eviction records into the per-program counters.
-    // profess: allow(panic_reachability): core ids bounded by construction-time geometry
     pub fn record_evictions(&mut self, records: &[EvictRecord]) {
         for r in records {
             debug_assert!(r.count > 0);
@@ -332,7 +325,6 @@ impl MdmCore {
     }
 
     /// Restores an [`MdmCore::snapshot_json`] encoding.
-    // profess: allow(panic_reachability): restore validates counts against the config fingerprint before indexing
     pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
         let states_raw = get_arr(j, "states")?;
         if states_raw.len() != self.states.len() {

@@ -131,7 +131,6 @@ impl MigrationPolicy for MemPodPolicy {
         ]))
     }
 
-    // profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
     fn restore_state(&mut self, state: &Json) -> Result<(), String> {
         let mut mea = Vec::with_capacity(self.params.counters);
         for triple in get_arr(state, "mea")? {

@@ -51,7 +51,6 @@ pub struct PomPolicy {
 impl PomPolicy {
     /// Creates the policy with swap cost `k` (same meaning as
     /// `min_benefit`; 8 in the paper).
-    // profess: allow(panic_reachability): indexes the group vec built two lines above
     pub fn new(params: PomParams, k: u32) -> Self {
         let n = params.thresholds.len();
         assert!(n > 0, "PoM needs at least one candidate threshold");
@@ -79,7 +78,7 @@ impl PomPolicy {
         self.epochs
     }
 
-    // profess: allow(panic_reachability): group ids bounded by geometry fixed at construction
+    // Group ids are bounded by the geometry fixed at construction.
     fn end_epoch(&mut self) {
         self.epochs += 1;
         let mut best: Option<(usize, i64)> = None;
@@ -111,7 +110,6 @@ impl MigrationPolicy for PomPolicy {
         self.params.write_weight
     }
 
-    // profess: allow(panic_reachability): group ids bounded by geometry fixed at construction
     fn on_access(&mut self, ctx: &mut AccessCtx<'_>) -> Decision {
         let w = if ctx.is_write {
             u64::from(self.params.write_weight)
@@ -189,7 +187,6 @@ impl MigrationPolicy for PomPolicy {
         ]))
     }
 
-    // profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
     fn restore_state(&mut self, state: &Json) -> Result<(), String> {
         let n = self.params.thresholds.len();
         self.threshold = match state.get("threshold") {

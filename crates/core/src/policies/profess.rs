@@ -149,7 +149,7 @@ impl MigrationPolicy for ProfessPolicy {
         self.mdm.params().write_weight
     }
 
-    // profess: allow(panic_reachability): group/core ids bounded by geometry fixed at construction
+    // Group and core ids are bounded by the geometry fixed at construction.
     fn on_access(&mut self, ctx: &mut AccessCtx<'_>) -> Decision {
         if ctx.actual_slot.is_m1() {
             return Decision::Stay;
@@ -279,7 +279,6 @@ impl MigrationPolicy for ProfessPolicy {
         ]))
     }
 
-    // profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
     fn restore_state(&mut self, state: &Json) -> Result<(), String> {
         self.mdm.restore_json(
             state

@@ -107,14 +107,13 @@ impl Rsm {
     }
 
     /// Current (smoothed) slowdown factors of a program.
-    // profess: allow(panic_reachability): scale-factor index clamped to the table built at construction
+    // Program ids are bounded by the sampler geometry fixed at construction.
     pub fn sf(&self, p: ProgramId) -> (f64, f64) {
         let s = &self.states[p.index()];
         (s.sf_a, s.sf_b)
     }
 
     /// Recorded per-period samples (empty unless enabled).
-    // profess: allow(panic_reachability): scale-factor index clamped to the table built at construction
     pub fn samples(&self, p: ProgramId) -> &[SfSample] {
         &self.states[p.index()].samples
     }
@@ -122,7 +121,6 @@ impl Rsm {
     /// Records a served request. Returns the period report when this
     /// request closed a sampling period (tracing hooks use it; the hot
     /// path simply drops the `Option`).
-    // profess: allow(panic_reachability): region/core ids bounded by sampler geometry fixed at construction
     pub fn on_served(
         &mut self,
         p: ProgramId,
@@ -157,7 +155,6 @@ impl Rsm {
     /// owner of the promoted block; `demoted` the owner of the block that
     /// left M1 (`None` = unallocated victim, counted as a self swap for
     /// the promoter since no other program is involved).
-    // profess: allow(panic_reachability): region/core ids bounded by sampler geometry fixed at construction
     pub fn on_swap(&mut self, promoted: ProgramId, demoted: Option<ProgramId>) {
         match demoted {
             Some(d) if d != promoted => {
@@ -174,7 +171,6 @@ impl Rsm {
 
     /// Closes a program's sampling period: smooths the counters, updates
     /// SF_A and SF_B, and resets the raw counters (paper §3.1.3).
-    // profess: allow(panic_reachability): region/core ids bounded by sampler geometry fixed at construction
     fn sample(&mut self, p: ProgramId) -> EpochReport {
         let alpha = self.params.alpha;
         let keep = self.keep_samples;
@@ -252,7 +248,6 @@ impl Rsm {
 
     /// Restores an [`Rsm::snapshot_json`] encoding. Fails when the sample
     /// log is enabled (snapshots never carry it).
-    // profess: allow(panic_reachability): restore validates counts against the config fingerprint before indexing
     pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
         if self.keep_samples {
             return Err("cannot restore into an RSM with sample recording enabled".to_string());

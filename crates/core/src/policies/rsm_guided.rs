@@ -206,7 +206,6 @@ impl MigrationPolicy for RsmGuided {
         ]))
     }
 
-    // profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
     fn restore_state(&mut self, state: &Json) -> Result<(), String> {
         self.inner.restore_state(
             state

@@ -90,7 +90,7 @@ impl MigrationPolicy for SilcFmPolicy {
         "SILC-FM"
     }
 
-    // profess: allow(panic_reachability): group ids bounded by geometry fixed at construction
+    // Group ids are bounded by the geometry fixed at construction.
     fn on_access(&mut self, ctx: &mut AccessCtx<'_>) -> Decision {
         if ctx.actual_slot.is_m1() {
             // Feed the aging counter of the resident block.
@@ -143,7 +143,6 @@ impl MigrationPolicy for SilcFmPolicy {
         ]))
     }
 
-    // profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
     fn restore_state(&mut self, state: &Json) -> Result<(), String> {
         let mut aging = FlatCounters::new();
         for pair in get_arr(state, "aging")? {

@@ -599,7 +599,6 @@ fn pending_to_json(p: &PendingData) -> Json {
     ])
 }
 
-// profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
 fn pending_from_json(j: &Json, n_cores: usize) -> Result<PendingData, String> {
     let xs = j
         .as_arr()
@@ -652,7 +651,7 @@ impl RegionSampler {
         }
     }
 
-    // profess: allow(panic_reachability): region ids bounded by sampler geometry fixed at construction
+    // Region ids are bounded by the sampler geometry fixed at construction.
     fn on_served(&mut self, region: usize) {
         self.counts[region] += 1;
         self.served += 1;
@@ -899,7 +898,8 @@ impl System {
 
     /// Enqueues `req` on channel `ch` at the current clock and marks the
     /// channel's cached next-event time stale.
-    // profess: allow(panic_reachability): channel ids index the config-built channel vec
+    // Core and channel ids are bounded by the geometry fixed at construction;
+    // every per-core and per-channel vec is sized from it.
     fn push_channel(&mut self, ch: usize, req: PhysRequest) {
         let now = self.clock;
         self.ch_dirty[ch] = true;
@@ -947,7 +947,6 @@ impl System {
         );
     }
 
-    // profess: allow(panic_reachability): core/channel ids bounded by construction-time geometry
     fn handle_core_request(&mut self, core: usize, r: CoreRequest) {
         let lines_per_page = self.geom.page_bytes / self.geom.line_bytes;
         let vpage = r.line / lines_per_page;
@@ -997,7 +996,6 @@ impl System {
 
     /// Processes an evicted STC entry: QAC write-back, MDM statistics, and
     /// the ST write to M1.
-    // profess: allow(panic_reachability): core/channel ids bounded by construction-time geometry
     fn finish_eviction(&mut self, victim: CachedEntry, channel: usize) {
         let mut records = std::mem::take(&mut self.evict_buf);
         records.clear();
@@ -1043,7 +1041,6 @@ impl System {
     }
 
     /// Performs a swap promoting `orig_slot` of `group` into M1.
-    // profess: allow(panic_reachability): core/channel ids bounded by construction-time geometry
     fn do_swap(&mut self, group: GroupId, orig_slot: SlotIdx, mark_dirty: bool) {
         let ch = self.geom.channel_of(group).index();
         let (actual, m1_res) = {
@@ -1101,7 +1098,6 @@ impl System {
             .on_swap(promoted_owner, demoted_owner, group_is_private);
     }
 
-    // profess: allow(panic_reachability): core/channel ids bounded by construction-time geometry
     fn handle_served(&mut self, s: Served) {
         let origin = self
             .meta
@@ -1418,7 +1414,6 @@ impl System {
     /// Loads a snapshot into this freshly built system. Fails with a
     /// typed [`SimError`] on configuration mismatch or malformed state;
     /// it never panics on hostile payloads.
-    // profess: allow(panic_reachability): restore validates the config fingerprint and section lengths before indexing
     fn restore_from_snapshot(&mut self, snap: &SystemSnapshot) -> Result<(), SimError> {
         if self.sampler_rsm.is_some() {
             return Err(SimError::SnapshotUnsupported {
@@ -1569,7 +1564,6 @@ impl System {
         Ok(())
     }
 
-    // profess: allow(panic_reachability): core/channel ids bounded by construction-time geometry
     fn run(mut self) -> Result<RunOutcome, SimError> {
         let mut served_buf: Vec<Served> = Vec::new();
         let mut out_reqs: Vec<CoreRequest> = Vec::new();
@@ -1738,7 +1732,6 @@ impl System {
         Ok(RunOutcome::Completed(self.report()))
     }
 
-    // profess: allow(panic_reachability): per-core vecs sized to core_count at construction
     fn report(mut self) -> SystemReport {
         let elapsed = self.clock;
         let mut programs = Vec::new();

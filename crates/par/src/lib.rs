@@ -41,13 +41,13 @@ fn parse_threads(s: &str) -> Option<usize> {
 /// The worker count [`Pool::from_env`] uses: `PROFESS_THREADS` if valid,
 /// else the host's available parallelism, else 1.
 pub fn default_threads() -> usize {
-    // profess: allow(determinism_taint): thread count affects scheduling only; sweeps are pinned byte-identical across 1 vs 4 workers
+    // The thread count affects scheduling only: sweeps are pinned
+    // byte-identical across 1 vs 4 workers.
     std::env::var(THREADS_ENV)
         .ok()
         .as_deref()
         .and_then(parse_threads)
         .unwrap_or_else(|| {
-            // profess: allow(determinism_taint): thread count affects scheduling only; sweeps are pinned byte-identical across 1 vs 4 workers
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)

@@ -447,7 +447,6 @@ impl Pool {
                 while !all_done.load(Ordering::Acquire) {
                     for slot in &registry {
                         if let Some(inflight) = lock_slot(slot).as_ref() {
-                            // profess: allow(determinism_taint): watchdog deadline bounds hung tasks; retries are deterministic and journal-keyed
                             if Instant::now() >= inflight.deadline {
                                 inflight.token.cancel();
                             }
@@ -483,7 +482,8 @@ where
         let token = CancelToken::new();
         if let Some((slot, timeout)) = watch {
             *lock_slot(slot) = Some(Inflight {
-                // profess: allow(determinism_taint): watchdog deadline bounds hung tasks; retries are deterministic and journal-keyed
+                // The wall-clock deadline only bounds hung tasks; retries are
+                // deterministic and journal-keyed.
                 deadline: Instant::now() + timeout,
                 token: token.clone(),
             });

@@ -20,7 +20,8 @@ echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
 # Static analysis gate: the in-tree analyzer enforces determinism
-# (no unordered maps in simulator state), hermeticity (path-only deps,
+# (no unordered maps, wall-clock or environment reads in simulator
+# state), hermeticity (path-only deps,
 # registry-free lockfile), the panic policy, and schema sync (the
 # DESIGN.md schema tables against their emitters).
 # Exits non-zero on any unsuppressed diagnostic; the machine-readable
@@ -31,7 +32,6 @@ trap 'rm -rf "$smoke_dir"' EXIT
 PROFESS_RESULTS_DIR="$smoke_dir" \
     cargo run --release --offline -q -p profess-analyze -- --json "$smoke_dir/ANALYZE.json"
 test -s "$smoke_dir/ANALYZE.json"
-test -s "$smoke_dir/ANALYZE_PERF.json"  # wall time + per-lint counts
 
 # Lint-table cross-check: the DESIGN.md §9.1 table must spell exactly
 # the lints the binary ships, with matching level and suppressibility.
