@@ -11,7 +11,7 @@
 
 use profess_bench::harness::TraceCollector;
 use profess_bench::{
-    init_trace_flag, run_solo, run_workload, summarize, target_from_args, workload_metrics,
+    exit, init_trace_flag, run_solo, run_workload, summarize, target_from_args, workload_metrics,
     workload_or_usage, SoloCache, MULTI_TARGET_MISSES,
 };
 use profess_core::system::PolicyKind;
@@ -37,8 +37,8 @@ fn main() {
         let w = workload_or_usage(id);
         let mut vals = Vec::new();
         for pk in [PolicyKind::Profess, PolicyKind::ProfessNoCase3] {
-            let solo = cache.solo_ipcs(&cfg, pk, &w, target);
-            let multi = run_workload(&cfg, pk, &w, target);
+            let solo = exit::ok_or_exit(cache.solo_ipcs(&cfg, pk, &w, target));
+            let multi = exit::ok_or_exit(run_workload(&cfg, pk, &w, target));
             traces.record(&format!("{id}:{}", pk.name()), &multi);
             vals.push(workload_metrics(id, &multi, &solo));
         }
@@ -65,7 +65,7 @@ fn main() {
         .map(|&p| {
             let mut c = SystemConfig::scaled_single();
             c.mdm.min_benefit = 8;
-            run_solo(&c, PolicyKind::Mdm, p, target)
+            exit::ok_or_exit(run_solo(&c, PolicyKind::Mdm, p, target))
         })
         .collect();
     for k in [2u32, 8, 32] {
@@ -74,7 +74,7 @@ fn main() {
         for (i, &p) in progs.iter().enumerate() {
             let mut c = SystemConfig::scaled_single();
             c.mdm.min_benefit = k;
-            let r = run_solo(&c, PolicyKind::Mdm, p, target);
+            let r = exit::ok_or_exit(run_solo(&c, PolicyKind::Mdm, p, target));
             ipc_ratios.push(r.programs[0].ipc / base[i].programs[0].ipc);
             swap_ratios.push((r.swaps.max(1)) as f64 / (base[i].swaps.max(1)) as f64);
         }

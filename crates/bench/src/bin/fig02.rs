@@ -12,7 +12,8 @@
 
 use profess_bench::harness::TraceCollector;
 use profess_bench::{
-    init_trace_flag, run_workload, target_from_args, workload_metrics, workload_or_usage, SoloCache,
+    exit, init_trace_flag, run_workload, target_from_args, workload_metrics, workload_or_usage,
+    SoloCache,
 };
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
@@ -28,8 +29,8 @@ fn main() {
     let mut t = TextTable::new(vec!["workload", "program", "slowdown"]);
     for id in ["w09", "w16", "w19"] {
         let w = workload_or_usage(id);
-        let solo = cache.solo_ipcs(&cfg, PolicyKind::Pom, &w, target);
-        let multi = run_workload(&cfg, PolicyKind::Pom, &w, target);
+        let solo = exit::ok_or_exit(cache.solo_ipcs(&cfg, PolicyKind::Pom, &w, target));
+        let multi = exit::ok_or_exit(run_workload(&cfg, PolicyKind::Pom, &w, target));
         traces.record(&format!("{id}:PoM"), &multi);
         let m = workload_metrics(id, &multi, &solo);
         for (prog, sdn) in w.programs.iter().zip(&m.slowdowns) {

@@ -14,7 +14,7 @@
 
 use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::{
-    init_trace_flag, run_solo, summarize, target_from_args, Pool, SOLO_TARGET_MISSES,
+    exit, init_trace_flag, run_solo, summarize, target_from_args, Pool, SOLO_TARGET_MISSES,
 };
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
@@ -34,12 +34,16 @@ fn main() {
         .into_iter()
         .filter(|&p| p != SpecProgram::Libquantum) // shown separately below
         .collect();
-    let reports = pool.map(&progs, |&prog| {
-        (
-            run_solo(&cfg, PolicyKind::Pom, prog, target),
-            run_solo(&cfg, PolicyKind::Mdm, prog, target),
-        )
-    });
+    let reports: Vec<_> = pool
+        .map(&progs, |&prog| {
+            (
+                run_solo(&cfg, PolicyKind::Pom, prog, target),
+                run_solo(&cfg, PolicyKind::Mdm, prog, target),
+            )
+        })
+        .into_iter()
+        .map(|(pom, mdm)| (exit::ok_or_exit(pom), exit::ok_or_exit(mdm)))
+        .collect();
     bench.add_sim_ops(2 * reports.len() as u64);
     for (prog, (pom, mdm)) in progs.iter().zip(&reports) {
         traces.record(&format!("{}:PoM", prog.name()), pom);
@@ -84,7 +88,11 @@ fn main() {
         (&cfg_small, PolicyKind::Pom),
         (&cfg_small, PolicyKind::Mdm),
     ];
-    let lq_reports = pool.map(&lq_jobs, |&(c, pk)| run_solo(c, pk, lq, target));
+    let lq_reports: Vec<_> = pool
+        .map(&lq_jobs, |&(c, pk)| run_solo(c, pk, lq, target))
+        .into_iter()
+        .map(exit::ok_or_exit)
+        .collect();
     bench.add_sim_ops(lq_reports.len() as u64);
     for ((_, pk), r) in lq_jobs.iter().zip(&lq_reports) {
         traces.record(&format!("libquantum:{}", pk.name()), r);

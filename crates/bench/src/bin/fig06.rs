@@ -9,7 +9,7 @@
 //! statistics at its low STC hit rate).
 
 use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, run_solo, target_from_args, SOLO_TARGET_MISSES};
+use profess_bench::{exit, init_trace_flag, run_solo, target_from_args, SOLO_TARGET_MISSES};
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_trace::SpecProgram;
@@ -33,8 +33,8 @@ fn main() {
         if prog == SpecProgram::Libquantum {
             continue;
         }
-        let pom = run_solo(&cfg, PolicyKind::Pom, prog, target);
-        let mdm = run_solo(&cfg, PolicyKind::Mdm, prog, target);
+        let pom = exit::ok_or_exit(run_solo(&cfg, PolicyKind::Pom, prog, target));
+        let mdm = exit::ok_or_exit(run_solo(&cfg, PolicyKind::Mdm, prog, target));
         traces.record(&format!("{}:PoM", prog.name()), &pom);
         traces.record(&format!("{}:MDM", prog.name()), &mdm);
         let (fp, fm) = (pom.programs[0].m1_fraction(), mdm.programs[0].m1_fraction());

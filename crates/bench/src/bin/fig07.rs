@@ -7,7 +7,7 @@
 //! mcf lowest.
 
 use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, run_solo, target_from_args, SOLO_TARGET_MISSES};
+use profess_bench::{exit, init_trace_flag, run_solo, target_from_args, SOLO_TARGET_MISSES};
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_trace::SpecProgram;
@@ -22,7 +22,7 @@ fn main() {
     let mut t = TextTable::new(vec!["program", "STC hit rate (%)"]);
     let mut rows: Vec<(String, f64)> = Vec::new();
     for prog in SpecProgram::ALL {
-        let mdm = run_solo(&cfg, PolicyKind::Mdm, prog, target);
+        let mdm = exit::ok_or_exit(run_solo(&cfg, PolicyKind::Mdm, prog, target));
         traces.record(&format!("{}:MDM", prog.name()), &mdm);
         rows.push((prog.name().to_string(), mdm.stc_hit_rate));
     }

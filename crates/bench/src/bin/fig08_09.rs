@@ -11,7 +11,7 @@
 //! mean fewer MDM counter updates).
 
 use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, run_solo, target_from_args, SOLO_TARGET_MISSES};
+use profess_bench::{exit, init_trace_flag, run_solo, target_from_args, SOLO_TARGET_MISSES};
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_trace::SpecProgram;
@@ -40,7 +40,7 @@ fn main() {
         for mult in [0.5f64, 1.0, 2.0] {
             let mut cfg = SystemConfig::scaled_single();
             cfg.stc.entries = ((base_entries as f64) * mult) as usize;
-            let r = run_solo(&cfg, PolicyKind::Mdm, prog, target);
+            let r = exit::ok_or_exit(run_solo(&cfg, PolicyKind::Mdm, prog, target));
             traces.record(&format!("{}:MDM:stc{mult}", prog.name()), &r);
             ipcs.push(r.programs[0].ipc);
             hits.push(r.stc_hit_rate);

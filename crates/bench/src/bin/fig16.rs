@@ -9,7 +9,8 @@
 
 use profess_bench::harness::TraceCollector;
 use profess_bench::{
-    init_trace_flag, run_workload, target_from_args, workload_metrics, workload_or_usage, SoloCache,
+    exit, init_trace_flag, run_workload, target_from_args, workload_metrics, workload_or_usage,
+    SoloCache,
 };
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
@@ -27,8 +28,8 @@ fn main() {
         let mut t = TextTable::new(vec!["program", "PoM", "MDM", "ProFess"]);
         let mut per_policy = Vec::new();
         for pk in [PolicyKind::Pom, PolicyKind::Mdm, PolicyKind::Profess] {
-            let solo = cache.solo_ipcs(&cfg, pk, &w, target);
-            let multi = run_workload(&cfg, pk, &w, target);
+            let solo = exit::ok_or_exit(cache.solo_ipcs(&cfg, pk, &w, target));
+            let multi = exit::ok_or_exit(run_workload(&cfg, pk, &w, target));
             traces.record(&format!("{id}:{}", pk.name()), &multi);
             per_policy.push(workload_metrics(id, &multi, &solo));
         }

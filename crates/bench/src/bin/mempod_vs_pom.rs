@@ -39,8 +39,8 @@ fn main() {
         .into_iter()
         .flat_map(|p| [(p, PolicyKind::Pom), (p, PolicyKind::MemPod)])
         .collect();
-    let solo_out = pool.run_supervised(&solo_jobs, &sup, |_, &(prog, pk)| {
-        run_solo(&cfg1, pk, prog, target)
+    let solo_out = pool.try_run_supervised(&solo_jobs, &sup, |_, &(prog, pk)| {
+        run_solo(&cfg1, pk, prog, target).map_err(|e| e.to_string())
     });
     record_cells(&mut cells, &solo_jobs, &solo_out, |(p, pk)| {
         format!("{}:{}", p.name(), pk.name())
@@ -84,8 +84,8 @@ fn main() {
         .step_by(4)
         .flat_map(|&w| [(w, PolicyKind::Pom), (w, PolicyKind::MemPod)])
         .collect();
-    let multi_out = pool.run_supervised(&multi_jobs, &sup, |_, (w, pk)| {
-        run_workload(&cfg4, *pk, w, target)
+    let multi_out = pool.try_run_supervised(&multi_jobs, &sup, |_, (w, pk)| {
+        run_workload(&cfg4, *pk, w, target).map_err(|e| e.to_string())
     });
     record_cells(&mut cells, &multi_jobs, &multi_out, |(w, pk)| {
         format!("{}:{}", w.id, pk.name())

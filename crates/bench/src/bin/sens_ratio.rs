@@ -7,7 +7,9 @@
 //! shape: the improvement at 1:4 is no larger than at 1:8/1:16.
 
 use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, run_solo, summarize, target_from_args, SOLO_TARGET_MISSES};
+use profess_bench::{
+    exit, init_trace_flag, run_solo, summarize, target_from_args, SOLO_TARGET_MISSES,
+};
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_trace::SpecProgram;
@@ -30,8 +32,8 @@ fn main() {
             if fp_bytes <= cfg.org.m1_bytes {
                 continue;
             }
-            let pom = run_solo(&cfg, PolicyKind::Pom, prog, target);
-            let mdm = run_solo(&cfg, PolicyKind::Mdm, prog, target);
+            let pom = exit::ok_or_exit(run_solo(&cfg, PolicyKind::Pom, prog, target));
+            let mdm = exit::ok_or_exit(run_solo(&cfg, PolicyKind::Mdm, prog, target));
             traces.record(&format!("{}:PoM:1to{ratio}", prog.name()), &pom);
             traces.record(&format!("{}:MDM:1to{ratio}", prog.name()), &mdm);
             ratios.push(mdm.programs[0].ipc / pom.programs[0].ipc);

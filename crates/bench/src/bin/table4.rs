@@ -13,7 +13,7 @@
 //! The eq. 4 analytic lower bound is printed for context.
 
 use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, target_from_args};
+use profess_bench::{exit, init_trace_flag, target_from_args};
 use profess_core::policies::rsm::analytic_sigma_fraction;
 use profess_core::system::{PolicyKind, SystemBuilder};
 use profess_metrics::table::TextTable;
@@ -44,11 +44,13 @@ fn main() {
             cfg.rsm.m_samp = m_samp;
             // RSM's private regions require the ProFess OS support; the
             // paper's Table 4 likewise measures RSM while it is active.
-            let report = SystemBuilder::new(cfg)
-                .policy(PolicyKind::Profess)
-                .sample_regions(true)
-                .spec_program(prog, prog.budget_for_misses(target))
-                .run();
+            let report = exit::ok_or_exit(
+                SystemBuilder::new(cfg)
+                    .policy(PolicyKind::Profess)
+                    .sample_regions(true)
+                    .spec_program(prog, prog.budget_for_misses(target))
+                    .try_run(),
+            );
             traces.record(&format!("{}:ProFess:msamp{m_samp}", prog.name()), &report);
             let s = report.sampling[0]
                 .as_ref()

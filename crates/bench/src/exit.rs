@@ -6,7 +6,7 @@
 //! | 0    | success |
 //! | 1    | validation failed (regression, malformed artifact, diff) |
 //! | 2    | usage error (bad flags, unreadable config, bad env) |
-//! | 3    | sweep ended with terminally-failed cells |
+//! | 3    | a simulation failed, or a sweep ended with terminally-failed cells |
 //! | 4    | a sharded sweep cell's final attempt lost its child process |
 //!
 //! Injected faults are the one exception: a worker killed by
@@ -28,7 +28,8 @@ pub const VALIDATION_FAIL: i32 = 1;
 pub const USAGE: i32 = 2;
 
 /// A supervised sweep completed but at least one cell failed
-/// terminally (retries exhausted, timed out, panicked).
+/// terminally (retries exhausted, timed out, panicked), or a figure
+/// binary's simulation failed (see [`ok_or_exit`]).
 pub const SWEEP_FAILURE: i32 = 3;
 
 /// A sharded sweep (`profess-shard --workers N`) had a cell whose final
@@ -36,6 +37,21 @@ pub const SWEEP_FAILURE: i32 = 3;
 /// crashed, unreadable, or never spawned — so the retry budget ran out
 /// on a lost worker rather than on the cell's own error.
 pub const WORKER_LOST: i32 = 4;
+
+/// The result of a simulation a figure binary cannot go on without: a
+/// failed run prints its [`SimError`](profess_core::SimError) and exits
+/// with [`SWEEP_FAILURE`], the code a supervised sweep uses for a
+/// failed cell.
+pub fn ok_or_exit<T>(run: Result<T, profess_core::SimError>) -> T {
+    run.unwrap_or_else(|e| {
+        eprintln!(
+            "{}: simulation failed [{}]: {e}",
+            crate::bin_name(),
+            e.label()
+        );
+        std::process::exit(SWEEP_FAILURE)
+    })
+}
 
 #[cfg(test)]
 mod tests {

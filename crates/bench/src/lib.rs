@@ -17,8 +17,8 @@ pub mod harness;
 pub mod shard;
 pub mod surface;
 
-use profess_core::system::{PolicyKind, RunOutcome, SystemBuilder, SystemReport};
-use profess_core::SystemSnapshot;
+use profess_core::system::{PolicyKind, SystemBuilder, SystemReport};
+use profess_core::{SimError, SystemSnapshot};
 use profess_metrics::{unfairness, weighted_speedup, Json};
 use profess_trace::{SpecProgram, Workload};
 use profess_types::SystemConfig;
@@ -39,11 +39,16 @@ pub const MULTI_TARGET_MISSES: u64 = 60_000;
 /// [<target-misses>] [<workload-id>...]` — so malformed input gets one
 /// diagnostic and a usage line instead of a panic backtrace per binary.
 pub fn usage_error(msg: &str) -> ! {
-    let bin = std::env::args().next().unwrap_or_default();
-    let bin = bin.rsplit('/').next().unwrap_or("bench");
+    let bin = bin_name();
     eprintln!("{bin}: error: {msg}");
     eprintln!("usage: {bin} [--trace] [<target-misses>] [<workload-id>...]");
     std::process::exit(exit::USAGE)
+}
+
+/// The running binary's file name, for diagnostics.
+fn bin_name() -> String {
+    let arg0 = std::env::args().next().unwrap_or_default();
+    arg0.rsplit('/').next().unwrap_or("bench").to_string()
 }
 
 /// Reads the per-program memory-operation target: first non-flag CLI
@@ -271,11 +276,11 @@ pub fn run_solo(
     policy: PolicyKind,
     prog: SpecProgram,
     target_misses: u64,
-) -> SystemReport {
+) -> Result<SystemReport, SimError> {
     SystemBuilder::new(cfg.clone())
         .policy(policy)
         .spec_program(prog, prog.budget_for_misses(target_misses))
-        .run()
+        .try_run()
 }
 
 /// Runs a Table 10 workload on the quad-core system.
@@ -284,11 +289,11 @@ pub fn run_workload(
     policy: PolicyKind,
     w: &Workload,
     target_misses: u64,
-) -> SystemReport {
+) -> Result<SystemReport, SimError> {
     SystemBuilder::new(cfg.clone())
         .policy(policy)
         .workload(w, target_misses)
-        .run()
+        .try_run()
 }
 
 /// Results of a multiprogram run reduced to the paper's figures of merit.
@@ -379,11 +384,14 @@ impl SoloCache {
         policy: PolicyKind,
         prog: SpecProgram,
         target_misses: u64,
-    ) -> f64 {
-        *self
-            .entries
-            .entry((policy.name(), prog))
-            .or_insert_with(|| run_solo(cfg, policy, prog, target_misses).programs[0].ipc)
+    ) -> Result<f64, SimError> {
+        let key = (policy.name(), prog);
+        if let Some(&ipc) = self.entries.get(&key) {
+            return Ok(ipc);
+        }
+        let ipc = run_solo(cfg, policy, prog, target_misses)?.programs[0].ipc;
+        self.entries.insert(key, ipc);
+        Ok(ipc)
     }
 
     /// Solo IPCs for every program of a workload.
@@ -393,7 +401,7 @@ impl SoloCache {
         policy: PolicyKind,
         w: &Workload,
         target_misses: u64,
-    ) -> Vec<f64> {
+    ) -> Result<Vec<f64>, SimError> {
         w.programs
             .iter()
             .map(|&p| self.solo_ipc(cfg, policy, p, target_misses))
@@ -417,70 +425,6 @@ pub struct NormalizedRow {
     pub read_latency: f64,
     /// Swap-fraction ratio (< 1 = fewer swaps per request).
     pub swap_fraction: f64,
-}
-
-/// Runs `workloads` under `policy` and the PoM baseline on `pool` and
-/// returns the normalized figures of merit. The solo references for the
-/// slowdowns are measured per policy, as in the paper (eq. 1).
-///
-/// Rows are assembled in workload order, so the output does not depend
-/// on the pool's thread count or scheduling.
-pub fn normalized_sweep_on(
-    pool: &Pool,
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-    workloads: &[Workload],
-) -> Vec<NormalizedRow> {
-    let mut sink = harness::TraceCollector::disabled();
-    normalized_sweep_traced(pool, cfg, policy, target_misses, workloads, &mut sink)
-}
-
-/// [`normalized_sweep_on`] that additionally records every multiprogram
-/// run's trace into `traces` (labelled `<workload>:<policy>`). Runs are
-/// recorded in job order — workload order, PoM before `policy` — so the
-/// collected JSONL does not depend on the pool's thread count.
-///
-/// This is the unsupervised wrapper around
-/// [`normalized_sweep_supervised`]: one attempt per cell, no watchdog,
-/// no journal, and any cell failure aborts the sweep with a panic (the
-/// legacy contract).
-pub fn normalized_sweep_traced(
-    pool: &Pool,
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-    workloads: &[Workload],
-    traces: &mut harness::TraceCollector,
-) -> Vec<NormalizedRow> {
-    let run = normalized_sweep_supervised(
-        pool,
-        cfg,
-        policy,
-        target_misses,
-        workloads,
-        &strict_supervision(),
-        &Journal::disabled(),
-        &SnapshotMode::disabled(),
-        traces,
-    );
-    if let Some(c) = run.failed_cells().first() {
-        let err = c.error.clone().unwrap_or_default();
-        // profess: allow(panic): the unsupervised sweep API keeps the legacy abort-on-failure contract
-        panic!("sweep cell {} failed: {err}", c.key);
-    }
-    run.rows
-}
-
-/// The supervision the legacy sweep wrappers use: a single attempt, no
-/// watchdog, no fault injection — failure semantics as close to
-/// [`Pool::map`] as per-cell isolation allows.
-fn strict_supervision() -> SuperviseConfig {
-    SuperviseConfig {
-        retries: 0,
-        timeout: None,
-        faults: FaultPlan::none(),
-    }
 }
 
 /// One sweep cell's identity: its checkpoint-journal key, its display
@@ -859,18 +803,16 @@ fn run_cell(
             }
         }
     }
-    match b.try_run_preemptible() {
-        Ok(RunOutcome::Completed(r)) => Ok(r),
-        Ok(RunOutcome::Preempted(s)) => {
-            journal.record(snap_key, s.to_json());
-            Err(format!("preempted into snapshot at cycle {}", s.clock()))
+    b.try_run().map_err(|e| {
+        if let SimError::Preempted { snapshot } = &e {
+            journal.record(snap_key, snapshot.to_json());
         }
-        Err(e) => Err(e.to_string()),
-    }
+        e.to_string()
+    })
 }
 
-/// The supervised, checkpointable normalized sweep all `normalized_sweep*`
-/// entry points are built on: a normalized sweep's cells, run by
+/// The supervised, checkpointable normalized sweep of `policy` against
+/// the PoM baseline: a normalized sweep's cells, run by
 /// [`run_cells`] (journal replay, supervision, snapshots, traces), then
 /// reduced to rows.
 ///

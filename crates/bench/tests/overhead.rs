@@ -41,7 +41,7 @@ fn run(traced: bool) -> SystemReport {
     for p in w.programs {
         b = b.spec_program(p, p.budget_for_misses(2_000));
     }
-    b.run()
+    b.try_run().unwrap()
 }
 
 #[test]

@@ -8,6 +8,7 @@ use std::process::Command;
 use profess_bench::checkpoint::fingerprint;
 use profess_bench::exit;
 use profess_core::system::{PolicyKind, SystemBuilder};
+use profess_core::SimError;
 use profess_metrics::Json;
 use profess_trace::SpecProgram;
 use profess_types::SystemConfig;
@@ -86,14 +87,15 @@ fn journal_rejects_a_repeated_cell_key_beside_a_valid_snapshot() {
     let mut cfg = SystemConfig::scaled_single();
     cfg.seed = 7;
     cfg.rsm.m_samp = 1024;
-    let snapshot = SystemBuilder::new(cfg)
+    let run = SystemBuilder::new(cfg)
         .policy(PolicyKind::Mdm)
         .spec_program(SpecProgram::Milc, SpecProgram::Milc.budget_for_misses(500))
         .snapshot_at(1_000)
-        .try_run_preemptible()
-        .expect("preemptible run")
-        .preempted()
-        .expect("must preempt");
+        .try_run();
+    let snapshot = match run {
+        Err(SimError::Preempted { snapshot }) => snapshot,
+        other => panic!("expected a preemption, got {other:?}"),
+    };
     let cell = Json::obj([("ipc", Json::Num(1.5))]);
     let dir = scratch("journal");
     let valid = line("snapshot|multi|x", &snapshot.to_json()) + &line("multi|x", &cell);

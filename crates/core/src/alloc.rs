@@ -9,7 +9,7 @@ use profess_types::geometry::Geometry;
 use profess_types::ids::ProgramId;
 
 use crate::regions::RegionMap;
-use crate::snapshot::{fixed_u64s, get_arr, get_u64, u64_from};
+use crate::snapshot::u64_from;
 
 /// Frame allocator over the original physical address space.
 ///
@@ -251,7 +251,7 @@ impl FrameAllocator {
     /// allocator (which must have been built for the same geometry and
     /// region map).
     pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let free_raw = get_arr(j, "free_by_region")?;
+        let free_raw = j.field_arr("free_by_region")?;
         if free_raw.len() != self.free_by_region.len() {
             return Err(format!(
                 "region count mismatch: snapshot has {}, allocator has {}",
@@ -275,7 +275,7 @@ impl FrameAllocator {
             free.push(out);
         }
         let mut owners = vec![None; self.owner_by_block.len()];
-        for pair in get_arr(j, "owners")? {
+        for pair in j.field_arr("owners")? {
             let pair = pair
                 .as_arr()
                 .ok_or_else(|| "owner entry is not an array".to_string())?;
@@ -292,7 +292,7 @@ impl FrameAllocator {
                 u8::try_from(program).map_err(|_| "owner program out of range".to_string())?;
             owners[slot] = Some(ProgramId(program));
         }
-        let rng_state = fixed_u64s::<4>(j, "rng")?;
+        let rng_state = j.field_u64s::<4>("rng")?;
         if rng_state == [0; 4] {
             return Err("RNG state is all-zero".to_string());
         }
@@ -300,7 +300,7 @@ impl FrameAllocator {
         self.free_by_region = free;
         self.owner_by_block = owners;
         self.rng = Rng::from_state(rng_state);
-        self.allocated = get_u64(j, "allocated")?;
+        self.allocated = j.field_u64("allocated")?;
         Ok(())
     }
 }

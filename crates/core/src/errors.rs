@@ -1,16 +1,16 @@
 //! The simulator's structured error taxonomy and run budgets.
 //!
-//! Historically [`System::run`](crate::system::SystemBuilder::run) had
-//! exactly two failure modes, both hostile to batch execution: a silent
-//! multi-minute crawl toward the 2-billion-cycle safety cap, and a
-//! deadlock `panic!` that took the whole sweep down with it. A
-//! [`SimBudget`] turns the first into a typed
-//! [`SimError::BudgetExceeded`], and
-//! [`try_run`](crate::system::SystemBuilder::try_run) turns the second
-//! into [`SimError::Deadlock`] — so a supervisor can classify, retry,
-//! or report per cell instead of aborting the batch.
+//! Every way a run can end without a report is a [`SimError`] value
+//! returned by [`try_run`](crate::system::SystemBuilder::try_run): a
+//! builder that cannot run ([`SimError::Config`]), a deadlock, a blown
+//! [`SimBudget`] (instead of a silent crawl toward the 2-billion-cycle
+//! safety cap), a cancellation, or a preemption carrying the snapshot
+//! to resume from ([`SimError::Preempted`]). A supervisor can classify,
+//! retry, or resume per cell instead of aborting the batch.
 
 use profess_par::CancelToken;
+
+use crate::snapshot::SystemSnapshot;
 
 /// Which budgeted resource ran out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +73,22 @@ impl SimBudget {
 /// Why a simulation run failed to produce a report.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
+    /// The builder describes a system that cannot run: no programs,
+    /// more programs than cores, or more pages than physical frames.
+    Config {
+        /// What is wrong with the configuration.
+        what: String,
+    },
+    /// The run stopped at a clock boundary
+    /// ([`SystemBuilder::snapshot_at`](crate::system::SystemBuilder::snapshot_at)
+    /// reached, or cancellation under
+    /// [`SystemBuilder::snapshot_on_cancel`](crate::system::SystemBuilder::snapshot_on_cancel)):
+    /// the state to resume from via
+    /// [`SystemBuilder::restore`](crate::system::SystemBuilder::restore).
+    Preempted {
+        /// The simulation state at the preemption point.
+        snapshot: Box<SystemSnapshot>,
+    },
     /// A [`SimBudget`] limit was hit.
     BudgetExceeded {
         /// The exhausted resource.
@@ -132,12 +148,14 @@ pub enum SimError {
 }
 
 impl SimError {
-    /// Stable machine-readable label (`budget_exceeded`, `deadlock`,
-    /// `cancelled`, `snapshot_version`, `snapshot_corrupt`,
-    /// `snapshot_config_mismatch`, `snapshot_unsupported`,
-    /// `worker_lost`).
+    /// Stable machine-readable label (`config`, `preempted`,
+    /// `budget_exceeded`, `deadlock`, `cancelled`, `snapshot_version`,
+    /// `snapshot_corrupt`, `snapshot_config_mismatch`,
+    /// `snapshot_unsupported`, `worker_lost`).
     pub fn label(&self) -> &'static str {
         match self {
+            SimError::Config { .. } => "config",
+            SimError::Preempted { .. } => "preempted",
             SimError::BudgetExceeded { .. } => "budget_exceeded",
             SimError::Deadlock { .. } => "deadlock",
             SimError::Cancelled { .. } => "cancelled",
@@ -153,6 +171,10 @@ impl SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SimError::Config { what } => write!(f, "invalid configuration: {what}"),
+            SimError::Preempted { snapshot } => {
+                write!(f, "preempted into snapshot at cycle {}", snapshot.clock())
+            }
             SimError::BudgetExceeded {
                 resource,
                 limit,
@@ -162,8 +184,7 @@ impl std::fmt::Display for SimError {
                 "simulation exceeded its {} budget of {limit} at cycle {at_cycle}",
                 resource.label()
             ),
-            // Keeps the exact wording of the historical deadlock assert,
-            // which the legacy `run()` entry point re-panics with.
+            // Keeps the exact wording of the historical deadlock assert.
             SimError::Deadlock {
                 cycle,
                 pending_st,
@@ -288,6 +309,14 @@ mod tests {
             "cell `multi|mdm|w01|abc` lost after 2 attempt(s) in worker processes"
         );
         assert_eq!(w.label(), "worker_lost");
+        let g = SimError::Config {
+            what: "no programs configured".to_string(),
+        };
+        assert_eq!(
+            g.to_string(),
+            "invalid configuration: no programs configured"
+        );
+        assert_eq!(g.label(), "config");
     }
 
     #[test]

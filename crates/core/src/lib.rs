@@ -19,9 +19,10 @@
 //! let report = SystemBuilder::new(cfg)
 //!     .policy(PolicyKind::Mdm)
 //!     .spec_program(SpecProgram::Libquantum, 20_000)
-//!     .run();
+//!     .try_run()?;
 //! assert_eq!(report.programs.len(), 1);
 //! assert!(report.programs[0].ipc > 0.0);
+//! # Ok::<(), profess_core::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,4 +46,4 @@ pub use policies::{Decision, MigrationPolicy};
 pub use regions::{RegionClass, RegionMap};
 pub use snapshot::{SystemSnapshot, SNAPSHOT_VERSION};
 pub use stc::Stc;
-pub use system::{PolicyKind, RunOutcome, SystemBuilder, SystemReport};
+pub use system::{PolicyKind, SystemBuilder, SystemReport};

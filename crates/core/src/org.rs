@@ -13,7 +13,7 @@ use profess_metrics::Json;
 use profess_types::ids::{ProgramId, SlotIdx};
 use profess_types::GroupId;
 
-use crate::snapshot::{get_arr, get_u64, i64_from_json, i64_to_json, u64_from};
+use crate::snapshot::{i64_from_json, i64_to_json, u64_from};
 
 /// Quantized Access-Counter values (paper Table 5).
 pub mod qac {
@@ -145,8 +145,8 @@ impl StEntry {
 
     /// Decodes a [`StEntry::snapshot_json`] object (minus the index).
     fn restore_json(j: &Json) -> Result<StEntry, String> {
-        let actual_raw = get_arr(j, "actual")?;
-        let qac_raw = get_arr(j, "qac")?;
+        let actual_raw = j.field_arr("actual")?;
+        let qac_raw = j.field_arr("qac")?;
         if actual_raw.len() != SlotIdx::MAX || qac_raw.len() != SlotIdx::MAX {
             return Err("ST entry arrays must have SlotIdx::MAX elements".to_string());
         }
@@ -178,7 +178,7 @@ impl StEntry {
                 .ok_or_else(|| "missing \"pom_ctr\"".to_string())?,
             "pom_ctr",
         )?;
-        let slot = get_u64(j, "pom_slot")?;
+        let slot = j.field_u64("pom_slot")?;
         e.pom_slot = u8::try_from(slot).map_err(|_| "pom_slot out of range".to_string())?;
         Ok(e)
     }
@@ -250,7 +250,7 @@ impl SwapTable {
     /// Restores a [`SwapTable::snapshot_json`] encoding into this table
     /// (which must have been built for the same group count).
     pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let len = get_u64(j, "len")?;
+        let len = j.field_u64("len")?;
         if len != self.entries.len() as u64 {
             return Err(format!(
                 "swap table length mismatch: snapshot has {len}, system has {}",
@@ -258,8 +258,8 @@ impl SwapTable {
             ));
         }
         let mut fresh = vec![StEntry::default(); self.entries.len()];
-        for ej in get_arr(j, "entries")? {
-            let i = get_u64(ej, "i")?;
+        for ej in j.field_arr("entries")? {
+            let i = ej.field_u64("i")?;
             let i = usize::try_from(i)
                 .ok()
                 .filter(|&i| i < fresh.len())

@@ -14,7 +14,7 @@ use profess_types::ids::ProgramId;
 
 use super::{AccessCtx, Decision, EvictRecord, MigrationPolicy};
 use crate::org::qac;
-use crate::snapshot::{f64_from_json, f64_to_json, fixed_u64s, get_arr, get_u64};
+use crate::snapshot::{f64_from_json, f64_to_json};
 
 /// Default `avg_cnt(q_E)` used before any statistics exist: the midpoints
 /// of the Table 5 buckets (1–7, 8–31, 32+ with the 6-bit counter cap).
@@ -326,7 +326,7 @@ impl MdmCore {
 
     /// Restores an [`MdmCore::snapshot_json`] encoding.
     pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let states_raw = get_arr(j, "states")?;
+        let states_raw = j.field_arr("states")?;
         if states_raw.len() != self.states.len() {
             return Err(format!(
                 "MDM program count mismatch: snapshot has {}, core has {}",
@@ -337,28 +337,28 @@ impl MdmCore {
         let mut states = Vec::with_capacity(states_raw.len());
         for sj in states_raw {
             let mut s = MdmProgramState::new();
-            s.accum_cnt = fixed_u64s::<{ qac::NUM_Q }>(sj, "accum_cnt")?;
-            s.num_q_sum_i = fixed_u64s::<{ qac::NUM_Q }>(sj, "num_q_sum_i")?;
-            let flat = fixed_u64s::<{ qac::NUM_Q * qac::NUM_Q }>(sj, "num_q")?;
+            s.accum_cnt = sj.field_u64s::<{ qac::NUM_Q }>("accum_cnt")?;
+            s.num_q_sum_i = sj.field_u64s::<{ qac::NUM_Q }>("num_q_sum_i")?;
+            let flat = sj.field_u64s::<{ qac::NUM_Q * qac::NUM_Q }>("num_q")?;
             for (i, &x) in flat.iter().enumerate() {
                 s.num_q[i / qac::NUM_Q][i % qac::NUM_Q] = x;
             }
-            s.num_q_sum_e = fixed_u64s::<{ qac::NUM_Q }>(sj, "num_q_sum_e")?;
-            let exp_raw = get_arr(sj, "exp_cnt")?;
+            s.num_q_sum_e = sj.field_u64s::<{ qac::NUM_Q }>("num_q_sum_e")?;
+            let exp_raw = sj.field_arr("exp_cnt")?;
             if exp_raw.len() != qac::NUM_Q {
                 return Err("exp_cnt must have NUM_Q elements".to_string());
             }
             for (i, x) in exp_raw.iter().enumerate() {
                 s.exp_cnt[i] = f64_from_json(x, "exp_cnt")?;
             }
-            s.phase = match get_u64(sj, "phase")? {
+            s.phase = match sj.field_u64("phase")? {
                 0 => Phase::Observation,
                 1 => Phase::Estimation,
                 p => return Err(format!("unknown MDM phase {p}")),
             };
-            s.updates_in_phase = get_u64(sj, "updates_in_phase")?;
-            s.since_recompute = get_u64(sj, "since_recompute")?;
-            s.total_updates = get_u64(sj, "total_updates")?;
+            s.updates_in_phase = sj.field_u64("updates_in_phase")?;
+            s.since_recompute = sj.field_u64("since_recompute")?;
+            s.total_updates = sj.field_u64("total_updates")?;
             states.push(s);
         }
         self.states = states;

@@ -10,7 +10,7 @@ use profess_types::ids::SlotIdx;
 use profess_types::{Cycle, GroupId};
 
 use super::{AccessCtx, Decision, MigrationPolicy};
-use crate::snapshot::{get_arr, get_u64, u64_from};
+use crate::snapshot::u64_from;
 
 #[derive(Debug, Clone, Copy)]
 struct MeaSlot {
@@ -133,7 +133,7 @@ impl MigrationPolicy for MemPodPolicy {
 
     fn restore_state(&mut self, state: &Json) -> Result<(), String> {
         let mut mea = Vec::with_capacity(self.params.counters);
-        for triple in get_arr(state, "mea")? {
+        for triple in state.field_arr("mea")? {
             let triple = triple
                 .as_arr()
                 .ok_or_else(|| "MEA entry is not an array".to_string())?;
@@ -158,9 +158,9 @@ impl MigrationPolicy for MemPodPolicy {
                 self.params.counters
             ));
         }
-        self.next_poll = Cycle(get_u64(state, "next_poll")?);
+        self.next_poll = Cycle(state.field_u64("next_poll")?);
         self.mea = mea;
-        self.intervals = get_u64(state, "intervals")?;
+        self.intervals = state.field_u64("intervals")?;
         Ok(())
     }
 }

@@ -25,7 +25,7 @@ use profess_types::ids::{ProgramId, SlotIdx};
 use super::{AccessCtx, Decision, MigrationPolicy};
 use crate::flat::EpochTable;
 use crate::regions::RegionClass;
-use crate::snapshot::{get_arr, get_u64, u64_from};
+use crate::snapshot::u64_from;
 
 /// The PoM policy.
 #[derive(Debug)]
@@ -197,7 +197,7 @@ impl MigrationPolicy for PomPolicy {
             _ => return Err("missing or invalid \"threshold\"".to_string()),
         };
         let mut counts = EpochTable::new(SlotIdx::MAX as u64);
-        for triple in get_arr(state, "epoch_counts")? {
+        for triple in state.field_arr("epoch_counts")? {
             let triple = triple
                 .as_arr()
                 .ok_or_else(|| "epoch count entry is not an array".to_string())?;
@@ -213,7 +213,7 @@ impl MigrationPolicy for PomPolicy {
             }
         }
         let decode_vec = |key: &str| -> Result<Vec<u64>, String> {
-            let raw = get_arr(state, key)?;
+            let raw = state.field_arr(key)?;
             if raw.len() != n {
                 return Err(format!(
                     "field \"{key}\" must have one entry per candidate threshold"
@@ -224,9 +224,9 @@ impl MigrationPolicy for PomPolicy {
         self.hyp_swaps = decode_vec("hyp_swaps")?;
         self.hyp_hits = decode_vec("hyp_hits")?;
         self.epoch_counts = counts;
-        self.served_in_epoch = get_u64(state, "served_in_epoch")?;
-        self.epochs = get_u64(state, "epochs")?;
-        self.promotions = get_u64(state, "promotions")?;
+        self.served_in_epoch = state.field_u64("served_in_epoch")?;
+        self.epochs = state.field_u64("epochs")?;
+        self.promotions = state.field_u64("promotions")?;
         Ok(())
     }
 }

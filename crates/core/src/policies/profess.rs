@@ -27,7 +27,6 @@ use super::mdm::MdmCore;
 use super::rsm::{EpochReport, Rsm};
 use super::{AccessCtx, Decision, DecisionTrace, EvictRecord, MigrationPolicy, PolicyDiagnostics};
 use crate::regions::RegionClass;
-use crate::snapshot::fixed_u64s;
 
 /// Which Table 7 rule resolved a cross-program decision (diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,7 +290,7 @@ impl MigrationPolicy for ProfessPolicy {
                 .ok_or_else(|| "missing \"rsm\"".to_string())?,
         )?;
         let [help_m2, protect_m1, protect_m1_product, default_mdm] =
-            fixed_u64s::<4>(state, "stats")?;
+            state.field_u64s::<4>("stats")?;
         self.stats = GuidanceStats {
             help_m2,
             protect_m1,

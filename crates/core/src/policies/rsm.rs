@@ -18,7 +18,7 @@ use profess_types::config::RsmParams;
 use profess_types::ids::ProgramId;
 
 use crate::regions::RegionClass;
-use crate::snapshot::{f64_from_json, f64_to_json, fixed_u64s, get_arr, get_u64};
+use crate::snapshot::{f64_from_json, f64_to_json};
 
 /// Indices into the six Table 3 counters.
 const REQ_M1_P: usize = 0;
@@ -252,7 +252,7 @@ impl Rsm {
         if self.keep_samples {
             return Err("cannot restore into an RSM with sample recording enabled".to_string());
         }
-        let states_raw = get_arr(j, "states")?;
+        let states_raw = j.field_arr("states")?;
         if states_raw.len() != self.states.len() {
             return Err(format!(
                 "RSM program count mismatch: snapshot has {}, monitor has {}",
@@ -263,7 +263,7 @@ impl Rsm {
         let mut states = Vec::with_capacity(states_raw.len());
         for sj in states_raw {
             let mut s = ProgState::new();
-            s.raw = fixed_u64s::<6>(sj, "raw")?;
+            s.raw = sj.field_u64s::<6>("raw")?;
             s.smoothed = match sj.get("smoothed") {
                 Some(Json::Null) => None,
                 Some(Json::Arr(xs)) if xs.len() == 6 => {
@@ -275,7 +275,7 @@ impl Rsm {
                 }
                 _ => return Err("missing or invalid \"smoothed\"".to_string()),
             };
-            s.served_this_period = get_u64(sj, "served_this_period")?;
+            s.served_this_period = sj.field_u64("served_this_period")?;
             s.sf_a = f64_from_json(
                 sj.get("sf_a")
                     .ok_or_else(|| "missing \"sf_a\"".to_string())?,
@@ -286,7 +286,7 @@ impl Rsm {
                     .ok_or_else(|| "missing \"sf_b\"".to_string())?,
                 "sf_b",
             )?;
-            s.periods = get_u64(sj, "periods")?;
+            s.periods = sj.field_u64("periods")?;
             states.push(s);
         }
         self.states = states;

@@ -29,7 +29,6 @@ use super::profess::GuidanceStats;
 use super::rsm::{EpochReport, Rsm};
 use super::{AccessCtx, Decision, EvictRecord, MigrationPolicy, PolicyDiagnostics};
 use crate::regions::RegionClass;
-use crate::snapshot::fixed_u64s;
 
 /// Any migration policy, steered by RSM's Table 7 cases.
 pub struct RsmGuided {
@@ -218,7 +217,7 @@ impl MigrationPolicy for RsmGuided {
                 .ok_or_else(|| "missing \"rsm\"".to_string())?,
         )?;
         let [help_m2, protect_m1, protect_m1_product, default_mdm] =
-            fixed_u64s::<4>(state, "stats")?;
+            state.field_u64s::<4>("stats")?;
         self.stats = GuidanceStats {
             help_m2,
             protect_m1,

@@ -21,7 +21,7 @@ use profess_types::{Cycle, GroupId};
 use super::{AccessCtx, Decision, MigrationPolicy};
 use crate::flat::FlatCounters;
 use crate::regions::RegionClass;
-use crate::snapshot::{get_arr, get_u64, u64_from};
+use crate::snapshot::u64_from;
 
 /// Parameters of the SILC-FM-style policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,7 +145,7 @@ impl MigrationPolicy for SilcFmPolicy {
 
     fn restore_state(&mut self, state: &Json) -> Result<(), String> {
         let mut aging = FlatCounters::new();
-        for pair in get_arr(state, "aging")? {
+        for pair in state.field_arr("aging")? {
             let pair = pair
                 .as_arr()
                 .ok_or_else(|| "aging entry is not an array".to_string())?;
@@ -160,8 +160,8 @@ impl MigrationPolicy for SilcFmPolicy {
             }
         }
         self.aging = aging;
-        self.served_since_age = get_u64(state, "served_since_age")?;
-        self.locks_held = get_u64(state, "locks_held")?;
+        self.served_since_age = state.field_u64("served_since_age")?;
+        self.locks_held = state.field_u64("locks_held")?;
         Ok(())
     }
 }

@@ -185,47 +185,9 @@ impl SystemSnapshot {
 // Shared codec helpers for snapshot payload assembly and restore.
 // ---------------------------------------------------------------------------
 
-/// Fetches a required `u64` field from an object.
-pub fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field \"{key}\""))
-}
-
-/// Fetches a required boolean field from an object.
-pub fn get_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing or non-boolean field \"{key}\""))
-}
-
-/// Fetches a required array field from an object.
-pub fn get_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    obj.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array field \"{key}\""))
-}
-
 /// Reads a bare `u64` array element.
 pub fn u64_from(j: &Json, what: &str) -> Result<u64, String> {
     j.as_u64().ok_or_else(|| format!("non-integer {what}"))
-}
-
-/// Encodes an optional `u64` as `null` or an integer.
-pub fn opt_u64_to_json(v: Option<u64>) -> Json {
-    match v {
-        Some(x) => Json::UInt(x),
-        None => Json::Null,
-    }
-}
-
-/// Decodes `null` or an integer into an optional `u64`.
-pub fn opt_u64_from_json(j: &Json, what: &str) -> Result<Option<u64>, String> {
-    match j {
-        Json::Null => Ok(None),
-        Json::UInt(x) => Ok(Some(*x)),
-        _ => Err(format!("{what}: expected null or integer")),
-    }
 }
 
 /// Encodes an `i64` the way the JSON parser reads numbers back:
@@ -264,22 +226,6 @@ pub fn f64_from_json(j: &Json, what: &str) -> Result<f64, String> {
     }
     let bits = u64::from_str_radix(s, 16).map_err(|e| format!("{what}: {e}"))?;
     Ok(f64::from_bits(bits))
-}
-
-/// Decodes a fixed-length `u64` array field.
-pub fn fixed_u64s<const N: usize>(obj: &Json, key: &str) -> Result<[u64; N], String> {
-    let xs = get_arr(obj, key)?;
-    if xs.len() != N {
-        return Err(format!(
-            "field \"{key}\": expected {N} elements, got {}",
-            xs.len()
-        ));
-    }
-    let mut out = [0u64; N];
-    for (i, x) in xs.iter().enumerate() {
-        out[i] = u64_from(x, key)?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -379,19 +325,6 @@ mod tests {
         }
         assert!(i64_from_json(&Json::UInt(u64::MAX), "x").is_err());
         assert!(i64_from_json(&Json::Str("5".into()), "x").is_err());
-    }
-
-    #[test]
-    fn helper_errors_name_the_field() {
-        let o = Json::obj([("a", Json::UInt(1))]);
-        assert!(get_u64(&o, "b").expect_err("missing").contains("\"b\""));
-        assert!(get_bool(&o, "a").expect_err("wrong type").contains("\"a\""));
-        assert!(get_arr(&o, "a").expect_err("wrong type").contains("\"a\""));
-        assert!(
-            fixed_u64s::<2>(&Json::obj([("xs", Json::Arr(vec![Json::UInt(1)]))]), "xs")
-                .expect_err("short")
-                .contains("expected 2")
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use profess_metrics::Json;
 use profess_types::ids::SlotIdx;
 use profess_types::GroupId;
 
-use crate::snapshot::{get_arr, get_bool, get_u64, u64_from};
+use crate::snapshot::u64_from;
 
 /// Per-entry cached state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -290,7 +290,7 @@ impl Stc {
     /// Restores a [`Stc::snapshot_json`] encoding into this cache (which
     /// must have been built with the same geometry).
     pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let sets_raw = get_arr(j, "sets")?;
+        let sets_raw = j.field_arr("sets")?;
         if sets_raw.len() != self.lens.len() {
             return Err(format!(
                 "STC set count mismatch: snapshot has {}, cache has {}",
@@ -317,12 +317,12 @@ impl Stc {
             }
             let base = set * self.ways;
             for (slot, ej) in entries.iter().enumerate() {
-                let ac_raw = get_arr(ej, "ac")?;
-                let q_raw = get_arr(ej, "q_i")?;
+                let ac_raw = ej.field_arr("ac")?;
+                let q_raw = ej.field_arr("q_i")?;
                 if ac_raw.len() != SlotIdx::MAX || q_raw.len() != SlotIdx::MAX {
                     return Err("STC entry arrays must have SlotIdx::MAX elements".to_string());
                 }
-                let mut e = CachedEntry::new(GroupId(get_u64(ej, "group")?), [0; SlotIdx::MAX]);
+                let mut e = CachedEntry::new(GroupId(ej.field_u64("group")?), [0; SlotIdx::MAX]);
                 for (i, c) in ac_raw.iter().enumerate() {
                     let v = u64_from(c, "access counter")?;
                     e.ac[i] =
@@ -332,8 +332,8 @@ impl Stc {
                     let v = u64_from(q, "q_i value")?;
                     e.q_i[i] = u8::try_from(v).map_err(|_| "q_i value out of range".to_string())?;
                 }
-                e.dirty = get_bool(ej, "dirty")?;
-                e.stamp = get_u64(ej, "stamp")?;
+                e.dirty = ej.field_bool("dirty")?;
+                e.stamp = ej.field_u64("stamp")?;
                 keys[base + slot] = e.group.0;
                 flat[base + slot] = e;
                 lens[set] += 1;
@@ -342,15 +342,15 @@ impl Stc {
         self.keys = keys;
         self.entries = flat;
         self.lens = lens;
-        self.tick = get_u64(j, "tick")?;
+        self.tick = j.field_u64("tick")?;
         let stats = j
             .get("stats")
             .ok_or_else(|| "missing \"stats\"".to_string())?;
         self.stats = StcStats {
-            lookups: get_u64(stats, "lookups")?,
-            hits: get_u64(stats, "hits")?,
-            evictions: get_u64(stats, "evictions")?,
-            dirty_evictions: get_u64(stats, "dirty_evictions")?,
+            lookups: stats.field_u64("lookups")?,
+            hits: stats.field_u64("hits")?,
+            evictions: stats.field_u64("evictions")?,
+            dirty_evictions: stats.field_u64("dirty_evictions")?,
         };
         Ok(())
     }

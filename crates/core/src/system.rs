@@ -46,9 +46,7 @@ use crate::policies::profess::ProfessPolicy;
 use crate::policies::static_::StaticPolicy;
 use crate::policies::{AccessCtx, Decision, EvictRecord, MigrationPolicy};
 use crate::regions::RegionMap;
-use crate::snapshot::{
-    self, f64_from_json, f64_to_json, get_arr, get_bool, get_u64, u64_from, SystemSnapshot,
-};
+use crate::snapshot::{self, f64_from_json, f64_to_json, u64_from, SystemSnapshot};
 use crate::stc::{CachedEntry, Stc};
 
 /// Which migration policy to run.
@@ -234,37 +232,6 @@ impl SystemReport {
     }
 }
 
-/// Result of a preemptible run ([`SystemBuilder::try_run_preemptible`]).
-#[derive(Debug, Clone)]
-pub enum RunOutcome {
-    /// The run finished (or hit the safety cycle cap): the report.
-    Completed(SystemReport),
-    /// The run was preempted at a clock boundary
-    /// ([`SystemBuilder::snapshot_at`] reached, or cancellation with
-    /// [`SystemBuilder::snapshot_on_cancel`]): the state needed to
-    /// resume via [`SystemBuilder::restore`].
-    Preempted(Box<SystemSnapshot>),
-}
-
-impl RunOutcome {
-    /// The report, if the run completed.
-    // profess: allow(dead_item): kept for API symmetry with `snapshot()`, the accessor the snapshot tests use
-    pub fn completed(self) -> Option<SystemReport> {
-        match self {
-            RunOutcome::Completed(r) => Some(r),
-            RunOutcome::Preempted(_) => None,
-        }
-    }
-
-    /// The snapshot, if the run was preempted.
-    pub fn preempted(self) -> Option<Box<SystemSnapshot>> {
-        match self {
-            RunOutcome::Completed(_) => None,
-            RunOutcome::Preempted(s) => Some(s),
-        }
-    }
-}
-
 /// Builder for a simulation run.
 pub struct SystemBuilder {
     cfg: SystemConfig,
@@ -361,8 +328,8 @@ impl SystemBuilder {
     }
 
     /// Preempts the run into a snapshot at the first clock boundary at or
-    /// after `cycle`: [`SystemBuilder::try_run_preemptible`] returns
-    /// [`RunOutcome::Preempted`] instead of running to completion.
+    /// after `cycle`: [`SystemBuilder::try_run`] returns
+    /// [`SimError::Preempted`] instead of running to completion.
     /// Restoring that snapshot (into a builder configured identically but
     /// *without* `snapshot_at`) and running to the end yields a report
     /// byte-identical to the uninterrupted run.
@@ -430,55 +397,29 @@ impl SystemBuilder {
         self
     }
 
-    /// Runs the simulation to completion.
+    /// Runs the simulation to completion, restoring first if a snapshot
+    /// was installed via [`SystemBuilder::restore`].
     ///
-    /// # Panics
-    ///
-    /// Panics if no programs were added or more programs than cores —
-    /// and, preserving the historical behaviour of this entry point, on
-    /// any [`SimError`] (deadlock, exceeded budget, cancellation). Use
-    /// [`SystemBuilder::try_run`] to handle those as values.
-    pub fn run(self) -> SystemReport {
-        match self.try_run() {
-            Ok(r) => r,
-            // profess: allow(panic): legacy entry point keeps the historical abort-on-deadlock contract
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs the simulation to completion, returning [`SimError`] for
-    /// deadlock, budget exhaustion, or cancellation instead of
-    /// panicking or silently crawling to the safety cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no programs were added or more programs than cores
-    /// (configuration bugs, not runtime failures).
-    pub fn try_run(self) -> Result<SystemReport, SimError> {
-        match self.try_run_preemptible()? {
-            RunOutcome::Completed(r) => Ok(r),
-            RunOutcome::Preempted(_) => Err(SimError::SnapshotUnsupported {
-                what: "run was preempted into a snapshot; use try_run_preemptible to receive it"
-                    .to_string(),
-            }),
-        }
-    }
-
-    /// Runs the simulation until completion *or* preemption
+    /// Every way the run can end without a report is a [`SimError`]: a
+    /// builder that cannot run ([`SimError::Config`]), deadlock, budget
+    /// exhaustion, cancellation, or a preemption
     /// ([`SystemBuilder::snapshot_at`] /
-    /// [`SystemBuilder::snapshot_on_cancel`]), restoring first if a
-    /// snapshot was installed via [`SystemBuilder::restore`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no programs were added or more programs than cores
-    /// (configuration bugs, not runtime failures).
-    pub fn try_run_preemptible(mut self) -> Result<RunOutcome, SimError> {
-        assert!(!self.programs.is_empty(), "no programs configured");
-        assert!(
-            self.programs.len() <= self.cfg.cpu.num_cores,
-            "more programs than cores"
-        );
+    /// [`SystemBuilder::snapshot_on_cancel`]) carrying the snapshot to
+    /// resume from ([`SimError::Preempted`]).
+    pub fn try_run(mut self) -> Result<SystemReport, SimError> {
+        let config = |what: &str| SimError::Config {
+            what: what.to_string(),
+        };
+        if self.programs.is_empty() {
+            return Err(config("no programs configured"));
+        }
+        if self.programs.len() > self.cfg.cpu.num_cores {
+            return Err(config(&format!(
+                "more programs than cores ({} programs, {} cores)",
+                self.programs.len(),
+                self.cfg.cpu.num_cores
+            )));
+        }
         let restore_from = self.restore_from.take();
         let mut sys = System::new(self);
         if let Some(snap) = restore_from {
@@ -542,33 +483,33 @@ fn origin_from_json(
     num_groups: u64,
 ) -> Result<Origin, String> {
     let group = |j: &Json| -> Result<GroupId, String> {
-        let g = get_u64(j, "g")?;
+        let g = j.field_u64("g")?;
         if g >= num_groups {
             return Err(format!("origin group {g} out of range"));
         }
         Ok(GroupId(g))
     };
-    match get_u64(j, "t")? {
+    match j.field_u64("t")? {
         0 => {
-            let core = get_u64(j, "core")? as usize;
+            let core = j.field_u64("core")? as usize;
             if core >= n_cores {
                 return Err(format!("origin core {core} out of range"));
             }
-            let slot = get_u64(j, "s")?;
+            let slot = j.field_u64("s")?;
             if slot >= SlotIdx::MAX as u64 {
                 return Err(format!("origin slot {slot} out of range"));
             }
             Ok(Origin::Data {
                 core,
-                seq: get_u64(j, "seq")?,
-                is_write: get_bool(j, "w")?,
+                seq: j.field_u64("seq")?,
+                is_write: j.field_bool("w")?,
                 group: group(j)?,
                 orig_slot: SlotIdx(slot as u8),
-                from_m1: get_bool(j, "m1")?,
+                from_m1: j.field_bool("m1")?,
             })
         }
         1 => {
-            let channel = get_u64(j, "ch")? as usize;
+            let channel = j.field_u64("ch")? as usize;
             if channel >= n_channels {
                 return Err(format!("origin channel {channel} out of range"));
             }
@@ -947,18 +888,20 @@ impl System {
         );
     }
 
-    fn handle_core_request(&mut self, core: usize, r: CoreRequest) {
+    /// Routes one core request. A page fault with no free frame left is
+    /// a configuration error: the footprints do not fit the memory.
+    fn handle_core_request(&mut self, core: usize, r: CoreRequest) -> Result<(), SimError> {
         let lines_per_page = self.geom.page_bytes / self.geom.line_bytes;
         let vpage = r.line / lines_per_page;
         let program = ProgramId(core as u8);
         let frame = match self.page_tables[core].get(vpage) {
             Some(f) => f,
             None => {
-                let f = self
-                    .alloc
-                    .allocate(program, &self.geom)
-                    // profess: allow(panic): capacity misconfiguration is unrecoverable mid-run
-                    .unwrap_or_else(|| panic!("out of physical memory for program {core}"));
+                let Some(f) = self.alloc.allocate(program, &self.geom) else {
+                    return Err(SimError::Config {
+                        what: format!("out of physical memory for program {core}"),
+                    });
+                };
                 self.page_tables[core].insert(vpage, f);
                 f
             }
@@ -992,6 +935,7 @@ impl System {
                 );
             }
         }
+        Ok(())
     }
 
     /// Processes an evicted STC entry: QAC write-back, MDM statistics, and
@@ -1436,7 +1380,7 @@ impl System {
         let n_ch = self.channels.len();
         let p = snap.payload();
         let sized = |key: &'static str, want: usize| -> Result<&[Json], SimError> {
-            let xs = get_arr(p, key).map_err(corrupt)?;
+            let xs = p.field_arr(key).map_err(corrupt)?;
             if xs.len() != want {
                 return Err(corrupt(format!(
                     "field \"{key}\": expected {want} entries, got {}",
@@ -1445,8 +1389,8 @@ impl System {
             }
             Ok(xs)
         };
-        self.clock = Cycle(get_u64(p, "clock").map_err(corrupt)?);
-        self.retired = get_u64(p, "retired").map_err(corrupt)?;
+        self.clock = Cycle(p.field_u64("clock").map_err(corrupt)?);
+        self.retired = p.field_u64("retired").map_err(corrupt)?;
         // Restart counts come first: regenerating each core's op source
         // needs the restart index of the instance that was running.
         for (i, r) in sized("restarts", n_prog)?.iter().enumerate() {
@@ -1518,10 +1462,10 @@ impl System {
             self.page_tables[i] = FlatPageTable::from_raw_frames(frames);
         }
         let meta = field(p, "meta")?;
-        let base = get_u64(meta, "base").map_err(corrupt)?;
+        let base = meta.field_u64("base").map_err(corrupt)?;
         let mut slots = VecDeque::new();
         let num_groups = self.geom.num_groups();
-        for s in get_arr(meta, "slots").map_err(corrupt)? {
+        for s in meta.field_arr("slots").map_err(corrupt)? {
             slots.push_back(match s {
                 Json::Null => None,
                 other => Some(origin_from_json(other, n_prog, n_ch, num_groups).map_err(corrupt)?),
@@ -1529,7 +1473,7 @@ impl System {
         }
         self.meta = TokenRing::from_raw_parts(slots, base);
         self.pending_st = SlabQueues::new(num_groups as usize);
-        for entry in get_arr(p, "pending_st").map_err(corrupt)? {
+        for entry in p.field_arr("pending_st").map_err(corrupt)? {
             let xs = entry.as_arr().filter(|xs| xs.len() == 2).ok_or_else(|| {
                 corrupt("pending_st: expected [group, waiters] pairs".to_string())
             })?;
@@ -1564,7 +1508,7 @@ impl System {
         Ok(())
     }
 
-    fn run(mut self) -> Result<RunOutcome, SimError> {
+    fn run(mut self) -> Result<SystemReport, SimError> {
         let mut served_buf: Vec<Served> = Vec::new();
         let mut out_reqs: Vec<CoreRequest> = Vec::new();
         loop {
@@ -1576,13 +1520,13 @@ impl System {
             // needs to resume byte-identically.
             if let Some(at) = self.snapshot_at {
                 if at <= self.clock.raw() {
-                    return Ok(RunOutcome::Preempted(Box::new(self.snapshot()?)));
+                    return Err(self.preempt());
                 }
             }
             if let Some(token) = &self.limits.cancel {
                 if token.is_cancelled() {
                     if self.snapshot_on_cancel {
-                        return Ok(RunOutcome::Preempted(Box::new(self.snapshot()?)));
+                        return Err(self.preempt());
                     }
                     return Err(SimError::Cancelled {
                         cycle: self.clock.raw(),
@@ -1631,7 +1575,7 @@ impl System {
                     self.cores[i].advance(now, &mut out_reqs);
                     self.core_dirty[i] = true;
                     for r in out_reqs.drain(..) {
-                        self.handle_core_request(i, r);
+                        self.handle_core_request(i, r)?;
                     }
                 }
             }
@@ -1729,7 +1673,18 @@ impl System {
                 ch.catch_up_refresh(self.clock);
             }
         }
-        Ok(RunOutcome::Completed(self.report()))
+        Ok(self.report())
+    }
+
+    /// The error a preempted run returns: the snapshot to resume from,
+    /// or the reason the run cannot be snapshotted.
+    fn preempt(&self) -> SimError {
+        match self.snapshot() {
+            Ok(s) => SimError::Preempted {
+                snapshot: Box::new(s),
+            },
+            Err(e) => e,
+        }
     }
 
     fn report(mut self) -> SystemReport {
@@ -1956,7 +1911,8 @@ mod tests {
         let report = SystemBuilder::new(tiny_cfg())
             .policy(PolicyKind::Static)
             .program("stream", scripted_stream(2000, 1, 30))
-            .run();
+            .try_run()
+            .unwrap();
         assert!(!report.truncated);
         assert_eq!(report.swaps, 0, "static policy must never swap");
         assert_eq!(report.programs.len(), 1);
@@ -1971,7 +1927,8 @@ mod tests {
         let report = SystemBuilder::new(tiny_cfg())
             .policy(PolicyKind::Cameo)
             .program("stream", scripted_stream(2000, 1, 30))
-            .run();
+            .try_run()
+            .unwrap();
         assert!(report.swaps > 0, "CAMEO must swap on M2 touches");
     }
 
@@ -1983,11 +1940,13 @@ mod tests {
         let static_run = SystemBuilder::new(tiny_cfg())
             .policy(PolicyKind::Static)
             .program("hot", scripted_chase(20_000, 10))
-            .run();
+            .try_run()
+            .unwrap();
         let mdm_run = SystemBuilder::new(tiny_cfg())
             .policy(PolicyKind::Mdm)
             .program("hot", scripted_chase(20_000, 10))
-            .run();
+            .try_run()
+            .unwrap();
         let f_static = static_run.programs[0].m1_fraction();
         let f_mdm = mdm_run.programs[0].m1_fraction();
         assert!(
@@ -2010,7 +1969,8 @@ mod tests {
             .policy(PolicyKind::Pom)
             .program("short", scripted_stream(500, 1, 10))
             .program("long", scripted_stream(20_000, 3, 10))
-            .run();
+            .try_run()
+            .unwrap();
         assert!(!report.truncated);
         assert!(
             report.programs[0].restarts > 0,
@@ -2027,7 +1987,8 @@ mod tests {
             .policy(PolicyKind::Profess)
             .program("a", scripted_stream(3000, 1, 20))
             .program("b", scripted_stream(3000, 7, 20))
-            .run();
+            .try_run()
+            .unwrap();
         assert!(!report.truncated);
         assert_eq!(report.programs.len(), 2);
         assert!(report.total_served > 6000);
@@ -2038,7 +1999,8 @@ mod tests {
         let report = SystemBuilder::new(tiny_cfg())
             .policy(PolicyKind::MemPod)
             .program("hot", scripted_stream(20_000, 1, 10))
-            .run();
+            .try_run()
+            .unwrap();
         assert!(report.swaps > 0, "MemPod should migrate hot blocks");
     }
 
@@ -2050,7 +2012,8 @@ mod tests {
             .policy(PolicyKind::Pom)
             .sample_regions(true)
             .program("stream", scripted_stream(5000, 1, 20))
-            .run();
+            .try_run()
+            .unwrap();
         let s = report.sampling[0].as_ref().expect("sampling enabled");
         assert!(s.periods > 1);
         assert!(s.mean_sigma_req >= 0.0);
@@ -2063,7 +2026,8 @@ mod tests {
         let report = SystemBuilder::new(cfg)
             .policy(PolicyKind::Profess)
             .spec_program(SpecProgram::Libquantum, 50_000)
-            .run();
+            .try_run()
+            .unwrap();
         assert!(!report.truncated);
         assert!(report.programs[0].instructions >= 50_000);
         assert!(report.stc_hit_rate > 0.0);
@@ -2075,7 +2039,8 @@ mod tests {
             .policy(PolicyKind::Mdm)
             .trace(TraceConfig::off())
             .program("stream", scripted_stream(2000, 1, 30))
-            .run();
+            .try_run()
+            .unwrap();
         assert!(report.trace.is_none());
     }
 
@@ -2088,7 +2053,8 @@ mod tests {
             .trace(TraceConfig::on())
             .program("a", scripted_chase(6000, 10))
             .program("b", scripted_stream(6000, 7, 20))
-            .run();
+            .try_run()
+            .unwrap();
         let log = report.trace.as_ref().expect("tracing was on");
         assert!(log.count_kind("swap_begin") >= 1, "no swaps traced");
         assert_eq!(
@@ -2134,7 +2100,8 @@ mod tests {
             .trace(TraceConfig::on())
             .program("a", scripted_chase(6000, 10))
             .program("b", scripted_stream(6000, 7, 20))
-            .run();
+            .try_run()
+            .unwrap();
         let log = report.trace.as_ref().expect("tracing was on");
         assert!(log.count_kind("rsm_epoch") >= 1, "shadow RSM must report");
         assert!(log.count_kind("mdm_decision") >= 1);
@@ -2211,29 +2178,13 @@ mod tests {
     }
 
     #[test]
-    fn try_run_report_matches_run() {
-        let a = SystemBuilder::new(tiny_cfg())
-            .policy(PolicyKind::Mdm)
-            .program("stream", scripted_stream(2000, 1, 30))
-            .try_run()
-            .expect("completes");
-        let b = SystemBuilder::new(tiny_cfg())
-            .policy(PolicyKind::Mdm)
-            .program("stream", scripted_stream(2000, 1, 30))
-            .run();
-        assert_eq!(a.elapsed_cycles, b.elapsed_cycles);
-        assert_eq!(a.total_served, b.total_served);
-        assert_eq!(a.swaps, b.swaps);
-        assert_eq!(a.programs[0].ipc, b.programs[0].ipc);
-    }
-
-    #[test]
     fn unbudgeted_run_is_unaffected_by_generous_budget() {
         // A budget above the run's needs must not perturb the result.
         let free = SystemBuilder::new(tiny_cfg())
             .policy(PolicyKind::Pom)
             .program("stream", scripted_stream(2000, 1, 30))
-            .run();
+            .try_run()
+            .unwrap();
         let budgeted = SystemBuilder::new(tiny_cfg())
             .policy(PolicyKind::Pom)
             .budget(
@@ -2255,14 +2206,18 @@ mod tests {
             .program("hot", scripted_chase(6000, 10))
     }
 
+    /// Runs `b`, which must be preempted, and returns its snapshot.
+    fn preempted(b: SystemBuilder) -> Box<SystemSnapshot> {
+        match b.try_run() {
+            Err(SimError::Preempted { snapshot }) => snapshot,
+            other => panic!("expected a preemption, got {other:?}"),
+        }
+    }
+
     #[test]
     fn snapshot_restore_resumes_identically() {
-        let straight = mdm_chase(tiny_cfg()).run();
-        let outcome = mdm_chase(tiny_cfg())
-            .snapshot_at(straight.elapsed_cycles / 2)
-            .try_run_preemptible()
-            .expect("preemptible run");
-        let snap = outcome.preempted().expect("preempted mid-run");
+        let straight = mdm_chase(tiny_cfg()).try_run().unwrap();
+        let snap = preempted(mdm_chase(tiny_cfg()).snapshot_at(straight.elapsed_cycles / 2));
         assert!(snap.clock() >= straight.elapsed_cycles / 2);
         assert!(snap.clock() < straight.elapsed_cycles);
         // Full wire round trip before resuming.
@@ -2299,17 +2254,13 @@ mod tests {
 
     #[test]
     fn snapshot_at_zero_preempts_before_any_work() {
-        let outcome = mdm_chase(tiny_cfg())
-            .snapshot_at(0)
-            .try_run_preemptible()
-            .expect("preemptible run");
-        let snap = outcome.preempted().expect("preempted at cycle 0");
+        let snap = preempted(mdm_chase(tiny_cfg()).snapshot_at(0));
         assert_eq!(snap.clock(), 0);
         let resumed = mdm_chase(tiny_cfg())
             .restore(&snap)
             .try_run()
             .expect("resumes");
-        let straight = mdm_chase(tiny_cfg()).run();
+        let straight = mdm_chase(tiny_cfg()).try_run().unwrap();
         assert_eq!(resumed.elapsed_cycles, straight.elapsed_cycles);
         assert_eq!(resumed.total_served, straight.total_served);
         assert_eq!(resumed.swaps, straight.swaps);
@@ -2317,12 +2268,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_mismatched_config() {
-        let snap = mdm_chase(tiny_cfg())
-            .snapshot_at(0)
-            .try_run_preemptible()
-            .expect("preemptible run")
-            .preempted()
-            .expect("preempted");
+        let snap = preempted(mdm_chase(tiny_cfg()).snapshot_at(0));
         // Different policy → different configuration fingerprint.
         let err = SystemBuilder::new(tiny_cfg())
             .policy(PolicyKind::Pom)
@@ -2338,12 +2284,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_malformed_payload() {
-        let snap = mdm_chase(tiny_cfg())
-            .snapshot_at(0)
-            .try_run_preemptible()
-            .expect("preemptible run")
-            .preempted()
-            .expect("preempted");
+        let snap = preempted(mdm_chase(tiny_cfg()).snapshot_at(0));
         // A payload with the right fingerprint but missing state must be
         // a typed error, not a panic.
         let bogus = SystemSnapshot::new(
@@ -2361,12 +2302,11 @@ mod tests {
     fn cancel_with_snapshot_on_cancel_preempts() {
         let token = profess_par::CancelToken::new();
         token.cancel();
-        let outcome = mdm_chase(tiny_cfg())
-            .cancel_token(token)
-            .snapshot_on_cancel(true)
-            .try_run_preemptible()
-            .expect("cancellation becomes a snapshot");
-        let snap = outcome.preempted().expect("preempted by cancellation");
+        let snap = preempted(
+            mdm_chase(tiny_cfg())
+                .cancel_token(token)
+                .snapshot_on_cancel(true),
+        );
         assert_eq!(snap.clock(), 0, "pre-fired token preempts immediately");
     }
 
@@ -2375,7 +2315,7 @@ mod tests {
         let err = mdm_chase(tiny_cfg())
             .sample_regions(true)
             .snapshot_at(0)
-            .try_run_preemptible()
+            .try_run()
             .expect_err("sampling diagnostics are not snapshottable");
         assert!(
             matches!(err, SimError::SnapshotUnsupported { .. }),
@@ -2388,11 +2328,10 @@ mod tests {
         let err = mdm_chase(tiny_cfg())
             .snapshot_at(0)
             .try_run()
-            .expect_err("try_run cannot deliver a snapshot");
-        assert!(
-            matches!(err, SimError::SnapshotUnsupported { .. }),
-            "{err:?}"
-        );
+            .expect_err("a preempted run returns its snapshot as an error");
+        assert_eq!(err.label(), "preempted");
+        assert_eq!(err.to_string(), "preempted into snapshot at cycle 0");
+        assert!(matches!(err, SimError::Preempted { .. }), "{err:?}");
     }
 
     #[test]
@@ -2405,16 +2344,11 @@ mod tests {
                 .program("short", scripted_stream(500, 1, 10))
                 .program("long", scripted_stream(20_000, 3, 10))
         };
-        let straight = build().run();
+        let straight = build().try_run().unwrap();
         assert!(straight.programs[0].restarts > 0, "test needs a restart");
         // Snapshot late enough that the short program restarted at least
         // once, so the restore path exercises non-zero restart indices.
-        let snap = build()
-            .snapshot_at(straight.elapsed_cycles * 3 / 4)
-            .try_run_preemptible()
-            .expect("preemptible run")
-            .preempted()
-            .expect("preempted");
+        let snap = preempted(build().snapshot_at(straight.elapsed_cycles * 3 / 4));
         let resumed = build().restore(&snap).try_run().expect("resumes");
         assert_eq!(resumed.elapsed_cycles, straight.elapsed_cycles);
         assert_eq!(resumed.total_served, straight.total_served);
@@ -2427,17 +2361,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no programs")]
-    fn empty_builder_panics() {
-        let _ = SystemBuilder::new(tiny_cfg()).run();
+    fn empty_builder_is_a_config_error() {
+        let err = SystemBuilder::new(tiny_cfg()).try_run().unwrap_err();
+        assert_eq!(err.label(), "config");
+        assert!(err.to_string().contains("no programs"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "more programs than cores")]
-    fn too_many_programs_panics() {
-        let _ = SystemBuilder::new(tiny_cfg())
+    fn too_many_programs_is_a_config_error() {
+        let err = SystemBuilder::new(tiny_cfg())
             .program("a", scripted_stream(10, 1, 1))
             .program("b", scripted_stream(10, 1, 1))
-            .run();
+            .try_run()
+            .unwrap_err();
+        assert_eq!(err.label(), "config");
+        assert!(
+            err.to_string().contains("more programs than cores"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unscaled_footprint_exhausting_frames_is_a_config_error() {
+        // bwaves at full footprint needs more pages than the ÷32 single
+        // system has frames.
+        let mut cfg = SystemConfig::scaled_single();
+        cfg.footprint_div = 1;
+        let err = SystemBuilder::new(cfg)
+            .policy(PolicyKind::Pom)
+            .spec_program(
+                SpecProgram::Bwaves,
+                SpecProgram::Bwaves.budget_for_misses(60_000),
+            )
+            .try_run()
+            .unwrap_err();
+        assert_eq!(err.label(), "config");
+        assert!(
+            err.to_string()
+                .contains("out of physical memory for program 0"),
+            "{err}"
+        );
     }
 }

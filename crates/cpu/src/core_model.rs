@@ -460,10 +460,7 @@ impl CoreSim {
     /// `spmc`) and the profiling histograms (`obs`) are excluded.
     pub fn snapshot_state(&self) -> Json {
         let inflight_load = |l: &InflightLoad| {
-            Json::obj([
-                ("seq", Json::UInt(l.seq)),
-                ("done", opt_u64_to_json(l.done)),
-            ])
+            Json::obj([("seq", Json::UInt(l.seq)), ("done", Json::opt_u64(l.done))])
         };
         let (wait_kind, wait_slot) = match self.wait {
             WaitState::Ready => (0, 0),
@@ -499,7 +496,7 @@ impl CoreSim {
             ("wait_kind", Json::UInt(wait_kind)),
             ("wait_slot", Json::UInt(wait_slot)),
             ("exhausted", Json::Bool(self.exhausted)),
-            ("finish_slot", opt_u64_to_json(self.finish_slot)),
+            ("finish_slot", Json::opt_u64(self.finish_slot)),
             ("instance_start_slot", Json::UInt(self.instance_start_slot)),
             ("loads_issued", Json::UInt(self.loads_issued)),
             ("stores_issued", Json::UInt(self.stores_issued)),
@@ -521,7 +518,7 @@ impl CoreSim {
         snap: &Json,
         mut source: Box<dyn OpSource>,
     ) -> Result<(), String> {
-        let ops_consumed = get_u64(snap, "ops_consumed")?;
+        let ops_consumed = snap.field_u64("ops_consumed")?;
         for i in 0..ops_consumed {
             if source.next_op().is_none() {
                 return Err(format!(
@@ -531,30 +528,29 @@ impl CoreSim {
         }
         let inflight_load = |v: &Json, what: &str| -> Result<InflightLoad, String> {
             Ok(InflightLoad {
-                seq: get_u64(v, "seq").map_err(|e| format!("{what} {e}"))?,
-                done: opt_u64_from_json(v.get("done"), "done")
-                    .map_err(|e| format!("{what} {e}"))?,
+                seq: v.field_u64("seq").map_err(|e| format!("{what} {e}"))?,
+                done: v.field_opt_u64("done").map_err(|e| format!("{what} {e}"))?,
             })
         };
         self.source = source;
         self.ops_consumed = ops_consumed;
-        self.exec_slot = get_u64(snap, "exec_slot")?;
-        self.exec_seq = get_u64(snap, "exec_seq")?;
+        self.exec_slot = snap.field_u64("exec_slot")?;
+        self.exec_seq = snap.field_u64("exec_seq")?;
         self.pending = match snap.get("pending") {
             Some(Json::Null) => None,
             Some(p) => Some(PendingOp {
                 op: MemOp {
-                    gap: u32::try_from(get_u64(p, "gap")?)
+                    gap: u32::try_from(p.field_u64("gap")?)
                         .map_err(|_| "pending gap: out of range".to_string())?,
-                    kind: if get_bool(p, "store")? {
+                    kind: if p.field_bool("store")? {
                         MemOpKind::Store
                     } else {
                         MemOpKind::Load
                     },
-                    line: get_u64(p, "line")?,
-                    dependent: get_bool(p, "dependent")?,
+                    line: p.field_u64("line")?,
+                    dependent: p.field_bool("dependent")?,
                 },
-                gap_left: u32::try_from(get_u64(p, "gap_left")?)
+                gap_left: u32::try_from(p.field_u64("gap_left")?)
                     .map_err(|_| "pending gap_left: out of range".to_string())?,
             }),
             None => return Err("pending: missing".to_string()),
@@ -566,52 +562,28 @@ impl CoreSim {
             .iter()
             .map(|v| inflight_load(v, "inflight"))
             .collect::<Result<_, _>>()?;
-        self.outstanding = usize::try_from(get_u64(snap, "outstanding")?)
+        self.outstanding = usize::try_from(snap.field_u64("outstanding")?)
             .map_err(|_| "outstanding: out of range".to_string())?;
         self.last_load = match snap.get("last_load") {
             Some(Json::Null) => None,
             Some(v) => Some(inflight_load(v, "last_load")?),
             None => return Err("last_load: missing".to_string()),
         };
-        self.wb_used = usize::try_from(get_u64(snap, "wb_used")?)
+        self.wb_used = usize::try_from(snap.field_u64("wb_used")?)
             .map_err(|_| "wb_used: out of range".to_string())?;
-        self.wait = match (get_u64(snap, "wait_kind")?, get_u64(snap, "wait_slot")?) {
+        self.wait = match (snap.field_u64("wait_kind")?, snap.field_u64("wait_slot")?) {
             (0, _) => WaitState::Ready,
             (1, s) => WaitState::UntilSlot(s),
             (2, _) => WaitState::OnResponse,
             (3, _) => WaitState::Finished,
             (k, _) => return Err(format!("wait_kind: unknown value {k}")),
         };
-        self.exhausted = get_bool(snap, "exhausted")?;
-        self.finish_slot = opt_u64_from_json(snap.get("finish_slot"), "finish_slot")?;
-        self.instance_start_slot = get_u64(snap, "instance_start_slot")?;
-        self.loads_issued = get_u64(snap, "loads_issued")?;
-        self.stores_issued = get_u64(snap, "stores_issued")?;
+        self.exhausted = snap.field_bool("exhausted")?;
+        self.finish_slot = snap.field_opt_u64("finish_slot")?;
+        self.instance_start_slot = snap.field_u64("instance_start_slot")?;
+        self.loads_issued = snap.field_u64("loads_issued")?;
+        self.stores_issued = snap.field_u64("stores_issued")?;
         Ok(())
-    }
-}
-
-fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{key}: missing or not an unsigned integer"))
-}
-
-fn get_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{key}: missing or not a boolean"))
-}
-
-fn opt_u64_to_json(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, Json::UInt)
-}
-
-fn opt_u64_from_json(v: Option<&Json>, what: &str) -> Result<Option<u64>, String> {
-    match v {
-        Some(Json::Null) => Ok(None),
-        Some(Json::UInt(u)) => Ok(Some(*u)),
-        _ => Err(format!("{what}: missing or not null/unsigned")),
     }
 }
 

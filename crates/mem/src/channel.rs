@@ -701,22 +701,23 @@ impl ChannelSim {
     /// (e.g. a bank count that differs from this channel's configuration).
     pub fn restore_state(&mut self, snap: &Json) -> Result<(), String> {
         let banks = |key: &str, want: usize| -> Result<Vec<BankState>, String> {
-            let arr = get_arr(snap, key)?;
+            let arr = snap.field_arr(key)?;
             if arr.len() != want {
                 return Err(format!("{key}: {} banks, expected {want}", arr.len()));
             }
             arr.iter().map(bank_from_json).collect()
         };
         let queue = |key: &str| -> Result<Vec<Queued>, String> {
-            get_arr(snap, key)?.iter().map(queued_from_json).collect()
+            snap.field_arr(key)?.iter().map(queued_from_json).collect()
         };
         self.banks_m1 = banks("banks_m1", self.banks_m1.len())?;
         self.banks_m2 = banks("banks_m2", self.banks_m2.len())?;
-        self.bus_free = Cycle(get_u64(snap, "bus_free")?);
-        self.blocked_until = Cycle(get_u64(snap, "blocked_until")?);
+        self.bus_free = Cycle(snap.field_u64("bus_free")?);
+        self.blocked_until = Cycle(snap.field_u64("blocked_until")?);
         self.read_q = queue("read_q")?;
         self.write_q = queue("write_q")?;
-        self.inflight = get_arr(snap, "inflight")?
+        self.inflight = snap
+            .field_arr("inflight")?
             .iter()
             .map(served_from_json)
             .collect::<Result<_, _>>()?;
@@ -725,10 +726,10 @@ impl ChannelSim {
             .iter()
             .map(|s| s.done)
             .fold(Cycle::NEVER, Cycle::min);
-        self.draining_writes = get_bool(snap, "draining_writes")?;
+        self.draining_writes = snap.field_bool("draining_writes")?;
         self.sched_hint = None;
-        self.next_refresh = Cycle(get_u64(snap, "next_refresh")?);
-        let e = get_u64_array::<7>(snap, "energy")?;
+        self.next_refresh = Cycle(snap.field_u64("next_refresh")?);
+        let e = snap.field_u64s::<7>("energy")?;
         self.energy = EnergyCounters {
             m1_acts: e[0],
             m1_reads: e[1],
@@ -738,7 +739,7 @@ impl ChannelSim {
             m2_writes: e[5],
             m1_refreshes: e[6],
         };
-        let s = get_u64_array::<7>(snap, "stats")?;
+        let s = snap.field_u64s::<7>("stats")?;
         self.stats = ChannelStats {
             reads_served: s[0],
             writes_served: s[1],
@@ -752,55 +753,11 @@ impl ChannelSim {
     }
 }
 
-fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{key}: missing or not an unsigned integer"))
-}
-
-fn get_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{key}: missing or not a boolean"))
-}
-
-fn get_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    obj.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{key}: missing or not an array"))
-}
-
-fn get_u64_array<const N: usize>(obj: &Json, key: &str) -> Result<[u64; N], String> {
-    let arr = get_arr(obj, key)?;
-    if arr.len() != N {
-        return Err(format!("{key}: {} entries, expected {N}", arr.len()));
-    }
-    let mut out = [0u64; N];
-    for (i, v) in arr.iter().enumerate() {
-        out[i] = v
-            .as_u64()
-            .ok_or_else(|| format!("{key}[{i}]: not an unsigned integer"))?;
-    }
-    Ok(out)
-}
-
-fn opt_u64_to_json(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, Json::UInt)
-}
-
-fn opt_u64_from_json(v: Option<&Json>, what: &str) -> Result<Option<u64>, String> {
-    match v {
-        Some(Json::Null) => Ok(None),
-        Some(Json::UInt(u)) => Ok(Some(*u)),
-        _ => Err(format!("{what}: missing or not null/unsigned")),
-    }
-}
-
 fn bank_to_json(b: &BankState) -> Json {
     Json::obj([
-        ("open_row", opt_u64_to_json(b.open_row)),
+        ("open_row", Json::opt_u64(b.open_row)),
         ("cas_ready", Json::UInt(b.cas_ready.raw())),
-        ("last_act", opt_u64_to_json(b.last_act.map(Cycle::raw))),
+        ("last_act", Json::opt_u64(b.last_act.map(Cycle::raw))),
         ("pre_ready", Json::UInt(b.pre_ready.raw())),
         ("hit_streak", Json::UInt(u64::from(b.hit_streak))),
     ])
@@ -808,11 +765,11 @@ fn bank_to_json(b: &BankState) -> Json {
 
 fn bank_from_json(v: &Json) -> Result<BankState, String> {
     Ok(BankState {
-        open_row: opt_u64_from_json(v.get("open_row"), "bank open_row")?,
-        cas_ready: Cycle(get_u64(v, "cas_ready")?),
-        last_act: opt_u64_from_json(v.get("last_act"), "bank last_act")?.map(Cycle),
-        pre_ready: Cycle(get_u64(v, "pre_ready")?),
-        hit_streak: u32::try_from(get_u64(v, "hit_streak")?)
+        open_row: v.field_opt_u64("open_row")?,
+        cas_ready: Cycle(v.field_u64("cas_ready")?),
+        last_act: v.field_opt_u64("last_act")?.map(Cycle),
+        pre_ready: Cycle(v.field_u64("pre_ready")?),
+        hit_streak: u32::try_from(v.field_u64("hit_streak")?)
             .map_err(|_| "bank hit_streak: out of range".to_string())?,
     })
 }
@@ -827,14 +784,14 @@ fn loc_to_pairs(loc: MemLoc) -> [(&'static str, Json); 3] {
 
 fn loc_from_json(v: &Json) -> Result<MemLoc, String> {
     Ok(MemLoc {
-        module: if get_bool(v, "m2")? {
+        module: if v.field_bool("m2")? {
             Module::M2
         } else {
             Module::M1
         },
-        bank: u32::try_from(get_u64(v, "bank")?)
+        bank: u32::try_from(v.field_u64("bank")?)
             .map_err(|_| "request bank: out of range".to_string())?,
-        row: get_u64(v, "row")?,
+        row: v.field_u64("row")?,
     })
 }
 
@@ -851,15 +808,15 @@ fn queued_to_json(q: &Queued) -> Json {
 fn queued_from_json(v: &Json) -> Result<Queued, String> {
     Ok(Queued {
         req: PhysRequest {
-            id: get_u64(v, "id")?,
-            kind: if get_bool(v, "write")? {
+            id: v.field_u64("id")?,
+            kind: if v.field_bool("write")? {
                 AccessKind::Write
             } else {
                 AccessKind::Read
             },
             loc: loc_from_json(v)?,
         },
-        enq: Cycle(get_u64(v, "enq")?),
+        enq: Cycle(v.field_u64("enq")?),
     })
 }
 
@@ -877,16 +834,16 @@ fn served_to_json(s: &Served) -> Json {
 
 fn served_from_json(v: &Json) -> Result<Served, String> {
     Ok(Served {
-        id: get_u64(v, "id")?,
-        kind: if get_bool(v, "write")? {
+        id: v.field_u64("id")?,
+        kind: if v.field_bool("write")? {
             AccessKind::Write
         } else {
             AccessKind::Read
         },
         loc: loc_from_json(v)?,
-        enqueued: Cycle(get_u64(v, "enqueued")?),
-        done: Cycle(get_u64(v, "done")?),
-        row_hit: get_bool(v, "row_hit")?,
+        enqueued: Cycle(v.field_u64("enqueued")?),
+        done: Cycle(v.field_u64("done")?),
+        row_hit: v.field_bool("row_hit")?,
     })
 }
 

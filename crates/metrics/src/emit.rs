@@ -86,6 +86,62 @@ impl Json {
         }
     }
 
+    /// A required unsigned-integer field of an object; the error names
+    /// the field.
+    pub fn field_u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing or non-integer field \"{key}\""))
+    }
+
+    /// A required boolean field of an object; the error names the field.
+    pub fn field_bool(&self, key: &str) -> Result<bool, String> {
+        self.get(key)
+            .and_then(Json::as_bool)
+            .ok_or_else(|| format!("missing or non-boolean field \"{key}\""))
+    }
+
+    /// A required array field of an object; the error names the field.
+    pub fn field_arr(&self, key: &str) -> Result<&[Json], String> {
+        self.get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("missing or non-array field \"{key}\""))
+    }
+
+    /// A required array field of exactly `N` unsigned integers; the
+    /// error names the field.
+    pub fn field_u64s<const N: usize>(&self, key: &str) -> Result<[u64; N], String> {
+        let xs = self.field_arr(key)?;
+        if xs.len() != N {
+            return Err(format!(
+                "field \"{key}\": expected {N} elements, got {}",
+                xs.len()
+            ));
+        }
+        let mut out = [0u64; N];
+        for (o, x) in out.iter_mut().zip(xs) {
+            *o = x
+                .as_u64()
+                .ok_or_else(|| format!("field \"{key}\": non-integer element"))?;
+        }
+        Ok(out)
+    }
+
+    /// A required `null`-or-integer field of an object (the encoding of
+    /// [`Json::opt_u64`]); the error names the field.
+    pub fn field_opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        match self.get(key) {
+            Some(Json::Null) => Ok(None),
+            Some(Json::UInt(x)) => Ok(Some(*x)),
+            _ => Err(format!("missing or non-integer, non-null field \"{key}\"")),
+        }
+    }
+
+    /// Encodes an optional integer as `null` or [`Json::UInt`].
+    pub fn opt_u64(v: Option<u64>) -> Json {
+        v.map_or(Json::Null, Json::UInt)
+    }
+
     /// Serializes compactly (no whitespace).
     pub fn to_string(&self) -> String {
         let mut out = String::new();
@@ -584,6 +640,25 @@ fn parse_csv_records(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn field_errors_name_the_field() {
+        let o = Json::obj([("a", Json::UInt(1)), ("n", Json::Null)]);
+        assert!(o.field_u64("b").expect_err("missing").contains("\"b\""));
+        assert!(o.field_bool("a").expect_err("wrong type").contains("\"a\""));
+        assert!(o.field_arr("a").expect_err("wrong type").contains("\"a\""));
+        assert!(o.field_opt_u64("x").expect_err("missing").contains("\"x\""));
+        assert_eq!(o.field_opt_u64("n"), Ok(None));
+        assert_eq!(o.field_opt_u64("a"), Ok(Some(1)));
+        let short = Json::obj([("xs", Json::Arr(vec![Json::UInt(1)]))]);
+        let err = short.field_u64s::<2>("xs").expect_err("short");
+        assert!(
+            err.contains("\"xs\"") && err.contains("expected 2"),
+            "{err}"
+        );
+        assert_eq!(Json::opt_u64(None), Json::Null);
+        assert_eq!(Json::opt_u64(Some(3)), Json::UInt(3));
+    }
 
     #[test]
     fn json_roundtrip_nested() {

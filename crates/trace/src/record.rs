@@ -99,11 +99,11 @@ impl From<std::io::Error> for TraceError {
 }
 
 /// Drains `source` (up to `max_ops` operations) into `w` in the trace
-/// format. Returns the number of ops written.
+/// format and flushes it. Returns the number of ops written.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
+/// Propagates I/O errors from the writer, the final flush included.
 pub fn record<W: Write>(
     source: &mut dyn OpSource,
     max_ops: u64,
@@ -124,6 +124,7 @@ pub fn record<W: Write>(
         )?;
         n += 1;
     }
+    w.flush()?;
     Ok(n)
 }
 
@@ -232,6 +233,30 @@ mod tests {
         }
         assert_eq!(replay.remaining(), 0);
         assert_eq!(replay.next_op(), None);
+    }
+
+    /// A sink whose every write fails.
+    struct FailingSink;
+
+    impl Write for FailingSink {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("disk full"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn record_reports_a_failed_final_flush() {
+        // The buffer holds the whole trace, so the sink is first touched
+        // by the final flush.
+        let mut gen = SpecProgram::Soplex.generator(64, 20_000, 9);
+        let w = std::io::BufWriter::with_capacity(1 << 16, FailingSink);
+        match record(&mut gen, 10, w) {
+            Err(TraceError::Io(e)) => assert_eq!(e.to_string(), "disk full"),
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
+use profess::core::SimError;
 use profess::metrics::table::TextTable;
 use profess::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let workload = workloads()[11]; // w12: milc - GemsFDTD - soplex - lbm
     let target_ops = 30_000;
     println!(
@@ -34,14 +35,13 @@ fn main() {
                 let r = SystemBuilder::new(cfg.clone())
                     .policy(policy)
                     .spec_program(prog, prog.budget_for_misses(target_ops))
-                    .run();
+                    .try_run()?;
                 solo_ipcs.push(r.programs[0].ipc);
             }
-            let mut b = SystemBuilder::new(cfg.clone()).policy(policy);
-            for prog in workload.programs {
-                b = b.spec_program(prog, prog.budget_for_misses(target_ops));
-            }
-            let multi = b.run();
+            let multi = SystemBuilder::new(cfg.clone())
+                .policy(policy)
+                .workload(&workload, target_ops)
+                .try_run()?;
             let slowdowns: Vec<f64> = multi
                 .programs
                 .iter()
@@ -61,4 +61,5 @@ fn main() {
     println!("Reading: a 1:4 system has twice the relative M1 of 1:8 —");
     println!("competition falls and the ProFess-over-PoM gap narrows; at");
     println!("1:16 competition intensifies and the gap widens (paper §5.4).");
+    Ok(())
 }

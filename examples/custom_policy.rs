@@ -11,6 +11,7 @@
 //! ```
 
 use profess::core::policies::AccessCtx;
+use profess::core::SimError;
 use profess::prelude::*;
 
 /// Promote on first touch unless the current M1 occupant looks active.
@@ -37,7 +38,7 @@ impl MigrationPolicy for FirstTouchPin {
     }
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut cfg = SystemConfig::scaled_single();
     cfg.rsm.m_samp = 2048;
     let prog = SpecProgram::Zeusmp;
@@ -46,7 +47,7 @@ fn main() {
     let custom = SystemBuilder::new(cfg.clone())
         .custom_policy(Box::new(FirstTouchPin::default()), false)
         .spec_program(prog, budget)
-        .run();
+        .try_run()?;
     println!(
         "{:>14}: IPC {:.3}, M1 fraction {:.2}, swaps {}",
         custom.policy,
@@ -59,7 +60,7 @@ fn main() {
         let r = SystemBuilder::new(cfg.clone())
             .policy(pk)
             .spec_program(prog, budget)
-            .run();
+            .try_run()?;
         println!(
             "{:>14}: IPC {:.3}, M1 fraction {:.2}, swaps {}",
             r.policy,
@@ -71,4 +72,5 @@ fn main() {
     println!("\nThe trait gives custom policies the same observability the");
     println!("built-ins use: STC access counters, QAC classes, ownership,");
     println!("region classes, swap and eviction callbacks.");
+    Ok(())
 }

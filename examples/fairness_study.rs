@@ -11,6 +11,7 @@
 //! cargo run --release --example fairness_study
 //! ```
 
+use profess::core::SimError;
 use profess::prelude::*;
 use profess::trace::patterns::{seeded_rng, Hotspot, Mix, MultiStream, Pattern};
 use profess::trace::ProgramParams;
@@ -54,7 +55,7 @@ fn victim(restart: u32) -> Box<dyn OpSource> {
     ))
 }
 
-fn run(policy: PolicyKind) -> (SystemReport, Vec<f64>) {
+fn run(policy: PolicyKind) -> Result<(SystemReport, Vec<f64>), SimError> {
     let mut cfg = SystemConfig::scaled_quad();
     cfg.rsm.m_samp = 4096;
     // Solo references.
@@ -66,19 +67,19 @@ fn run(policy: PolicyKind) -> (SystemReport, Vec<f64>) {
         } else {
             b.program("victim", victim)
         };
-        solos.push(b.run().programs[0].ipc);
+        solos.push(b.try_run()?.programs[0].ipc);
     }
     let multi = SystemBuilder::new(cfg)
         .policy(policy)
         .program("hog", hog)
         .program("victim", victim)
-        .run();
-    (multi, solos)
+        .try_run()?;
+    Ok((multi, solos))
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     for policy in [PolicyKind::Mdm, PolicyKind::Profess] {
-        let (multi, solos) = run(policy);
+        let (multi, solos) = run(policy)?;
         println!("== {} ==", multi.policy);
         let mut slowdowns = Vec::new();
         for (p, &solo) in multi.programs.iter().zip(&solos) {
@@ -117,4 +118,5 @@ fn main() {
     println!("sufferer and Table 7's cases fire (counts above); when the");
     println!("victim's hot set is the contested resource, its slowdown");
     println!("falls under ProFess relative to plain MDM.");
+    Ok(())
 }

@@ -5,9 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use profess::core::SimError;
 use profess::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // The default evaluation configuration: the paper's quad-core,
     // two-channel system (Table 8) with capacities scaled by 1/32.
     let cfg = SystemConfig::scaled_quad();
@@ -27,17 +28,16 @@ fn main() {
             let solo = SystemBuilder::new(cfg.clone())
                 .policy(policy)
                 .spec_program(prog, prog.budget_for_misses(target_ops))
-                .run();
+                .try_run()?;
             solo_ipcs.push(solo.programs[0].ipc);
         }
 
         // The contended run: all four programs together; early finishers
         // restart so competition persists (paper §4.2).
-        let mut builder = SystemBuilder::new(cfg.clone()).policy(policy);
-        for prog in workload.programs {
-            builder = builder.spec_program(prog, prog.budget_for_misses(target_ops));
-        }
-        let multi = builder.run();
+        let multi = SystemBuilder::new(cfg.clone())
+            .policy(policy)
+            .workload(&workload, target_ops)
+            .try_run()?;
 
         let slowdowns: Vec<f64> = multi
             .programs
@@ -76,4 +76,5 @@ fn main() {
     println!("the weighted speedup — the paper's §5.4 mechanism in");
     println!("miniature (run the fig13_15 bench for the full PoM-");
     println!("normalized sweep).");
+    Ok(())
 }

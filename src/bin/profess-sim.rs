@@ -117,12 +117,14 @@ fn print_report(r: &SystemReport) {
     }
 }
 
-fn run_multi(pk: PolicyKind, w: &Workload, cfg: &SystemConfig, ops: u64) -> SystemReport {
-    let mut b = SystemBuilder::new(cfg.clone()).policy(pk);
-    for p in w.programs {
-        b = b.spec_program(p, p.budget_for_misses(ops));
-    }
-    b.run()
+fn run_multi(pk: PolicyKind, w: &Workload, cfg: &SystemConfig, ops: u64) -> Result<(), String> {
+    let r = SystemBuilder::new(cfg.clone())
+        .policy(pk)
+        .workload(w, ops)
+        .try_run()
+        .map_err(|e| e.to_string())?;
+    print_report(&r);
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -175,7 +177,8 @@ fn main() -> ExitCode {
                 let r = SystemBuilder::new(cfg)
                     .policy(pk)
                     .spec_program(prog, prog.budget_for_misses(ops))
-                    .run();
+                    .try_run()
+                    .map_err(|e| e.to_string())?;
                 print_report(&r);
                 Ok(())
             }
@@ -184,17 +187,14 @@ fn main() -> ExitCode {
                 let pk = policy_of(&flags)?;
                 let cfg = config_of(&flags, true)?;
                 let ops = ops_of(&flags, 60_000)?;
-                let r = run_multi(pk, &w, &cfg, ops);
-                print_report(&r);
-                Ok(())
+                run_multi(pk, &w, &cfg, ops)
             }
             "compare" => {
                 let w = workload_of(&flags)?;
                 let cfg = config_of(&flags, true)?;
                 let ops = ops_of(&flags, 40_000)?;
                 for &(_, pk) in POLICIES {
-                    let r = run_multi(pk, &w, &cfg, ops);
-                    print_report(&r);
+                    run_multi(pk, &w, &cfg, ops)?;
                 }
                 Ok(())
             }

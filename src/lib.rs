@@ -34,8 +34,9 @@
 //! let report = SystemBuilder::new(cfg)
 //!     .policy(PolicyKind::Profess)
 //!     .spec_program(SpecProgram::Zeusmp, 50_000)
-//!     .run();
+//!     .try_run()?;
 //! assert!(report.programs[0].ipc > 0.0);
+//! # Ok::<(), profess::core::SimError>(())
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory, `EXPERIMENTS.md` for the
@@ -60,7 +61,7 @@ pub mod report;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use profess_core::system::{PolicyKind, RunOutcome, SystemBuilder, SystemReport};
+    pub use profess_core::system::{PolicyKind, SystemBuilder, SystemReport};
     pub use profess_core::{
         Decision, MigrationPolicy, RegionClass, RegionMap, SystemSnapshot, SNAPSHOT_VERSION,
     };

@@ -1,0 +1,57 @@
+//! The `profess-sim` command line: a simulation that cannot run or a
+//! trace that cannot be written ends on the `error:` path with exit
+//! status 1 and the cause on stderr, never a panic (exit 101).
+
+use std::process::{Command, Output};
+
+fn profess_sim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_profess-sim"))
+        .args(args)
+        .env_remove("PROFESS_TRACE")
+        .output()
+        .expect("profess-sim spawns")
+}
+
+#[test]
+fn more_programs_than_cores_is_a_config_error() {
+    let out = profess_sim(&[
+        "run",
+        "--workload",
+        "w01",
+        "--scale",
+        "single",
+        "--ops",
+        "100",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("error: invalid configuration: more programs than cores"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn failed_trace_write_is_an_error() {
+    // `/dev/full` accepts the open and fails every write with ENOSPC.
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = profess_sim(&[
+        "trace",
+        "--program",
+        "soplex",
+        "--ops",
+        "100",
+        "--out",
+        "/dev/full",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("trace i/o error"), "stderr: {stderr}");
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("wrote"),
+        "a failed write must not report success"
+    );
+}

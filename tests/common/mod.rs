@@ -147,6 +147,14 @@ pub fn family_builder(family: &Workload, pk: PolicyKind) -> SystemBuilder {
     b
 }
 
+/// Runs `b`, which must be preempted, and returns its snapshot.
+pub fn preempted(b: SystemBuilder) -> Box<SystemSnapshot> {
+    match b.try_run() {
+        Err(profess::core::SimError::Preempted { snapshot }) => snapshot,
+        other => panic!("expected a preemption, got {other:?}"),
+    }
+}
+
 /// The canonical report serialization the fingerprints pin.
 pub fn report_string(r: &SystemReport) -> String {
     report_to_json(r).to_string()

@@ -11,6 +11,11 @@
 
 use profess::prelude::*;
 use profess::report::report_to_json;
+use profess_bench::harness::TraceCollector;
+use profess_bench::{
+    normalized_sweep_supervised, rows_to_json, FaultPlan, Journal, Pool, SnapshotMode,
+    SuperviseConfig,
+};
 
 /// Every migration policy the simulator implements.
 const ALL_POLICIES: [PolicyKind; 9] = [
@@ -35,7 +40,8 @@ fn run_with_seed(seed: u64) -> SystemReport {
             SpecProgram::Soplex,
             SpecProgram::Soplex.budget_for_misses(10_000),
         )
-        .run()
+        .try_run()
+        .unwrap()
 }
 
 #[test]
@@ -72,7 +78,7 @@ fn multiprogram_same_seed_same_result() {
         for p in w.programs {
             b = b.spec_program(p, p.budget_for_misses(4_000));
         }
-        b.run()
+        b.try_run().unwrap()
     };
     let a = run();
     let b = run();
@@ -99,7 +105,8 @@ fn golden_report_identical_across_runs_for_every_policy() {
                     SpecProgram::Milc,
                     SpecProgram::Milc.budget_for_misses(5_000),
                 )
-                .run()
+                .try_run()
+                .unwrap()
         };
         let a = report_to_json(&run()).to_string();
         let b = report_to_json(&run()).to_string();
@@ -129,7 +136,7 @@ fn golden_multiprogram_report_identical_for_every_policy() {
             for p in w.programs {
                 b = b.spec_program(p, p.budget_for_misses(2_000));
             }
-            b.run()
+            b.try_run().unwrap()
         };
         let a = report_to_json(&run()).to_string();
         let b = report_to_json(&run()).to_string();
@@ -142,6 +149,36 @@ fn golden_multiprogram_report_identical_for_every_policy() {
     }
 }
 
+/// The `w01` + `w08` ProFess-vs-PoM sweep on `threads` workers,
+/// through the supervised sweep with no retries, no journal and no
+/// snapshots. Every cell must succeed.
+fn sweep(threads: usize, traces: &mut TraceCollector) -> String {
+    let mut cfg = SystemConfig::scaled_quad();
+    cfg.seed = 11;
+    cfg.rsm.m_samp = 512;
+    let ws = workloads();
+    let subset = [ws[0], ws[7]];
+    let sup = SuperviseConfig {
+        retries: 0,
+        timeout: None,
+        faults: FaultPlan::none(),
+    };
+    let run = normalized_sweep_supervised(
+        &Pool::new(threads),
+        &cfg,
+        PolicyKind::Profess,
+        2_000,
+        &subset,
+        &sup,
+        &Journal::disabled(),
+        &SnapshotMode::disabled(),
+        traces,
+    );
+    let failed: Vec<_> = run.failed_cells().iter().map(|c| &c.key).collect();
+    assert!(failed.is_empty(), "sweep cells failed: {failed:?}");
+    rows_to_json(&run.rows)
+}
+
 /// A sweep driven through the thread pool must emit byte-identical rows
 /// no matter how many workers run it: `Pool::new(1)` is the fully serial
 /// path (no worker threads at all; the semantics `PROFESS_THREADS=1`
@@ -150,22 +187,8 @@ fn golden_multiprogram_report_identical_for_every_policy() {
 /// test does not mutate process-global environment state.
 #[test]
 fn parallel_sweep_matches_serial_byte_for_byte() {
-    let run = |threads: usize| {
-        let mut cfg = SystemConfig::scaled_quad();
-        cfg.seed = 11;
-        cfg.rsm.m_samp = 512;
-        let ws = workloads();
-        let subset = [ws[0], ws[7]];
-        profess_bench::rows_to_json(&profess_bench::normalized_sweep_on(
-            &profess_bench::Pool::new(threads),
-            &cfg,
-            PolicyKind::Profess,
-            2_000,
-            &subset,
-        ))
-    };
-    let serial = run(1);
-    let parallel = run(4);
+    let serial = sweep(1, &mut TraceCollector::disabled());
+    let parallel = sweep(4, &mut TraceCollector::disabled());
     assert!(
         serial.contains("\"id\""),
         "sweep produced no rows: {serial}"
@@ -183,29 +206,18 @@ fn parallel_sweep_matches_serial_byte_for_byte() {
 /// completion order would pass the report test above while shuffling
 /// runs in the artifact.
 ///
-/// `run_workload` builds systems with the environment's trace
-/// configuration, so this test sets `PROFESS_TRACE=1` for the whole
-/// process. That is safe alongside the untraced tests in this binary:
-/// tracing is observation-only (the fingerprint suite proves reports are
-/// byte-identical with it on or off), so their assertions are unaffected.
+/// The sweep's multiprogram cells build systems with the environment's
+/// trace configuration, so this test sets `PROFESS_TRACE=1` for the
+/// whole process. That is safe alongside the untraced tests in this
+/// binary: tracing is observation-only (the fingerprint suite proves
+/// reports are byte-identical with it on or off), so their assertions
+/// are unaffected.
 #[test]
 fn traced_sweep_is_thread_count_invariant() {
     std::env::set_var(profess::obs::TRACE_ENV, "1");
     let run = |threads: usize| {
-        let mut cfg = SystemConfig::scaled_quad();
-        cfg.seed = 11;
-        cfg.rsm.m_samp = 512;
-        let ws = workloads();
-        let subset = [ws[0], ws[7]];
-        let mut traces = profess_bench::harness::TraceCollector::forced("det");
-        profess_bench::normalized_sweep_traced(
-            &profess_bench::Pool::new(threads),
-            &cfg,
-            PolicyKind::Profess,
-            2_000,
-            &subset,
-            &mut traces,
-        );
+        let mut traces = TraceCollector::forced("det");
+        sweep(threads, &mut traces);
         assert_eq!(traces.runs(), 4, "2 workloads x (PoM + ProFess)");
         traces.jsonl().to_string()
     };
@@ -234,7 +246,7 @@ fn golden_reports_distinguish_workloads() {
         for p in w.programs {
             b = b.spec_program(p, p.budget_for_misses(2_000));
         }
-        b.run()
+        b.try_run().unwrap()
     };
     let a = report_to_json(&run(0)).to_string();
     let b = report_to_json(&run(1)).to_string();

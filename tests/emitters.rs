@@ -13,7 +13,8 @@ fn sample_report(policy: PolicyKind) -> SystemReport {
     SystemBuilder::new(cfg)
         .policy(policy)
         .spec_program(SpecProgram::Lbm, SpecProgram::Lbm.budget_for_misses(5_000))
-        .run()
+        .try_run()
+        .unwrap()
 }
 
 #[test]

@@ -15,7 +15,8 @@ fn run_policy(pk: PolicyKind, prog: SpecProgram, ops: u64) -> SystemReport {
     SystemBuilder::new(small_cfg())
         .policy(pk)
         .spec_program(prog, prog.budget_for_misses(ops))
-        .run()
+        .try_run()
+        .unwrap()
 }
 
 #[test]
@@ -92,7 +93,7 @@ fn multiprogram_run_reports_all_programs() {
     for p in w.programs {
         b = b.spec_program(p, p.budget_for_misses(6_000));
     }
-    let r = b.run();
+    let r = b.try_run().unwrap();
     assert_eq!(r.programs.len(), 4);
     assert!(!r.truncated);
     for p in &r.programs {
@@ -132,7 +133,8 @@ fn custom_policy_runs_via_builder() {
     let r = SystemBuilder::new(small_cfg())
         .custom_policy(Box::new(Never), false)
         .spec_program(SpecProgram::Libquantum, 5_000)
-        .run();
+        .try_run()
+        .unwrap();
     assert_eq!(r.policy, "Never");
     assert_eq!(r.swaps, 0);
 }
@@ -143,6 +145,7 @@ fn truncation_flag_set_when_capped() {
         .policy(PolicyKind::Pom)
         .max_cycles(5_000)
         .spec_program(SpecProgram::Mcf, 50_000)
-        .run();
+        .try_run()
+        .unwrap();
     assert!(r.truncated);
 }

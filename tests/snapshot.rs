@@ -17,7 +17,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use common::{fnv1a, multi_builder, report_string, single_builder, ALL_POLICIES, PINNED};
+use common::{
+    fnv1a, multi_builder, preempted, report_string, single_builder, ALL_POLICIES, PINNED,
+};
 use profess::obs::TraceConfig;
 use profess::prelude::*;
 use profess_bench::harness::TraceCollector;
@@ -38,12 +40,11 @@ fn preempt_roundtrip_resume(
     cycle: u64,
     label: &str,
 ) -> String {
-    let snap = preempt
-        .snapshot_at(cycle)
-        .try_run_preemptible()
-        .unwrap_or_else(|e| panic!("{label}: preemptible run failed: {e}"))
-        .preempted()
-        .unwrap_or_else(|| panic!("{label}: run completed before cycle {cycle}"));
+    let snap = match preempt.snapshot_at(cycle).try_run() {
+        Err(SimError::Preempted { snapshot }) => snapshot,
+        Ok(_) => panic!("{label}: run completed before cycle {cycle}"),
+        Err(e) => panic!("{label}: preemptible run failed: {e}"),
+    };
     assert!(snap.clock() >= cycle, "{label}: preempted too early");
     let text = snap.to_json().to_string();
     let reparsed = SystemSnapshot::parse(&text)
@@ -53,7 +54,7 @@ fn preempt_roundtrip_resume(
         text,
         "{label}: snapshot text not byte-stable"
     );
-    report_string(&resume.restore(&reparsed).run())
+    report_string(&resume.restore(&reparsed).try_run().unwrap())
 }
 
 /// The acceptance matrix: for every policy in the pinned grid, single
@@ -72,7 +73,7 @@ fn snapshot_restore_matches_pinned_fingerprints() {
             ("multi", pinned_multi, &multi_builder),
         ] {
             let label = format!("{name}/{kind}");
-            let r: SystemReport = build(*pk).run();
+            let r: SystemReport = build(*pk).try_run().unwrap();
             let straight = report_string(&r);
             assert_eq!(
                 fnv1a(straight.as_bytes()),
@@ -89,24 +90,37 @@ fn snapshot_restore_matches_pinned_fingerprints() {
     }
 }
 
+/// `try_run` is the only run method, so a preemption is its error value:
+/// `SimError::Preempted` carries the snapshot itself, and resuming that
+/// snapshot reproduces the straight-through report byte for byte.
+#[test]
+fn try_run_preemption_error_resumes_byte_identically() {
+    let build = || multi_builder(PolicyKind::Profess);
+    let r = build().try_run().unwrap();
+    let err = build()
+        .snapshot_at(r.elapsed_cycles / 3)
+        .try_run()
+        .expect_err("the run must stop at the snapshot clock");
+    assert_eq!(err.label(), "preempted");
+    let SimError::Preempted { snapshot } = err else {
+        unreachable!("label checked above")
+    };
+    let resumed = build().restore(&snapshot).try_run().unwrap();
+    assert_eq!(report_string(&resumed), report_string(&r));
+}
+
 /// Tracing is excluded from the format: a traced run preempts into the
 /// same snapshot bytes as an untraced one, and resuming (traced or not)
 /// reproduces the straight-through report.
 #[test]
 fn snapshot_is_identical_with_tracing_on_and_off() {
     let pk = PolicyKind::Profess;
-    let r = single_builder(pk).run();
+    let r = single_builder(pk).try_run().unwrap();
     let straight = report_string(&r);
     let mid = (r.elapsed_cycles / 2).max(1);
 
     let snap_of = |trace: TraceConfig| {
-        single_builder(pk)
-            .trace(trace)
-            .snapshot_at(mid)
-            .try_run_preemptible()
-            .expect("preemptible run")
-            .preempted()
-            .expect("must preempt")
+        preempted(single_builder(pk).trace(trace).snapshot_at(mid))
             .to_json()
             .to_string()
     };
@@ -119,7 +133,11 @@ fn snapshot_is_identical_with_tracing_on_and_off() {
 
     let snap = SystemSnapshot::parse(&untraced).expect("parse");
     for trace in [TraceConfig::off(), TraceConfig::on()] {
-        let resumed = single_builder(pk).trace(trace).restore(&snap).run();
+        let resumed = single_builder(pk)
+            .trace(trace)
+            .restore(&snap)
+            .try_run()
+            .unwrap();
         assert_eq!(
             report_string(&resumed),
             straight,
@@ -252,15 +270,8 @@ fn fixture_snapshot_text() -> &'static str {
                 .policy(PolicyKind::Mdm)
                 .spec_program(SpecProgram::Milc, SpecProgram::Milc.budget_for_misses(500))
         };
-        let mid = (small().run().elapsed_cycles / 2).max(1);
-        small()
-            .snapshot_at(mid)
-            .try_run_preemptible()
-            .expect("preemptible run")
-            .preempted()
-            .expect("must preempt")
-            .to_json()
-            .to_string()
+        let mid = (small().try_run().unwrap().elapsed_cycles / 2).max(1);
+        preempted(small().snapshot_at(mid)).to_json().to_string()
     })
 }
 
