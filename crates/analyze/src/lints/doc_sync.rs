@@ -224,7 +224,7 @@ fn check_doc(
         for word in words(raw) {
             if is_workload_token(&word, &prefixes)
                 && !workload_ids.is_empty()
-                && !workload_ids.iter().any(|id| *id == word)
+                && !workload_ids.contains(&word)
             {
                 out.push(Diagnostic::new(
                     DOC_SYNC,

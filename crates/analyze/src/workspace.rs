@@ -121,7 +121,7 @@ impl Workspace {
     /// emitted in a stable order on every platform.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut paths = Vec::new();
-        walk(root, root, &mut paths)?;
+        walk(root, &mut paths)?;
         paths.sort();
         let mut files = Vec::new();
         for p in paths {
@@ -152,7 +152,7 @@ impl Workspace {
     }
 }
 
-fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -161,7 +161,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
             if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
                 continue;
             }
-            walk(root, &path, out)?;
+            walk(&path, out)?;
         } else {
             out.push(path);
         }

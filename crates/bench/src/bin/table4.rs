@@ -52,20 +52,23 @@ fn main() {
                     .try_run(),
             );
             traces.record(&format!("{}:ProFess:msamp{m_samp}", prog.name()), &report);
-            let s = report.sampling[0]
-                .as_ref()
-                .expect("sampling enabled for this run");
-            // The SF_A sigmas are reported relative to the mean (~1 when
-            // running alone), matching the paper's percentage convention.
-            t.row(vec![
-                prog.name().to_string(),
-                format!("{}K", m_samp / 1024),
-                format!("{:.1}", 100.0 * s.mean_sigma_req),
-                format!("{:.1}", 100.0 * s.sigma_raw_sfa / s.mean_raw_sfa),
-                format!("{:.1}", 100.0 * s.sigma_avg_sfa / s.mean_raw_sfa),
-                format!("{:.3}", s.mean_raw_sfa),
-                format!("{}", s.periods),
-            ]);
+            let stats = match &report.sampling[0] {
+                // The SF_A sigmas are reported relative to the mean (~1
+                // when running alone), matching the paper's percentage
+                // convention.
+                Some(s) => [
+                    format!("{:.1}", 100.0 * s.mean_sigma_req),
+                    format!("{:.1}", 100.0 * s.sigma_raw_sfa / s.mean_raw_sfa),
+                    format!("{:.1}", 100.0 * s.sigma_avg_sfa / s.mean_raw_sfa),
+                    format!("{:.3}", s.mean_raw_sfa),
+                    format!("{}", s.periods),
+                ],
+                // No sampling period closed within the op budget.
+                None => ["-", "-", "-", "-", "0"].map(String::from),
+            };
+            let mut row = vec![prog.name().to_string(), format!("{}K", m_samp / 1024)];
+            row.extend(stats);
+            t.row(row);
         }
     }
     println!("{t}");

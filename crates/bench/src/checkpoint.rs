@@ -29,23 +29,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use profess_core::system::SystemReport;
-use profess_metrics::Json;
+use profess_metrics::{fnv64, Json};
 
 /// Env var enabling checkpoint journaling in the sweep binaries: unset,
 /// empty, or `0` disables it; `1` journals into the default results
 /// directory; any other value names the journal directory.
 pub const CHECKPOINT_ENV: &str = "PROFESS_CHECKPOINT";
-
-/// 64-bit FNV-1a over a byte string (the workspace is hermetic, so the
-/// journal uses this in-tree fingerprint rather than a vendored hash).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// [`fnv64`] of a text rendering, as 16 lowercase hex digits.
 pub fn fingerprint(text: &str) -> String {
@@ -452,9 +441,7 @@ mod tests {
 
     #[test]
     fn fnv64_is_stable() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // The FNV-1a offset basis, as 16 hex digits.
         assert_eq!(fingerprint(""), "cbf29ce484222325");
     }
 

@@ -272,9 +272,9 @@ mod tests {
         let timed_out = format!("attempt 1: {TIMED_OUT}");
         let hung = record(&[&timed_out], Some(TIMED_OUT));
         let failed = record(&[&killed, "attempt 2: budget exceeded"], Some("x"));
-        assert!(lost_cell(&[recovered.clone()]).is_none());
+        assert!(lost_cell(std::slice::from_ref(&recovered)).is_none());
         assert!(
-            lost_cell(&[failed.clone()]).is_none(),
+            lost_cell(std::slice::from_ref(&failed)).is_none(),
             "a cell error is not a lost child"
         );
         assert!(lost_cell(&[recovered.clone(), lost]).is_some());
@@ -347,11 +347,11 @@ mod tests {
         assert_eq!(args[0], "--surface");
         assert_eq!(args[1], spec.target_ops.to_string());
         assert_eq!(&args[2..], ["pom", "mdm"]);
-        let w = profess_trace::workloads()[0].clone();
+        let w = profess_trace::workloads()[0];
         let sweep = ShardSweep::Normalized {
             policy: PolicyKind::Mdm,
             target_misses: 300,
-            workloads: vec![w.clone()],
+            workloads: vec![w],
         };
         assert_eq!(sweep.child_args(), ["300".to_string(), w.id.to_string()]);
     }

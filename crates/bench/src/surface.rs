@@ -124,7 +124,7 @@ impl SurfaceSpec {
             }
         }
         for &it in &self.intensities {
-            if !(it > 0.0) {
+            if it.is_nan() || it <= 0.0 {
                 return Err(format!("intensity {it} is not positive"));
             }
         }
@@ -453,6 +453,10 @@ pub struct SurfaceSummary {
     pub series: usize,
 }
 
+/// One series of a surface document: policy, read fraction, and its
+/// `(intensity, read latency)` points in document order.
+type Series = (String, f64, Vec<(f64, f64)>);
+
 /// Strictly validates a surface document (CI semantics):
 ///
 /// 1. **Schema** — every point carries exactly [`SURFACE_FIELDS`], in
@@ -473,7 +477,7 @@ pub fn validate_surface(text: &str, mono_tol: f64) -> Result<SurfaceSummary, Str
     if points.is_empty() {
         return Err("empty `points` array".into());
     }
-    let mut series: Vec<(String, f64, Vec<(f64, f64)>)> = Vec::new();
+    let mut series: Vec<Series> = Vec::new();
     for (i, p) in points.iter().enumerate() {
         let Json::Obj(kv) = p else {
             return Err(format!("point {i}: not an object"));

@@ -79,7 +79,7 @@ fn line(key: &str, payload: &Json) -> String {
         ("fp", Json::Str(fp)),
         ("payload", payload.clone()),
     ]);
-    format!("{obj}\n")
+    obj.to_string() + "\n"
 }
 
 #[test]

@@ -54,7 +54,10 @@ impl Cache {
     /// Panics if `lines` is not a multiple of `ways` or the set count is
     /// not a power of two.
     pub fn new(lines: usize, ways: usize) -> Self {
-        assert!(ways > 0 && lines % ways == 0, "lines must divide into ways");
+        assert!(
+            ways > 0 && lines.is_multiple_of(ways),
+            "lines must divide into ways"
+        );
         let num_sets = lines / ways;
         assert!(
             num_sets.is_power_of_two(),

@@ -165,7 +165,7 @@ impl<S: Strategy> Strategy for VecOf<S> {
                 out.push(value[n - target..].to_vec());
             }
             // Drop one element (first / last).
-            if n - 1 >= min_len && n - 1 != target {
+            if n > min_len && n - 1 != target {
                 out.push(value[1..].to_vec());
                 out.push(value[..n - 1].to_vec());
             }

@@ -3,13 +3,12 @@
 //! allocates frames of the private regions to their respective programs
 //! only).
 
-use profess_metrics::Json;
+use profess_metrics::{State, StateCodec};
 use profess_rng::Rng;
 use profess_types::geometry::Geometry;
 use profess_types::ids::ProgramId;
 
 use crate::regions::RegionMap;
-use crate::snapshot::u64_from;
 
 /// Frame allocator over the original physical address space.
 ///
@@ -216,92 +215,46 @@ impl FrameAllocator {
     pub fn region_map(&self) -> &RegionMap {
         &self.region_map
     }
+}
 
-    /// Snapshot encoding. The free lists are stored *verbatim* — their
-    /// shuffle order is load-bearing for the uniform swap-and-pop pick —
-    /// alongside the RNG stream, the allocation count, and a sparse list
-    /// of block owners.
-    pub(crate) fn snapshot_json(&self) -> Json {
-        let free: Vec<Json> = self
-            .free_by_region
-            .iter()
-            .map(|list| Json::Arr(list.iter().map(|&f| Json::UInt(f)).collect()))
-            .collect();
-        let owners: Vec<Json> = self
+/// The free lists travel *verbatim* — their shuffle order is
+/// load-bearing for the uniform swap-and-pop pick — alongside a sparse
+/// list of block owners, the RNG stream and the allocation count.
+/// Loading requires the same region count and geometry.
+impl State for FrameAllocator {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("free_by_region", self.free_by_region.as_mut_slice())?;
+        if c.is_load() {
+            let total = self.total_frames;
+            if let Some(f) = self.free_by_region.iter().flatten().find(|&&f| f >= total) {
+                return Err(format!("free_by_region: frame {f} out of range"));
+            }
+            self.free_count = FreeCounts::new(&self.free_by_region);
+        }
+        // Only allocated blocks have an owner: `[block, program]` pairs.
+        let mut owners: Vec<(usize, ProgramId)> = self
             .owner_by_block
             .iter()
             .enumerate()
-            .filter_map(|(b, o)| {
-                o.map(|p| Json::Arr(vec![Json::UInt(b as u64), Json::UInt(u64::from(p.0))]))
-            })
+            .filter_map(|(b, o)| Some((b, (*o)?)))
             .collect();
-        let rng = self.rng.state();
-        Json::obj([
-            ("free_by_region", Json::Arr(free)),
-            ("owners", Json::Arr(owners)),
-            (
-                "rng",
-                Json::Arr(rng.iter().map(|&w| Json::UInt(w)).collect()),
-            ),
-            ("allocated", Json::UInt(self.allocated)),
-        ])
-    }
-
-    /// Restores a [`FrameAllocator::snapshot_json`] encoding into this
-    /// allocator (which must have been built for the same geometry and
-    /// region map).
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let free_raw = j.field_arr("free_by_region")?;
-        if free_raw.len() != self.free_by_region.len() {
-            return Err(format!(
-                "region count mismatch: snapshot has {}, allocator has {}",
-                free_raw.len(),
-                self.free_by_region.len()
-            ));
-        }
-        let mut free = Vec::with_capacity(free_raw.len());
-        for list_raw in free_raw {
-            let list = list_raw
-                .as_arr()
-                .ok_or_else(|| "free list is not an array".to_string())?;
-            let mut out = Vec::with_capacity(list.len());
-            for f in list {
-                let frame = u64_from(f, "free frame")?;
-                if frame >= self.total_frames {
-                    return Err(format!("free frame {frame} out of range"));
-                }
-                out.push(frame);
+        c.field("owners", &mut owners)?;
+        if c.is_load() {
+            self.owner_by_block.fill(None);
+            for (b, p) in owners {
+                *self
+                    .owner_by_block
+                    .get_mut(b)
+                    .ok_or_else(|| format!("owners: block {b} out of range"))? = Some(p);
             }
-            free.push(out);
         }
-        let mut owners = vec![None; self.owner_by_block.len()];
-        for pair in j.field_arr("owners")? {
-            let pair = pair
-                .as_arr()
-                .ok_or_else(|| "owner entry is not an array".to_string())?;
-            if pair.len() != 2 {
-                return Err("owner entry must be [block, program]".to_string());
-            }
-            let block = u64_from(&pair[0], "owner block")?;
-            let slot = usize::try_from(block)
-                .ok()
-                .filter(|&b| b < owners.len())
-                .ok_or_else(|| format!("owner block {block} out of range"))?;
-            let program = u64_from(&pair[1], "owner program")?;
-            let program =
-                u8::try_from(program).map_err(|_| "owner program out of range".to_string())?;
-            owners[slot] = Some(ProgramId(program));
+        let mut rng = self.rng.state();
+        c.field("rng", &mut rng)?;
+        if rng == [0; 4] {
+            return Err("rng: state is all-zero".to_string());
         }
-        let rng_state = j.field_u64s::<4>("rng")?;
-        if rng_state == [0; 4] {
-            return Err("RNG state is all-zero".to_string());
-        }
-        self.free_count = FreeCounts::new(&free);
-        self.free_by_region = free;
-        self.owner_by_block = owners;
-        self.rng = Rng::from_state(rng_state);
-        self.allocated = j.field_u64("allocated")?;
-        Ok(())
+        self.rng = Rng::from_state(rng);
+        c.field("allocated", &mut self.allocated)
     }
 }
 
@@ -310,8 +263,13 @@ mod tests {
     use super::*;
     use profess_check::strategy::{tuple5, u64_range, vec_of};
     use profess_check::{check, prop_assert_eq};
+    use profess_metrics::Json;
     use profess_types::config::SystemConfig;
     use profess_types::ids::{RegionId, SlotIdx};
+
+    fn save(a: &mut FrameAllocator) -> Json {
+        StateCodec::save(a).expect("an allocator always saves")
+    }
 
     fn geom() -> Geometry {
         Geometry::new(2048, 64, 4096, 2, 8 << 20, 8, 128, 16, 8192, 8)
@@ -448,20 +406,17 @@ mod tests {
                 };
                 let mut fast = FrameAllocator::new(&g, map(), *seed);
                 let mut slow = LinearAllocator::new(&g, map(), *seed);
-                prop_assert_eq!(
-                    fast.snapshot_json().to_string(),
-                    slow.0.snapshot_json().to_string()
-                );
+                prop_assert_eq!(save(&mut fast).to_string(), save(&mut slow.0).to_string());
                 let mut misses = 0;
                 let mut step = 0u64;
                 while misses < programs.len() {
                     if step == *snap_at {
-                        let j = fast.snapshot_json();
-                        prop_assert_eq!(j.to_string(), slow.0.snapshot_json().to_string());
+                        let j = save(&mut fast);
+                        prop_assert_eq!(j.to_string(), save(&mut slow.0).to_string());
                         fast = FrameAllocator::new(&g, map(), seed + 1);
-                        fast.restore_json(&j)?;
+                        StateCodec::load(&mut fast, &j)?;
                         slow = LinearAllocator::new(&g, map(), seed + 2);
-                        slow.0.restore_json(&j)?;
+                        StateCodec::load(&mut slow.0, &j)?;
                     }
                     let p = ProgramId(programs[step as usize % programs.len()] as u8);
                     let frame = fast.allocate(p, &g);
@@ -481,10 +436,7 @@ mod tests {
                         prop_assert_eq!(frame, None);
                     }
                 }
-                prop_assert_eq!(
-                    fast.snapshot_json().to_string(),
-                    slow.0.snapshot_json().to_string()
-                );
+                prop_assert_eq!(save(&mut fast).to_string(), save(&mut slow.0).to_string());
                 Ok(())
             },
         );
@@ -566,10 +518,10 @@ mod tests {
         for _ in 0..100 {
             a.allocate(ProgramId(0), &g).expect("space");
         }
-        let j = a.snapshot_json();
+        let j = save(&mut a);
         let mut b = FrameAllocator::new(&g, RegionMap::all_shared(128), 999);
-        b.restore_json(&j).expect("restores");
-        assert_eq!(b.snapshot_json().to_string(), j.to_string());
+        StateCodec::load(&mut b, &j).expect("restores");
+        assert_eq!(save(&mut b).to_string(), j.to_string());
         // Both allocators continue with the identical random sequence.
         for _ in 0..100 {
             let fa = a.allocate(ProgramId(1), &g);
@@ -584,7 +536,7 @@ mod tests {
         let g = geom();
         let mut a = FrameAllocator::new(&g, RegionMap::all_shared(128), 1);
         // A snapshot with fewer regions than the allocator was built for.
-        let mut truncated = a.snapshot_json();
+        let mut truncated = save(&mut a);
         if let Json::Obj(pairs) = &mut truncated {
             for (k, v) in pairs.iter_mut() {
                 if k == "free_by_region" {
@@ -594,20 +546,22 @@ mod tests {
                 }
             }
         }
-        assert!(a.restore_json(&truncated).is_err(), "region count");
-        let missing = a
-            .snapshot_json()
+        assert!(
+            StateCodec::load(&mut a, &truncated).is_err(),
+            "region count"
+        );
+        let missing = save(&mut a)
             .to_string()
             .replace("\"allocated\":", "\"allocated_nope\":");
-        let j = profess_metrics::Json::parse(&missing).expect("valid JSON");
-        assert!(a.restore_json(&j).is_err(), "missing field");
+        let j = Json::parse(&missing).expect("valid JSON");
+        assert!(StateCodec::load(&mut a, &j).is_err(), "missing field");
         // All-zero RNG state must be rejected, not panic.
-        let zeroed = a.snapshot_json().to_string();
-        let state = a.snapshot_json();
+        let state = save(&mut a);
+        let zeroed = state.to_string();
         let rng_txt = state.get("rng").map(|r| r.to_string()).expect("rng field");
         let zeroed = zeroed.replace(&format!("\"rng\":{rng_txt}"), "\"rng\":[0,0,0,0]");
-        let j = profess_metrics::Json::parse(&zeroed).expect("valid JSON");
-        assert!(a.restore_json(&j).is_err());
+        let j = Json::parse(&zeroed).expect("valid JSON");
+        assert!(StateCodec::load(&mut a, &j).is_err());
     }
 
     #[test]

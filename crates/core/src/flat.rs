@@ -26,6 +26,8 @@
 
 use std::collections::VecDeque;
 
+use profess_metrics::{State, StateCodec};
+
 /// Sentinel index for "no node / no entry" in the slab structures below.
 const NONE32: u32 = u32::MAX;
 
@@ -112,18 +114,6 @@ impl FlatPageTable {
     pub fn is_empty(&self) -> bool {
         self.mapped == 0
     }
-
-    /// Raw backing vector (`u64::MAX` = unmapped), for snapshotting.
-    pub(crate) fn raw_frames(&self) -> &[u64] {
-        &self.frames
-    }
-
-    /// Rebuilds a table from a [`FlatPageTable::raw_frames`] vector; the
-    /// mapped count is recomputed so a snapshot cannot desynchronize it.
-    pub(crate) fn from_raw_frames(frames: Vec<u64>) -> Self {
-        let mapped = frames.iter().filter(|&&f| f != UNMAPPED).count();
-        FlatPageTable { frames, mapped }
-    }
 }
 
 /// A map from monotonically issued token ids to values, backed by a ring
@@ -205,29 +195,14 @@ impl<T> TokenRing<T> {
         self.next
     }
 
+    /// The live values, in token order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> + '_ {
+        self.slots.iter().flatten()
+    }
+
     /// Current ring window width (live span, for tests/diagnostics).
     pub fn window(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Raw window parts `(slots, base)` for snapshotting; `next` is
-    /// `base + slots.len()` by construction.
-    pub(crate) fn raw_parts(&self) -> (&VecDeque<Option<T>>, u64) {
-        (&self.slots, self.base)
-    }
-
-    /// Rebuilds a ring from [`TokenRing::raw_parts`]; `next` and the
-    /// live count are recomputed so a snapshot cannot desynchronize
-    /// them.
-    pub(crate) fn from_raw_parts(slots: VecDeque<Option<T>>, base: u64) -> Self {
-        let live = slots.iter().filter(|s| s.is_some()).count();
-        let next = base + slots.len() as u64;
-        TokenRing {
-            slots,
-            base,
-            next,
-            live,
-        }
     }
 }
 
@@ -605,6 +580,54 @@ impl<T> SlabQueues<T> {
             n = node.1;
             node.0.as_ref()
         })
+    }
+}
+
+/// The backing vector (`u64::MAX` = unmapped); the mapped count is
+/// recomputed on load so a snapshot cannot desynchronize it.
+impl State for FlatPageTable {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        self.frames.state(c)?;
+        self.mapped = self.frames.iter().filter(|&&f| f != UNMAPPED).count();
+        Ok(())
+    }
+}
+
+/// The live window `(base, slots)`; `next` and the live count are
+/// recomputed on load so a snapshot cannot desynchronize them.
+impl<T: State + Default> State for TokenRing<T> {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("base", &mut self.base)?;
+        c.field("slots", &mut self.slots)?;
+        self.next = self
+            .base
+            .checked_add(self.slots.len() as u64)
+            .ok_or_else(|| "base: token window overflows".to_string())?;
+        self.live = self.slots.iter().filter(|s| s.is_some()).count();
+        Ok(())
+    }
+}
+
+/// Only the non-empty queues travel, as `[queue, [values…]]` pairs in
+/// ascending queue order.
+impl<T: State + Default + Clone> State for SlabQueues<T> {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        let mut queues: Vec<(usize, Vec<T>)> = self
+            .non_empty_queues()
+            .map(|q| (q, self.queue_iter(q).cloned().collect()))
+            .collect();
+        queues.state(c)?;
+        if c.is_load() {
+            let n = self.heads.len();
+            *self = SlabQueues::new(n);
+            for (q, values) in queues {
+                if q >= n {
+                    return Err(format!("queue {q} out of range"));
+                }
+                self.set_queue(q, values);
+            }
+        }
+        Ok(())
     }
 }
 

@@ -9,11 +9,9 @@
 //! modelled by the system layer); this structure is the architectural
 //! state.
 
-use profess_metrics::Json;
+use profess_metrics::{State, StateCodec};
 use profess_types::ids::{ProgramId, SlotIdx};
 use profess_types::GroupId;
-
-use crate::snapshot::{i64_from_json, i64_to_json, u64_from};
 
 /// Quantized Access-Counter values (paper Table 5).
 pub mod qac {
@@ -113,75 +111,6 @@ impl StEntry {
     pub fn is_identity(&self) -> bool {
         SlotIdx::up_to(SlotIdx::MAX as u32).all(|s| self.actual[s.index()] == s)
     }
-
-    /// Snapshot encoding of this entry (all fields, dense).
-    fn snapshot_json(&self, index: u64) -> Json {
-        Json::obj([
-            ("i", Json::UInt(index)),
-            (
-                "actual",
-                Json::Arr(
-                    self.actual
-                        .iter()
-                        .map(|s| Json::UInt(u64::from(s.0)))
-                        .collect(),
-                ),
-            ),
-            (
-                "qac",
-                Json::Arr(self.qac.iter().map(|&q| Json::UInt(u64::from(q))).collect()),
-            ),
-            (
-                "m1_owner",
-                match self.m1_owner {
-                    Some(p) => Json::UInt(u64::from(p.0)),
-                    None => Json::Null,
-                },
-            ),
-            ("pom_ctr", i64_to_json(self.pom_ctr)),
-            ("pom_slot", Json::UInt(u64::from(self.pom_slot))),
-        ])
-    }
-
-    /// Decodes a [`StEntry::snapshot_json`] object (minus the index).
-    fn restore_json(j: &Json) -> Result<StEntry, String> {
-        let actual_raw = j.field_arr("actual")?;
-        let qac_raw = j.field_arr("qac")?;
-        if actual_raw.len() != SlotIdx::MAX || qac_raw.len() != SlotIdx::MAX {
-            return Err("ST entry arrays must have SlotIdx::MAX elements".to_string());
-        }
-        let mut e = StEntry::default();
-        let mut seen = [false; SlotIdx::MAX];
-        for (i, a) in actual_raw.iter().enumerate() {
-            let v = u64_from(a, "actual slot")?;
-            let v = usize::try_from(v).ok().filter(|&v| v < SlotIdx::MAX);
-            let v = v.ok_or_else(|| "actual slot out of range".to_string())?;
-            if seen[v] {
-                return Err("ST entry actual slots are not a permutation".to_string());
-            }
-            seen[v] = true;
-            e.actual[i] = SlotIdx(v as u8);
-        }
-        for (i, q) in qac_raw.iter().enumerate() {
-            let v = u64_from(q, "qac value")?;
-            e.qac[i] = u8::try_from(v).map_err(|_| "qac value out of range".to_string())?;
-        }
-        e.m1_owner = match j.get("m1_owner") {
-            Some(Json::Null) => None,
-            Some(Json::UInt(p)) => Some(ProgramId(
-                u8::try_from(*p).map_err(|_| "m1_owner out of range".to_string())?,
-            )),
-            _ => return Err("missing or invalid \"m1_owner\"".to_string()),
-        };
-        e.pom_ctr = i64_from_json(
-            j.get("pom_ctr")
-                .ok_or_else(|| "missing \"pom_ctr\"".to_string())?,
-            "pom_ctr",
-        )?;
-        let slot = j.field_u64("pom_slot")?;
-        e.pom_slot = u8::try_from(slot).map_err(|_| "pom_slot out of range".to_string())?;
-        Ok(e)
-    }
 }
 
 /// The full Swap-group Table.
@@ -228,45 +157,73 @@ impl SwapTable {
             .filter(|e| e.resident_of(SlotIdx::M1) != SlotIdx::M1)
             .count() as u64
     }
+}
 
-    /// Snapshot encoding: table length plus only the entries that differ
-    /// from the identity default (the table is overwhelmingly identity in
-    /// any realistic run, so the sparse form stays small).
-    pub(crate) fn snapshot_json(&self) -> Json {
+impl State for StEntry {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("actual", &mut self.actual)?;
+        if c.is_load() {
+            let mut seen = [false; SlotIdx::MAX];
+            for s in self.actual {
+                if std::mem::replace(&mut seen[s.index()], true) {
+                    return Err("actual: slots are not a permutation".to_string());
+                }
+            }
+        }
+        c.field("qac", &mut self.qac)?;
+        c.field("m1_owner", &mut self.m1_owner)?;
+        c.field("pom_ctr", &mut self.pom_ctr)?;
+        c.field("pom_slot", &mut self.pom_slot)
+    }
+}
+
+/// An ST entry that differs from the identity default, with its group
+/// index flattened into the entry's object as `"i"`.
+#[derive(Default)]
+struct Indexed {
+    i: usize,
+    entry: StEntry,
+}
+
+impl State for Indexed {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("i", &mut self.i)?;
+        self.entry.state(c)
+    }
+}
+
+/// The table length plus only the entries that differ from the identity
+/// default: the table is overwhelmingly identity in any realistic run,
+/// so the sparse form stays small. Loading requires the same length.
+impl State for SwapTable {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        let n = self.entries.len();
+        let mut len = n;
+        c.field("len", &mut len)?;
+        if len != n {
+            return Err(format!("len: snapshot has {len} groups, the table {n}"));
+        }
         let default = StEntry::default();
-        let entries: Vec<Json> = self
+        let mut sparse: Vec<Indexed> = self
             .entries
             .iter()
             .enumerate()
             .filter(|(_, e)| **e != default)
-            .map(|(i, e)| e.snapshot_json(i as u64))
+            .map(|(i, e)| Indexed {
+                i,
+                entry: e.clone(),
+            })
             .collect();
-        Json::obj([
-            ("len", Json::UInt(self.entries.len() as u64)),
-            ("entries", Json::Arr(entries)),
-        ])
-    }
-
-    /// Restores a [`SwapTable::snapshot_json`] encoding into this table
-    /// (which must have been built for the same group count).
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let len = j.field_u64("len")?;
-        if len != self.entries.len() as u64 {
-            return Err(format!(
-                "swap table length mismatch: snapshot has {len}, system has {}",
-                self.entries.len()
-            ));
+        c.field("entries", &mut sparse)?;
+        if c.is_load() {
+            self.entries.fill(default);
+            for Indexed { i, entry } in sparse {
+                *self
+                    .entries
+                    .get_mut(i)
+                    .ok_or_else(|| format!("entries: group {i} out of range"))? = entry;
+            }
         }
-        let mut fresh = vec![StEntry::default(); self.entries.len()];
-        for ej in j.field_arr("entries")? {
-            let i = ej.field_u64("i")?;
-            let i = usize::try_from(i)
-                .ok()
-                .filter(|&i| i < fresh.len())
-                .ok_or_else(|| "swap table entry index out of range".to_string())?;
-            fresh[i] = StEntry::restore_json(ej)?;
-        }
-        self.entries = fresh;
         Ok(())
     }
 }
@@ -274,6 +231,7 @@ impl SwapTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use profess_metrics::Json;
 
     #[test]
     fn quantize_matches_table5() {
@@ -330,12 +288,12 @@ mod tests {
         st.entry_mut(GroupId(3)).m1_owner = Some(ProgramId(2));
         st.entry_mut(GroupId(6)).pom_ctr = -4;
         st.entry_mut(GroupId(6)).pom_slot = 7;
-        let j = st.snapshot_json();
+        let j = StateCodec::save(&mut st).expect("saves");
         // Only the two touched groups are encoded.
         let encoded = j.get("entries").and_then(Json::as_arr).expect("entries");
         assert_eq!(encoded.len(), 2);
         let mut back = SwapTable::new(8);
-        back.restore_json(&j).expect("restores");
+        StateCodec::load(&mut back, &j).expect("restores");
         for g in 0..8 {
             assert_eq!(back.entry(GroupId(g)), st.entry(GroupId(g)));
         }
@@ -347,17 +305,17 @@ mod tests {
     #[test]
     fn restore_rejects_bad_tables() {
         let mut st = SwapTable::new(4);
-        let wrong_len = SwapTable::new(5).snapshot_json();
-        assert!(st.restore_json(&wrong_len).is_err());
+        let wrong_len = StateCodec::save(&mut SwapTable::new(5)).expect("saves");
+        assert!(StateCodec::load(&mut st, &wrong_len).is_err());
         // Non-permutation actual array.
         let mut broken = SwapTable::new(4);
         broken.entry_mut(GroupId(1)).swap(SlotIdx(2), SlotIdx::M1);
-        let j = broken.snapshot_json();
+        let j = StateCodec::save(&mut broken).expect("saves");
         let text = j
             .to_string()
             .replace("\"actual\":[2,1,0", "\"actual\":[2,1,1");
         let j2 = Json::parse(&text).expect("valid");
-        assert!(st.restore_json(&j2).is_err());
+        assert!(StateCodec::load(&mut st, &j2).is_err());
     }
 
     #[test]

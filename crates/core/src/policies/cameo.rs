@@ -38,13 +38,8 @@ impl MigrationPolicy for CameoPolicy {
         }
     }
 
-    fn snapshot_state(&self) -> Option<profess_metrics::Json> {
-        // Stateless: the empty object marks "snapshottable, nothing to
-        // save" (as opposed to the default `None` = unsupported).
-        Some(profess_metrics::Json::obj([]))
-    }
-
-    fn restore_state(&mut self, _state: &profess_metrics::Json) -> Result<(), String> {
+    /// Stateless: snapshottable, with nothing to save.
+    fn state(&mut self, _c: &mut profess_metrics::StateCodec<'_>) -> Result<(), String> {
         Ok(())
     }
 }

@@ -8,13 +8,12 @@
 //! probabilities (eq. 7) and average access counts per eviction-time class
 //! (eq. 6), combined into an expected access count per class (eq. 5).
 
-use profess_metrics::Json;
+use profess_metrics::{State, StateCodec};
 use profess_types::config::MdmParams;
 use profess_types::ids::ProgramId;
 
 use super::{AccessCtx, Decision, EvictRecord, MigrationPolicy};
 use crate::org::qac;
-use crate::snapshot::{f64_from_json, f64_to_json};
 
 /// Default `avg_cnt(q_E)` used before any statistics exist: the midpoints
 /// of the Table 5 buckets (1–7, 8–31, 32+ with the 6-bit counter cap).
@@ -288,81 +287,35 @@ impl MdmCore {
             self.states[r.owner.index()].record(&params, r.q_i, q_e, r.count);
         }
     }
+}
 
-    /// Snapshot encoding of the per-program counter state. `exp_cnt`
-    /// travels as exact `f64` bit patterns so restore is bit-exact.
-    pub(crate) fn snapshot_json(&self) -> Json {
-        let states: Vec<Json> = self
-            .states
-            .iter()
-            .map(|s| {
-                let u64s = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| Json::UInt(x)).collect());
-                let num_q_flat: Vec<Json> =
-                    s.num_q.iter().flatten().map(|&x| Json::UInt(x)).collect();
-                Json::obj([
-                    ("accum_cnt", u64s(&s.accum_cnt)),
-                    ("num_q_sum_i", u64s(&s.num_q_sum_i)),
-                    ("num_q", Json::Arr(num_q_flat)),
-                    ("num_q_sum_e", u64s(&s.num_q_sum_e)),
-                    (
-                        "exp_cnt",
-                        Json::Arr(s.exp_cnt.iter().map(|&x| f64_to_json(x)).collect()),
-                    ),
-                    (
-                        "phase",
-                        Json::UInt(match s.phase {
-                            Phase::Observation => 0,
-                            Phase::Estimation => 1,
-                        }),
-                    ),
-                    ("updates_in_phase", Json::UInt(s.updates_in_phase)),
-                    ("since_recompute", Json::UInt(s.since_recompute)),
-                    ("total_updates", Json::UInt(s.total_updates)),
-                ])
-            })
-            .collect();
-        Json::obj([("states", Json::Arr(states))])
+/// The per-program counter state; loading requires the same program
+/// count.
+impl State for MdmCore {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("states", self.states.as_mut_slice())
     }
+}
 
-    /// Restores an [`MdmCore::snapshot_json`] encoding.
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let states_raw = j.field_arr("states")?;
-        if states_raw.len() != self.states.len() {
-            return Err(format!(
-                "MDM program count mismatch: snapshot has {}, core has {}",
-                states_raw.len(),
-                self.states.len()
-            ));
-        }
-        let mut states = Vec::with_capacity(states_raw.len());
-        for sj in states_raw {
-            let mut s = MdmProgramState::new();
-            s.accum_cnt = sj.field_u64s::<{ qac::NUM_Q }>("accum_cnt")?;
-            s.num_q_sum_i = sj.field_u64s::<{ qac::NUM_Q }>("num_q_sum_i")?;
-            let flat = sj.field_u64s::<{ qac::NUM_Q * qac::NUM_Q }>("num_q")?;
-            for (i, &x) in flat.iter().enumerate() {
-                s.num_q[i / qac::NUM_Q][i % qac::NUM_Q] = x;
-            }
-            s.num_q_sum_e = sj.field_u64s::<{ qac::NUM_Q }>("num_q_sum_e")?;
-            let exp_raw = sj.field_arr("exp_cnt")?;
-            if exp_raw.len() != qac::NUM_Q {
-                return Err("exp_cnt must have NUM_Q elements".to_string());
-            }
-            for (i, x) in exp_raw.iter().enumerate() {
-                s.exp_cnt[i] = f64_from_json(x, "exp_cnt")?;
-            }
-            s.phase = match sj.field_u64("phase")? {
-                0 => Phase::Observation,
-                1 => Phase::Estimation,
-                p => return Err(format!("unknown MDM phase {p}")),
-            };
-            s.updates_in_phase = sj.field_u64("updates_in_phase")?;
-            s.since_recompute = sj.field_u64("since_recompute")?;
-            s.total_updates = sj.field_u64("total_updates")?;
-            states.push(s);
-        }
-        self.states = states;
-        Ok(())
+/// `num_q` travels flattened row by row; `exp_cnt` as exact `f64` bit
+/// patterns.
+impl State for MdmProgramState {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("accum_cnt", &mut self.accum_cnt)?;
+        c.field("num_q_sum_i", &mut self.num_q_sum_i)?;
+        c.field("num_q", self.num_q.as_flattened_mut())?;
+        c.field("num_q_sum_e", &mut self.num_q_sum_e)?;
+        c.field("exp_cnt", &mut self.exp_cnt)?;
+        let mut phase = u64::from(self.phase == Phase::Estimation);
+        c.field("phase", &mut phase)?;
+        self.phase = match phase {
+            0 => Phase::Observation,
+            1 => Phase::Estimation,
+            p => return Err(format!("phase: unknown MDM phase {p}")),
+        };
+        c.field("updates_in_phase", &mut self.updates_in_phase)?;
+        c.field("since_recompute", &mut self.since_recompute)?;
+        c.field("total_updates", &mut self.total_updates)
     }
 }
 
@@ -420,12 +373,8 @@ impl MigrationPolicy for MdmPolicy {
         self.core.record_evictions(records);
     }
 
-    fn snapshot_state(&self) -> Option<Json> {
-        Some(self.core.snapshot_json())
-    }
-
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        self.core.restore_json(state)
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        State::state(&mut self.core, c)
     }
 }
 

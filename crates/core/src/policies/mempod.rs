@@ -4,15 +4,14 @@
 //! update overhead of its swaps is ignored, both per the paper's §4.1
 //! (optimistic MemPod configuration).
 
-use profess_metrics::Json;
+use profess_metrics::{State, StateCodec};
 use profess_types::config::MemPodParams;
 use profess_types::ids::SlotIdx;
 use profess_types::{Cycle, GroupId};
 
 use super::{AccessCtx, Decision, MigrationPolicy};
-use crate::snapshot::u64_from;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct MeaSlot {
     group: GroupId,
     orig_slot: SlotIdx,
@@ -98,7 +97,7 @@ impl MigrationPolicy for MemPodPolicy {
         }
         self.intervals += 1;
         let mut tracked = std::mem::take(&mut self.mea);
-        tracked.sort_by(|a, b| b.count.cmp(&a.count));
+        tracked.sort_by_key(|s| std::cmp::Reverse(s.count));
         tracked
             .into_iter()
             .take(self.params.max_migrations)
@@ -110,58 +109,26 @@ impl MigrationPolicy for MemPodPolicy {
         Some(self.next_poll)
     }
 
-    fn snapshot_state(&self) -> Option<Json> {
-        // MEA slot order is load-bearing: `poll` sorts stably by count,
-        // so ties resolve in first-touch order. Encode verbatim.
-        let mea: Vec<Json> = self
-            .mea
-            .iter()
-            .map(|s| {
-                Json::Arr(vec![
-                    Json::UInt(s.group.0),
-                    Json::UInt(u64::from(s.orig_slot.0)),
-                    Json::UInt(u64::from(s.count)),
-                ])
-            })
-            .collect();
-        Some(Json::obj([
-            ("next_poll", Json::UInt(self.next_poll.0)),
-            ("mea", Json::Arr(mea)),
-            ("intervals", Json::UInt(self.intervals)),
-        ]))
-    }
-
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        let mut mea = Vec::with_capacity(self.params.counters);
-        for triple in state.field_arr("mea")? {
-            let triple = triple
-                .as_arr()
-                .ok_or_else(|| "MEA entry is not an array".to_string())?;
-            if triple.len() != 3 {
-                return Err("MEA entry must be [group, slot, count]".to_string());
-            }
-            let group = GroupId(u64_from(&triple[0], "MEA group")?);
-            let slot = u64_from(&triple[1], "MEA slot")?;
-            let slot = u8::try_from(slot).map_err(|_| "MEA slot out of range".to_string())?;
-            let count = u64_from(&triple[2], "MEA count")?;
-            let count = u32::try_from(count).map_err(|_| "MEA count out of range".to_string())?;
-            mea.push(MeaSlot {
-                group,
-                orig_slot: SlotIdx(slot),
-                count,
-            });
-        }
-        if mea.len() > self.params.counters {
+    /// MEA slot order is load-bearing: `poll` sorts stably by count, so
+    /// ties resolve in first-touch order. The slots travel verbatim.
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("next_poll", &mut self.next_poll)?;
+        c.field("mea", &mut self.mea)?;
+        if self.mea.len() > self.params.counters {
             return Err(format!(
-                "snapshot tracks {} MEA slots but the policy has {} counters",
-                mea.len(),
+                "mea: {} slots tracked but the policy has {} counters",
+                self.mea.len(),
                 self.params.counters
             ));
         }
-        self.next_poll = Cycle(state.field_u64("next_poll")?);
-        self.mea = mea;
-        self.intervals = state.field_u64("intervals")?;
-        Ok(())
+        c.field("intervals", &mut self.intervals)
+    }
+}
+
+/// A `[group, slot, count]` triple.
+impl State for MeaSlot {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        (&mut self.group, &mut self.orig_slot, &mut self.count).state(c)
     }
 }
 

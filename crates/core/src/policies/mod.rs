@@ -181,20 +181,15 @@ pub trait MigrationPolicy {
     /// nothing.
     fn drain_trace(&mut self, _now: Cycle, _out: &mut Vec<TraceEvent>) {}
 
-    /// Serializes the policy's mutable decision state for a mid-run
-    /// snapshot. `None` means the policy (as configured) cannot be
-    /// snapshotted and the run must report
+    /// Saves or loads the policy's mutable decision state for a mid-run
+    /// snapshot (see [`profess_metrics::State`]). The default fails:
+    /// the policy (as configured) cannot be snapshotted, and a run asked
+    /// to preempt reports
     /// [`SnapshotUnsupported`](crate::errors::SimError::SnapshotUnsupported).
     /// Observability-only state (trace buffers) is excluded by contract:
     /// snapshot bytes must be identical with tracing on or off.
-    fn snapshot_state(&self) -> Option<profess_metrics::Json> {
-        None
-    }
-
-    /// Restores state captured by [`MigrationPolicy::snapshot_state`]
-    /// into a freshly built policy of the same configuration.
-    fn restore_state(&mut self, _state: &profess_metrics::Json) -> Result<(), String> {
-        Err("policy does not support snapshot restore".to_string())
+    fn state(&mut self, _c: &mut profess_metrics::StateCodec<'_>) -> Result<(), String> {
+        Err("no snapshot support".to_string())
     }
 }
 

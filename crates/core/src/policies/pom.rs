@@ -18,14 +18,13 @@
 //! rather than a sampled subset — which favours the baseline and thus
 //! makes the reproduction's MDM-vs-PoM comparisons conservative.
 
-use profess_metrics::Json;
+use profess_metrics::StateCodec;
 use profess_types::config::PomParams;
 use profess_types::ids::{ProgramId, SlotIdx};
 
 use super::{AccessCtx, Decision, MigrationPolicy};
 use crate::flat::EpochTable;
 use crate::regions::RegionClass;
-use crate::snapshot::u64_from;
 
 /// The PoM policy.
 #[derive(Debug)]
@@ -84,7 +83,7 @@ impl PomPolicy {
         let mut best: Option<(usize, i64)> = None;
         for (i, _) in self.params.thresholds.iter().enumerate() {
             let benefit = self.hyp_hits[i] as i64 - i64::from(self.k) * self.hyp_swaps[i] as i64;
-            if best.map_or(true, |(_, b)| benefit > b) {
+            if best.is_none_or(|(_, b)| benefit > b) {
                 best = Some((i, benefit));
             }
         }
@@ -161,73 +160,26 @@ impl MigrationPolicy for PomPolicy {
         }
     }
 
-    fn snapshot_state(&self) -> Option<Json> {
-        let counts: Vec<Json> = self
-            .epoch_counts
-            .iter()
-            .map(|(g, s, c)| {
-                Json::Arr(vec![Json::UInt(g), Json::UInt(u64::from(s)), Json::UInt(c)])
-            })
-            .collect();
-        let u64s = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| Json::UInt(x)).collect());
-        Some(Json::obj([
-            (
-                "threshold",
-                match self.threshold {
-                    Some(t) => Json::UInt(u64::from(t)),
-                    None => Json::Null,
-                },
-            ),
-            ("served_in_epoch", Json::UInt(self.served_in_epoch)),
-            ("epoch_counts", Json::Arr(counts)),
-            ("hyp_swaps", u64s(&self.hyp_swaps)),
-            ("hyp_hits", u64s(&self.hyp_hits)),
-            ("epochs", Json::UInt(self.epochs)),
-            ("promotions", Json::UInt(self.promotions)),
-        ]))
-    }
-
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        let n = self.params.thresholds.len();
-        self.threshold = match state.get("threshold") {
-            Some(Json::Null) => None,
-            Some(Json::UInt(t)) => {
-                Some(u32::try_from(*t).map_err(|_| "threshold out of range".to_string())?)
-            }
-            _ => return Err("missing or invalid \"threshold\"".to_string()),
-        };
-        let mut counts = EpochTable::new(SlotIdx::MAX as u64);
-        for triple in state.field_arr("epoch_counts")? {
-            let triple = triple
-                .as_arr()
-                .ok_or_else(|| "epoch count entry is not an array".to_string())?;
-            if triple.len() != 3 {
-                return Err("epoch count entry must be [group, slot, count]".to_string());
-            }
-            let g = u64_from(&triple[0], "epoch count group")?;
-            let s = u64_from(&triple[1], "epoch count slot")?;
-            let s = u8::try_from(s).map_err(|_| "epoch count slot out of range".to_string())?;
-            let c = u64_from(&triple[2], "epoch count value")?;
-            if !counts.set(g, s, c) {
-                return Err("epoch count key out of range".to_string());
+    /// The epoch counts travel sparse, as `[group, slot, count]`
+    /// triples; the per-threshold tallies load in place (one entry per
+    /// candidate threshold).
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("threshold", &mut self.threshold)?;
+        c.field("served_in_epoch", &mut self.served_in_epoch)?;
+        let mut counts: Vec<(u64, u8, u64)> = self.epoch_counts.iter().collect();
+        c.field("epoch_counts", &mut counts)?;
+        if c.is_load() {
+            self.epoch_counts = EpochTable::new(SlotIdx::MAX as u64);
+            for (g, s, n) in counts {
+                if !self.epoch_counts.set(g, s, n) {
+                    return Err(format!("epoch_counts: key ({g}, {s}) out of range"));
+                }
             }
         }
-        let decode_vec = |key: &str| -> Result<Vec<u64>, String> {
-            let raw = state.field_arr(key)?;
-            if raw.len() != n {
-                return Err(format!(
-                    "field \"{key}\" must have one entry per candidate threshold"
-                ));
-            }
-            raw.iter().map(|x| u64_from(x, key)).collect()
-        };
-        self.hyp_swaps = decode_vec("hyp_swaps")?;
-        self.hyp_hits = decode_vec("hyp_hits")?;
-        self.epoch_counts = counts;
-        self.served_in_epoch = state.field_u64("served_in_epoch")?;
-        self.epochs = state.field_u64("epochs")?;
-        self.promotions = state.field_u64("promotions")?;
-        Ok(())
+        c.field("hyp_swaps", self.hyp_swaps.as_mut_slice())?;
+        c.field("hyp_hits", self.hyp_hits.as_mut_slice())?;
+        c.field("epochs", &mut self.epochs)?;
+        c.field("promotions", &mut self.promotions)
     }
 }
 

@@ -21,7 +21,7 @@ use profess_types::config::{MdmParams, RsmParams};
 use profess_types::ids::ProgramId;
 use profess_types::Cycle;
 
-use profess_metrics::Json;
+use profess_metrics::{State, StateCodec};
 
 use super::mdm::MdmCore;
 use super::rsm::{EpochReport, Rsm};
@@ -69,6 +69,19 @@ pub struct GuidanceStats {
     pub default_mdm: u64,
 }
 
+/// The four counters as a positional array.
+impl State for GuidanceStats {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        [
+            &mut self.help_m2,
+            &mut self.protect_m1,
+            &mut self.protect_m1_product,
+            &mut self.default_mdm,
+        ]
+        .state(c)
+    }
+}
+
 /// The ProFess policy: MDM decisions steered by RSM (paper §3.3).
 #[derive(Debug)]
 pub struct ProfessPolicy {
@@ -104,12 +117,6 @@ impl ProfessPolicy {
     /// Access to the RSM (diagnostics, Table 4 study).
     pub fn rsm(&self) -> &Rsm {
         &self.rsm
-    }
-
-    /// Mutable access to the RSM (to enable sample recording).
-    // profess: allow(dead_item): mutable counterpart of `rsm()` for the Table 4 sampling study; kept for accessor symmetry
-    pub fn rsm_mut(&mut self) -> &mut Rsm {
-        &mut self.rsm
     }
 
     /// Guidance-case counters.
@@ -258,46 +265,13 @@ impl MigrationPolicy for ProfessPolicy {
         }
     }
 
-    fn snapshot_state(&self) -> Option<Json> {
-        // `tracing` and `pending_epochs` are observability state rebuilt
-        // by the restoring system; `case3_enabled` is configuration
-        // (covered by the config fingerprint).
-        let rsm = self.rsm.snapshot_json()?;
-        Some(Json::obj([
-            ("mdm", self.mdm.snapshot_json()),
-            ("rsm", rsm),
-            (
-                "stats",
-                Json::Arr(vec![
-                    Json::UInt(self.stats.help_m2),
-                    Json::UInt(self.stats.protect_m1),
-                    Json::UInt(self.stats.protect_m1_product),
-                    Json::UInt(self.stats.default_mdm),
-                ]),
-            ),
-        ]))
-    }
-
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        self.mdm.restore_json(
-            state
-                .get("mdm")
-                .ok_or_else(|| "missing \"mdm\"".to_string())?,
-        )?;
-        self.rsm.restore_json(
-            state
-                .get("rsm")
-                .ok_or_else(|| "missing \"rsm\"".to_string())?,
-        )?;
-        let [help_m2, protect_m1, protect_m1_product, default_mdm] =
-            state.field_u64s::<4>("stats")?;
-        self.stats = GuidanceStats {
-            help_m2,
-            protect_m1,
-            protect_m1_product,
-            default_mdm,
-        };
-        Ok(())
+    /// `tracing` and `pending_epochs` are observability state rebuilt by
+    /// the restoring system; `case3_enabled` is configuration (covered by
+    /// the config fingerprint).
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("mdm", &mut self.mdm)?;
+        c.field("rsm", &mut self.rsm)?;
+        c.field("stats", &mut self.stats)
     }
 }
 

@@ -13,12 +13,11 @@
 //! smoothed exponentially (α = 0.125) with a +1 bias to avoid zeros
 //! (paper §3.1.3).
 
-use profess_metrics::Json;
+use profess_metrics::{State, StateCodec};
 use profess_types::config::RsmParams;
 use profess_types::ids::ProgramId;
 
 use crate::regions::RegionClass;
-use crate::snapshot::{f64_from_json, f64_to_json};
 
 /// Indices into the six Table 3 counters.
 const REQ_M1_P: usize = 0;
@@ -212,85 +211,28 @@ impl Rsm {
             sf_b,
         }
     }
+}
 
-    /// Snapshot encoding of the monitor state, or `None` when the
-    /// unbounded per-period sample log is enabled (a diagnostics-only
-    /// mode excluded from the snapshot format).
-    pub(crate) fn snapshot_json(&self) -> Option<Json> {
+/// The per-program monitor state; loading requires the same program
+/// count. A monitor recording its unbounded per-period sample log (a
+/// diagnostics-only mode) cannot be snapshotted.
+impl State for Rsm {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
         if self.keep_samples {
-            return None;
+            return Err("RSM sample recording is not snapshotted".to_string());
         }
-        let states: Vec<Json> = self
-            .states
-            .iter()
-            .map(|s| {
-                Json::obj([
-                    (
-                        "raw",
-                        Json::Arr(s.raw.iter().map(|&x| Json::UInt(x)).collect()),
-                    ),
-                    (
-                        "smoothed",
-                        match &s.smoothed {
-                            None => Json::Null,
-                            Some(sm) => Json::Arr(sm.iter().map(|&x| f64_to_json(x)).collect()),
-                        },
-                    ),
-                    ("served_this_period", Json::UInt(s.served_this_period)),
-                    ("sf_a", f64_to_json(s.sf_a)),
-                    ("sf_b", f64_to_json(s.sf_b)),
-                    ("periods", Json::UInt(s.periods)),
-                ])
-            })
-            .collect();
-        Some(Json::obj([("states", Json::Arr(states))]))
+        c.field("states", self.states.as_mut_slice())
     }
+}
 
-    /// Restores an [`Rsm::snapshot_json`] encoding. Fails when the sample
-    /// log is enabled (snapshots never carry it).
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        if self.keep_samples {
-            return Err("cannot restore into an RSM with sample recording enabled".to_string());
-        }
-        let states_raw = j.field_arr("states")?;
-        if states_raw.len() != self.states.len() {
-            return Err(format!(
-                "RSM program count mismatch: snapshot has {}, monitor has {}",
-                states_raw.len(),
-                self.states.len()
-            ));
-        }
-        let mut states = Vec::with_capacity(states_raw.len());
-        for sj in states_raw {
-            let mut s = ProgState::new();
-            s.raw = sj.field_u64s::<6>("raw")?;
-            s.smoothed = match sj.get("smoothed") {
-                Some(Json::Null) => None,
-                Some(Json::Arr(xs)) if xs.len() == 6 => {
-                    let mut sm = [0.0; 6];
-                    for (i, x) in xs.iter().enumerate() {
-                        sm[i] = f64_from_json(x, "smoothed")?;
-                    }
-                    Some(sm)
-                }
-                _ => return Err("missing or invalid \"smoothed\"".to_string()),
-            };
-            s.served_this_period = sj.field_u64("served_this_period")?;
-            s.sf_a = f64_from_json(
-                sj.get("sf_a")
-                    .ok_or_else(|| "missing \"sf_a\"".to_string())?,
-                "sf_a",
-            )?;
-            s.sf_b = f64_from_json(
-                sj.get("sf_b")
-                    .ok_or_else(|| "missing \"sf_b\"".to_string())?,
-                "sf_b",
-            )?;
-            s.periods = sj.field_u64("periods")?;
-            states.push(s);
-        }
-        self.states = states;
-        Ok(())
+impl State for ProgState {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("raw", &mut self.raw)?;
+        c.field("smoothed", &mut self.smoothed)?;
+        c.field("served_this_period", &mut self.served_this_period)?;
+        c.field("sf_a", &mut self.sf_a)?;
+        c.field("sf_b", &mut self.sf_b)?;
+        c.field("periods", &mut self.periods)
     }
 }
 

@@ -19,7 +19,7 @@
 //! The paper did not evaluate this combination; it is provided (and
 //! tested) as the library-level extension the paper proposes.
 
-use profess_metrics::Json;
+use profess_metrics::StateCodec;
 use profess_obs::TraceEvent;
 use profess_types::config::RsmParams;
 use profess_types::ids::{ProgramId, SlotIdx};
@@ -185,46 +185,11 @@ impl MigrationPolicy for RsmGuided {
         self.inner.drain_trace(now, out);
     }
 
-    fn snapshot_state(&self) -> Option<Json> {
-        // If either the inner policy or the RSM declines (unsupported
-        // configuration), the whole wrapper is unsnapshottable.
-        let inner = self.inner.snapshot_state()?;
-        let rsm = self.rsm.snapshot_json()?;
-        Some(Json::obj([
-            ("inner", inner),
-            ("rsm", rsm),
-            (
-                "stats",
-                Json::Arr(vec![
-                    Json::UInt(self.stats.help_m2),
-                    Json::UInt(self.stats.protect_m1),
-                    Json::UInt(self.stats.protect_m1_product),
-                    Json::UInt(self.stats.default_mdm),
-                ]),
-            ),
-        ]))
-    }
-
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        self.inner.restore_state(
-            state
-                .get("inner")
-                .ok_or_else(|| "missing \"inner\"".to_string())?,
-        )?;
-        self.rsm.restore_json(
-            state
-                .get("rsm")
-                .ok_or_else(|| "missing \"rsm\"".to_string())?,
-        )?;
-        let [help_m2, protect_m1, protect_m1_product, default_mdm] =
-            state.field_u64s::<4>("stats")?;
-        self.stats = GuidanceStats {
-            help_m2,
-            protect_m1,
-            protect_m1_product,
-            default_mdm,
-        };
-        Ok(())
+    /// Snapshottable only when both the inner policy and the RSM are.
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.object("inner", |c| self.inner.state(c))?;
+        c.field("rsm", &mut self.rsm)?;
+        c.field("stats", &mut self.stats)
     }
 }
 

@@ -14,14 +14,13 @@
 //! the Table 2 catalogue and is exercised by tests and the `ablation`
 //! tooling rather than by a paper figure.
 
-use profess_metrics::Json;
+use profess_metrics::StateCodec;
 use profess_types::ids::ProgramId;
 use profess_types::{Cycle, GroupId};
 
 use super::{AccessCtx, Decision, MigrationPolicy};
 use crate::flat::FlatCounters;
 use crate::regions::RegionClass;
-use crate::snapshot::u64_from;
 
 /// Parameters of the SILC-FM-style policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,39 +129,20 @@ impl MigrationPolicy for SilcFmPolicy {
         Vec::new()
     }
 
-    fn snapshot_state(&self) -> Option<Json> {
-        let aging: Vec<Json> = self
-            .aging
-            .iter()
-            .map(|(g, c)| Json::Arr(vec![Json::UInt(g), Json::UInt(u64::from(c))]))
-            .collect();
-        Some(Json::obj([
-            ("aging", Json::Arr(aging)),
-            ("served_since_age", Json::UInt(self.served_since_age)),
-            ("locks_held", Json::UInt(self.locks_held)),
-        ]))
-    }
-
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        let mut aging = FlatCounters::new();
-        for pair in state.field_arr("aging")? {
-            let pair = pair
-                .as_arr()
-                .ok_or_else(|| "aging entry is not an array".to_string())?;
-            if pair.len() != 2 {
-                return Err("aging entry must be [group, count]".to_string());
-            }
-            let g = u64_from(&pair[0], "aging group")?;
-            let c = u64_from(&pair[1], "aging count")?;
-            let c = u32::try_from(c).map_err(|_| "aging count out of range".to_string())?;
-            if !aging.set(g, c) {
-                return Err("aging group out of range".to_string());
+    /// The aging counters travel sparse, as `[group, count]` pairs.
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        let mut aging: Vec<(u64, u32)> = self.aging.iter().collect();
+        c.field("aging", &mut aging)?;
+        if c.is_load() {
+            self.aging = FlatCounters::new();
+            for (g, n) in aging {
+                if !self.aging.set(g, n) {
+                    return Err(format!("aging: group {g} out of range"));
+                }
             }
         }
-        self.aging = aging;
-        self.served_since_age = state.field_u64("served_since_age")?;
-        self.locks_held = state.field_u64("locks_held")?;
-        Ok(())
+        c.field("served_since_age", &mut self.served_since_age)?;
+        c.field("locks_held", &mut self.locks_held)
     }
 }
 

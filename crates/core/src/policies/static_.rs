@@ -24,11 +24,8 @@ impl MigrationPolicy for StaticPolicy {
         Decision::Stay
     }
 
-    fn snapshot_state(&self) -> Option<profess_metrics::Json> {
-        Some(profess_metrics::Json::obj([]))
-    }
-
-    fn restore_state(&mut self, _state: &profess_metrics::Json) -> Result<(), String> {
+    /// Stateless: snapshottable, with nothing to save.
+    fn state(&mut self, _c: &mut profess_metrics::StateCodec<'_>) -> Result<(), String> {
         Ok(())
     }
 }

@@ -30,7 +30,7 @@
 //! buffers) is deliberately *excluded*: snapshot bytes are identical
 //! whether or not a run is traced, mirroring the report's own contract.
 
-use profess_metrics::Json;
+use profess_metrics::{fnv64, Json};
 
 use crate::errors::SimError;
 
@@ -61,16 +61,6 @@ pub const PAYLOAD_FIELDS: &[&str] = &[
     "core_next",
     "policy",
 ];
-
-/// FNV-1a 64-bit hash (same constants as the bench fingerprint suite).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A serializable snapshot of a mid-run [`System`](crate::system) at a
 /// clock boundary. Produced by preemptible runs
@@ -181,53 +171,6 @@ impl SystemSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared codec helpers for snapshot payload assembly and restore.
-// ---------------------------------------------------------------------------
-
-/// Reads a bare `u64` array element.
-pub fn u64_from(j: &Json, what: &str) -> Result<u64, String> {
-    j.as_u64().ok_or_else(|| format!("non-integer {what}"))
-}
-
-/// Encodes an `i64` the way the JSON parser reads numbers back:
-/// non-negative values as `UInt`, negative values as `Int` — keeping
-/// emit→parse→emit byte-stable.
-pub fn i64_to_json(x: i64) -> Json {
-    if x >= 0 {
-        Json::UInt(x as u64)
-    } else {
-        Json::Int(x)
-    }
-}
-
-/// Decodes an [`i64_to_json`] value.
-pub fn i64_from_json(j: &Json, what: &str) -> Result<i64, String> {
-    match j {
-        Json::UInt(x) if *x <= i64::MAX as u64 => Ok(*x as i64),
-        Json::Int(x) => Ok(*x),
-        _ => Err(format!("{what}: expected integer")),
-    }
-}
-
-/// Encodes an `f64` as its exact bit pattern (16 hex digits), so restore
-/// is bit-exact — `Json::Num` would lose non-finite values.
-pub fn f64_to_json(x: f64) -> Json {
-    Json::Str(format!("{:016x}", x.to_bits()))
-}
-
-/// Decodes an [`f64_to_json`] bit pattern.
-pub fn f64_from_json(j: &Json, what: &str) -> Result<f64, String> {
-    let s = j
-        .as_str()
-        .ok_or_else(|| format!("{what}: expected hex-bits string"))?;
-    if s.len() != 16 {
-        return Err(format!("{what}: expected 16 hex digits, got {:?}", s));
-    }
-    let bits = u64::from_str_radix(s, 16).map_err(|e| format!("{what}: {e}"))?;
-    Ok(f64::from_bits(bits))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,32 +242,6 @@ mod tests {
         for t in ["", "{", "[1,2", "{\"kind\":\"system_snapshot\"}", "nul"] {
             assert!(SystemSnapshot::parse(t).is_err(), "{t:?}");
         }
-    }
-
-    #[test]
-    fn f64_bits_round_trip_exactly() {
-        for x in [0.0, -0.0, 1.5, f64::INFINITY, f64::MIN_POSITIVE, 1.0 / 3.0] {
-            let j = f64_to_json(x);
-            let back = f64_from_json(&j, "x").expect("round trip");
-            assert_eq!(back.to_bits(), x.to_bits());
-        }
-        // NaN round-trips bit-exactly too.
-        let j = f64_to_json(f64::NAN);
-        let back = f64_from_json(&j, "nan").expect("round trip");
-        assert!(back.is_nan());
-    }
-
-    #[test]
-    fn i64_round_trips_through_parser_variants() {
-        for x in [0i64, 1, -1, i64::MAX, i64::MIN] {
-            let j = i64_to_json(x);
-            // What the parser would hand back after a text round trip.
-            let reparsed = Json::parse(&j.to_string()).expect("valid");
-            assert_eq!(i64_from_json(&reparsed, "x").expect("decodes"), x);
-            assert_eq!(reparsed.to_string(), j.to_string());
-        }
-        assert!(i64_from_json(&Json::UInt(u64::MAX), "x").is_err());
-        assert!(i64_from_json(&Json::Str("5".into()), "x").is_err());
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! stresses that this accurate state is kept *only* for STC-resident
 //! entries, which is exactly what this structure does.
 
-use profess_metrics::Json;
+use profess_metrics::{State, StateCodec};
 use profess_types::ids::SlotIdx;
 use profess_types::GroupId;
-
-use crate::snapshot::u64_from;
 
 /// Per-entry cached state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +25,13 @@ pub struct CachedEntry {
     /// must be written back to M1 on eviction.
     pub dirty: bool,
     stamp: u64,
+}
+
+/// An unoccupied way slot.
+impl Default for CachedEntry {
+    fn default() -> Self {
+        CachedEntry::new(GroupId(EMPTY_KEY), [0; SlotIdx::MAX])
+    }
 }
 
 impl CachedEntry {
@@ -109,7 +114,7 @@ impl Stc {
     ///
     /// Panics if the set count is not a positive power of two.
     pub fn new(entries: usize, ways: usize) -> Self {
-        assert!(ways > 0 && entries % ways == 0);
+        assert!(ways > 0 && entries.is_multiple_of(ways));
         let sets = entries / ways;
         assert!(
             sets.is_power_of_two(),
@@ -235,124 +240,64 @@ impl Stc {
     pub fn stats(&self) -> &StcStats {
         &self.stats
     }
+}
 
-    /// Snapshot encoding: every set's entries in storage order (order is
-    /// load-bearing — `swap_remove` eviction makes it part of the LRU
-    /// replay), the LRU tick, and the statistics.
-    pub(crate) fn snapshot_json(&self) -> Json {
-        let sets: Vec<Json> = self
+/// Every set's entries in storage order (order is load-bearing —
+/// `swap_remove` eviction makes it part of the LRU replay), the LRU tick,
+/// and the statistics. Loading requires the same set count, and no set
+/// may hold more entries than the cache has ways.
+impl State for Stc {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        let mut sets: Vec<Vec<CachedEntry>> = self
             .lens
             .iter()
             .enumerate()
             .map(|(set, &len)| {
                 let base = set * self.ways;
-                Json::Arr(
-                    self.entries[base..base + len as usize]
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("group", Json::UInt(e.group.0)),
-                                (
-                                    "ac",
-                                    Json::Arr(
-                                        e.ac.iter().map(|&c| Json::UInt(u64::from(c))).collect(),
-                                    ),
-                                ),
-                                (
-                                    "q_i",
-                                    Json::Arr(
-                                        e.q_i.iter().map(|&q| Json::UInt(u64::from(q))).collect(),
-                                    ),
-                                ),
-                                ("dirty", Json::Bool(e.dirty)),
-                                ("stamp", Json::UInt(e.stamp)),
-                            ])
-                        })
-                        .collect(),
-                )
+                self.entries[base..base + len as usize].to_vec()
             })
             .collect();
-        Json::obj([
-            ("sets", Json::Arr(sets)),
-            ("tick", Json::UInt(self.tick)),
-            (
-                "stats",
-                Json::obj([
-                    ("lookups", Json::UInt(self.stats.lookups)),
-                    ("hits", Json::UInt(self.stats.hits)),
-                    ("evictions", Json::UInt(self.stats.evictions)),
-                    ("dirty_evictions", Json::UInt(self.stats.dirty_evictions)),
-                ]),
-            ),
-        ])
+        c.field("sets", sets.as_mut_slice())?;
+        if c.is_load() {
+            self.keys.fill(EMPTY_KEY);
+            self.entries.fill(CachedEntry::default());
+            for (set, entries) in sets.into_iter().enumerate() {
+                if entries.len() > self.ways {
+                    return Err(format!(
+                        "sets: [{set}]: {} entries overflow {} ways",
+                        entries.len(),
+                        self.ways
+                    ));
+                }
+                self.lens[set] = entries.len() as u32;
+                let base = set * self.ways;
+                for (slot, e) in entries.into_iter().enumerate() {
+                    self.keys[base + slot] = e.group.0;
+                    self.entries[base + slot] = e;
+                }
+            }
+        }
+        c.field("tick", &mut self.tick)?;
+        c.field("stats", &mut self.stats)
     }
+}
 
-    /// Restores a [`Stc::snapshot_json`] encoding into this cache (which
-    /// must have been built with the same geometry).
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let sets_raw = j.field_arr("sets")?;
-        if sets_raw.len() != self.lens.len() {
-            return Err(format!(
-                "STC set count mismatch: snapshot has {}, cache has {}",
-                sets_raw.len(),
-                self.lens.len()
-            ));
-        }
-        let total = self.lens.len() * self.ways;
-        let mut keys = vec![EMPTY_KEY; total];
-        let mut flat: Vec<CachedEntry> = (0..total)
-            .map(|_| CachedEntry::new(GroupId(EMPTY_KEY), [0; SlotIdx::MAX]))
-            .collect();
-        let mut lens = vec![0u32; self.lens.len()];
-        for (set, set_raw) in sets_raw.iter().enumerate() {
-            let entries = set_raw
-                .as_arr()
-                .ok_or_else(|| "STC set is not an array".to_string())?;
-            if entries.len() > self.ways {
-                return Err(format!(
-                    "STC set overflows its {} ways with {} entries",
-                    self.ways,
-                    entries.len()
-                ));
-            }
-            let base = set * self.ways;
-            for (slot, ej) in entries.iter().enumerate() {
-                let ac_raw = ej.field_arr("ac")?;
-                let q_raw = ej.field_arr("q_i")?;
-                if ac_raw.len() != SlotIdx::MAX || q_raw.len() != SlotIdx::MAX {
-                    return Err("STC entry arrays must have SlotIdx::MAX elements".to_string());
-                }
-                let mut e = CachedEntry::new(GroupId(ej.field_u64("group")?), [0; SlotIdx::MAX]);
-                for (i, c) in ac_raw.iter().enumerate() {
-                    let v = u64_from(c, "access counter")?;
-                    e.ac[i] =
-                        u32::try_from(v).map_err(|_| "access counter out of range".to_string())?;
-                }
-                for (i, q) in q_raw.iter().enumerate() {
-                    let v = u64_from(q, "q_i value")?;
-                    e.q_i[i] = u8::try_from(v).map_err(|_| "q_i value out of range".to_string())?;
-                }
-                e.dirty = ej.field_bool("dirty")?;
-                e.stamp = ej.field_u64("stamp")?;
-                keys[base + slot] = e.group.0;
-                flat[base + slot] = e;
-                lens[set] += 1;
-            }
-        }
-        self.keys = keys;
-        self.entries = flat;
-        self.lens = lens;
-        self.tick = j.field_u64("tick")?;
-        let stats = j
-            .get("stats")
-            .ok_or_else(|| "missing \"stats\"".to_string())?;
-        self.stats = StcStats {
-            lookups: stats.field_u64("lookups")?,
-            hits: stats.field_u64("hits")?,
-            evictions: stats.field_u64("evictions")?,
-            dirty_evictions: stats.field_u64("dirty_evictions")?,
-        };
-        Ok(())
+impl State for CachedEntry {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("group", &mut self.group)?;
+        c.field("ac", &mut self.ac)?;
+        c.field("q_i", &mut self.q_i)?;
+        c.field("dirty", &mut self.dirty)?;
+        c.field("stamp", &mut self.stamp)
+    }
+}
+
+impl State for StcStats {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("lookups", &mut self.lookups)?;
+        c.field("hits", &mut self.hits)?;
+        c.field("evictions", &mut self.evictions)?;
+        c.field("dirty_evictions", &mut self.dirty_evictions)
     }
 }
 
@@ -429,10 +374,13 @@ mod tests {
         stc.peek(GroupId(0))
             .expect("cached")
             .bump(SlotIdx(1), 5, 63);
-        let j = stc.snapshot_json();
+        let j = StateCodec::save(&mut stc).expect("saves");
         let mut back = Stc::new(4, 2);
-        back.restore_json(&j).expect("restores");
-        assert_eq!(back.snapshot_json().to_string(), j.to_string());
+        StateCodec::load(&mut back, &j).expect("restores");
+        assert_eq!(
+            StateCodec::save(&mut back).expect("saves").to_string(),
+            j.to_string()
+        );
         // The restored cache evicts the same LRU victim as the original.
         let v1 = stc.insert(GroupId(8), [0; SlotIdx::MAX]).map(|v| v.group);
         let v2 = back.insert(GroupId(8), [0; SlotIdx::MAX]).map(|v| v.group);
@@ -443,15 +391,19 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_shapes() {
         let mut small = Stc::new(4, 2);
-        let other = Stc::new(8, 2).snapshot_json();
-        assert!(small.restore_json(&other).is_err(), "set count mismatch");
+        let other = StateCodec::save(&mut Stc::new(8, 2)).expect("saves");
+        assert!(
+            StateCodec::load(&mut small, &other).is_err(),
+            "set count mismatch"
+        );
         // A set holding more entries than the cache has ways: donor has
         // the same two sets but four ways, with three entries in set 0.
         let mut donor = Stc::new(8, 4);
         donor.insert(GroupId(0), [0; SlotIdx::MAX]);
         donor.insert(GroupId(4), [0; SlotIdx::MAX]);
         donor.insert(GroupId(8), [0; SlotIdx::MAX]);
-        assert!(small.restore_json(&donor.snapshot_json()).is_err());
+        let donor = StateCodec::save(&mut donor).expect("saves");
+        assert!(StateCodec::load(&mut small, &donor).is_err());
     }
 
     #[test]

@@ -22,11 +22,9 @@
 //! (fresh instance, new seed) to keep contending until the slowest
 //! finishes.
 
-use std::collections::VecDeque;
-
 use profess_cpu::{CoreRequest, CoreSim, MemOpKind, OpSource};
 use profess_mem::{AccessKind, ChannelSim, PhysRequest, Served};
-use profess_metrics::Json;
+use profess_metrics::{fnv64, Json, State, StateCodec};
 use profess_obs::{Log2Histogram, TraceConfig, TraceEvent, TraceLog, Tracer};
 use profess_trace::SpecProgram;
 use profess_types::config::SystemConfig;
@@ -46,7 +44,7 @@ use crate::policies::profess::ProfessPolicy;
 use crate::policies::static_::StaticPolicy;
 use crate::policies::{AccessCtx, Decision, EvictRecord, MigrationPolicy};
 use crate::regions::RegionMap;
-use crate::snapshot::{self, f64_from_json, f64_to_json, u64_from, SystemSnapshot};
+use crate::snapshot::{self, SystemSnapshot};
 use crate::stc::{CachedEntry, Stc};
 
 /// Which migration policy to run.
@@ -429,7 +427,7 @@ impl SystemBuilder {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum Origin {
     Data {
         core: usize,
@@ -443,87 +441,64 @@ enum Origin {
         channel: usize,
         group: GroupId,
     },
+    #[default]
     StWrite,
 }
 
-fn origin_to_json(o: &Origin) -> Json {
-    match *o {
-        Origin::Data {
-            core,
-            seq,
-            is_write,
-            group,
-            orig_slot,
-            from_m1,
-        } => Json::obj([
-            ("t", Json::UInt(0)),
-            ("core", Json::UInt(core as u64)),
-            ("seq", Json::UInt(seq)),
-            ("w", Json::Bool(is_write)),
-            ("g", Json::UInt(group.0)),
-            ("s", Json::UInt(u64::from(orig_slot.0))),
-            ("m1", Json::Bool(from_m1)),
-        ]),
-        Origin::StFetch { channel, group } => Json::obj([
-            ("t", Json::UInt(1)),
-            ("ch", Json::UInt(channel as u64)),
-            ("g", Json::UInt(group.0)),
-        ]),
-        Origin::StWrite => Json::obj([("t", Json::UInt(2))]),
-    }
-}
-
-/// Decodes an in-flight request origin, bounds-checking every index a
-/// later step would use to index into system state (hostile payloads with
-/// a valid fingerprint must yield errors, never panics).
-fn origin_from_json(
-    j: &Json,
-    n_cores: usize,
-    n_channels: usize,
-    num_groups: u64,
-) -> Result<Origin, String> {
-    let group = |j: &Json| -> Result<GroupId, String> {
-        let g = j.field_u64("g")?;
-        if g >= num_groups {
-            return Err(format!("origin group {g} out of range"));
+/// Tagged by `"t"`: 0 data, 1 ST fetch, 2 ST write-back. Indices into
+/// system state are bounds-checked by [`System`]'s load.
+impl State for Origin {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        let mut t = match self {
+            Origin::Data { .. } => 0u8,
+            Origin::StFetch { .. } => 1,
+            Origin::StWrite => 2,
+        };
+        c.field("t", &mut t)?;
+        if c.is_load() {
+            *self = match t {
+                0 => Origin::Data {
+                    core: 0,
+                    seq: 0,
+                    is_write: false,
+                    group: GroupId(0),
+                    orig_slot: SlotIdx::M1,
+                    from_m1: false,
+                },
+                1 => Origin::StFetch {
+                    channel: 0,
+                    group: GroupId(0),
+                },
+                2 => Origin::StWrite,
+                t => return Err(format!("t: unknown origin tag {t}")),
+            };
         }
-        Ok(GroupId(g))
-    };
-    match j.field_u64("t")? {
-        0 => {
-            let core = j.field_u64("core")? as usize;
-            if core >= n_cores {
-                return Err(format!("origin core {core} out of range"));
-            }
-            let slot = j.field_u64("s")?;
-            if slot >= SlotIdx::MAX as u64 {
-                return Err(format!("origin slot {slot} out of range"));
-            }
-            Ok(Origin::Data {
+        match self {
+            Origin::Data {
                 core,
-                seq: j.field_u64("seq")?,
-                is_write: j.field_bool("w")?,
-                group: group(j)?,
-                orig_slot: SlotIdx(slot as u8),
-                from_m1: j.field_bool("m1")?,
-            })
-        }
-        1 => {
-            let channel = j.field_u64("ch")? as usize;
-            if channel >= n_channels {
-                return Err(format!("origin channel {channel} out of range"));
+                seq,
+                is_write,
+                group,
+                orig_slot,
+                from_m1,
+            } => {
+                c.field("core", core)?;
+                c.field("seq", seq)?;
+                c.field("w", is_write)?;
+                c.field("g", group)?;
+                c.field("s", orig_slot)?;
+                c.field("m1", from_m1)
             }
-            Ok(Origin::StFetch {
-                channel,
-                group: group(j)?,
-            })
+            Origin::StFetch { channel, group } => {
+                c.field("ch", channel)?;
+                c.field("g", group)
+            }
+            Origin::StWrite => Ok(()),
         }
-        2 => Ok(Origin::StWrite),
-        t => Err(format!("unknown origin tag {t}")),
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PendingData {
     core: usize,
     seq: u64,
@@ -531,36 +506,17 @@ struct PendingData {
     orig_slot: SlotIdx,
 }
 
-fn pending_to_json(p: &PendingData) -> Json {
-    Json::Arr(vec![
-        Json::UInt(p.core as u64),
-        Json::UInt(p.seq),
-        Json::Bool(p.is_write),
-        Json::UInt(u64::from(p.orig_slot.0)),
-    ])
-}
-
-fn pending_from_json(j: &Json, n_cores: usize) -> Result<PendingData, String> {
-    let xs = j
-        .as_arr()
-        .filter(|xs| xs.len() == 4)
-        .ok_or_else(|| "pending entry: expected a 4-tuple".to_string())?;
-    let core = u64_from(&xs[0], "pending core")? as usize;
-    if core >= n_cores {
-        return Err(format!("pending core {core} out of range"));
+/// A `[core, seq, is_write, slot]` tuple.
+impl State for PendingData {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        (
+            &mut self.core,
+            &mut self.seq,
+            &mut self.is_write,
+            &mut self.orig_slot,
+        )
+            .state(c)
     }
-    let slot = u64_from(&xs[3], "pending slot")?;
-    if slot >= SlotIdx::MAX as u64 {
-        return Err(format!("pending slot {slot} out of range"));
-    }
-    Ok(PendingData {
-        core,
-        seq: u64_from(&xs[1], "pending seq")?,
-        is_write: xs[2]
-            .as_bool()
-            .ok_or_else(|| "pending is_write: expected a boolean".to_string())?,
-        orig_slot: SlotIdx(slot as u8),
-    })
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -569,6 +525,19 @@ struct CoreStats {
     from_m1: u64,
     reads: u64,
     read_lat_sum: u64,
+}
+
+/// A `[served, from_m1, reads, read_lat_sum]` tuple.
+impl State for CoreStats {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        [
+            &mut self.served,
+            &mut self.from_m1,
+            &mut self.reads,
+            &mut self.read_lat_sum,
+        ]
+        .state(c)
+    }
 }
 
 /// Region-sampling instrumentation for the Table 4 study.
@@ -778,7 +747,7 @@ impl System {
         // policy parameters), the policy, the program list, and the
         // safety cap. Two builders agreeing on this fingerprint produce
         // interchangeable systems for snapshot purposes.
-        let config_fp = snapshot::fnv64(
+        let config_fp = fnv64(
             format!(
                 "{:?}|policy={}|programs={:?}|max_cycles={}",
                 cfg,
@@ -1239,114 +1208,12 @@ impl System {
     /// boundary. Observability (tracer, shadow RSM, histograms) is
     /// deliberately excluded: the snapshot bytes are identical whether or
     /// not the run is traced.
-    fn snapshot(&self) -> Result<SystemSnapshot, SimError> {
-        if self.sampler_rsm.is_some() {
-            return Err(SimError::SnapshotUnsupported {
-                what: "region-sampling runs (sample_regions)".to_string(),
-            });
-        }
-        let policy_state =
-            self.policy
-                .snapshot_state()
-                .ok_or_else(|| SimError::SnapshotUnsupported {
-                    what: format!("policy {} has no snapshot support", self.policy.name()),
-                })?;
-        let cycles = |xs: &[Cycle]| Json::Arr(xs.iter().map(|c| Json::UInt(c.raw())).collect());
-        let first_done: Vec<Json> = self
-            .first_done
-            .iter()
-            .map(|d| match d {
-                None => Json::Null,
-                Some((instructions, core_cycles, ipc)) => Json::Arr(vec![
-                    Json::UInt(*instructions),
-                    Json::UInt(*core_cycles),
-                    f64_to_json(*ipc),
-                ]),
-            })
-            .collect();
-        let core_stats: Vec<Json> = self
-            .core_stats
-            .iter()
-            .map(|s| {
-                Json::Arr(vec![
-                    Json::UInt(s.served),
-                    Json::UInt(s.from_m1),
-                    Json::UInt(s.reads),
-                    Json::UInt(s.read_lat_sum),
-                ])
-            })
-            .collect();
-        let (slots, base) = self.meta.raw_parts();
-        let meta = Json::obj([
-            ("base", Json::UInt(base)),
-            (
-                "slots",
-                Json::Arr(
-                    slots
-                        .iter()
-                        .map(|s| s.as_ref().map_or(Json::Null, origin_to_json))
-                        .collect(),
-                ),
-            ),
-        ]);
-        let pending: Vec<Json> = self
-            .pending_st
-            .non_empty_queues()
-            .map(|q| {
-                Json::Arr(vec![
-                    Json::UInt(q as u64),
-                    Json::Arr(self.pending_st.queue_iter(q).map(pending_to_json).collect()),
-                ])
-            })
-            .collect();
-        let payload = Json::obj([
-            ("clock", Json::UInt(self.clock.raw())),
-            ("retired", Json::UInt(self.retired)),
-            (
-                "restarts",
-                Json::Arr(
-                    self.restarts
-                        .iter()
-                        .map(|&r| Json::UInt(u64::from(r)))
-                        .collect(),
-                ),
-            ),
-            ("first_done", Json::Arr(first_done)),
-            ("core_stats", Json::Arr(core_stats)),
-            (
-                "cores",
-                Json::Arr(self.cores.iter().map(CoreSim::snapshot_state).collect()),
-            ),
-            (
-                "channels",
-                Json::Arr(
-                    self.channels
-                        .iter()
-                        .map(ChannelSim::snapshot_state)
-                        .collect(),
-                ),
-            ),
-            (
-                "stcs",
-                Json::Arr(self.stcs.iter().map(Stc::snapshot_json).collect()),
-            ),
-            ("st", self.st.snapshot_json()),
-            ("alloc", self.alloc.snapshot_json()),
-            (
-                "page_tables",
-                Json::Arr(
-                    self.page_tables
-                        .iter()
-                        .map(|t| Json::Arr(t.raw_frames().iter().map(|&f| Json::UInt(f)).collect()))
-                        .collect(),
-                ),
-            ),
-            ("meta", meta),
-            ("pending_st", Json::Arr(pending)),
-            ("ch_next", cycles(&self.ch_next)),
-            ("core_next", cycles(&self.core_next)),
-            ("policy", policy_state),
-        ]);
+    fn snapshot(&mut self) -> Result<SystemSnapshot, SimError> {
+        self.check_snapshottable()?;
+        // Only the policy can decline to save.
+        let payload = StateCodec::save(self).map_err(|e| SimError::SnapshotUnsupported {
+            what: format!("{e} (policy {})", self.policy.name()),
+        })?;
         debug_assert!(
             matches!(&payload, Json::Obj(pairs)
                 if pairs.iter().map(|(k, _)| k.as_str()).eq(snapshot::PAYLOAD_FIELDS.iter().copied())),
@@ -1359,153 +1226,24 @@ impl System {
     /// typed [`SimError`] on configuration mismatch or malformed state;
     /// it never panics on hostile payloads.
     fn restore_from_snapshot(&mut self, snap: &SystemSnapshot) -> Result<(), SimError> {
-        if self.sampler_rsm.is_some() {
-            return Err(SimError::SnapshotUnsupported {
-                what: "region-sampling runs (sample_regions)".to_string(),
-            });
-        }
+        self.check_snapshottable()?;
         if snap.config_fingerprint() != self.config_fp {
             return Err(SimError::SnapshotConfigMismatch {
                 found: snap.config_fingerprint(),
                 expected: self.config_fp,
             });
         }
-        let corrupt = |detail: String| SimError::SnapshotCorrupt { detail };
-        fn field<'a>(j: &'a Json, key: &'static str) -> Result<&'a Json, SimError> {
-            j.get(key).ok_or_else(|| SimError::SnapshotCorrupt {
-                detail: format!("missing field \"{key}\""),
-            })
+        StateCodec::load(self, snap.payload())
+            .map_err(|detail| SimError::SnapshotCorrupt { detail })
+    }
+
+    fn check_snapshottable(&self) -> Result<(), SimError> {
+        match self.sampler_rsm {
+            Some(_) => Err(SimError::SnapshotUnsupported {
+                what: "region-sampling runs (sample_regions)".to_string(),
+            }),
+            None => Ok(()),
         }
-        let n_prog = self.cores.len();
-        let n_ch = self.channels.len();
-        let p = snap.payload();
-        let sized = |key: &'static str, want: usize| -> Result<&[Json], SimError> {
-            let xs = p.field_arr(key).map_err(corrupt)?;
-            if xs.len() != want {
-                return Err(corrupt(format!(
-                    "field \"{key}\": expected {want} entries, got {}",
-                    xs.len()
-                )));
-            }
-            Ok(xs)
-        };
-        self.clock = Cycle(p.field_u64("clock").map_err(corrupt)?);
-        self.retired = p.field_u64("retired").map_err(corrupt)?;
-        // Restart counts come first: regenerating each core's op source
-        // needs the restart index of the instance that was running.
-        for (i, r) in sized("restarts", n_prog)?.iter().enumerate() {
-            let v = u64_from(r, "restart count").map_err(corrupt)?;
-            self.restarts[i] = v
-                .try_into()
-                .map_err(|_| corrupt(format!("restart count {v} out of range")))?;
-        }
-        for (i, d) in sized("first_done", n_prog)?.iter().enumerate() {
-            self.first_done[i] = match d {
-                Json::Null => None,
-                Json::Arr(xs) if xs.len() == 3 => Some((
-                    u64_from(&xs[0], "first_done instructions").map_err(corrupt)?,
-                    u64_from(&xs[1], "first_done cycles").map_err(corrupt)?,
-                    f64_from_json(&xs[2], "first_done ipc").map_err(corrupt)?,
-                )),
-                _ => {
-                    return Err(corrupt(
-                        "first_done: expected null or a 3-tuple".to_string(),
-                    ))
-                }
-            };
-        }
-        for (i, s) in sized("core_stats", n_prog)?.iter().enumerate() {
-            let xs = s
-                .as_arr()
-                .filter(|xs| xs.len() == 4)
-                .ok_or_else(|| corrupt("core_stats: expected a 4-tuple".to_string()))?;
-            self.core_stats[i] = CoreStats {
-                served: u64_from(&xs[0], "core_stats served").map_err(corrupt)?,
-                from_m1: u64_from(&xs[1], "core_stats from_m1").map_err(corrupt)?,
-                reads: u64_from(&xs[2], "core_stats reads").map_err(corrupt)?,
-                read_lat_sum: u64_from(&xs[3], "core_stats read_lat_sum").map_err(corrupt)?,
-            };
-        }
-        let cores = sized("cores", n_prog)?;
-        for i in 0..n_prog {
-            let source = (self.factories[i])(self.restarts[i]);
-            self.cores[i]
-                .restore_state(&cores[i], source)
-                .map_err(|e| corrupt(format!("core {i}: {e}")))?;
-        }
-        let channels = sized("channels", n_ch)?;
-        for i in 0..n_ch {
-            self.channels[i]
-                .restore_state(&channels[i])
-                .map_err(|e| corrupt(format!("channel {i}: {e}")))?;
-        }
-        let stcs = sized("stcs", n_ch)?;
-        for i in 0..n_ch {
-            self.stcs[i]
-                .restore_json(&stcs[i])
-                .map_err(|e| corrupt(format!("stc {i}: {e}")))?;
-        }
-        self.st
-            .restore_json(field(p, "st")?)
-            .map_err(|e| corrupt(format!("st: {e}")))?;
-        self.alloc
-            .restore_json(field(p, "alloc")?)
-            .map_err(|e| corrupt(format!("alloc: {e}")))?;
-        for (i, t) in sized("page_tables", n_prog)?.iter().enumerate() {
-            let frames = t
-                .as_arr()
-                .ok_or_else(|| corrupt(format!("page_tables[{i}]: expected an array")))?
-                .iter()
-                .map(|f| u64_from(f, "page-table frame"))
-                .collect::<Result<Vec<u64>, String>>()
-                .map_err(corrupt)?;
-            self.page_tables[i] = FlatPageTable::from_raw_frames(frames);
-        }
-        let meta = field(p, "meta")?;
-        let base = meta.field_u64("base").map_err(corrupt)?;
-        let mut slots = VecDeque::new();
-        let num_groups = self.geom.num_groups();
-        for s in meta.field_arr("slots").map_err(corrupt)? {
-            slots.push_back(match s {
-                Json::Null => None,
-                other => Some(origin_from_json(other, n_prog, n_ch, num_groups).map_err(corrupt)?),
-            });
-        }
-        self.meta = TokenRing::from_raw_parts(slots, base);
-        self.pending_st = SlabQueues::new(num_groups as usize);
-        for entry in p.field_arr("pending_st").map_err(corrupt)? {
-            let xs = entry.as_arr().filter(|xs| xs.len() == 2).ok_or_else(|| {
-                corrupt("pending_st: expected [group, waiters] pairs".to_string())
-            })?;
-            let g = u64_from(&xs[0], "pending group").map_err(corrupt)?;
-            if g >= num_groups {
-                return Err(corrupt(format!("pending group {g} out of range")));
-            }
-            let waiters = xs[1]
-                .as_arr()
-                .ok_or_else(|| corrupt("pending waiters: expected an array".to_string()))?
-                .iter()
-                .map(|w| pending_from_json(w, n_prog))
-                .collect::<Result<Vec<PendingData>, String>>()
-                .map_err(corrupt)?;
-            self.pending_st.set_queue(g as usize, waiters);
-        }
-        // The cached next-event times were valid (not dirty) at the
-        // snapshot boundary; restoring them verbatim with the dirty
-        // flags clear reproduces the uninterrupted loop's scheduling
-        // decisions exactly.
-        for (i, c) in sized("ch_next", n_ch)?.iter().enumerate() {
-            self.ch_next[i] = Cycle(u64_from(c, "ch_next").map_err(corrupt)?);
-            self.ch_dirty[i] = false;
-        }
-        for (i, c) in sized("core_next", n_prog)?.iter().enumerate() {
-            self.core_next[i] = Cycle(u64_from(c, "core_next").map_err(corrupt)?);
-            self.core_dirty[i] = false;
-        }
-        self.policy
-            .restore_state(field(p, "policy")?)
-            .map_err(|e| corrupt(format!("policy: {e}")))?;
-        Ok(())
     }
 
     fn run(mut self) -> Result<SystemReport, SimError> {
@@ -1678,7 +1416,7 @@ impl System {
 
     /// The error a preempted run returns: the snapshot to resume from,
     /// or the reason the run cannot be snapshotted.
-    fn preempt(&self) -> SimError {
+    fn preempt(&mut self) -> SimError {
         match self.snapshot() {
             Ok(s) => SimError::Preempted {
                 snapshot: Box::new(s),
@@ -1838,6 +1576,66 @@ impl std::fmt::Debug for System {
             .field("cores", &self.cores.len())
             .field("policy", &self.policy.name())
             .finish_non_exhaustive()
+    }
+}
+
+/// The snapshot payload, field by field in [`snapshot::PAYLOAD_FIELDS`]
+/// order. Per-program and per-channel vectors load in place, so their
+/// lengths must match this system's; every index a later step uses to
+/// index system state is bounds-checked on load.
+impl State for System {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        let (n_cores, n_channels) = (self.cores.len(), self.channels.len());
+        let groups = self.geom.num_groups();
+        c.field("clock", &mut self.clock)?;
+        c.field("retired", &mut self.retired)?;
+        // Restart counts come before the cores: regenerating each core's
+        // op source needs the restart index of the instance that was
+        // running.
+        c.field("restarts", self.restarts.as_mut_slice())?;
+        c.field("first_done", self.first_done.as_mut_slice())?;
+        c.field("core_stats", self.core_stats.as_mut_slice())?;
+        if c.is_load() {
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                core.set_source((self.factories[i])(self.restarts[i]));
+            }
+        }
+        c.field("cores", self.cores.as_mut_slice())?;
+        c.field("channels", self.channels.as_mut_slice())?;
+        c.field("stcs", self.stcs.as_mut_slice())?;
+        c.field("st", &mut self.st)?;
+        c.field("alloc", &mut self.alloc)?;
+        c.field("page_tables", self.page_tables.as_mut_slice())?;
+        c.field("meta", &mut self.meta)?;
+        if c.is_load() {
+            let in_range = |o: &Origin| match *o {
+                Origin::Data { core, group, .. } => core < n_cores && group.0 < groups,
+                Origin::StFetch { channel, group } => channel < n_channels && group.0 < groups,
+                Origin::StWrite => true,
+            };
+            if let Some(o) = self.meta.values().find(|o| !in_range(o)) {
+                return Err(format!("meta: origin {o:?} out of range"));
+            }
+        }
+        c.field("pending_st", &mut self.pending_st)?;
+        if c.is_load() {
+            for q in self.pending_st.non_empty_queues() {
+                if let Some(p) = self.pending_st.queue_iter(q).find(|p| p.core >= n_cores) {
+                    return Err(format!("pending_st: waiter {p:?} out of range"));
+                }
+            }
+        }
+        // The cached next-event times were valid (not dirty) at the
+        // snapshot boundary; restoring them verbatim with the dirty flags
+        // clear reproduces the uninterrupted loop's scheduling decisions
+        // exactly.
+        c.field("ch_next", self.ch_next.as_mut_slice())?;
+        c.field("core_next", self.core_next.as_mut_slice())?;
+        if c.is_load() {
+            self.ch_dirty.fill(false);
+            self.core_dirty.fill(false);
+        }
+        c.object("policy", |c| self.policy.state(c))
     }
 }
 
@@ -2321,6 +2119,31 @@ mod tests {
             matches!(err, SimError::SnapshotUnsupported { .. }),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn policy_without_state_cannot_snapshot() {
+        #[derive(Debug)]
+        struct Never;
+        impl MigrationPolicy for Never {
+            fn name(&self) -> &'static str {
+                "Never"
+            }
+            fn on_access(&mut self, _ctx: &mut AccessCtx<'_>) -> Decision {
+                Decision::Stay
+            }
+        }
+        let err = SystemBuilder::new(tiny_cfg())
+            .custom_policy(Box::new(Never), false)
+            .program("hot", scripted_chase(6000, 10))
+            .snapshot_at(0)
+            .try_run()
+            .expect_err("the default `MigrationPolicy::state` declines");
+        assert!(
+            matches!(err, SimError::SnapshotUnsupported { .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("policy Never"), "{err}");
     }
 
     #[test]

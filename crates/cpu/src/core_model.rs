@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use profess_metrics::Json;
+use profess_metrics::{State, StateCodec};
 use profess_obs::Log2Histogram;
 use profess_types::clock::ClockSpec;
 use profess_types::config::CpuConfig;
@@ -52,13 +52,13 @@ pub enum WaitState {
     Finished,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct InflightLoad {
     seq: u64,
     done: Option<u64>, // completion slot
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PendingOp {
     op: MemOp,
     gap_left: u32,
@@ -172,6 +172,13 @@ impl CoreSim {
         // keeps running in the same time base. IPC accounting restarts
         // from the current slot.
         self.instance_start_slot = self.exec_slot;
+    }
+
+    /// Installs `source` as the op stream without touching timing state:
+    /// snapshot restore installs a fresh regeneration of the captured
+    /// program, which loading then fast-forwards (see the [`State`] impl).
+    pub fn set_source(&mut self, source: Box<dyn OpSource>) {
+        self.source = source;
     }
 
     /// Instructions executed so far (current program instance).
@@ -451,145 +458,97 @@ impl CoreSim {
             WaitState::OnResponse | WaitState::Finished => Cycle::NEVER,
         }
     }
+}
 
-    /// Serializes the core's mutable execution state as a JSON object.
-    ///
-    /// The op source is captured as a replay position (`ops_consumed`);
-    /// restoring regenerates the source deterministically and fast-forwards
-    /// it. Configuration-derived fields (`rob`, `mshrs`, `wb_cap`, `width`,
-    /// `spmc`) and the profiling histograms (`obs`) are excluded.
-    pub fn snapshot_state(&self) -> Json {
-        let inflight_load = |l: &InflightLoad| {
-            Json::obj([("seq", Json::UInt(l.seq)), ("done", Json::opt_u64(l.done))])
-        };
-        let (wait_kind, wait_slot) = match self.wait {
-            WaitState::Ready => (0, 0),
+/// The core's mutable execution state.
+///
+/// The op source travels as a replay position (`ops_consumed`): loading
+/// fast-forwards the installed source by it, so install a fresh
+/// regeneration of the captured program first
+/// ([`CoreSim::set_source`]). Configuration-derived fields (`rob`,
+/// `mshrs`, `wb_cap`, `width`, `spmc`) and the profiling histograms
+/// (`obs`) are excluded. A source that runs dry before the replay
+/// position is an error: the regenerated program differs from the
+/// captured one.
+impl State for CoreSim {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("ops_consumed", &mut self.ops_consumed)?;
+        if c.is_load() {
+            for i in 0..self.ops_consumed {
+                if self.source.next_op().is_none() {
+                    return Err(format!(
+                        "op source ran dry at op {i} of {}: regenerated program differs from the captured one",
+                        self.ops_consumed
+                    ));
+                }
+            }
+        }
+        c.field("exec_slot", &mut self.exec_slot)?;
+        c.field("exec_seq", &mut self.exec_seq)?;
+        c.field("pending", &mut self.pending)?;
+        c.field("inflight", &mut self.inflight)?;
+        c.field("outstanding", &mut self.outstanding)?;
+        c.field("last_load", &mut self.last_load)?;
+        c.field("wb_used", &mut self.wb_used)?;
+        let (mut wait_kind, mut wait_slot) = match self.wait {
+            WaitState::Ready => (0u64, 0),
             WaitState::UntilSlot(s) => (1, s),
             WaitState::OnResponse => (2, 0),
             WaitState::Finished => (3, 0),
         };
-        let pending = match &self.pending {
-            None => Json::Null,
-            Some(p) => Json::obj([
-                ("gap", Json::UInt(u64::from(p.op.gap))),
-                ("store", Json::Bool(matches!(p.op.kind, MemOpKind::Store))),
-                ("line", Json::UInt(p.op.line)),
-                ("dependent", Json::Bool(p.op.dependent)),
-                ("gap_left", Json::UInt(u64::from(p.gap_left))),
-            ]),
+        c.field("wait_kind", &mut wait_kind)?;
+        c.field("wait_slot", &mut wait_slot)?;
+        self.wait = match wait_kind {
+            0 => WaitState::Ready,
+            1 => WaitState::UntilSlot(wait_slot),
+            2 => WaitState::OnResponse,
+            3 => WaitState::Finished,
+            k => return Err(format!("wait_kind: unknown value {k}")),
         };
-        Json::obj([
-            ("ops_consumed", Json::UInt(self.ops_consumed)),
-            ("exec_slot", Json::UInt(self.exec_slot)),
-            ("exec_seq", Json::UInt(self.exec_seq)),
-            ("pending", pending),
-            (
-                "inflight",
-                Json::Arr(self.inflight.iter().map(inflight_load).collect()),
-            ),
-            ("outstanding", Json::UInt(self.outstanding as u64)),
-            (
-                "last_load",
-                self.last_load.as_ref().map_or(Json::Null, inflight_load),
-            ),
-            ("wb_used", Json::UInt(self.wb_used as u64)),
-            ("wait_kind", Json::UInt(wait_kind)),
-            ("wait_slot", Json::UInt(wait_slot)),
-            ("exhausted", Json::Bool(self.exhausted)),
-            ("finish_slot", Json::opt_u64(self.finish_slot)),
-            ("instance_start_slot", Json::UInt(self.instance_start_slot)),
-            ("loads_issued", Json::UInt(self.loads_issued)),
-            ("stores_issued", Json::UInt(self.stores_issued)),
-        ])
+        c.field("exhausted", &mut self.exhausted)?;
+        c.field("finish_slot", &mut self.finish_slot)?;
+        c.field("instance_start_slot", &mut self.instance_start_slot)?;
+        c.field("loads_issued", &mut self.loads_issued)?;
+        c.field("stores_issued", &mut self.stores_issued)
     }
+}
 
-    /// Restores the state captured by [`CoreSim::snapshot_state`], replacing
-    /// this core's op stream with `source` (a deterministic regeneration of
-    /// the one active at capture) and fast-forwarding it by the recorded
-    /// `ops_consumed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field, or of a source
-    /// that runs dry before reaching the replay position (which means the
-    /// regenerated program differs from the captured one).
-    pub fn restore_state(
-        &mut self,
-        snap: &Json,
-        mut source: Box<dyn OpSource>,
-    ) -> Result<(), String> {
-        let ops_consumed = snap.field_u64("ops_consumed")?;
-        for i in 0..ops_consumed {
-            if source.next_op().is_none() {
-                return Err(format!(
-                    "op source ran dry at op {i} of {ops_consumed}: regenerated program differs from the captured one"
-                ));
-            }
-        }
-        let inflight_load = |v: &Json, what: &str| -> Result<InflightLoad, String> {
-            Ok(InflightLoad {
-                seq: v.field_u64("seq").map_err(|e| format!("{what} {e}"))?,
-                done: v.field_opt_u64("done").map_err(|e| format!("{what} {e}"))?,
-            })
-        };
-        self.source = source;
-        self.ops_consumed = ops_consumed;
-        self.exec_slot = snap.field_u64("exec_slot")?;
-        self.exec_seq = snap.field_u64("exec_seq")?;
-        self.pending = match snap.get("pending") {
-            Some(Json::Null) => None,
-            Some(p) => Some(PendingOp {
-                op: MemOp {
-                    gap: u32::try_from(p.field_u64("gap")?)
-                        .map_err(|_| "pending gap: out of range".to_string())?,
-                    kind: if p.field_bool("store")? {
-                        MemOpKind::Store
-                    } else {
-                        MemOpKind::Load
-                    },
-                    line: p.field_u64("line")?,
-                    dependent: p.field_bool("dependent")?,
-                },
-                gap_left: u32::try_from(p.field_u64("gap_left")?)
-                    .map_err(|_| "pending gap_left: out of range".to_string())?,
-            }),
-            None => return Err("pending: missing".to_string()),
-        };
-        self.inflight = snap
-            .get("inflight")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "inflight: missing or not an array".to_string())?
-            .iter()
-            .map(|v| inflight_load(v, "inflight"))
-            .collect::<Result<_, _>>()?;
-        self.outstanding = usize::try_from(snap.field_u64("outstanding")?)
-            .map_err(|_| "outstanding: out of range".to_string())?;
-        self.last_load = match snap.get("last_load") {
-            Some(Json::Null) => None,
-            Some(v) => Some(inflight_load(v, "last_load")?),
-            None => return Err("last_load: missing".to_string()),
-        };
-        self.wb_used = usize::try_from(snap.field_u64("wb_used")?)
-            .map_err(|_| "wb_used: out of range".to_string())?;
-        self.wait = match (snap.field_u64("wait_kind")?, snap.field_u64("wait_slot")?) {
-            (0, _) => WaitState::Ready,
-            (1, s) => WaitState::UntilSlot(s),
-            (2, _) => WaitState::OnResponse,
-            (3, _) => WaitState::Finished,
-            (k, _) => return Err(format!("wait_kind: unknown value {k}")),
-        };
-        self.exhausted = snap.field_bool("exhausted")?;
-        self.finish_slot = snap.field_opt_u64("finish_slot")?;
-        self.instance_start_slot = snap.field_u64("instance_start_slot")?;
-        self.loads_issued = snap.field_u64("loads_issued")?;
-        self.stores_issued = snap.field_u64("stores_issued")?;
-        Ok(())
+impl State for PendingOp {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("gap", &mut self.op.gap)?;
+        c.flag(
+            "store",
+            &mut self.op.kind,
+            [MemOpKind::Load, MemOpKind::Store],
+        )?;
+        c.field("line", &mut self.op.line)?;
+        c.field("dependent", &mut self.op.dependent)?;
+        c.field("gap_left", &mut self.gap_left)
+    }
+}
+
+impl State for InflightLoad {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("seq", &mut self.seq)?;
+        c.field("done", &mut self.done)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use profess_metrics::Json;
+
+    fn save(core: &mut CoreSim) -> Json {
+        StateCodec::save(core).expect("a core always saves")
+    }
+
+    /// A fresh core running `source`, loaded from `snap`.
+    fn restored(snap: &Json, source: Box<dyn OpSource>) -> Result<CoreSim, String> {
+        let mut core = CoreSim::new(&cfg(), &ClockSpec::paper(), source);
+        StateCodec::load(&mut core, snap)?;
+        Ok(core)
+    }
 
     fn cfg() -> CpuConfig {
         CpuConfig {
@@ -868,15 +827,13 @@ mod tests {
             }
         }
 
-        let snap = core.snapshot_state();
-        let mut restored = CoreSim::new(&cfg(), &clock, scripted(Vec::new()));
-        restored
-            .restore_state(
-                &Json::parse(&snap.to_string()).expect("parse"),
-                scripted(ops.clone()),
-            )
-            .expect("restore");
-        assert_eq!(restored.snapshot_state().to_string(), snap.to_string());
+        let snap = save(&mut core);
+        let mut restored = restored(
+            &Json::parse(&snap.to_string()).expect("parse"),
+            scripted(ops.clone()),
+        )
+        .expect("restore");
+        assert_eq!(save(&mut restored).to_string(), snap.to_string());
 
         // Drive both to completion with the same memory and compare.
         let drive = |core: &mut CoreSim, mut pending: Vec<(Cycle, u64)>, mut now: Cycle| {
@@ -915,10 +872,7 @@ mod tests {
         let log_b = drive(&mut restored, pending, now);
         assert_eq!(log_a, log_b, "restored core diverged");
         assert!(core.is_finished() && restored.is_finished());
-        assert_eq!(
-            core.snapshot_state().to_string(),
-            restored.snapshot_state().to_string()
-        );
+        assert_eq!(save(&mut core).to_string(), save(&mut restored).to_string());
         assert_eq!(core.ipc(), restored.ipc());
     }
 
@@ -928,15 +882,12 @@ mod tests {
         let mut core = CoreSim::new(&cfg(), &clock, scripted(vec![load(2, 1), load(2, 2)]));
         let mut out = Vec::new();
         core.advance(Cycle(50), &mut out);
-        let snap = core.snapshot_state();
+        let snap = save(&mut core);
         assert!(snap.get("ops_consumed").and_then(Json::as_u64).unwrap() > 0);
 
         // A regenerated source with fewer ops than were consumed is a
         // different program: restore must fail, not silently desync.
-        let mut fresh = CoreSim::new(&cfg(), &clock, scripted(Vec::new()));
-        let err = fresh
-            .restore_state(&snap, scripted(Vec::new()))
-            .unwrap_err();
+        let err = restored(&snap, scripted(Vec::new())).unwrap_err();
         assert!(err.contains("ran dry"), "{err}");
 
         // A missing field is reported by name.
@@ -944,9 +895,7 @@ mod tests {
         if let Json::Obj(pairs) = &mut broken {
             pairs.retain(|(k, _)| k != "exec_slot");
         }
-        let err = fresh
-            .restore_state(&broken, scripted(vec![load(2, 1), load(2, 2)]))
-            .unwrap_err();
+        let err = restored(&broken, scripted(vec![load(2, 1), load(2, 2)])).unwrap_err();
         assert!(err.contains("exec_slot"), "{err}");
     }
 

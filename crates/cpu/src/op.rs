@@ -1,9 +1,10 @@
 //! Abstract memory operations consumed by the core model.
 
 /// Load or store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemOpKind {
     /// A demand load; the core may stall on its result.
+    #[default]
     Load,
     /// A store; retires into the write buffer.
     Store,
@@ -14,7 +15,7 @@ pub enum MemOpKind {
 /// `gap` non-memory instructions execute (at core width) before this
 /// operation. `line` is a 64 B line index in the program's own address
 /// space; the system layer translates it to a physical location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemOp {
     /// Non-memory instructions preceding this op.
     pub gap: u32,

@@ -2,7 +2,7 @@
 //! a data bus) with FR-FCFS-Cap scheduling, write draining, M1 refresh and
 //! channel-blocking block swaps.
 
-use profess_metrics::Json;
+use profess_metrics::{State, StateCodec};
 use profess_obs::Log2Histogram;
 use profess_types::config::{EnergyConfig, MemTimingConfig, TechTiming};
 use profess_types::geometry::{MemLoc, Module};
@@ -24,7 +24,7 @@ pub struct ChannelObs {
     pub queue_depth: Log2Histogram,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Queued {
     req: PhysRequest,
     enq: Cycle,
@@ -93,7 +93,7 @@ impl ChannelSim {
         banks: usize,
         lines_per_block: u64,
     ) -> Self {
-        let next_refresh = timing.m1.t_refi.map_or(Cycle::NEVER, |refi| Cycle(refi));
+        let next_refresh = timing.m1.t_refi.map_or(Cycle::NEVER, Cycle);
         ChannelSim {
             timing,
             banks_m1: vec![BankState::default(); banks],
@@ -630,226 +630,128 @@ impl ChannelSim {
         self.stats.swap_busy_cycles += (done - start).raw();
         done
     }
+}
 
-    /// Serializes the channel's mutable timing state (banks, queues,
-    /// in-flight requests, refresh bookkeeping, energy and statistics
-    /// counters) as a JSON object.
-    ///
-    /// Configuration-derived fields (`timing`, `energy_cfg`,
-    /// `lines_per_block`) and the profiling histograms (`obs`) are
-    /// excluded: a restored channel is rebuilt from the same
-    /// configuration, and observability restarts empty by design.
-    pub fn snapshot_state(&self) -> Json {
-        let banks = |bs: &[BankState]| Json::Arr(bs.iter().map(bank_to_json).collect());
-        let queue = |q: &[Queued]| Json::Arr(q.iter().map(queued_to_json).collect());
-        Json::obj([
-            ("banks_m1", banks(&self.banks_m1)),
-            ("banks_m2", banks(&self.banks_m2)),
-            ("bus_free", Json::UInt(self.bus_free.raw())),
-            ("blocked_until", Json::UInt(self.blocked_until.raw())),
-            ("read_q", queue(&self.read_q)),
-            ("write_q", queue(&self.write_q)),
-            (
-                "inflight",
-                Json::Arr(self.inflight.iter().map(served_to_json).collect()),
-            ),
-            ("draining_writes", Json::Bool(self.draining_writes)),
-            ("next_refresh", Json::UInt(self.next_refresh.raw())),
-            (
-                "energy",
-                Json::Arr(
-                    [
-                        self.energy.m1_acts,
-                        self.energy.m1_reads,
-                        self.energy.m1_writes,
-                        self.energy.m2_acts,
-                        self.energy.m2_reads,
-                        self.energy.m2_writes,
-                        self.energy.m1_refreshes,
-                    ]
-                    .into_iter()
-                    .map(Json::UInt)
-                    .collect(),
-                ),
-            ),
-            (
-                "stats",
-                Json::Arr(
-                    [
-                        self.stats.reads_served,
-                        self.stats.writes_served,
-                        self.stats.row_hits,
-                        self.stats.read_latency_sum,
-                        self.stats.swaps,
-                        self.stats.swap_busy_cycles,
-                        self.stats.refreshes,
-                    ]
-                    .into_iter()
-                    .map(Json::UInt)
-                    .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Restores the mutable state captured by [`ChannelSim::snapshot_state`]
-    /// into a freshly constructed channel with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or mismatched field
-    /// (e.g. a bank count that differs from this channel's configuration).
-    pub fn restore_state(&mut self, snap: &Json) -> Result<(), String> {
-        let banks = |key: &str, want: usize| -> Result<Vec<BankState>, String> {
-            let arr = snap.field_arr(key)?;
-            if arr.len() != want {
-                return Err(format!("{key}: {} banks, expected {want}", arr.len()));
-            }
-            arr.iter().map(bank_from_json).collect()
-        };
-        let queue = |key: &str| -> Result<Vec<Queued>, String> {
-            snap.field_arr(key)?.iter().map(queued_from_json).collect()
-        };
-        self.banks_m1 = banks("banks_m1", self.banks_m1.len())?;
-        self.banks_m2 = banks("banks_m2", self.banks_m2.len())?;
-        self.bus_free = Cycle(snap.field_u64("bus_free")?);
-        self.blocked_until = Cycle(snap.field_u64("blocked_until")?);
-        self.read_q = queue("read_q")?;
-        self.write_q = queue("write_q")?;
-        self.inflight = snap
-            .field_arr("inflight")?
-            .iter()
-            .map(served_from_json)
-            .collect::<Result<_, _>>()?;
-        self.inflight_min_done = self
-            .inflight
-            .iter()
-            .map(|s| s.done)
-            .fold(Cycle::NEVER, Cycle::min);
-        self.draining_writes = snap.field_bool("draining_writes")?;
-        self.sched_hint = None;
-        self.next_refresh = Cycle(snap.field_u64("next_refresh")?);
-        let e = snap.field_u64s::<7>("energy")?;
-        self.energy = EnergyCounters {
-            m1_acts: e[0],
-            m1_reads: e[1],
-            m1_writes: e[2],
-            m2_acts: e[3],
-            m2_reads: e[4],
-            m2_writes: e[5],
-            m1_refreshes: e[6],
-        };
-        let s = snap.field_u64s::<7>("stats")?;
-        self.stats = ChannelStats {
-            reads_served: s[0],
-            writes_served: s[1],
-            row_hits: s[2],
-            read_latency_sum: s[3],
-            swaps: s[4],
-            swap_busy_cycles: s[5],
-            refreshes: s[6],
-        };
+/// The channel's mutable timing state: banks, queues, in-flight
+/// requests, refresh bookkeeping, energy and statistics counters.
+///
+/// Configuration-derived fields (`timing`, `energy_cfg`,
+/// `lines_per_block`) and the profiling histograms (`obs`) are excluded:
+/// a restored channel is rebuilt from the same configuration, and
+/// observability restarts empty by design. Bank vectors load in place, so
+/// a bank count other than this channel's is rejected.
+impl State for ChannelSim {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("banks_m1", self.banks_m1.as_mut_slice())?;
+        c.field("banks_m2", self.banks_m2.as_mut_slice())?;
+        c.field("bus_free", &mut self.bus_free)?;
+        c.field("blocked_until", &mut self.blocked_until)?;
+        c.field("read_q", &mut self.read_q)?;
+        c.field("write_q", &mut self.write_q)?;
+        // Queued requests index the bank vectors (both modules have
+        // `banks` banks).
+        let banks = self.banks_m1.len();
+        if let Some(q) =
+            (self.read_q.iter().chain(&self.write_q)).find(|q| q.req.loc.bank as usize >= banks)
+        {
+            return Err(format!(
+                "queued request {} targets bank {} of {banks}",
+                q.req.id, q.req.loc.bank
+            ));
+        }
+        c.field("inflight", &mut self.inflight)?;
+        c.field("draining_writes", &mut self.draining_writes)?;
+        c.field("next_refresh", &mut self.next_refresh)?;
+        let e = &mut self.energy;
+        c.field(
+            "energy",
+            &mut [
+                &mut e.m1_acts,
+                &mut e.m1_reads,
+                &mut e.m1_writes,
+                &mut e.m2_acts,
+                &mut e.m2_reads,
+                &mut e.m2_writes,
+                &mut e.m1_refreshes,
+            ],
+        )?;
+        let s = &mut self.stats;
+        c.field(
+            "stats",
+            &mut [
+                &mut s.reads_served,
+                &mut s.writes_served,
+                &mut s.row_hits,
+                &mut s.read_latency_sum,
+                &mut s.swaps,
+                &mut s.swap_busy_cycles,
+                &mut s.refreshes,
+            ],
+        )?;
+        if c.is_load() {
+            // Derived caches: recomputed, and the refusal hint dropped
+            // (the next issue loop re-derives it from the loaded state).
+            self.sched_hint = None;
+            self.inflight_min_done = self
+                .inflight
+                .iter()
+                .map(|s| s.done)
+                .fold(Cycle::NEVER, Cycle::min);
+        }
         Ok(())
     }
 }
 
-fn bank_to_json(b: &BankState) -> Json {
-    Json::obj([
-        ("open_row", Json::opt_u64(b.open_row)),
-        ("cas_ready", Json::UInt(b.cas_ready.raw())),
-        ("last_act", Json::opt_u64(b.last_act.map(Cycle::raw))),
-        ("pre_ready", Json::UInt(b.pre_ready.raw())),
-        ("hit_streak", Json::UInt(u64::from(b.hit_streak))),
-    ])
+impl State for BankState {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        c.field("open_row", &mut self.open_row)?;
+        c.field("cas_ready", &mut self.cas_ready)?;
+        c.field("last_act", &mut self.last_act)?;
+        c.field("pre_ready", &mut self.pre_ready)?;
+        c.field("hit_streak", &mut self.hit_streak)
+    }
 }
 
-fn bank_from_json(v: &Json) -> Result<BankState, String> {
-    Ok(BankState {
-        open_row: v.field_opt_u64("open_row")?,
-        cas_ready: Cycle(v.field_u64("cas_ready")?),
-        last_act: v.field_opt_u64("last_act")?.map(Cycle),
-        pre_ready: Cycle(v.field_u64("pre_ready")?),
-        hit_streak: u32::try_from(v.field_u64("hit_streak")?)
-            .map_err(|_| "bank hit_streak: out of range".to_string())?,
-    })
+/// The fields a queued and a served record share: token, direction and
+/// location, flattened into the record's object.
+fn request_state(
+    c: &mut StateCodec<'_>,
+    id: &mut u64,
+    kind: &mut AccessKind,
+    loc: &mut MemLoc,
+) -> Result<(), String> {
+    c.field("id", id)?;
+    c.flag("write", kind, [AccessKind::Read, AccessKind::Write])?;
+    c.flag("m2", &mut loc.module, [Module::M1, Module::M2])?;
+    c.field("bank", &mut loc.bank)?;
+    c.field("row", &mut loc.row)
 }
 
-fn loc_to_pairs(loc: MemLoc) -> [(&'static str, Json); 3] {
-    [
-        ("m2", Json::Bool(loc.module == Module::M2)),
-        ("bank", Json::UInt(u64::from(loc.bank))),
-        ("row", Json::UInt(loc.row)),
-    ]
+impl State for Queued {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        let r = &mut self.req;
+        request_state(c, &mut r.id, &mut r.kind, &mut r.loc)?;
+        c.field("enq", &mut self.enq)
+    }
 }
 
-fn loc_from_json(v: &Json) -> Result<MemLoc, String> {
-    Ok(MemLoc {
-        module: if v.field_bool("m2")? {
-            Module::M2
-        } else {
-            Module::M1
-        },
-        bank: u32::try_from(v.field_u64("bank")?)
-            .map_err(|_| "request bank: out of range".to_string())?,
-        row: v.field_u64("row")?,
-    })
-}
-
-fn queued_to_json(q: &Queued) -> Json {
-    let mut pairs = vec![
-        ("id", Json::UInt(q.req.id)),
-        ("write", Json::Bool(matches!(q.req.kind, AccessKind::Write))),
-    ];
-    pairs.extend(loc_to_pairs(q.req.loc));
-    pairs.push(("enq", Json::UInt(q.enq.raw())));
-    Json::obj(pairs)
-}
-
-fn queued_from_json(v: &Json) -> Result<Queued, String> {
-    Ok(Queued {
-        req: PhysRequest {
-            id: v.field_u64("id")?,
-            kind: if v.field_bool("write")? {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-            loc: loc_from_json(v)?,
-        },
-        enq: Cycle(v.field_u64("enq")?),
-    })
-}
-
-fn served_to_json(s: &Served) -> Json {
-    let mut pairs = vec![
-        ("id", Json::UInt(s.id)),
-        ("write", Json::Bool(matches!(s.kind, AccessKind::Write))),
-    ];
-    pairs.extend(loc_to_pairs(s.loc));
-    pairs.push(("enqueued", Json::UInt(s.enqueued.raw())));
-    pairs.push(("done", Json::UInt(s.done.raw())));
-    pairs.push(("row_hit", Json::Bool(s.row_hit)));
-    Json::obj(pairs)
-}
-
-fn served_from_json(v: &Json) -> Result<Served, String> {
-    Ok(Served {
-        id: v.field_u64("id")?,
-        kind: if v.field_bool("write")? {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        },
-        loc: loc_from_json(v)?,
-        enqueued: Cycle(v.field_u64("enqueued")?),
-        done: Cycle(v.field_u64("done")?),
-        row_hit: v.field_bool("row_hit")?,
-    })
+impl State for Served {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        request_state(c, &mut self.id, &mut self.kind, &mut self.loc)?;
+        c.field("enqueued", &mut self.enqueued)?;
+        c.field("done", &mut self.done)?;
+        c.field("row_hit", &mut self.row_hit)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use profess_metrics::Json;
+
+    fn save(c: &mut ChannelSim) -> Json {
+        StateCodec::save(c).expect("a channel always saves")
+    }
 
     fn ch() -> ChannelSim {
         ChannelSim::new(
@@ -1108,13 +1010,15 @@ mod tests {
         let mut early = Vec::new();
         c.advance(Cycle(700), &mut early);
 
-        let snap = c.snapshot_state();
+        let snap = save(&mut c);
         let mut restored = ch();
-        restored
-            .restore_state(&Json::parse(&snap.to_string()).expect("parse"))
-            .expect("restore");
+        StateCodec::load(
+            &mut restored,
+            &Json::parse(&snap.to_string()).expect("parse"),
+        )
+        .expect("restore");
         assert_eq!(
-            restored.snapshot_state().to_string(),
+            save(&mut restored).to_string(),
             snap.to_string(),
             "snapshot must round-trip byte-identically"
         );
@@ -1124,31 +1028,36 @@ mod tests {
         assert_eq!(rest_a, rest_b);
         assert_eq!(c.stats(), restored.stats());
         assert_eq!(c.energy(), restored.energy());
-        assert_eq!(
-            c.snapshot_state().to_string(),
-            restored.snapshot_state().to_string()
-        );
+        assert_eq!(save(&mut c).to_string(), save(&mut restored).to_string());
     }
 
     #[test]
     fn restore_rejects_malformed_state() {
         let mut c = ch();
-        let mut snap = c.snapshot_state();
+        let mut snap = save(&mut c);
         // Drop a required key.
         if let Json::Obj(pairs) = &mut snap {
             pairs.retain(|(k, _)| k != "bus_free");
         }
-        let err = c.restore_state(&snap).unwrap_err();
+        let err = StateCodec::load(&mut c, &snap).unwrap_err();
         assert!(err.contains("bus_free"), "{err}");
         // Bank count mismatch (different configuration).
-        let other = ChannelSim::new(
+        let mut other = ChannelSim::new(
             MemTimingConfig::paper(),
             EnergyConfig::default_values(),
             8,
             32,
         );
-        let err = c.restore_state(&other.snapshot_state()).unwrap_err();
+        let err = StateCodec::load(&mut c, &save(&mut other)).unwrap_err();
         assert!(err.contains("banks"), "{err}");
+        // A queued request naming a bank the channel does not have.
+        let mut queued = ch();
+        queued.push(rd(1, Module::M1, 2, 0), Cycle(0));
+        let text = save(&mut queued)
+            .to_string()
+            .replace("\"bank\":2", "\"bank\":99");
+        let err = StateCodec::load(&mut ch(), &Json::parse(&text).expect("valid")).unwrap_err();
+        assert!(err.contains("bank 99"), "{err}");
     }
 
     #[test]

@@ -4,9 +4,10 @@ use profess_types::geometry::MemLoc;
 use profess_types::Cycle;
 
 /// Read or write access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AccessKind {
     /// A 64 B read burst.
+    #[default]
     Read,
     /// A 64 B write burst.
     Write,
@@ -25,7 +26,7 @@ impl AccessKind {
 /// `id` is an opaque caller token carried through to the [`Served`] record;
 /// the memory-controller layer above uses it to route completions back to
 /// cores, ST-fetch machinery, etc.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhysRequest {
     /// Caller-assigned token, echoed in the completion record.
     pub id: u64,
@@ -36,7 +37,7 @@ pub struct PhysRequest {
 }
 
 /// Completion record for a served request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Served {
     /// The caller token of the request.
     pub id: u64,

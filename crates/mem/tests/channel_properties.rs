@@ -7,6 +7,7 @@
 use profess_check::strategy::{any_bool, tuple2, tuple5, u32_range, u64_range, u8_range, vec_of};
 use profess_check::{check_with, prop_assert, prop_assert_eq, Config, Strategy};
 use profess_mem::{AccessKind, ChannelSim, PhysRequest, Served};
+use profess_metrics::StateCodec;
 use profess_types::config::{EnergyConfig, MemTimingConfig};
 use profess_types::geometry::{MemLoc, Module};
 use profess_types::Cycle;
@@ -240,8 +241,8 @@ fn paper_channel() -> ChannelSim {
 }
 
 /// A channel driven in lockstep with a hint-free reference copy: before
-/// every call the reference goes through `snapshot_state` /
-/// `restore_state`, which drops its cached scheduling refusal, so it
+/// every call the reference is saved and reloaded through its `State`
+/// impl, which drops its cached scheduling refusal, so it
 /// re-derives every decision from bank, bus and queue state.
 struct Lockstep {
     hinted: ChannelSim,
@@ -252,10 +253,8 @@ struct Lockstep {
 
 impl Lockstep {
     fn reset_reference(&mut self) {
-        let snap = self.reference.snapshot_state();
-        self.reference
-            .restore_state(&snap)
-            .expect("restore own snapshot");
+        let snap = StateCodec::save(&mut self.reference).expect("save");
+        StateCodec::load(&mut self.reference, &snap).expect("restore own snapshot");
     }
 
     fn advance(&mut self, now: Cycle) -> Result<(), String> {

@@ -1,9 +1,9 @@
-//! Hand-rolled JSON and CSV emission and parsing (in-tree replacement
-//! for `serde`).
+//! Hand-rolled JSON emission and parsing (in-tree replacement for
+//! `serde`).
 //!
 //! The simulator's deliverables are machine-readable result files under
 //! `results/`; with the hermetic-build policy (no external crates) this
-//! module owns that surface. Both formats round-trip: `emit → parse →
+//! module owns that surface. The format round-trips: `emit → parse →
 //! compare` is tested here and in `tests/emitters.rs`, so dropping serde
 //! cannot silently corrupt output.
 //!
@@ -13,9 +13,6 @@
 //! * Numbers are split into [`Json::UInt`]/[`Json::Int`] (exact 64-bit)
 //!   and [`Json::Num`] (f64, emitted with Rust's shortest round-trip
 //!   formatting). Non-finite floats are emitted as `null` per JSON.
-//!
-//! CSV notes: RFC 4180 quoting (fields containing comma, quote, CR or LF
-//! are quoted; quotes are doubled).
 
 use std::fmt::Write as _;
 
@@ -86,63 +83,11 @@ impl Json {
         }
     }
 
-    /// A required unsigned-integer field of an object; the error names
-    /// the field.
-    pub fn field_u64(&self, key: &str) -> Result<u64, String> {
-        self.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing or non-integer field \"{key}\""))
-    }
-
-    /// A required boolean field of an object; the error names the field.
-    pub fn field_bool(&self, key: &str) -> Result<bool, String> {
-        self.get(key)
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("missing or non-boolean field \"{key}\""))
-    }
-
-    /// A required array field of an object; the error names the field.
-    pub fn field_arr(&self, key: &str) -> Result<&[Json], String> {
-        self.get(key)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("missing or non-array field \"{key}\""))
-    }
-
-    /// A required array field of exactly `N` unsigned integers; the
-    /// error names the field.
-    pub fn field_u64s<const N: usize>(&self, key: &str) -> Result<[u64; N], String> {
-        let xs = self.field_arr(key)?;
-        if xs.len() != N {
-            return Err(format!(
-                "field \"{key}\": expected {N} elements, got {}",
-                xs.len()
-            ));
-        }
-        let mut out = [0u64; N];
-        for (o, x) in out.iter_mut().zip(xs) {
-            *o = x
-                .as_u64()
-                .ok_or_else(|| format!("field \"{key}\": non-integer element"))?;
-        }
-        Ok(out)
-    }
-
-    /// A required `null`-or-integer field of an object (the encoding of
-    /// [`Json::opt_u64`]); the error names the field.
-    pub fn field_opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            Some(Json::Null) => Ok(None),
-            Some(Json::UInt(x)) => Ok(Some(*x)),
-            _ => Err(format!("missing or non-integer, non-null field \"{key}\"")),
-        }
-    }
-
-    /// Encodes an optional integer as `null` or [`Json::UInt`].
-    pub fn opt_u64(v: Option<u64>) -> Json {
-        v.map_or(Json::Null, Json::UInt)
-    }
-
-    /// Serializes compactly (no whitespace).
+    /// Serializes compactly (no whitespace): the wire text.
+    // An inherent method rather than `Display`: callers, `examples/perf`
+    // among them, pass `x.to_string()` as a format argument, which clippy
+    // flags (`to_string_in_format_args`) once it comes from `Display`.
+    #[allow(clippy::inherent_to_string)]
     pub fn to_string(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
@@ -211,12 +156,6 @@ impl Json {
             return Err(p.err("trailing characters"));
         }
         Ok(v)
-    }
-}
-
-impl std::fmt::Display for Json {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_string())
     }
 }
 
@@ -461,204 +400,9 @@ impl Parser<'_> {
     }
 }
 
-/// A CSV table: a header row plus data rows, RFC 4180 quoting.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Csv {
-    /// Column names.
-    pub header: Vec<String>,
-    /// Data rows; each must match the header's width.
-    pub rows: Vec<Vec<String>>,
-}
-
-impl Csv {
-    /// Creates a table with the given columns.
-    pub fn new(header: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        Csv {
-            header: header.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row's width differs from the header's.
-    pub fn row(&mut self, row: impl IntoIterator<Item = impl Into<String>>) -> &mut Self {
-        let row: Vec<String> = row.into_iter().map(Into::into).collect();
-        assert_eq!(row.len(), self.header.len(), "row width mismatch");
-        self.rows.push(row);
-        self
-    }
-
-    /// Serializes with `\n` line endings and a trailing newline.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        write_csv_line(&self.header, &mut out);
-        for r in &self.rows {
-            write_csv_line(r, &mut out);
-        }
-        out
-    }
-
-    /// Parses a CSV document (first line is the header).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CsvError`] on ragged rows, unterminated quotes, or an
-    /// empty document.
-    pub fn parse(text: &str) -> Result<Csv, CsvError> {
-        let mut records = parse_csv_records(text)?;
-        if records.is_empty() {
-            return Err(CsvError::Empty);
-        }
-        let header = records.remove(0);
-        for (i, r) in records.iter().enumerate() {
-            if r.len() != header.len() {
-                return Err(CsvError::Ragged {
-                    row: i + 2,
-                    got: r.len(),
-                    want: header.len(),
-                });
-            }
-        }
-        Ok(Csv {
-            header,
-            rows: records,
-        })
-    }
-}
-
-impl std::fmt::Display for Csv {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_string())
-    }
-}
-
-fn write_csv_line(fields: &[String], out: &mut String) {
-    for (i, f) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if f.contains([',', '"', '\n', '\r']) {
-            out.push('"');
-            out.push_str(&f.replace('"', "\"\""));
-            out.push('"');
-        } else {
-            out.push_str(f);
-        }
-    }
-    out.push('\n');
-}
-
-/// A CSV parse error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CsvError {
-    /// The document has no header line.
-    Empty,
-    /// A quoted field never closed.
-    UnterminatedQuote,
-    /// A row's width differs from the header's (1-based row number).
-    Ragged {
-        /// 1-based line number of the offending row.
-        row: usize,
-        /// Fields found.
-        got: usize,
-        /// Fields expected.
-        want: usize,
-    },
-}
-
-impl std::fmt::Display for CsvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsvError::Empty => write!(f, "empty csv document"),
-            CsvError::UnterminatedQuote => write!(f, "unterminated quoted field"),
-            CsvError::Ragged { row, got, want } => {
-                write!(f, "row {row} has {got} fields, expected {want}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CsvError {}
-
-fn parse_csv_records(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
-    let mut records = Vec::new();
-    let mut record = Vec::new();
-    let mut field = String::new();
-    let mut chars = text.chars().peekable();
-    let mut in_quotes = false;
-    let mut any = false;
-    while let Some(c) = chars.next() {
-        any = true;
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                c => field.push(c),
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => record.push(std::mem::take(&mut field)),
-                '\r' => {
-                    if chars.peek() == Some(&'\n') {
-                        chars.next();
-                    }
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                c => field.push(c),
-            }
-        }
-    }
-    if in_quotes {
-        return Err(CsvError::UnterminatedQuote);
-    }
-    // A final line without trailing newline.
-    if !field.is_empty() || !record.is_empty() {
-        record.push(field);
-        records.push(record);
-    }
-    if !any {
-        return Err(CsvError::Empty);
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn field_errors_name_the_field() {
-        let o = Json::obj([("a", Json::UInt(1)), ("n", Json::Null)]);
-        assert!(o.field_u64("b").expect_err("missing").contains("\"b\""));
-        assert!(o.field_bool("a").expect_err("wrong type").contains("\"a\""));
-        assert!(o.field_arr("a").expect_err("wrong type").contains("\"a\""));
-        assert!(o.field_opt_u64("x").expect_err("missing").contains("\"x\""));
-        assert_eq!(o.field_opt_u64("n"), Ok(None));
-        assert_eq!(o.field_opt_u64("a"), Ok(Some(1)));
-        let short = Json::obj([("xs", Json::Arr(vec![Json::UInt(1)]))]);
-        let err = short.field_u64s::<2>("xs").expect_err("short");
-        assert!(
-            err.contains("\"xs\"") && err.contains("expected 2"),
-            "{err}"
-        );
-        assert_eq!(Json::opt_u64(None), Json::Null);
-        assert_eq!(Json::opt_u64(Some(3)), Json::UInt(3));
-    }
 
     #[test]
     fn json_roundtrip_nested() {
@@ -752,43 +496,5 @@ mod tests {
         assert_eq!(v.get("u").and_then(Json::as_str), None);
         assert_eq!(v.get("b").and_then(Json::as_arr), None);
         assert_eq!(v.get("a").and_then(Json::as_bool), None);
-    }
-
-    #[test]
-    fn csv_roundtrip_with_quoting() {
-        let mut c = Csv::new(["id", "note", "value"]);
-        c.row(["w01", "plain", "1.5"]);
-        c.row(["w02", "has,comma", "2.5"]);
-        c.row(["w03", "has \"quotes\"", "3.5"]);
-        c.row(["w04", "multi\nline", "4.5"]);
-        let text = c.to_string();
-        assert_eq!(Csv::parse(&text).expect("parse"), c);
-    }
-
-    #[test]
-    fn csv_handles_crlf_and_missing_trailing_newline() {
-        let c = Csv::parse("a,b\r\n1,2\r\n3,4").expect("parse");
-        assert_eq!(c.header, vec!["a", "b"]);
-        assert_eq!(c.rows, vec![vec!["1", "2"], vec!["3", "4"]]);
-    }
-
-    #[test]
-    fn csv_rejects_ragged_rows() {
-        assert_eq!(
-            Csv::parse("a,b\n1\n"),
-            Err(CsvError::Ragged {
-                row: 2,
-                got: 1,
-                want: 2
-            })
-        );
-        assert_eq!(Csv::parse(""), Err(CsvError::Empty));
-        assert_eq!(Csv::parse("a,\"b\n"), Err(CsvError::UnterminatedQuote));
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn csv_row_width_checked() {
-        Csv::new(["a", "b"]).row(["only-one"]);
     }
 }

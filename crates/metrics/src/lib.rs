@@ -14,11 +14,24 @@
 #![warn(missing_debug_implementations)]
 
 pub mod boxplot;
+pub mod codec;
 pub mod emit;
 pub mod table;
 
 pub use boxplot::BoxPlot;
-pub use emit::{Csv, Json};
+pub use codec::{State, StateCodec};
+pub use emit::Json;
+
+/// FNV-1a 64-bit hash: the fingerprint of snapshots, checkpoint journal
+/// payloads and the pinned report tests.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// Slowdown of one program (eq. 1).
 ///
@@ -84,6 +97,13 @@ pub fn stddev(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv64_known_answers() {
+        // Published FNV-1a test vectors.
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn slowdown_basic() {

@@ -120,13 +120,6 @@ impl Rng {
         result
     }
 
-    /// Produces the next 32-bit output (upper bits of [`Self::next_u64`]).
-    #[inline]
-    // profess: allow(dead_item): completes the xoshiro output family alongside `next_u64`/`next_f64`
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -294,7 +287,7 @@ mod tests {
         let mut r = Rng::seed_from_u64(11);
         for _ in 0..10_000 {
             let v = r.gen_range(f64::MIN_POSITIVE..1.0);
-            assert!(v >= f64::MIN_POSITIVE && v < 1.0);
+            assert!((f64::MIN_POSITIVE..1.0).contains(&v));
         }
     }
 

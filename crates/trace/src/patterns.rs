@@ -210,8 +210,11 @@ fn zipf_cdf(blocks: u64, exponent: f64) -> Vec<f64> {
 /// sharing cannot change any generated stream.
 #[derive(Debug)]
 struct ZipfTable {
-    entries: VecDeque<((u64, u64), Arc<[f64]>)>,
+    entries: VecDeque<(ZipfKey, Arc<[f64]>)>,
 }
+
+/// `(blocks, exponent bits)`.
+type ZipfKey = (u64, u64);
 
 impl ZipfTable {
     const fn new() -> Self {
@@ -620,7 +623,7 @@ mod tests {
     fn strided_covers_every_line_eventually() {
         let mut rng = seeded_rng(1);
         let mut s = Strided::new(128, 4);
-        let mut seen = vec![false; 128];
+        let mut seen = [false; 128];
         // One pass = lines/stride = 32 references, visiting every 4th line.
         for _ in 0..32 {
             seen[s.next_ref(&mut rng).line as usize] = true;

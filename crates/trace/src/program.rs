@@ -143,7 +143,7 @@ impl OpSource for ProgramGen {
         // Burst boundary: after every `on_ops` operations the next op is
         // preceded by the off-phase's idle instructions.
         if let Some(b) = self.burst {
-            if self.ops_emitted > 0 && self.ops_emitted % b.on_ops == 0 {
+            if self.ops_emitted > 0 && self.ops_emitted.is_multiple_of(b.on_ops) {
                 gap = gap.saturating_add(b.off_gap);
             }
         }
@@ -258,7 +258,7 @@ mod tests {
             let (Some(a), Some(b)) = (a, b) else { break };
             assert_eq!(a.line, b.line, "burst must not perturb the address stream");
             assert_eq!(a.kind, b.kind);
-            if i > 0 && i % burst.on_ops == 0 {
+            if i > 0 && i.is_multiple_of(burst.on_ops) {
                 assert_eq!(b.gap, a.gap + burst.off_gap, "off-gap missing at op {i}");
             } else {
                 assert_eq!(b.gap, a.gap);

@@ -133,7 +133,7 @@ fn burst_modulation_is_address_transparent() {
                     b.line
                 );
                 prop_assert_eq!(a.kind, b.kind);
-                let boundary = i > 0 && i % on_ops == 0;
+                let boundary = i > 0 && i.is_multiple_of(on_ops);
                 let want = if boundary {
                     a.gap.saturating_add(off_gap)
                 } else {

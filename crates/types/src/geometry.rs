@@ -21,9 +21,10 @@
 use crate::ids::{ChannelId, GroupId, RegionId, SlotIdx};
 
 /// Which memory module of a channel a physical location belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Module {
     /// The fast, small DRAM partition.
+    #[default]
     M1,
     /// The slow, large NVM partition (8× denser in the paper's setup).
     M2,
@@ -31,7 +32,7 @@ pub enum Module {
 
 /// A physical DRAM/NVM location at row granularity: enough to decide
 /// row-buffer hits and bank conflicts in the timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MemLoc {
     /// Module within the channel.
     pub module: Module,
@@ -96,6 +97,7 @@ impl Geometry {
     /// Panics if capacities are not divisible into whole rows, banks,
     /// blocks and channels, or if the group count is not a multiple of
     /// `2 * num_regions` (needed for the interleaved region division).
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         block_bytes: u64,
         line_bytes: u64,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate (see README.md): format, build, test, static analysis —
-# fully offline.
+# Tier-1 gate (see README.md): format, lint, build, test, static
+# analysis — fully offline.
 #
 # The workspace is hermetic by policy: no external crates, so every step
 # must succeed with the registry unreachable. --offline makes a
@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy (all targets, warnings are errors)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo build --release --workspace --offline"
 cargo build --release --workspace --offline

@@ -1,13 +1,13 @@
 //! Machine-readable serialization of simulation reports.
 //!
-//! Built on the in-tree [`profess_metrics::emit`] JSON/CSV emitters (the
+//! Built on the in-tree [`profess_metrics::emit`] JSON emitter (the
 //! hermetic-build replacement for `serde`). JSON emission preserves field
 //! order and uses exact integer / shortest-round-trip float formatting,
 //! so two identical runs serialize to byte-identical documents — the
 //! determinism golden tests (`tests/determinism.rs`) rely on this.
 
 use profess_core::system::{ProgramReport, SystemReport};
-use profess_metrics::emit::{Csv, Json};
+use profess_metrics::emit::Json;
 
 fn program_to_json(p: &ProgramReport) -> Json {
     Json::obj([
@@ -78,43 +78,4 @@ pub fn report_to_json(r: &SystemReport) -> Json {
             Json::obj([("guidance", guidance), ("sfs", Json::Arr(sfs))]),
         ),
     ])
-}
-
-/// The columns of [`reports_to_csv`], one row per program per report.
-pub const REPORT_CSV_COLUMNS: [&str; 11] = [
-    "policy",
-    "program",
-    "core",
-    "ipc",
-    "instructions",
-    "served",
-    "served_from_m1",
-    "read_latency_avg",
-    "elapsed_cycles",
-    "swaps",
-    "energy_joules",
-];
-
-/// Flattens reports into a per-program CSV table (the `results/` export
-/// format).
-pub fn reports_to_csv<'a>(reports: impl IntoIterator<Item = &'a SystemReport>) -> Csv {
-    let mut csv = Csv::new(REPORT_CSV_COLUMNS);
-    for r in reports {
-        for (core, p) in r.programs.iter().enumerate() {
-            csv.row([
-                r.policy.clone(),
-                p.name.clone(),
-                core.to_string(),
-                format!("{:?}", p.ipc),
-                p.instructions.to_string(),
-                p.served.to_string(),
-                p.served_from_m1.to_string(),
-                format!("{:?}", p.read_latency_avg),
-                r.elapsed_cycles.to_string(),
-                r.swaps.to_string(),
-                format!("{:?}", r.energy_joules),
-            ]);
-        }
-    }
-    csv
 }

@@ -1,5 +1,5 @@
 //! Shared fixtures for the report-pinning suites (`fingerprints`,
-//! `snapshot`): the full policy grid, the FNV-1a hash, the pinned
+//! `snapshot`): the full policy grid, the pinned
 //! golden table, and the builders that produce the pinned
 //! configurations. Keeping these in one place guarantees the
 //! snapshot-equivalence matrix exercises *exactly* the runs whose
@@ -38,15 +38,23 @@ pub const PINNED: [(&str, u64, u64); 9] = [
     ("RSM+PoM", 0x08e1560f0e5d67bd, 0x8271fa4d89e1b972),
 ];
 
-/// FNV-1a over the serialized report bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// `(single-program hash, quad-workload hash)` of the halfway snapshot's
+/// wire text (`SystemSnapshot::to_json().to_string()`) per
+/// [`ALL_POLICIES`] entry, in the same order as [`PINNED`]. Pins the
+/// snapshot encoding itself: a change to these bytes must come with a
+/// `SNAPSHOT_VERSION` bump. Re-pin with `PROFESS_BLESS_FINGERPRINTS=1`
+/// (see `tests/snapshot.rs`).
+pub const SNAPSHOT_PINNED: [(u64, u64); 9] = [
+    (0xddd97ef13ebe5d81, 0x93aee40c918fa937), // Static
+    (0xf92de3b99560a2cb, 0xdbf3a703e07321dc), // CAMEO
+    (0xc52bb9ee62a5599c, 0x6b0e4e02284e3951), // PoM
+    (0x763d31b0b073e878, 0xc234bd5836967be6), // MemPod
+    (0x8fd6816c43fb771b, 0x1bca516c32119516), // MDM
+    (0xfdb561250597210b, 0x55ca1676202b5390), // ProFess
+    (0xfdb561250597210b, 0x08fb41054fc2a703), // ProFess-noC3
+    (0xac890d2e254a30c2, 0x4b3c1220038756ed), // SILC-FM
+    (0xe4aace133ba21d2a, 0xcf4472cd08831f8c), // RSM+PoM
+];
 
 /// The builder behind the pinned single-program (Milc) fingerprints.
 pub fn single_builder(pk: PolicyKind) -> SystemBuilder {

@@ -1,10 +1,10 @@
-//! Round-trip tests of the in-tree JSON/CSV emitters against real
+//! Round-trip tests of the in-tree JSON emitter against real
 //! simulation reports: emit → parse → re-emit must be the identity, and
 //! the parsed document must reflect the report's actual values.
 
-use profess::metrics::{Csv, Json};
+use profess::metrics::Json;
 use profess::prelude::*;
-use profess::report::{report_to_json, reports_to_csv, REPORT_CSV_COLUMNS};
+use profess::report::report_to_json;
 
 fn sample_report(policy: PolicyKind) -> SystemReport {
     let mut cfg = SystemConfig::scaled_single();
@@ -43,26 +43,4 @@ fn json_fields_match_report() {
     };
     assert_eq!(programs.len(), r.programs.len());
     assert_eq!(programs[0].get("ipc"), Some(&Json::Num(r.programs[0].ipc)));
-}
-
-#[test]
-fn csv_roundtrip_on_real_reports() {
-    let reports = [
-        sample_report(PolicyKind::Pom),
-        sample_report(PolicyKind::Profess),
-    ];
-    let csv = reports_to_csv(&reports);
-    let text = csv.to_string();
-    let parsed = Csv::parse(&text).expect("emitted CSV must parse");
-    assert_eq!(parsed, csv, "parse(emit(x)) != x");
-    assert_eq!(parsed.to_string(), text, "emit(parse(s)) != s");
-
-    assert_eq!(parsed.header, REPORT_CSV_COLUMNS);
-    assert_eq!(parsed.rows.len(), 2);
-    assert_eq!(parsed.rows[0][0], "PoM");
-    assert_eq!(parsed.rows[1][0], "ProFess");
-    // Floats survive the text round-trip exactly ({:?} is shortest
-    // round-trip notation).
-    let ipc: f64 = parsed.rows[0][3].parse().expect("ipc parses");
-    assert_eq!(ipc, reports[0].programs[0].ipc);
 }

@@ -39,7 +39,7 @@ fn churn_spread(policy: PolicyKind) -> (f64, f64) {
         .map(|&p| run_solo(&cfg, policy, p, FAMILY_MISSES).unwrap().programs[0].ipc)
         .collect();
     let multi = family_builder(churn, policy).try_run().unwrap();
-    let m = workload_metrics(&churn.id, &multi, &solo);
+    let m = workload_metrics(churn.id, &multi, &solo);
     let max = m.slowdowns.iter().cloned().fold(0.0f64, f64::max);
     let min = m.slowdowns.iter().cloned().fold(f64::INFINITY, f64::min);
     (max / min, max)

@@ -19,9 +19,10 @@
 mod common;
 
 use common::{
-    family_builder, fnv1a, multi_builder, report_string, single_builder, ALL_POLICIES,
-    FAMILY_PINNED, FAMILY_POLICIES, PINNED,
+    family_builder, multi_builder, report_string, single_builder, ALL_POLICIES, FAMILY_PINNED,
+    FAMILY_POLICIES, PINNED,
 };
+use profess::metrics::fnv64;
 
 #[test]
 fn report_fingerprints_match_pinned_values() {
@@ -29,8 +30,8 @@ fn report_fingerprints_match_pinned_values() {
     let mut table = String::new();
     let mut bad = Vec::new();
     for (i, pk) in ALL_POLICIES.iter().enumerate() {
-        let s = fnv1a(report_string(&single_builder(*pk).try_run().unwrap()).as_bytes());
-        let m = fnv1a(report_string(&multi_builder(*pk).try_run().unwrap()).as_bytes());
+        let s = fnv64(report_string(&single_builder(*pk).try_run().unwrap()).as_bytes());
+        let m = fnv64(report_string(&multi_builder(*pk).try_run().unwrap()).as_bytes());
         let (name, ps, pm) = PINNED[i];
         assert_eq!(name, pk.name(), "PINNED table order drifted");
         table.push_str(&format!(
@@ -67,7 +68,7 @@ fn family_fingerprints_match_pinned_values() {
         assert_eq!(*id, w.id, "FAMILY_PINNED table order drifted");
         table.push_str(&format!("    (\n        \"{}\",\n        [\n", w.id));
         for (j, pk) in FAMILY_POLICIES.iter().enumerate() {
-            let h = fnv1a(report_string(&family_builder(w, *pk).try_run().unwrap()).as_bytes());
+            let h = fnv64(report_string(&family_builder(w, *pk).try_run().unwrap()).as_bytes());
             table.push_str(&format!("            0x{h:016x},\n"));
             if h != pinned[j] {
                 bad.push(format!(

@@ -170,7 +170,7 @@ fn geomean_between_min_and_max() {
     );
 }
 
-fn boxplot_ordered(xs: &Vec<f64>) -> Result<(), String> {
+fn boxplot_ordered(xs: &[f64]) -> Result<(), String> {
     let b = BoxPlot::from_values(xs);
     prop_assert!(b.whisker_lo <= b.q1 + 1e-12);
     prop_assert!(b.q1 <= b.median + 1e-12);
@@ -190,7 +190,7 @@ fn boxplot_is_ordered() {
         &corpus,
         "boxplot_is_ordered",
         vec_of(f64_range(0.01..10.0), 1..64),
-        boxplot_ordered,
+        |xs| boxplot_ordered(xs),
     );
 }
 

@@ -18,8 +18,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use common::{
-    fnv1a, multi_builder, preempted, report_string, single_builder, ALL_POLICIES, PINNED,
+    multi_builder, preempted, report_string, single_builder, ALL_POLICIES, PINNED, SNAPSHOT_PINNED,
 };
+use profess::metrics::fnv64;
 use profess::obs::TraceConfig;
 use profess::prelude::*;
 use profess_bench::harness::TraceCollector;
@@ -33,13 +34,14 @@ use profess_core::SimError;
 
 /// Preempts `builder`'s run at `cycle`, round-trips the snapshot
 /// through its textual wire form, resumes from the re-parsed snapshot,
-/// and returns the resumed run's serialized report.
+/// and returns the resumed run's serialized report together with the
+/// FNV-1a of the snapshot's wire text.
 fn preempt_roundtrip_resume(
     preempt: SystemBuilder,
     resume: SystemBuilder,
     cycle: u64,
     label: &str,
-) -> String {
+) -> (String, u64) {
     let snap = match preempt.snapshot_at(cycle).try_run() {
         Err(SimError::Preempted { snapshot }) => snapshot,
         Ok(_) => panic!("{label}: run completed before cycle {cycle}"),
@@ -54,40 +56,74 @@ fn preempt_roundtrip_resume(
         text,
         "{label}: snapshot text not byte-stable"
     );
-    report_string(&resume.restore(&reparsed).try_run().unwrap())
+    let report = report_string(&resume.restore(&reparsed).try_run().unwrap());
+    (report, fnv64(text.as_bytes()))
 }
 
 /// The acceptance matrix: for every policy in the pinned grid, single
 /// and quad, a run preempted at its halfway clock and resumed from the
-/// serialized snapshot emits the exact pinned golden bytes.
+/// serialized snapshot emits the exact pinned golden bytes. The
+/// halfway snapshot's wire text is pinned too (`SNAPSHOT_PINNED`), so
+/// an encoding change made without a `SNAPSHOT_VERSION` bump fails
+/// here. Re-pin with `PROFESS_BLESS_FINGERPRINTS=1` after a deliberate
+/// format change (and a version bump).
 #[test]
 fn snapshot_restore_matches_pinned_fingerprints() {
+    let bless = std::env::var("PROFESS_BLESS_FINGERPRINTS").is_ok();
+    let mut table = String::new();
+    let mut bad = Vec::new();
     for (i, pk) in ALL_POLICIES.iter().enumerate() {
         let (name, pinned_single, pinned_multi) = PINNED[i];
-        for (kind, pinned, build) in [
+        let mut snap_hashes = [0u64; 2];
+        for (j, (kind, pinned, pinned_snap, build)) in [
             (
                 "single",
                 pinned_single,
+                SNAPSHOT_PINNED[i].0,
                 &single_builder as &dyn Fn(PolicyKind) -> SystemBuilder,
             ),
-            ("multi", pinned_multi, &multi_builder),
-        ] {
+            ("multi", pinned_multi, SNAPSHOT_PINNED[i].1, &multi_builder),
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let label = format!("{name}/{kind}");
             let r: SystemReport = build(*pk).try_run().unwrap();
             let straight = report_string(&r);
             assert_eq!(
-                fnv1a(straight.as_bytes()),
+                fnv64(straight.as_bytes()),
                 pinned,
                 "{label}: straight-through run drifted from the pinned fingerprint"
             );
             let mid = (r.elapsed_cycles / 2).max(1);
-            let resumed = preempt_roundtrip_resume(build(*pk), build(*pk), mid, &label);
+            let (resumed, snap_hash) =
+                preempt_roundtrip_resume(build(*pk), build(*pk), mid, &label);
             assert_eq!(
                 resumed, straight,
                 "{label}: snapshot→restore→run diverged from the straight-through bytes"
             );
+            snap_hashes[j] = snap_hash;
+            if snap_hash != pinned_snap {
+                bad.push(format!(
+                    "{label}: snapshot text 0x{snap_hash:016x} (pinned 0x{pinned_snap:016x})"
+                ));
+            }
         }
+        table.push_str(&format!(
+            "    (0x{:016x}, 0x{:016x}), // {name}\n",
+            snap_hashes[0], snap_hashes[1]
+        ));
     }
+    if bless {
+        println!("const SNAPSHOT_PINNED: [(u64, u64); 9] = [\n{table}];");
+        return;
+    }
+    assert!(
+        bad.is_empty(),
+        "snapshot wire text drifted from the pinned hashes (bump SNAPSHOT_VERSION \
+         if the change is deliberate):\n{}\n\nfresh table:\n{table}",
+        bad.join("\n")
+    );
 }
 
 /// `try_run` is the only run method, so a preemption is its error value:
