@@ -227,8 +227,12 @@ fn hostname() -> String {
 }
 
 fn rustc_version() -> String {
-    // profess: allow(process_spawn): toolchain probe for BENCH meta, not a worker spawn
-    std::process::Command::new("rustc")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "toolchain probe for BENCH meta, not a worker spawn"
+    )]
+    let mut probe = std::process::Command::new("rustc");
+    probe
         .arg("--version")
         .output()
         .ok()

@@ -7,7 +7,14 @@
 //! computation against per-policy solo references, and normalized-series
 //! printing.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -500,7 +507,10 @@ pub(crate) struct CellRun<V> {
 /// [`snapshot_key`] and fails the attempt; the retry restores the
 /// snapshot and runs only the remaining cycles. Snapshot-restored
 /// completions are byte-identical to straight-through runs.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each supervision knob is its own argument"
+)]
 pub(crate) fn run_cells<S: CellSweep>(
     sweep: &S,
     specs: &[CellSpec<S::Kind>],
@@ -821,7 +831,10 @@ fn run_cell(
 /// and restored cells flow through [`workload_metrics_cell`], so a
 /// resumed or warm-started sweep's rows are byte-identical to an
 /// uninterrupted run's.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "public signature that examples/perf calls; kept as is"
+)]
 pub fn normalized_sweep_supervised(
     pool: &Pool,
     cfg: &SystemConfig,

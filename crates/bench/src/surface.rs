@@ -39,8 +39,8 @@ use crate::{
 /// The fields of one surface point, in emission order.
 ///
 /// This constant is the source of truth for the surface schema: the
-/// `schema_sync` lint in `profess-analyze` checks that the DESIGN.md
-/// schema table documents exactly these fields, and
+/// `schema_sync` test in `tests/conventions.rs` checks that the
+/// DESIGN.md schema table documents exactly these fields, and
 /// [`SurfacePoint::to_json`] emits them in exactly this order
 /// (`profess-validate surface` rejects any other layout).
 pub const SURFACE_FIELDS: &[&str] = &[

@@ -6,6 +6,11 @@
 //! Exit-code contract (the shared `bench::exit` taxonomy): 0 = within
 //! threshold, 1 = regression or I/O/parse error, 2 = usage error.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests run the binaries they test as child processes"
+)]
+
 use std::path::PathBuf;
 use std::process::Command;
 

@@ -6,6 +6,11 @@
 //! a cell that loses its child on every allowed attempt must exit with
 //! the `worker-lost` code.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests run the binaries they test as child processes"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

@@ -1,6 +1,11 @@
 //! The Table 4 binary at an op budget too small for any RSM sampling
 //! period to close: it prints each row with 0 periods and exits 0.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests run the binaries they test as child processes"
+)]
+
 use std::process::Command;
 
 #[test]

@@ -2,6 +2,11 @@
 //! every kind (the shared `profess_bench::exit` taxonomy), and the
 //! journal check's one-line-per-cell-key rule next to snapshot entries.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests run the binaries they test as child processes"
+)]
+
 use std::path::PathBuf;
 use std::process::Command;
 

@@ -107,11 +107,14 @@ impl Cache {
             "fill of already-present line"
         );
         let victim = if set.len() == ways {
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by `set.len() == ways`, ways >= 1"
+            )]
             let (i, _) = set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.stamp)
-                // profess: allow(panic): guarded by `set.len() == ways`, ways >= 1
                 .expect("non-empty set");
             let v = set.swap_remove(i);
             Some(Victim {

@@ -105,6 +105,11 @@ impl FlatPageTable {
         }
     }
 
+    /// The mapped frames, in virtual page order.
+    pub fn frames(&self) -> impl Iterator<Item = u64> + '_ {
+        self.frames.iter().copied().filter(|&f| f != UNMAPPED)
+    }
+
     /// Number of mapped pages.
     pub fn len(&self) -> usize {
         self.mapped
@@ -276,9 +281,9 @@ impl EpochTable {
     /// stay far below it.
     #[inline]
     pub fn bump(&mut self, major: u64, minor: u8, w: u64) -> (u64, u64) {
+        #[expect(clippy::expect_used, reason = "hot-path keys are geometry-bounded")]
         let i = self
             .try_index(major, minor)
-            // profess: allow(panic): hot-path keys are geometry-bounded
             .expect("EpochTable key out of range");
         let i = self.slot(i);
         if self.stamps[i] != self.epoch {
@@ -392,10 +397,8 @@ impl FlatCounters {
     /// are geometry-bounded group indices.
     #[inline]
     pub fn add(&mut self, key: u64, d: u32) -> u32 {
-        let i = self
-            .slot_index(key)
-            // profess: allow(panic): hot-path keys are geometry-bounded
-            .expect("FlatCounters key out of range");
+        #[expect(clippy::expect_used, reason = "hot-path keys are geometry-bounded")]
+        let i = self.slot_index(key).expect("FlatCounters key out of range");
         let v = self.vals[i];
         let old = if v == 0 {
             self.present += 1;
@@ -537,8 +540,12 @@ impl<T> SlabQueues<T> {
         while n != NONE32 {
             let node = &mut self.nodes[n as usize];
             let next = node.1;
-            // profess: allow(panic): queue links only reference occupied nodes
-            out.push(node.0.take().expect("linked slab node is occupied"));
+            #[expect(
+                clippy::expect_used,
+                reason = "queue links only reference occupied nodes"
+            )]
+            let item = node.0.take().expect("linked slab node is occupied");
+            out.push(item);
             node.1 = self.free;
             self.free = n;
             n = next;

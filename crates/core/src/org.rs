@@ -91,13 +91,16 @@ impl StEntry {
     ///
     /// Panics if the mapping is corrupt (no original slot maps there).
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "ST entries are permutations: a missing slot means memory corruption"
+    )]
     pub fn resident_of(&self, actual: SlotIdx) -> SlotIdx {
         for o in SlotIdx::up_to(SlotIdx::MAX as u32) {
             if self.actual[o.index()] == actual {
                 return o;
             }
         }
-        // profess: allow(panic): ST entries are permutations — a missing slot means memory corruption
         panic!("corrupt ST entry: no block resides at {actual}");
     }
 

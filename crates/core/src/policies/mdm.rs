@@ -212,7 +212,7 @@ impl MdmCore {
 
     /// Per-program state (read access, for diagnostics).
     // Program ids index the per-core vec built from config.
-    pub fn state(&self, p: ProgramId) -> &MdmProgramState {
+    pub fn program_state(&self, p: ProgramId) -> &MdmProgramState {
         &self.states[p.index()]
     }
 
@@ -374,7 +374,7 @@ impl MigrationPolicy for MdmPolicy {
     }
 
     fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
-        State::state(&mut self.core, c)
+        self.core.state(c)
     }
 }
 
@@ -429,15 +429,15 @@ mod tests {
     #[test]
     fn training_shifts_expectations() {
         let core = core_with_stats(qac::HIGH);
-        let hot = core.state(ProgramId(0)).exp_cnt(qac::HIGH);
-        let cold = core.state(ProgramId(0)).exp_cnt(0);
+        let hot = core.program_state(ProgramId(0)).exp_cnt(qac::HIGH);
+        let cold = core.program_state(ProgramId(0)).exp_cnt(0);
         assert!(
             hot > 35.0,
             "blocks with high q_i should be expected hot: {hot}"
         );
         assert!(cold < 15.0, "unseen blocks should be expected cold: {cold}");
         // Program 1 never trained: still at defaults.
-        let other = core.state(ProgramId(1)).exp_cnt(qac::HIGH);
+        let other = core.program_state(ProgramId(1)).exp_cnt(qac::HIGH);
         assert!((other - (4.0 + 16.0 + 48.0) / 3.0).abs() < 1e-9);
     }
 

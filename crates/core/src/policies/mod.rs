@@ -208,7 +208,6 @@ pub(crate) mod testutil {
 
     /// Runs `policy.on_access` for an access to `orig_slot` (already
     /// bumped into `entry`) by `program`.
-    #[allow(clippy::too_many_arguments)]
     pub fn access(
         policy: &mut dyn MigrationPolicy,
         entry: &CachedEntry,

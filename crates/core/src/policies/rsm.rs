@@ -177,11 +177,7 @@ impl Rsm {
         // +1 on every counter to avoid zeros (paper §3.1.3).
         let raw1: [f64; 6] = std::array::from_fn(|i| (s.raw[i] + 1) as f64);
         let sm = match &mut s.smoothed {
-            None => {
-                s.smoothed = Some(raw1);
-                // profess: allow(panic): assigned `Some` on the previous line
-                s.smoothed.as_ref().expect("just set")
-            }
+            None => s.smoothed.insert(raw1),
             Some(sm) => {
                 for i in 0..6 {
                     sm[i] += alpha * (raw1[i] - sm[i]);

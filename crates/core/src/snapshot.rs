@@ -41,8 +41,8 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// Top-level payload fields, in emission order.
 ///
 /// This constant is the source of truth for the snapshot schema: the
-/// `schema_sync` lint in `profess-analyze` checks that the DESIGN.md
-/// schema table documents exactly these fields.
+/// `schema_sync` test in `tests/conventions.rs` checks that the
+/// DESIGN.md schema table documents exactly these fields.
 pub const PAYLOAD_FIELDS: &[&str] = &[
     "clock",
     "retired",

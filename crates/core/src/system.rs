@@ -966,9 +966,12 @@ impl System {
         let now = self.clock;
         self.ch_dirty[ch] = true;
         let done = self.channels[ch].begin_swap(now, m1_loc, m2_loc);
+        #[expect(
+            clippy::expect_used,
+            reason = "allocator invariant: a swap is only begun for a resident block"
+        )]
         let promoted_owner = self
             .owner(group, orig_slot)
-            // profess: allow(panic): allocator invariant — a swap is only begun for a resident block
             .expect("accessed block must be allocated");
         let demoted_owner = self.owner(group, m1_res);
         // The swap is atomic in this model (the channel blocks until
@@ -1012,10 +1015,13 @@ impl System {
     }
 
     fn handle_served(&mut self, s: Served) {
+        #[expect(
+            clippy::expect_used,
+            reason = "channel invariant: every completion token was issued by us"
+        )]
         let origin = self
             .meta
             .remove(s.id)
-            // profess: allow(panic): channel invariant — every completion token was issued by us
             .expect("completion for unknown token");
         match origin {
             Origin::StWrite => {}
@@ -1603,9 +1609,24 @@ impl State for System {
         c.field("cores", self.cores.as_mut_slice())?;
         c.field("channels", self.channels.as_mut_slice())?;
         c.field("stcs", self.stcs.as_mut_slice())?;
+        if c.is_load() {
+            for (i, stc) in self.stcs.iter().enumerate() {
+                if let Some(e) = stc.iter().find(|e| e.group.0 >= groups) {
+                    return Err(format!("stcs: [{i}]: group {} out of range", e.group.0));
+                }
+            }
+        }
         c.field("st", &mut self.st)?;
         c.field("alloc", &mut self.alloc)?;
         c.field("page_tables", self.page_tables.as_mut_slice())?;
+        if c.is_load() {
+            let total = self.alloc.total_frames();
+            for (p, table) in self.page_tables.iter().enumerate() {
+                if let Some(f) = table.frames().find(|&f| f >= total) {
+                    return Err(format!("page_tables: [{p}]: frame {f} out of range"));
+                }
+            }
+        }
         c.field("meta", &mut self.meta)?;
         if c.is_load() {
             let in_range = |o: &Origin| match *o {
@@ -2094,6 +2115,68 @@ mod tests {
             .try_run()
             .expect_err("malformed payload must be rejected");
         assert!(matches!(err, SimError::SnapshotCorrupt { .. }), "{err:?}");
+    }
+
+    /// Restores `mdm_chase`'s halfway snapshot with `edit` applied to its
+    /// payload. `SystemSnapshot::new` recomputes the integrity
+    /// fingerprint, so the edited state reaches the decoder.
+    fn restore_edited_halfway(edit: impl FnOnce(&mut Json)) -> SimError {
+        let straight = mdm_chase(tiny_cfg()).try_run().unwrap();
+        let snap = preempted(mdm_chase(tiny_cfg()).snapshot_at(straight.elapsed_cycles / 2));
+        let mut payload = snap.payload().clone();
+        edit(&mut payload);
+        let edited = SystemSnapshot::new(snap.config_fingerprint(), payload);
+        mdm_chase(tiny_cfg())
+            .restore(&edited)
+            .try_run()
+            .expect_err("out-of-range state must be rejected")
+    }
+
+    fn field<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+        match j {
+            Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    fn item(j: &mut Json, i: usize) -> &mut Json {
+        match j {
+            Json::Arr(items) => &mut items[i],
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    fn assert_corrupt(err: SimError, want: &str) {
+        match err {
+            SimError::SnapshotCorrupt { detail } => assert!(detail.contains(want), "{detail}"),
+            other => panic!("expected SnapshotCorrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_page_table_frame_beyond_the_allocator() {
+        let err = restore_edited_halfway(|p| {
+            let Json::Arr(frames) = item(field(p, "page_tables"), 0) else {
+                panic!("page table is not an array")
+            };
+            let mapped = frames.iter_mut().find(|f| **f != Json::UInt(u64::MAX));
+            *mapped.expect("a mapped page at halfway") = Json::UInt(1 << 40);
+        });
+        assert_corrupt(err, "page_tables: [0]: frame 1099511627776 out of range");
+    }
+
+    #[test]
+    fn restore_rejects_a_cached_stc_group_beyond_the_group_count() {
+        let err = restore_edited_halfway(|p| {
+            let Json::Arr(sets) = field(item(field(p, "stcs"), 0), "sets") else {
+                panic!("STC sets are not an array")
+            };
+            let Some(Json::Arr(entries)) = sets.iter_mut().find(|s| s.as_arr() != Some(&[])) else {
+                panic!("a cached STC entry at halfway")
+            };
+            *field(&mut entries[0], "group") = Json::UInt(1 << 40);
+        });
+        assert_corrupt(err, "stcs: [0]: group 1099511627776 out of range");
     }
 
     #[test]

@@ -370,8 +370,12 @@ impl CoreSim {
                     .min(rob_space);
                 self.exec_slot += n;
                 self.exec_seq += n;
-                // profess: allow(panic): state-machine invariant — Executing implies a pending op
-                self.pending.as_mut().expect("pending op").gap_left -= n as u32;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "state-machine invariant: Executing implies a pending op"
+                )]
+                let pending = self.pending.as_mut().expect("pending op");
+                pending.gap_left -= n as u32;
                 continue;
             }
             // Execute the memory op itself (one instruction).
@@ -387,7 +391,10 @@ impl CoreSim {
                 self.wait = WaitState::OnResponse;
                 return;
             }
-            // profess: allow(panic): state-machine invariant — Executing implies a pending op
+            #[expect(
+                clippy::expect_used,
+                reason = "state-machine invariant: Executing implies a pending op"
+            )]
             let op = self.pending.as_ref().expect("pending op").op;
             match op.kind {
                 MemOpKind::Load => {

@@ -21,7 +21,14 @@
 //! pointer chains, and IPC sensitivity to memory latency — without
 //! simulating individual non-memory instructions.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -195,7 +195,7 @@ impl ChannelSim {
                 now
             }
         };
-        // profess: allow(panic): checked Some above; no mutation since
+        #[expect(clippy::expect_used, reason = "checked Some above; no mutation since")]
         let h = self.sched_hint.as_mut().expect("hint present");
         match q.req.kind {
             AccessKind::Read => h.read = h.read.min(contribution),

@@ -87,7 +87,10 @@ impl Json {
     // An inherent method rather than `Display`: callers, `examples/perf`
     // among them, pass `x.to_string()` as a format argument, which clippy
     // flags (`to_string_in_format_args`) once it comes from `Display`.
-    #[allow(clippy::inherent_to_string)]
+    #[expect(
+        clippy::inherent_to_string,
+        reason = "kept off `Display`, as the comment above explains"
+    )]
     pub fn to_string(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);

@@ -9,7 +9,14 @@
 //! * Tukey box-plot summaries (quartiles, whiskers, outliers) and the
 //!   geometric mean, used by the paper's Figure 5.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -25,7 +25,14 @@
 //! [`EventRing`]; an overflowing trace reports its drop count rather
 //! than growing without bound or silently passing for complete.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -14,7 +14,14 @@
 //! available parallelism, else 1. `PROFESS_THREADS=1` forces fully
 //! serial in-caller execution (no worker threads are spawned at all).
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -147,11 +154,15 @@ impl Pool {
                 }
             }
         });
-        slots
+        #[expect(
+            clippy::expect_used,
+            reason = "the atomic index counter hands out each slot exactly once"
+        )]
+        let out = slots
             .into_iter()
-            // profess: allow(panic): the atomic index counter hands out each slot exactly once
             .map(|r| r.expect("every index claimed exactly once"))
-            .collect()
+            .collect();
+        out
     }
 }
 

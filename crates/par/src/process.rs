@@ -15,8 +15,8 @@
 //!
 //! Everything here is std-only (`std::process::Command`), per the
 //! workspace's hermetic policy. The spawned program is always
-//! `std::env::current_exe()` — the `process_spawn` lint enforces that
-//! no other module in the workspace launches processes at all.
+//! `std::env::current_exe()`. The `clippy.toml` ban on `Command::new`
+//! keeps every other module in the workspace from launching processes.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -55,6 +55,10 @@ pub fn run_child(
     fault: Option<FaultKind>,
     cancel: &CancelToken,
 ) -> Result<ChildExit, String> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one process spawner; a child must re-exec `current_exe` so it runs the parent's build"
+    )]
     let mut cmd = Command::new(std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?);
     cmd.args(args)
         .stdin(Stdio::null())

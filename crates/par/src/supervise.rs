@@ -319,15 +319,15 @@ impl FaultPlan {
                 continue;
             }
             match f.kind {
+                #[expect(clippy::panic, reason = "the entire purpose of the injected fault")]
                 FaultKind::Panic => {
-                    // profess: allow(panic): the entire purpose of the injected fault
                     panic!("injected fault: panic (task {index}, attempt {attempt})")
                 }
+                #[expect(clippy::panic, reason = "unwinds the stalled attempt once cancelled")]
                 FaultKind::Stall => {
                     while !cancel.is_cancelled() {
                         std::thread::sleep(Duration::from_millis(1));
                     }
-                    // profess: allow(panic): unwinds the stalled attempt once cancelled
                     panic!("injected fault: stall (task {index}, attempt {attempt})")
                 }
                 FaultKind::Exit => std::process::exit(FAULT_EXIT_CODE),

@@ -20,7 +20,14 @@
 //! All outputs are pinned by known-answer tests against the reference C
 //! implementations' published vectors (`tests/known_answers.rs`).
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -33,7 +33,10 @@ const LINES_FLOOR: u64 = LINES_PER_BLOCK;
 /// The ten Table 9 programs, plus the synthetic characterization
 /// programs behind the adversarial workload families (`SYNTHETIC`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
+#[expect(
+    missing_docs,
+    reason = "the SPEC CPU2006 program names document themselves"
+)]
 pub enum SpecProgram {
     Bwaves,
     GemsFDTD,

@@ -97,7 +97,10 @@ impl Geometry {
     /// Panics if capacities are not divisible into whole rows, banks,
     /// blocks and channels, or if the group count is not a multiple of
     /// `2 * num_regions` (needed for the interleaved region division).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per Table 8 geometry parameter"
+    )]
     pub fn new(
         block_bytes: u64,
         line_bytes: u64,

@@ -21,7 +21,14 @@
 //! assert_eq!(cfg.org.m1_bytes * 8, cfg.org.m2_bytes());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate (see README.md): format, lint, build, test, static
-# analysis — fully offline.
+# Tier-1 gate (see README.md): format, lint, build, test, smokes —
+# fully offline. The clippy step is the conventions gate (DESIGN.md §9):
+# the clippy.toml bans, the panic lints at the library roots and the
+# forbidden `unsafe`; `cargo test` checks the schema, hermeticity and
+# documentation conventions (tests/conventions.rs).
 #
 # The workspace is hermetic by policy: no external crates, so every step
 # must succeed with the registry unreachable. --offline makes a
@@ -13,6 +16,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The conventions gate: determinism (no unordered maps, wall clock or
+# ambient input in simulator state), threads and processes only from
+# profess-par, no panics in library code, no `unsafe`, and no
+# `#[expect]` that suppresses nothing.
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -22,50 +29,8 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
-# Static analysis gate: the in-tree analyzer enforces determinism
-# (no unordered maps, wall-clock or environment reads in simulator
-# state), hermeticity (path-only deps,
-# registry-free lockfile), the panic policy, and schema sync (the
-# DESIGN.md schema tables against their emitters).
-# Exits non-zero on any unsuppressed diagnostic; the machine-readable
-# report lands next to the smoke artifacts.
-echo "==> profess-analyze (static analysis gate)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-PROFESS_RESULTS_DIR="$smoke_dir" \
-    cargo run --release --offline -q -p profess-analyze -- --json "$smoke_dir/ANALYZE.json"
-test -s "$smoke_dir/ANALYZE.json"
-
-# Lint-table cross-check: the DESIGN.md §9.1 table must spell exactly
-# the lints the binary ships, with matching level and suppressibility.
-# (`doc_sync` checks the table against the in-process registry; this
-# check closes the loop against the *built* binary's --list-lints.)
-echo "==> lint table vs --list-lints"
-cargo run --release --offline -q -p profess-analyze -- --list-lints \
-    > "$smoke_dir/lints.actual"
-awk '/^### 9\.1 The lints$/{f=1;next} f&&/^#/{exit} f&&/^\| `/' DESIGN.md \
-    | awk -F'|' '{name=$2; level=$3; sup=$4;
-                  gsub(/[` ]/,"",name); gsub(/ /,"",level); gsub(/ /,"",sup);
-                  print name "|" level "|" sup}' \
-    > "$smoke_dir/lints.documented"
-diff -u "$smoke_dir/lints.documented" "$smoke_dir/lints.actual"
-
-# Analysis baseline gate (DESIGN.md §14.2): first prove the gate itself
-# on the committed fixture tree — the stale baseline (written before the
-# fixture's HashMap regression) MUST fail with exit 2 and the matching
-# baseline must pass — then gate the fresh analysis against the
-# committed results/ANALYZE.json review record.
-echo "==> analysis baseline gate (analyzegate: fixture self-check + repo baseline)"
-analyze_fixtures="crates/analyze/tests/fixtures/analyzegate"
-rc=0
-cargo run --release --offline -q -p profess-analyze -- gate \
-    --baseline "$analyze_fixtures/baseline-stale/ANALYZE.json" \
-    "$analyze_fixtures/tree" > /dev/null 2>&1 || rc=$?
-test "$rc" -eq 2  # a missed synthetic regression means the gate is dead
-cargo run --release --offline -q -p profess-analyze -- gate \
-    --baseline "$analyze_fixtures/baseline-ok/ANALYZE.json" \
-    "$analyze_fixtures/tree" > /dev/null
-cargo run --release --offline -q -p profess-analyze -- gate
 
 # Bench smoke: run one figure binary end to end with a tiny op budget so
 # the parallel sweep engine and the BENCH_<name>.json perf artifact path

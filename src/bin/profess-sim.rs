@@ -8,6 +8,8 @@
 //! profess-sim list                                            # programs, workloads, policies
 //! ```
 
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::collections::HashMap;
 use std::process::ExitCode;
 

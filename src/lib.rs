@@ -43,7 +43,15 @@
 //! paper-vs-measured record, and `crates/bench/src/bin/` for the binaries
 //! that regenerate every table and figure of the paper's evaluation.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub use profess_cache as cache;
