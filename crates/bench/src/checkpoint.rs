@@ -1,16 +1,16 @@
-//! The sweep checkpoint journal: append-only JSONL of completed cells.
+//! The checkpoint journal: append-only JSONL of completed cells.
 //!
-//! A supervised sweep (see [`crate::normalized_sweep_supervised`])
-//! decomposes into independent *cells* — one solo reference run or one
-//! multiprogram run, reduced to exactly the numbers the row assembly
-//! consumes. As each cell completes it is appended to
-//! `CHECKPOINT_<name>.jsonl` as one line:
+//! An experiment decomposes into independent *cells* (see
+//! [`crate::Cell`]) — one solo run, one multiprogram run or one surface
+//! point, each reduced to exactly the numbers its reducer consumes. As
+//! each cell completes it is appended to `CHECKPOINT_<name>.jsonl` as
+//! one line:
 //!
 //! ```text
 //! {"key":"multi|profess|w03|<cfgfp>","fp":"<fnv64>","payload":{...}}
 //! ```
 //!
-//! The `key` encodes cell kind × policy × workload/program × a
+//! The `key` encodes cell kind × policy × workload/program/point × a
 //! fingerprint of the system configuration and memory-operation target,
 //! so a journal can never leak results across differently-configured
 //! sweeps. The `fp` field fingerprints the payload text itself; a line
@@ -28,12 +28,13 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use profess_core::system::SystemReport;
+use profess_core::system::{SamplingReport, SystemReport};
 use profess_metrics::{fnv64, Json};
 
-/// Env var enabling checkpoint journaling in the sweep binaries: unset,
-/// empty, or `0` disables it; `1` journals into the default results
-/// directory; any other value names the journal directory.
+/// Env var enabling checkpoint journaling in `profess-run`: unset,
+/// empty, or `0` disables it (a `--workers` run journals regardless);
+/// `1` journals into the default results directory; any other value
+/// names the journal directory.
 pub const CHECKPOINT_ENV: &str = "PROFESS_CHECKPOINT";
 
 /// [`fnv64`] of a text rendering, as 16 lowercase hex digits.
@@ -116,6 +117,97 @@ impl MultiCell {
             swaps: json_u64(j.get("swaps")?)?,
             total_served: json_u64(j.get("total_served")?)?,
         })
+    }
+}
+
+/// A single-program run reduced to what the solo experiments read:
+/// the program's IPC and M1 fraction, the system's swaps, STC hit rate
+/// and read latency, and (with region sampling on) its Table 4 RSM
+/// sampling statistics.
+#[derive(Debug, Clone)]
+pub struct SoloRun {
+    /// The program's IPC.
+    pub ipc: f64,
+    /// Fraction of the program's accesses served from M1.
+    pub m1_fraction: f64,
+    /// Swap operations performed.
+    pub swaps: u64,
+    /// STC hit rate.
+    pub stc_hit_rate: f64,
+    /// Mean read latency, cycles.
+    pub avg_read_latency: f64,
+    /// RSM sampling statistics: `Some` when region sampling was on and
+    /// at least one sampling period closed.
+    pub sampling: Option<SamplingReport>,
+}
+
+impl SoloRun {
+    /// Reduces a full report to the journaled cell.
+    pub fn from_report(r: &SystemReport) -> SoloRun {
+        SoloRun {
+            ipc: r.programs[0].ipc,
+            m1_fraction: r.programs[0].m1_fraction(),
+            swaps: r.swaps,
+            stc_hit_rate: r.stc_hit_rate,
+            avg_read_latency: r.avg_read_latency_cycles,
+            sampling: r.sampling.first().cloned().flatten(),
+        }
+    }
+
+    /// The journal payload.
+    pub fn to_json(&self) -> Json {
+        let sampling = match &self.sampling {
+            None => Json::Null,
+            Some(s) => Json::obj([
+                ("mean_sigma_req", Json::Num(s.mean_sigma_req)),
+                ("sigma_raw_sfa", Json::Num(s.sigma_raw_sfa)),
+                ("sigma_avg_sfa", Json::Num(s.sigma_avg_sfa)),
+                ("mean_raw_sfa", Json::Num(s.mean_raw_sfa)),
+                ("periods", Json::UInt(s.periods as u64)),
+            ]),
+        };
+        Json::obj([
+            ("ipc", Json::Num(self.ipc)),
+            ("m1_fraction", Json::Num(self.m1_fraction)),
+            ("swaps", Json::UInt(self.swaps)),
+            ("stc_hit_rate", Json::Num(self.stc_hit_rate)),
+            ("avg_read_latency", Json::Num(self.avg_read_latency)),
+            ("sampling", sampling),
+        ])
+    }
+
+    /// Decodes a journal payload (`None` on any shape mismatch — the
+    /// caller then reruns the cell).
+    pub fn from_json(j: &Json) -> Option<SoloRun> {
+        let num = float_or_nan;
+        let sampling = match j.get("sampling")? {
+            Json::Null => None,
+            s => Some(SamplingReport {
+                mean_sigma_req: num(s, "mean_sigma_req")?,
+                sigma_raw_sfa: num(s, "sigma_raw_sfa")?,
+                sigma_avg_sfa: num(s, "sigma_avg_sfa")?,
+                mean_raw_sfa: num(s, "mean_raw_sfa")?,
+                periods: usize::try_from(json_u64(s.get("periods")?)?).ok()?,
+            }),
+        };
+        Some(SoloRun {
+            ipc: num(j, "ipc")?,
+            m1_fraction: num(j, "m1_fraction")?,
+            swaps: json_u64(j.get("swaps")?)?,
+            stc_hit_rate: num(j, "stc_hit_rate")?,
+            avg_read_latency: num(j, "avg_read_latency")?,
+            sampling,
+        })
+    }
+}
+
+/// Float field `k` of `j`. A non-finite float is written as `null` and
+/// reads back as NaN, so a degenerate statistic prints as it would
+/// have unjournaled instead of failing its cell.
+fn float_or_nan(j: &Json, k: &str) -> Option<f64> {
+    match j.get(k)? {
+        Json::Null => Some(f64::NAN),
+        v => json_f64(v),
     }
 }
 

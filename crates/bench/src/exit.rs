@@ -1,13 +1,13 @@
-//! The shared exit-code taxonomy for every bench binary, so a CI script
-//! can branch on the code alone:
+//! The shared exit-code taxonomy of the bench binaries (`profess-run`,
+//! `profess-validate`), so a CI script can branch on the code alone:
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | success |
 //! | 1    | validation failed (regression, malformed artifact, diff) |
 //! | 2    | usage error (bad flags, unreadable config, bad env) |
-//! | 3    | a simulation failed, or a sweep ended with terminally-failed cells |
-//! | 4    | a sharded sweep cell's final attempt lost its child process |
+//! | 3    | an experiment ended with terminally-failed cells |
+//! | 4    | a `--workers` cell's final attempt lost its child process |
 //!
 //! Injected faults are the one exception: a worker killed by
 //! `PROFESS_FAULT=exit@N` dies with
@@ -27,31 +27,16 @@ pub const VALIDATION_FAIL: i32 = 1;
 /// validation failure — the invocation was fine, the artifact is not.)
 pub const USAGE: i32 = 2;
 
-/// A supervised sweep completed but at least one cell failed
-/// terminally (retries exhausted, timed out, panicked), or a figure
-/// binary's simulation failed (see [`ok_or_exit`]).
+/// An experiment completed but at least one of its cells failed
+/// terminally (a simulator error, retries exhausted, timed out,
+/// panicked). `profess-run` names each failed cell on stderr.
 pub const SWEEP_FAILURE: i32 = 3;
 
-/// A sharded sweep (`profess-shard --workers N`) had a cell whose final
-/// attempt lost its child process — killed, hung past its deadline,
-/// crashed, unreadable, or never spawned — so the retry budget ran out
-/// on a lost worker rather than on the cell's own error.
+/// A sharded run (`profess-run <experiment> --workers N`) had a cell
+/// whose final attempt lost its child process — killed, hung past its
+/// deadline, crashed, unreadable, or never spawned — so the retry
+/// budget ran out on a lost worker rather than on the cell's own error.
 pub const WORKER_LOST: i32 = 4;
-
-/// The result of a simulation a figure binary cannot go on without: a
-/// failed run prints its [`SimError`](profess_core::SimError) and exits
-/// with [`SWEEP_FAILURE`], the code a supervised sweep uses for a
-/// failed cell.
-pub fn ok_or_exit<T>(run: Result<T, profess_core::SimError>) -> T {
-    run.unwrap_or_else(|e| {
-        eprintln!(
-            "{}: simulation failed [{}]: {e}",
-            crate::bin_name(),
-            e.label()
-        );
-        std::process::exit(SWEEP_FAILURE)
-    })
-}
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 //! * `PROFESS_BENCH_FILTER` — substring filter on benchmark names (the
 //!   first CLI argument does the same, as `cargo bench -- <filter>`).
 //!
-//! After a run, [`BenchJson`] (used by the figure binaries and by
+//! After a run, [`BenchJson`] (used by every experiment and by
 //! [`Runner::finish_json`]) writes a machine-readable
 //! `results/BENCH_<name>.json` perf artifact — wall time, simulated ops,
 //! timed harness samples, the thread count, and a `meta` block naming
@@ -298,7 +298,7 @@ pub fn results_dir() -> PathBuf {
 ///
 /// The artifact records the wall time from [`BenchJson::start`] to
 /// [`BenchJson::finish`], two *separate* work counters — `sim_ops`
-/// (simulations completed, supplied by the figure binaries via
+/// (simulations completed, supplied by the experiment driver via
 /// [`BenchJson::add_sim_ops`]) and `harness_samples` (timed benchmark
 /// iterations, counted by [`Runner::finish_json`]) — the worker-thread
 /// count the sweeps ran with, and a [`RunMeta`] provenance block. The
@@ -472,8 +472,8 @@ pub struct TraceCollector {
 
 impl TraceCollector {
     /// A collector for artifact `name`, active only when tracing is
-    /// enabled in the environment (`PROFESS_TRACE` / `--trace` via
-    /// [`crate::init_trace_flag`]).
+    /// enabled in the environment (`PROFESS_TRACE`, which `profess-run
+    /// --trace` sets).
     pub fn from_env(name: &str) -> Self {
         Self::with_enabled(name, profess_obs::TraceConfig::from_env().enabled)
     }

@@ -1,11 +1,14 @@
-//! Shared harness code for the benchmark binaries that regenerate the
-//! paper's tables and figures.
+//! The experiment harness that regenerates the paper's tables and
+//! figures.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure (see
-//! `DESIGN.md` for the experiment index). This library provides the run
-//! orchestration they share: solo and multiprogram runs, slowdown
-//! computation against per-policy solo references, and normalized-series
-//! printing.
+//! Every experiment is a record of the [`experiments`] registry: its
+//! cells as data ([`Cell`]: configuration × policy × program, workload
+//! or surface point), and the reducer that folds the finished cells
+//! into its printed table. One driver, `profess-run <experiment>`, runs
+//! any record's cells on the one cell engine here ([`run_cells`]:
+//! supervision, checkpoint journal, mid-run snapshots, tracing, child
+//! processes), so every knob applies to every experiment. `DESIGN.md`
+//! §3 indexes the experiments.
 
 #![deny(
     clippy::unwrap_used,
@@ -20,9 +23,12 @@
 
 pub mod checkpoint;
 pub mod exit;
+pub mod experiments;
 pub mod harness;
 pub mod shard;
 pub mod surface;
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use profess_core::system::{PolicyKind, SystemBuilder, SystemReport};
 use profess_core::{SimError, SystemSnapshot};
@@ -30,8 +36,10 @@ use profess_metrics::{unfairness, weighted_speedup, Json};
 use profess_trace::{SpecProgram, Workload};
 use profess_types::SystemConfig;
 
-pub use checkpoint::{Journal, MultiCell};
+pub use checkpoint::{Journal, MultiCell, SoloRun};
 pub use profess_par::{FaultPlan, Pool, SuperviseConfig, Supervised, TaskOutcome};
+
+use surface::SurfacePoint;
 
 /// Default memory operations per program for single-program experiments.
 pub const SOLO_TARGET_MISSES: u64 = 120_000;
@@ -39,63 +47,7 @@ pub const SOLO_TARGET_MISSES: u64 = 120_000;
 /// Default memory operations per program for multiprogram experiments.
 pub const MULTI_TARGET_MISSES: u64 = 60_000;
 
-/// Terminates the current bench binary with a usage error (exit
-/// status 2, the conventional Unix code for bad invocations).
-///
-/// The figure/table binaries share one argument shape — `[--trace]
-/// [<target-misses>] [<workload-id>...]` — so malformed input gets one
-/// diagnostic and a usage line instead of a panic backtrace per binary.
-pub fn usage_error(msg: &str) -> ! {
-    let bin = bin_name();
-    eprintln!("{bin}: error: {msg}");
-    eprintln!("usage: {bin} [--trace] [<target-misses>] [<workload-id>...]");
-    std::process::exit(exit::USAGE)
-}
-
-/// The running binary's file name, for diagnostics.
-fn bin_name() -> String {
-    let arg0 = std::env::args().next().unwrap_or_default();
-    arg0.rsplit('/').next().unwrap_or("bench").to_string()
-}
-
-/// Reads the per-program memory-operation target: first non-flag CLI
-/// argument (flags like `--trace` are skipped), then the
-/// `PROFESS_TARGET` environment variable, then `default`. A present but
-/// non-numeric value is a usage error, not a silent fallback.
-pub fn target_from_args(default: u64) -> u64 {
-    let (source, value) = match std::env::args().skip(1).find(|a| !a.starts_with('-')) {
-        Some(v) => ("argument", v),
-        None => match std::env::var("PROFESS_TARGET") {
-            Ok(v) => ("PROFESS_TARGET", v),
-            Err(_) => return default,
-        },
-    };
-    match value.parse() {
-        Ok(t) => t,
-        Err(_) => usage_error(&format!(
-            "memory-operation target {source} `{value}` is not an unsigned integer"
-        )),
-    }
-}
-
-/// Looks a workload id up, exiting with a usage error naming the known
-/// ids when it does not exist. Bench binaries should prefer this to
-/// unwrapping [`workload_by_id`](profess_trace::workload::workload_by_id);
-/// the typed [`profess_trace::UnknownWorkload`] error already lists
-/// every valid id, so the usage path surfaces it verbatim.
-pub fn workload_or_usage(id: &str) -> Workload {
-    profess_trace::workload::workload_by_id(id).unwrap_or_else(|e| usage_error(&e.to_string()))
-}
-
-/// Reads the supervision config (`PROFESS_RETRIES`,
-/// `PROFESS_TASK_TIMEOUT_MS`, `PROFESS_FAULT`) from the environment,
-/// reporting invalid values as usage errors (exit 2) instead of a
-/// panic backtrace.
-pub fn supervise_from_env() -> SuperviseConfig {
-    SuperviseConfig::from_env().unwrap_or_else(|e| usage_error(&e))
-}
-
-/// Env var enabling snapshot-on-cancel in the sweep binaries: unset,
+/// Env var enabling snapshot-on-cancel in supervised sweeps: unset,
 /// empty, or `0` leaves preempted (timed-out) cells cold; `1` makes the
 /// watchdog preempt them into a journaled snapshot instead, so the
 /// retry resumes mid-run.
@@ -155,102 +107,10 @@ impl SnapshotMode {
     }
 }
 
-/// Reads the snapshot mode (`PROFESS_SNAPSHOT`, `PROFESS_SNAPSHOT_AT`)
-/// from the environment, reporting invalid values as usage errors.
-pub fn snapshot_mode_from_env() -> SnapshotMode {
-    SnapshotMode::from_env().unwrap_or_else(|e| usage_error(&e))
-}
-
 /// The journal key holding cell `key`'s mid-run snapshot. Namespaced so
 /// snapshot entries can never shadow a completed cell's result.
 pub fn snapshot_key(cell_key: &str) -> String {
     format!("snapshot|{cell_key}")
-}
-
-/// Opens the checkpoint journal selected by `PROFESS_CHECKPOINT` for
-/// sweep artifact `name`: unset, empty, or `0` yields a disabled
-/// journal; `1` journals to `CHECKPOINT_<name>.jsonl` in
-/// [`harness::results_dir`]; any other value names the journal
-/// directory. An unopenable journal is a usage error — silently
-/// running without the checkpointing the caller asked for would make
-/// a later kill unrecoverable.
-pub fn journal_from_env(name: &str) -> Journal {
-    let dir = match std::env::var(checkpoint::CHECKPOINT_ENV) {
-        Err(_) => return Journal::disabled(),
-        Ok(v) if v.is_empty() || v == "0" => return Journal::disabled(),
-        Ok(v) if v == "1" => harness::results_dir(),
-        Ok(v) => std::path::PathBuf::from(v),
-    };
-    let path = dir.join(format!("CHECKPOINT_{name}.jsonl"));
-    match Journal::load(&path) {
-        Ok(j) => {
-            println!(
-                "checkpoint journal: {} ({} cells replayed, {} lines dropped)",
-                path.display(),
-                j.loaded(),
-                j.rejected()
-            );
-            j
-        }
-        Err(e) => usage_error(&format!(
-            "cannot open checkpoint journal {}: {e}",
-            path.display()
-        )),
-    }
-}
-
-/// Parses the sweep binaries' shared CLI shape — `[--trace] [<target>]
-/// [<workload-id>...]` — into the memory-operation target and the
-/// workload subset (see [`sweep_args_from`]).
-pub fn sweep_args(default_target: u64) -> (u64, Vec<Workload>) {
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| !a.starts_with('-'))
-        .collect();
-    sweep_args_from(&rest, default_target)
-}
-
-/// [`sweep_args`] over already-extracted positional arguments: a
-/// numeric first argument is the target (else `PROFESS_TARGET`, else
-/// `default_target`); the remaining arguments select workloads
-/// (default: all Table 10 workloads). Unknown ids are usage errors.
-pub fn sweep_args_from(rest: &[String], default_target: u64) -> (u64, Vec<Workload>) {
-    // The target override is config echoed into the checkpoint fingerprint,
-    // so resumed runs see identical values.
-    let env_target = || match std::env::var("PROFESS_TARGET") {
-        Ok(v) => match v.parse() {
-            Ok(t) => t,
-            Err(_) => usage_error(&format!(
-                "memory-operation target PROFESS_TARGET `{v}` is not an unsigned integer"
-            )),
-        },
-        Err(_) => default_target,
-    };
-    let (target, ids) = match rest.split_first() {
-        Some((first, tail)) => match first.parse::<u64>() {
-            Ok(t) => (t, tail),
-            Err(_) => (env_target(), rest),
-        },
-        None => (env_target(), rest),
-    };
-    let workloads = if ids.is_empty() {
-        profess_trace::workloads().to_vec()
-    } else {
-        ids.iter().map(|id| workload_or_usage(id)).collect()
-    };
-    (target, workloads)
-}
-
-/// Handles the figure binaries' `--trace` flag: when present, sets
-/// `PROFESS_TRACE=1` so every [`SystemBuilder`] constructed afterwards
-/// (they default to [`profess_obs::TraceConfig::from_env`]) records a
-/// trace. Returns whether tracing is active (flag or pre-set
-/// environment). Call this before the first simulation.
-pub fn init_trace_flag() -> bool {
-    if std::env::args().skip(1).any(|a| a == "--trace") {
-        std::env::set_var(profess_obs::TRACE_ENV, "1");
-    }
-    profess_obs::TraceConfig::from_env().enabled
 }
 
 /// Summary statistics of a normalized series (`measured / baseline`).
@@ -264,17 +124,22 @@ pub struct NormSummary {
     pub worst: f64,
 }
 
-/// Summarizes a series of ratios.
-///
-/// # Panics
-///
-/// Panics on an empty series.
-pub fn summarize(ratios: &[f64]) -> NormSummary {
-    NormSummary {
+/// Summarizes a series of ratios: `None` when the series is empty or
+/// holds a ratio that is not positive, where no geometric mean exists.
+pub fn summarize(ratios: &[f64]) -> Option<NormSummary> {
+    if ratios.is_empty() || ratios.iter().any(|&x| x.is_nan() || x <= 0.0) {
+        return None;
+    }
+    Some(NormSummary {
         geomean: profess_metrics::geomean(ratios),
         best: ratios.iter().copied().fold(f64::MIN, f64::max),
         worst: ratios.iter().copied().fold(f64::MAX, f64::min),
-    }
+    })
+}
+
+/// The geometric mean of `xs`, or NaN where [`summarize`] finds none.
+pub(crate) fn geomean_or_nan(xs: &[f64]) -> f64 {
+    summarize(xs).map_or(f64::NAN, |s| s.geomean)
 }
 
 /// Runs one program alone (on whatever system `cfg` describes).
@@ -287,19 +152,6 @@ pub fn run_solo(
     SystemBuilder::new(cfg.clone())
         .policy(policy)
         .spec_program(prog, prog.budget_for_misses(target_misses))
-        .try_run()
-}
-
-/// Runs a Table 10 workload on the quad-core system.
-pub fn run_workload(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    w: &Workload,
-    target_misses: u64,
-) -> Result<SystemReport, SimError> {
-    SystemBuilder::new(cfg.clone())
-        .policy(policy)
-        .workload(w, target_misses)
         .try_run()
 }
 
@@ -326,31 +178,16 @@ pub struct WorkloadMetrics {
 /// matching solo (uncontended) IPCs per program, measured under the same
 /// policy (eq. 1).
 pub fn workload_metrics(id: &str, multi: &SystemReport, solo_ipcs: &[f64]) -> WorkloadMetrics {
-    assert_eq!(multi.programs.len(), solo_ipcs.len());
-    let slowdowns: Vec<f64> = multi
-        .programs
-        .iter()
-        .zip(solo_ipcs)
-        .map(|(p, &sp)| profess_metrics::slowdown(sp, p.ipc))
-        .collect();
-    WorkloadMetrics {
-        id: id.to_string(),
-        weighted_speedup: weighted_speedup(&slowdowns),
-        unfairness: unfairness(&slowdowns),
-        energy_efficiency: multi.requests_per_joule,
-        read_latency: multi.avg_read_latency_cycles,
-        swap_fraction: multi.swap_fraction(),
-        slowdowns,
-    }
+    workload_metrics_cell(id, &MultiCell::from_report(multi), solo_ipcs)
 }
 
 /// [`workload_metrics`] computed from a journaled [`MultiCell`] instead
 /// of a live report.
 ///
-/// The supervised sweep routes *both* freshly-simulated and
-/// journal-restored cells through this function, so the floating-point
-/// arithmetic — and therefore the emitted rows — is identical whether a
-/// cell ran this process or was replayed from a checkpoint.
+/// Experiments route *both* freshly-simulated and journal-restored
+/// cells through this function, so the floating-point arithmetic — and
+/// therefore the printed tables and emitted rows — is identical whether
+/// a cell ran this process or was replayed from a checkpoint.
 pub fn workload_metrics_cell(id: &str, cell: &MultiCell, solo_ipcs: &[f64]) -> WorkloadMetrics {
     assert_eq!(cell.ipcs.len(), solo_ipcs.len());
     let slowdowns: Vec<f64> = cell
@@ -367,52 +204,6 @@ pub fn workload_metrics_cell(id: &str, cell: &MultiCell, solo_ipcs: &[f64]) -> W
         read_latency: cell.avg_read_latency,
         swap_fraction: cell.swap_fraction(),
         slowdowns,
-    }
-}
-
-/// Caches solo IPC references per (policy, program) so workload sweeps do
-/// not repeat identical solo runs.
-#[derive(Debug, Default)]
-pub struct SoloCache {
-    entries: std::collections::HashMap<(&'static str, SpecProgram), f64>,
-}
-
-impl SoloCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the solo IPC of `prog` under `policy` on the quad system,
-    /// running it if not cached.
-    pub fn solo_ipc(
-        &mut self,
-        cfg: &SystemConfig,
-        policy: PolicyKind,
-        prog: SpecProgram,
-        target_misses: u64,
-    ) -> Result<f64, SimError> {
-        let key = (policy.name(), prog);
-        if let Some(&ipc) = self.entries.get(&key) {
-            return Ok(ipc);
-        }
-        let ipc = run_solo(cfg, policy, prog, target_misses)?.programs[0].ipc;
-        self.entries.insert(key, ipc);
-        Ok(ipc)
-    }
-
-    /// Solo IPCs for every program of a workload.
-    pub fn solo_ipcs(
-        &mut self,
-        cfg: &SystemConfig,
-        policy: PolicyKind,
-        w: &Workload,
-        target_misses: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        w.programs
-            .iter()
-            .map(|&p| self.solo_ipc(cfg, policy, p, target_misses))
-            .collect()
     }
 }
 
@@ -434,40 +225,268 @@ pub struct NormalizedRow {
     pub swap_fraction: f64,
 }
 
-/// One sweep cell's identity: its checkpoint-journal key, its display
-/// label, and what to run.
-#[derive(Debug)]
-pub(crate) struct CellSpec<K> {
-    /// The cell's checkpoint-journal key.
-    pub key: String,
-    /// Display label (`w03:profess`, `solo:pom:mcf`).
-    pub label: String,
-    /// What the sweep runs for this cell.
-    pub kind: K,
+/// A system configuration at a memory-operation target, fingerprinted
+/// once: the part of a cell's journal key that is not the cell itself.
+#[derive(Debug, Clone)]
+pub struct Setting {
+    cfg: SystemConfig,
+    target: u64,
+    fp: String,
 }
 
-/// The sweep-specific half of [`run_cells`]: what a sweep's cells are,
-/// and how one is built and reduced to its journaled value. The
-/// normalized and surface sweeps differ only here.
-pub(crate) trait CellSweep: Sync {
-    /// What one cell runs.
-    type Kind: Sync;
-    /// A completed cell's value.
-    type Value: Send;
-    /// Every cell, in canonical spec order: the serial journal's append
-    /// order, and the order a sharded run rewrites its journal into.
-    fn specs(&self) -> Vec<CellSpec<Self::Kind>>;
+impl Setting {
+    /// `cfg` with `target` memory operations per program (per load
+    /// generator for a surface cell).
+    pub fn new(cfg: SystemConfig, target: u64) -> Setting {
+        let fp = checkpoint::config_fingerprint(&cfg, target);
+        Setting { cfg, target, fp }
+    }
+
+    /// One cell on this setting, traced unless it is a slowdown
+    /// reference ([`Sim::SoloIpc`]).
+    pub fn cell(&self, policy: PolicyKind, sim: Sim, label: impl Into<String>) -> Cell {
+        Cell {
+            at: self.clone(),
+            policy,
+            sim,
+            key: self.key(policy, sim),
+            label: label.into(),
+            traced: !matches!(sim, Sim::SoloIpc(_)),
+        }
+    }
+
+    /// The journal key of the cell `(policy, sim)` on this setting.
+    fn key(&self, policy: PolicyKind, sim: Sim) -> String {
+        let (pk, fp) = (policy.name(), &self.fp);
+        match sim {
+            Sim::SoloIpc(p) => format!("solo|{pk}|{}|{fp}", p.name()),
+            Sim::Solo(p) => format!("run|{pk}|{}|{fp}", p.name()),
+            Sim::Sampled(p) => format!("sampled|{pk}|{}|{fp}", p.name()),
+            Sim::Multi(w) => format!("multi|{pk}|{}|{fp}", w.id),
+            Sim::Surface(rf, it) => surface::surface_cell_key(policy, rf, it, fp),
+        }
+    }
+}
+
+/// What one cell simulates, and what it keeps of the run: its journal
+/// payload and [`Value`].
+#[derive(Debug, Clone, Copy)]
+pub enum Sim {
+    /// One program alone, kept as its IPC: a slowdown reference.
+    SoloIpc(SpecProgram),
+    /// One program alone, kept as a [`SoloRun`].
+    Solo(SpecProgram),
+    /// One program alone with Table 4 region sampling on, kept as a
+    /// [`SoloRun`] carrying its RSM sampling statistics.
+    Sampled(SpecProgram),
+    /// A workload, one program per core, kept as a [`MultiCell`].
+    Multi(Workload),
+    /// Four surface load generators at (read fraction, intensity), kept
+    /// as a [`SurfacePoint`].
+    Surface(f64, f64),
+}
+
+/// A finished cell's value, decoded from its journal payload.
+#[derive(Debug, Clone)]
+pub enum Value {
+    /// A [`Sim::SoloIpc`] cell.
+    Ipc(f64),
+    /// A [`Sim::Solo`] or [`Sim::Sampled`] cell.
+    Run(SoloRun),
+    /// A [`Sim::Multi`] cell.
+    Multi(MultiCell),
+    /// A [`Sim::Surface`] cell.
+    Point(SurfacePoint),
+}
+
+/// One simulation of an experiment: policy × [`Sim`] on a [`Setting`].
+#[derive(Debug, Clone)]
+pub struct Cell {
+    at: Setting,
+    policy: PolicyKind,
+    sim: Sim,
+    key: String,
+    label: String,
+    traced: bool,
+}
+
+impl Cell {
+    /// The cell's checkpoint-journal key.
+    pub fn key(&self) -> &str {
+        &self.key
+    }
+
+    /// Display label (`w03:ProFess`, `solo:PoM:mcf`), also the label of
+    /// the cell's run in the trace artifact.
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// This cell with tracing off: its run stays out of the trace
+    /// artifact.
+    pub fn untraced(mut self) -> Cell {
+        self.traced = false;
+        self
+    }
+
+    /// Builds the cell's simulation (nothing run yet).
+    fn build(&self) -> SystemBuilder {
+        let (cfg, pk, target) = (&self.at.cfg, self.policy, self.at.target);
+        let b = match self.sim {
+            Sim::SoloIpc(p) | Sim::Solo(p) => SystemBuilder::new(cfg.clone())
+                .policy(pk)
+                .spec_program(p, p.budget_for_misses(target)),
+            // RSM's private regions need the ProFess OS support; Table 4
+            // measures RSM while it is active.
+            Sim::Sampled(p) => SystemBuilder::new(cfg.clone())
+                .policy(pk)
+                .sample_regions(true)
+                .spec_program(p, p.budget_for_misses(target)),
+            Sim::Multi(w) => SystemBuilder::new(cfg.clone())
+                .policy(pk)
+                .workload(&w, target),
+            Sim::Surface(rf, it) => surface::surface_cell_builder(cfg, pk, rf, it, target),
+        };
+        if self.traced {
+            b
+        } else {
+            b.trace(profess_obs::TraceConfig::off())
+        }
+    }
+
+    /// Reduces a finished run to its journal payload.
+    fn reduce(&self, report: &SystemReport) -> Json {
+        match self.sim {
+            Sim::SoloIpc(_) => Json::obj([("ipc", Json::Num(report.programs[0].ipc))]),
+            Sim::Solo(_) | Sim::Sampled(_) => SoloRun::from_report(report).to_json(),
+            Sim::Multi(_) => MultiCell::from_report(report).to_json(),
+            Sim::Surface(rf, it) => {
+                SurfacePoint::from_report(self.policy, rf, it, report).to_json()
+            }
+        }
+    }
+
     /// Decodes a journal payload (`None` on any shape mismatch — the
     /// cell then reruns).
-    fn decode(&self, kind: &Self::Kind, payload: &Json) -> Option<Self::Value>;
-    /// Builds the cell's simulation (nothing run yet).
-    fn build(&self, kind: &Self::Kind) -> SystemBuilder;
-    /// Reduces a finished run to its journal payload.
-    fn reduce(&self, kind: &Self::Kind, report: &SystemReport) -> Json;
+    fn decode(&self, payload: &Json) -> Option<Value> {
+        Some(match self.sim {
+            Sim::SoloIpc(_) => Value::Ipc(checkpoint::solo_ipc_from_json(payload)?),
+            Sim::Solo(_) | Sim::Sampled(_) => Value::Run(SoloRun::from_json(payload)?),
+            Sim::Multi(_) => Value::Multi(MultiCell::from_json(payload)?),
+            Sim::Surface(..) => Value::Point(SurfacePoint::from_json(payload)?),
+        })
+    }
+
+    /// Runs the cell once, with no supervision, and renders its journal
+    /// line: a sharded run's child attempt.
+    pub(crate) fn line(&self) -> Result<String, String> {
+        let report = self.build().try_run().map_err(|e| e.to_string())?;
+        Ok(checkpoint::encode_line(&self.key, &self.reduce(&report)))
+    }
 }
 
-/// Where [`run_cells`] runs each attempt. Crate-private: only
-/// [`shard::ShardSweep::run_on`] picks child processes.
+/// Drops every cell whose key an earlier cell already has, keeping the
+/// first occurrence in place: a cell runs once however many of an
+/// experiment's tables read it.
+pub fn distinct(cells: Vec<Cell>) -> Vec<Cell> {
+    let mut seen = BTreeSet::new();
+    cells
+        .into_iter()
+        .filter(|c| seen.insert(c.key.clone()))
+        .collect()
+}
+
+/// The finished cells of a run, looked up by what they simulated.
+#[derive(Debug, Default)]
+pub struct Results {
+    values: BTreeMap<String, Value>,
+}
+
+impl Results {
+    /// The values of `cells`, aligned with `values` (`None` where a
+    /// cell failed).
+    pub(crate) fn new(cells: &[Cell], values: Vec<Option<Value>>) -> Results {
+        let mut r = Results::default();
+        r.extend(cells, values);
+        r
+    }
+
+    /// Adds more finished cells.
+    pub(crate) fn extend(&mut self, cells: &[Cell], values: Vec<Option<Value>>) {
+        for (c, v) in cells.iter().zip(values) {
+            if let Some(v) = v {
+                self.values.insert(c.key.clone(), v);
+            }
+        }
+    }
+
+    /// The value of cell `(policy, sim)` on `at`, if it succeeded.
+    pub fn get(&self, at: &Setting, policy: PolicyKind, sim: Sim) -> Option<&Value> {
+        self.values.get(&at.key(policy, sim))
+    }
+
+    /// A [`Sim::SoloIpc`] reference.
+    pub fn ipc(&self, at: &Setting, policy: PolicyKind, p: SpecProgram) -> Option<f64> {
+        match self.get(at, policy, Sim::SoloIpc(p))? {
+            Value::Ipc(ipc) => Some(*ipc),
+            _ => None,
+        }
+    }
+
+    /// A [`Sim::Solo`] or [`Sim::Sampled`] run.
+    pub fn run(&self, at: &Setting, policy: PolicyKind, sim: Sim) -> Option<&SoloRun> {
+        match self.get(at, policy, sim)? {
+            Value::Run(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// A [`Sim::Multi`] run.
+    pub fn multi(&self, at: &Setting, policy: PolicyKind, w: &Workload) -> Option<&MultiCell> {
+        match self.get(at, policy, Sim::Multi(*w))? {
+            Value::Multi(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// Workload `w`'s metrics under `policy`: its [`Sim::Multi`] cell
+    /// against the [`Sim::SoloIpc`] references of its programs under the
+    /// same policy ([`slowdown_cells`]).
+    pub fn metrics(
+        &self,
+        at: &Setting,
+        policy: PolicyKind,
+        w: &Workload,
+    ) -> Option<WorkloadMetrics> {
+        let solo: Vec<f64> = w
+            .programs
+            .iter()
+            .map(|&p| self.ipc(at, policy, p))
+            .collect::<Option<_>>()?;
+        Some(workload_metrics_cell(
+            w.id,
+            self.multi(at, policy, w)?,
+            &solo,
+        ))
+    }
+}
+
+/// The cells [`Results::metrics`] reads: a solo reference per program
+/// of `w` (label `solo:<policy>:<program>`), then `w` itself under
+/// `policy` (label `<workload>:<policy>`).
+pub(crate) fn slowdown_cells(at: &Setting, policy: PolicyKind, w: &Workload) -> Vec<Cell> {
+    let pk = policy.name();
+    let mut cells: Vec<Cell> = w
+        .programs
+        .iter()
+        .map(|&p| at.cell(policy, Sim::SoloIpc(p), format!("solo:{pk}:{}", p.name())))
+        .collect();
+    cells.push(at.cell(policy, Sim::Multi(*w), format!("{}:{pk}", w.id)));
+    cells
+}
+
+/// Where [`run_cells`] runs each attempt. Crate-private: only the
+/// `--workers` path of [`experiments::run`] picks child processes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Executor<'a> {
     /// On the pool's own threads.
@@ -478,28 +497,29 @@ pub(crate) enum Executor<'a> {
     Processes(&'a [String]),
 }
 
-/// What [`run_cells`] produced, in spec order.
-pub(crate) struct CellRun<V> {
+/// What [`run_cells`] produced, in cell order.
+#[derive(Debug)]
+pub(crate) struct CellRun {
     /// Each cell's value; `None` where the cell failed.
-    pub(crate) values: Vec<Option<V>>,
+    pub(crate) values: Vec<Option<Value>>,
     /// Each cell's execution record.
     pub(crate) cells: Vec<CellRecord>,
     /// Cells restored from the journal instead of running.
     pub(crate) resumed: usize,
 }
 
-/// The one cell engine every sweep runs on.
+/// The one cell engine every experiment runs on.
 ///
-/// Cells already in `journal` with a decodable payload are restored
-/// instead of re-run. The rest — the *pending* cells, kept in spec
-/// order, so fault-plan indices are positions in that list — run under
-/// [`Pool::try_run_supervised`] with `sup`'s retry / timeout /
-/// fault-injection settings, each attempt on `exec`. A completed cell
-/// is reduced to its payload, journaled the moment it completes, and
-/// decoded back into its value, so fresh and restored cells reach the
-/// caller through the same decode and a resumed sweep is
-/// byte-identical to an uninterrupted one. Reports of cells that ran on
-/// this process's threads go to `traces` in cell order.
+/// `cells` must be [`distinct`]. Cells already in `journal` with a
+/// decodable payload are restored instead of re-run. The rest — the
+/// *pending* cells, kept in cell order, so fault-plan indices are
+/// positions in that list — run under [`Pool::try_run_supervised`] with
+/// `sup`'s retry / timeout / fault-injection settings, each attempt on
+/// `exec`. A completed cell is reduced to its payload, journaled the
+/// moment it completes, and decoded back into its value, so fresh and
+/// restored cells reach the caller through the same decode and a
+/// resumed run is byte-identical to an uninterrupted one. Traced cells
+/// that ran on this process's threads go to `traces` in cell order.
 ///
 /// With `snap` enabled, a preempted cell (watchdog cancel under
 /// `snap.on_cancel`, or the deterministic `snap.at` clock on first
@@ -507,163 +527,60 @@ pub(crate) struct CellRun<V> {
 /// [`snapshot_key`] and fails the attempt; the retry restores the
 /// snapshot and runs only the remaining cycles. Snapshot-restored
 /// completions are byte-identical to straight-through runs.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "each supervision knob is its own argument"
-)]
-pub(crate) fn run_cells<S: CellSweep>(
-    sweep: &S,
-    specs: &[CellSpec<S::Kind>],
+pub(crate) fn run_cells(
+    cells: &[Cell],
     pool: &Pool,
     sup: &SuperviseConfig,
     journal: &Journal,
     snap: &SnapshotMode,
     exec: Executor<'_>,
     traces: &mut harness::TraceCollector,
-) -> CellRun<S::Value> {
-    let mut values: Vec<Option<S::Value>> = specs
+) -> CellRun {
+    let mut values: Vec<Option<Value>> = cells
         .iter()
-        .map(|s| {
-            journal
-                .lookup(&s.key)
-                .and_then(|p| sweep.decode(&s.kind, &p))
-        })
+        .map(|c| journal.lookup(&c.key).and_then(|p| c.decode(&p)))
         .collect();
-    let pending: Vec<usize> = (0..specs.len()).filter(|&i| values[i].is_none()).collect();
+    let pending: Vec<usize> = (0..cells.len()).filter(|&i| values[i].is_none()).collect();
     let keep_reports = traces.is_enabled();
     let outs = pool.try_run_supervised(&pending, sup, |ctx, &i| {
-        let spec = &specs[i];
+        let cell = &cells[i];
         let (payload, report) = match exec {
             Executor::Processes(args) => (
-                shard::child_attempt(args, &spec.key, &ctx, &sup.faults)?,
+                shard::child_attempt(args, &cell.key, &ctx, &sup.faults)?,
                 None,
             ),
             Executor::Threads => {
-                let b = sweep.build(&spec.kind);
-                let report = run_cell(b, snap, journal, &snapshot_key(&spec.key), &ctx)?;
-                (sweep.reduce(&spec.kind, &report), Some(report))
+                let report = run_cell(cell.build(), snap, journal, &snapshot_key(&cell.key), &ctx)?;
+                (cell.reduce(&report), Some(report))
             }
         };
-        let value = sweep
-            .decode(&spec.kind, &payload)
-            .ok_or_else(|| format!("cell `{}` reduced to an undecodable payload", spec.key))?;
+        let value = cell
+            .decode(&payload)
+            .ok_or_else(|| format!("cell `{}` reduced to an undecodable payload", cell.key))?;
         // A cancel after the record would retry a journaled cell.
         if !ctx.cancel.settle() {
             return Err(profess_par::TIMED_OUT.to_string());
         }
-        journal.record(&spec.key, payload);
+        journal.record(&cell.key, payload);
         Ok((value, report.filter(|_| keep_reports)))
     });
-    let mut cells: Vec<CellRecord> = specs
+    let mut records: Vec<CellRecord> = cells
         .iter()
-        .map(|s| CellRecord::new::<()>(&s.key, &s.label, None))
+        .map(|c| CellRecord::new::<()>(&c.key, &c.label, None))
         .collect();
     for (&i, out) in pending.iter().zip(outs) {
-        cells[i] = CellRecord::new(&specs[i].key, &specs[i].label, Some(&out));
+        records[i] = CellRecord::new(&cells[i].key, &cells[i].label, Some(&out));
         if let TaskOutcome::Ok((value, report)) = out.outcome {
             values[i] = Some(value);
             if let Some(r) = report {
-                traces.record(&specs[i].label, &r);
+                traces.record(&cells[i].label, &r);
             }
         }
     }
     CellRun {
         values,
-        cells,
-        resumed: specs.len() - pending.len(),
-    }
-}
-
-/// One cell of a normalized sweep.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CellKind {
-    /// A solo (uncontended) reference run of one program.
-    Solo(PolicyKind, SpecProgram),
-    /// A multiprogram run of workload `workloads[i]`.
-    Multi(usize, PolicyKind),
-}
-
-/// A completed normalized-sweep cell's value.
-#[derive(Debug)]
-pub(crate) enum CellValue {
-    Solo(f64),
-    Multi(MultiCell),
-}
-
-/// The cells of a normalized sweep of `policy` against the PoM baseline.
-#[derive(Debug)]
-pub(crate) struct NormalizedCells<'a> {
-    pub(crate) cfg: &'a SystemConfig,
-    pub(crate) policy: PolicyKind,
-    pub(crate) target_misses: u64,
-    pub(crate) workloads: &'a [Workload],
-}
-
-impl CellSweep for NormalizedCells<'_> {
-    type Kind = CellKind;
-    type Value = CellValue;
-
-    /// Deduplicated solo references first (policy-major, first-seen
-    /// program order), then two multiprogram cells per workload, PoM
-    /// before `policy`.
-    fn specs(&self) -> Vec<CellSpec<CellKind>> {
-        let cfgfp = checkpoint::config_fingerprint(self.cfg, self.target_misses);
-        let policies = [PolicyKind::Pom, self.policy];
-        let mut specs: Vec<CellSpec<CellKind>> = Vec::new();
-        let mut seen: Vec<(&'static str, SpecProgram)> = Vec::new();
-        for &pk in &policies {
-            for w in self.workloads {
-                for &p in w.programs.iter() {
-                    if !seen.contains(&(pk.name(), p)) {
-                        seen.push((pk.name(), p));
-                        specs.push(CellSpec {
-                            key: format!("solo|{}|{}|{}", pk.name(), p.name(), cfgfp),
-                            label: format!("solo:{}:{}", pk.name(), p.name()),
-                            kind: CellKind::Solo(pk, p),
-                        });
-                    }
-                }
-            }
-        }
-        for (wi, w) in self.workloads.iter().enumerate() {
-            for &pk in &policies {
-                specs.push(CellSpec {
-                    key: format!("multi|{}|{}|{}", pk.name(), w.id, cfgfp),
-                    label: format!("{}:{}", w.id, pk.name()),
-                    kind: CellKind::Multi(wi, pk),
-                });
-            }
-        }
-        specs
-    }
-
-    fn decode(&self, kind: &CellKind, payload: &Json) -> Option<CellValue> {
-        match kind {
-            CellKind::Solo(..) => Some(CellValue::Solo(checkpoint::solo_ipc_from_json(payload)?)),
-            CellKind::Multi(..) => Some(CellValue::Multi(MultiCell::from_json(payload)?)),
-        }
-    }
-
-    /// Solo references record no trace: a sweep's trace artifact holds
-    /// its multiprogram runs only.
-    fn build(&self, kind: &CellKind) -> SystemBuilder {
-        let b = SystemBuilder::new(self.cfg.clone());
-        match *kind {
-            CellKind::Solo(pk, p) => b
-                .policy(pk)
-                .trace(profess_obs::TraceConfig::off())
-                .spec_program(p, p.budget_for_misses(self.target_misses)),
-            CellKind::Multi(wi, pk) => b
-                .policy(pk)
-                .workload(&self.workloads[wi], self.target_misses),
-        }
-    }
-
-    fn reduce(&self, kind: &CellKind, report: &SystemReport) -> Json {
-        match kind {
-            CellKind::Solo(..) => Json::obj([("ipc", Json::Num(report.programs[0].ipc))]),
-            CellKind::Multi(..) => MultiCell::from_report(report).to_json(),
-        }
+        cells: records,
+        resumed: cells.len() - pending.len(),
     }
 }
 
@@ -746,12 +663,11 @@ impl SweepRun {
     }
 }
 
-/// Prints a supervised sweep's resume and failure summary and returns
-/// whether every cell succeeded. `skipped` lists the outputs (`what`:
-/// workloads, cells) left without results. The sweep binaries exit
-/// with [`exit::SWEEP_FAILURE`] when this is false — after writing
-/// their artifacts, so the per-cell outcomes are still inspectable.
-pub fn report_sweep_health(cells: &[CellRecord], what: &str, skipped: &[String]) -> bool {
+/// Prints a supervised run's resume and failure summary and returns
+/// whether every cell succeeded. The driver exits with
+/// [`exit::SWEEP_FAILURE`] when this is false — after writing its
+/// artifacts, so the per-cell outcomes are still inspectable.
+pub fn report_sweep_health(cells: &[CellRecord]) -> bool {
     let resumed = cells.iter().filter(|c| c.status == "cached").count();
     if resumed > 0 {
         println!(
@@ -773,10 +689,7 @@ pub fn report_sweep_health(cells: &[CellRecord], what: &str, skipped: &[String])
             eprintln!("  {h}");
         }
     }
-    if !skipped.is_empty() {
-        eprintln!("{what} without results: {}", skipped.join(" "));
-    }
-    ok && skipped.is_empty()
+    ok
 }
 
 /// Runs one cell under a cancel token, with the snapshot mode applied.
@@ -821,16 +734,71 @@ fn run_cell(
     })
 }
 
-/// The supervised, checkpointable normalized sweep of `policy` against
-/// the PoM baseline: a normalized sweep's cells, run by
-/// [`run_cells`] (journal replay, supervision, snapshots, traces), then
-/// reduced to rows.
+/// The cells of a normalized sweep of `policy` against the PoM
+/// baseline: solo references first (policy-major, first-seen program
+/// order), then two multiprogram cells per workload, PoM before
+/// `policy`. Solo references record no trace.
+pub(crate) fn normalized_cells(
+    at: &Setting,
+    policy: PolicyKind,
+    workloads: &[Workload],
+) -> Vec<Cell> {
+    let policies = [PolicyKind::Pom, policy];
+    let mut cells = Vec::new();
+    for pk in policies {
+        for w in workloads {
+            let mut refs = slowdown_cells(at, pk, w);
+            refs.pop();
+            cells.extend(refs);
+        }
+    }
+    for w in workloads {
+        for pk in policies {
+            cells.push(at.cell(pk, Sim::Multi(*w), format!("{}:{}", w.id, pk.name())));
+        }
+    }
+    distinct(cells)
+}
+
+/// The rows of a normalized sweep (see [`normalized_cells`]) and the
+/// ids of the workloads left without one because a cell failed.
 ///
-/// Rows are assembled only for workloads whose four cell kinds all
-/// succeeded; the rest are listed in [`SweepRun::skipped`]. Both fresh
-/// and restored cells flow through [`workload_metrics_cell`], so a
-/// resumed or warm-started sweep's rows are byte-identical to an
-/// uninterrupted run's.
+/// Rows come from the cell values alone, which fresh and restored cells
+/// reach through the same decode, so a resumed or warm-started sweep's
+/// rows are byte-identical to an uninterrupted run's.
+pub(crate) fn normalized_rows(
+    r: &Results,
+    at: &Setting,
+    policy: PolicyKind,
+    workloads: &[Workload],
+) -> (Vec<NormalizedRow>, Vec<String>) {
+    let mut rows = Vec::new();
+    let mut skipped = Vec::new();
+    for w in workloads {
+        let row = (|| {
+            let base = r.metrics(at, PolicyKind::Pom, w)?;
+            let m = r.metrics(at, policy, w)?;
+            Some(NormalizedRow {
+                id: w.id.to_string(),
+                unfairness: m.unfairness / base.unfairness,
+                weighted_speedup: m.weighted_speedup / base.weighted_speedup,
+                energy_efficiency: m.energy_efficiency / base.energy_efficiency,
+                read_latency: m.read_latency / base.read_latency,
+                swap_fraction: m.swap_fraction / base.swap_fraction.max(1e-12),
+            })
+        })();
+        match row {
+            Some(row) => rows.push(row),
+            None => skipped.push(w.id.to_string()),
+        }
+    }
+    (rows, skipped)
+}
+
+/// The supervised, checkpointable normalized sweep of `policy` against
+/// the PoM baseline: [`normalized_cells`], run by [`run_cells`]
+/// (journal replay, supervision, snapshots, traces), then reduced by
+/// [`normalized_rows`].
 #[expect(
     clippy::too_many_arguments,
     reason = "public signature that examples/perf calls; kept as is"
@@ -846,91 +814,23 @@ pub fn normalized_sweep_supervised(
     snap: &SnapshotMode,
     traces: &mut harness::TraceCollector,
 ) -> SweepRun {
-    NormalizedCells {
-        cfg,
-        policy,
-        target_misses,
-        workloads,
-    }
-    .run_on(pool, sup, journal, snap, Executor::Threads, traces)
-}
-
-impl NormalizedCells<'_> {
-    /// [`normalized_sweep_supervised`] with every attempt on `exec`.
-    pub(crate) fn run_on(
-        &self,
-        pool: &Pool,
-        sup: &SuperviseConfig,
-        journal: &Journal,
-        snap: &SnapshotMode,
-        exec: Executor<'_>,
-        traces: &mut harness::TraceCollector,
-    ) -> SweepRun {
-        let specs = self.specs();
-        let run = run_cells(self, &specs, pool, sup, journal, snap, exec, traces);
-
-        // Row assembly from the cell values alone.
-        let mut solo_map: std::collections::BTreeMap<(&'static str, SpecProgram), f64> =
-            std::collections::BTreeMap::new();
-        let mut multi_map: std::collections::BTreeMap<(usize, &'static str), &MultiCell> =
-            std::collections::BTreeMap::new();
-        for (s, v) in specs.iter().zip(&run.values) {
-            match (s.kind, v) {
-                (CellKind::Solo(pk, p), Some(CellValue::Solo(ipc))) => {
-                    solo_map.insert((pk.name(), p), *ipc);
-                }
-                (CellKind::Multi(wi, pk), Some(CellValue::Multi(cell))) => {
-                    multi_map.insert((wi, pk.name()), cell);
-                }
-                _ => {}
-            }
-        }
-        let mut rows = Vec::new();
-        let mut skipped = Vec::new();
-        for (wi, w) in self.workloads.iter().enumerate() {
-            let row = (|| {
-                let base_cell = multi_map.get(&(wi, PolicyKind::Pom.name()))?;
-                let m_cell = multi_map.get(&(wi, self.policy.name()))?;
-                let base_solo: Vec<f64> = w
-                    .programs
-                    .iter()
-                    .map(|p| solo_map.get(&(PolicyKind::Pom.name(), *p)).copied())
-                    .collect::<Option<_>>()?;
-                let solo: Vec<f64> = w
-                    .programs
-                    .iter()
-                    .map(|p| solo_map.get(&(self.policy.name(), *p)).copied())
-                    .collect::<Option<_>>()?;
-                let base = workload_metrics_cell(w.id, base_cell, &base_solo);
-                let m = workload_metrics_cell(w.id, m_cell, &solo);
-                Some(NormalizedRow {
-                    id: w.id.to_string(),
-                    unfairness: m.unfairness / base.unfairness,
-                    weighted_speedup: m.weighted_speedup / base.weighted_speedup,
-                    energy_efficiency: m.energy_efficiency / base.energy_efficiency,
-                    read_latency: m.read_latency / base.read_latency,
-                    swap_fraction: m.swap_fraction / base.swap_fraction.max(1e-12),
-                })
-            })();
-            match row {
-                Some(r) => rows.push(r),
-                None => skipped.push(w.id.to_string()),
-            }
-        }
-        SweepRun {
-            rows,
-            cells: run.cells,
-            skipped,
-            resumed: run.resumed,
-            skipped_malformed: journal.rejected(),
-        }
+    let at = Setting::new(cfg.clone(), target_misses);
+    let cells = normalized_cells(&at, policy, workloads);
+    let run = run_cells(&cells, pool, sup, journal, snap, Executor::Threads, traces);
+    let (rows, skipped) =
+        normalized_rows(&Results::new(&cells, run.values), &at, policy, workloads);
+    SweepRun {
+        rows,
+        cells: run.cells,
+        skipped,
+        resumed: run.resumed,
+        skipped_malformed: journal.rejected(),
     }
 }
 
 /// Serializes sweep rows to a canonical JSON string (used to assert that
 /// parallel and serial sweeps are byte-identical).
 pub fn rows_to_json(rows: &[NormalizedRow]) -> String {
-    use profess_metrics::Json;
     Json::Arr(
         rows.iter()
             .map(|r| {
@@ -969,10 +869,7 @@ pub fn write_rows_artifact(name: &str, rows: &[NormalizedRow]) {
 /// geomeans.
 pub fn print_sweep(title: &str, rows: &[NormalizedRow]) -> (f64, f64, f64) {
     use profess_metrics::table::TextTable;
-    println!(
-        "{title}
-"
-    );
+    println!("{title}\n");
     let mut t = TextTable::new(vec![
         "workload",
         "max-slowdown",
@@ -992,9 +889,7 @@ pub fn print_sweep(title: &str, rows: &[NormalizedRow]) -> (f64, f64, f64) {
         ]);
     }
     println!("{t}");
-    let g = |f: fn(&NormalizedRow) -> f64| {
-        profess_metrics::geomean(&rows.iter().map(f).collect::<Vec<_>>())
-    };
+    let g = |f: fn(&NormalizedRow) -> f64| geomean_or_nan(&rows.iter().map(f).collect::<Vec<_>>());
     let (unf, ws, eff) = (
         g(|r| r.unfairness),
         g(|r| r.weighted_speedup),
@@ -1054,5 +949,25 @@ mod tests {
         assert!((m.unfairness - 2.0).abs() < 1e-12);
         assert!((m.weighted_speedup - 1.5).abs() < 1e-12);
         assert!((m.swap_fraction - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn summarize_has_no_mean_of_an_empty_or_non_positive_series() {
+        assert!(summarize(&[]).is_none());
+        assert!(summarize(&[1.0, 0.0]).is_none());
+        assert!(geomean_or_nan(&[]).is_nan());
+        let s = summarize(&[1.0, 4.0]).map(|s| (s.geomean, s.best, s.worst));
+        assert_eq!(s, Some((2.0, 4.0, 1.0)));
+    }
+
+    #[test]
+    fn repeated_cells_run_once_in_first_seen_order() {
+        let at = Setting::new(SystemConfig::scaled_quad(), 300);
+        let ws = profess_trace::workloads();
+        let cells = normalized_cells(&at, PolicyKind::Mdm, &ws[..2]);
+        let keys: BTreeSet<&str> = cells.iter().map(Cell::key).collect();
+        assert_eq!(keys.len(), cells.len());
+        assert!(cells[0].key().starts_with("solo|PoM|"));
+        assert_eq!(cells[cells.len() - 4].label(), format!("{}:PoM", ws[0].id));
     }
 }

@@ -1,10 +1,13 @@
-//! The sharded sweeps behind `profess-shard`: the ordinary [`crate::run_cells`]
-//! engine, with every attempt run in a child process.
+//! Child-process attempts: the ordinary [`crate::run_cells`] engine
+//! with every attempt of a cell run in a child process
+//! (`profess-run <experiment> --workers N`).
 //!
-//! A process is an attempt. With `--workers N` the sweep runs on
-//! `Pool::new(N)` and each attempt re-execs the current executable for
-//! one cell key ([`child_attempt`], on [`profess_par::run_child`]). The
-//! child runs that cell once and prints its journal line
+//! A process is an attempt. With `--workers N` an experiment runs on
+//! `Pool::new(N)` and each attempt re-execs the current executable
+//! with the parent's own arguments plus `--worker <cell key>`
+//! ([`child_attempt`], on [`profess_par::run_child`]). The child
+//! re-derives the experiment's cells from those arguments, runs that
+//! one cell once ([`child_main`]) and prints its journal line
 //! ([`crate::checkpoint::encode_line`]); the parent decodes it with the
 //! fingerprint-checking [`crate::checkpoint::decode_line`] and journals
 //! it like any in-process result. Retries, the deadline and fault
@@ -13,173 +16,42 @@
 //! attempt, and the watchdog's cancel kills a hung child. Only the
 //! parent journals, so there is one journal and nothing to merge.
 
-use profess_core::system::PolicyKind;
 use profess_metrics::Json;
-use profess_par::{panic_failure, run_child, ChildExit, FaultPlan, TaskCtx, TIMED_OUT};
-use profess_trace::Workload;
-use profess_types::SystemConfig;
+use profess_par::{
+    fire_worker_fault, panic_failure, run_child, ChildExit, FaultPlan, TaskCtx, TIMED_OUT,
+};
 
-use crate::checkpoint::{decode_line, encode_line, Journal};
-use crate::harness::{BenchJson, TraceCollector};
-use crate::surface::{
-    policy_cli_name, surface_to_json, write_surface_artifact, SurfaceCells, SurfaceSpec,
-};
-use crate::{
-    exit, report_sweep_health, usage_error, write_rows_artifact, CellRecord, CellSweep, Executor,
-    NormalizedCells, Pool, SnapshotMode, SuperviseConfig,
-};
+use crate::checkpoint::decode_line;
+use crate::{exit, Cell, CellRecord};
 
 /// How an attempt's error text starts when its child process was lost:
 /// killed, crashed, or unreadable.
 const LOST: &str = "worker process lost";
 
-/// The sweep `profess-shard` runs. Parent and children derive it
-/// identically from the same arguments and environment, so both sides
-/// agree on every key.
-#[derive(Debug, Clone)]
-pub enum ShardSweep {
-    /// The cells of [`crate::normalized_sweep_supervised`] for `policy`.
-    Normalized {
-        /// The policy normalized against PoM.
-        policy: PolicyKind,
-        /// Memory operations per program.
-        target_misses: u64,
-        /// The workloads swept.
-        workloads: Vec<Workload>,
-    },
-    /// The cells of [`crate::surface::surface_sweep`].
-    Surface(SurfaceSpec),
-}
-
-impl ShardSweep {
-    /// The artifact name, which also names the journal.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardSweep::Normalized { .. } => "fig10_12",
-            ShardSweep::Surface(_) => "surface",
-        }
-    }
-
-    /// Every cell key, in canonical spec order: the line order of the
-    /// journal a finished run rewrites.
-    pub fn cell_keys(&self, cfg: &SystemConfig) -> Vec<String> {
-        fn keys<S: CellSweep>(sweep: S) -> Vec<String> {
-            sweep.specs().into_iter().map(|s| s.key).collect()
-        }
-        match self.cells(cfg) {
-            Cells::Normalized(c) => keys(c),
-            Cells::Surface(c) => keys(c),
-        }
-    }
-
-    /// A child attempt's whole job: runs the cell keyed `key` once and
-    /// renders its journal line. `Err` carries the simulator's error,
-    /// or names a key that is not one of the sweep's cells — a child
-    /// must never silently accept a cell it cannot map back to the spec.
-    pub fn cell_line(&self, cfg: &SystemConfig, key: &str) -> Result<String, String> {
-        match self.cells(cfg) {
-            Cells::Normalized(c) => cell_line(&c, key),
-            Cells::Surface(c) => cell_line(&c, key),
-        }
-    }
-
-    /// Runs the sweep and writes its artifacts (rows or surface into
-    /// `bench`'s results directory, per-cell records into `bench`).
-    /// With `workers == 0` attempts run on [`Pool::from_env`]'s
-    /// threads; otherwise on `Pool::new(workers)`, each in a child
-    /// process. Returns every cell's record and whether all succeeded.
-    pub fn run_on(
-        &self,
-        cfg: &SystemConfig,
-        workers: usize,
-        sup: &SuperviseConfig,
-        journal: &Journal,
-        bench: &mut BenchJson,
-        traces: &mut TraceCollector,
-    ) -> (Vec<CellRecord>, bool) {
-        let args = self.child_args();
-        let (pool, exec) = match workers {
-            0 => (Pool::from_env(), Executor::Threads),
-            n => (Pool::new(n), Executor::Processes(&args)),
-        };
-        let snap = SnapshotMode::disabled();
-        let name = self.name();
-        let (executed, cells, ok) = match self.cells(cfg) {
-            Cells::Normalized(c) => {
-                let run = c.run_on(&pool, sup, journal, &snap, exec, traces);
-                write_rows_artifact(name, &run.rows);
-                let ok = report_sweep_health(&run.cells, "workloads", &run.skipped);
-                (run.executed(), run.cells, ok)
-            }
-            Cells::Surface(c) => {
-                let run = c.run_on(&pool, sup, journal, &snap, exec, traces);
-                write_surface_artifact(name, &surface_to_json(name, c.spec, &run.points));
-                let ok = report_sweep_health(&run.cells, "cells", &run.skipped);
-                (run.executed(), run.cells, ok)
-            }
-        };
-        bench.add_sim_ops(executed as u64);
-        bench.push_cells(&cells);
-        bench.set_skipped_malformed(journal.rejected() as u64);
-        (cells, ok)
-    }
-
-    fn cells<'a>(&'a self, cfg: &'a SystemConfig) -> Cells<'a> {
-        match self {
-            ShardSweep::Normalized {
-                policy,
-                target_misses,
-                workloads,
-            } => Cells::Normalized(NormalizedCells {
-                cfg,
-                policy: *policy,
-                target_misses: *target_misses,
-                workloads,
-            }),
-            ShardSweep::Surface(spec) => Cells::Surface(SurfaceCells { cfg, spec }),
-        }
-    }
-
-    /// The arguments a child needs to re-derive this sweep (the
-    /// resolved target first, so `PROFESS_TARGET` cannot disagree).
-    fn child_args(&self) -> Vec<String> {
-        match self {
-            ShardSweep::Normalized {
-                target_misses,
-                workloads,
-                ..
-            } => std::iter::once(target_misses.to_string())
-                .chain(workloads.iter().map(|w| w.id.to_string()))
-                .collect(),
-            ShardSweep::Surface(spec) => ["--surface".to_string(), spec.target_ops.to_string()]
-                .into_iter()
-                .chain(spec.policies.iter().map(|&pk| {
-                    policy_cli_name(pk)
-                        .unwrap_or_else(|| usage_error(&format!("policy {pk:?} has no CLI name")))
-                        .to_string()
-                }))
-                .collect(),
-        }
-    }
-}
-
-/// [`ShardSweep::cell_line`] for one sweep's cells.
-fn cell_line<S: CellSweep>(sweep: &S, key: &str) -> Result<String, String> {
-    let Some(spec) = sweep.specs().into_iter().find(|s| s.key == key) else {
-        return Err(format!("unknown cell key `{key}`"));
+/// A child attempt's whole job: suffer the worker fault the supervisor
+/// scheduled for it, if any, then run the cell keyed `key` once and
+/// report on stdout. Prints the cell's journal line and exits
+/// [`exit::OK`], or prints the simulator's error and exits
+/// [`exit::SWEEP_FAILURE`]; a key that is none of `cells` is an error
+/// too — a child must never silently accept a cell it cannot map back
+/// to the experiment.
+pub fn child_main(cells: &[Cell], key: &str, faults: &FaultPlan) -> ! {
+    report_panics_as_cell_errors();
+    fire_worker_fault(faults);
+    let line = match cells.iter().find(|c| c.key() == key) {
+        Some(cell) => cell.line(),
+        None => Err(format!("unknown cell key `{key}`")),
     };
-    let report = sweep
-        .build(&spec.kind)
-        .try_run()
-        .map_err(|e| e.to_string())?;
-    Ok(encode_line(key, &sweep.reduce(&spec.kind, &report)))
-}
-
-/// A [`ShardSweep`]'s cells on one configuration.
-#[derive(Debug)]
-enum Cells<'a> {
-    Normalized(NormalizedCells<'a>),
-    Surface(SurfaceCells<'a>),
+    match line {
+        Ok(line) => {
+            print!("{line}");
+            std::process::exit(exit::OK)
+        }
+        Err(e) => {
+            println!("{e}");
+            std::process::exit(exit::SWEEP_FAILURE)
+        }
+    }
 }
 
 /// Runs one attempt of cell `key` in a child process: the current
@@ -252,6 +124,7 @@ pub fn lost_cell(cells: &[CellRecord]) -> Option<&CellRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::encode_line;
 
     fn record(history: &[&str], error: Option<&str>) -> CellRecord {
         CellRecord {
@@ -338,21 +211,5 @@ mod tests {
         ] {
             assert!(classify("k", lost).unwrap_err().starts_with(LOST));
         }
-    }
-
-    #[test]
-    fn child_args_rederive_the_same_sweep() {
-        let spec = SurfaceSpec::new(vec![PolicyKind::Pom, PolicyKind::Mdm]);
-        let args = ShardSweep::Surface(spec.clone()).child_args();
-        assert_eq!(args[0], "--surface");
-        assert_eq!(args[1], spec.target_ops.to_string());
-        assert_eq!(&args[2..], ["pom", "mdm"]);
-        let w = profess_trace::workloads()[0];
-        let sweep = ShardSweep::Normalized {
-            policy: PolicyKind::Mdm,
-            target_misses: 300,
-            workloads: vec![w],
-        };
-        assert_eq!(sweep.child_args(), ["300".to_string(), w.id.to_string()]);
     }
 }

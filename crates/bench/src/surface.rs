@@ -1,5 +1,5 @@
-//! Bandwidth–latency surface characterization (the `surface` binary's
-//! engine).
+//! Bandwidth–latency surface characterization (the `surface`
+//! experiment's engine).
 //!
 //! A point workload is a single sample of a memory system's behaviour;
 //! the honest fingerprint is the *surface*: delivered bandwidth and
@@ -29,11 +29,11 @@ use profess_trace::patterns::{seeded_rng, Hotspot, Mix, MultiStream};
 use profess_trace::{ProgramGen, ProgramParams};
 use profess_types::SystemConfig;
 
-use crate::checkpoint::{self, json_f64, json_u64, Journal};
+use crate::checkpoint::{json_f64, json_u64, Journal};
 use crate::harness::TraceCollector;
 use crate::{
-    run_cells, usage_error, CellRecord, CellSpec, CellSweep, Executor, Pool, SnapshotMode,
-    SuperviseConfig,
+    run_cells, Cell, CellRecord, Executor, Pool, Results, Setting, Sim, SnapshotMode,
+    SuperviseConfig, Value,
 };
 
 /// The fields of one surface point, in emission order.
@@ -317,47 +317,39 @@ pub fn surface_cell_builder(
     b
 }
 
-/// The cells of a surface sweep: one per grid point, keyed by
-/// `(policy, read fraction, intensity)`.
-#[derive(Debug)]
-pub(crate) struct SurfaceCells<'a> {
-    pub(crate) cfg: &'a SystemConfig,
-    pub(crate) spec: &'a SurfaceSpec,
-}
-
-impl CellSweep for SurfaceCells<'_> {
-    type Kind = (PolicyKind, f64, f64);
-    type Value = SurfacePoint;
-
-    /// Grid order: policy-major, then read fraction, then intensity.
-    fn specs(&self) -> Vec<CellSpec<Self::Kind>> {
-        let cfgfp = checkpoint::config_fingerprint(self.cfg, self.spec.target_ops);
-        let mut grid = Vec::with_capacity(self.spec.cells());
-        for &pk in &self.spec.policies {
-            for &rf in &self.spec.read_fracs {
-                for &it in &self.spec.intensities {
-                    grid.push(CellSpec {
-                        key: surface_cell_key(pk, rf, it, &cfgfp),
-                        label: format!("surface:{}:r{rf:?}:i{it:?}", pk.name()),
-                        kind: (pk, rf, it),
-                    });
-                }
+/// The cells of a surface sweep, one per grid point, in grid order:
+/// policy-major, then read fraction, then intensity. `at` carries the
+/// spec's per-generator target.
+pub(crate) fn surface_cells(at: &Setting, spec: &SurfaceSpec) -> Vec<Cell> {
+    let mut grid = Vec::with_capacity(spec.cells());
+    for &pk in &spec.policies {
+        for &rf in &spec.read_fracs {
+            for &it in &spec.intensities {
+                let label = format!("surface:{}:r{rf:?}:i{it:?}", pk.name());
+                grid.push(at.cell(pk, Sim::Surface(rf, it), label));
             }
         }
-        grid
     }
+    grid
+}
 
-    fn decode(&self, _: &Self::Kind, payload: &Json) -> Option<SurfacePoint> {
-        SurfacePoint::from_json(payload)
+/// The points of a surface sweep (see [`surface_cells`]) in grid
+/// order, and the labels of the cells left without one because they
+/// failed.
+pub(crate) fn surface_points(
+    r: &Results,
+    at: &Setting,
+    spec: &SurfaceSpec,
+) -> (Vec<SurfacePoint>, Vec<String>) {
+    let mut points = Vec::new();
+    let mut skipped = Vec::new();
+    for c in surface_cells(at, spec) {
+        match r.get(at, c.policy, c.sim) {
+            Some(Value::Point(p)) => points.push(p.clone()),
+            _ => skipped.push(c.label),
+        }
     }
-
-    fn build(&self, &(pk, rf, it): &Self::Kind) -> SystemBuilder {
-        surface_cell_builder(self.cfg, pk, rf, it, self.spec.target_ops)
-    }
-
-    fn reduce(&self, &(pk, rf, it): &Self::Kind, report: &SystemReport) -> Json {
-        SurfacePoint::from_report(pk, rf, it, report).to_json()
-    }
+    (points, skipped)
 }
 
 /// Runs a surface sweep: every grid cell of `spec`, supervised,
@@ -375,37 +367,16 @@ pub fn surface_sweep(
     snap: &SnapshotMode,
     traces: &mut TraceCollector,
 ) -> SurfaceRun {
-    SurfaceCells { cfg, spec }.run_on(pool, sup, journal, snap, Executor::Threads, traces)
-}
-
-impl SurfaceCells<'_> {
-    /// [`surface_sweep`] with every attempt on `exec`.
-    pub(crate) fn run_on(
-        &self,
-        pool: &Pool,
-        sup: &SuperviseConfig,
-        journal: &Journal,
-        snap: &SnapshotMode,
-        exec: Executor<'_>,
-        traces: &mut TraceCollector,
-    ) -> SurfaceRun {
-        let specs = self.specs();
-        let run = run_cells(self, &specs, pool, sup, journal, snap, exec, traces);
-        let mut points = Vec::new();
-        let mut skipped = Vec::new();
-        for (s, v) in specs.iter().zip(run.values) {
-            match v {
-                Some(p) => points.push(p),
-                None => skipped.push(s.label.clone()),
-            }
-        }
-        SurfaceRun {
-            points,
-            cells: run.cells,
-            skipped,
-            resumed: run.resumed,
-            skipped_malformed: journal.rejected(),
-        }
+    let at = Setting::new(cfg.clone(), spec.target_ops);
+    let cells = surface_cells(&at, spec);
+    let run = run_cells(&cells, pool, sup, journal, snap, Executor::Threads, traces);
+    let (points, skipped) = surface_points(&Results::new(&cells, run.values), &at, spec);
+    SurfaceRun {
+        points,
+        cells: run.cells,
+        skipped,
+        resumed: run.resumed,
+        skipped_malformed: journal.rejected(),
     }
 }
 
@@ -538,7 +509,7 @@ pub fn validate_surface(text: &str, mono_tol: f64) -> Result<SurfaceSummary, Str
     })
 }
 
-/// The policy names the `surface` binary accepts.
+/// The policy names the `surface` experiment accepts.
 pub const POLICY_NAMES: &[(&str, PolicyKind)] = &[
     ("static", PolicyKind::Static),
     ("cameo", PolicyKind::Cameo),
@@ -559,18 +530,8 @@ pub fn parse_policy(name: &str) -> Option<PolicyKind> {
         .map(|&(_, pk)| pk)
 }
 
-/// The CLI name of a policy — the inverse of [`parse_policy`], used by
-/// `profess-shard` to re-exec workers with round-trippable arguments.
-pub fn policy_cli_name(policy: PolicyKind) -> Option<&'static str> {
-    POLICY_NAMES
-        .iter()
-        .find(|&&(_, pk)| pk == policy)
-        .map(|&(n, _)| n)
-}
-
 /// Environment variable overriding the read-fraction axis
-/// (comma-separated, strictly ascending). Shared by the `surface` and
-/// `profess-shard` binaries — both must derive the same grid.
+/// (comma-separated, strictly ascending).
 pub const RATIOS_ENV: &str = "PROFESS_SURFACE_RATIOS";
 
 /// Environment variable overriding the intensity axis.
@@ -592,46 +553,6 @@ pub fn axis_from_env(var: &str, default: &[f64]) -> Result<Vec<f64>, String> {
             })
             .collect(),
     }
-}
-
-/// The surface binaries' shared CLI shape — `[<target-ops>]
-/// [<policy>...]` (flags already removed) — plus the axis environment
-/// variables, as a validated [`SurfaceSpec`]. Policies default to
-/// [`DEFAULT_POLICIES`]; every problem is a usage error.
-pub fn surface_spec_from_args(rest: &[String]) -> SurfaceSpec {
-    let (target, names) = match rest.split_first() {
-        Some((first, tail)) => match first.parse::<u64>() {
-            Ok(t) => (t, tail),
-            Err(_) => (DEFAULT_TARGET_OPS, rest),
-        },
-        None => (DEFAULT_TARGET_OPS, rest),
-    };
-    let policies = if names.is_empty() {
-        DEFAULT_POLICIES.to_vec()
-    } else {
-        names
-            .iter()
-            .map(|n| {
-                parse_policy(n).unwrap_or_else(|| {
-                    let known: Vec<&str> = POLICY_NAMES.iter().map(|(n, _)| *n).collect();
-                    usage_error(&format!(
-                        "unknown policy `{n}` (known: {})",
-                        known.join(" ")
-                    ))
-                })
-            })
-            .collect()
-    };
-    let mut spec = SurfaceSpec::new(policies);
-    spec.target_ops = target;
-    spec.read_fracs =
-        axis_from_env(RATIOS_ENV, &DEFAULT_READ_FRACS).unwrap_or_else(|e| usage_error(&e));
-    spec.intensities =
-        axis_from_env(INTENSITIES_ENV, &DEFAULT_INTENSITIES).unwrap_or_else(|e| usage_error(&e));
-    if let Err(e) = spec.validate() {
-        usage_error(&e);
-    }
-    spec
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! End-to-end tests for the `profess-shard` supervisor: a sharded
+//! End-to-end tests for `profess-run --workers`: a sharded
 //! multi-process sweep with children killed or hung mid-cell must still
 //! produce CHECKPOINT/ROWS/SURFACE artifacts **byte-identical** to a
 //! fully in-process run, a retried cell must never execute twice in the
@@ -24,7 +24,6 @@ const PROFESS_ENVS: &[&str] = &[
     "PROFESS_TASK_TIMEOUT_MS",
     "PROFESS_THREADS",
     "PROFESS_CHECKPOINT",
-    "PROFESS_TARGET",
     "PROFESS_TRACE",
     "PROFESS_SNAPSHOT",
     "PROFESS_SURFACE_RATIOS",
@@ -41,7 +40,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn run_shard(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> (Option<i32>, String, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_profess-shard"));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_profess-run"));
     for k in PROFESS_ENVS {
         cmd.env_remove(k);
     }
@@ -50,7 +49,7 @@ fn run_shard(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> (Option<i32>, 
         .envs(envs.iter().map(|&(k, v)| (k, v)))
         .args(args)
         .output()
-        .expect("run profess-shard");
+        .expect("run profess-run");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -121,11 +120,12 @@ fn assert_only_retried(cells: &[Cell], killed: usize, failure: &str) {
 
 #[test]
 fn killed_worker_at_two_and_four_workers_matches_serial_artifacts() {
-    let args = &["300", "w01"];
+    let args = &["fig10_12", "300", "w01"];
     let serial = golden("norm-serial", args, &[]);
     // A fault-free single-worker run: everything flows through one shard.
     let one = scratch("norm-one");
-    let (code, stdout, stderr) = run_shard(&one, &["--workers", "1", "300", "w01"], &[]);
+    let (code, stdout, stderr) =
+        run_shard(&one, &["fig10_12", "--workers", "1", "300", "w01"], &[]);
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
     // Kill the child of a cell's first attempt at both fleet sizes; the
     // default retry budget (1) allows exactly one more attempt.
@@ -136,7 +136,7 @@ fn killed_worker_at_two_and_four_workers_matches_serial_artifacts() {
         let dir = scratch(name);
         let (code, stdout, stderr) = run_shard(
             &dir,
-            &["--workers", workers, "300", "w01"],
+            &["fig10_12", "--workers", workers, "300", "w01"],
             &[("PROFESS_FAULT", fault)],
         );
         assert_eq!(code, Some(0), "{stdout}\n{stderr}");
@@ -161,10 +161,10 @@ fn retried_cells_never_execute_twice_in_the_journal() {
     let dir = scratch("norm-unique");
     let (code, stdout, stderr) = run_shard(
         &dir,
-        &["--workers", "2", "300", "w01"],
+        &["fig10_12", "--workers", "2", "300", "w01"],
         &[("PROFESS_FAULT", "worker_kill@0")],
     );
-    // A cell key journaled twice makes profess-shard's final rewrite
+    // A cell key journaled twice makes profess-run's final rewrite
     // fail (a validation exit, not 0); `profess-validate journal` then
     // holds the rewritten file to exactly one line per cell key.
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
@@ -191,7 +191,7 @@ fn cell_lost_past_the_redeal_budget_exits_worker_lost() {
     // in the journal (durable partial progress).
     let (code, stdout, stderr) = run_shard(
         &dir,
-        &["--workers", "2", "300", "w01"],
+        &["fig10_12", "--workers", "2", "300", "w01"],
         &[
             ("PROFESS_FAULT", "worker_kill@0*2"),
             ("PROFESS_RETRIES", "1"),
@@ -216,12 +216,12 @@ fn cell_lost_past_the_redeal_budget_exits_worker_lost() {
 
 #[test]
 fn hung_worker_is_timed_out_killed_and_redealt() {
-    let args = &["300", "w01"];
+    let args = &["fig10_12", "300", "w01"];
     let serial = golden("hang-serial", args, &[]);
     let dir = scratch("hang-kill");
     let (code, stdout, stderr) = run_shard(
         &dir,
-        &["--workers", "2", "300", "w01"],
+        &["fig10_12", "--workers", "2", "300", "w01"],
         &[
             ("PROFESS_FAULT", "worker_hang@1"),
             ("PROFESS_TASK_TIMEOUT_MS", "1000"),
@@ -242,14 +242,14 @@ fn sharded_surface_sweep_with_a_kill_matches_serial_artifacts() {
         ("PROFESS_SURFACE_RATIOS", "0.6,0.9"),
         ("PROFESS_SURFACE_INTENSITIES", "8,32"),
     ];
-    let args = &["--surface", "600", "pom", "mdm"];
+    let args = &["surface", "600", "pom", "mdm"];
     let serial = golden("surf-serial", args, envs);
     let dir = scratch("surf-kill");
     let mut all = envs.to_vec();
     all.push(("PROFESS_FAULT", "worker_kill@1"));
     let (code, stdout, stderr) = run_shard(
         &dir,
-        &["--workers", "2", "--surface", "600", "pom", "mdm"],
+        &["surface", "--workers", "2", "600", "pom", "mdm"],
         &all,
     );
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
@@ -268,9 +268,10 @@ fn fault_indices_mean_the_same_at_every_worker_count() {
     // `panic@0` poisons the first attempt of pending cell 0, whether
     // attempts run on threads or in child processes.
     let fault = [("PROFESS_FAULT", "panic@0")];
-    let serial = golden("panic-serial", &["300", "w01"], &fault);
+    let serial = golden("panic-serial", &["fig10_12", "300", "w01"], &fault);
     let dir = scratch("panic-sharded");
-    let (code, stdout, stderr) = run_shard(&dir, &["--workers", "2", "300", "w01"], &fault);
+    let (code, stdout, stderr) =
+        run_shard(&dir, &["fig10_12", "--workers", "2", "300", "w01"], &fault);
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
     let outcomes = |dir: &Path| -> Vec<(String, u64)> {
         cells(dir, "fig10_12")

@@ -1,4 +1,4 @@
-//! The Table 4 binary at an op budget too small for any RSM sampling
+//! The Table 4 experiment at an op budget too small for any RSM sampling
 //! period to close: it prints each row with 0 periods and exits 0.
 
 #![expect(
@@ -10,11 +10,15 @@ use std::process::Command;
 
 #[test]
 fn table4_prints_zero_period_rows_at_a_small_target() {
-    let out = Command::new(env!("CARGO_BIN_EXE_table4"))
-        .arg("400")
+    let out = Command::new(env!("CARGO_BIN_EXE_profess-run"))
+        .args(["table4", "400"])
+        .env(
+            "PROFESS_RESULTS_DIR",
+            std::env::temp_dir().join("profess-table4-test"),
+        )
         .env_remove("PROFESS_TRACE")
         .output()
-        .expect("run table4");
+        .expect("run profess-run table4");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),

@@ -3,7 +3,7 @@
 //!
 //! [`crate::supervise`] contains failures inside one process — a
 //! panicking cell unwinds, a stalled cell is cancelled. A sharded sweep
-//! (`profess-shard --workers N` in `profess-bench`) goes one isolation
+//! (`profess-run <experiment> --workers N` in `profess-bench`) goes one isolation
 //! ring further: each attempt re-execs the **current executable** for
 //! one cell, so an attempt that aborts, segfaults, or wedges takes down
 //! only its own address space. [`run_child`] is that attempt's whole

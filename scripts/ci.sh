@@ -32,12 +32,12 @@ cargo test -q --workspace --offline
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
-# Bench smoke: run one figure binary end to end with a tiny op budget so
+# Bench smoke: run one experiment end to end with a tiny op budget so
 # the parallel sweep engine and the BENCH_<name>.json perf artifact path
 # stay exercised. The artifact lands in a scratch dir, not results/.
 echo "==> bench smoke (fig05, tiny budget)"
 PROFESS_RESULTS_DIR="$smoke_dir" \
-    cargo run --release --offline -q -p profess-bench --bin fig05 -- 200 > /dev/null
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig05 200 > /dev/null
 test -s "$smoke_dir/BENCH_fig05.json"
 
 # Golden smoke: the benchmark's short_cells workload runs all 19 mixes
@@ -48,34 +48,13 @@ test -s "$smoke_dir/BENCH_fig05.json"
 echo "==> golden smoke (perf --workload short_cells)"
 cargo run --release --offline -q --example perf -- --workload short_cells > /dev/null
 
-# Bench trend gate (DESIGN.md §12): first prove the comparator itself —
-# the committed synthetic >15% regression fixture MUST fail (exit 1) and
-# the within-threshold fixture must pass — then gate the fresh engine
-# bench against the committed results/ baseline. PROFESS_BENCH_BASELINE
-# overrides the baseline directory for intentional trajectory resets.
-echo "==> bench trend gate (profess-validate trend: fixture self-check + engine bench)"
-gate_fixtures="crates/bench/tests/fixtures/benchgate"
-rc=0
-cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
-    trend --baseline "$gate_fixtures/baseline" \
-    "$gate_fixtures/fresh-regressed/BENCH_gatecheck.json" > /dev/null 2>&1 || rc=$?
-test "$rc" -eq 1  # a missed synthetic regression means the gate is dead
-cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
-    trend --baseline "$gate_fixtures/baseline" \
-    "$gate_fixtures/fresh-ok/BENCH_gatecheck.json" > /dev/null
-PROFESS_RESULTS_DIR="$smoke_dir" PROFESS_BENCH_SAMPLES=7 \
-    cargo bench --offline -q -p profess-bench --bench engine -- end_to_end \
-    > /dev/null
-cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
-    trend "$smoke_dir/BENCH_engine.json"
-
 # Traced smoke: the same figure with --trace must write a well-formed
 # TRACE_fig05.jsonl containing every event kind the tracer promises.
 # The budget must exceed the scaled RSM sampling period (m_samp = 8K):
 # shorter runs never close a period, so no rsm_epoch would be emitted.
 echo "==> traced bench smoke (fig05 --trace)"
 PROFESS_RESULTS_DIR="$smoke_dir" \
-    cargo run --release --offline -q -p profess-bench --bin fig05 -- --trace 10000 > /dev/null
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig05 --trace 10000 > /dev/null
 test -s "$smoke_dir/TRACE_fig05.jsonl"
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
     trace "$smoke_dir/TRACE_fig05.jsonl" \
@@ -92,7 +71,7 @@ echo "==> resilience smoke (fig10_12: injected fault, kill, resume)"
 rc=0
 PROFESS_RESULTS_DIR="$smoke_dir" PROFESS_THREADS=2 PROFESS_RETRIES=1 \
     PROFESS_FAULT='panic@2*9' \
-    cargo run --release --offline -q -p profess-bench --bin fig10_12 -- 400 w01 \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig10_12 400 w01 \
     > /dev/null 2>&1 || rc=$?
 test "$rc" -eq 3
 grep -q '"status":"exhausted"' "$smoke_dir/BENCH_fig10_12.json"
@@ -105,12 +84,12 @@ ckpt="$smoke_dir/CHECKPOINT_fig10_12.jsonl"
 rc=0
 PROFESS_RESULTS_DIR="$smoke_dir" PROFESS_CHECKPOINT="$smoke_dir" \
     PROFESS_THREADS=1 PROFESS_FAULT='exit@6' \
-    cargo run --release --offline -q -p profess-bench --bin fig10_12 -- 400 w01 w08 \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig10_12 400 w01 w08 \
     > /dev/null 2>&1 || rc=$?
 test "$rc" -eq 86
 test -s "$ckpt"
 PROFESS_RESULTS_DIR="$smoke_dir" PROFESS_CHECKPOINT="$smoke_dir" \
-    cargo run --release --offline -q -p profess-bench --bin fig10_12 -- 400 w01 w08 \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig10_12 400 w01 w08 \
     > "$smoke_dir/resume.out"
 grep -q 'restored from journal' "$smoke_dir/resume.out"
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- journal "$ckpt"
@@ -128,13 +107,13 @@ echo "==> snapshot smoke (fig10_12: preempt at a clock, warm-start, diff)"
 snap_dir="$smoke_dir/snap"
 mkdir -p "$snap_dir"
 PROFESS_RESULTS_DIR="$snap_dir" PROFESS_THREADS=2 \
-    cargo run --release --offline -q -p profess-bench --bin fig10_12 -- 400 w01 \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig10_12 400 w01 \
     > /dev/null
 test -s "$snap_dir/ROWS_fig10_12.json"
 mv "$snap_dir/ROWS_fig10_12.json" "$snap_dir/ROWS_golden.json"
 PROFESS_RESULTS_DIR="$snap_dir" PROFESS_THREADS=2 PROFESS_RETRIES=1 \
     PROFESS_CHECKPOINT="$snap_dir" PROFESS_SNAPSHOT=1 PROFESS_SNAPSHOT_AT=1000 \
-    cargo run --release --offline -q -p profess-bench --bin fig10_12 -- 400 w01 \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig10_12 400 w01 \
     > "$snap_dir/preempt.out" 2> /dev/null
 grep -q 'preempted into snapshot' "$snap_dir/BENCH_fig10_12.json"
 # Preemption is a returned value, never a panic. (`set -e` ignores a
@@ -158,7 +137,7 @@ surf_dir="$smoke_dir/surface"
 mkdir -p "$surf_dir"
 PROFESS_RESULTS_DIR="$surf_dir" PROFESS_THREADS=2 \
     PROFESS_SURFACE_RATIOS=0.6,0.9 PROFESS_SURFACE_INTENSITIES=8,32 \
-    cargo run --release --offline -q -p profess-bench --bin surface -- 2000 pom profess \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- surface 2000 pom profess \
     > /dev/null
 test -s "$surf_dir/SURFACE_surface.json"
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
@@ -174,13 +153,13 @@ rc=0
 PROFESS_RESULTS_DIR="$surf_dir" PROFESS_CHECKPOINT="$surf_dir" \
     PROFESS_THREADS=1 PROFESS_FAULT='exit@3' \
     PROFESS_SURFACE_RATIOS=0.6,0.9 PROFESS_SURFACE_INTENSITIES=8,32 \
-    cargo run --release --offline -q -p profess-bench --bin surface -- 2000 pom profess \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- surface 2000 pom profess \
     > /dev/null 2>&1 || rc=$?
 test "$rc" -eq 86
 test -s "$surf_dir/CHECKPOINT_surface.jsonl"
 PROFESS_RESULTS_DIR="$surf_dir" PROFESS_CHECKPOINT="$surf_dir" PROFESS_THREADS=2 \
     PROFESS_SURFACE_RATIOS=0.6,0.9 PROFESS_SURFACE_INTENSITIES=8,32 \
-    cargo run --release --offline -q -p profess-bench --bin surface -- 2000 pom profess \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- surface 2000 pom profess \
     > "$surf_dir/resume.out"
 grep -q 'restored from journal' "$surf_dir/resume.out"
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
@@ -192,7 +171,7 @@ cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
 # §15). A 2-worker sharded run whose first pending cell loses the child
 # of its first attempt must retry that cell (its BENCH record shows two
 # attempts) and reproduce the committed single-process goldens
-# byte-for-byte. profess-shard fails its final journal rewrite if a cell
+# byte-for-byte. The run fails its final journal rewrite if a cell
 # key was journaled twice (no cell executed twice); `profess-validate
 # journal` strict-decodes the rewritten journal and holds it to one line
 # per key.
@@ -200,7 +179,7 @@ echo "==> shard smoke (2 workers, injected worker_kill, retry, diff)"
 shard_dir="$smoke_dir/shard"
 mkdir -p "$shard_dir"
 PROFESS_RESULTS_DIR="$shard_dir" PROFESS_FAULT='worker_kill@0' \
-    cargo run --release --offline -q -p profess-bench --bin profess-shard -- \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig10_12 \
     --workers 2 400 w01 > /dev/null 2> "$shard_dir/shard.err"
 # the kill actually landed: pending cell 0 (the first solo reference)
 # was retried once
@@ -212,5 +191,27 @@ cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
     diff results/CHECKPOINT_shard_ci.jsonl "$shard_dir/CHECKPOINT_fig10_12.jsonl"
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
     diff results/ROWS_shard_ci.json "$shard_dir/ROWS_fig10_12.json"
+
+# Bench trend gate (DESIGN.md §12), last because it times the host and
+# every step before it is deterministic: first prove the comparator itself —
+# the committed synthetic >15% regression fixture MUST fail (exit 1) and
+# the within-threshold fixture must pass — then gate the fresh engine
+# bench against the committed results/ baseline. PROFESS_BENCH_BASELINE
+# overrides the baseline directory for intentional trajectory resets.
+echo "==> bench trend gate (profess-validate trend: fixture self-check + engine bench)"
+gate_fixtures="crates/bench/tests/fixtures/benchgate"
+rc=0
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    trend --baseline "$gate_fixtures/baseline" \
+    "$gate_fixtures/fresh-regressed/BENCH_gatecheck.json" > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 1  # a missed synthetic regression means the gate is dead
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    trend --baseline "$gate_fixtures/baseline" \
+    "$gate_fixtures/fresh-ok/BENCH_gatecheck.json" > /dev/null
+PROFESS_RESULTS_DIR="$smoke_dir" PROFESS_BENCH_SAMPLES=7 \
+    cargo bench --offline -q -p profess-bench --bench engine -- end_to_end \
+    > /dev/null
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    trend "$smoke_dir/BENCH_engine.json"
 
 echo "ci: all tier-1 checks passed"

@@ -1,13 +1,15 @@
 //! The project conventions that no compiler lint can see, checked on
 //! run-time values (DESIGN.md §9): the documented schemas match what the
 //! code emits, the build stays hermetic, every crate opts into the
-//! workspace lints, and the documented commands and workload ids exist.
+//! workspace lints, and the documented commands, experiments and
+//! workload ids exist.
 
 use std::fs;
 use std::path::Path;
 
 use profess::metrics::Json;
 use profess::obs::TraceEvent;
+use profess_bench::experiments::EXPERIMENTS;
 use profess_bench::surface::SURFACE_FIELDS;
 use profess_core::snapshot::PAYLOAD_FIELDS;
 
@@ -370,6 +372,48 @@ fn every_member_opts_into_the_workspace_lints() {
     }
 }
 
+/// The experiment each `profess-run <name>` in `line` names: the first
+/// word after `profess-run` (and a lone `--`). A `<placeholder>`, and
+/// `profess-run` not followed by a space (`profess-run.rs`), name none.
+fn run_names(line: &str) -> Vec<String> {
+    line.match_indices("profess-run ")
+        .filter_map(|(i, m)| {
+            let mut words = line[i + m.len()..].split_whitespace();
+            let word = match words.next()? {
+                "--" => words.next()?,
+                w => w,
+            };
+            let name: String = word
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || "-_".contains(*c))
+                .collect();
+            (!word.starts_with('<')).then_some(name)
+        })
+        .collect()
+}
+
+/// The rows of DESIGN.md §3's experiment index: each row's first cell
+/// and the code spans of its command (last) cell.
+fn experiment_index() -> Vec<(String, Vec<String>)> {
+    let design = read("DESIGN.md");
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("3. Experiment index"))
+        .expect("DESIGN.md has a §3 experiment index");
+    let rows: Vec<(String, Vec<String>)> = section
+        .lines()
+        .filter(|l| l.starts_with('|') && !l.starts_with("|-") && !l.starts_with("| ID"))
+        .map(|l| {
+            let cells: Vec<&str> = l.trim_matches('|').split('|').collect();
+            let command = cells[cells.len() - 1];
+            let spans = command.split('`').skip(1).step_by(2).map(String::from);
+            (cells[0].trim().to_string(), spans.collect())
+        })
+        .collect();
+    assert!(rows.len() > 10, "DESIGN.md §3 lost its table");
+    rows
+}
+
 #[test]
 fn doc_sync_documented_commands_and_workloads_exist() {
     let packages: Vec<String> = member_manifests()
@@ -396,8 +440,9 @@ fn doc_sync_documented_commands_and_workloads_exist() {
         .map(|w| w.id)
         .collect();
     let prefixes: Vec<&str> = ids.iter().filter_map(|id| split_id(id)).collect();
+    let experiments: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     let mut wrong = Vec::new();
-    for doc in ["README.md", "DESIGN.md"] {
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "scripts/ci.sh"] {
         for (n, line) in read(doc).lines().enumerate() {
             let at = format!("{doc}:{}", n + 1);
             if let Some((_, args)) = line.split_once("cargo run") {
@@ -419,10 +464,24 @@ fn doc_sync_documented_commands_and_workloads_exist() {
                     }
                 }
             }
+            for name in run_names(line) {
+                if !experiments.contains(&name.as_str()) {
+                    wrong.push(format!("{at}: `profess-run {name}` names no experiment"));
+                }
+            }
             for w in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
                 if split_id(w).is_some_and(|p| prefixes.contains(&p)) && !ids.contains(&w) {
                     wrong.push(format!("{at}: workload `{w}` is not registered"));
                 }
+            }
+        }
+    }
+    for (row, commands) in experiment_index() {
+        for c in commands {
+            let name = c.strip_prefix("profess-run ").unwrap_or(&c);
+            let name = name.split_whitespace().next().unwrap_or_default();
+            if !experiments.contains(&name) {
+                wrong.push(format!("DESIGN.md §3 `{row}`: `{c}` names no experiment"));
             }
         }
     }
