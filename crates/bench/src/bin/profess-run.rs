@@ -21,8 +21,10 @@
 //!
 //! `--workers N` runs every attempt in a child process, up to N at
 //! once, which re-execs this binary with the same arguments plus
-//! `--worker <cell key>`; child attempts take no snapshots. Exit codes
-//! follow [`profess_bench::exit`].
+//! `--worker <cell key>`. Child attempts take no snapshots and return no
+//! trace, so `--workers` with `PROFESS_SNAPSHOT`, `PROFESS_SNAPSHOT_AT`
+//! or `--trace` is a usage error. Exit codes follow
+//! [`profess_bench::exit`].
 
 use std::path::PathBuf;
 
@@ -187,6 +189,9 @@ fn main() {
     let workers = args.workers.unwrap_or(0);
     if workers > 0 && snap.is_enabled() {
         usage_error("child attempts take no snapshots: --workers excludes PROFESS_SNAPSHOT and PROFESS_SNAPSHOT_AT");
+    }
+    if workers > 0 && args.trace {
+        usage_error("child attempts return no trace: --workers excludes --trace");
     }
     let path = journal_path(exp.name, args.workers);
     let journal = match &path {

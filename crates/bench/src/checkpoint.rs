@@ -22,7 +22,7 @@
 //! the journal feeds bit-identical values into the row assembly — a
 //! resumed sweep's rows are byte-identical to an uninterrupted run's.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -254,7 +254,8 @@ struct State {
 #[derive(Debug)]
 pub struct Journal {
     path: Option<PathBuf>,
-    loaded: usize,
+    /// The keys replayed from the file at load time.
+    replayed: BTreeSet<String>,
     rejected: usize,
     state: Mutex<State>,
 }
@@ -265,7 +266,7 @@ impl Journal {
     pub fn disabled() -> Journal {
         Journal {
             path: None,
-            loaded: 0,
+            replayed: BTreeSet::new(),
             rejected: 0,
             state: Mutex::new(State {
                 entries: BTreeMap::new(),
@@ -316,7 +317,7 @@ impl Journal {
         }
         Ok(Journal {
             path: Some(path.to_path_buf()),
-            loaded: entries.len(),
+            replayed: entries.keys().cloned().collect(),
             rejected,
             state: Mutex::new(State {
                 entries,
@@ -337,7 +338,13 @@ impl Journal {
 
     /// Valid cells replayed from disk at load time.
     pub fn loaded(&self) -> usize {
-        self.loaded
+        self.replayed.len()
+    }
+
+    /// Was `key` replayed from disk at load time? A key recorded in this
+    /// process is not, even though [`Journal::lookup`] finds it.
+    pub fn replayed(&self, key: &str) -> bool {
+        self.replayed.contains(key)
     }
 
     /// Invalid lines dropped at load time.
@@ -711,8 +718,10 @@ mod tests {
         let j = Journal::disabled();
         assert!(!j.is_enabled());
         j.record("k", Json::UInt(1));
-        // Remembered in memory (idempotent within the run)...
+        // Remembered in memory (idempotent within the run), though not
+        // replayed from any file...
         assert_eq!(j.lookup("k"), Some(Json::UInt(1)));
+        assert!(!j.replayed("k"));
         // ...but nothing on disk.
         assert_eq!(j.path(), None);
     }

@@ -504,7 +504,8 @@ pub(crate) struct CellRun {
     pub(crate) values: Vec<Option<Value>>,
     /// Each cell's execution record.
     pub(crate) cells: Vec<CellRecord>,
-    /// Cells restored from the journal instead of running.
+    /// Cells found in the journal instead of running: replayed from its
+    /// file, or recorded earlier in this process.
     pub(crate) resumed: usize,
 }
 
@@ -566,10 +567,10 @@ pub(crate) fn run_cells(
     });
     let mut records: Vec<CellRecord> = cells
         .iter()
-        .map(|c| CellRecord::new::<()>(&c.key, &c.label, None))
+        .map(|c| CellRecord::restored(&c.key, &c.label, journal.replayed(&c.key)))
         .collect();
     for (&i, out) in pending.iter().zip(outs) {
-        records[i] = CellRecord::new(&cells[i].key, &cells[i].label, Some(&out));
+        records[i] = CellRecord::new(&cells[i].key, &cells[i].label, &out);
         if let TaskOutcome::Ok((value, report)) = out.outcome {
             values[i] = Some(value);
             if let Some(r) = report {
@@ -591,11 +592,13 @@ pub struct CellRecord {
     pub key: String,
     /// Display label (`w03:profess`, `solo:pom:mcf`).
     pub label: String,
-    /// `cached` (restored from the journal), or the supervised outcome's
-    /// label: `ok`, `failed` (panicked or returned an error with no
-    /// retry budget), `timed_out`, or `exhausted`.
+    /// `cached` (replayed from the journal file), `reused` (recorded
+    /// earlier in this process, by an earlier pass of the same
+    /// experiment), or the supervised outcome's label: `ok`, `failed`
+    /// (panicked or returned an error with no retry budget),
+    /// `timed_out`, or `exhausted`.
     pub status: &'static str,
-    /// Attempts made (0 for journal-restored cells).
+    /// Attempts made (0 for `cached` and `reused` cells).
     pub attempts: u32,
     /// One line per failed attempt, in attempt order.
     pub history: Vec<String>,
@@ -604,25 +607,29 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
-    /// The record of cell `key`: `run` is its supervised execution, or
-    /// `None` when it was restored from the journal.
-    pub fn new<R>(key: &str, label: &str, run: Option<&Supervised<R>>) -> CellRecord {
-        let (status, attempts, history, error) = match run {
-            None => ("cached", 0, Vec::new(), None),
-            Some(s) => (
-                s.outcome.label(),
-                s.attempts,
-                s.history.clone(),
-                s.outcome.error(),
-            ),
-        };
+    /// The record of cell `key` from its supervised execution `run`.
+    pub fn new<R>(key: &str, label: &str, run: &Supervised<R>) -> CellRecord {
         CellRecord {
             key: key.to_string(),
             label: label.to_string(),
-            status,
-            attempts,
-            history,
-            error,
+            status: run.outcome.label(),
+            attempts: run.attempts,
+            history: run.history.clone(),
+            error: run.outcome.error(),
+        }
+    }
+
+    /// The record of cell `key`, which did not run: it was replayed from
+    /// the journal file (`from_file`) or recorded earlier in this
+    /// process.
+    fn restored(key: &str, label: &str, from_file: bool) -> CellRecord {
+        CellRecord {
+            key: key.to_string(),
+            label: label.to_string(),
+            status: if from_file { "cached" } else { "reused" },
+            attempts: 0,
+            history: Vec::new(),
+            error: None,
         }
     }
 }
@@ -664,15 +671,18 @@ impl SweepRun {
 }
 
 /// Prints a supervised run's resume and failure summary and returns
-/// whether every cell succeeded. The driver exits with
-/// [`exit::SWEEP_FAILURE`] when this is false — after writing its
-/// artifacts, so the per-cell outcomes are still inspectable.
+/// whether every cell succeeded. Only cells replayed from the journal
+/// file count as restored; cells an earlier pass recorded in this
+/// process (`reused`) are neither restored nor executed. The driver
+/// exits with [`exit::SWEEP_FAILURE`] when this is false — after writing
+/// its artifacts, so the per-cell outcomes are still inspectable.
 pub fn report_sweep_health(cells: &[CellRecord]) -> bool {
-    let resumed = cells.iter().filter(|c| c.status == "cached").count();
-    if resumed > 0 {
+    let count = |status: &str| cells.iter().filter(|c| c.status == status).count();
+    let (restored, reused) = (count("cached"), count("reused"));
+    if restored > 0 {
         println!(
-            "checkpoint: {resumed} cell(s) restored from journal, {} executed",
-            cells.len() - resumed
+            "checkpoint: {restored} cell(s) restored from journal, {} executed",
+            cells.len() - restored - reused
         );
     }
     let mut ok = true;

@@ -45,7 +45,7 @@ const PINNED: &[(&str, u64)] = &[
     ("fig07", 0x5b8dd0fc6bb15d08),
     ("fig08_09", 0xabf331757a4b0939),
     ("fig10_12", 0xc1be2d4bdfd0e48c),
-    ("fig13_15", 0xd333b034c1fe1488),
+    ("fig13_15", 0xfd4dd2ad7bbe3990),
     ("fig16", 0x958bd3e8559d960f),
     ("table4", 0xc50d55e2492de2d9),
     ("mempod_vs_pom", 0x260b576e97367737),
@@ -191,6 +191,11 @@ fn every_bad_invocation_is_a_usage_error() {
             &["fig06", "--workers", "2", "400"],
             &[("PROFESS_SNAPSHOT_AT", "1000")],
             "snapshots",
+        ),
+        (
+            &["fig06", "--workers", "2", "--trace", "400"],
+            &[],
+            "--trace",
         ),
     ];
     for &(args, envs, mention) in table {

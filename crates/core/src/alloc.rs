@@ -3,6 +3,9 @@
 //! allocates frames of the private regions to their respective programs
 //! only).
 
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
+
 use profess_metrics::{State, StateCodec};
 use profess_rng::Rng;
 use profess_types::geometry::Geometry;
@@ -38,7 +41,8 @@ pub struct FrameAllocator {
 /// ([`Geometry::region_of`]), that is `(group % (2 * regions)) / 2`. Both
 /// residues advance by `blocks_per_page` per page, so the walk keeps them
 /// by subtraction instead of dividing three times per page.
-fn region_free_lists(geom: &Geometry, num_regions: usize) -> Vec<Vec<u64>> {
+fn region_free_lists(geom: &Geometry) -> Vec<Vec<u64>> {
+    let num_regions = geom.num_regions as usize;
     let total_pages = geom.total_pages();
     let per_region = total_pages.div_ceil(num_regions.max(1) as u64) as usize;
     let mut lists: Vec<Vec<u64>> = (0..num_regions)
@@ -135,22 +139,128 @@ impl FreeCounts {
     }
 }
 
-impl FrameAllocator {
-    /// Builds the allocator for the whole original address space.
-    pub fn new(geom: &Geometry, region_map: RegionMap, seed: u64) -> Self {
-        let mut free_by_region = region_free_lists(geom, region_map.num_regions() as usize);
+/// The most allocator templates the process-wide table keeps. A template
+/// holds 8 bytes per page frame and 2 per block: ~221 KB at
+/// `scaled_quad`, ~7 MB at `paper_quad`.
+const TEMPLATE_TABLE_ENTRIES: usize = 8;
+
+/// What every fresh allocator of one geometry and seed starts from: the
+/// shuffled per-region free lists, the RNG just after the shuffle, and
+/// the owner table with no block allocated.
+#[derive(Debug)]
+struct Template {
+    free_by_region: Vec<Vec<u64>>,
+    rng: Rng,
+    owner_by_block: Vec<Option<ProgramId>>,
+}
+
+/// Everything [`Template::build`] reads: page, region and group counts,
+/// blocks per page and the seed. The region map is not part of it; it
+/// only steers [`FrameAllocator::allocate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TemplateKey {
+    pages: u64,
+    regions: u32,
+    groups: u64,
+    blocks_per_page: u64,
+    seed: u64,
+}
+
+impl TemplateKey {
+    fn new(geom: &Geometry, seed: u64) -> Self {
+        TemplateKey {
+            pages: geom.total_pages(),
+            regions: geom.num_regions,
+            groups: geom.num_groups(),
+            blocks_per_page: geom.blocks_per_page(),
+            seed,
+        }
+    }
+}
+
+impl Template {
+    fn build(geom: &Geometry, seed: u64) -> Self {
+        crate::work::count_free_list_build();
+        let mut free_by_region = region_free_lists(geom);
         let mut rng = Rng::seed_from_u64(seed ^ 0x51AB_17EF);
         // Shuffle each free list so allocation order does not correlate
         // with address order (and thus with M1/M2 original placement).
         for list in &mut free_by_region {
             rng.shuffle(list);
         }
-        FrameAllocator {
-            free_count: FreeCounts::new(&free_by_region),
+        Template {
             free_by_region,
-            owner_by_block: vec![None; geom.total_blocks() as usize],
-            region_map,
             rng,
+            // Cloning this copies memory; filling a fresh vector with
+            // `None` writes it element by element, ~4x slower.
+            owner_by_block: vec![None; geom.total_blocks() as usize],
+        }
+    }
+}
+
+/// A bounded table of [`Template`]s keyed by [`TemplateKey`], holding at
+/// most [`TEMPLATE_TABLE_ENTRIES`] and evicting the oldest first.
+///
+/// A template is a pure function of its key (the same walk and the same
+/// RNG draws in the same order), so an allocator cloned from a shared
+/// one equals a fresh build, RNG state included.
+#[derive(Debug)]
+struct TemplateTable {
+    entries: VecDeque<(TemplateKey, Arc<Template>)>,
+}
+
+impl TemplateTable {
+    const fn new() -> Self {
+        TemplateTable {
+            entries: VecDeque::new(),
+        }
+    }
+
+    fn get_or_build(&mut self, geom: &Geometry, seed: u64) -> Arc<Template> {
+        let key = TemplateKey::new(geom, seed);
+        if let Some((_, t)) = self.entries.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(t);
+        }
+        let t = Arc::new(Template::build(geom, seed));
+        if self.entries.len() == TEMPLATE_TABLE_ENTRIES {
+            self.entries.pop_front();
+        }
+        self.entries.push_back((key, Arc::clone(&t)));
+        t
+    }
+}
+
+/// One table per process: the systems of every cell, thread and retry
+/// share it.
+static TEMPLATE_TABLE: Mutex<TemplateTable> = Mutex::new(TemplateTable::new());
+
+/// The template for `(geom, seed)` from the process-wide table, built on
+/// first use.
+fn shared_template(geom: &Geometry, seed: u64) -> Arc<Template> {
+    // Entries are pushed whole, so a table poisoned by a panic elsewhere
+    // is still valid. The lock is held while a missing template is
+    // built, so concurrent cells build each key once.
+    TEMPLATE_TABLE
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get_or_build(geom, seed)
+}
+
+impl FrameAllocator {
+    /// Builds the allocator for the whole original address space. The
+    /// region map must have the geometry's region count.
+    pub fn new(geom: &Geometry, region_map: RegionMap, seed: u64) -> Self {
+        Self::from_template(&shared_template(geom, seed), geom, region_map)
+    }
+
+    fn from_template(t: &Template, geom: &Geometry, region_map: RegionMap) -> Self {
+        debug_assert_eq!(region_map.num_regions(), geom.num_regions);
+        FrameAllocator {
+            free_count: FreeCounts::new(&t.free_by_region),
+            free_by_region: t.free_by_region.clone(),
+            owner_by_block: t.owner_by_block.clone(),
+            region_map,
+            rng: t.rng.clone(),
             allocated: 0,
             total_frames: geom.total_pages(),
         }
@@ -261,8 +371,8 @@ impl State for FrameAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use profess_check::strategy::{tuple5, u64_range, vec_of};
-    use profess_check::{check, prop_assert_eq};
+    use profess_check::strategy::{tuple4, tuple5, u64_range, vec_of};
+    use profess_check::{check, check_with, prop_assert, prop_assert_eq, Config};
     use profess_metrics::Json;
     use profess_types::config::SystemConfig;
     use profess_types::ids::{RegionId, SlotIdx};
@@ -358,7 +468,7 @@ mod tests {
                 let g = &cfg.org;
                 let n = g.num_regions as usize;
                 assert_eq!(
-                    region_free_lists(g, n),
+                    region_free_lists(g),
                     division_free_lists(g, n),
                     "{} pages, {} regions, 1:{}",
                     g.total_pages(),
@@ -444,6 +554,128 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// The allocator as built before the template table: its own walk,
+    /// shuffle and owner table.
+    fn fresh(geom: &Geometry, region_map: RegionMap, seed: u64) -> FrameAllocator {
+        let mut free_by_region = region_free_lists(geom);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x51AB_17EF);
+        for list in &mut free_by_region {
+            rng.shuffle(list);
+        }
+        FrameAllocator {
+            free_count: FreeCounts::new(&free_by_region),
+            free_by_region,
+            owner_by_block: vec![None; geom.total_blocks() as usize],
+            region_map,
+            rng,
+            allocated: 0,
+            total_frames: geom.total_pages(),
+        }
+    }
+
+    /// Every preset and its 1:2, 1:4 and 1:16 capacity-ratio variants.
+    fn preset_geometries() -> Vec<Geometry> {
+        let presets = [
+            SystemConfig::scaled_quad(),
+            SystemConfig::scaled_single(),
+            SystemConfig::paper_quad(),
+        ];
+        presets
+            .iter()
+            .flat_map(|base| {
+                let ratios = [2, 4, 16].map(|r| base.with_capacity_ratio(r).org);
+                std::iter::once(base.org.clone()).chain(ratios)
+            })
+            .collect()
+    }
+
+    /// An allocator cloned from a table template equals a fresh build —
+    /// the same free lists, RNG state, snapshot text and frames through
+    /// exhaustion — at every preset geometry, for several seeds and for
+    /// shared and private region maps. One table serves all cases, so
+    /// templates are built and evicted along the way; each case
+    /// allocates from a table hit.
+    #[test]
+    fn template_allocators_equal_fresh_builds() {
+        let geoms = preset_geometries();
+        let table = Mutex::new(TemplateTable::new());
+        // Paper-scale cases allocate up to 1.1M frames each.
+        let cfg = Config {
+            cases: 24,
+            ..Config::default()
+        };
+        check_with(
+            &cfg,
+            &[],
+            "template_allocators_equal_fresh_builds",
+            tuple4(
+                u64_range(0..geoms.len() as u64),
+                u64_range(0..4),
+                u64_range(0..5),
+                u64_range(1..5),
+            ),
+            |(gi, seed_ix, private, programs)| {
+                let g = &geoms[*gi as usize];
+                let seed = [SystemConfig::scaled_quad().seed, 0, 7, 1 << 40][*seed_ix as usize];
+                let map = || match *private as u32 {
+                    0 => RegionMap::all_shared(g.num_regions),
+                    k => RegionMap::with_private_regions(g.num_regions, k),
+                };
+                let t = {
+                    let mut table = table.lock().unwrap_or_else(|e| e.into_inner());
+                    let first = table.get_or_build(g, seed);
+                    let hit = table.get_or_build(g, seed);
+                    prop_assert!(Arc::ptr_eq(&first, &hit));
+                    hit
+                };
+                let mut shared = FrameAllocator::from_template(&t, g, map());
+                let mut own = fresh(g, map(), seed);
+                prop_assert_eq!(&shared.free_by_region, &own.free_by_region);
+                prop_assert_eq!(shared.rng.state(), own.rng.state());
+                prop_assert_eq!(save(&mut shared).to_string(), save(&mut own).to_string());
+                let mut step = 0u64;
+                let mut misses = 0;
+                while misses < *programs {
+                    let p = ProgramId((step % programs) as u8);
+                    let frame = shared.allocate(p, g);
+                    prop_assert_eq!(frame, own.allocate(p, g));
+                    misses = if frame.is_some() { 0 } else { misses + 1 };
+                    step += 1;
+                }
+                prop_assert_eq!(shared.rng.state(), own.rng.state());
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn template_table_stays_within_its_bound() {
+        let g = Geometry::new(2048, 64, 4096, 2, 1 << 20, 8, 16, 16, 8192, 8);
+        let mut table = TemplateTable::new();
+        let keys = 3 * TEMPLATE_TABLE_ENTRIES as u64;
+        for seed in 1..=keys {
+            let t = table.get_or_build(&g, seed);
+            assert_eq!(
+                t.rng.state(),
+                fresh(&g, RegionMap::all_shared(16), seed).rng.state()
+            );
+            assert!(table.entries.len() <= TEMPLATE_TABLE_ENTRIES);
+        }
+        assert_eq!(table.entries.len(), TEMPLATE_TABLE_ENTRIES);
+        // The oldest keys went first: the newest `TEMPLATE_TABLE_ENTRIES`
+        // remain, in insertion order.
+        let kept: Vec<u64> = table.entries.iter().map(|(k, _)| k.seed).collect();
+        let newest: Vec<u64> = (keys - TEMPLATE_TABLE_ENTRIES as u64 + 1..=keys).collect();
+        assert_eq!(kept, newest);
+        // A hit neither grows the table nor rebuilds the entry.
+        let hit = table.get_or_build(&g, keys);
+        assert_eq!(table.entries.len(), TEMPLATE_TABLE_ENTRIES);
+        assert!(Arc::ptr_eq(
+            &hit,
+            &table.entries[TEMPLATE_TABLE_ENTRIES - 1].1
+        ));
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub mod regions;
 pub mod snapshot;
 pub mod stc;
 pub mod system;
+pub mod work;
 
 pub use errors::{BudgetResource, SimBudget, SimError};
 pub use flat::{FlatPageTable, TokenRing};

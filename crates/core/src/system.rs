@@ -627,9 +627,7 @@ struct System {
     truncated: bool,
     limits: RunLimits,
     retired: u64,
-    // Preemption: fingerprint of the builder configuration (pins
-    // snapshots to compatible systems) and the snapshot triggers.
-    config_fp: u64,
+    // Preemption: the snapshot triggers.
     snapshot_at: Option<u64>,
     snapshot_on_cancel: bool,
     // Event tracing (off by default). `tracing` mirrors
@@ -742,21 +740,6 @@ impl System {
             Vec::new()
         };
         let n_ch = channels.len();
-        // Everything that shapes simulation behaviour and is not part of
-        // the snapshotted state itself: the full config (seeds, timing,
-        // policy parameters), the policy, the program list, and the
-        // safety cap. Two builders agreeing on this fingerprint produce
-        // interchangeable systems for snapshot purposes.
-        let config_fp = fnv64(
-            format!(
-                "{:?}|policy={}|programs={:?}|max_cycles={}",
-                cfg,
-                policy.name(),
-                names,
-                b.max_cycles
-            )
-            .as_bytes(),
-        );
         System {
             policy_kind: b.policy,
             st: SwapTable::new(geom.num_groups()),
@@ -779,7 +762,6 @@ impl System {
             truncated: false,
             limits: b.limits,
             retired: 0,
-            config_fp,
             snapshot_at: b.snapshot_at,
             snapshot_on_cancel: b.snapshot_on_cancel,
             tracing,
@@ -1210,6 +1192,27 @@ impl System {
         self.first_done.iter().all(|d| d.is_some())
     }
 
+    /// The fingerprint of everything that shapes simulation behaviour
+    /// and is not part of the snapshotted state itself: the full config
+    /// (seeds, timing, policy parameters), the policy, the program list,
+    /// and the safety cap. Two builders agreeing on it produce
+    /// interchangeable systems for snapshot purposes. None of its inputs
+    /// changes after construction, so it is computed only when a
+    /// snapshot is saved or restored.
+    fn config_fp(&self) -> u64 {
+        crate::work::count_config_fingerprint();
+        fnv64(
+            format!(
+                "{:?}|policy={}|programs={:?}|max_cycles={}",
+                self.cfg,
+                self.policy.name(),
+                self.names,
+                self.max_cycles
+            )
+            .as_bytes(),
+        )
+    }
+
     /// Captures the complete simulation state at the current clock
     /// boundary. Observability (tracer, shadow RSM, histograms) is
     /// deliberately excluded: the snapshot bytes are identical whether or
@@ -1225,7 +1228,7 @@ impl System {
                 if pairs.iter().map(|(k, _)| k.as_str()).eq(snapshot::PAYLOAD_FIELDS.iter().copied())),
             "payload fields must match snapshot::PAYLOAD_FIELDS"
         );
-        Ok(SystemSnapshot::new(self.config_fp, payload))
+        Ok(SystemSnapshot::new(self.config_fp(), payload))
     }
 
     /// Loads a snapshot into this freshly built system. Fails with a
@@ -1233,10 +1236,11 @@ impl System {
     /// it never panics on hostile payloads.
     fn restore_from_snapshot(&mut self, snap: &SystemSnapshot) -> Result<(), SimError> {
         self.check_snapshottable()?;
-        if snap.config_fingerprint() != self.config_fp {
+        let expected = self.config_fp();
+        if snap.config_fingerprint() != expected {
             return Err(SimError::SnapshotConfigMismatch {
                 found: snap.config_fingerprint(),
-                expected: self.config_fp,
+                expected,
             });
         }
         StateCodec::load(self, snap.payload())

@@ -93,6 +93,15 @@ PROFESS_RESULTS_DIR="$smoke_dir" PROFESS_CHECKPOINT="$smoke_dir" \
     > "$smoke_dir/resume.out"
 grep -q 'restored from journal' "$smoke_dir/resume.out"
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- journal "$ckpt"
+# (c) With no journal nothing is restored, though fig13_15's second pass
+# reuses the cells its first pass ran.
+env -u PROFESS_CHECKPOINT PROFESS_RESULTS_DIR="$smoke_dir" \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig13_15 400 \
+    > "$smoke_dir/fig13_15.out"
+if grep -q 'restored from journal' "$smoke_dir/fig13_15.out"; then
+    echo "fig13_15 without a journal claims a journal restore" >&2
+    exit 1
+fi
 
 # Snapshot smoke: mid-run preempt/restore end to end (DESIGN.md §11).
 # A golden uninterrupted sweep pins the ROWS_<name>.json row artifact;
