@@ -32,10 +32,11 @@ use profess_bench::experiments::{self, Experiment, Ids, Setup, EXPERIMENTS};
 use profess_bench::harness::results_dir;
 use profess_bench::shard::{child_main, lost_cell};
 use profess_bench::surface::{
-    axis_from_env, parse_policy, SurfaceSpec, DEFAULT_INTENSITIES, DEFAULT_POLICIES,
-    DEFAULT_READ_FRACS, INTENSITIES_ENV, POLICY_NAMES, RATIOS_ENV,
+    axis_from_env, SurfaceSpec, DEFAULT_INTENSITIES, DEFAULT_POLICIES, DEFAULT_READ_FRACS,
+    INTENSITIES_ENV, RATIOS_ENV,
 };
 use profess_bench::{checkpoint, distinct, exit, Journal, SnapshotMode, SuperviseConfig};
+use profess_core::system::PolicyKind;
 use profess_core::SimError;
 
 const USAGE: &str = "usage: profess-run <experiment> [--trace] [--workers N] [<target>] [<id>...]";
@@ -138,9 +139,9 @@ fn setup(args: &Args) -> Setup {
         Ids::Policies => {
             let spec = &mut setup.surface;
             if !args.ids.is_empty() {
-                let known: Vec<&str> = POLICY_NAMES.iter().map(|(n, _)| *n).collect();
+                let known: Vec<&str> = PolicyKind::ALL.map(PolicyKind::cli_name).to_vec();
                 let policy = |n: &String| {
-                    parse_policy(n).unwrap_or_else(|| {
+                    PolicyKind::from_cli_name(n).unwrap_or_else(|| {
                         usage_error(&format!(
                             "unknown policy `{n}` (known: {})",
                             known.join(" ")

@@ -38,7 +38,7 @@ pub enum Ids {
     None,
     /// Workload ids: the workloads swept (default: the 19 of Table 10).
     Workloads,
-    /// Policy names ([`crate::surface::POLICY_NAMES`]): the policies
+    /// Policy names ([`PolicyKind::cli_name`]): the policies
     /// characterized (default: [`crate::surface::DEFAULT_POLICIES`]).
     Policies,
 }

@@ -23,7 +23,7 @@
 //! latency non-decreasing with intensity at a fixed ratio);
 //! `profess-validate diff` checks golden-vs-resumed byte identity.
 
-use profess_core::system::{PolicyKind, SystemBuilder, SystemReport};
+use profess_core::system::{program_seed, PolicyKind, SystemBuilder, SystemReport};
 use profess_metrics::Json;
 use profess_trace::patterns::{seeded_rng, Hotspot, Mix, MultiStream};
 use profess_trace::{ProgramGen, ProgramParams};
@@ -302,9 +302,7 @@ pub fn surface_cell_builder(
     let mut b = SystemBuilder::new(cfg.clone()).policy(policy);
     for idx in 0..cfg.cpu.num_cores as u64 {
         b = b.program(format!("load{idx}"), move |restart| {
-            let seed = base_seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(idx * 1_000_003 + u64::from(restart) * 7_919);
+            let seed = program_seed(base_seed, idx, restart);
             let mut rng = seeded_rng(seed ^ 0xABCD_1234);
             let pattern = Box::new(Mix::new(
                 Box::new(MultiStream::new(lines, 16, &mut rng)),
@@ -509,27 +507,6 @@ pub fn validate_surface(text: &str, mono_tol: f64) -> Result<SurfaceSummary, Str
     })
 }
 
-/// The policy names the `surface` experiment accepts.
-pub const POLICY_NAMES: &[(&str, PolicyKind)] = &[
-    ("static", PolicyKind::Static),
-    ("cameo", PolicyKind::Cameo),
-    ("pom", PolicyKind::Pom),
-    ("mempod", PolicyKind::MemPod),
-    ("silcfm", PolicyKind::SilcFm),
-    ("mdm", PolicyKind::Mdm),
-    ("profess", PolicyKind::Profess),
-    ("profess-noc3", PolicyKind::ProfessNoCase3),
-    ("rsmpom", PolicyKind::RsmPom),
-];
-
-/// Parses a CLI policy name.
-pub fn parse_policy(name: &str) -> Option<PolicyKind> {
-    POLICY_NAMES
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, pk)| pk)
-}
-
 /// Environment variable overriding the read-fraction axis
 /// (comma-separated, strictly ascending).
 pub const RATIOS_ENV: &str = "PROFESS_SURFACE_RATIOS";
@@ -669,8 +646,13 @@ mod tests {
 
     #[test]
     fn policy_names_cover_every_kind() {
-        assert_eq!(parse_policy("profess"), Some(PolicyKind::Profess));
-        assert_eq!(parse_policy("nosuch"), None);
-        assert_eq!(POLICY_NAMES.len(), 9);
+        assert_eq!(
+            PolicyKind::from_cli_name("profess"),
+            Some(PolicyKind::Profess)
+        );
+        assert_eq!(PolicyKind::from_cli_name("nosuch"), None);
+        for pk in PolicyKind::ALL {
+            assert_eq!(PolicyKind::from_cli_name(pk.cli_name()), Some(pk));
+        }
     }
 }

@@ -12,7 +12,8 @@ use profess_metrics::{State, StateCodec};
 use profess_types::config::MdmParams;
 use profess_types::ids::ProgramId;
 
-use super::{AccessCtx, Decision, EvictRecord, MigrationPolicy};
+use super::rsm::GuidanceCase;
+use super::{AccessCtx, Decision, DecisionTrace, EvictRecord, MigrationPolicy};
 use crate::org::qac;
 
 /// Default `avg_cnt(q_E)` used before any statistics exist: the midpoints
@@ -222,14 +223,9 @@ impl MdmCore {
         self.states[program.index()].exp_cnt(q_i) - f64::from(cnt)
     }
 
-    /// Full §3.2.3 analysis for an access context. `ignore_m1` implements
-    /// ProFess Case 1 ("consider M1 vacant and use MDM").
-    pub fn analyze(&self, ctx: &AccessCtx<'_>, ignore_m1: bool) -> MdmVerdict {
-        self.assess(ctx, ignore_m1).verdict
-    }
-
-    /// [`MdmCore::analyze`] with the remaining-access estimates exposed
-    /// (for trace events).
+    /// Full §3.2.3 analysis for an access context, with the
+    /// remaining-access estimates exposed (for trace events). `ignore_m1`
+    /// implements ProFess Case 1 ("consider M1 vacant and use MDM").
     pub fn assess(&self, ctx: &AccessCtx<'_>, ignore_m1: bool) -> MdmAssessment {
         debug_assert!(ctx.actual_slot.is_m2());
         let min_benefit = f64::from(self.params.min_benefit);
@@ -275,6 +271,48 @@ impl MdmCore {
             done(MdmVerdict::NetBenefit, Some(rem1)) // rule (c.ii)
         } else {
             done(MdmVerdict::KeepM1, Some(rem1))
+        }
+    }
+
+    /// MDM's decision on an access, acting on an RSM verdict (paper
+    /// §3.3): Case 1 judges the M2 block as if M1 were vacant (RSM is
+    /// agnostic to M1/M2 characteristics, so MDM still judges the
+    /// benefit), Cases 2 and 3 veto the swap before MDM runs, and any
+    /// other case is plain MDM. `case` also labels the trace event
+    /// (`None`, an unguided run, as `"-"`).
+    pub fn decide(&self, ctx: &mut AccessCtx<'_>, case: Option<GuidanceCase>) -> Decision {
+        if ctx.actual_slot.is_m1() {
+            return Decision::Stay;
+        }
+        // `None` = the verdict vetoed the swap before MDM ran.
+        let assessment = match case {
+            Some(GuidanceCase::ProtectM1 | GuidanceCase::ProtectM1Product) => None,
+            _ => Some(self.assess(ctx, case == Some(GuidanceCase::HelpM2))),
+        };
+        if ctx.want_trace {
+            let case = case.map_or("-", GuidanceCase::name);
+            ctx.trace = Some(match assessment {
+                Some(a) => DecisionTrace {
+                    case,
+                    verdict: a.verdict.name(),
+                    rem_m2: a.rem_m2,
+                    rem_m1: a.rem_m1,
+                },
+                None => {
+                    let cnt2 = ctx.entry.ac[ctx.orig_slot.index()];
+                    let q2 = ctx.entry.q_i[ctx.orig_slot.index()];
+                    DecisionTrace {
+                        case,
+                        verdict: "vetoed",
+                        rem_m2: self.remaining(ctx.program, q2, cnt2),
+                        rem_m1: None,
+                    }
+                }
+            });
+        }
+        match assessment {
+            Some(a) if a.verdict.promotes() => Decision::Promote,
+            _ => Decision::Stay,
         }
     }
 
@@ -350,23 +388,7 @@ impl MigrationPolicy for MdmPolicy {
     }
 
     fn on_access(&mut self, ctx: &mut AccessCtx<'_>) -> Decision {
-        if ctx.actual_slot.is_m1() {
-            return Decision::Stay;
-        }
-        let a = self.core.assess(ctx, false);
-        if ctx.want_trace {
-            ctx.trace = Some(super::DecisionTrace {
-                case: "-",
-                verdict: a.verdict.name(),
-                rem_m2: a.rem_m2,
-                rem_m1: a.rem_m1,
-            });
-        }
-        if a.verdict.promotes() {
-            Decision::Promote
-        } else {
-            Decision::Stay
-        }
+        self.core.decide(ctx, None)
     }
 
     fn on_stc_evict(&mut self, records: &[EvictRecord]) {

@@ -26,6 +26,7 @@ use profess_types::{Cycle, GroupId};
 use crate::org::StEntry;
 use crate::regions::RegionClass;
 use crate::stc::CachedEntry;
+use rsm::{GuidanceCase, GuidanceStats};
 
 /// A policy's account of one migration decision, filled into
 /// [`AccessCtx::trace`] when the system requests it
@@ -76,6 +77,13 @@ pub struct AccessCtx<'a> {
     /// Owner of the M1-resident block; `None` if that original block was
     /// never allocated (M1 location effectively vacant).
     pub m1_owner: Option<ProgramId>,
+    /// The run's RSM verdict on this access ([`rsm::Rsm::case`]): set
+    /// when the run is RSM-guided, the accessed block is M2-resident and
+    /// the M1 occupant belongs to another program; `None` otherwise.
+    pub guidance: Option<GuidanceCase>,
+    /// The guidance case the policy applied (its response to
+    /// `guidance`); the system counts it in the run's [`GuidanceStats`].
+    pub applied: Option<GuidanceCase>,
     /// When true the system is tracing and asks the policy to fill
     /// [`AccessCtx::trace`]; policies must not pay for trace bookkeeping
     /// when this is false.
@@ -109,13 +117,15 @@ pub struct EvictRecord {
     pub q_i: u8,
 }
 
-/// End-of-run diagnostics a policy can expose (ProFess reports RSM state
-/// and Table 7 guidance-case counts).
+/// End-of-run RSM diagnostics. An RSM-guided run reports its monitor's
+/// final slowdown factors and the Table 7 cases its policy applied; any
+/// other run reports what its policy's
+/// [`MigrationPolicy::diagnostics`] returns (empty for the built-ins).
 #[derive(Debug, Clone, Default)]
 pub struct PolicyDiagnostics {
-    /// Table 7 case counters, if the policy uses RSM guidance.
-    pub guidance: Option<profess::GuidanceStats>,
-    /// Final (SF_A, SF_B) per program, if the policy runs an RSM.
+    /// Table 7 case counters, if the run is RSM-guided.
+    pub guidance: Option<GuidanceStats>,
+    /// Final (SF_A, SF_B) per program, if the run is RSM-guided.
     pub sfs: Vec<(f64, f64)>,
 }
 
@@ -136,14 +146,15 @@ pub trait MigrationPolicy {
     /// The returned decision is honoured only for M2-resident blocks.
     fn on_access(&mut self, ctx: &mut AccessCtx<'_>) -> Decision;
 
-    /// Called once per served data request with the RSM-relevant
-    /// classification (used by ProFess; others may ignore it).
+    /// Called once per served data request with the region class RSM
+    /// counts it under (PoM and SILC-FM count served requests for their
+    /// epochs; the system feeds the run's RSM itself).
     fn on_served(&mut self, _program: ProgramId, _class: RegionClass, _from_m1: bool) {}
 
     /// Called after a swap commits. `demoted` is the owner of the block
     /// pushed out of M1 (`None` if the M1 block was unallocated);
     /// `group_is_private` marks swaps inside a private region, which RSM
-    /// does not count (paper §3.1.2).
+    /// does not count (paper §3.1.2). No built-in policy needs it.
     fn on_swap(
         &mut self,
         _promoted: ProgramId,
@@ -166,19 +177,20 @@ pub trait MigrationPolicy {
         None
     }
 
-    /// End-of-run diagnostics (default: empty).
+    /// End-of-run diagnostics of a run that is not RSM-guided (default:
+    /// empty); a guided run reports its monitor's instead.
     fn diagnostics(&self) -> PolicyDiagnostics {
         PolicyDiagnostics::default()
     }
 
-    /// Tells the policy whether the system is tracing. Policies with
-    /// internal event sources (RSM epoch reports) buffer them only while
-    /// tracing is on; the default does nothing.
+    /// Tells the policy whether the system is tracing. A policy with its
+    /// own event source buffers events only while tracing is on; the
+    /// default does nothing.
     fn set_tracing(&mut self, _on: bool) {}
 
-    /// Drains events the policy buffered since the last call (RSM epoch
-    /// reports), stamping them with the current cycle. The default emits
-    /// nothing.
+    /// Drains events the policy buffered since the last call, stamping
+    /// them with the current cycle. The default emits nothing (the
+    /// system emits the RSM's `rsm_epoch` events itself).
     fn drain_trace(&mut self, _now: Cycle, _out: &mut Vec<TraceEvent>) {}
 
     /// Saves or loads the policy's mutable decision state for a mid-run
@@ -206,8 +218,34 @@ pub(crate) mod testutil {
         (e, StEntry::default())
     }
 
+    /// A read of `orig_slot` by `program` in an unguided run.
+    fn ctx<'a>(
+        entry: &'a CachedEntry,
+        st: &'a mut StEntry,
+        orig_slot: SlotIdx,
+        program: ProgramId,
+        m1_owner: Option<ProgramId>,
+    ) -> AccessCtx<'a> {
+        AccessCtx {
+            group: GroupId(0),
+            orig_slot,
+            actual_slot: st.actual_of(orig_slot),
+            program,
+            is_write: false,
+            now: Cycle(0),
+            entry,
+            m1_resident: st.resident_of(SlotIdx::M1),
+            st_entry: st,
+            m1_owner,
+            guidance: None,
+            applied: None,
+            want_trace: false,
+            trace: None,
+        }
+    }
+
     /// Runs `policy.on_access` for an access to `orig_slot` (already
-    /// bumped into `entry`) by `program`.
+    /// bumped into `entry`) by `program`, in a run that is not guided.
     pub fn access(
         policy: &mut dyn MigrationPolicy,
         entry: &CachedEntry,
@@ -217,22 +255,26 @@ pub(crate) mod testutil {
         is_write: bool,
         m1_owner: Option<ProgramId>,
     ) -> Decision {
-        let m1_resident = st.resident_of(SlotIdx::M1);
-        let actual_slot = st.actual_of(orig_slot);
-        let mut ctx = AccessCtx {
-            group: GroupId(0),
-            orig_slot,
-            actual_slot,
-            program,
-            is_write,
-            now: Cycle(0),
-            entry,
-            st_entry: st,
-            m1_resident,
-            m1_owner,
-            want_trace: false,
-            trace: None,
-        };
-        policy.on_access(&mut ctx)
+        let mut c = ctx(entry, st, orig_slot, program, m1_owner);
+        c.is_write = is_write;
+        policy.on_access(&mut c)
+    }
+
+    /// Runs `policy.on_access` for a read of `orig_slot` by `program`
+    /// under the RSM verdict `guidance`; returns the decision and the
+    /// case the policy applied.
+    pub fn guided(
+        policy: &mut dyn MigrationPolicy,
+        entry: &CachedEntry,
+        st: &mut StEntry,
+        orig_slot: SlotIdx,
+        program: ProgramId,
+        m1_owner: Option<ProgramId>,
+        guidance: Option<GuidanceCase>,
+    ) -> (Decision, Option<GuidanceCase>) {
+        let mut c = ctx(entry, st, orig_slot, program, m1_owner);
+        c.guidance = guidance;
+        let d = policy.on_access(&mut c);
+        (d, c.applied)
     }
 }

@@ -12,6 +12,13 @@
 //! Counters are sampled every `M_samp` served requests per program and
 //! smoothed exponentially (α = 0.125) with a +1 bias to avoid zeros
 //! (paper §3.1.3).
+//!
+//! A run has at most one monitor, owned and fed by the system. In an
+//! RSM-guided run (private regions: ProFess, RSM+PoM, or a custom policy
+//! asking for them) [`Rsm::case`] turns the slowdown factors into the
+//! Table 7 verdict each cross-program decision receives through
+//! [`AccessCtx::guidance`](super::AccessCtx::guidance); in a traced or
+//! region-sampled run that is not guided, the monitor is only observed.
 
 use profess_metrics::{State, StateCodec};
 use profess_types::config::RsmParams;
@@ -27,17 +34,77 @@ const REQ_TOT_S: usize = 3;
 const SWAP_SELF: usize = 4;
 const SWAP_TOT: usize = 5;
 
-/// One sampling-period record (diagnostics; used by the Table 4 study).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SfSample {
-    /// Raw SF_A computed from this period's counters alone.
-    pub raw_sf_a: f64,
-    /// Smoothed SF_A after this period.
-    pub avg_sf_a: f64,
+/// Which Table 7 rule resolved a cross-program decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GuidanceCase {
+    /// Same-program access: plain MDM (a trace label; [`Rsm::case`]
+    /// never returns it).
+    SameProgram,
+    /// Case 1: help the M2 program (treat M1 as vacant).
+    HelpM2,
+    /// Case 2: protect the M1 program (no swap).
+    ProtectM1,
+    /// Case 3: protect the M1 program via the product rule.
+    ProtectM1Product,
+    /// Default: the migration algorithm decides alone.
+    Default,
+}
+
+impl GuidanceCase {
+    /// Stable snake_case name used in trace artifacts.
+    pub fn name(self) -> &'static str {
+        match self {
+            GuidanceCase::SameProgram => "same_program",
+            GuidanceCase::HelpM2 => "help_m2",
+            GuidanceCase::ProtectM1 => "protect_m1",
+            GuidanceCase::ProtectM1Product => "protect_m1_product",
+            GuidanceCase::Default => "default",
+        }
+    }
+}
+
+/// Counters of how often each guidance case was applied.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GuidanceStats {
+    /// Case 1 activations.
+    pub help_m2: u64,
+    /// Case 2 activations.
+    pub protect_m1: u64,
+    /// Case 3 activations.
+    pub protect_m1_product: u64,
+    /// Cross-program accesses that fell through to plain MDM.
+    pub default_mdm: u64,
+}
+
+impl GuidanceStats {
+    /// Counts one applied case (`SameProgram` counts nothing).
+    pub fn count(&mut self, case: GuidanceCase) {
+        match case {
+            GuidanceCase::SameProgram => {}
+            GuidanceCase::HelpM2 => self.help_m2 += 1,
+            GuidanceCase::ProtectM1 => self.protect_m1 += 1,
+            GuidanceCase::ProtectM1Product => self.protect_m1_product += 1,
+            GuidanceCase::Default => self.default_mdm += 1,
+        }
+    }
+}
+
+/// The four counters as a positional array.
+impl State for GuidanceStats {
+    fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
+        [
+            &mut self.help_m2,
+            &mut self.protect_m1,
+            &mut self.protect_m1_product,
+            &mut self.default_mdm,
+        ]
+        .state(c)
+    }
 }
 
 /// The outcome of one closed sampling period, returned by
-/// [`Rsm::on_served`] so a tracing system can emit an `rsm_epoch` event.
+/// [`Rsm::on_served`] so a tracing system can emit an `rsm_epoch` event,
+/// and recorded for the Table 4 study ([`Rsm::keep_samples`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochReport {
     /// Program the period closed for.
@@ -59,7 +126,7 @@ struct ProgState {
     served_this_period: u64,
     sf_a: f64,
     sf_b: f64,
-    samples: Vec<SfSample>,
+    samples: Vec<EpochReport>,
     periods: u64,
 }
 
@@ -95,14 +162,15 @@ impl Rsm {
         }
     }
 
-    /// Enables recording of per-period SF_A samples (Table 4 study).
+    /// Enables recording of every closed period (Table 4 study).
     pub fn keep_samples(&mut self, keep: bool) {
         self.keep_samples = keep;
     }
 
-    /// Number of programs monitored.
-    pub fn num_programs(&self) -> usize {
-        self.states.len()
+    /// Current (smoothed) slowdown factors of every program, in program
+    /// order.
+    pub fn sfs(&self) -> Vec<(f64, f64)> {
+        self.states.iter().map(|s| (s.sf_a, s.sf_b)).collect()
     }
 
     /// Current (smoothed) slowdown factors of a program.
@@ -112,8 +180,34 @@ impl Rsm {
         (s.sf_a, s.sf_b)
     }
 
-    /// Recorded per-period samples (empty unless enabled).
-    pub fn samples(&self, p: ProgramId) -> &[SfSample] {
+    /// Table 7: the verdict on a conflict between `p1`, the owner of the
+    /// M1 block, and `p2`, the program accessing an M2 block of the same
+    /// group. Small thresholds (1/32 per factor, 1/16 for the product
+    /// condition) exclude near-ties (paper §3.3):
+    ///
+    /// * Case 1: `p2` suffers more by both factors;
+    /// * Case 2: `p1` suffers more by both factors;
+    /// * Case 3: SF_A says `p2` suffers more but SF_B says the opposite,
+    ///   and the SF_A·SF_B product says `p1` suffers more;
+    /// * otherwise `Default`.
+    pub fn case(&self, p1: ProgramId, p2: ProgramId) -> GuidanceCase {
+        let th = self.params.sf_threshold;
+        let thp = self.params.sf_product_threshold;
+        let (sa1, sb1) = self.sf(p1);
+        let (sa2, sb2) = self.sf(p2);
+        if sa1 * th < sa2 && sb1 * th < sb2 {
+            GuidanceCase::HelpM2
+        } else if sa1 > sa2 * th && sb1 > sb2 * th {
+            GuidanceCase::ProtectM1
+        } else if sa1 * th < sa2 && sb1 > sb2 * th && sa1 * sb1 > sa2 * sb2 * thp {
+            GuidanceCase::ProtectM1Product
+        } else {
+            GuidanceCase::Default
+        }
+    }
+
+    /// The periods recorded for `p` (empty unless enabled).
+    pub fn samples(&self, p: ProgramId) -> &[EpochReport] {
         &self.states[p.index()].samples
     }
 
@@ -188,24 +282,22 @@ impl Rsm {
         let sf_a = (sm[REQ_M1_P] / sm[REQ_TOT_P]) / (sm[REQ_M1_S] / sm[REQ_TOT_S]);
         let sf_b = sm[SWAP_TOT] / sm[SWAP_SELF];
         let raw_sf_a = (raw1[REQ_M1_P] / raw1[REQ_TOT_P]) / (raw1[REQ_M1_S] / raw1[REQ_TOT_S]);
-        if keep {
-            s.samples.push(SfSample {
-                raw_sf_a,
-                avg_sf_a: sf_a,
-            });
-        }
         s.sf_a = sf_a;
         s.sf_b = sf_b;
         s.raw = [0; 6];
         s.served_this_period = 0;
         s.periods += 1;
-        EpochReport {
+        let report = EpochReport {
             program: p,
             period: s.periods,
             raw_sf_a,
             sf_a,
             sf_b,
+        };
+        if keep {
+            s.samples.push(report);
         }
+        report
     }
 }
 
@@ -347,10 +439,117 @@ mod tests {
             xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
         };
         let raw_var = var(samples.iter().map(|s| s.raw_sf_a).collect());
-        let avg_var = var(samples.iter().skip(8).map(|s| s.avg_sf_a).collect());
+        let avg_var = var(samples.iter().skip(8).map(|s| s.sf_a).collect());
         assert!(
             avg_var < raw_var / 3.0,
             "smoothing must damp variance: raw {raw_var}, avg {avg_var}"
+        );
+    }
+
+    /// Drives the monitor so program `p` looks like it suffers (low M1
+    /// fraction in shared regions and only foreign swaps).
+    fn make_suffering(rsm: &mut Rsm, p: ProgramId, other: ProgramId) {
+        for i in 0..rsm.params.m_samp {
+            rsm.on_swap(p, Some(other));
+            let class = if i % 16 == 0 {
+                RegionClass::PrivateOwn
+            } else {
+                RegionClass::Shared
+            };
+            // Private: always from M1. Shared: rarely.
+            let from_m1 = class == RegionClass::PrivateOwn || i % 8 == 0;
+            rsm.on_served(p, class, from_m1);
+        }
+    }
+
+    /// Drives the monitor so program `p` looks unaffected (same behaviour
+    /// in both region kinds, only self swaps).
+    fn make_content(rsm: &mut Rsm, p: ProgramId) {
+        for i in 0..rsm.params.m_samp {
+            rsm.on_swap(p, Some(p));
+            let class = if i % 16 == 0 {
+                RegionClass::PrivateOwn
+            } else {
+                RegionClass::Shared
+            };
+            rsm.on_served(p, class, true);
+        }
+    }
+
+    #[test]
+    fn table7_cases_1_and_2_follow_who_suffers() {
+        let mut rsm = Rsm::new(RsmParams::paper(), 4);
+        let (content, suffering) = (ProgramId(0), ProgramId(1));
+        make_content(&mut rsm, content);
+        make_suffering(&mut rsm, suffering, content);
+        // The suffering program accesses M2 over the content one's block.
+        assert_eq!(rsm.case(content, suffering), GuidanceCase::HelpM2);
+        // The content program accesses M2 over the suffering one's block.
+        assert_eq!(rsm.case(suffering, content), GuidanceCase::ProtectM1);
+    }
+
+    #[test]
+    fn table7_near_ties_fall_through() {
+        // Fresh monitor: all SFs are 1.0, and the thresholds exclude ties.
+        let rsm = Rsm::new(RsmParams::paper(), 2);
+        assert_eq!(rsm.case(ProgramId(0), ProgramId(1)), GuidanceCase::Default);
+    }
+
+    #[test]
+    fn table7_case3_product_rule_protects_m1() {
+        let mut rsm = Rsm::new(RsmParams::paper(), 4);
+        // p0 (M1 owner): SF_A ~1 but many foreign swaps (high SF_B).
+        // p1 (M2): SF_A high, only self swaps (SF_B ~1).
+        for i in 0..rsm.params.m_samp {
+            rsm.on_swap(ProgramId(0), Some(ProgramId(2)));
+            let class = if i % 16 == 0 {
+                RegionClass::PrivateOwn
+            } else {
+                RegionClass::Shared
+            };
+            rsm.on_served(ProgramId(0), class, true);
+        }
+        for i in 0..rsm.params.m_samp {
+            rsm.on_swap(ProgramId(1), Some(ProgramId(1)));
+            let class = if i % 16 == 0 {
+                RegionClass::PrivateOwn
+            } else {
+                RegionClass::Shared
+            };
+            let from_m1 = class == RegionClass::PrivateOwn || i % 4 == 0;
+            rsm.on_served(ProgramId(1), class, from_m1);
+        }
+        let (sa0, sb0) = rsm.sf(ProgramId(0));
+        let (sa1, sb1) = rsm.sf(ProgramId(1));
+        assert!(sa0 < sa1 && sb0 > sb1, "setup: {sa0} {sb0} vs {sa1} {sb1}");
+        assert!(
+            sa0 * sb0 > sa1 * sb1 * rsm.params.sf_product_threshold,
+            "setup failed to trigger the product rule: {} vs {}",
+            sa0 * sb0,
+            sa1 * sb1
+        );
+        assert_eq!(
+            rsm.case(ProgramId(0), ProgramId(1)),
+            GuidanceCase::ProtectM1Product
+        );
+    }
+
+    #[test]
+    fn guidance_stats_count_each_case_once() {
+        let mut g = GuidanceStats::default();
+        for case in [
+            GuidanceCase::SameProgram,
+            GuidanceCase::HelpM2,
+            GuidanceCase::ProtectM1,
+            GuidanceCase::ProtectM1Product,
+            GuidanceCase::Default,
+            GuidanceCase::Default,
+        ] {
+            g.count(case);
+        }
+        assert_eq!(
+            (g.help_m2, g.protect_m1, g.protect_m1_product, g.default_mdm),
+            (1, 1, 1, 2)
         );
     }
 

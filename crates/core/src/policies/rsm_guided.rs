@@ -3,18 +3,21 @@
 //! instead of MDM, since it merely guides migration decisions").
 //!
 //! [`RsmGuided`] wraps any inner [`MigrationPolicy`] and applies the
-//! Table 7 aggressive-help strategy on cross-program conflicts:
+//! run's Table 7 verdict ([`AccessCtx::guidance`]) on cross-program
+//! conflicts:
 //!
-//! * **Case 1** (the accessing program suffers more): force the promotion
-//!   if the inner policy would promote *with the M1 occupant ignored* —
-//!   approximated here by honouring the inner policy's decision and, when
-//!   it declines purely in deference to the M1 block, promoting anyway is
-//!   algorithm-specific; for threshold-style baselines the inner decision
-//!   already ignores the M1 block, so Case 1 reduces to the inner
-//!   decision;
+//! * **Case 1** (the accessing program suffers more): the inner policy
+//!   decides. Case 1 asks for the decision the algorithm would take with
+//!   the M1 occupant ignored; how to ignore it is algorithm-specific, and
+//!   threshold-style baselines already decide without looking at the M1
+//!   block, so for them Case 1 is the inner decision;
 //! * **Case 2 / Case 3** (the M1 program suffers more): prohibit the
 //!   swap, protecting the victim — this is where the fairness benefit of
 //!   the wrapper comes from for PoM/CAMEO-style inner policies.
+//!
+//! The inner policy sees every access, vetoed or not, so its counters
+//! keep evolving. Conflicts the verdict leaves to the inner policy
+//! (`Default`) count as no applied case.
 //!
 //! The paper did not evaluate this combination; it is provided (and
 //! tested) as the library-level extension the paper proposes.
@@ -25,20 +28,14 @@ use profess_types::config::RsmParams;
 use profess_types::ids::{ProgramId, SlotIdx};
 use profess_types::{Cycle, GroupId};
 
-use super::profess::GuidanceStats;
-use super::rsm::{EpochReport, Rsm};
-use super::{AccessCtx, Decision, EvictRecord, MigrationPolicy, PolicyDiagnostics};
+use super::rsm::GuidanceCase;
+use super::{AccessCtx, Decision, EvictRecord, MigrationPolicy};
 use crate::regions::RegionClass;
 
 /// Any migration policy, steered by RSM's Table 7 cases.
 pub struct RsmGuided {
     inner: Box<dyn MigrationPolicy>,
-    rsm: Rsm,
-    params: RsmParams,
-    stats: GuidanceStats,
     name: &'static str,
-    tracing: bool,
-    pending_epochs: Vec<EpochReport>,
 }
 
 impl std::fmt::Debug for RsmGuided {
@@ -51,43 +48,16 @@ impl std::fmt::Debug for RsmGuided {
 
 impl RsmGuided {
     /// Wraps `inner` with RSM guidance. `name` labels the combination in
-    /// reports (it must be `'static`; e.g. `"RSM+PoM"`).
+    /// reports (it must be `'static`; e.g. `"RSM+PoM"`). The run's
+    /// monitor is built by the system from its own `SystemConfig::rsm`
+    /// and program count; `_params` and `_num_programs` are not read.
     pub fn new(
         inner: Box<dyn MigrationPolicy>,
-        params: RsmParams,
-        num_programs: usize,
+        _params: RsmParams,
+        _num_programs: usize,
         name: &'static str,
     ) -> Self {
-        RsmGuided {
-            inner,
-            rsm: Rsm::new(params, num_programs),
-            params,
-            stats: GuidanceStats::default(),
-            name,
-            tracing: false,
-            pending_epochs: Vec::new(),
-        }
-    }
-
-    /// Guidance-case counters.
-    pub fn guidance_stats(&self) -> &GuidanceStats {
-        &self.stats
-    }
-
-    fn case(&self, p1: ProgramId, p2: ProgramId) -> u8 {
-        let th = self.params.sf_threshold;
-        let thp = self.params.sf_product_threshold;
-        let (sa1, sb1) = self.rsm.sf(p1);
-        let (sa2, sb2) = self.rsm.sf(p2);
-        if sa1 * th < sa2 && sb1 * th < sb2 {
-            1
-        } else if sa1 > sa2 * th && sb1 > sb2 * th {
-            2
-        } else if sa1 * th < sa2 && sb1 > sb2 * th && sa1 * sb1 > sa2 * sb2 * thp {
-            3
-        } else {
-            0
-        }
+        RsmGuided { inner, name }
     }
 }
 
@@ -101,45 +71,19 @@ impl MigrationPolicy for RsmGuided {
     }
 
     fn on_access(&mut self, ctx: &mut AccessCtx<'_>) -> Decision {
-        let case = match ctx.m1_owner {
-            Some(p1) if ctx.actual_slot.is_m2() && p1 != ctx.program => self.case(p1, ctx.program),
-            _ => 0,
-        };
-        match case {
-            2 => {
-                self.stats.protect_m1 += 1;
-                // Let the inner policy observe the access (counters must
-                // keep evolving) but veto any promotion.
-                let _ = self.inner.on_access(ctx);
-                Decision::Stay
-            }
-            3 => {
-                self.stats.protect_m1_product += 1;
-                let _ = self.inner.on_access(ctx);
-                Decision::Stay
-            }
-            1 => {
-                self.stats.help_m2 += 1;
-                self.inner.on_access(ctx)
-            }
-            _ => self.inner.on_access(ctx),
+        let inner = self.inner.on_access(ctx);
+        ctx.applied = ctx.guidance.filter(|&c| c != GuidanceCase::Default);
+        match ctx.applied {
+            Some(GuidanceCase::ProtectM1 | GuidanceCase::ProtectM1Product) => Decision::Stay,
+            _ => inner,
         }
     }
 
     fn on_served(&mut self, program: ProgramId, class: RegionClass, from_m1: bool) {
-        let epoch = self.rsm.on_served(program, class, from_m1);
-        if self.tracing {
-            if let Some(e) = epoch {
-                self.pending_epochs.push(e);
-            }
-        }
         self.inner.on_served(program, class, from_m1);
     }
 
     fn on_swap(&mut self, promoted: ProgramId, demoted: Option<ProgramId>, group_is_private: bool) {
-        if !group_is_private {
-            self.rsm.on_swap(promoted, demoted);
-        }
         self.inner.on_swap(promoted, demoted, group_is_private);
     }
 
@@ -155,41 +99,18 @@ impl MigrationPolicy for RsmGuided {
         self.inner.next_poll()
     }
 
-    fn diagnostics(&self) -> PolicyDiagnostics {
-        let n = self.rsm.num_programs();
-        PolicyDiagnostics {
-            guidance: Some(self.stats),
-            sfs: (0..n).map(|i| self.rsm.sf(ProgramId(i as u8))).collect(),
-        }
-    }
-
     fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        if !on {
-            self.pending_epochs.clear();
-        }
         self.inner.set_tracing(on);
     }
 
     fn drain_trace(&mut self, now: Cycle, out: &mut Vec<TraceEvent>) {
-        for e in self.pending_epochs.drain(..) {
-            out.push(TraceEvent::RsmEpoch {
-                at: now.raw(),
-                program: e.program.0,
-                period: e.period,
-                raw_sf_a: e.raw_sf_a,
-                sf_a: e.sf_a,
-                sf_b: e.sf_b,
-            });
-        }
         self.inner.drain_trace(now, out);
     }
 
-    /// Snapshottable only when both the inner policy and the RSM are.
+    /// The inner policy's state; the system appends the run's `rsm` and
+    /// guidance `stats` to this object.
     fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
-        c.object("inner", |c| self.inner.state(c))?;
-        c.field("rsm", &mut self.rsm)?;
-        c.field("stats", &mut self.stats)
+        c.object("inner", |c| self.inner.state(c))
     }
 }
 
@@ -209,96 +130,44 @@ mod tests {
         )
     }
 
-    fn make_suffering(p: &mut RsmGuided, prog: ProgramId, other: ProgramId) {
-        for i in 0..p.params.m_samp {
-            p.on_swap(prog, Some(other), false);
-            let class = if i % 16 == 0 {
-                RegionClass::PrivateOwn
-            } else {
-                RegionClass::Shared
-            };
-            let from_m1 = class == RegionClass::PrivateOwn || i % 8 == 0;
-            p.on_served(prog, class, from_m1);
-        }
-    }
-
-    fn make_content(p: &mut RsmGuided, prog: ProgramId) {
-        for i in 0..p.params.m_samp {
-            p.on_swap(prog, Some(prog), false);
-            let class = if i % 16 == 0 {
-                RegionClass::PrivateOwn
-            } else {
-                RegionClass::Shared
-            };
-            p.on_served(prog, class, true);
-        }
+    /// Program 1's first touch of slot 4 over program 0's M1 block, which
+    /// CAMEO alone promotes.
+    fn access(guidance: Option<GuidanceCase>) -> (Decision, Option<GuidanceCase>) {
+        let (mut entry, mut st) = testutil::entry_pair();
+        entry.bump(SlotIdx(4), 1, 63);
+        testutil::guided(
+            &mut guided(),
+            &entry,
+            &mut st,
+            SlotIdx(4),
+            ProgramId(1),
+            Some(ProgramId(0)),
+            guidance,
+        )
     }
 
     #[test]
     fn protects_suffering_m1_owner_from_cameo() {
-        let mut p = guided();
-        make_content(&mut p, ProgramId(1));
-        make_suffering(&mut p, ProgramId(0), ProgramId(1));
-        // CAMEO alone would promote on first touch; Case 2 vetoes.
-        let (mut entry, mut st) = testutil::entry_pair();
-        entry.bump(SlotIdx(4), 1, 63);
-        let d = testutil::access(
-            &mut p,
-            &entry,
-            &mut st,
-            SlotIdx(4),
-            ProgramId(1),
-            false,
-            Some(ProgramId(0)),
-        );
-        assert_eq!(d, Decision::Stay);
-        assert_eq!(p.guidance_stats().protect_m1, 1);
+        for case in [GuidanceCase::ProtectM1, GuidanceCase::ProtectM1Product] {
+            assert_eq!(access(Some(case)), (Decision::Stay, Some(case)));
+        }
     }
 
     #[test]
-    fn passes_through_when_balanced() {
-        let mut p = guided();
-        let (mut entry, mut st) = testutil::entry_pair();
-        entry.bump(SlotIdx(4), 1, 63);
-        let d = testutil::access(
-            &mut p,
-            &entry,
-            &mut st,
-            SlotIdx(4),
-            ProgramId(1),
-            false,
-            Some(ProgramId(0)),
+    fn case1_keeps_the_inner_decision() {
+        assert_eq!(
+            access(Some(GuidanceCase::HelpM2)),
+            (Decision::Promote, Some(GuidanceCase::HelpM2))
         );
-        assert_eq!(d, Decision::Promote, "fresh SFs are ties: inner decides");
     }
 
     #[test]
-    fn same_program_bypasses_guidance() {
-        let mut p = guided();
-        make_suffering(&mut p, ProgramId(0), ProgramId(1));
-        let (mut entry, mut st) = testutil::entry_pair();
-        entry.bump(SlotIdx(4), 1, 63);
-        let d = testutil::access(
-            &mut p,
-            &entry,
-            &mut st,
-            SlotIdx(4),
-            ProgramId(0),
-            false,
-            Some(ProgramId(0)),
+    fn passes_through_unguided_and_default_accesses() {
+        assert_eq!(access(None), (Decision::Promote, None));
+        assert_eq!(
+            access(Some(GuidanceCase::Default)),
+            (Decision::Promote, None),
+            "ties leave the decision to the inner policy and count no case"
         );
-        assert_eq!(d, Decision::Promote);
-        let g = p.guidance_stats();
-        assert_eq!((g.help_m2, g.protect_m1, g.protect_m1_product), (0, 0, 0));
-    }
-
-    #[test]
-    fn diagnostics_expose_sfs() {
-        let mut p = guided();
-        make_suffering(&mut p, ProgramId(0), ProgramId(1));
-        let d = p.diagnostics();
-        assert!(d.guidance.is_some());
-        assert_eq!(d.sfs.len(), 2);
-        assert!(d.sfs[0].0 > d.sfs[1].0, "program 0 must look worse");
     }
 }

@@ -41,8 +41,9 @@ use crate::policies::mdm::MdmPolicy;
 use crate::policies::mempod::MemPodPolicy;
 use crate::policies::pom::PomPolicy;
 use crate::policies::profess::ProfessPolicy;
+use crate::policies::rsm::{EpochReport, GuidanceStats, Rsm};
 use crate::policies::static_::StaticPolicy;
-use crate::policies::{AccessCtx, Decision, EvictRecord, MigrationPolicy};
+use crate::policies::{AccessCtx, Decision, EvictRecord, MigrationPolicy, PolicyDiagnostics};
 use crate::regions::RegionMap;
 use crate::snapshot::{self, SystemSnapshot};
 use crate::stc::{CachedEntry, Stc};
@@ -74,6 +75,40 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
+    /// Every policy, in declaration order (the order of the pinned
+    /// report tables and of the CLI listings).
+    pub const ALL: [PolicyKind; 9] = [
+        PolicyKind::Static,
+        PolicyKind::Cameo,
+        PolicyKind::Pom,
+        PolicyKind::MemPod,
+        PolicyKind::Mdm,
+        PolicyKind::Profess,
+        PolicyKind::ProfessNoCase3,
+        PolicyKind::SilcFm,
+        PolicyKind::RsmPom,
+    ];
+
+    /// The name the command-line tools accept (`--policy`).
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            PolicyKind::Static => "static",
+            PolicyKind::Cameo => "cameo",
+            PolicyKind::Pom => "pom",
+            PolicyKind::MemPod => "mempod",
+            PolicyKind::Mdm => "mdm",
+            PolicyKind::Profess => "profess",
+            PolicyKind::ProfessNoCase3 => "profess-noc3",
+            PolicyKind::SilcFm => "silcfm",
+            PolicyKind::RsmPom => "rsmpom",
+        }
+    }
+
+    /// The policy whose [`PolicyKind::cli_name`] is `name`.
+    pub fn from_cli_name(name: &str) -> Option<PolicyKind> {
+        PolicyKind::ALL.into_iter().find(|pk| pk.cli_name() == name)
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -90,7 +125,7 @@ impl PolicyKind {
     }
 
     /// Whether this policy uses RSM's private regions (and thus the
-    /// region-aware OS allocator).
+    /// region-aware OS allocator): the run is RSM-guided.
     pub fn uses_private_regions(self) -> bool {
         matches!(
             self,
@@ -100,6 +135,14 @@ impl PolicyKind {
 }
 
 type ProgramFactory = Box<dyn Fn(u32) -> Box<dyn OpSource>>;
+
+/// The seed of the `restart`-th instance of program `idx` in a run
+/// seeded `base`. Snapshot restores regenerate each running instance
+/// from it, so every builder of seeded programs derives seeds here.
+pub fn program_seed(base: u64, idx: u64, restart: u32) -> u64 {
+    base.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(idx * 1_000_003 + u64::from(restart) * 7_919)
+}
 
 /// Per-program results.
 #[derive(Debug, Clone)]
@@ -287,8 +330,10 @@ impl SystemBuilder {
     }
 
     /// Installs a user-provided migration policy instead of a built-in
-    /// one. `private_regions` selects whether the OS reserves RSM-style
-    /// private regions (needed if the policy consumes region classes).
+    /// one. `private_regions` makes the run RSM-guided: the OS reserves
+    /// RSM's private regions, the system runs the monitor, hands the
+    /// policy its Table 7 verdict in [`AccessCtx::guidance`], counts the
+    /// cases it applies, and snapshots the monitor with the policy.
     ///
     /// The paper notes RSM can guide other migration algorithms and MDM
     /// can serve other organizations; this hook is the extension point.
@@ -379,9 +424,7 @@ impl SystemBuilder {
         let base_seed = self.cfg.seed;
         let idx = self.programs.len() as u64;
         self.program(prog.name(), move |restart| {
-            let seed = base_seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(idx * 1_000_003 + u64::from(restart) * 7_919);
+            let seed = program_seed(base_seed, idx, restart);
             Box::new(prog.generator(div, instructions, seed))
         })
     }
@@ -540,33 +583,29 @@ impl State for CoreStats {
     }
 }
 
-/// Region-sampling instrumentation for the Table 4 study.
+/// Region-sampling instrumentation for the Table 4 study: one program's
+/// served requests per region, over the run's RSM sampling periods.
 #[derive(Debug)]
 struct RegionSampler {
-    m_samp: u64,
-    num_regions: usize,
     counts: Vec<u64>,
-    served: u64,
     sigma_fracs: Vec<f64>,
 }
 
 impl RegionSampler {
-    fn new(m_samp: u64, num_regions: usize) -> Self {
+    fn new(num_regions: usize) -> Self {
         RegionSampler {
-            m_samp,
-            num_regions,
             counts: vec![0; num_regions],
-            served: 0,
             sigma_fracs: Vec::new(),
         }
     }
 
+    /// Counts a request to `region`; `period_closed` says it closed the
+    /// program's RSM sampling period.
     // Region ids are bounded by the sampler geometry fixed at construction.
-    fn on_served(&mut self, region: usize) {
+    fn on_served(&mut self, region: usize, period_closed: bool) {
         self.counts[region] += 1;
-        self.served += 1;
-        if self.served >= self.m_samp {
-            let n = self.num_regions as f64;
+        if period_closed {
+            let n = self.counts.len() as f64;
             let mean = self.counts.iter().sum::<u64>() as f64 / n;
             if mean > 0.0 {
                 let var = self
@@ -578,7 +617,6 @@ impl RegionSampler {
                 self.sigma_fracs.push(var.sqrt() / mean);
             }
             self.counts.iter_mut().for_each(|c| *c = 0);
-            self.served = 0;
         }
     }
 }
@@ -618,9 +656,15 @@ struct System {
     core_next: Vec<Cycle>,
     core_dirty: Vec<bool>,
     core_stats: Vec<CoreStats>,
-    // Shadow RSM used only for sampling diagnostics (runs under any
-    // policy so Table 4 can be produced with the baseline too).
-    sampler_rsm: Option<crate::policies::rsm::Rsm>,
+    // The run's only RSM, built when the run is guided, traced or
+    // region-sampled. In a guided run it steers the policy (through
+    // `AccessCtx::guidance`) and is snapshotted with it, beside the
+    // Table 7 cases the policy applied; otherwise it is only observed
+    // (`rsm_epoch` events, Table 4 samples) and never perturbs a
+    // decision.
+    rsm: Option<Rsm>,
+    guided: bool,
+    guidance: GuidanceStats,
     region_samplers: Vec<RegionSampler>,
     clock: Cycle,
     max_cycles: u64,
@@ -631,13 +675,10 @@ struct System {
     snapshot_at: Option<u64>,
     snapshot_on_cancel: bool,
     // Event tracing (off by default). `tracing` mirrors
-    // `tracer.is_on()` so hot paths branch on a plain bool; `trace_rsm`
-    // is a shadow RSM run only when tracing under a policy without its
-    // own RSM, so every traced run yields rsm_epoch events.
+    // `tracer.is_on()` so hot paths branch on a plain bool.
     tracing: bool,
     trace_cfg: TraceConfig,
     tracer: Tracer,
-    trace_rsm: Option<crate::policies::rsm::Rsm>,
     served_since_sample: u64,
     policy_trace_buf: Vec<TraceEvent>,
 }
@@ -648,7 +689,8 @@ impl System {
         let geom = cfg.org.clone();
         let n_prog = b.programs.len();
         let custom_private = b.custom_policy.as_ref().map(|&(_, p)| p);
-        let region_map = if custom_private.unwrap_or_else(|| b.policy.uses_private_regions()) {
+        let guided = custom_private.unwrap_or_else(|| b.policy.uses_private_regions());
+        let region_map = if guided {
             RegionMap::with_private_regions(geom.num_regions, n_prog as u32)
         } else {
             RegionMap::all_shared(geom.num_regions)
@@ -711,30 +753,19 @@ impl System {
             .collect();
         let trace_cfg = b.trace;
         let tracing = trace_cfg.enabled;
-        let trace_rsm = if tracing {
+        if tracing {
             policy.set_tracing(true);
             channels.iter_mut().for_each(ChannelSim::enable_obs);
             cores.iter_mut().for_each(CoreSim::enable_obs);
-            // Policies with private regions run their own RSM and report
-            // epochs via drain_trace; a shadow RSM covers the rest.
-            if custom_private.unwrap_or_else(|| b.policy.uses_private_regions()) {
-                None
-            } else {
-                Some(crate::policies::rsm::Rsm::new(cfg.rsm, n_prog))
-            }
-        } else {
-            None
-        };
-        let sampler_rsm = if b.sample_regions {
-            let mut r = crate::policies::rsm::Rsm::new(cfg.rsm, n_prog);
-            r.keep_samples(true);
-            Some(r)
-        } else {
-            None
-        };
+        }
+        let rsm = (guided || tracing || b.sample_regions).then(|| {
+            let mut r = Rsm::new(cfg.rsm, n_prog);
+            r.keep_samples(b.sample_regions);
+            r
+        });
         let region_samplers = if b.sample_regions {
             (0..n_prog)
-                .map(|_| RegionSampler::new(cfg.rsm.m_samp, geom.num_regions as usize))
+                .map(|_| RegionSampler::new(geom.num_regions as usize))
                 .collect()
         } else {
             Vec::new()
@@ -755,7 +786,9 @@ impl System {
             core_next: vec![Cycle::ZERO; n_prog],
             core_dirty: vec![true; n_prog],
             core_stats: vec![CoreStats::default(); n_prog],
-            sampler_rsm,
+            rsm,
+            guided,
+            guidance: GuidanceStats::default(),
             region_samplers,
             clock: Cycle::ZERO,
             max_cycles: b.max_cycles,
@@ -767,7 +800,6 @@ impl System {
             tracing,
             trace_cfg,
             tracer: Tracer::new(&trace_cfg),
-            trace_rsm,
             served_since_sample: 0,
             policy_trace_buf: Vec::new(),
             cfg,
@@ -987,7 +1019,8 @@ impl System {
             .region_map
             .owner_of_region(self.geom.region_of(group))
             .is_some();
-        if let Some(rsm) = &mut self.trace_rsm {
+        // Swaps in private regions are not counted (paper §3.1.2).
+        if let Some(rsm) = &mut self.rsm {
             if !group_is_private {
                 rsm.on_swap(promoted_owner, demoted_owner);
             }
@@ -1044,15 +1077,16 @@ impl System {
                 self.cores[core].complete(seq, s.done);
                 let class = self.region_map.classify(&self.geom, program, group);
                 self.policy.on_served(program, class, from_m1);
-                if let Some(rsm) = &mut self.sampler_rsm {
-                    rsm.on_served(program, class, from_m1);
-                }
+                let epoch = self
+                    .rsm
+                    .as_mut()
+                    .and_then(|r| r.on_served(program, class, from_m1));
                 if self.tracing {
-                    self.on_served_trace(program, class, from_m1);
+                    self.on_served_trace(epoch);
                 }
                 if !self.region_samplers.is_empty() {
                     let region = self.geom.region_of(group).index();
-                    self.region_samplers[core].on_served(region);
+                    self.region_samplers[core].on_served(region, epoch.is_some());
                 }
                 // Access counting and migration decision require the ST
                 // entry to be STC-resident (paper §3.2.1's temporal
@@ -1078,6 +1112,14 @@ impl System {
                 let m1_owner_slot_block =
                     u64::from(m1_resident.0) * self.geom.num_groups() + group.0;
                 let m1_owner = self.alloc.owner_of_block(m1_owner_slot_block);
+                let guidance = match (&self.rsm, m1_owner) {
+                    (Some(rsm), Some(p1))
+                        if self.guided && actual_slot.is_m2() && p1 != program =>
+                    {
+                        Some(rsm.case(p1, program))
+                    }
+                    _ => None,
+                };
                 let mut ctx = AccessCtx {
                     group,
                     orig_slot,
@@ -1089,10 +1131,15 @@ impl System {
                     st_entry,
                     m1_resident,
                     m1_owner,
+                    guidance,
+                    applied: None,
                     want_trace: self.tracing,
                     trace: None,
                 };
                 let decision = self.policy.on_access(&mut ctx);
+                if let Some(case) = ctx.applied {
+                    self.guidance.count(case);
+                }
                 let trace = ctx.trace.take();
                 let promote = decision == Decision::Promote && actual_slot.is_m2();
                 if let Some(t) = trace {
@@ -1115,30 +1162,23 @@ impl System {
         }
     }
 
-    /// Tracing-only bookkeeping for a served data request: feeds the
-    /// shadow RSM (policies without an internal one), drains any
-    /// policy-side trace events, and takes periodic queue-occupancy
-    /// samples. Kept out of line so the `self.tracing` branch in
-    /// `handle_served` stays a single predictable jump when off.
+    /// Tracing-only bookkeeping for a served data request: emits the
+    /// RSM period this request closed, drains any policy-side trace
+    /// events, and takes periodic queue-occupancy samples. Kept out of
+    /// line so the `self.tracing` branch in `handle_served` stays a
+    /// single predictable jump when off.
     #[inline(never)]
-    fn on_served_trace(
-        &mut self,
-        program: ProgramId,
-        class: crate::regions::RegionClass,
-        from_m1: bool,
-    ) {
+    fn on_served_trace(&mut self, epoch: Option<EpochReport>) {
         let at = self.clock.raw();
-        if let Some(rsm) = &mut self.trace_rsm {
-            if let Some(e) = rsm.on_served(program, class, from_m1) {
-                self.tracer.push(TraceEvent::RsmEpoch {
-                    at,
-                    program: e.program.0,
-                    period: e.period,
-                    raw_sf_a: e.raw_sf_a,
-                    sf_a: e.sf_a,
-                    sf_b: e.sf_b,
-                });
-            }
+        if let Some(e) = epoch {
+            self.tracer.push(TraceEvent::RsmEpoch {
+                at,
+                program: e.program.0,
+                period: e.period,
+                raw_sf_a: e.raw_sf_a,
+                sf_a: e.sf_a,
+                sf_b: e.sf_b,
+            });
         }
         self.policy
             .drain_trace(self.clock, &mut self.policy_trace_buf);
@@ -1214,9 +1254,9 @@ impl System {
     }
 
     /// Captures the complete simulation state at the current clock
-    /// boundary. Observability (tracer, shadow RSM, histograms) is
-    /// deliberately excluded: the snapshot bytes are identical whether or
-    /// not the run is traced.
+    /// boundary. Observability (tracer, an unguided run's observed RSM,
+    /// histograms) is deliberately excluded: the snapshot bytes are
+    /// identical whether or not the run is traced.
     fn snapshot(&mut self) -> Result<SystemSnapshot, SimError> {
         self.check_snapshottable()?;
         // Only the policy can decline to save.
@@ -1248,11 +1288,12 @@ impl System {
     }
 
     fn check_snapshottable(&self) -> Result<(), SimError> {
-        match self.sampler_rsm {
-            Some(_) => Err(SimError::SnapshotUnsupported {
+        if self.region_samplers.is_empty() {
+            Ok(())
+        } else {
+            Err(SimError::SnapshotUnsupported {
                 what: "region-sampling runs (sample_regions)".to_string(),
-            }),
-            None => Ok(()),
+            })
         }
     }
 
@@ -1480,8 +1521,8 @@ impl System {
             channel_served += ch.stats().total_served();
         }
         let trace = if self.tracing {
-            // Final flush: policy-side buffers may hold epoch reports
-            // from periods that closed after the last trace drain.
+            // Final flush: a policy may have buffered events after the
+            // last trace drain.
             self.policy
                 .drain_trace(self.clock, &mut self.policy_trace_buf);
             for e in self.policy_trace_buf.drain(..) {
@@ -1513,8 +1554,9 @@ impl System {
         } else {
             None
         };
-        let sampling: Vec<Option<SamplingReport>> = if let Some(rsm) = &self.sampler_rsm {
-            (0..self.cores.len())
+        // The monitor records samples only in a region-sampled run.
+        let sampling: Vec<Option<SamplingReport>> = match &self.rsm {
+            Some(rsm) => (0..self.cores.len())
                 .map(|i| {
                     let samples = rsm.samples(ProgramId(i as u8));
                     if samples.is_empty() {
@@ -1526,7 +1568,7 @@ impl System {
                         (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
                     };
                     let raw: Vec<f64> = samples.iter().map(|s| s.raw_sf_a).collect();
-                    let avg: Vec<f64> = samples.iter().map(|s| s.avg_sf_a).collect();
+                    let avg: Vec<f64> = samples.iter().map(|s| s.sf_a).collect();
                     let sr = &self.region_samplers[i];
                     Some(SamplingReport {
                         mean_sigma_req: if sr.sigma_fracs.is_empty() {
@@ -1540,9 +1582,15 @@ impl System {
                         periods: samples.len(),
                     })
                 })
-                .collect()
-        } else {
-            vec![None; self.cores.len()]
+                .collect(),
+            None => vec![None; self.cores.len()],
+        };
+        let diag = match &self.rsm {
+            Some(rsm) if self.guided => PolicyDiagnostics {
+                guidance: Some(self.guidance),
+                sfs: rsm.sfs(),
+            },
+            _ => self.policy.diagnostics(),
         };
         SystemReport {
             policy: self.policy.name().to_string(),
@@ -1573,7 +1621,7 @@ impl System {
             },
             truncated: self.truncated,
             sampling,
-            diag: self.policy.diagnostics(),
+            diag,
             trace,
         }
     }
@@ -1660,7 +1708,18 @@ impl State for System {
             self.ch_dirty.fill(false);
             self.core_dirty.fill(false);
         }
-        c.object("policy", |c| self.policy.state(c))
+        // A guided run's monitor and applied cases travel inside the
+        // policy object, after the policy's own state.
+        c.object("policy", |c| {
+            self.policy.state(c)?;
+            match &mut self.rsm {
+                Some(rsm) if self.guided => {
+                    c.field("rsm", rsm)?;
+                    c.field("stats", &mut self.guidance)
+                }
+                _ => Ok(()),
+            }
+        })
     }
 }
 
@@ -1843,6 +1902,38 @@ mod tests {
     }
 
     #[test]
+    fn table4_samples_come_from_the_steering_monitor() {
+        // A guided, traced, region-sampled run has one monitor: the
+        // Table 4 statistics summarize exactly the periods its
+        // `rsm_epoch` events report.
+        let mut cfg = SystemConfig::scaled_single();
+        cfg.rsm.m_samp = 1024;
+        let prog = SpecProgram::Milc;
+        let report = SystemBuilder::new(cfg)
+            .policy(PolicyKind::Profess)
+            .trace(TraceConfig::on())
+            .sample_regions(true)
+            .spec_program(prog, prog.budget_for_misses(20_000))
+            .try_run()
+            .unwrap();
+        let s = report.sampling[0].as_ref().expect("sampling enabled");
+        let log = report.trace.as_ref().expect("tracing was on");
+        let raw: Vec<f64> = log
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::RsmEpoch { raw_sf_a, .. } => Some(*raw_sf_a),
+                _ => None,
+            })
+            .collect();
+        assert!(s.periods > 1, "too few periods: {}", s.periods);
+        assert_eq!(s.periods, raw.len());
+        let mean = raw.iter().sum::<f64>() / raw.len() as f64;
+        assert_eq!(s.mean_raw_sfa.to_bits(), mean.to_bits());
+        assert_eq!(report.diag.sfs.len(), 1, "a guided run reports its SFs");
+    }
+
+    #[test]
     fn spec_program_runs_end_to_end() {
         let mut cfg = SystemConfig::scaled_single();
         cfg.rsm.m_samp = 512;
@@ -1888,7 +1979,7 @@ mod tests {
         assert!(log.count_kind("mdm_decision") >= 1);
         assert!(
             log.count_kind("rsm_epoch") >= 1,
-            "ProFess's internal RSM must surface epoch reports"
+            "the guiding RSM must surface epoch reports"
         );
         assert!(log.count_kind("queue_sample") >= 1);
         // Histograms are folded in at end of run.
@@ -1913,9 +2004,9 @@ mod tests {
     }
 
     #[test]
-    fn traced_mdm_run_uses_shadow_rsm_for_epochs() {
-        // MDM has no internal RSM and no private regions; epoch reports
-        // must come from the system's shadow monitor.
+    fn traced_mdm_run_observes_the_rsm_for_epochs() {
+        // An MDM run is not guided (no private regions); tracing alone
+        // builds the monitor, which reports epochs but steers nothing.
         let mut cfg = SystemConfig::scaled_quad();
         cfg.rsm.m_samp = 128;
         let report = SystemBuilder::new(cfg)
@@ -1926,8 +2017,9 @@ mod tests {
             .try_run()
             .unwrap();
         let log = report.trace.as_ref().expect("tracing was on");
-        assert!(log.count_kind("rsm_epoch") >= 1, "shadow RSM must report");
+        assert!(log.count_kind("rsm_epoch") >= 1, "observed RSM must report");
         assert!(log.count_kind("mdm_decision") >= 1);
+        assert!(report.diag.guidance.is_none() && report.diag.sfs.is_empty());
         let verdicts = log.events.iter().filter_map(|e| match e {
             profess_obs::TraceEvent::MdmDecision { verdict, .. } => Some(*verdict),
             _ => None,

@@ -20,8 +20,8 @@
 //!   `tests/fingerprints.rs` at the workspace root).
 //!
 //! Tracing is enabled per run: explicitly via [`TraceConfig`], or by
-//! default from the `PROFESS_TRACE` environment variable (the figure
-//! binaries' `--trace` flag sets it). Buffering is bounded by an
+//! default from the `PROFESS_TRACE` environment variable (`profess-run`'s
+//! `--trace` flag sets it). Buffering is bounded by an
 //! [`EventRing`]; an overflowing trace reports its drop count rather
 //! than growing without bound or silently passing for complete.
 

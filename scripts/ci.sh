@@ -60,6 +60,18 @@ cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
     trace "$smoke_dir/TRACE_fig05.jsonl" \
     run swap_begin swap_complete mdm_decision rsm_epoch queue_sample hist counters
 
+# Guided traced smoke: fig16 runs ProFess, whose decisions the run's
+# RSM steers, so its trace must carry the same event kinds plus at
+# least one decision under Table 7's Case 1 (`help_m2`).
+echo "==> traced bench smoke (fig16 --trace, RSM-guided)"
+PROFESS_RESULTS_DIR="$smoke_dir" \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig16 --trace 10000 > /dev/null
+test -s "$smoke_dir/TRACE_fig16.jsonl"
+cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
+    trace "$smoke_dir/TRACE_fig16.jsonl" \
+    run swap_begin swap_complete mdm_decision rsm_epoch queue_sample hist counters
+grep -q '"type":"mdm_decision".*"case":"help_m2"' "$smoke_dir/TRACE_fig16.jsonl"
+
 # Resilience smoke: supervised sweep execution end to end (DESIGN.md
 # §10) — an injected fault must surface as a per-cell outcome in the
 # perf artifact, and a sweep killed mid-run must resume from its

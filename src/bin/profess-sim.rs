@@ -16,17 +16,6 @@ use std::process::ExitCode;
 use profess::prelude::*;
 use profess::trace::record;
 
-const POLICIES: &[(&str, PolicyKind)] = &[
-    ("static", PolicyKind::Static),
-    ("cameo", PolicyKind::Cameo),
-    ("pom", PolicyKind::Pom),
-    ("mempod", PolicyKind::MemPod),
-    ("silcfm", PolicyKind::SilcFm),
-    ("mdm", PolicyKind::Mdm),
-    ("profess", PolicyKind::Profess),
-    ("rsmpom", PolicyKind::RsmPom),
-];
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: profess-sim <run|solo|compare|trace|list> \
@@ -53,10 +42,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
 
 fn policy_of(flags: &HashMap<String, String>) -> Result<PolicyKind, String> {
     let name = flags.get("policy").map(String::as_str).unwrap_or("profess");
-    POLICIES
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, p)| p)
+    PolicyKind::from_cli_name(name)
         .ok_or_else(|| format!("unknown policy {name:?} (see `profess-sim list`)"))
 }
 
@@ -163,11 +149,7 @@ fn main() -> ExitCode {
                 );
                 println!(
                     "policies:  {}",
-                    POLICIES
-                        .iter()
-                        .map(|(n, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(" ")
+                    PolicyKind::ALL.map(PolicyKind::cli_name).join(" ")
                 );
                 Ok(())
             }
@@ -195,7 +177,7 @@ fn main() -> ExitCode {
                 let w = workload_of(&flags)?;
                 let cfg = config_of(&flags, true)?;
                 let ops = ops_of(&flags, 40_000)?;
-                for &(_, pk) in POLICIES {
+                for pk in PolicyKind::ALL {
                     run_multi(pk, &w, &cfg, ops)?;
                 }
                 Ok(())

@@ -1,4 +1,5 @@
-//! The `profess-sim` command line: a simulation that cannot run or a
+//! The `profess-sim` command line: it lists and accepts every policy by
+//! its `PolicyKind::cli_name`, and a simulation that cannot run or a
 //! trace that cannot be written ends on the `error:` path with exit
 //! status 1 and the cause on stderr, never a panic (exit 101).
 
@@ -54,4 +55,29 @@ fn failed_trace_write_is_an_error() {
         !String::from_utf8_lossy(&out.stdout).contains("wrote"),
         "a failed write must not report success"
     );
+}
+
+#[test]
+fn every_policy_kind_is_accepted_by_its_cli_name() {
+    let out = profess_sim(&["list"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let names: Vec<&str> = profess::prelude::PolicyKind::ALL
+        .iter()
+        .map(|pk| pk.cli_name())
+        .collect();
+    assert!(
+        stdout.contains(&format!("policies:  {}", names.join(" "))),
+        "stdout: {stdout}"
+    );
+    let out = profess_sim(&[
+        "solo",
+        "--program",
+        "mcf",
+        "--policy",
+        "profess-noc3",
+        "--ops",
+        "100",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
 }

@@ -9,21 +9,8 @@
 use profess::prelude::*;
 use profess::report::report_to_json;
 
-/// Every migration policy the simulator implements (same order as
-/// `tests/determinism.rs`).
-pub const ALL_POLICIES: [PolicyKind; 9] = [
-    PolicyKind::Static,
-    PolicyKind::Cameo,
-    PolicyKind::Pom,
-    PolicyKind::MemPod,
-    PolicyKind::Mdm,
-    PolicyKind::Profess,
-    PolicyKind::ProfessNoCase3,
-    PolicyKind::SilcFm,
-    PolicyKind::RsmPom,
-];
-
-/// `(policy name, single-program hash, quad-workload hash)` — harvested
+/// `(policy name, single-program hash, quad-workload hash)` per
+/// [`PolicyKind::ALL`] entry, in its order — harvested
 /// from the pre-observability simulator; see `tests/fingerprints.rs`
 /// module docs for re-pinning.
 pub const PINNED: [(&str, u64, u64); 9] = [
@@ -40,7 +27,7 @@ pub const PINNED: [(&str, u64, u64); 9] = [
 
 /// `(single-program hash, quad-workload hash)` of the halfway snapshot's
 /// wire text (`SystemSnapshot::to_json().to_string()`) per
-/// [`ALL_POLICIES`] entry, in the same order as [`PINNED`]. Pins the
+/// [`PolicyKind::ALL`] entry, in the same order as [`PINNED`]. Pins the
 /// snapshot encoding itself: a change to these bytes must come with a
 /// `SNAPSHOT_VERSION` bump. Re-pin with `PROFESS_BLESS_FINGERPRINTS=1`
 /// (see `tests/snapshot.rs`).

@@ -17,19 +17,6 @@ use profess_bench::{
     SuperviseConfig,
 };
 
-/// Every migration policy the simulator implements.
-const ALL_POLICIES: [PolicyKind; 9] = [
-    PolicyKind::Static,
-    PolicyKind::Cameo,
-    PolicyKind::Pom,
-    PolicyKind::MemPod,
-    PolicyKind::Mdm,
-    PolicyKind::Profess,
-    PolicyKind::ProfessNoCase3,
-    PolicyKind::SilcFm,
-    PolicyKind::RsmPom,
-];
-
 fn run_with_seed(seed: u64) -> SystemReport {
     let mut cfg = SystemConfig::scaled_single();
     cfg.seed = seed;
@@ -94,7 +81,7 @@ fn multiprogram_same_seed_same_result() {
 /// survive a JSON parse round-trip.
 #[test]
 fn golden_report_identical_across_runs_for_every_policy() {
-    for pk in ALL_POLICIES {
+    for pk in PolicyKind::ALL {
         let run = || {
             let mut cfg = SystemConfig::scaled_single();
             cfg.seed = 7;
@@ -126,7 +113,7 @@ fn golden_report_identical_across_runs_for_every_policy() {
 /// serialized twice, must be byte-identical.
 #[test]
 fn golden_multiprogram_report_identical_for_every_policy() {
-    for pk in ALL_POLICIES {
+    for pk in PolicyKind::ALL {
         let run = || {
             let mut cfg = SystemConfig::scaled_quad();
             cfg.seed = 99;

@@ -19,17 +19,18 @@
 mod common;
 
 use common::{
-    family_builder, multi_builder, report_string, single_builder, ALL_POLICIES, FAMILY_PINNED,
-    FAMILY_POLICIES, PINNED,
+    family_builder, multi_builder, report_string, single_builder, FAMILY_PINNED, FAMILY_POLICIES,
+    PINNED,
 };
 use profess::metrics::fnv64;
+use profess::prelude::PolicyKind;
 
 #[test]
 fn report_fingerprints_match_pinned_values() {
     let bless = std::env::var("PROFESS_BLESS_FINGERPRINTS").is_ok();
     let mut table = String::new();
     let mut bad = Vec::new();
-    for (i, pk) in ALL_POLICIES.iter().enumerate() {
+    for (i, pk) in PolicyKind::ALL.iter().enumerate() {
         let s = fnv64(report_string(&single_builder(*pk).try_run().unwrap()).as_bytes());
         let m = fnv64(report_string(&multi_builder(*pk).try_run().unwrap()).as_bytes());
         let (name, ps, pm) = PINNED[i];

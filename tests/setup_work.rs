@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{multi_builder, preempted, report_string, ALL_POLICIES, PINNED};
+use common::{multi_builder, preempted, report_string, PINNED};
 use profess::core::SimError;
 use profess::metrics::fnv64;
 use profess::prelude::*;
@@ -73,7 +73,7 @@ fn systems_share_one_free_list_build_and_fingerprint_only_for_snapshots() {
 #[test]
 fn cold_warm_and_concurrent_cells_give_the_pinned_report() {
     let pk = PolicyKind::Profess;
-    let i = ALL_POLICIES
+    let i = PolicyKind::ALL
         .iter()
         .position(|&p| p == pk)
         .expect("a pinned policy");

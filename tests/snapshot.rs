@@ -17,11 +17,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use common::{
-    multi_builder, preempted, report_string, single_builder, ALL_POLICIES, PINNED, SNAPSHOT_PINNED,
-};
+use common::{multi_builder, preempted, report_string, single_builder, PINNED, SNAPSHOT_PINNED};
 use profess::metrics::fnv64;
-use profess::obs::TraceConfig;
+use profess::obs::{TraceConfig, TraceEvent};
 use profess::prelude::*;
 use profess_bench::harness::TraceCollector;
 use profess_bench::{
@@ -72,7 +70,7 @@ fn snapshot_restore_matches_pinned_fingerprints() {
     let bless = std::env::var("PROFESS_BLESS_FINGERPRINTS").is_ok();
     let mut table = String::new();
     let mut bad = Vec::new();
-    for (i, pk) in ALL_POLICIES.iter().enumerate() {
+    for (i, pk) in PolicyKind::ALL.iter().enumerate() {
         let (name, pinned_single, pinned_multi) = PINNED[i];
         let mut snap_hashes = [0u64; 2];
         for (j, (kind, pinned, pinned_snap, build)) in [
@@ -180,6 +178,62 @@ fn snapshot_is_identical_with_tracing_on_and_off() {
             "resume with tracing {:?} diverged",
             trace.enabled
         );
+    }
+}
+
+/// The `rsm_epoch` and `mdm_decision` events of `r`'s trace stamped at
+/// or after cycle `from`, in emission order.
+fn guidance_events_from(r: &SystemReport, from: u64) -> Vec<TraceEvent> {
+    let log = r.trace.as_ref().expect("tracing was on");
+    log.events
+        .iter()
+        .filter(|e| match e {
+            TraceEvent::RsmEpoch { at, .. } | TraceEvent::MdmDecision { at, .. } => *at >= from,
+            _ => false,
+        })
+        .cloned()
+        .collect()
+}
+
+/// A guided run's monitor travels in its snapshot, so a traced restore
+/// of an untraced halfway snapshot continues it: the RSM periods and the
+/// guided decisions after the snapshot clock equal the straight-through
+/// traced run's. PoM is left out on purpose: its run is not guided, so
+/// its monitor is only observed, stays out of the snapshot, and a
+/// restored traced run starts it afresh.
+#[test]
+fn restored_traced_guided_run_continues_the_monitor() {
+    // Large enough that no event after the snapshot clock is dropped.
+    let trace = TraceConfig {
+        capacity: 1 << 20,
+        ..TraceConfig::on()
+    };
+    for pk in [
+        PolicyKind::Profess,
+        PolicyKind::ProfessNoCase3,
+        PolicyKind::RsmPom,
+    ] {
+        let straight = multi_builder(pk).trace(trace).try_run().unwrap();
+        let mid = (straight.elapsed_cycles / 2).max(1);
+        let snap = preempted(multi_builder(pk).trace(TraceConfig::off()).snapshot_at(mid));
+        let resumed = multi_builder(pk)
+            .trace(trace)
+            .restore(&snap)
+            .try_run()
+            .unwrap();
+        let want = guidance_events_from(&straight, snap.clock());
+        let got = guidance_events_from(&resumed, snap.clock());
+        assert!(
+            want.iter().any(|e| e.kind() == "rsm_epoch"),
+            "{pk:?}: no RSM period closes after the snapshot"
+        );
+        assert_eq!(
+            got.len(),
+            want.len(),
+            "{pk:?}: event counts after cycle {}",
+            snap.clock()
+        );
+        assert!(got == want, "{pk:?}: the restored monitor diverged");
     }
 }
 
