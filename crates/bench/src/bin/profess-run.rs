@@ -7,7 +7,9 @@
 //!
 //! `<target>` is the memory operations per program (per load generator
 //! for `surface`); the ids select the workloads of `fig10_12` and
-//! `fig13_15`, or the policies of `surface`. The supervision knobs
+//! `fig13_15`, or the policies of `surface`. `--trace` writes the event
+//! trace of every traced cell to `TRACE_<experiment>.jsonl`; it is the
+//! only tracing switch. The supervision knobs
 //! (`PROFESS_THREADS`, `_RETRIES`, `_TASK_TIMEOUT_MS`, `_FAULT`,
 //! `_SNAPSHOT`, `_SNAPSHOT_AT`) apply to every experiment.
 //!
@@ -177,9 +179,6 @@ fn journal_path(name: &str, workers: Option<usize>) -> Option<PathBuf> {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv);
-    if args.trace {
-        std::env::set_var(profess_obs::TRACE_ENV, "1");
-    }
     let setup = setup(&args);
     let exp = args.exp;
     let sup = SuperviseConfig::from_env().unwrap_or_else(|e| usage_error(&e));
@@ -217,7 +216,9 @@ fn main() {
             j
         }
     };
-    let outcome = experiments::run(exp, &setup, &sup, &snap, &journal, workers, &argv);
+    let outcome = experiments::run(
+        exp, &setup, &sup, &snap, &journal, workers, &argv, args.trace,
+    );
     drop(journal);
     if let (Some(p), Some(_)) = (&path, args.workers) {
         // Cells journal as they complete; cell order pins the journal

@@ -126,7 +126,13 @@ pub struct Outcome {
 /// `sup` and `snap` — on [`Pool::from_env`]'s threads, or with
 /// `workers > 0` each attempt in a child process re-executing `argv`
 /// (up to `workers` at once) — then its reducer, the per-pass health
-/// report, and the `TRACE_`/`BENCH_<name>` artifacts.
+/// report, and the `BENCH_<name>` artifact. With `trace`, the traced
+/// cells that run on this process's threads are traced into
+/// `TRACE_<name>.jsonl`.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per profess-run knob"
+)]
 pub fn run(
     exp: &Experiment,
     setup: &Setup,
@@ -135,13 +141,14 @@ pub fn run(
     journal: &Journal,
     workers: usize,
     argv: &[String],
+    trace: bool,
 ) -> Outcome {
     let (pool, exec) = match workers {
         0 => (Pool::from_env(), Executor::Threads),
         n => (Pool::new(n), Executor::Processes(argv)),
     };
     let mut bench = BenchJson::start(exp.name);
-    let mut traces = TraceCollector::from_env(exp.name);
+    let mut traces = TraceCollector::new(exp.name, trace);
     let mut results = Results::default();
     let mut passes = Vec::new();
     for cells in (exp.cells)(setup).into_iter().map(distinct) {

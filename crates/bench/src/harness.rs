@@ -471,30 +471,20 @@ pub struct TraceCollector {
 }
 
 impl TraceCollector {
-    /// A collector for artifact `name`, active only when tracing is
-    /// enabled in the environment (`PROFESS_TRACE`, which `profess-run
-    /// --trace` sets).
-    pub fn from_env(name: &str) -> Self {
-        Self::with_enabled(name, profess_obs::TraceConfig::from_env().enabled)
-    }
-
-    /// A collector that records unconditionally (tests).
-    pub fn forced(name: &str) -> Self {
-        Self::with_enabled(name, true)
-    }
-
-    /// An inert collector: records nothing, writes nothing.
-    pub fn disabled() -> Self {
-        Self::with_enabled("", false)
-    }
-
-    fn with_enabled(name: &str, enabled: bool) -> Self {
+    /// A collector for artifact `name`. Only an enabled collector makes
+    /// `run_cells` trace its cells (`profess-run --trace`).
+    pub fn new(name: &str, enabled: bool) -> Self {
         TraceCollector {
             name: name.to_string(),
             enabled,
             out: String::new(),
             runs: 0,
         }
+    }
+
+    /// An inert collector: traces no cell, writes nothing.
+    pub fn disabled() -> Self {
+        Self::new("", false)
     }
 
     /// True when records are being kept.

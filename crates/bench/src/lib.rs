@@ -329,8 +329,9 @@ impl Cell {
         self
     }
 
-    /// Builds the cell's simulation (nothing run yet).
-    fn build(&self) -> SystemBuilder {
+    /// Builds the cell's simulation (nothing run yet), traced when
+    /// `trace` is set and the cell is traced.
+    fn build(&self, trace: bool) -> SystemBuilder {
         let (cfg, pk, target) = (&self.at.cfg, self.policy, self.at.target);
         let b = match self.sim {
             Sim::SoloIpc(p) | Sim::Solo(p) => SystemBuilder::new(cfg.clone())
@@ -347,10 +348,10 @@ impl Cell {
                 .workload(&w, target),
             Sim::Surface(rf, it) => surface::surface_cell_builder(cfg, pk, rf, it, target),
         };
-        if self.traced {
-            b
+        if trace && self.traced {
+            b.trace(profess_obs::TraceConfig::on())
         } else {
-            b.trace(profess_obs::TraceConfig::off())
+            b
         }
     }
 
@@ -378,9 +379,9 @@ impl Cell {
     }
 
     /// Runs the cell once, with no supervision, and renders its journal
-    /// line: a sharded run's child attempt.
+    /// line: a sharded run's child attempt, which is never traced.
     pub(crate) fn line(&self) -> Result<String, String> {
-        let report = self.build().try_run().map_err(|e| e.to_string())?;
+        let report = self.build(false).try_run().map_err(|e| e.to_string())?;
         Ok(checkpoint::encode_line(&self.key, &self.reduce(&report)))
     }
 }
@@ -519,8 +520,9 @@ pub(crate) struct CellRun {
 /// `exec`. A completed cell is reduced to its payload, journaled the
 /// moment it completes, and decoded back into its value, so fresh and
 /// restored cells reach the caller through the same decode and a
-/// resumed run is byte-identical to an uninterrupted one. Traced cells
-/// that ran on this process's threads go to `traces` in cell order.
+/// resumed run is byte-identical to an uninterrupted one. When `traces`
+/// is enabled, the traced cells that run on this process's threads are
+/// built traced and their traces go to `traces` in cell order.
 ///
 /// With `snap` enabled, a preempted cell (watchdog cancel under
 /// `snap.on_cancel`, or the deterministic `snap.at` clock on first
@@ -542,7 +544,7 @@ pub(crate) fn run_cells(
         .map(|c| journal.lookup(&c.key).and_then(|p| c.decode(&p)))
         .collect();
     let pending: Vec<usize> = (0..cells.len()).filter(|&i| values[i].is_none()).collect();
-    let keep_reports = traces.is_enabled();
+    let trace = traces.is_enabled();
     let outs = pool.try_run_supervised(&pending, sup, |ctx, &i| {
         let cell = &cells[i];
         let (payload, report) = match exec {
@@ -551,7 +553,8 @@ pub(crate) fn run_cells(
                 None,
             ),
             Executor::Threads => {
-                let report = run_cell(cell.build(), snap, journal, &snapshot_key(&cell.key), &ctx)?;
+                let b = cell.build(trace);
+                let report = run_cell(b, snap, journal, &snapshot_key(&cell.key), &ctx)?;
                 (cell.reduce(&report), Some(report))
             }
         };
@@ -563,7 +566,7 @@ pub(crate) fn run_cells(
             return Err(profess_par::TIMED_OUT.to_string());
         }
         journal.record(&cell.key, payload);
-        Ok((value, report.filter(|_| keep_reports)))
+        Ok((value, report.filter(|_| trace)))
     });
     let mut records: Vec<CellRecord> = cells
         .iter()

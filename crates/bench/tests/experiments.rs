@@ -24,7 +24,6 @@ const PROFESS_ENVS: &[&str] = &[
     "PROFESS_TASK_TIMEOUT_MS",
     "PROFESS_THREADS",
     "PROFESS_CHECKPOINT",
-    "PROFESS_TRACE",
     "PROFESS_SNAPSHOT",
     "PROFESS_SNAPSHOT_AT",
     "PROFESS_SURFACE_RATIOS",
@@ -128,6 +127,19 @@ fn a_workers_run_prints_what_an_in_process_run_prints() {
     for dir in [serial, sharded] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// `--trace` is the only switch: with `PROFESS_TRACE=1` in its
+/// environment a run prints its pinned stdout and writes no trace.
+#[test]
+fn the_environment_does_not_trace_a_run() {
+    let dir = scratch("fig06-env-trace");
+    let (code, stdout, stderr) = run(&dir, &["fig06", "400"], &[("PROFESS_TRACE", "1")]);
+    assert_eq!(code, Some(exit::OK), "{stdout}\n{stderr}");
+    let pin = PINNED.iter().find(|&&(n, _)| n == "fig06").map(|&(_, h)| h);
+    assert_eq!(Some(fnv64(stdout.as_bytes())), pin, "{stdout}");
+    assert!(!dir.join("TRACE_fig06.jsonl").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

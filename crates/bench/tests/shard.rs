@@ -24,7 +24,6 @@ const PROFESS_ENVS: &[&str] = &[
     "PROFESS_TASK_TIMEOUT_MS",
     "PROFESS_THREADS",
     "PROFESS_CHECKPOINT",
-    "PROFESS_TRACE",
     "PROFESS_SNAPSHOT",
     "PROFESS_SURFACE_RATIOS",
     "PROFESS_SURFACE_INTENSITIES",

@@ -16,7 +16,6 @@ fn table4_prints_zero_period_rows_at_a_small_target() {
             "PROFESS_RESULTS_DIR",
             std::env::temp_dir().join("profess-table4-test"),
         )
-        .env_remove("PROFESS_TRACE")
         .output()
         .expect("run profess-run table4");
     let stdout = String::from_utf8_lossy(&out.stdout);

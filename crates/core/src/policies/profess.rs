@@ -52,7 +52,11 @@ impl ProfessPolicy {
 
 impl MigrationPolicy for ProfessPolicy {
     fn name(&self) -> &'static str {
-        "ProFess"
+        if self.case3_enabled {
+            "ProFess"
+        } else {
+            "ProFess-noC3"
+        }
     }
 
     fn write_weight(&self) -> u32 {
@@ -73,8 +77,8 @@ impl MigrationPolicy for ProfessPolicy {
     }
 
     /// The MDM counters; the system appends the run's `rsm` and guidance
-    /// `stats` to this object. `case3_enabled` is configuration (covered
-    /// by the config fingerprint).
+    /// `stats` to this object. `case3_enabled` is configuration: the
+    /// config fingerprint covers it through [`MigrationPolicy::name`].
     fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
         c.field("mdm", &mut self.mdm)
     }

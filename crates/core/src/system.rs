@@ -25,7 +25,7 @@
 use profess_cpu::{CoreRequest, CoreSim, MemOpKind, OpSource};
 use profess_mem::{AccessKind, ChannelSim, PhysRequest, Served};
 use profess_metrics::{fnv64, Json, State, StateCodec};
-use profess_obs::{Log2Histogram, TraceConfig, TraceEvent, TraceLog, Tracer};
+use profess_obs::{Log2Histogram, TraceConfig, TraceEvent, TraceLog, Tracer, DEFAULT_SAMPLE_EVERY};
 use profess_trace::SpecProgram;
 use profess_types::config::SystemConfig;
 use profess_types::geometry::Geometry;
@@ -222,9 +222,9 @@ pub struct SystemReport {
     /// Policy-specific diagnostics (ProFess: guidance stats, SF values).
     pub diag: crate::policies::PolicyDiagnostics,
     /// The drained event trace; `None` unless tracing was enabled
-    /// ([`SystemBuilder::trace`] / `PROFESS_TRACE`). Deliberately not
-    /// part of the serialized report: the headline artifacts stay
-    /// byte-identical whether or not a run was traced.
+    /// ([`SystemBuilder::trace`]). Deliberately not part of the
+    /// serialized report: the headline artifacts stay byte-identical
+    /// whether or not a run was traced.
     pub trace: Option<Box<TraceLog>>,
 }
 
@@ -307,7 +307,7 @@ impl SystemBuilder {
             programs: Vec::new(),
             max_cycles: 2_000_000_000,
             sample_regions: false,
-            trace: TraceConfig::from_env(),
+            trace: TraceConfig::off(),
             limits: RunLimits::default(),
             snapshot_at: None,
             snapshot_on_cancel: false,
@@ -315,9 +315,7 @@ impl SystemBuilder {
         }
     }
 
-    /// Overrides the tracing configuration (the default comes from the
-    /// `PROFESS_TRACE` environment; tests pass an explicit config so they
-    /// never depend on process-global state).
+    /// Sets the tracing configuration (default [`TraceConfig::off`]).
     pub fn trace(mut self, cfg: TraceConfig) -> Self {
         self.trace = cfg;
         self
@@ -677,7 +675,6 @@ struct System {
     // Event tracing (off by default). `tracing` mirrors
     // `tracer.is_on()` so hot paths branch on a plain bool.
     tracing: bool,
-    trace_cfg: TraceConfig,
     tracer: Tracer,
     served_since_sample: u64,
     policy_trace_buf: Vec<TraceEvent>,
@@ -751,8 +748,7 @@ impl System {
             .iter()
             .map(|f| CoreSim::new(&cfg.cpu, &cfg.mem.clock, f(0)))
             .collect();
-        let trace_cfg = b.trace;
-        let tracing = trace_cfg.enabled;
+        let tracing = b.trace.enabled;
         if tracing {
             policy.set_tracing(true);
             channels.iter_mut().for_each(ChannelSim::enable_obs);
@@ -798,8 +794,7 @@ impl System {
             snapshot_at: b.snapshot_at,
             snapshot_on_cancel: b.snapshot_on_cancel,
             tracing,
-            trace_cfg,
-            tracer: Tracer::new(&trace_cfg),
+            tracer: Tracer::new(&b.trace),
             served_since_sample: 0,
             policy_trace_buf: Vec::new(),
             cfg,
@@ -1186,7 +1181,7 @@ impl System {
             self.tracer.push(e);
         }
         self.served_since_sample += 1;
-        if self.served_since_sample >= self.trace_cfg.sample_every {
+        if self.served_since_sample >= DEFAULT_SAMPLE_EVERY {
             self.served_since_sample = 0;
             for (i, ch) in self.channels.iter().enumerate() {
                 let (read_q, write_q, inflight) = ch.queue_state();

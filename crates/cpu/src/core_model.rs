@@ -12,8 +12,8 @@ use profess_types::Cycle;
 use crate::op::{MemOp, MemOpKind, OpSource};
 
 /// Optional per-core profiling histograms, allocated only when the
-/// system enables observability (`PROFESS_TRACE`); with them off the
-/// timing loop pays one `Option` test per [`CoreSim::advance`] call.
+/// run is traced (the system's `TraceConfig`); with them off the timing
+/// loop pays one `Option` test per [`CoreSim::advance`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreObs {
     /// ROB occupancy (unretired instructions) sampled at each advance.

@@ -14,7 +14,7 @@ use crate::request::{AccessKind, PhysRequest, Served};
 use crate::stats::ChannelStats;
 
 /// Optional per-channel profiling histograms, allocated only when the
-/// system enables observability (`PROFESS_TRACE`); the hot path pays a
+/// run is traced (the system's `TraceConfig`); the hot path pays a
 /// single `Option` test per record site when off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelObs {

@@ -19,11 +19,11 @@
 //!   pinned report fingerprints byte-for-byte (see
 //!   `tests/fingerprints.rs` at the workspace root).
 //!
-//! Tracing is enabled per run: explicitly via [`TraceConfig`], or by
-//! default from the `PROFESS_TRACE` environment variable (`profess-run`'s
-//! `--trace` flag sets it). Buffering is bounded by an
-//! [`EventRing`]; an overflowing trace reports its drop count rather
-//! than growing without bound or silently passing for complete.
+//! Tracing is enabled per run by a [`TraceConfig`] value
+//! (`profess-run --trace` hands one to each traced cell); nothing here
+//! reads the environment. Buffering is bounded by an [`EventRing`]; an
+//! overflowing trace reports its drop count rather than growing without
+//! bound or silently passing for complete.
 
 #![deny(
     clippy::unwrap_used,
@@ -46,37 +46,19 @@ pub use ring::EventRing;
 
 use profess_metrics::emit::Json;
 
-/// Environment variable enabling tracing (`1`/anything but `0`/empty).
-pub const TRACE_ENV: &str = "PROFESS_TRACE";
-/// Environment variable overriding the event-ring capacity.
-pub const TRACE_BUF_ENV: &str = "PROFESS_TRACE_BUF";
-/// Environment variable overriding the queue-sample period (served
-/// requests between queue-occupancy samples).
-pub const TRACE_SAMPLE_ENV: &str = "PROFESS_TRACE_SAMPLE";
-
 /// Default event-ring capacity (events per run).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
-/// Default queue-sample period (served requests per sample).
+/// Queue-sample period: served requests between queue-occupancy samples.
 pub const DEFAULT_SAMPLE_EVERY: u64 = 1024;
 
-/// Per-run tracing configuration.
-///
-/// `SystemBuilder` defaults to [`TraceConfig::from_env`]; tests pass an
-/// explicit config so they never mutate process-global environment.
+/// Per-run tracing configuration. `SystemBuilder` defaults to
+/// [`TraceConfig::off`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch; when false the tracer is the inert sink.
     pub enabled: bool,
     /// Event-ring capacity.
     pub capacity: usize,
-    /// Served requests between queue-occupancy samples.
-    pub sample_every: u64,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::off()
-    }
 }
 
 impl TraceConfig {
@@ -85,38 +67,14 @@ impl TraceConfig {
         TraceConfig {
             enabled: false,
             capacity: DEFAULT_CAPACITY,
-            sample_every: DEFAULT_SAMPLE_EVERY,
         }
     }
 
-    /// Tracing enabled with default capacity and sampling.
+    /// Tracing enabled with the default capacity.
     pub fn on() -> Self {
         TraceConfig {
             enabled: true,
             ..TraceConfig::off()
-        }
-    }
-
-    /// Reads `PROFESS_TRACE` / `PROFESS_TRACE_BUF` /
-    /// `PROFESS_TRACE_SAMPLE`. Unset, empty, or `0` means off.
-    pub fn from_env() -> Self {
-        let enabled = std::env::var(TRACE_ENV)
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        let capacity = std::env::var(TRACE_BUF_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        let sample_every = std::env::var(TRACE_SAMPLE_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_SAMPLE_EVERY);
-        TraceConfig {
-            enabled,
-            capacity,
-            sample_every,
         }
     }
 }
@@ -321,16 +279,5 @@ mod tests {
             Json::parse(line).expect("every JSONL line must parse");
         }
         assert!(lines[2].contains("\"served\":42"));
-    }
-
-    #[test]
-    fn env_config_defaults_off() {
-        // The test runner may not guarantee a clean env, but tier-1
-        // never sets PROFESS_TRACE; guard the default contract.
-        if std::env::var(TRACE_ENV).is_err() {
-            assert!(!TraceConfig::from_env().enabled);
-        }
-        assert!(!TraceConfig::default().enabled);
-        assert!(TraceConfig::on().enabled);
     }
 }

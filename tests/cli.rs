@@ -8,7 +8,6 @@ use std::process::{Command, Output};
 fn profess_sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_profess-sim"))
         .args(args)
-        .env_remove("PROFESS_TRACE")
         .output()
         .expect("profess-sim spawns")
 }

@@ -20,7 +20,7 @@ pub const PINNED: [(&str, u64, u64); 9] = [
     ("MemPod", 0x7dee4dc3f806bfdf, 0x9e03a6a2adbda9a1),
     ("MDM", 0xcdd1dc3568d3d9bd, 0xbf7552fb6d3d0757),
     ("ProFess", 0xdc551da36203c4ca, 0xc063fe854a19db8e),
-    ("ProFess-noC3", 0xdc551da36203c4ca, 0x8694210ba143c9f0),
+    ("ProFess-noC3", 0xbde2cb39cb4c9684, 0x0889034a0c1796aa),
     ("SILC-FM", 0xa655ae7f97e122f9, 0x9f9ffdc5d44bd4e3),
     ("RSM+PoM", 0x08e1560f0e5d67bd, 0x8271fa4d89e1b972),
 ];
@@ -38,7 +38,7 @@ pub const SNAPSHOT_PINNED: [(u64, u64); 9] = [
     (0x763d31b0b073e878, 0xc234bd5836967be6), // MemPod
     (0x8fd6816c43fb771b, 0x1bca516c32119516), // MDM
     (0xfdb561250597210b, 0x55ca1676202b5390), // ProFess
-    (0xfdb561250597210b, 0x08fb41054fc2a703), // ProFess-noC3
+    (0xf696a0c4d51f724d, 0x4de70c338c7b3c62), // ProFess-noC3
     (0xac890d2e254a30c2, 0x4b3c1220038756ed), // SILC-FM
     (0xe4aace133ba21d2a, 0xcf4472cd08831f8c), // RSM+PoM
 ];

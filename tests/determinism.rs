@@ -191,19 +191,12 @@ fn parallel_sweep_matches_serial_byte_for_byte() {
 /// `Pool::new(4)` must produce byte-identical JSONL. This pins the
 /// collector to pool-map *result* order (input order) — recording in
 /// completion order would pass the report test above while shuffling
-/// runs in the artifact.
-///
-/// The sweep's multiprogram cells build systems with the environment's
-/// trace configuration, so this test sets `PROFESS_TRACE=1` for the
-/// whole process. That is safe alongside the untraced tests in this
-/// binary: tracing is observation-only (the fingerprint suite proves
-/// reports are byte-identical with it on or off), so their assertions
-/// are unaffected.
+/// runs in the artifact. The enabled collector is what traces the
+/// sweep's multiprogram cells; the untraced sweep above stays untraced.
 #[test]
 fn traced_sweep_is_thread_count_invariant() {
-    std::env::set_var(profess::obs::TRACE_ENV, "1");
     let run = |threads: usize| {
-        let mut traces = TraceCollector::forced("det");
+        let mut traces = TraceCollector::new("det", true);
         sweep(threads, &mut traces);
         assert_eq!(traces.runs(), 4, "2 workloads x (PoM + ProFess)");
         traces.jsonl().to_string()

@@ -10,61 +10,66 @@
 
 mod common;
 
-use common::{multi_builder, preempted, report_string, PINNED};
-use profess::core::SimError;
+use common::{multi_builder, report_string, PINNED};
 use profess::metrics::fnv64;
 use profess::prelude::*;
 
-/// A short single-program run at `seed` under `pk`.
-fn short_run(seed: u64, pk: PolicyKind) -> SystemBuilder {
-    let mut cfg = SystemConfig::scaled_quad();
-    cfg.seed = seed;
-    SystemBuilder::new(cfg)
-        .policy(pk)
-        .spec_program(SpecProgram::Milc, 3_000)
-}
-
+/// The work counters exist in debug builds only.
 #[cfg(debug_assertions)]
-#[test]
-fn systems_share_one_free_list_build_and_fingerprint_only_for_snapshots() {
+mod counters {
+    use super::common::preempted;
+    use super::*;
     use profess::core::work::{config_fingerprints, free_list_builds};
+    use profess::core::SimError;
 
-    let seed = 0x5E70_0001;
-    let (builds, fps) = (free_list_builds(), config_fingerprints());
-    let mut straight = Vec::new();
-    for pk in [PolicyKind::Pom, PolicyKind::Mdm, PolicyKind::Profess] {
-        straight.push(short_run(seed, pk).try_run().expect("runs"));
+    /// A short single-program run at `seed` under `pk`.
+    fn short_run(seed: u64, pk: PolicyKind) -> SystemBuilder {
+        let mut cfg = SystemConfig::scaled_quad();
+        cfg.seed = seed;
+        SystemBuilder::new(cfg)
+            .policy(pk)
+            .spec_program(SpecProgram::Milc, 3_000)
     }
-    assert_eq!(free_list_builds() - builds, 1, "three systems, one key");
-    assert_eq!(
-        config_fingerprints() - fps,
-        0,
-        "no snapshot, no fingerprint"
-    );
 
-    // A snapshot and its restore compute one fingerprint each.
-    let half = straight[1].elapsed_cycles / 2;
-    let snap = preempted(short_run(seed, PolicyKind::Mdm).snapshot_at(half));
-    assert_eq!(config_fingerprints() - fps, 1);
-    let resumed = short_run(seed, PolicyKind::Mdm)
-        .restore(&snap)
-        .try_run()
-        .expect("resumes");
-    assert_eq!(config_fingerprints() - fps, 2);
-    assert_eq!(report_string(&resumed), report_string(&straight[1]));
+    #[test]
+    fn systems_share_one_free_list_build_and_fingerprint_only_for_snapshots() {
+        let seed = 0x5E70_0001;
+        let (builds, fps) = (free_list_builds(), config_fingerprints());
+        let mut straight = Vec::new();
+        for pk in [PolicyKind::Pom, PolicyKind::Mdm, PolicyKind::Profess] {
+            straight.push(short_run(seed, pk).try_run().expect("runs"));
+        }
+        assert_eq!(free_list_builds() - builds, 1, "three systems, one key");
+        assert_eq!(
+            config_fingerprints() - fps,
+            0,
+            "no snapshot, no fingerprint"
+        );
 
-    // A restore under another policy still compares fingerprints, and
-    // they differ.
-    let err = short_run(seed, PolicyKind::Pom)
-        .restore(&snap)
-        .try_run()
-        .expect_err("mismatched config must be rejected");
-    assert!(
-        matches!(err, SimError::SnapshotConfigMismatch { .. }),
-        "{err:?}"
-    );
-    assert_eq!(config_fingerprints() - fps, 3);
-    assert_eq!(free_list_builds() - builds, 1, "restores reuse the key");
+        // A snapshot and its restore compute one fingerprint each.
+        let half = straight[1].elapsed_cycles / 2;
+        let snap = preempted(short_run(seed, PolicyKind::Mdm).snapshot_at(half));
+        assert_eq!(config_fingerprints() - fps, 1);
+        let resumed = short_run(seed, PolicyKind::Mdm)
+            .restore(&snap)
+            .try_run()
+            .expect("resumes");
+        assert_eq!(config_fingerprints() - fps, 2);
+        assert_eq!(report_string(&resumed), report_string(&straight[1]));
+
+        // A restore under another policy still compares fingerprints, and
+        // they differ.
+        let err = short_run(seed, PolicyKind::Pom)
+            .restore(&snap)
+            .try_run()
+            .expect_err("mismatched config must be rejected");
+        assert!(
+            matches!(err, SimError::SnapshotConfigMismatch { .. }),
+            "{err:?}"
+        );
+        assert_eq!(config_fingerprints() - fps, 3);
+        assert_eq!(free_list_builds() - builds, 1, "restores reuse the key");
+    }
 }
 
 /// One multiprogram cell gives one report whether the template table

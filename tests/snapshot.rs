@@ -445,3 +445,18 @@ fn config_mismatch_is_rejected_with_typed_error() {
         "expected SnapshotConfigMismatch, got {err:?}"
     );
 }
+
+/// ProFess-noC3 is another policy: a ProFess snapshot does not restore
+/// into it, although the two differ only in a Case 3 switch.
+#[test]
+fn profess_snapshot_does_not_restore_into_the_ablation() {
+    let snap = preempted(multi_builder(PolicyKind::Profess).snapshot_at(20_000));
+    let err = multi_builder(PolicyKind::ProfessNoCase3)
+        .restore(&snap)
+        .try_run()
+        .expect_err("restore across policies must fail");
+    assert!(
+        matches!(err, SimError::SnapshotConfigMismatch { .. }),
+        "expected SnapshotConfigMismatch, got {err:?}"
+    );
+}
