@@ -2271,6 +2271,25 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_channel_queue_out_of_enqueue_order() {
+        let err = restore_edited_halfway(|p| {
+            let queued = |id: u64, enq: u64| {
+                Json::obj([
+                    ("id", Json::UInt(id)),
+                    ("write", Json::Bool(false)),
+                    ("m2", Json::Bool(false)),
+                    ("bank", Json::UInt(0)),
+                    ("row", Json::UInt(0)),
+                    ("enq", Json::UInt(enq)),
+                ])
+            };
+            *field(item(field(p, "channels"), 0), "read_q") =
+                Json::Arr(vec![queued(1 << 40, 9), queued((1 << 40) + 1, 4)]);
+        });
+        assert_corrupt(err, "channels: [0]: read_q: [1]: enq 4 precedes");
+    }
+
+    #[test]
     fn cancel_with_snapshot_on_cancel_preempts() {
         let token = profess_par::CancelToken::new();
         token.cancel();

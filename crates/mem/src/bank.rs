@@ -20,6 +20,12 @@ pub struct BankState {
     /// Consecutive row-buffer hits served while older requests waited
     /// (for the FR-FCFS cap).
     pub hit_streak: u32,
+    /// First-command cycle of any row miss on this bank, before the
+    /// `max(now)` every plan applies: the precharge of an open row or the
+    /// activate of a closed bank. Derived from the fields above and the
+    /// bank's timing by [`BankState::derive_miss_first`]; never
+    /// serialized.
+    pub miss_first: Cycle,
 }
 
 impl Default for BankState {
@@ -30,6 +36,7 @@ impl Default for BankState {
             last_act: None,
             pre_ready: Cycle::ZERO,
             hit_streak: 0,
+            miss_first: Cycle::ZERO,
         }
     }
 }
@@ -39,10 +46,6 @@ impl Default for BankState {
 pub struct BankSchedule {
     /// Earliest cycle the column command can issue (before bus arbitration).
     pub cas_at: Cycle,
-    /// Earliest cycle the request's *first* command (precharge, activate,
-    /// or the CAS itself for row hits) can issue: this is what gates
-    /// whether the scheduler can start working on the request now.
-    pub first_cmd: Cycle,
     /// Whether the access hits the open row.
     pub row_hit: bool,
     /// Whether the access requires a new activation.
@@ -55,42 +58,29 @@ impl BankState {
     #[inline]
     pub fn plan(&self, t: &TechTiming, row: u64, now: Cycle) -> BankSchedule {
         match self.open_row {
-            Some(open) if open == row => {
-                let cas_at = self.cas_ready.max(now);
-                BankSchedule {
-                    cas_at,
-                    first_cmd: cas_at,
-                    row_hit: true,
-                    activates: false,
-                }
-            }
+            Some(open) if open == row => BankSchedule {
+                cas_at: self.cas_ready.max(now),
+                row_hit: true,
+                activates: false,
+            },
             Some(_) => {
-                // Precharge (respect tRAS and write recovery), activate
-                // (respect tRC), then CAS after tRCD.
+                // Precharge at `miss_first` (tRAS and write recovery),
+                // activate (tRC), then CAS after tRCD.
+                let pre_at = self.miss_first.max(now);
                 let last_act = self.last_act.unwrap_or(Cycle::ZERO);
-                let pre_at = self
-                    .pre_ready
-                    .max(last_act + t.t_ras)
-                    .max(self.cas_ready)
-                    .max(now);
                 let act_at = (pre_at + t.t_rp).max(last_act + t.t_rc());
                 BankSchedule {
                     cas_at: act_at + t.t_rcd,
-                    first_cmd: pre_at,
                     row_hit: false,
                     activates: true,
                 }
             }
-            None => {
-                let rc_ready = self.last_act.map_or(Cycle::ZERO, |a| a + t.t_rc());
-                let act_at = self.cas_ready.max(rc_ready).max(now);
-                BankSchedule {
-                    cas_at: act_at + t.t_rcd,
-                    first_cmd: act_at,
-                    row_hit: false,
-                    activates: true,
-                }
-            }
+            None => BankSchedule {
+                // Activate at `miss_first` (tRC), then CAS after tRCD.
+                cas_at: self.miss_first.max(now) + t.t_rcd,
+                row_hit: false,
+                activates: true,
+            },
         }
     }
 
@@ -117,26 +107,47 @@ impl BankState {
             AccessKind::Read => data_end,
             AccessKind::Write => data_end + t.t_wr,
         };
+        self.derive_miss_first(t);
     }
 
     /// Applies a refresh at `at`: the open row closes and the bank is busy
-    /// for `t_rfc` cycles.
-    pub fn refresh(&mut self, at: Cycle, t_rfc: u64) {
+    /// for `t.t_rfc` cycles.
+    pub fn refresh(&mut self, t: &TechTiming, at: Cycle) {
         let start = self.cas_ready.max(self.pre_ready).max(at);
         self.open_row = None;
-        self.cas_ready = start + t_rfc;
+        self.cas_ready = start + t.t_rfc;
         self.pre_ready = self.cas_ready;
         self.hit_streak = 0;
+        self.derive_miss_first(t);
     }
 
     /// Forces the bank busy until `until` with `row` left open (used by the
     /// swap engine, which transfers a whole 2 KB block through the row).
-    pub fn occupy_until(&mut self, row: u64, until: Cycle) {
+    pub fn occupy_until(&mut self, t: &TechTiming, row: u64, until: Cycle) {
         self.open_row = Some(row);
         self.cas_ready = until;
         self.pre_ready = until;
         self.last_act = Some(until.saturating_sub(Cycle(1)));
         self.hit_streak = 0;
+        self.derive_miss_first(t);
+    }
+
+    /// Recomputes [`BankState::miss_first`] from the bank's state. Every
+    /// mutation of `open_row`, `cas_ready`, `last_act` or `pre_ready` ends
+    /// here.
+    pub fn derive_miss_first(&mut self, t: &TechTiming) {
+        self.miss_first = match self.open_row {
+            // Precharge: tRAS after the activate, write recovery, and the
+            // last column command.
+            Some(_) => self
+                .pre_ready
+                .max(self.last_act.unwrap_or(Cycle::ZERO) + t.t_ras)
+                .max(self.cas_ready),
+            // Activate: tRC after the last one.
+            None => self
+                .cas_ready
+                .max(self.last_act.map_or(Cycle::ZERO, |a| a + t.t_rc())),
+        };
     }
 }
 
@@ -205,7 +216,7 @@ mod tests {
         let t = m1();
         let plan = b.plan(&t, 5, Cycle(0));
         b.commit(&t, 5, plan, AccessKind::Read, Cycle(40));
-        b.refresh(Cycle(100), t.t_rfc);
+        b.refresh(&t, Cycle(100));
         assert_eq!(b.open_row, None);
         assert_eq!(b.cas_ready, Cycle(100 + t.t_rfc));
     }
@@ -213,7 +224,7 @@ mod tests {
     #[test]
     fn occupy_until_blocks_bank() {
         let mut b = BankState::default();
-        b.occupy_until(7, Cycle(500));
+        b.occupy_until(&m1(), 7, Cycle(500));
         assert_eq!(b.open_row, Some(7));
         assert_eq!(b.cas_ready, Cycle(500));
     }

@@ -2,16 +2,19 @@
 //! a data bus) with FR-FCFS-Cap scheduling, write draining, M1 refresh and
 //! channel-blocking block swaps.
 
+use std::cell::RefCell;
+
 use profess_metrics::{State, StateCodec};
 use profess_obs::Log2Histogram;
 use profess_types::config::{EnergyConfig, MemTimingConfig, TechTiming};
 use profess_types::geometry::{MemLoc, Module};
 use profess_types::Cycle;
 
-use crate::bank::{BankSchedule, BankState};
+use crate::bank::BankState;
 use crate::energy::EnergyCounters;
 use crate::request::{AccessKind, PhysRequest, Served};
 use crate::stats::ChannelStats;
+use crate::work;
 
 /// Optional per-channel profiling histograms, allocated only when the
 /// run is traced (the system's `TraceConfig`); the hot path pays a
@@ -49,6 +52,123 @@ struct SchedHint {
     write: Cycle,
 }
 
+/// The oldest queued row miss on each bank, as an FR-FCFS-Cap scan over
+/// one enqueue-ordered queue has seen them so far: the starvation test's
+/// answer in O(1) per entry.
+///
+/// A capped row hit must yield to an older request for another row on its
+/// bank, and on a bank with an open row "another row" is "a miss". The
+/// queue is ordered by enqueue cycle, so every entry older than the one
+/// being scanned has already been scanned, and the first miss a scan sees
+/// on a bank is that bank's oldest. The hit yields exactly when that miss
+/// was enqueued strictly before it: an equally old miss does not count.
+/// One slot per bank (M1's banks, then M2's), sized when the channel is
+/// built. Each slot carries the number of the scan that wrote it, so a
+/// new scan starts by counting up rather than by clearing every slot.
+///
+/// The slots live in the channel, one set per queue, rather than in each
+/// pick: the issue loop's last pick on a queue scans it whole, so while
+/// the [`SchedHint`] stands [`ChannelSim::note_push`] continues that scan
+/// with each new entry instead of rescanning. A pick reads the channel
+/// through `&self` (so does `next_event`), hence the `RefCell`; a pick
+/// borrows it once and scans through a plain `&mut`.
+#[derive(Debug)]
+struct OldestMiss {
+    scan: u64,
+    /// Per bank: the scan that wrote the slot, and the enqueue cycle of
+    /// the first miss that scan saw.
+    slots: Vec<(u64, Cycle)>,
+}
+
+impl OldestMiss {
+    fn new(banks: usize) -> Self {
+        OldestMiss {
+            scan: 0,
+            slots: vec![(0, Cycle::ZERO); banks],
+        }
+    }
+
+    /// Starts a scan from the queue's head: every slot is now empty.
+    #[inline(always)]
+    fn restart(&mut self) {
+        self.scan += 1;
+    }
+
+    /// Records a miss on `bank` enqueued at `enq`, no earlier than any
+    /// entry this scan has seen.
+    #[inline(always)]
+    fn note(&mut self, bank: usize, enq: Cycle) {
+        let slot = &mut self.slots[bank];
+        if slot.0 != self.scan {
+            *slot = (self.scan, enq);
+        }
+    }
+
+    /// Whether this scan has seen a miss on `bank` enqueued before `enq`.
+    #[inline(always)]
+    fn older_than(&self, bank: usize, enq: Cycle) -> bool {
+        let (scan, first) = self.slots[bank];
+        scan == self.scan && first < enq
+    }
+}
+
+/// Index of `loc`'s bank in a channel's bank vector: M1's `per_module`
+/// banks, then M2's.
+#[inline(always)]
+fn bank_index(loc: MemLoc, per_module: usize) -> usize {
+    loc.module as usize * per_module + loc.bank as usize
+}
+
+/// The bank and bus state a scan reads, held apart from the channel so
+/// that a pick's writes to its [`OldestMiss`] cannot make the compiler
+/// reload it.
+#[derive(Debug, Clone, Copy)]
+struct BankView<'a> {
+    banks: &'a [BankState],
+    per_module: usize,
+    /// The bus term of a row hit's first command, per module (M1, M2).
+    bus: [Cycle; 2],
+}
+
+impl BankView<'_> {
+    /// Scans one queued request at `now`: one bank lookup and a few
+    /// compares. The first-command cycle is exactly [`BankState::plan`]'s,
+    /// with a row hit's CAS delayed to its bus slot: `max(cas_at + t_cl,
+    /// bus_free) - t_cl` is `max(cas_ready, bus_free - t_cl, now)`, and a
+    /// miss starts at `max(miss_first, now)`.
+    #[inline(always)]
+    fn scan(&self, q: &Queued, now: Cycle) -> Scanned {
+        let loc = q.req.loc;
+        let index = bank_index(loc, self.per_module);
+        let bank = &self.banks[index];
+        let hit = bank.open_row == Some(loc.row);
+        let first_cmd = if hit {
+            bank.cas_ready.max(self.bus[loc.module as usize])
+        } else {
+            bank.miss_first
+        };
+        Scanned {
+            first_cmd: first_cmd.max(now),
+            hit,
+            hit_streak: bank.hit_streak,
+            bank: index,
+        }
+    }
+}
+
+/// One queued request as a scan sees it: when its first command could
+/// issue, and what the FR-FCFS-Cap rule needs to know about its bank.
+#[derive(Debug, Clone, Copy)]
+struct Scanned {
+    first_cmd: Cycle,
+    /// The request's row is open in its bank.
+    hit: bool,
+    /// Row hits the bank has served in a row.
+    hit_streak: u32,
+    /// The bank's index, in the bank vector and an [`OldestMiss`].
+    bank: usize,
+}
+
 /// How far beyond "now" the scheduler may commit a request's first command.
 /// Zero means a command chain starts only when its resources are free now;
 /// completions and [`ChannelSim::next_event`] drive re-evaluation.
@@ -63,12 +183,15 @@ const ISSUE_SLACK: u64 = 0;
 #[derive(Debug)]
 pub struct ChannelSim {
     timing: MemTimingConfig,
-    banks_m1: Vec<BankState>,
-    banks_m2: Vec<BankState>,
+    // M1's banks, then M2's: a request's bank index is also its slot in
+    // an `OldestMiss`.
+    banks: Vec<BankState>,
     bus_free: Cycle,
     blocked_until: Cycle,
     read_q: Vec<Queued>,
     write_q: Vec<Queued>,
+    read_misses: RefCell<OldestMiss>,
+    write_misses: RefCell<OldestMiss>,
     inflight: Vec<Served>,
     draining_writes: bool,
     sched_hint: Option<SchedHint>,
@@ -96,12 +219,13 @@ impl ChannelSim {
         let next_refresh = timing.m1.t_refi.map_or(Cycle::NEVER, Cycle);
         ChannelSim {
             timing,
-            banks_m1: vec![BankState::default(); banks],
-            banks_m2: vec![BankState::default(); banks],
+            banks: vec![BankState::default(); 2 * banks],
             bus_free: Cycle::ZERO,
             blocked_until: Cycle::ZERO,
             read_q: Vec::new(),
             write_q: Vec::new(),
+            read_misses: RefCell::new(OldestMiss::new(2 * banks)),
+            write_misses: RefCell::new(OldestMiss::new(2 * banks)),
             inflight: Vec::new(),
             draining_writes: false,
             sched_hint: None,
@@ -159,37 +283,33 @@ impl ChannelSim {
     /// `now`, `now` itself if it can (so an `advance` at `now` runs the
     /// issue loop; `next_event` clamps it to `now + 1`), and nothing at
     /// all if the cap forces it to yield.
+    ///
+    /// The hint stands only after the issue loop's last pick scanned this
+    /// queue whole, and nothing that pick read has changed since: the new
+    /// entry continues that scan, its [`OldestMiss`] slots included.
     fn note_push(&mut self, q: &Queued, now: Cycle) {
         let Some(h) = self.sched_hint else {
             return;
         };
-        // A queue that can already start something by `now` cannot get
-        // earlier — skip planning the new entry.
-        let queue_at = match q.req.kind {
-            AccessKind::Read => h.read,
-            AccessKind::Write => h.write,
+        let (queue_at, misses) = match q.req.kind {
+            AccessKind::Read => (h.read, &self.read_misses),
+            AccessKind::Write => (h.write, &self.write_misses),
         };
+        // A queue that can already start something by `now` cannot get
+        // earlier, and its next issue loop rescans it: skip the entry.
         if queue_at <= now {
             return;
         }
-        let (first_cmd, p) = self.plan(q, now);
-        let contribution = if first_cmd.raw() > now.raw() + ISSUE_SLACK {
-            first_cmd
-        } else {
-            let capped = p.row_hit && self.bank(q.req.loc).hit_streak >= self.timing.frfcfs_cap;
-            let yields = capped && {
-                let queue = match q.req.kind {
-                    AccessKind::Read => &self.read_q,
-                    AccessKind::Write => &self.write_q,
-                };
-                queue.iter().any(|o| {
-                    o.req.loc.module == q.req.loc.module
-                        && o.req.loc.bank == q.req.loc.bank
-                        && o.req.loc.row != q.req.loc.row
-                        && o.enq < q.enq
-                })
-            };
-            if yields {
+        let e = self.view().scan(q, now);
+        let contribution = {
+            let mut m = misses.borrow_mut();
+            if !e.hit {
+                m.note(e.bank, q.enq);
+            }
+            if e.first_cmd.raw() > now.raw() + ISSUE_SLACK {
+                e.first_cmd
+            } else if e.hit && e.hit_streak >= self.timing.frfcfs_cap && m.older_than(e.bank, q.enq)
+            {
                 Cycle::NEVER
             } else {
                 now
@@ -252,18 +372,19 @@ impl ChannelSim {
         }
     }
 
+    /// Banks per module.
+    #[inline(always)]
+    fn banks_per_module(&self) -> usize {
+        self.banks.len() / 2
+    }
+
     fn bank_mut(&mut self, loc: MemLoc) -> &mut BankState {
-        match loc.module {
-            Module::M1 => &mut self.banks_m1[loc.bank as usize],
-            Module::M2 => &mut self.banks_m2[loc.bank as usize],
-        }
+        let i = bank_index(loc, self.banks_per_module());
+        &mut self.banks[i]
     }
 
     fn bank(&self, loc: MemLoc) -> &BankState {
-        match loc.module {
-            Module::M1 => &self.banks_m1[loc.bank as usize],
-            Module::M2 => &self.banks_m2[loc.bank as usize],
-        }
+        &self.banks[bank_index(loc, self.banks_per_module())]
     }
 
     /// Applies all pending M1 refreshes up to `now`.
@@ -273,9 +394,9 @@ impl ChannelSim {
         };
         while self.next_refresh <= now {
             let at = self.next_refresh;
-            let t_rfc = self.timing.m1.t_rfc;
-            for b in &mut self.banks_m1 {
-                b.refresh(at, t_rfc);
+            let m1_banks = self.banks_per_module();
+            for b in &mut self.banks[..m1_banks] {
+                b.refresh(&self.timing.m1, at);
             }
             self.energy.m1_refreshes += 1;
             self.stats.refreshes += 1;
@@ -293,76 +414,80 @@ impl ChannelSim {
         self.run_refresh(now);
     }
 
-    /// Plans a queued request: returns the cycle its first command can
-    /// issue (what gates scheduling) and the bank schedule itself, so a
-    /// picked winner can be committed without re-planning.
-    #[inline]
-    fn plan(&self, q: &Queued, now: Cycle) -> (Cycle, BankSchedule) {
-        let t = self.tech(q.req.loc.module);
-        let bank = self.bank(q.req.loc);
-        let p = bank.plan(t, q.req.loc.row, now);
-        let first_cmd = if p.activates {
-            // The precharge/activate chain start gates issue.
-            p.first_cmd
-        } else {
-            // A row hit's only command is the CAS, which issues t_cl before
-            // its data slot on the bus.
-            let data_start = (p.cas_at + t.t_cl).max(self.bus_free);
-            data_start - Cycle(t.t_cl)
-        };
-        (first_cmd, p)
+    /// What a scan reads of the channel, copied out once per pick.
+    #[inline(always)]
+    fn view(&self) -> BankView<'_> {
+        BankView {
+            banks: &self.banks,
+            per_module: self.banks_per_module(),
+            // A row hit's CAS issues `t_cl` before its data slot, which
+            // starts no earlier than `bus_free`.
+            bus: [
+                self.bus_free.saturating_sub(Cycle(self.timing.m1.t_cl)),
+                self.bus_free.saturating_sub(Cycle(self.timing.m2.t_cl)),
+            ],
+        }
     }
 
-    /// Picks the FR-FCFS-Cap winner among `queue`: oldest capped row hit,
-    /// else oldest request, considering only requests whose first command
-    /// can issue by `now`. Returns (index, plan) or the earliest cycle a
-    /// candidate could start.
-    fn pick(&self, queue: &[Queued], now: Cycle) -> Result<(usize, BankSchedule), Cycle> {
+    /// Picks the FR-FCFS-Cap winner among `queue`: the oldest row hit
+    /// under the cap, else the oldest request that may start (a capped
+    /// hit may not while an older miss waits on its bank), considering
+    /// only requests whose first command can issue by `now`. Returns the
+    /// winner's index or the earliest cycle a candidate could start.
+    /// `misses` is the queue's own [`OldestMiss`].
+    fn pick(
+        &self,
+        queue: &[Queued],
+        misses: &RefCell<OldestMiss>,
+        now: Cycle,
+    ) -> Result<usize, Cycle> {
+        work::count_pick();
         let cap = self.timing.frfcfs_cap;
+        let view = self.view();
+        let mut m = misses.borrow_mut();
+        m.restart();
         // Queues are enq-ordered (pushes append at non-decreasing cycles
         // and removals keep relative order), so "oldest" is simply "first
         // found": the scan can return at the first eligible row hit, and
         // `earliest` only matters once no entry is startable at all.
-        let mut best_any: Option<(usize, BankSchedule)> = None;
+        let mut best_any = None;
         let mut earliest = Cycle::NEVER;
         for (i, q) in queue.iter().enumerate() {
-            let (first_cmd, p) = self.plan(q, now);
-            if first_cmd.raw() > now.raw() + ISSUE_SLACK {
+            work::count_pick_entry();
+            let e = view.scan(q, now);
+            if !e.hit {
+                m.note(e.bank, q.enq);
+            }
+            if e.first_cmd.raw() > now.raw() + ISSUE_SLACK {
                 if best_any.is_none() {
-                    earliest = earliest.min(first_cmd);
+                    earliest = earliest.min(e.first_cmd);
                 }
                 continue;
             }
-            if p.row_hit {
-                if self.bank(q.req.loc).hit_streak < cap {
-                    return Ok((i, p));
+            if e.hit {
+                if e.hit_streak < cap {
+                    return Ok(i);
                 }
                 // FR-FCFS-Cap: after `cap` consecutive hits, further hits
                 // must yield to an older conflicting request on the same
                 // bank (otherwise the open row would starve it forever).
-                let starves_older = queue.iter().any(|o| {
-                    o.req.loc.module == q.req.loc.module
-                        && o.req.loc.bank == q.req.loc.bank
-                        && o.req.loc.row != q.req.loc.row
-                        && o.enq < q.enq
-                });
-                if starves_older {
+                if m.older_than(e.bank, q.enq) {
                     continue;
                 }
             }
             if best_any.is_none() {
-                best_any = Some((i, p));
+                best_any = Some(i);
             }
         }
         best_any.ok_or(earliest)
     }
 
-    /// Commits one queued request to the timing model. `p` is the
-    /// winner's plan as computed by [`ChannelSim::pick`] at the same
-    /// cycle; nothing mutates bank or bus state between pick and issue,
-    /// so reusing it is exactly the re-plan the old code performed.
-    fn issue(&mut self, q: Queued, p: BankSchedule) {
+    /// Commits one queued request, picked at `now`, to the timing model:
+    /// the one bank schedule a pick costs.
+    fn issue(&mut self, q: Queued, now: Cycle) {
         let t = *self.tech(q.req.loc.module);
+        work::count_plan();
+        let p = self.bank(q.req.loc).plan(&t, q.req.loc.row, now);
         let data_start = (p.cas_at + t.t_cl).max(self.bus_free);
         let data_end = data_start + t.t_burst;
         let row = q.req.loc.row;
@@ -457,36 +582,36 @@ impl ChannelSim {
             let use_writes =
                 self.draining_writes || (self.read_q.is_empty() && !self.write_q.is_empty());
             let (primary_is_writes, res) = if use_writes {
-                (true, self.pick(&self.write_q, now))
+                (true, self.pick(&self.write_q, &self.write_misses, now))
             } else {
-                (false, self.pick(&self.read_q, now))
+                (false, self.pick(&self.read_q, &self.read_misses, now))
             };
             match res {
-                Ok((i, p)) => {
+                Ok(i) => {
                     let q = if primary_is_writes {
                         self.write_q.remove(i)
                     } else {
                         self.read_q.remove(i)
                     };
-                    self.issue(q, p);
+                    self.issue(q, now);
                 }
                 Err(primary_at) => {
                     // Primary queue cannot start anything; try the other
                     // queue opportunistically (reads during drain stalls,
                     // writes when no read can start).
                     let other = if primary_is_writes {
-                        self.pick(&self.read_q, now)
+                        self.pick(&self.read_q, &self.read_misses, now)
                     } else {
-                        self.pick(&self.write_q, now)
+                        self.pick(&self.write_q, &self.write_misses, now)
                     };
                     match other {
-                        Ok((i, p)) => {
+                        Ok(i) => {
                             let q = if primary_is_writes {
                                 self.read_q.remove(i)
                             } else {
                                 self.write_q.remove(i)
                             };
-                            self.issue(q, p);
+                            self.issue(q, now);
                         }
                         Err(other_at) => {
                             let (read, write) = if primary_is_writes {
@@ -538,12 +663,12 @@ impl ChannelSim {
         } else if let Some(h) = self.sched_hint {
             t = t.min(h.read).min(h.write);
         } else {
-            if let Err(e) = self.pick(&self.read_q, now) {
+            if let Err(e) = self.pick(&self.read_q, &self.read_misses, now) {
                 t = t.min(e);
             } else if !self.read_q.is_empty() {
                 t = t.min(now + 1);
             }
-            if let Err(e) = self.pick(&self.write_q, now) {
+            if let Err(e) = self.pick(&self.write_q, &self.write_misses, now) {
                 t = t.min(e);
             } else if !self.write_q.is_empty() {
                 t = t.min(now + 1);
@@ -558,17 +683,17 @@ impl ChannelSim {
     /// Diagnostic dump of queued requests: (id, kind, loc, enq, planned
     /// first-command cycle at `now`).
     pub fn debug_queue(&self, now: Cycle) -> Vec<(u64, AccessKind, MemLoc, u64, u64)> {
+        let view = self.view();
         self.read_q
             .iter()
             .chain(self.write_q.iter())
             .map(|q| {
-                let (first_cmd, _) = self.plan(q, now);
                 (
                     q.req.id,
                     q.req.kind,
                     q.req.loc,
                     q.enq.raw(),
-                    first_cmd.raw(),
+                    view.scan(q, now).first_cmd.raw(),
                 )
             })
             .collect()
@@ -576,11 +701,9 @@ impl ChannelSim {
 
     /// Diagnostic dump of bank states for a module.
     pub fn debug_banks(&self, module: Module) -> Vec<(Option<u64>, u64, u64, u32)> {
-        let banks = match module {
-            Module::M1 => &self.banks_m1,
-            Module::M2 => &self.banks_m2,
-        };
-        banks
+        let n = self.banks_per_module();
+        let first = module as usize * n;
+        self.banks[first..first + n]
             .iter()
             .map(|b| {
                 (
@@ -618,8 +741,9 @@ impl ChannelSim {
         let done = start + dur;
         self.blocked_until = done;
         self.bus_free = done;
-        self.bank_mut(m1_loc).occupy_until(m1_loc.row, done);
-        self.bank_mut(m2_loc).occupy_until(m2_loc.row, done);
+        let (m1, m2) = (self.timing.m1, self.timing.m2);
+        self.bank_mut(m1_loc).occupy_until(&m1, m1_loc.row, done);
+        self.bank_mut(m2_loc).occupy_until(&m2, m2_loc.row, done);
         self.energy.m1_acts += 1;
         self.energy.m2_acts += 1;
         self.energy.m1_reads += self.lines_per_block;
@@ -642,15 +766,15 @@ impl ChannelSim {
 /// a bank count other than this channel's is rejected.
 impl State for ChannelSim {
     fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
-        c.field("banks_m1", self.banks_m1.as_mut_slice())?;
-        c.field("banks_m2", self.banks_m2.as_mut_slice())?;
+        let banks = self.banks_per_module();
+        c.field("banks_m1", &mut self.banks[..banks])?;
+        c.field("banks_m2", &mut self.banks[banks..])?;
         c.field("bus_free", &mut self.bus_free)?;
         c.field("blocked_until", &mut self.blocked_until)?;
         c.field("read_q", &mut self.read_q)?;
         c.field("write_q", &mut self.write_q)?;
-        // Queued requests index the bank vectors (both modules have
+        // Queued requests index the bank vector (both modules have
         // `banks` banks).
-        let banks = self.banks_m1.len();
         if let Some(q) =
             (self.read_q.iter().chain(&self.write_q)).find(|q| q.req.loc.bank as usize >= banks)
         {
@@ -658,6 +782,18 @@ impl State for ChannelSim {
                 "queued request {} targets bank {} of {banks}",
                 q.req.id, q.req.loc.bank
             ));
+        }
+        // Each queue is in enqueue order: the scheduler's "first found is
+        // oldest" rule and its starvation test both read that order.
+        for (name, queue) in [("read_q", &self.read_q), ("write_q", &self.write_q)] {
+            if let Some(i) = queue.windows(2).position(|w| w[1].enq < w[0].enq) {
+                return Err(format!(
+                    "{name}: [{}]: enq {} precedes the previous entry's {}",
+                    i + 1,
+                    queue[i + 1].enq.raw(),
+                    queue[i].enq.raw()
+                ));
+            }
         }
         c.field("inflight", &mut self.inflight)?;
         c.field("draining_writes", &mut self.draining_writes)?;
@@ -691,6 +827,12 @@ impl State for ChannelSim {
         if c.is_load() {
             // Derived caches: recomputed, and the refusal hint dropped
             // (the next issue loop re-derives it from the loaded state).
+            for b in &mut self.banks[..banks] {
+                b.derive_miss_first(&self.timing.m1);
+            }
+            for b in &mut self.banks[banks..] {
+                b.derive_miss_first(&self.timing.m2);
+            }
             self.sched_hint = None;
             self.inflight_min_done = self
                 .inflight
@@ -747,6 +889,11 @@ impl State for Served {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::BankSchedule;
+    use profess_check::strategy::{
+        any_bool, tuple3, tuple4, u32_range, u64_range, u8_range, vec_of,
+    };
+    use profess_check::{check_with, prop_assert_eq, Config, Rng};
     use profess_metrics::Json;
 
     fn save(c: &mut ChannelSim) -> Json {
@@ -1061,11 +1208,212 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_queue_out_of_enqueue_order() {
+        let mut queued = ch();
+        queued.push(rd(1, Module::M1, 2, 0), Cycle(3));
+        queued.push(rd(2, Module::M1, 5, 0), Cycle(9));
+        let text = save(&mut queued).to_string();
+        assert!(
+            text.contains("\"enq\":3") && text.contains("\"enq\":9"),
+            "{text}"
+        );
+        let swapped = text
+            .replace("\"enq\":3", "\"enq\":@")
+            .replace("\"enq\":9", "\"enq\":3")
+            .replace("\"enq\":@", "\"enq\":9");
+        let err = StateCodec::load(&mut ch(), &Json::parse(&swapped).expect("valid")).unwrap_err();
+        assert!(err.contains("read_q: [1]: enq 3"), "{err}");
+    }
+
+    #[test]
     fn read_latency_stat_accumulates() {
         let mut c = ch();
         c.push(rd(0, Module::M1, 0, 0), Cycle(0));
         let out = run_until_idle(&mut c, Cycle(0));
         assert_eq!(c.stats().read_latency_sum, out[0].latency());
         assert!(c.stats().avg_read_latency() > 0.0);
+    }
+
+    /// The parent scheduler's plan, from the bank's raw fields: the cycle
+    /// the first command can issue (a row hit's CAS waits for its bus
+    /// slot) and the bank schedule.
+    fn reference_plan(c: &ChannelSim, q: &Queued, now: Cycle) -> (Cycle, BankSchedule) {
+        let t = c.tech(q.req.loc.module);
+        let bank = c.bank(q.req.loc);
+        let row = q.req.loc.row;
+        let (first_cmd, cas_at) = match bank.open_row {
+            Some(open) if open == row => {
+                let cas_at = bank.cas_ready.max(now);
+                let data_start = (cas_at + t.t_cl).max(c.bus_free);
+                (data_start - Cycle(t.t_cl), cas_at)
+            }
+            Some(_) => {
+                let last_act = bank.last_act.unwrap_or(Cycle::ZERO);
+                let pre_at = bank
+                    .pre_ready
+                    .max(last_act + t.t_ras)
+                    .max(bank.cas_ready)
+                    .max(now);
+                let act_at = (pre_at + t.t_rp).max(last_act + t.t_rc());
+                (pre_at, act_at + t.t_rcd)
+            }
+            None => {
+                let rc_ready = bank.last_act.map_or(Cycle::ZERO, |a| a + t.t_rc());
+                let act_at = bank.cas_ready.max(rc_ready).max(now);
+                (act_at, act_at + t.t_rcd)
+            }
+        };
+        let row_hit = bank.open_row == Some(row);
+        let p = BankSchedule {
+            cas_at,
+            row_hit,
+            activates: !row_hit,
+        };
+        (first_cmd, p)
+    }
+
+    /// The parent scheduler's pick: a plan per entry, and a scan of the
+    /// whole queue for each capped row hit's starvation test.
+    fn reference_pick(
+        c: &ChannelSim,
+        queue: &[Queued],
+        now: Cycle,
+    ) -> Result<(usize, BankSchedule), Cycle> {
+        let cap = c.timing.frfcfs_cap;
+        let mut best_any: Option<(usize, BankSchedule)> = None;
+        let mut earliest = Cycle::NEVER;
+        for (i, q) in queue.iter().enumerate() {
+            let (first_cmd, p) = reference_plan(c, q, now);
+            if first_cmd.raw() > now.raw() + ISSUE_SLACK {
+                if best_any.is_none() {
+                    earliest = earliest.min(first_cmd);
+                }
+                continue;
+            }
+            if p.row_hit {
+                if c.bank(q.req.loc).hit_streak < cap {
+                    return Ok((i, p));
+                }
+                let starves_older = queue.iter().any(|o| {
+                    work::count_cap_test_visit();
+                    o.req.loc.module == q.req.loc.module
+                        && o.req.loc.bank == q.req.loc.bank
+                        && o.req.loc.row != q.req.loc.row
+                        && o.enq < q.enq
+                });
+                if starves_older {
+                    continue;
+                }
+            }
+            if best_any.is_none() {
+                best_any = Some((i, p));
+            }
+        }
+        best_any.ok_or(earliest)
+    }
+
+    /// Starvation-scan visits on this thread so far; a release build
+    /// counts none.
+    fn cap_test_visits() -> u64 {
+        #[cfg(debug_assertions)]
+        let visits = work::cap_test_visits();
+        #[cfg(not(debug_assertions))]
+        let visits = 0;
+        visits
+    }
+
+    /// Bank states and a bus from `seed`: open or closed rows (rows
+    /// 0..3), `last_act` unset or set, hit streaks around the cap, and
+    /// timestamps spread around the pick cycles the property uses.
+    fn random_channel(banks: usize, seed: u64) -> ChannelSim {
+        let mut c = ChannelSim::new(
+            MemTimingConfig::paper(),
+            EnergyConfig::default_values(),
+            banks,
+            32,
+        );
+        let mut rng = Rng::seed_from_u64(seed);
+        let cap = c.timing.frfcfs_cap;
+        let (m1, m2) = (c.timing.m1, c.timing.m2);
+        for (i, bank) in c.banks.iter_mut().enumerate() {
+            let t = if i < banks { &m1 } else { &m2 };
+            bank.open_row = rng.gen_bool(0.8).then(|| rng.gen_range(0..3u64));
+            bank.cas_ready = Cycle(rng.gen_range(0..300u64));
+            bank.last_act = rng.gen_bool(0.8).then(|| Cycle(rng.gen_range(0..300u64)));
+            bank.pre_ready = Cycle(rng.gen_range(0..300u64));
+            bank.hit_streak = rng.gen_range(cap.saturating_sub(2)..cap + 3);
+            bank.derive_miss_first(t);
+        }
+        c.bus_free = Cycle(rng.gen_range(0..300u64));
+        c
+    }
+
+    /// The pick returns what the scanning pick it replaced returns, on
+    /// random bank states at 1 to 79 banks per module, and on
+    /// enqueue-ordered queues with runs of equal enqueue cycles that
+    /// crowd a few banks (`spread` of them from `base`, in each module);
+    /// and it never scans for starvation.
+    #[test]
+    fn pick_matches_the_scanning_reference() {
+        let cfg = Config {
+            cases: 2048,
+            ..Config::default()
+        };
+        let visits = cap_test_visits();
+        let entry = tuple4(u8_range(0..3), any_bool(), u32_range(0..80), u8_range(0..3));
+        check_with(
+            &cfg,
+            &[],
+            "pick_matches_the_scanning_reference",
+            tuple3(
+                tuple4(
+                    u32_range(1..80),
+                    u32_range(1..4),
+                    u32_range(0..80),
+                    u64_range(0..u64::MAX),
+                ),
+                vec_of(entry, 0..24),
+                u64_range(0..300),
+            ),
+            |((banks, spread, base, seed), entries, now)| {
+                let c = random_channel(*banks as usize, *seed);
+                let mut enq = Cycle::ZERO;
+                let queue: Vec<Queued> = entries
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(step, m2, bank, row))| {
+                        enq += u64::from(step);
+                        Queued {
+                            req: rd(
+                                i as u64,
+                                if m2 { Module::M2 } else { Module::M1 },
+                                (base + bank % spread) % banks,
+                                u64::from(row),
+                            ),
+                            enq,
+                        }
+                    })
+                    .collect();
+                let now = Cycle(*now);
+                let visits = cap_test_visits();
+                let fast = c.pick(&queue, &c.read_misses, now).map(|i| {
+                    let p = c.bank(queue[i].req.loc).plan(
+                        c.tech(queue[i].req.loc.module),
+                        queue[i].req.loc.row,
+                        now,
+                    );
+                    (i, p.cas_at, p.row_hit, p.activates)
+                });
+                prop_assert_eq!(cap_test_visits(), visits);
+                let slow = reference_pick(&c, &queue, now)
+                    .map(|(i, p)| (i, p.cas_at, p.row_hit, p.activates));
+                prop_assert_eq!(fast, slow);
+                Ok(())
+            },
+        );
+        assert!(
+            cfg!(not(debug_assertions)) || cap_test_visits() > visits,
+            "no case reached a starvation test"
+        );
     }
 }

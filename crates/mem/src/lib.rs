@@ -55,6 +55,7 @@ mod channel;
 mod energy;
 mod request;
 pub mod stats;
+pub mod work;
 
 pub use channel::{ChannelObs, ChannelSim};
 pub use energy::EnergyCounters;

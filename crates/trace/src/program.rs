@@ -49,6 +49,9 @@ pub struct ProgramGen {
     instructions_emitted: u64,
     ops_emitted: u64,
     mean_gap: f64,
+    // `ln(1 - p)` of the gap distribution (see `sample_gap`), computed
+    // once rather than per op.
+    ln_q: f64,
     burst: Option<BurstParams>,
 }
 
@@ -73,13 +76,17 @@ impl ProgramGen {
         assert!(params.lines > 0, "empty footprint");
         // Mean instructions per memory op, including the op itself.
         let per_op = 1000.0 / params.mpki;
+        let mean_gap = (per_op - 1.0).max(0.0);
+        // Geometric gaps: mean = (1-p)/p with p = 1/(mean+1).
+        let p = 1.0 / (mean_gap + 1.0);
         ProgramGen {
             params,
             pattern,
             rng: seeded_rng(seed),
             instructions_emitted: 0,
             ops_emitted: 0,
-            mean_gap: (per_op - 1.0).max(0.0),
+            mean_gap,
+            ln_q: (1.0 - p).ln(),
             burst: None,
         }
     }
@@ -125,11 +132,9 @@ impl ProgramGen {
         if self.mean_gap < 1e-9 {
             return 0;
         }
-        // Geometric via inverse transform: mean = (1-p)/p with
-        // p = 1/(mean+1).
-        let p = 1.0 / (self.mean_gap + 1.0);
+        // Geometric via inverse transform.
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let g = (u.ln() / (1.0 - p).ln()).floor();
+        let g = (u.ln() / self.ln_q).floor();
         g.min(1e9) as u32
     }
 }

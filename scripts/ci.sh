@@ -47,6 +47,11 @@ test -s "$smoke_dir/BENCH_fig05.json"
 # only in the benchmark pipeline.
 echo "==> golden smoke (perf --workload short_cells)"
 cargo run --release --offline -q --example perf -- --workload short_cells > /dev/null
+# short_cells keeps queues shallow. surface_rw (read fractions 0.5–0.9,
+# queue depth p99 63) holds a scheduler that is inexact only under load
+# to the same goldens, in about 4 s.
+echo "==> golden smoke at deep queues (perf --workload surface_rw)"
+cargo run --release --offline -q --example perf -- --workload surface_rw > /dev/null
 
 # Traced smoke: the same figure with --trace must write a well-formed
 # TRACE_fig05.jsonl containing every event kind the tracer promises.
