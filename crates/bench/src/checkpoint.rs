@@ -21,6 +21,8 @@
 //! round-trip formatting and re-parsed exactly, so a cell restored from
 //! the journal feeds bit-identical values into the row assembly — a
 //! resumed sweep's rows are byte-identical to an uninterrupted run's.
+//! Lines land in completion order, so a journal is byte-identical to
+//! another run's only when both ran serially (`PROFESS_THREADS=1`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
@@ -32,9 +34,8 @@ use profess_core::system::{SamplingReport, SystemReport};
 use profess_metrics::{fnv64, Json};
 
 /// Env var enabling checkpoint journaling in `profess-run`: unset,
-/// empty, or `0` disables it (a `--workers` run journals regardless);
-/// `1` journals into the default results directory; any other value
-/// names the journal directory.
+/// empty, or `0` disables it; `1` journals into the default results
+/// directory; any other value names the journal directory.
 pub const CHECKPOINT_ENV: &str = "PROFESS_CHECKPOINT";
 
 /// [`fnv64`] of a text rendering, as 16 lowercase hex digits.
@@ -389,10 +390,8 @@ impl Journal {
     }
 }
 
-/// Renders one journal line (trailing newline included). Crate-visible
-/// so a sharded run's child process (see [`crate::shard`]) can hand its
-/// cell back in exactly the format [`Journal::record`] appends.
-pub(crate) fn encode_line(key: &str, payload: &Json) -> String {
+/// Renders one journal line (trailing newline included).
+fn encode_line(key: &str, payload: &Json) -> String {
     let fp = fingerprint(&payload.to_string());
     let mut line = Json::obj([
         ("key", Json::Str(key.to_string())),
@@ -405,9 +404,7 @@ pub(crate) fn encode_line(key: &str, payload: &Json) -> String {
 }
 
 /// Decodes one journal line, verifying the payload fingerprint.
-/// Crate-visible for a sharded run's parent, which decodes its child
-/// processes' lines.
-pub(crate) fn decode_line(line: &str) -> Option<(String, Json)> {
+fn decode_line(line: &str) -> Option<(String, Json)> {
     let j = Json::parse(line).ok()?;
     let Json::Str(key) = j.get("key")? else {
         return None;
@@ -422,27 +419,6 @@ pub(crate) fn decode_line(line: &str) -> Option<(String, Json)> {
     Some((key.clone(), payload.clone()))
 }
 
-/// Rewrites the journal at `path` in `keys` order, one line per key
-/// (temp file + rename). Cells journal in completion order, which
-/// depends on scheduling; this canonical order makes a finished
-/// journal byte-identical at any thread or worker count. Undecodable
-/// lines (a torn tail) and snapshot entries are dropped. A cell key on
-/// two lines is an `Err` that leaves the file untouched (see
-/// [`check_unique_keys`]).
-pub fn rewrite_in_order(path: &Path, keys: &[String]) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let lines = cell_lines(path, &text, false)?;
-    let mut out = String::new();
-    for (_, line) in keys.iter().filter_map(|k| lines.get(k)) {
-        out.push_str(line);
-        out.push('\n');
-    }
-    let tmp = path.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, out)
-        .and_then(|()| std::fs::rename(&tmp, path))
-        .map_err(|e| format!("{}: {e}", path.display()))
-}
-
 /// Strictly checks that a journal holds every cell key on one line,
 /// identical bytes included: every cell is journaled once, so a repeat
 /// means a cell executed twice (the tolerant loader would silently let
@@ -451,23 +427,12 @@ pub fn rewrite_in_order(path: &Path, keys: &[String]) -> Result<(), String> {
 /// Every line must decode (CI semantics, like [`entries_of_file`]).
 pub fn check_unique_keys(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    cell_lines(path, &text, true).map(|_| ())
-}
-
-/// The cell lines of journal `text` (read from `path`) by key, with
-/// their 1-based line numbers; snapshot entries are skipped. A repeated
-/// cell key is an `Err` naming both lines, and so, when `strict`, is an
-/// undecodable line (otherwise skipped).
-fn cell_lines<'a>(
-    path: &Path,
-    text: &'a str,
-    strict: bool,
-) -> Result<BTreeMap<String, (usize, &'a str)>, String> {
-    let mut lines = BTreeMap::new();
+    // Each cell key's first line number and text.
+    let mut lines: BTreeMap<String, (usize, &str)> = BTreeMap::new();
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
         let Some((key, _)) = decode_line(line) else {
-            if strict && !line.trim().is_empty() {
+            if !line.trim().is_empty() {
                 return Err(format!(
                     "{}:{lineno}: invalid checkpoint line",
                     path.display()
@@ -491,7 +456,7 @@ fn cell_lines<'a>(
             ));
         }
     }
-    Ok(lines)
+    Ok(())
 }
 
 /// Strictly validates a journal file for CI: every line must decode and
@@ -664,53 +629,6 @@ mod tests {
             .unwrap_err()
             .contains(":5: invalid"));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn rewrite_in_order_keeps_one_line_per_key_in_key_order() {
-        let path = tmp("rewrite.jsonl");
-        std::fs::remove_file(&path).ok();
-        let j = Journal::load(&path).expect("create");
-        for (key, v) in [
-            ("c", 3),
-            ("snapshot|a", 9),
-            ("snapshot|a", 8),
-            ("a", 1),
-            ("b", 2),
-        ] {
-            j.record(key, Json::UInt(v));
-        }
-        drop(j);
-        let torn = std::fs::read_to_string(&path).unwrap() + "{\"key\":\"d\",\"fp\"";
-        std::fs::write(&path, torn).unwrap();
-        let keys: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
-        rewrite_in_order(&path, &keys).unwrap();
-        let expect: String = [("a", 1), ("b", 2), ("c", 3)]
-            .iter()
-            .map(|&(k, v)| encode_line(k, &Json::UInt(v)))
-            .collect();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), expect);
-        assert_eq!(check_unique_keys(&path), Ok(()));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn rewrite_in_order_refuses_a_cell_journaled_twice() {
-        let keys = vec!["a".to_string(), "b".to_string()];
-        for second in [0, 1] {
-            let path = tmp(&format!("rewrite_twice_{second}.jsonl"));
-            std::fs::remove_file(&path).ok();
-            let j = Journal::load(&path).expect("create");
-            j.record("a", Json::UInt(0));
-            j.record("b", Json::UInt(2));
-            j.record("a", Json::UInt(second));
-            drop(j);
-            let before = std::fs::read_to_string(&path).unwrap();
-            let err = rewrite_in_order(&path, &keys).unwrap_err();
-            assert!(err.contains(":3: cell key `a` journaled twice"), "{err}");
-            assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
-            std::fs::remove_file(&path).ok();
-        }
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! | 1    | validation failed (regression, malformed artifact, diff) |
 //! | 2    | usage error (bad flags, unreadable config, bad env) |
 //! | 3    | an experiment ended with terminally-failed cells |
-//! | 4    | a `--workers` cell's final attempt lost its child process |
 //!
-//! Injected faults are the one exception: a worker killed by
+//! Injected faults are the one exception: a run killed by
 //! `PROFESS_FAULT=exit@N` dies with
 //! [`profess_par::FAULT_EXIT_CODE`] (86), deliberately outside this
 //! range so a test harness can tell an injected death from a real
@@ -32,12 +31,6 @@ pub const USAGE: i32 = 2;
 /// panicked). `profess-run` names each failed cell on stderr.
 pub const SWEEP_FAILURE: i32 = 3;
 
-/// A sharded run (`profess-run <experiment> --workers N`) had a cell
-/// whose final attempt lost its child process — killed, hung past its
-/// deadline, crashed, unreadable, or never spawned — so the retry
-/// budget ran out on a lost worker rather than on the cell's own error.
-pub const WORKER_LOST: i32 = 4;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,7 +41,6 @@ mod tests {
         assert_eq!(VALIDATION_FAIL, 1);
         assert_eq!(USAGE, 2);
         assert_eq!(SWEEP_FAILURE, 3);
-        assert_eq!(WORKER_LOST, 4);
         // The injected-fault code stays outside the taxonomy range.
         assert_eq!(profess_par::FAULT_EXIT_CODE, 86);
     }

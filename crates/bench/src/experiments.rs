@@ -4,8 +4,8 @@
 //! that folds the finished cells into its printed table and artifacts.
 //! [`run`] executes any record on the one cell engine
 //! ([`crate::run_cells`]), so supervision, checkpoint/resume,
-//! snapshots, tracing and `--workers` child processes apply to every
-//! experiment alike; `profess-run <name>` is the command line.
+//! snapshots and tracing apply to every experiment alike; `profess-run
+//! <name>` is the command line.
 //!
 //! The paper reference each table is compared with is printed under
 //! it; EXPERIMENTS.md records the measured values and verdicts.
@@ -26,9 +26,8 @@ use crate::surface::{
 };
 use crate::{
     distinct, geomean_or_nan, normalized_cells, normalized_rows, print_sweep, report_sweep_health,
-    run_cells, slowdown_cells, summarize, write_rows_artifact, Cell, CellRecord, Executor, Journal,
-    Pool, Results, Setting, Sim, SnapshotMode, SoloRun, SuperviseConfig, MULTI_TARGET_MISSES,
-    SOLO_TARGET_MISSES,
+    run_cells, slowdown_cells, summarize, write_rows_artifact, Cell, Journal, Pool, Results,
+    Setting, Sim, SnapshotMode, SoloRun, SuperviseConfig, MULTI_TARGET_MISSES, SOLO_TARGET_MISSES,
 };
 
 /// What an experiment's trailing ids name.
@@ -113,46 +112,26 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-/// What [`run`] leaves for the driver's exit code.
-#[derive(Debug)]
-pub struct Outcome {
-    /// Every cell's execution record, pass by pass.
-    pub records: Vec<CellRecord>,
-    /// Did every cell succeed and the reducer print its whole table?
-    pub ok: bool,
-}
-
-/// Runs experiment `exp`: its cells pass by pass on `journal` under
-/// `sup` and `snap` — on [`Pool::from_env`]'s threads, or with
-/// `workers > 0` each attempt in a child process re-executing `argv`
-/// (up to `workers` at once) — then its reducer, the per-pass health
-/// report, and the `BENCH_<name>` artifact. With `trace`, the traced
-/// cells that run on this process's threads are traced into
-/// `TRACE_<name>.jsonl`.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one argument per profess-run knob"
-)]
+/// Runs experiment `exp`: its cells pass by pass on `pool`'s threads
+/// and `journal` under `sup` and `snap`, then its reducer, the per-pass
+/// health report, and the `BENCH_<name>` artifact. With `trace`, the
+/// traced cells are traced into `TRACE_<name>.jsonl`. Returns whether
+/// every cell succeeded and the reducer printed its whole table.
 pub fn run(
     exp: &Experiment,
     setup: &Setup,
+    pool: &Pool,
     sup: &SuperviseConfig,
     snap: &SnapshotMode,
     journal: &Journal,
-    workers: usize,
-    argv: &[String],
     trace: bool,
-) -> Outcome {
-    let (pool, exec) = match workers {
-        0 => (Pool::from_env(), Executor::Threads),
-        n => (Pool::new(n), Executor::Processes(argv)),
-    };
+) -> bool {
     let mut bench = BenchJson::start(exp.name);
     let mut traces = TraceCollector::new(exp.name, trace);
     let mut results = Results::default();
     let mut passes = Vec::new();
     for cells in (exp.cells)(setup).into_iter().map(distinct) {
-        let run = run_cells(&cells, &pool, sup, journal, snap, exec, &mut traces);
+        let run = run_cells(&cells, pool, sup, journal, snap, &mut traces);
         bench.add_sim_ops((cells.len() - run.resumed) as u64);
         results.extend(&cells, run.values);
         passes.push(run.cells);
@@ -162,15 +141,11 @@ pub fn run(
     for p in &passes {
         healthy &= report_sweep_health(p);
     }
-    let records = passes.concat();
-    bench.push_cells(&records);
+    bench.push_cells(&passes.concat());
     bench.set_skipped_malformed(journal.rejected() as u64);
     traces.finish();
     bench.finish();
-    Outcome {
-        records,
-        ok: complete && healthy,
-    }
+    complete && healthy
 }
 
 /// The configuration of the single-core experiments.

@@ -6,9 +6,9 @@
 //! or surface point), and the reducer that folds the finished cells
 //! into its printed table. One driver, `profess-run <experiment>`, runs
 //! any record's cells on the one cell engine here ([`run_cells`]:
-//! supervision, checkpoint journal, mid-run snapshots, tracing, child
-//! processes), so every knob applies to every experiment. `DESIGN.md`
-//! §3 indexes the experiments.
+//! supervision, checkpoint journal, mid-run snapshots, tracing), so
+//! every knob applies to every experiment. `DESIGN.md` §3 indexes the
+//! experiments.
 
 #![deny(
     clippy::unwrap_used,
@@ -25,7 +25,6 @@ pub mod checkpoint;
 pub mod exit;
 pub mod experiments;
 pub mod harness;
-pub mod shard;
 pub mod surface;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -377,13 +376,6 @@ impl Cell {
             Sim::Surface(..) => Value::Point(SurfacePoint::from_json(payload)?),
         })
     }
-
-    /// Runs the cell once, with no supervision, and renders its journal
-    /// line: a sharded run's child attempt, which is never traced.
-    pub(crate) fn line(&self) -> Result<String, String> {
-        let report = self.build(false).try_run().map_err(|e| e.to_string())?;
-        Ok(checkpoint::encode_line(&self.key, &self.reduce(&report)))
-    }
 }
 
 /// Drops every cell whose key an earlier cell already has, keeping the
@@ -486,18 +478,6 @@ pub(crate) fn slowdown_cells(at: &Setting, policy: PolicyKind, w: &Workload) -> 
     cells
 }
 
-/// Where [`run_cells`] runs each attempt. Crate-private: only the
-/// `--workers` path of [`experiments::run`] picks child processes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Executor<'a> {
-    /// On the pool's own threads.
-    Threads,
-    /// In a child process per attempt: the current executable with
-    /// these arguments plus `--worker <cell key>` (see
-    /// [`shard::child_attempt`]). Children take no snapshots.
-    Processes(&'a [String]),
-}
-
 /// What [`run_cells`] produced, in cell order.
 #[derive(Debug)]
 pub(crate) struct CellRun {
@@ -517,12 +497,13 @@ pub(crate) struct CellRun {
 /// *pending* cells, kept in cell order, so fault-plan indices are
 /// positions in that list — run under [`Pool::try_run_supervised`] with
 /// `sup`'s retry / timeout / fault-injection settings, each attempt on
-/// `exec`. A completed cell is reduced to its payload, journaled the
-/// moment it completes, and decoded back into its value, so fresh and
-/// restored cells reach the caller through the same decode and a
-/// resumed run is byte-identical to an uninterrupted one. When `traces`
-/// is enabled, the traced cells that run on this process's threads are
-/// built traced and their traces go to `traces` in cell order.
+/// one of `pool`'s threads. A completed cell is reduced to its payload,
+/// journaled the moment it completes, and decoded back into its value,
+/// so fresh and restored cells reach the caller through the same decode
+/// and a resumed run is byte-identical to an uninterrupted one. The
+/// journal's lines land in completion order, which only a one-thread
+/// pool fixes. When `traces` is enabled, the traced cells are built
+/// traced and their traces go to `traces` in cell order.
 ///
 /// With `snap` enabled, a preempted cell (watchdog cancel under
 /// `snap.on_cancel`, or the deterministic `snap.at` clock on first
@@ -536,7 +517,6 @@ pub(crate) fn run_cells(
     sup: &SuperviseConfig,
     journal: &Journal,
     snap: &SnapshotMode,
-    exec: Executor<'_>,
     traces: &mut harness::TraceCollector,
 ) -> CellRun {
     let mut values: Vec<Option<Value>> = cells
@@ -547,17 +527,14 @@ pub(crate) fn run_cells(
     let trace = traces.is_enabled();
     let outs = pool.try_run_supervised(&pending, sup, |ctx, &i| {
         let cell = &cells[i];
-        let (payload, report) = match exec {
-            Executor::Processes(args) => (
-                shard::child_attempt(args, &cell.key, &ctx, &sup.faults)?,
-                None,
-            ),
-            Executor::Threads => {
-                let b = cell.build(trace);
-                let report = run_cell(b, snap, journal, &snapshot_key(&cell.key), &ctx)?;
-                (cell.reduce(&report), Some(report))
-            }
-        };
+        let report = run_cell(
+            cell.build(trace),
+            snap,
+            journal,
+            &snapshot_key(&cell.key),
+            &ctx,
+        )?;
+        let payload = cell.reduce(&report);
         let value = cell
             .decode(&payload)
             .ok_or_else(|| format!("cell `{}` reduced to an undecodable payload", cell.key))?;
@@ -566,7 +543,7 @@ pub(crate) fn run_cells(
             return Err(profess_par::TIMED_OUT.to_string());
         }
         journal.record(&cell.key, payload);
-        Ok((value, report.filter(|_| trace)))
+        Ok((value, trace.then_some(report)))
     });
     let mut records: Vec<CellRecord> = cells
         .iter()
@@ -829,7 +806,7 @@ pub fn normalized_sweep_supervised(
 ) -> SweepRun {
     let at = Setting::new(cfg.clone(), target_misses);
     let cells = normalized_cells(&at, policy, workloads);
-    let run = run_cells(&cells, pool, sup, journal, snap, Executor::Threads, traces);
+    let run = run_cells(&cells, pool, sup, journal, snap, traces);
     let (rows, skipped) =
         normalized_rows(&Results::new(&cells, run.values), &at, policy, workloads);
     SweepRun {

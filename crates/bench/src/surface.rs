@@ -32,8 +32,7 @@ use profess_types::SystemConfig;
 use crate::checkpoint::{json_f64, json_u64, Journal};
 use crate::harness::TraceCollector;
 use crate::{
-    run_cells, Cell, CellRecord, Executor, Pool, Results, Setting, Sim, SnapshotMode,
-    SuperviseConfig, Value,
+    run_cells, Cell, CellRecord, Pool, Results, Setting, Sim, SnapshotMode, SuperviseConfig, Value,
 };
 
 /// The fields of one surface point, in emission order.
@@ -367,7 +366,7 @@ pub fn surface_sweep(
 ) -> SurfaceRun {
     let at = Setting::new(cfg.clone(), spec.target_ops);
     let cells = surface_cells(&at, spec);
-    let run = run_cells(&cells, pool, sup, journal, snap, Executor::Threads, traces);
+    let run = run_cells(&cells, pool, sup, journal, snap, traces);
     let (points, skipped) = surface_points(&Results::new(&cells, run.values), &at, spec);
     SurfaceRun {
         points,

@@ -1,7 +1,7 @@
 //! End-to-end tests for `profess-run`: every registry entry's stdout at
-//! 400 ops is pinned, a `--workers` run prints what an in-process run
-//! prints, a failed cell ends every experiment with the sweep-failure
-//! code instead of a panic, and bad invocations share one usage code.
+//! 400 ops is pinned, a run prints the same on one thread as on two, a
+//! failed cell ends every experiment with the sweep-failure code instead
+//! of a panic, and bad invocations share one usage code.
 
 #![expect(
     clippy::disallowed_methods,
@@ -116,15 +116,14 @@ fn every_experiment_prints_its_pinned_stdout() {
 }
 
 #[test]
-fn a_workers_run_prints_what_an_in_process_run_prints() {
-    let (serial, sharded) = (scratch("fig06-serial"), scratch("fig06-workers"));
-    let (code, expected, stderr) = run(&serial, &["fig06", "400"], &[]);
+fn one_thread_prints_what_two_threads_print() {
+    let (serial, parallel) = (scratch("fig06-one"), scratch("fig06-two"));
+    let (code, expected, stderr) = run(&serial, &["fig06", "400"], &[("PROFESS_THREADS", "1")]);
     assert_eq!(code, Some(exit::OK), "{expected}\n{stderr}");
-    let (code, stdout, stderr) = run(&sharded, &["fig06", "--workers", "2", "400"], &[]);
+    let (code, stdout, stderr) = run(&parallel, &["fig06", "400"], &[("PROFESS_THREADS", "2")]);
     assert_eq!(code, Some(exit::OK), "{stdout}\n{stderr}");
     assert_eq!(stdout, expected);
-    assert!(sharded.join("CHECKPOINT_fig06.jsonl").exists());
-    for dir in [serial, sharded] {
+    for dir in [serial, parallel] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
@@ -192,22 +191,23 @@ fn every_bad_invocation_is_a_usage_error() {
         (&["fig02", "4x"], &[], "4x"),
         (&["fig10_12", "400", "w99"], &[], "w99"),
         (&["surface", "400", "lru"], &[], "lru"),
-        (&["fig06", "--workers", "x"], &[], "--workers"),
         (&["fig06", "--bogus"], &[], "--bogus"),
+        (&["fig10_12", "0", "w01"], &[], "target must be positive"),
+        (&["fig06", "0"], &[], "target must be positive"),
         (
-            &["fig06", "--workers", "2", "400"],
-            &[("PROFESS_SNAPSHOT", "1")],
-            "snapshots",
+            &["fig06", "400"],
+            &[("PROFESS_THREADS", "abc")],
+            "PROFESS_THREADS=abc",
         ),
         (
-            &["fig06", "--workers", "2", "400"],
-            &[("PROFESS_SNAPSHOT_AT", "1000")],
-            "snapshots",
+            &["fig06", "400"],
+            &[("PROFESS_THREADS", "0")],
+            "PROFESS_THREADS=0",
         ),
         (
-            &["fig06", "--workers", "2", "--trace", "400"],
-            &[],
-            "--trace",
+            &["fig06", "400"],
+            &[("PROFESS_RETRIES", "x")],
+            "PROFESS_RETRIES=x",
         ),
     ];
     for &(args, envs, mention) in table {

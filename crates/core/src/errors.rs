@@ -137,21 +137,13 @@ pub enum SimError {
         /// Which feature blocks snapshotting.
         what: String,
     },
-    /// A sharded sweep lost a cell's work past recovery: its final
-    /// attempt ended with the worker process running it dead.
-    WorkerLost {
-        /// The checkpoint cell key that could not be completed.
-        cell: String,
-        /// Attempts made before the run was declared lost.
-        attempts: u32,
-    },
 }
 
 impl SimError {
     /// Stable machine-readable label (`config`, `preempted`,
     /// `budget_exceeded`, `deadlock`, `cancelled`, `snapshot_version`,
     /// `snapshot_corrupt`, `snapshot_config_mismatch`,
-    /// `snapshot_unsupported`, `worker_lost`).
+    /// `snapshot_unsupported`).
     pub fn label(&self) -> &'static str {
         match self {
             SimError::Config { .. } => "config",
@@ -163,7 +155,6 @@ impl SimError {
             SimError::SnapshotCorrupt { .. } => "snapshot_corrupt",
             SimError::SnapshotConfigMismatch { .. } => "snapshot_config_mismatch",
             SimError::SnapshotUnsupported { .. } => "snapshot_unsupported",
-            SimError::WorkerLost { .. } => "worker_lost",
         }
     }
 }
@@ -211,10 +202,6 @@ impl std::fmt::Display for SimError {
             SimError::SnapshotUnsupported { what } => {
                 write!(f, "snapshot unsupported: {what}")
             }
-            SimError::WorkerLost { cell, attempts } => write!(
-                f,
-                "cell `{cell}` lost after {attempts} attempt(s) in worker processes"
-            ),
         }
     }
 }
@@ -300,15 +287,6 @@ mod tests {
         };
         assert_eq!(u.to_string(), "snapshot unsupported: region sampling");
         assert_eq!(u.label(), "snapshot_unsupported");
-        let w = SimError::WorkerLost {
-            cell: "multi|mdm|w01|abc".to_string(),
-            attempts: 2,
-        };
-        assert_eq!(
-            w.to_string(),
-            "cell `multi|mdm|w01|abc` lost after 2 attempt(s) in worker processes"
-        );
-        assert_eq!(w.label(), "worker_lost");
         let g = SimError::Config {
             what: "no programs configured".to_string(),
         };

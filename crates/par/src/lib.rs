@@ -10,9 +10,10 @@
 //! interleave at runtime.
 //!
 //! Thread count selection ([`Pool::from_env`]): the `PROFESS_THREADS`
-//! environment variable if set to a positive integer, else the host's
-//! available parallelism, else 1. `PROFESS_THREADS=1` forces fully
-//! serial in-caller execution (no worker threads are spawned at all).
+//! environment variable, which must be a positive integer when set,
+//! else the host's available parallelism, else 1. `PROFESS_THREADS=1`
+//! forces fully serial in-caller execution (no worker threads are
+//! spawned at all).
 
 #![deny(
     clippy::unwrap_used,
@@ -25,13 +26,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod process;
 pub mod supervise;
 
-pub use process::{fire_worker_fault, run_child, ChildExit};
 pub use supervise::{
-    panic_failure, CancelToken, Fault, FaultKind, FaultPlan, SuperviseConfig, Supervised, TaskCtx,
-    TaskOutcome, FAULT_ENV, FAULT_EXIT_CODE, RETRIES_ENV, TIMED_OUT, TIMEOUT_ENV,
+    CancelToken, Fault, FaultKind, FaultPlan, SuperviseConfig, Supervised, TaskCtx, TaskOutcome,
+    FAULT_ENV, FAULT_EXIT_CODE, RETRIES_ENV, TIMED_OUT, TIMEOUT_ENV,
 };
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,20 +44,31 @@ fn parse_threads(s: &str) -> Option<usize> {
     s.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
-/// The worker count [`Pool::from_env`] uses: `PROFESS_THREADS` if valid,
-/// else the host's available parallelism, else 1.
+/// The worker count `PROFESS_THREADS` names: `None` when unset, an
+/// error when set to anything but a positive integer.
+fn env_threads() -> Result<Option<usize>, String> {
+    match std::env::var(THREADS_ENV) {
+        Ok(v) => parse_threads(&v)
+            .map(Some)
+            .ok_or_else(|| format!("{THREADS_ENV}={v}: expected a positive integer")),
+        Err(_) => Ok(None),
+    }
+}
+
+/// The host's available parallelism, else 1.
+fn host_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// The worker count [`Pool::from_env`] uses, for recording it: a
+/// malformed `PROFESS_THREADS` (which `Pool::from_env` rejects) reads
+/// as unset.
 pub fn default_threads() -> usize {
     // The thread count affects scheduling only: sweeps are pinned
     // byte-identical across 1 vs 4 workers.
-    std::env::var(THREADS_ENV)
-        .ok()
-        .as_deref()
-        .and_then(parse_threads)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    env_threads().ok().flatten().unwrap_or_else(host_threads)
 }
 
 /// A fixed-width scoped thread pool.
@@ -79,9 +89,11 @@ impl Pool {
         }
     }
 
-    /// A pool sized by [`default_threads`].
-    pub fn from_env() -> Self {
-        Pool::new(default_threads())
+    /// A pool of `PROFESS_THREADS` workers, else one per host thread.
+    /// A malformed value is an error, not a silent default: a typo must
+    /// not turn a serial run parallel.
+    pub fn from_env() -> Result<Pool, String> {
+        Ok(Pool::new(env_threads()?.unwrap_or_else(host_threads)))
     }
 
     /// The configured worker count.
@@ -163,12 +175,6 @@ impl Pool {
             .map(|r| r.expect("every index claimed exactly once"))
             .collect();
         out
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::from_env()
     }
 }
 

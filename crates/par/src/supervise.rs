@@ -15,10 +15,11 @@
 //! to fire a [`CancelToken`]; timeouts are opt-in and off by default.
 //!
 //! Fault injection ([`FaultPlan`], `PROFESS_FAULT`) deterministically
-//! targets task *indices* and attempts — the `worker_*` kinds fire in
-//! the child process a sharded sweep runs that attempt in — so every
-//! recovery path (panic, stall, exit, worker kill, worker hang) is
-//! exercisable from tests and CI without touching the task code.
+//! targets task *indices* and attempts, so every recovery path (panic,
+//! stall, process exit) is exercisable from tests and CI without
+//! touching the task code. Every attempt runs on a pool thread: a hung
+//! attempt is ended by its cancel token, and a killed process is
+//! recovered by the caller's checkpoint journal on the next run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -168,8 +169,6 @@ pub struct Supervised<R> {
 /// Per-attempt context handed to a supervised task.
 #[derive(Debug)]
 pub struct TaskCtx<'a> {
-    /// The input slot index (position in the `items` slice).
-    pub index: usize,
     /// 1-based attempt number. Tasks must not let this affect their
     /// result — it exists for logging and fault injection only.
     pub attempt: u32,
@@ -190,23 +189,10 @@ pub enum FaultKind {
     /// Terminate the whole process with [`FAULT_EXIT_CODE`], simulating
     /// an external kill for checkpoint/resume tests.
     Exit,
-    /// The child process running the attempt in a sharded sweep aborts
-    /// (SIGABRT — no exit code, like `kill -9`) before it starts the
-    /// cell.
-    WorkerKill,
-    /// The child process running the attempt in a sharded sweep stops
-    /// responding without exiting, until the watchdog has it killed.
-    WorkerHang,
 }
 
 impl FaultKind {
-    const ALL: [FaultKind; 5] = [
-        FaultKind::Panic,
-        FaultKind::Stall,
-        FaultKind::Exit,
-        FaultKind::WorkerKill,
-        FaultKind::WorkerHang,
-    ];
+    const ALL: [FaultKind; 3] = [FaultKind::Panic, FaultKind::Stall, FaultKind::Exit];
 
     /// The kind's name in a `PROFESS_FAULT` spec.
     pub fn name(self) -> &'static str {
@@ -214,24 +200,16 @@ impl FaultKind {
             FaultKind::Panic => "panic",
             FaultKind::Stall => "stall",
             FaultKind::Exit => "exit",
-            FaultKind::WorkerKill => "worker_kill",
-            FaultKind::WorkerHang => "worker_hang",
         }
     }
 
     fn parse(s: &str) -> Option<FaultKind> {
         FaultKind::ALL.into_iter().find(|k| k.name() == s)
     }
-
-    /// Does this kind target a worker process rather than a task?
-    fn is_worker(self) -> bool {
-        matches!(self, FaultKind::WorkerKill | FaultKind::WorkerHang)
-    }
 }
 
 /// One injected fault: it fires on task `index` for the first `times`
-/// attempts, in the supervisor for task kinds and in the attempt's
-/// child process for worker kinds.
+/// attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
     /// The failure to inject.
@@ -254,16 +232,10 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Is this the empty plan?
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     /// Parses a spec: comma-separated `kind@index[*times]` entries,
-    /// e.g. `panic@3`, `panic@0*2,stall@5`, `exit@7`, `worker_kill@1*2`.
-    /// Kinds are `panic`, `stall`, `exit`, `worker_kill`,
-    /// `worker_hang`; `times` defaults to 1. An empty spec is the empty
-    /// plan.
+    /// e.g. `panic@3`, `panic@0*2,stall@5`, `exit@7`. Kinds are
+    /// `panic`, `stall` and `exit`; `times` defaults to 1. An empty spec
+    /// is the empty plan.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut faults = Vec::new();
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
@@ -300,19 +272,8 @@ impl FaultPlan {
         }
     }
 
-    /// The worker fault scheduled for (`index`, `attempt`), if any:
-    /// what the child process running that attempt must suffer. Only
-    /// `worker_*` kinds are returned.
-    pub fn worker_action(&self, index: usize, attempt: u32) -> Option<FaultKind> {
-        self.faults
-            .iter()
-            .find(|f| f.kind.is_worker() && f.index == index && attempt <= f.times)
-            .map(|f| f.kind)
-    }
-
-    /// Fires any task fault scheduled for (`index`, `attempt`). Called
-    /// at attempt start, inside the catch_unwind boundary. Worker kinds
-    /// are ignored here (see [`FaultPlan::worker_action`]).
+    /// Fires any fault scheduled for (`index`, `attempt`). Called at
+    /// attempt start, inside the catch_unwind boundary.
     fn trigger(&self, index: usize, attempt: u32, cancel: &CancelToken) {
         for f in &self.faults {
             if f.index != index || attempt > f.times {
@@ -331,7 +292,6 @@ impl FaultPlan {
                     panic!("injected fault: stall (task {index}, attempt {attempt})")
                 }
                 FaultKind::Exit => std::process::exit(FAULT_EXIT_CODE),
-                FaultKind::WorkerKill | FaultKind::WorkerHang => {}
             }
         }
     }
@@ -492,7 +452,6 @@ where
             cfg.faults.trigger(index, attempt, &token);
             f(
                 TaskCtx {
-                    index,
                     attempt,
                     cancel: &token,
                 },
@@ -539,7 +498,7 @@ where
 
 /// How a panicked attempt's failure reads: `panicked: <payload>` (the
 /// two payload shapes `panic!` produces, rendered as text).
-pub fn panic_failure(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_failure(payload: &(dyn std::any::Any + Send)) -> String {
     let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -867,53 +826,14 @@ mod tests {
                 ]
             }
         );
-        assert!(FaultPlan::parse("").unwrap().is_empty());
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
         assert!(FaultPlan::parse("boom@1").is_err());
         assert!(FaultPlan::parse("panic@x").is_err());
         assert!(FaultPlan::parse("panic@1*0").is_err());
         assert!(FaultPlan::parse("panic").is_err());
-        assert_eq!(
-            FaultPlan::parse("worker_kill@0,worker_hang@2*3").unwrap(),
-            FaultPlan {
-                faults: vec![
-                    Fault {
-                        kind: FaultKind::WorkerKill,
-                        index: 0,
-                        times: 1
-                    },
-                    Fault {
-                        kind: FaultKind::WorkerHang,
-                        index: 2,
-                        times: 3
-                    },
-                ]
-            }
-        );
-        assert!(FaultPlan::parse("worker_kill@x").is_err());
-        assert!(FaultPlan::parse("worker_kill@1*0").is_err());
-        assert!(FaultPlan::parse("worker_kill").is_err());
-
-        // Worker kinds answer `worker_action` with the task kinds'
-        // meaning (task index, first `times` attempts) and never fire on
-        // a task.
-        let p = FaultPlan::parse("worker_kill@1, worker_hang@0*3, panic@2").unwrap();
-        assert_eq!(p.worker_action(1, 1), Some(FaultKind::WorkerKill));
-        assert_eq!(p.worker_action(1, 2), None);
-        for attempt in 1..=3 {
-            assert_eq!(p.worker_action(0, attempt), Some(FaultKind::WorkerHang));
-        }
-        assert_eq!(p.worker_action(0, 4), None);
-        assert_eq!(p.worker_action(2, 1), None);
         for kind in FaultKind::ALL {
             assert_eq!(FaultKind::parse(kind.name()), Some(kind));
         }
-        let cfg = SuperviseConfig {
-            retries: 0,
-            timeout: None,
-            faults: FaultPlan::parse("worker_kill@0,worker_hang@1").unwrap(),
-        };
-        let out = Pool::new(1).run_supervised(&[0u8, 1, 2], &cfg, |_, &x| x);
-        assert!(out.iter().all(|s| s.outcome.is_ok() && s.attempts == 1));
     }
 
     #[test]

@@ -17,8 +17,8 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # The conventions gate: determinism (no unordered maps, wall clock or
-# ambient input in simulator state), threads and processes only from
-# profess-par, no panics in library code, no `unsafe`, and no
+# ambient input in simulator state), threads only from profess-par, no
+# processes, no panics in library code, no `unsafe`, and no
 # `#[expect]` that suppresses nothing.
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -193,30 +193,34 @@ cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
     journal "$surf_dir/CHECKPOINT_surface.jsonl"
 
-# Shard smoke: the multi-process sweep backend end to end (DESIGN.md
-# §15). A 2-worker sharded run whose first pending cell loses the child
-# of its first attempt must retry that cell (its BENCH record shows two
-# attempts) and reproduce the committed single-process goldens
-# byte-for-byte. The run fails its final journal rewrite if a cell
-# key was journaled twice (no cell executed twice); `profess-validate
-# journal` strict-decodes the rewritten journal and holds it to one line
-# per key.
-echo "==> shard smoke (2 workers, injected worker_kill, retry, diff)"
-shard_dir="$smoke_dir/shard"
-mkdir -p "$shard_dir"
-PROFESS_RESULTS_DIR="$shard_dir" PROFESS_FAULT='worker_kill@0' \
-    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig10_12 \
-    --workers 2 400 w01 > /dev/null 2> "$shard_dir/shard.err"
-# the kill actually landed: pending cell 0 (the first solo reference)
-# was retried once
-grep -q '"label":"solo:PoM:mcf","status":"ok","attempts":2,' \
-    "$shard_dir/BENCH_fig10_12.json"
+# Journal smoke: retry, kill and resume against committed goldens
+# (DESIGN.md §10.3). A serial sweep whose first pending cell panics on
+# its first attempt (retried) and which is killed by an injected exit
+# (code 86) at pending cell 3 must leave a journal of the finished
+# cells; a plain serial rerun restores them and runs the rest. Journal
+# lines land in completion order, so only a serial run reproduces the
+# committed journal byte-for-byte; the rows match at any thread count.
+# `profess-validate journal` strict-decodes the journal and holds it to
+# one line per cell key (no cell executed twice).
+echo "==> journal smoke (fig10_12: serial retry, kill, resume, diff)"
+journal_dir="$smoke_dir/journal"
+mkdir -p "$journal_dir"
+rc=0
+PROFESS_RESULTS_DIR="$journal_dir" PROFESS_CHECKPOINT="$journal_dir" \
+    PROFESS_THREADS=1 PROFESS_RETRIES=1 PROFESS_FAULT='panic@0,exit@3' \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig10_12 400 w01 \
+    > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 86
+PROFESS_RESULTS_DIR="$journal_dir" PROFESS_CHECKPOINT="$journal_dir" PROFESS_THREADS=1 \
+    cargo run --release --offline -q -p profess-bench --bin profess-run -- fig10_12 400 w01 \
+    > "$journal_dir/resume.out"
+grep -q 'restored from journal' "$journal_dir/resume.out"
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
-    journal "$shard_dir/CHECKPOINT_fig10_12.jsonl"
+    journal "$journal_dir/CHECKPOINT_fig10_12.jsonl"
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
-    diff results/CHECKPOINT_shard_ci.jsonl "$shard_dir/CHECKPOINT_fig10_12.jsonl"
+    diff results/CHECKPOINT_shard_ci.jsonl "$journal_dir/CHECKPOINT_fig10_12.jsonl"
 cargo run --release --offline -q -p profess-bench --bin profess-validate -- \
-    diff results/ROWS_shard_ci.json "$shard_dir/ROWS_fig10_12.json"
+    diff results/ROWS_shard_ci.json "$journal_dir/ROWS_fig10_12.json"
 
 # Bench trend gate (DESIGN.md §12), last because it times the host and
 # every step before it is deterministic: first prove the comparator itself —
