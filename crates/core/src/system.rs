@@ -8,14 +8,16 @@
 //! STC (misses fetch ST entries from M1, evictions write them back —
 //! modelled as real M1 traffic, as the paper requires).
 //!
-//! The loop caches each channel's and core's next-event time and only
-//! advances components that are due (`next <= clock`) or were mutated
-//! since the cache was filled (pushed to, completed into, swapped,
-//! restarted). This is behavior-preserving because `next_event` is exactly
-//! the earliest cycle a component's state can change absent outside
-//! mutation: advancing it earlier is a no-op (channels apply deferred M1
-//! refreshes on `push`/`begin_swap` and at end of run, so bank state and
-//! refresh accounting match an eagerly advanced run).
+//! The loop caches each channel's and core's next-event time. A step
+//! advances only the channels that are due (`next <= clock`) and the
+//! cores that are due or that a completion woke, and refreshes only the
+//! cached times of what it advanced or mutated (a channel pushed to or
+//! swapped, a core restarted). This is behavior-preserving because
+//! `next_event` is exactly the earliest cycle a component's state can
+//! change absent outside mutation: advancing it earlier is a no-op
+//! (channels apply deferred M1 refreshes on `push`/`begin_swap` and at
+//! end of run, so bank state and refresh accounting match an eagerly
+//! advanced run).
 //!
 //! Multiprogram methodology (paper §4.2): each program's statistics are
 //! recorded for its first completion; programs that finish early restart
@@ -459,6 +461,13 @@ impl SystemBuilder {
                 self.cfg.cpu.num_cores
             )));
         }
+        let channels = self.cfg.org.num_channels as usize;
+        if self.programs.len().max(channels) > MAX_LOOP_COMPONENTS {
+            return Err(config(&format!(
+                "{} programs and {channels} channels: at most {MAX_LOOP_COMPONENTS} of each",
+                self.programs.len()
+            )));
+        }
         let restore_from = self.restore_from.take();
         let mut sys = System::new(self);
         if let Some(snap) = restore_from {
@@ -466,6 +475,21 @@ impl SystemBuilder {
         }
         sys.run()
     }
+}
+
+/// The most cores, and the most channels, a system can have: the run
+/// loop keeps its step-local sets as one bit per component in a `u64`.
+const MAX_LOOP_COMPONENTS: usize = u64::BITS as usize;
+
+/// The indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -647,12 +671,16 @@ struct System {
     pending_buf: Vec<PendingData>,
     // Eviction-record scratch reused across STC evictions.
     evict_buf: Vec<EvictRecord>,
-    // Cached next-event times; `dirty` marks entries whose component was
-    // mutated since the cache was filled and must be recomputed.
+    // Cached next-event times, exact at every step boundary.
     ch_next: Vec<Cycle>,
-    ch_dirty: Vec<bool>,
     core_next: Vec<Cycle>,
-    core_dirty: Vec<bool>,
+    // Step-local bit sets, empty at every step boundary: the channels a
+    // step mutated outside their own advance (pushed to, swapped), whose
+    // cached time it must refresh, and the cores a completion woke, which
+    // it must advance. One bit per component, so a system has at most
+    // `MAX_LOOP_COMPONENTS` cores and channels.
+    ch_stale: u64,
+    core_woken: u64,
     core_stats: Vec<CoreStats>,
     // The run's only RSM, built when the run is guided, traced or
     // region-sampled. In a guided run it steers the policy (through
@@ -777,10 +805,11 @@ impl System {
             pending_st: SlabQueues::new(geom.num_groups() as usize),
             pending_buf: Vec::new(),
             evict_buf: Vec::new(),
+            // Every component is due at cycle 0.
             ch_next: vec![Cycle::ZERO; n_ch],
-            ch_dirty: vec![true; n_ch],
             core_next: vec![Cycle::ZERO; n_prog],
-            core_dirty: vec![true; n_prog],
+            ch_stale: 0,
+            core_woken: 0,
             core_stats: vec![CoreStats::default(); n_prog],
             rsm,
             guided,
@@ -821,7 +850,7 @@ impl System {
     // every per-core and per-channel vec is sized from it.
     fn push_channel(&mut self, ch: usize, req: PhysRequest) {
         let now = self.clock;
-        self.ch_dirty[ch] = true;
+        self.ch_stale |= 1 << ch;
         self.channels[ch].push(req, now);
     }
 
@@ -973,7 +1002,7 @@ impl System {
         let m1_loc = self.geom.slot_loc(group, SlotIdx::M1);
         let m2_loc = self.geom.slot_loc(group, actual);
         let now = self.clock;
-        self.ch_dirty[ch] = true;
+        self.ch_stale |= 1 << ch;
         let done = self.channels[ch].begin_swap(now, m1_loc, m2_loc);
         #[expect(
             clippy::expect_used,
@@ -1068,7 +1097,7 @@ impl System {
                         st.read_lat_sum += s.latency();
                     }
                 }
-                self.core_dirty[core] = true;
+                self.core_woken |= 1 << core;
                 self.cores[core].complete(seq, s.done);
                 let class = self.region_map.classify(&self.geom, program, group);
                 self.policy.on_served(program, class, from_m1);
@@ -1317,16 +1346,18 @@ impl System {
                     });
                 }
             }
-            // 1. Due or mutated channels catch up; completions collected.
-            // Skipped channels are exactly those for which advance would
-            // be a no-op (`next_event` contract), so the served stream is
-            // identical to advancing every channel every step.
+            crate::work::count_step();
+            // 1. Due channels catch up; completions collected. A channel
+            // that is not due would advance as a no-op (`next_event`
+            // contract), so the served stream is identical to advancing
+            // every channel every step.
             let mut contributors = 0u32;
             for i in 0..self.channels.len() {
-                if self.ch_dirty[i] || self.ch_next[i] <= self.clock {
+                if self.ch_next[i] <= self.clock {
                     let before = served_buf.len();
+                    crate::work::count_channel_advance();
                     self.channels[i].advance(self.clock, &mut served_buf);
-                    self.ch_dirty[i] = true;
+                    self.ch_stale |= 1 << i;
                     contributors += u32::from(served_buf.len() > before);
                 }
             }
@@ -1351,20 +1382,34 @@ impl System {
             }
             // 2. Interval-based policies.
             self.run_poll();
-            // 3. Due or completed-into cores execute; new requests routed.
-            for i in 0..self.cores.len() {
-                if self.core_dirty[i] || self.core_next[i] <= self.clock {
-                    debug_assert!(out_reqs.is_empty());
-                    let now = self.clock;
-                    self.cores[i].advance(now, &mut out_reqs);
-                    self.core_dirty[i] = true;
-                    for r in out_reqs.drain(..) {
-                        self.handle_core_request(i, r)?;
-                    }
+            // 3. Due and woken cores execute, in index order; new requests
+            // routed. Routing wakes no core, so the set is fixed here.
+            let mut advanced = std::mem::take(&mut self.core_woken);
+            for (i, &next) in self.core_next.iter().enumerate() {
+                if next <= self.clock {
+                    advanced |= 1 << i;
                 }
             }
-            // 4. Completions / restarts.
-            for i in 0..self.cores.len() {
+            for i in bits(advanced) {
+                debug_assert!(out_reqs.is_empty());
+                let now = self.clock;
+                crate::work::count_core_advance();
+                self.cores[i].advance(now, &mut out_reqs);
+                for r in out_reqs.drain(..) {
+                    self.handle_core_request(i, r)?;
+                }
+            }
+            // 4. Completions / restarts. Only an advance finishes a
+            // program, so only the advanced cores can have finished. The
+            // pass runs in index order, and each restart decision sees
+            // the first finishes recorded before it: a lower core that
+            // ends its first instance in the same step as a higher one
+            // still restarts. At the top of a step some first instance is
+            // still running (otherwise the loop would have ended), so
+            // "all first instances done" can change only when one ends.
+            let mut all_done = false;
+            for i in bits(advanced) {
+                crate::work::count_completion_check();
                 if self.cores[i].is_finished() {
                     if self.first_done[i].is_none() {
                         self.first_done[i] = Some((
@@ -1372,33 +1417,32 @@ impl System {
                             self.cores[i].instance_core_cycles(),
                             self.cores[i].ipc(),
                         ));
+                        all_done = self.all_first_done();
                     }
-                    if !self.all_first_done() {
+                    if !all_done {
                         self.restarts[i] += 1;
                         let source = (self.factories[i])(self.restarts[i]);
-                        self.core_dirty[i] = true;
                         self.cores[i].restart(source);
                     }
                 }
             }
-            if self.all_first_done() {
+            if all_done {
                 break;
             }
-            // 5. Next event: refresh stale cache entries, pop the minimum.
-            let mut t = Cycle::NEVER;
-            for i in 0..self.channels.len() {
-                if self.ch_dirty[i] {
-                    self.ch_next[i] = self.channels[i].next_event(self.clock);
-                    self.ch_dirty[i] = false;
-                }
-                t = t.min(self.ch_next[i]);
+            // 5. Next event: refresh what this step advanced or mutated,
+            // pop the minimum.
+            for i in bits(std::mem::take(&mut self.ch_stale)) {
+                self.ch_next[i] = self.channels[i].next_event(self.clock);
             }
-            for i in 0..self.cores.len() {
-                if self.core_dirty[i] {
-                    self.core_next[i] = self.cores[i].next_event(self.clock);
-                    self.core_dirty[i] = false;
-                }
-                t = t.min(self.core_next[i]);
+            for i in bits(advanced) {
+                self.core_next[i] = self.cores[i].next_event(self.clock);
+            }
+            let mut t = Cycle::NEVER;
+            for &next in &self.ch_next {
+                t = t.min(next);
+            }
+            for &next in &self.core_next {
+                t = t.min(next);
             }
             if self.policy_polls {
                 if let Some(p) = self.policy.next_poll() {
@@ -1654,6 +1698,18 @@ impl State for System {
             }
         }
         c.field("cores", self.cores.as_mut_slice())?;
+        if c.is_load() {
+            // The run loop checks only the cores it advanced for a
+            // finished program, and asks whether every first instance
+            // ended only when one does: at a step boundary no program
+            // waits for its restart and some first instance is running.
+            if let Some(i) = self.cores.iter().position(CoreSim::is_finished) {
+                return Err(format!("cores: [{i}]: finished at a step boundary"));
+            }
+            if self.all_first_done() {
+                return Err("first_done: every first instance ended".to_string());
+            }
+        }
         c.field("channels", self.channels.as_mut_slice())?;
         c.field("stcs", self.stcs.as_mut_slice())?;
         if c.is_load() {
@@ -1693,16 +1749,12 @@ impl State for System {
                 }
             }
         }
-        // The cached next-event times were valid (not dirty) at the
-        // snapshot boundary; restoring them verbatim with the dirty flags
-        // clear reproduces the uninterrupted loop's scheduling decisions
+        // The cached next-event times are exact at the snapshot boundary,
+        // where no step-local set holds anything; restoring them verbatim
+        // reproduces the uninterrupted loop's scheduling decisions
         // exactly.
         c.field("ch_next", self.ch_next.as_mut_slice())?;
         c.field("core_next", self.core_next.as_mut_slice())?;
-        if c.is_load() {
-            self.ch_dirty.fill(false);
-            self.core_dirty.fill(false);
-        }
         // A guided run's monitor and applied cases travel inside the
         // policy object, after the policy's own state.
         c.object("policy", |c| {
@@ -2287,6 +2339,32 @@ mod tests {
                 Json::Arr(vec![queued(1 << 40, 9), queued((1 << 40) + 1, 4)]);
         });
         assert_corrupt(err, "channels: [0]: read_q: [1]: enq 4 precedes");
+    }
+
+    /// The run loop asks only the cores it advanced whether their program
+    /// finished, so a snapshot with a finished core waiting for its
+    /// restart is rejected.
+    #[test]
+    fn restore_rejects_a_finished_core() {
+        let err = restore_edited_halfway(|p| {
+            *field(item(field(p, "cores"), 0), "wait_kind") = Json::UInt(3);
+        });
+        assert_corrupt(err, "cores: [0]: finished at a step boundary");
+    }
+
+    /// The run loop relies on a step boundary having some first
+    /// instance still running, so a snapshot claiming otherwise is
+    /// rejected.
+    #[test]
+    fn restore_rejects_every_first_instance_ended() {
+        let err = restore_edited_halfway(|p| {
+            let done = StateCodec::save(&mut Some((1u64, 1u64, 1.0f64))).unwrap();
+            let Json::Arr(first) = field(p, "first_done") else {
+                panic!("first_done is not an array")
+            };
+            first.iter_mut().for_each(|d| *d = done.clone());
+        });
+        assert_corrupt(err, "first_done: every first instance ended");
     }
 
     #[test]

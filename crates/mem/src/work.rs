@@ -39,9 +39,9 @@ pub(crate) fn count_plan() {
 }
 
 /// Counts one queue entry visited by a starvation scan on this thread.
-/// The scheduler answers its starvation test from bank bitsets and never
-/// scans; only the scanning reference scheduler in the unit tests counts
-/// here.
+/// The scheduler answers its starvation test from per-bank oldest-miss
+/// slots (`OldestMiss`) and never scans; only the scanning reference
+/// scheduler in the unit tests counts here.
 #[cfg(test)]
 #[inline]
 pub(crate) fn count_cap_test_visit() {

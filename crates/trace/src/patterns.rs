@@ -142,7 +142,7 @@ impl Pattern for PointerChase {
 #[derive(Debug, Clone)]
 pub struct Hotspot {
     blocks: u64,
-    cdf: Arc<[f64]>,
+    cdf: ZipfCdf,
     perm: Vec<u32>,
     phase_refs: u64,
     refs_in_phase: u64,
@@ -182,8 +182,9 @@ impl Hotspot {
 }
 
 /// The most normalized Zipf CDFs the process-wide table keeps. At the
-/// scaled presets a CDF is at most ~70 KB (8.8k blocks), so the table
-/// holds at most a few MB; at paper scale at most ~70 MB.
+/// scaled presets a CDF is at most ~70 KB (8.8k blocks) and its guide at
+/// most half that, so the table holds at most a few MB; at paper scale
+/// at most ~105 MB.
 const ZIPF_TABLE_ENTRIES: usize = 32;
 
 /// The normalized Zipf(`exponent`) CDF over `blocks` ranks: entry `i` is
@@ -202,6 +203,65 @@ fn zipf_cdf(blocks: u64, exponent: f64) -> Vec<f64> {
     cdf
 }
 
+/// A normalized Zipf CDF and a guide table that inverts it in O(1)
+/// expected time, in one shared allocation: the CDF's `len` values, then
+/// the guide's `n` ranks, each exact as an `f64`.
+///
+/// `n` is the largest power of two at most half the CDF's length (1 for
+/// a one-block CDF), so the guide holds at most half the CDF's bytes and
+/// a draw scans only its bucket's CDF entries, 2 to 4 on average. Guide
+/// entry `g` is the first rank whose CDF value is at least `g / n`. A
+/// draw `u` in `[0, 1)` falls in bucket `floor(u * n)`, which is exact
+/// because `n` is a power of two, so `u` is at least the bucket's lower
+/// bound and the rank lies at or after the bucket's entry; a short
+/// forward scan finds it.
+#[derive(Debug, Clone)]
+struct ZipfCdf {
+    len: usize,
+    table: Arc<[f64]>,
+}
+
+impl ZipfCdf {
+    fn new(blocks: u64, exponent: f64) -> Self {
+        let mut table = zipf_cdf(blocks, exponent);
+        let len = table.len();
+        let (n, last) = (1usize << len.ilog2().saturating_sub(1), len - 1);
+        let mut rank = 0;
+        for g in 0..n {
+            let lower = g as f64 / n as f64;
+            while rank < last && table[rank] < lower {
+                rank += 1;
+            }
+            table.push(rank as f64);
+        }
+        ZipfCdf {
+            len,
+            table: table.into(),
+        }
+    }
+
+    fn cdf(&self) -> &[f64] {
+        &self.table[..self.len]
+    }
+
+    fn guide(&self) -> &[f64] {
+        &self.table[self.len..]
+    }
+
+    /// The rank a uniform draw `u` in `[0, 1)` selects: the number of CDF
+    /// entries below `u`, at most the last rank. This is the index a
+    /// binary search of the CDF for `u` returns.
+    fn rank(&self, u: f64) -> usize {
+        let (cdf, guide) = (self.cdf(), self.guide());
+        let bucket = ((u * guide.len() as f64) as usize).min(guide.len() - 1);
+        let mut rank = guide[bucket] as usize;
+        while rank < cdf.len() - 1 && cdf[rank] < u {
+            rank += 1;
+        }
+        rank
+    }
+}
+
 /// A bounded table of Zipf CDFs keyed by `(blocks, exponent bits)`,
 /// holding at most [`ZIPF_TABLE_ENTRIES`] and evicting the oldest first.
 ///
@@ -210,7 +270,7 @@ fn zipf_cdf(blocks: u64, exponent: f64) -> Vec<f64> {
 /// sharing cannot change any generated stream.
 #[derive(Debug)]
 struct ZipfTable {
-    entries: VecDeque<(ZipfKey, Arc<[f64]>)>,
+    entries: VecDeque<(ZipfKey, ZipfCdf)>,
 }
 
 /// `(blocks, exponent bits)`.
@@ -223,16 +283,16 @@ impl ZipfTable {
         }
     }
 
-    fn get_or_build(&mut self, blocks: u64, exponent: f64) -> Arc<[f64]> {
+    fn get_or_build(&mut self, blocks: u64, exponent: f64) -> ZipfCdf {
         let key = (blocks, exponent.to_bits());
         if let Some((_, cdf)) = self.entries.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(cdf);
+            return cdf.clone();
         }
-        let cdf: Arc<[f64]> = zipf_cdf(blocks, exponent).into();
+        let cdf = ZipfCdf::new(blocks, exponent);
         if self.entries.len() == ZIPF_TABLE_ENTRIES {
             self.entries.pop_front();
         }
-        self.entries.push_back((key, Arc::clone(&cdf)));
+        self.entries.push_back((key, cdf.clone()));
         cdf
     }
 }
@@ -243,7 +303,7 @@ static ZIPF_TABLE: Mutex<ZipfTable> = Mutex::new(ZipfTable::new());
 
 /// The Zipf CDF for `(blocks, exponent)` from the process-wide table,
 /// built on first use.
-fn shared_zipf_cdf(blocks: u64, exponent: f64) -> Arc<[f64]> {
+fn shared_zipf_cdf(blocks: u64, exponent: f64) -> ZipfCdf {
     // A panic while holding the lock cannot leave a torn entry: entries
     // are pushed whole, so a poisoned table is still valid.
     ZIPF_TABLE
@@ -258,10 +318,7 @@ impl Pattern for Hotspot {
             self.reshuffle(rng);
         }
         self.refs_in_phase += 1;
-        let u = rng.next_f64();
-        let rank = match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
-        };
+        let rank = self.cdf.rank(rng.next_f64());
         let block = u64::from(self.perm[rank]);
         let line = block * LINES_PER_BLOCK + rng.gen_range(0..LINES_PER_BLOCK);
         Ref {
@@ -686,13 +743,57 @@ mod tests {
                 // reads it back.
                 for _ in 0..2 {
                     let shared = table.get_or_build(blocks, e);
-                    assert_eq!(shared.len(), fresh.len());
+                    assert_eq!(shared.cdf().len(), fresh.len());
                     assert!(
                         shared
+                            .cdf()
                             .iter()
                             .zip(&fresh)
                             .all(|(a, b)| a.to_bits() == b.to_bits()),
                         "{}: Zipf({e}) over {blocks} blocks differs",
+                        p.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The rank a binary search of the CDF finds for `u`: the inverse the
+    /// guide table replaces.
+    fn searched_rank(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|p| p.total_cmp(&u)) {
+            Ok(i) | Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn guided_ranks_equal_binary_searched_ones() {
+        use crate::spec::SpecProgram;
+        let mut rng = seeded_rng(8);
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        assert_eq!(below_one.to_bits() + 1, 1.0f64.to_bits());
+        let programs = SpecProgram::ALL.iter().chain(&SpecProgram::SYNTHETIC);
+        for p in programs {
+            let blocks = p.footprint_lines(32) / LINES_PER_BLOCK;
+            for &e in &PATTERN_EXPONENTS {
+                let zipf = ZipfCdf::new(blocks, e);
+                assert!(zipf.guide().len() <= (zipf.cdf().len() / 2).max(1));
+                // Every CDF entry and its neighbours on each side, the
+                // ends of [0, 1), and uniform draws.
+                let entries = zipf.cdf().iter().flat_map(|c| {
+                    let b = c.to_bits();
+                    [f64::from_bits(b - 1), *c, f64::from_bits(b + 1)]
+                });
+                let draws: Vec<f64> = (0..1000).map(|_| rng.next_f64()).collect();
+                let us = entries
+                    .chain([0.0, below_one])
+                    .chain(draws)
+                    .filter(|u| (0.0..1.0).contains(u));
+                for u in us {
+                    assert_eq!(
+                        zipf.rank(u),
+                        searched_rank(zipf.cdf(), u),
+                        "{}: Zipf({e}) over {blocks} blocks at u = {u:e}",
                         p.name()
                     );
                 }
@@ -706,8 +807,8 @@ mod tests {
         let a = Hotspot::new(32 * 300, 1.05, 0, false, &mut rng);
         let b = Hotspot::new(32 * 300, 1.05, 0, true, &mut rng);
         let c = Hotspot::new(32 * 300, 1.10, 0, false, &mut rng);
-        assert!(Arc::ptr_eq(&a.cdf, &b.cdf));
-        assert!(!Arc::ptr_eq(&a.cdf, &c.cdf));
+        assert!(Arc::ptr_eq(&a.cdf.table, &b.cdf.table));
+        assert!(!Arc::ptr_eq(&a.cdf.table, &c.cdf.table));
     }
 
     #[test]
@@ -716,7 +817,7 @@ mod tests {
         let keys = 3 * ZIPF_TABLE_ENTRIES as u64;
         for blocks in 1..=keys {
             let cdf = table.get_or_build(blocks, 0.9);
-            assert_eq!(cdf.len() as u64, blocks);
+            assert_eq!(cdf.cdf().len() as u64, blocks);
             assert!(table.entries.len() <= ZIPF_TABLE_ENTRIES);
         }
         assert_eq!(table.entries.len(), ZIPF_TABLE_ENTRIES);
@@ -728,7 +829,10 @@ mod tests {
         // A hit neither grows the table nor rebuilds the entry.
         let hit = table.get_or_build(keys, 0.9);
         assert_eq!(table.entries.len(), ZIPF_TABLE_ENTRIES);
-        assert!(Arc::ptr_eq(&hit, &table.entries[ZIPF_TABLE_ENTRIES - 1].1));
+        assert!(Arc::ptr_eq(
+            &hit.table,
+            &table.entries[ZIPF_TABLE_ENTRIES - 1].1.table
+        ));
     }
 
     #[test]

@@ -134,7 +134,8 @@ impl ProgramGen {
         }
         // Geometric via inverse transform.
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let g = (u.ln() / self.ln_q).floor();
+        let g = u.ln() / self.ln_q;
+        // g >= 0, so the saturating cast truncates it as floor would.
         g.min(1e9) as u32
     }
 }

@@ -52,6 +52,11 @@ cargo run --release --offline -q --example perf -- --workload short_cells > /dev
 # to the same goldens, in about 4 s.
 echo "==> golden smoke at deep queues (perf --workload surface_rw)"
 cargo run --release --offline -q --example perf -- --workload surface_rw > /dev/null
+# churn_attack is the only workload that runs MemPod's poll path, where a
+# swap marks a channel's cached next event stale outside the served path,
+# so it holds the run loop's step-local sets to the goldens there.
+echo "==> golden smoke on MemPod's poll path (perf --workload churn_attack)"
+cargo run --release --offline -q --example perf -- --workload churn_attack > /dev/null
 
 # Traced smoke: the same figure with --trace must write a well-formed
 # TRACE_fig05.jsonl containing every event kind the tracer promises.
