@@ -3,13 +3,14 @@
 //! policy, and per-cell set-up (system and op generators). These guard
 //! the engine's performance (the figure binaries run millions of
 //! requests) rather than reproducing paper results — the paper's tables
-//! and figures are regenerated by the binaries in `src/bin/` (see
-//! DESIGN.md).
+//! and figures are regenerated by `profess-run` (see DESIGN.md).
 //!
 //! Runs on the in-tree [`profess_bench::harness`] runner (no criterion;
 //! hermetic-build policy), so `cargo bench -p profess-bench` works with
-//! the crate registry unreachable.
+//! the crate registry unreachable. A malformed `PROFESS_BENCH_*` count
+//! is a usage error (exit 2).
 
+use profess_bench::exit;
 use profess_bench::harness::Runner;
 use profess_core::system::{PolicyKind, SystemBuilder};
 use profess_cpu::{MemOp, MemOpKind, OpSource};
@@ -160,7 +161,10 @@ fn bench_generator_build(r: &mut Runner) {
 }
 
 fn main() {
-    let mut r = Runner::new();
+    let mut r = Runner::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(exit::USAGE)
+    });
     bench_channel(&mut r);
     bench_end_to_end(&mut r);
     bench_trace_generation(&mut r);

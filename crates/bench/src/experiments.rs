@@ -3,7 +3,7 @@
 //! × program, workload or surface point ([`Cell`]) — and the reducer
 //! that folds the finished cells into its printed table and artifacts.
 //! [`run`] executes any record on the one cell engine
-//! ([`crate::run_cells`]), so supervision, checkpoint/resume,
+//! (`run_cells`), so supervision, checkpoint/resume,
 //! snapshots and tracing apply to every experiment alike; `profess-run
 //! <name>` is the command line.
 //!

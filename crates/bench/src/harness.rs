@@ -7,11 +7,15 @@
 //! against order-of-magnitude regressions, not nanosecond drift, and the
 //! hermetic-build policy forbids external crates.
 //!
-//! Environment overrides:
-//! * `PROFESS_BENCH_SAMPLES` — timed samples per benchmark (default 10);
-//! * `PROFESS_BENCH_WARMUP` — warm-up iterations (default 3);
+//! Environment overrides, read by [`BenchConfig::from_env`]:
+//! * `PROFESS_BENCH_SAMPLES` — timed samples per benchmark, a positive
+//!   integer (default 10);
+//! * `PROFESS_BENCH_WARMUP` — warm-up iterations, `0` for none
+//!   (default 3);
 //! * `PROFESS_BENCH_FILTER` — substring filter on benchmark names (the
 //!   first CLI argument does the same, as `cargo bench -- <filter>`).
+//!
+//! A malformed or out-of-range count is an error, never a silent default.
 //!
 //! After a run, [`BenchJson`] (used by every experiment and by
 //! [`Runner::finish_json`]) writes a machine-readable
@@ -39,23 +43,43 @@ pub struct BenchConfig {
     pub filter: Option<String>,
 }
 
-impl Default for BenchConfig {
-    fn default() -> Self {
-        let env_u32 = |k: &str| {
-            // Sample-count knobs shape how many timing samples run, never
-            // simulator output.
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&v: &u32| v > 0)
+impl BenchConfig {
+    /// The configuration the environment and the first CLI argument
+    /// name. Sample-count knobs shape how many timing samples run, never
+    /// simulator output.
+    ///
+    /// # Errors
+    ///
+    /// A malformed or out-of-range `PROFESS_BENCH_SAMPLES` or
+    /// `PROFESS_BENCH_WARMUP`, named in the message.
+    pub fn from_env() -> Result<BenchConfig, String> {
+        let env = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        let knob = |name: &str, default: u32, min: u32| {
+            parse_count(name, env(name).as_deref(), default, min)
         };
-        BenchConfig {
-            samples: env_u32("PROFESS_BENCH_SAMPLES").unwrap_or(10),
-            warmup: env_u32("PROFESS_BENCH_WARMUP").unwrap_or(3),
+        Ok(BenchConfig {
+            samples: knob("PROFESS_BENCH_SAMPLES", 10, 1)?,
+            warmup: knob("PROFESS_BENCH_WARMUP", 3, 0)?,
             filter: std::env::var("PROFESS_BENCH_FILTER")
                 .ok()
                 .or_else(|| std::env::args().nth(1).filter(|a| !a.starts_with('-'))),
-        }
+        })
+    }
+}
+
+/// Parses the value of the count knob `name`: `default` when unset, else
+/// an integer from `min` to `u32::MAX`. Anything else is an error that
+/// names the variable.
+fn parse_count(name: &str, value: Option<&str>, default: u32, min: u32) -> Result<u32, String> {
+    let Some(v) = value else {
+        return Ok(default);
+    };
+    match v.trim().parse::<u32>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!(
+            "{name}={v}: expected an integer in {min}..={}",
+            u32::MAX
+        )),
     }
 }
 
@@ -80,16 +104,14 @@ pub struct Runner {
     started: Instant,
 }
 
-impl Default for Runner {
-    fn default() -> Self {
-        Runner::new()
-    }
-}
-
 impl Runner {
     /// Creates a runner from the environment/CLI configuration.
-    pub fn new() -> Self {
-        Runner::with_config(BenchConfig::default())
+    ///
+    /// # Errors
+    ///
+    /// As [`BenchConfig::from_env`].
+    pub fn from_env() -> Result<Self, String> {
+        BenchConfig::from_env().map(Runner::with_config)
     }
 
     /// Creates a runner with an explicit configuration.
@@ -599,6 +621,31 @@ mod tests {
             |v| v.len(),
         );
         assert_eq!(setups, 4);
+    }
+
+    #[test]
+    fn count_knobs_are_parsed_strictly() {
+        let samples = |v| parse_count("PROFESS_BENCH_SAMPLES", v, 10, 1);
+        assert_eq!(samples(None), Ok(10));
+        assert_eq!(samples(Some("7")), Ok(7));
+        assert_eq!(samples(Some("4294967295")), Ok(u32::MAX));
+        for bad in ["0", "4294967296", "abc", "", "-1", "2.5"] {
+            let err = samples(Some(bad)).expect_err(bad);
+            assert!(
+                err.starts_with(&format!("PROFESS_BENCH_SAMPLES={bad}:")),
+                "{err}"
+            );
+        }
+        let warmup = |v| parse_count("PROFESS_BENCH_WARMUP", v, 3, 0);
+        assert_eq!(warmup(None), Ok(3));
+        assert_eq!(warmup(Some("0")), Ok(0));
+        for bad in ["4294967296", "x"] {
+            let err = warmup(Some(bad)).expect_err(bad);
+            assert!(
+                err.starts_with(&format!("PROFESS_BENCH_WARMUP={bad}:")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

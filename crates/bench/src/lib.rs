@@ -5,7 +5,7 @@
 //! cells as data ([`Cell`]: configuration × policy × program, workload
 //! or surface point), and the reducer that folds the finished cells
 //! into its printed table. One driver, `profess-run <experiment>`, runs
-//! any record's cells on the one cell engine here ([`run_cells`]:
+//! any record's cells on the one cell engine here (`run_cells`:
 //! supervision, checkpoint journal, mid-run snapshots, tracing), so
 //! every knob applies to every experiment. `DESIGN.md` §3 indexes the
 //! experiments.
@@ -444,7 +444,7 @@ impl Results {
 
     /// Workload `w`'s metrics under `policy`: its [`Sim::Multi`] cell
     /// against the [`Sim::SoloIpc`] references of its programs under the
-    /// same policy ([`slowdown_cells`]).
+    /// same policy (`slowdown_cells`).
     pub fn metrics(
         &self,
         at: &Setting,
@@ -786,9 +786,9 @@ pub(crate) fn normalized_rows(
 }
 
 /// The supervised, checkpointable normalized sweep of `policy` against
-/// the PoM baseline: [`normalized_cells`], run by [`run_cells`]
+/// the PoM baseline: `normalized_cells`, run by `run_cells`
 /// (journal replay, supervision, snapshots, traces), then reduced by
-/// [`normalized_rows`].
+/// `normalized_rows`.
 #[expect(
     clippy::too_many_arguments,
     reason = "public signature that examples/perf calls; kept as is"

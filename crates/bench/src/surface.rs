@@ -351,7 +351,7 @@ pub(crate) fn surface_points(
 
 /// Runs a surface sweep: every grid cell of `spec`, supervised,
 /// journaled and snapshot-capable exactly like the figure sweeps (the
-/// same [`run_cells`] engine). Points are assembled in grid order from
+/// same `run_cells` engine). Points are assembled in grid order from
 /// the cell values alone, and every float round-trips through the
 /// journal exactly, so the artifact is byte-identical across thread
 /// counts and kill/resume.

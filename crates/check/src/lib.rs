@@ -19,8 +19,11 @@
 //!   `proptest-regressions` file so historical failure cases keep
 //!   running first.
 //!
-//! Environment overrides: `PROFESS_CHECK_CASES` (cases per property) and
-//! `PROFESS_CHECK_SEED` (base seed).
+//! Environment overrides: `PROFESS_CHECK_CASES` (cases per property, a
+//! positive 32-bit integer) and `PROFESS_CHECK_SEED` (base seed, any
+//! 64-bit unsigned integer). A malformed or out-of-range value panics
+//! with a message naming the variable: a typo must never run fewer cases
+//! than asked for, or none.
 //!
 //! # Example
 //!
@@ -39,6 +42,10 @@
 
 pub mod strategy;
 
+use std::fmt::Display;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
+
 pub use profess_rng::Rng;
 pub use strategy::Strategy;
 
@@ -55,13 +62,54 @@ pub struct Config {
 }
 
 impl Default for Config {
+    /// 256 cases from the default seed, unless `PROFESS_CHECK_CASES` or
+    /// `PROFESS_CHECK_SEED` says otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either variable is set to a malformed or out-of-range
+    /// value.
     fn default() -> Self {
-        let env_u64 = |k: &str| std::env::var(k).ok().and_then(|v| v.parse().ok());
+        let env = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        let cases = parse_knob(
+            "PROFESS_CHECK_CASES",
+            env("PROFESS_CHECK_CASES").as_deref(),
+            256,
+            1..=u32::MAX,
+        );
+        let seed = parse_knob(
+            "PROFESS_CHECK_SEED",
+            env("PROFESS_CHECK_SEED").as_deref(),
+            0x5052_4F46_4553_5321,
+            0..=u64::MAX,
+        );
         Config {
-            cases: env_u64("PROFESS_CHECK_CASES").map_or(256, |v: u64| v as u32),
-            seed: env_u64("PROFESS_CHECK_SEED").unwrap_or(0x5052_4F46_4553_5321),
+            cases: cases.unwrap_or_else(|e| panic!("{e}")),
+            seed: seed.unwrap_or_else(|e| panic!("{e}")),
             max_shrink_steps: 2048,
         }
+    }
+}
+
+/// Parses the value of the knob `name`: `default` when unset, else an
+/// integer in `range`. Anything else is an error that names the
+/// variable.
+fn parse_knob<T: FromStr + PartialOrd + Display>(
+    name: &str,
+    value: Option<&str>,
+    default: T,
+    range: RangeInclusive<T>,
+) -> Result<T, String> {
+    let Some(v) = value else {
+        return Ok(default);
+    };
+    match v.trim().parse::<T>() {
+        Ok(n) if range.contains(&n) => Ok(n),
+        _ => Err(format!(
+            "{name}={v}: expected an integer in {}..={}",
+            range.start(),
+            range.end()
+        )),
     }
 }
 
@@ -297,6 +345,32 @@ mod tests {
             inputs.into_inner()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn knobs_are_parsed_strictly() {
+        let cases = |v| parse_knob("PROFESS_CHECK_CASES", v, 256, 1..=u32::MAX);
+        assert_eq!(cases(None), Ok(256));
+        assert_eq!(cases(Some("64")), Ok(64));
+        assert_eq!(cases(Some(" 4294967295 ")), Ok(u32::MAX));
+        for bad in ["0", "4294967296", "abc", "", "-1", "1.5"] {
+            let err = cases(Some(bad)).expect_err(bad);
+            assert!(
+                err.starts_with(&format!("PROFESS_CHECK_CASES={bad}:")),
+                "{err}"
+            );
+        }
+        let seed = |v| parse_knob("PROFESS_CHECK_SEED", v, 7u64, 0..=u64::MAX);
+        assert_eq!(seed(None), Ok(7));
+        assert_eq!(seed(Some("0")), Ok(0));
+        assert_eq!(seed(Some("18446744073709551615")), Ok(u64::MAX));
+        for bad in ["abc", "18446744073709551616", "0x10"] {
+            let err = seed(Some(bad)).expect_err(bad);
+            assert!(
+                err.starts_with(&format!("PROFESS_CHECK_SEED={bad}:")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

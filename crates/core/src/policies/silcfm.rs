@@ -11,8 +11,8 @@
 //!
 //! The paper lists SILC-FM in Tables 1–2 but excludes it from the
 //! evaluation (its organization differs); this implementation completes
-//! the Table 2 catalogue and is exercised by tests and the `ablation`
-//! tooling rather than by a paper figure.
+//! the Table 2 catalogue and is exercised by tests (its pinned report
+//! fingerprints among them) rather than by a paper figure.
 
 use profess_metrics::StateCodec;
 use profess_types::ids::ProgramId;

@@ -121,14 +121,6 @@ impl<R> TaskOutcome<R> {
         matches!(self, TaskOutcome::Ok(_))
     }
 
-    /// The value, if [`TaskOutcome::Ok`].
-    pub fn ok_ref(&self) -> Option<&R> {
-        match self {
-            TaskOutcome::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// A stable machine-readable label (`ok`, `failed`, `timed_out`,
     /// `exhausted`) for JSON artifacts.
     pub fn label(&self) -> &'static str {

@@ -15,8 +15,7 @@
 //!   four synthetic characterization programs ([`spec::SpecProgram::SYNTHETIC`]:
 //!   phase-changing, bursty, multi-tenant, adversarial hot-set churn);
 //! * [`workload`] — the nineteen Table 10 multiprogrammed mixes and the
-//!   adversarial [`workload::family_workloads`];
-//! * [`record`] — trace capture and replay for repeatable A/B studies.
+//!   adversarial [`workload::family_workloads`].
 //!
 //! # Examples
 //!
@@ -46,7 +45,6 @@
 
 pub mod patterns;
 pub mod program;
-pub mod record;
 pub mod spec;
 pub mod workload;
 

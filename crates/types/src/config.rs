@@ -206,8 +206,12 @@ pub struct CpuConfig {
     pub write_buffer: usize,
 }
 
-/// Cache hierarchy geometry (paper Table 8), used by the cache-driven
-/// trace mode and the examples. The fast post-L3 trace mode bypasses it.
+/// Cache hierarchy geometry (paper Table 8), recorded for reference.
+///
+/// No model reads it: every core is fed a synthetic post-L3 stream
+/// (DESIGN.md §1), so no request passes through a cache. It stays
+/// because [`SystemConfig`]'s `Debug` text, which includes it, is the
+/// config fingerprint of checkpoint keys and snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheHierarchyConfig {
     /// L1 data cache size in bytes (per core).
@@ -342,7 +346,8 @@ pub struct SystemConfig {
     pub stc: StcConfig,
     /// Core model.
     pub cpu: CpuConfig,
-    /// Cache hierarchy (cache-driven mode only).
+    /// Cache hierarchy geometry of Table 8. Read by no model; kept in the
+    /// config fingerprint (see [`CacheHierarchyConfig`]).
     pub caches: CacheHierarchyConfig,
     /// PoM parameters.
     pub pom: PomParams,

@@ -35,14 +35,6 @@ macro_rules! id_newtype {
 }
 
 id_newtype!(
-    /// A hardware core. Programs are pinned to cores in this reproduction
-    /// (paper §3.1.1), so [`CoreId`] and [`ProgramId`] values coincide, but
-    /// the types are kept distinct to document which role an index plays.
-    CoreId,
-    u8
-);
-
-id_newtype!(
     /// A program (workload slot). All threads of a multi-threaded program
     /// would share one `ProgramId`; this reproduction uses single-threaded
     /// programs as in the paper's evaluation.
@@ -71,25 +63,6 @@ id_newtype!(
     GroupId,
     u64
 );
-
-impl CoreId {
-    /// The program pinned to this core.
-    ///
-    /// The reproduction pins program *i* to core *i* (paper §3.1.1 allows
-    /// treating them interchangeably under this assumption).
-    #[inline]
-    pub fn program(self) -> ProgramId {
-        ProgramId(self.0)
-    }
-}
-
-impl ProgramId {
-    /// The core this program is pinned to (see [`CoreId::program`]).
-    #[inline]
-    pub fn core(self) -> CoreId {
-        CoreId(self.0)
-    }
-}
 
 /// A slot within a swap group.
 ///
@@ -161,13 +134,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn core_program_roundtrip() {
-        let c = CoreId(3);
-        assert_eq!(c.program().core(), c);
-        assert_eq!(c.program(), ProgramId(3));
-    }
-
-    #[test]
     fn slot_classification() {
         assert!(SlotIdx::M1.is_m1());
         assert!(!SlotIdx::M1.is_m2());
@@ -199,7 +165,7 @@ mod tests {
 
     #[test]
     fn from_raw() {
-        assert_eq!(CoreId::from(2u8), CoreId(2));
+        assert_eq!(ProgramId::from(2u8), ProgramId(2));
         assert_eq!(RegionId::from(100u16).index(), 100);
     }
 }

@@ -3,8 +3,8 @@
 //! This crate defines the identifiers, address geometry, clock domain, and
 //! configuration structures shared by every other crate in the workspace:
 //!
-//! * [`ids`] — newtype identifiers for cores, programs, channels, regions,
-//!   swap groups and slots;
+//! * [`ids`] — newtype identifiers for programs, channels, regions, swap
+//!   groups and slots;
 //! * [`clock`] — the memory-cycle clock domain and nanosecond conversions;
 //! * [`geometry`] — the flat-migrating address layout (original address →
 //!   swap group / slot / line) of the PoM organization used as the baseline
@@ -40,4 +40,4 @@ pub mod ids;
 pub use clock::Cycle;
 pub use config::SystemConfig;
 pub use geometry::Geometry;
-pub use ids::{ChannelId, CoreId, GroupId, ProgramId, RegionId, SlotIdx};
+pub use ids::{ChannelId, GroupId, ProgramId, RegionId, SlotIdx};

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate (see README.md): format, lint, build, test, smokes —
+# Tier-1 gate (see README.md): format, lint, docs, build, test, smokes —
 # fully offline. The clippy step is the conventions gate (DESIGN.md §9):
 # the clippy.toml bans, the panic lints at the library roots and the
 # forbidden `unsafe`; `cargo test` checks the schema, hermeticity and
@@ -22,6 +22,11 @@ cargo fmt --check
 # `#[expect]` that suppresses nothing.
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# Rustdoc gate: a doc link to a deleted, renamed or private item fails
+# here instead of rotting silently.
+echo "==> cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release --workspace --offline"
 cargo build --release --workspace --offline

@@ -4,7 +4,6 @@
 //! profess-sim run  --workload w09 --policy profess [--ops 60000] [--scale quad|single|paper]
 //! profess-sim solo --program mcf   --policy mdm     [--ops 120000]
 //! profess-sim compare --workload w12 [--ops 60000]           # all policies side by side
-//! profess-sim trace --program soplex --ops 5000 --out t.trace # export a trace file
 //! profess-sim list                                            # programs, workloads, policies
 //! ```
 
@@ -14,13 +13,12 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use profess::prelude::*;
-use profess::trace::record;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: profess-sim <run|solo|compare|trace|list> \
+        "usage: profess-sim <run|solo|compare|list> \
          [--workload wNN] [--program NAME] [--policy NAME] \
-         [--ops N] [--scale quad|single|paper] [--out FILE]"
+         [--ops N] [--scale quad|single|paper]"
     );
     ExitCode::FAILURE
 }
@@ -60,10 +58,15 @@ fn config_of(flags: &HashMap<String, String>, multi: bool) -> Result<SystemConfi
     }
 }
 
+/// The `--ops` budget: a positive count, since a run of zero memory ops
+/// simulates nothing and would report an empty run as a result.
 fn ops_of(flags: &HashMap<String, String>, default: u64) -> Result<u64, String> {
     match flags.get("ops") {
         None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad --ops value {s:?}")),
+        Some(s) => match s.parse() {
+            Ok(0) | Err(_) => Err(format!("bad --ops value {s:?} (a positive integer)")),
+            Ok(n) => Ok(n),
+        },
     }
 }
 
@@ -180,21 +183,6 @@ fn main() -> ExitCode {
                 for pk in PolicyKind::ALL {
                     run_multi(pk, &w, &cfg, ops)?;
                 }
-                Ok(())
-            }
-            "trace" => {
-                let prog = program_of(&flags)?;
-                let ops = ops_of(&flags, 10_000)?;
-                let out = flags
-                    .get("out")
-                    .ok_or_else(|| "--out is required".to_string())?;
-                let cfg = config_of(&flags, false)?;
-                let mut gen =
-                    prog.generator(cfg.footprint_div, prog.budget_for_misses(ops), cfg.seed);
-                let f = std::fs::File::create(out).map_err(|e| e.to_string())?;
-                let n = record::record(&mut gen, ops, std::io::BufWriter::new(f))
-                    .map_err(|e| e.to_string())?;
-                println!("wrote {n} ops to {out}");
                 Ok(())
             }
             other => Err(format!("unknown command {other:?}")),

@@ -13,7 +13,6 @@
 //! * [`types`] — configuration (paper Table 8 presets), address geometry,
 //!   clock domain;
 //! * [`mem`] — the memory-channel timing and energy model;
-//! * [`cache`] — a set-associative L1/L2/L3 cache hierarchy substrate;
 //! * [`cpu`] — the ROB-limited out-of-order core model;
 //! * [`trace`] — synthetic SPEC CPU2006-like program models (Table 9) and
 //!   the 19 multiprogrammed workloads (Table 10);
@@ -40,8 +39,9 @@
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory, `EXPERIMENTS.md` for the
-//! paper-vs-measured record, and `crates/bench/src/bin/` for the binaries
-//! that regenerate every table and figure of the paper's evaluation.
+//! paper-vs-measured record, and `profess-run` (`crates/bench`) for the
+//! driver that regenerates every table and figure of the paper's
+//! evaluation from its experiment registry.
 
 #![deny(
     clippy::unwrap_used,
@@ -54,7 +54,6 @@
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 #![warn(missing_docs)]
 
-pub use profess_cache as cache;
 pub use profess_core as core;
 pub use profess_cpu as cpu;
 pub use profess_mem as mem;

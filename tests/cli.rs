@@ -1,7 +1,7 @@
 //! The `profess-sim` command line: it lists and accepts every policy by
-//! its `PolicyKind::cli_name`, and a simulation that cannot run or a
-//! trace that cannot be written ends on the `error:` path with exit
-//! status 1 and the cause on stderr, never a panic (exit 101).
+//! its `PolicyKind::cli_name`, and a simulation that cannot run or an
+//! empty op budget ends on the `error:` path with exit status 1 and the
+//! cause on stderr, never a panic (exit 101) and never an empty report.
 
 use std::process::{Command, Output};
 
@@ -33,27 +33,24 @@ fn more_programs_than_cores_is_a_config_error() {
 }
 
 #[test]
-fn failed_trace_write_is_an_error() {
-    // `/dev/full` accepts the open and fails every write with ENOSPC.
-    if !std::path::Path::new("/dev/full").exists() {
-        return;
+fn zero_ops_is_an_error_not_an_empty_run() {
+    for args in [
+        &["run", "--workload", "w01", "--policy", "pom", "--ops", "0"][..],
+        &["solo", "--program", "mcf", "--ops", "0"],
+        &["compare", "--workload", "w01", "--ops", "0"],
+    ] {
+        let out = profess_sim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains("error: bad --ops value \"0\""),
+            "{args:?}: stderr: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: an empty run printed a report"
+        );
     }
-    let out = profess_sim(&[
-        "trace",
-        "--program",
-        "soplex",
-        "--ops",
-        "100",
-        "--out",
-        "/dev/full",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("trace i/o error"), "stderr: {stderr}");
-    assert!(
-        !String::from_utf8_lossy(&out.stdout).contains("wrote"),
-        "a failed write must not report success"
-    );
 }
 
 #[test]

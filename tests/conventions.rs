@@ -392,6 +392,75 @@ fn run_names(line: &str) -> Vec<String> {
         .collect()
 }
 
+/// The paths, relative to the repository root, of every `.rs` file
+/// under directory `rel`.
+fn rs_files(rel: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for name in dir_names(rel) {
+        let path = format!("{rel}/{name}");
+        if root().join(&path).is_dir() {
+            out.extend(rs_files(&path));
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// DESIGN.md §2's workspace inventory against the tree: every backticked
+/// `*.rs` name is a file under `src/` or `crates/`, and the crate tree
+/// lists each member crate, by directory and package name, exactly once.
+fn inventory_errors() -> Vec<String> {
+    let design = read("DESIGN.md");
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("2. Workspace inventory"))
+        .expect("DESIGN.md has a §2 workspace inventory");
+    let mut wrong = Vec::new();
+    let mut sources = rs_files("src");
+    sources.extend(rs_files("crates"));
+    let prose: Vec<&str> = section
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("```"))
+        .collect();
+    let prose = prose.join("\n");
+    for name in prose.split('`').skip(1).step_by(2) {
+        if name.ends_with(".rs") && !sources.iter().any(|p| p.ends_with(&format!("/{name}"))) {
+            wrong.push(format!(
+                "DESIGN.md §2: `{name}` is no file under src/ or crates/"
+            ));
+        }
+    }
+    let mut listed = Vec::new();
+    for line in section.lines() {
+        let mut toks = line
+            .split_whitespace()
+            .skip_while(|t| !["├──", "└──"].contains(t));
+        let (Some(_), Some(dir), Some(package)) = (toks.next(), toks.next(), toks.next()) else {
+            continue;
+        };
+        if !package.starts_with("profess-") {
+            continue;
+        }
+        let manifest = format!("crates/{dir}/Cargo.toml");
+        if !root().join(&manifest).exists() {
+            wrong.push(format!(
+                "DESIGN.md §2: crate `{dir}` is no directory under crates/"
+            ));
+        } else if package_name(&read(&manifest)) != package {
+            wrong.push(format!("DESIGN.md §2: crates/{dir} is not `{package}`"));
+        }
+        listed.push(dir.to_string());
+    }
+    for dir in dir_names("crates") {
+        let n = listed.iter().filter(|l| **l == dir).count();
+        if n != 1 {
+            wrong.push(format!("DESIGN.md §2: crate `{dir}` is listed {n} times"));
+        }
+    }
+    wrong
+}
+
 /// The rows of DESIGN.md §3's experiment index: each row's first cell
 /// and the code spans of its command (last) cell.
 fn experiment_index() -> Vec<(String, Vec<String>)> {
@@ -485,6 +554,7 @@ fn doc_sync_documented_commands_and_workloads_exist() {
             }
         }
     }
+    wrong.extend(inventory_errors());
     assert!(
         wrong.is_empty(),
         "docs name things that do not exist:\n{}",
