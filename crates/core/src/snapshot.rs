@@ -12,7 +12,7 @@
 //! The wire format is a single [`Json`] object:
 //!
 //! ```text
-//! {"kind":"system_snapshot","version":1,"config_fp":<u64>,
+//! {"kind":"system_snapshot","version":2,"config_fp":<u64>,
 //!  "fp":<u64>,"payload":{...}}
 //! ```
 //!
@@ -36,7 +36,7 @@ use crate::errors::SimError;
 
 /// Snapshot wire-format version. Bump on any payload schema change;
 /// restore rejects other versions with [`SimError::SnapshotVersion`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Top-level payload fields, in emission order.
 ///

@@ -468,6 +468,15 @@ impl SystemBuilder {
                 self.programs.len()
             )));
         }
+        let t = &self.cfg.mem;
+        if t.m1.t_burst == 0 || t.m2.t_burst == 0 {
+            // A channel retires its bursts in issue order only because
+            // each one ends after the previous one.
+            return Err(config(&format!(
+                "t_burst must be positive (M1 {}, M2 {})",
+                t.m1.t_burst, t.m2.t_burst
+            )));
+        }
         let restore_from = self.restore_from.take();
         let mut sys = System::new(self);
         if let Some(snap) = restore_from {
@@ -898,8 +907,7 @@ impl System {
     /// Routes one core request. A page fault with no free frame left is
     /// a configuration error: the footprints do not fit the memory.
     fn handle_core_request(&mut self, core: usize, r: CoreRequest) -> Result<(), SimError> {
-        let lines_per_page = self.geom.page_bytes / self.geom.line_bytes;
-        let vpage = r.line / lines_per_page;
+        let (vpage, block_in_page) = self.geom.page_split(r.line);
         let program = ProgramId(core as u8);
         let frame = match self.page_tables[core].get(vpage) {
             Some(f) => f,
@@ -913,8 +921,6 @@ impl System {
                 f
             }
         };
-        let line_in_page = r.line % lines_per_page;
-        let block_in_page = line_in_page / self.geom.lines_per_block();
         let orig_block = frame * self.geom.blocks_per_page() + block_in_page;
         let (group, orig_slot) = self.geom.block_to_group_slot(orig_block);
         let ch = self.geom.channel_of(group).index();
@@ -1097,8 +1103,11 @@ impl System {
                         st.read_lat_sum += s.latency();
                     }
                 }
-                self.core_woken |= 1 << core;
-                self.cores[core].complete(seq, s.done);
+                // A completion the core does not wait for leaves it as it
+                // is: it advances when its own next event is due.
+                if self.cores[core].complete(seq, s.done) {
+                    self.core_woken |= 1 << core;
+                }
                 let class = self.region_map.classify(&self.geom, program, group);
                 self.policy.on_served(program, class, from_m1);
                 let epoch = self
@@ -2341,6 +2350,36 @@ mod tests {
         assert_corrupt(err, "channels: [0]: read_q: [1]: enq 4 precedes");
     }
 
+    /// A channel drains its in-flight requests from the front, as the
+    /// bus issued them, so a snapshot whose in-flight list is not in
+    /// completion order is rejected.
+    #[test]
+    fn restore_rejects_inflight_out_of_issue_order() {
+        let err = restore_edited_halfway(|p| {
+            let Json::Arr(channels) = field(p, "channels") else {
+                panic!("channels are not an array")
+            };
+            let inflight = channels
+                .iter_mut()
+                .find_map(|ch| match field(ch, "inflight") {
+                    Json::Arr(items) if !items.is_empty() => Some(items),
+                    _ => None,
+                })
+                .expect("a request in flight at halfway");
+            let first = inflight[0].clone();
+            inflight.push(first);
+        });
+        let SimError::SnapshotCorrupt { detail } = err else {
+            panic!("expected SnapshotCorrupt, got {err:?}")
+        };
+        assert!(detail.starts_with("channels: ["), "{detail}");
+        assert!(detail.contains("]: inflight: ["), "{detail}");
+        assert!(
+            detail.contains("does not follow the previous entry's"),
+            "{detail}"
+        );
+    }
+
     /// The run loop asks only the cores it advanced whether their program
     /// finished, so a snapshot with a finished core waiting for its
     /// restart is rejected.
@@ -2459,6 +2498,25 @@ mod tests {
         let err = SystemBuilder::new(tiny_cfg()).try_run().unwrap_err();
         assert_eq!(err.label(), "config");
         assert!(err.to_string().contains("no programs"), "{err}");
+    }
+
+    #[test]
+    fn zero_cycle_burst_is_a_config_error() {
+        for module in 0..2 {
+            let mut cfg = tiny_cfg();
+            let t = if module == 0 {
+                &mut cfg.mem.m1
+            } else {
+                &mut cfg.mem.m2
+            };
+            t.t_burst = 0;
+            match mdm_chase(cfg).try_run() {
+                Err(SimError::Config { what }) => {
+                    assert!(what.starts_with("t_burst must be positive"), "{what}")
+                }
+                other => panic!("expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

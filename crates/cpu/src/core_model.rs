@@ -7,9 +7,11 @@ use profess_metrics::{State, StateCodec};
 use profess_obs::Log2Histogram;
 use profess_types::clock::ClockSpec;
 use profess_types::config::CpuConfig;
+use profess_types::geometry::Divisor;
 use profess_types::Cycle;
 
 use crate::op::{MemOp, MemOpKind, OpSource};
+use crate::work;
 
 /// Optional per-core profiling histograms, allocated only when the
 /// run is traced (the system's `TraceConfig`); with them off the timing
@@ -52,6 +54,24 @@ pub enum WaitState {
     Finished,
 }
 
+/// What a core in [`WaitState::OnResponse`] waits for: the completions
+/// that can unblock it. Any other completion leaves its state as it is,
+/// so advancing the core on one would change nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Awaits {
+    /// The load with this sequence number: the ROB head when the ROB is
+    /// full, or the last load when a dependent load waits for its data.
+    Load(u64),
+    /// Any load, freeing an MSHR.
+    AnyLoad,
+    /// Any store, freeing a write-buffer entry.
+    AnyStore,
+    /// Any completion: the program drains its last requests, or the core
+    /// was restored from a snapshot, which does not record what it waits
+    /// for.
+    Any,
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct InflightLoad {
     seq: u64,
@@ -75,7 +95,7 @@ pub struct CoreSim {
     mshrs: usize,
     wb_cap: usize,
     width: u64,
-    spmc: u64, // slots per memory cycle
+    spmc: Divisor, // slots per memory cycle
     exec_slot: u64,
     exec_seq: u64,
     pending: Option<PendingOp>,
@@ -84,6 +104,8 @@ pub struct CoreSim {
     last_load: Option<InflightLoad>,
     wb_used: usize,
     wait: WaitState,
+    // Meaningful only while `wait` is `OnResponse`; never serialized.
+    awaits: Awaits,
     exhausted: bool,
     finish_slot: Option<u64>,
     instance_start_slot: u64,
@@ -115,7 +137,7 @@ impl CoreSim {
             mshrs: cfg.mshrs,
             wb_cap: cfg.write_buffer,
             width: u64::from(cfg.width),
-            spmc: u64::from(cfg.width) * u64::from(clock.core_mult),
+            spmc: Divisor::new(u64::from(cfg.width) * u64::from(clock.core_mult)),
             exec_slot: 0,
             exec_seq: 0,
             pending: None,
@@ -124,6 +146,7 @@ impl CoreSim {
             last_load: None,
             wb_used: 0,
             wait: WaitState::Ready,
+            awaits: Awaits::Any,
             exhausted: false,
             finish_slot: None,
             instance_start_slot: 0,
@@ -165,6 +188,7 @@ impl CoreSim {
         self.outstanding = 0;
         self.last_load = None;
         self.wait = WaitState::Ready;
+        self.awaits = Awaits::Any;
         self.exhausted = false;
         self.finish_slot = None;
         self.ops_consumed = 0;
@@ -239,7 +263,7 @@ impl CoreSim {
 
     /// Memory cycle corresponding to a slot (rounded up).
     fn slot_to_cycle(&self, slot: u64) -> Cycle {
-        Cycle(slot.div_ceil(self.spmc))
+        Cycle(self.spmc.div_ceil(slot))
     }
 
     /// Sequence number of the newest instruction that has retired: the
@@ -277,31 +301,68 @@ impl CoreSim {
     }
 
     /// Delivers a memory response for request `id` at memory cycle `at`.
+    ///
+    /// Returns whether the run loop should advance the core at `at`. It
+    /// is `false` only when the core is blocked on a memory response and
+    /// this is not one it recorded waiting for: such an advance would
+    /// change nothing. A core that is not blocked on a response may run
+    /// ahead at `at`, so it reports `true`.
     #[inline]
-    pub fn complete(&mut self, id: u64, at: Cycle) {
-        let slot = at.raw() * self.spmc;
-        if let Some(l) = self.inflight.iter_mut().find(|l| l.seq == id) {
+    pub fn complete(&mut self, id: u64, at: Cycle) -> bool {
+        work::count_completion();
+        let slot = at.raw() * self.spmc.get();
+        let is_load = if let Some(l) = self.inflight.iter_mut().find(|l| l.seq == id) {
             debug_assert!(l.done.is_none(), "duplicate completion for load {id}");
             l.done = Some(slot);
             self.outstanding -= 1;
+            true
         } else {
             // A store leaving the write buffer.
             debug_assert!(self.wb_used > 0, "store completion with empty buffer");
             self.wb_used -= 1;
-        }
+            false
+        };
         if let Some(ll) = &mut self.last_load {
             if ll.seq == id {
                 ll.done = Some(slot);
             }
         }
-        if matches!(self.wait, WaitState::OnResponse) {
-            self.wait = WaitState::Ready;
+        let blocked = self.wait == WaitState::OnResponse;
+        let wakes = !blocked
+            || match self.awaits {
+                Awaits::Load(seq) => seq == id,
+                Awaits::AnyLoad => is_load,
+                Awaits::AnyStore => !is_load,
+                Awaits::Any => true,
+            };
+        if wakes {
+            work::count_wake();
+            if blocked {
+                self.wait = WaitState::Ready;
+            }
         }
+        wakes
+    }
+
+    /// Blocks the core until a completion that `awaits` names arrives.
+    fn block_on(&mut self, awaits: Awaits) {
+        self.wait = WaitState::OnResponse;
+        self.awaits = awaits;
+    }
+
+    /// Blocks the core on its ROB head, which is still outstanding.
+    fn block_on_rob_head(&mut self) {
+        let head = self
+            .inflight
+            .front()
+            .map_or(Awaits::Any, |l| Awaits::Load(l.seq));
+        self.block_on(head);
     }
 
     /// Advances execution up to memory cycle `now`, appending any issued
     /// memory requests to `out`.
     pub fn advance(&mut self, now: Cycle, out: &mut Vec<CoreRequest>) {
+        work::count_advance();
         if self.is_finished() {
             return;
         }
@@ -309,7 +370,7 @@ impl CoreSim {
         if let Some(obs) = self.obs.as_mut() {
             obs.rob_occupancy.record(occ);
         }
-        let now_slot = now.raw().saturating_mul(self.spmc);
+        let now_slot = now.raw().saturating_mul(self.spmc.get());
         loop {
             if self.exhausted && self.pending.is_none() {
                 self.drain_done_loads();
@@ -320,10 +381,10 @@ impl CoreSim {
                     if self.wb_used == 0 {
                         self.wait = WaitState::Finished;
                     } else {
-                        self.wait = WaitState::OnResponse;
+                        self.block_on(Awaits::Any);
                     }
                 } else {
-                    self.wait = WaitState::OnResponse;
+                    self.block_on(Awaits::Any);
                 }
                 return;
             }
@@ -362,7 +423,7 @@ impl CoreSim {
                     if self.pop_head_for_space() {
                         continue;
                     }
-                    self.wait = WaitState::OnResponse;
+                    self.block_on_rob_head();
                     return;
                 }
                 let n = u64::from(gap_left)
@@ -388,7 +449,7 @@ impl CoreSim {
                 if self.pop_head_for_space() {
                     continue;
                 }
-                self.wait = WaitState::OnResponse;
+                self.block_on_rob_head();
                 return;
             }
             #[expect(
@@ -399,13 +460,13 @@ impl CoreSim {
             match op.kind {
                 MemOpKind::Load => {
                     if self.outstanding >= self.mshrs {
-                        self.wait = WaitState::OnResponse;
+                        self.block_on(Awaits::AnyLoad);
                         return;
                     }
                     if op.dependent {
                         match self.last_load {
-                            Some(InflightLoad { done: None, .. }) => {
-                                self.wait = WaitState::OnResponse;
+                            Some(InflightLoad { seq, done: None }) => {
+                                self.block_on(Awaits::Load(seq));
                                 return;
                             }
                             Some(InflightLoad { done: Some(d), .. }) => {
@@ -436,7 +497,7 @@ impl CoreSim {
                 }
                 MemOpKind::Store => {
                     if self.wb_used >= self.wb_cap {
-                        self.wait = WaitState::OnResponse;
+                        self.block_on(Awaits::AnyStore);
                         return;
                     }
                     self.exec_seq += 1;
@@ -473,8 +534,9 @@ impl CoreSim {
 /// fast-forwards the installed source by it, so install a fresh
 /// regeneration of the captured program first
 /// ([`CoreSim::set_source`]). Configuration-derived fields (`rob`,
-/// `mshrs`, `wb_cap`, `width`, `spmc`) and the profiling histograms
-/// (`obs`) are excluded. A source that runs dry before the replay
+/// `mshrs`, `wb_cap`, `width`, `spmc`), the profiling histograms
+/// (`obs`) and what a blocked core waits for (`awaits`, which loads as
+/// "any completion") are excluded. A source that runs dry before the replay
 /// position is an error: the regenerated program differs from the
 /// captured one.
 impl State for CoreSim {
@@ -512,6 +574,11 @@ impl State for CoreSim {
             3 => WaitState::Finished,
             k => return Err(format!("wait_kind: unknown value {k}")),
         };
+        if c.is_load() {
+            // Not saved: a restored core wakes on any completion, and one
+            // it does not wait for advances it as a no-op.
+            self.awaits = Awaits::Any;
+        }
         c.field("exhausted", &mut self.exhausted)?;
         c.field("finish_slot", &mut self.finish_slot)?;
         c.field("instance_start_slot", &mut self.instance_start_slot)?;

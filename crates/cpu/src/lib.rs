@@ -34,6 +34,7 @@
 
 mod core_model;
 mod op;
+pub mod work;
 
 pub use core_model::{CoreObs, CoreRequest, CoreSim, WaitState};
 pub use op::{MemOp, MemOpKind, OpSource};

@@ -1,8 +1,9 @@
 //! Property tests of the core model: instruction accounting, IPC bounds,
 //! liveness under random op streams served by a random-latency memory,
-//! and equivalence of event-driven and every-cycle advancing.
+//! equivalence of event-driven and every-cycle advancing, and of precise
+//! wake-ups and waking on every completion.
 
-use profess_check::strategy::{any_bool, tuple4, u32_range, u8_range, vec_of};
+use profess_check::strategy::{any_bool, tuple2, tuple4, u32_range, u8_range, vec_of};
 use profess_check::{check_with, prop_assert, prop_assert_eq, Config, Strategy};
 use profess_cpu::{CoreSim, MemOp, MemOpKind, OpSource, WaitState};
 use profess_types::clock::ClockSpec;
@@ -82,11 +83,10 @@ struct Outcome {
     finish: Cycle,
 }
 
-/// Runs the core against per-request latencies, advancing either at every
-/// memory cycle or only at the earlier of the core's next event and the
-/// next completion.
-fn run(specs: &[OpSpec], every_cycle: bool) -> Outcome {
-    let ops: Vec<MemOp> = specs
+/// The op stream of `specs`: op `i` touches line `i`, so a request's line
+/// names the spec that sets its latency.
+fn ops_of(specs: &[OpSpec]) -> Vec<MemOp> {
+    specs
         .iter()
         .enumerate()
         .map(|(i, s)| MemOp {
@@ -99,7 +99,14 @@ fn run(specs: &[OpSpec], every_cycle: bool) -> Outcome {
             line: i as u64,
             dependent: s.dependent && !s.store,
         })
-        .collect();
+        .collect()
+}
+
+/// Runs the core against per-request latencies, advancing either at every
+/// memory cycle or only at the earlier of the core's next event and the
+/// next completion.
+fn run(specs: &[OpSpec], every_cycle: bool) -> Outcome {
+    let ops = ops_of(specs);
     let clock = ClockSpec::paper();
     let mut core = CoreSim::new(&cfg(), &clock, Box::new(Scripted { ops, i: 0 }));
     let mut pending: Vec<(Cycle, u64)> = Vec::new();
@@ -282,6 +289,101 @@ fn event_driven_matches_every_cycle() {
             prop_assert_eq!(events.log.len(), specs.len());
             prop_assert_eq!(events, run(&specs, true));
             Ok(())
+        },
+    );
+}
+
+/// Precise wake-ups are exact. Two cores run the same op stream against
+/// the same memory: one advances whenever its next event is due or a
+/// response reaches it, the other only when its next event is due or
+/// `complete` reports that the response unblocks it. At every event both
+/// issue the same requests and agree on wait state, next event and
+/// instruction count, so the skipped advances were no-ops. About half
+/// the cases cut each gap to at most 2 instructions, so runs of loads
+/// exhaust the 8 MSHRs and runs of stores the 16-entry write buffer,
+/// beside the ROB-full and dependent-load stalls of long gaps.
+#[test]
+fn precise_wakeups_match_waking_on_every_completion() {
+    check_with(
+        &Config {
+            cases: 256,
+            ..Config::default()
+        },
+        &[],
+        "precise_wakeups_match_waking_on_every_completion",
+        tuple2(
+            any_bool(),
+            vec_of(
+                tuple4(u32_range(0..360), any_bool(), any_bool(), u8_range(1..200)),
+                1..80,
+            ),
+        ),
+        |(short_gaps, raw)| {
+            let specs: Vec<OpSpec> = raw
+                .iter()
+                .map(|&(gap, store, dependent, latency)| OpSpec {
+                    gap: if *short_gaps { gap % 3 } else { gap },
+                    store,
+                    dependent,
+                    latency,
+                })
+                .collect();
+            let clock = ClockSpec::paper();
+            let core = || {
+                let ops = ops_of(&specs);
+                CoreSim::new(&cfg(), &clock, Box::new(Scripted { ops, i: 0 }))
+            };
+            let (mut every, mut precise) = (core(), core());
+            let (mut every_due, mut precise_due) = (true, true);
+            let mut pending: Vec<(Cycle, u64)> = Vec::new();
+            let mut now = Cycle(0);
+            for _ in 0..2_000_000 {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                if every_due {
+                    every.advance(now, &mut a);
+                }
+                if precise_due {
+                    precise.advance(now, &mut b);
+                }
+                let seen = |c: &CoreSim, out| {
+                    (
+                        now,
+                        out,
+                        c.wait_state(),
+                        c.next_event(now),
+                        c.instructions(),
+                    )
+                };
+                prop_assert_eq!(seen(&every, &a), seen(&precise, &b));
+                for r in a {
+                    let lat = u64::from(specs[r.line as usize].latency);
+                    pending.push((now + lat, r.id));
+                }
+                if every.is_finished() {
+                    prop_assert!(precise.is_finished());
+                    prop_assert_eq!(every.ipc().to_bits(), precise.ipc().to_bits());
+                    return Ok(());
+                }
+                let mut next = every.next_event(now);
+                for &(d, _) in &pending {
+                    next = next.min(d);
+                }
+                prop_assert!(next < Cycle::NEVER, "deadlock at {:?}", now);
+                let prev = now;
+                now = next.max(now + 1);
+                every_due = every.next_event(prev) <= now;
+                precise_due = precise.next_event(prev) <= now;
+                // Responses due now, in the (done, id) order a channel
+                // delivers them.
+                pending.sort_unstable();
+                let due = pending.iter().take_while(|&&(d, _)| d <= now).count();
+                for (at, id) in pending.drain(..due) {
+                    every.complete(id, at);
+                    every_due = true;
+                    precise_due |= precise.complete(id, at);
+                }
+            }
+            Err("core stuck".to_string())
         },
     );
 }

@@ -3,6 +3,7 @@
 //! channel-blocking block swaps.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 
 use profess_metrics::{State, StateCodec};
 use profess_obs::Log2Histogram;
@@ -192,13 +193,12 @@ pub struct ChannelSim {
     write_q: Vec<Queued>,
     read_misses: RefCell<OldestMiss>,
     write_misses: RefCell<OldestMiss>,
-    inflight: Vec<Served>,
+    // Issued requests in issue order, which is completion order: every
+    // burst starts at or after `bus_free`, where the previous one ended,
+    // and lasts `t_burst > 0` cycles, so `done` strictly increases.
+    inflight: VecDeque<Served>,
     draining_writes: bool,
     sched_hint: Option<SchedHint>,
-    // Earliest `done` among `inflight` ([`Cycle::NEVER`] when empty),
-    // maintained by `issue`/`drain_done` so `next_event` is O(1) on the
-    // in-flight set.
-    inflight_min_done: Cycle,
     next_refresh: Cycle,
     lines_per_block: u64,
     energy: EnergyCounters,
@@ -210,12 +210,22 @@ pub struct ChannelSim {
 impl ChannelSim {
     /// Creates a channel with `banks` banks per module and `lines_per_block`
     /// 64 B lines per swap block (32 for 2 KB blocks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a burst of either module takes zero cycles: completions
+    /// leave the channel in issue order only because each burst ends
+    /// after the previous one.
     pub fn new(
         timing: MemTimingConfig,
         energy_cfg: EnergyConfig,
         banks: usize,
         lines_per_block: u64,
     ) -> Self {
+        assert!(
+            timing.m1.t_burst > 0 && timing.m2.t_burst > 0,
+            "t_burst must be positive"
+        );
         let next_refresh = timing.m1.t_refi.map_or(Cycle::NEVER, Cycle);
         ChannelSim {
             timing,
@@ -226,10 +236,9 @@ impl ChannelSim {
             write_q: Vec::new(),
             read_misses: RefCell::new(OldestMiss::new(2 * banks)),
             write_misses: RefCell::new(OldestMiss::new(2 * banks)),
-            inflight: Vec::new(),
+            inflight: VecDeque::new(),
             draining_writes: false,
             sched_hint: None,
-            inflight_min_done: Cycle::NEVER,
             next_refresh,
             lines_per_block,
             energy: EnergyCounters::default(),
@@ -532,8 +541,8 @@ impl ChannelSim {
         if p.row_hit {
             self.stats.row_hits += 1;
         }
-        self.inflight_min_done = self.inflight_min_done.min(data_end);
-        self.inflight.push(Served {
+        debug_assert!(self.inflight.back().is_none_or(|s| s.done < data_end));
+        self.inflight.push_back(Served {
             id: q.req.id,
             kind: q.req.kind,
             loc: q.req.loc,
@@ -628,27 +637,15 @@ impl ChannelSim {
         self.drain_done(now, served);
     }
 
+    /// Moves the requests done by `now` to `served`: a prefix of
+    /// `inflight`, already in `(done, id)` order.
     fn drain_done(&mut self, now: Cycle, served: &mut Vec<Served>) {
-        if self.inflight_min_done > now {
-            return;
-        }
-        let mut i = 0;
-        let before = served.len();
-        let mut min_done = Cycle::NEVER;
-        while i < self.inflight.len() {
-            if self.inflight[i].done <= now {
-                served.push(self.inflight.swap_remove(i));
-            } else {
-                min_done = min_done.min(self.inflight[i].done);
-                i += 1;
+        while let Some(&s) = self.inflight.front() {
+            if s.done > now {
+                break;
             }
-        }
-        self.inflight_min_done = min_done;
-        // (done, id) is unique per request, so an unstable sort is
-        // order-equivalent; most advances complete at most one request
-        // and skip the sort entirely.
-        if served.len() - before > 1 {
-            served[before..].sort_unstable_by_key(|s| (s.done, s.id));
+            self.inflight.pop_front();
+            served.push(s);
         }
     }
 
@@ -657,7 +654,7 @@ impl ChannelSim {
     /// refresh. Returns [`Cycle::NEVER`] if fully idle.
     #[inline]
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        let mut t = self.inflight_min_done;
+        let mut t = self.inflight.front().map_or(Cycle::NEVER, |s| s.done);
         if self.blocked_until > now {
             t = t.min(self.blocked_until);
         } else if let Some(h) = self.sched_hint {
@@ -796,6 +793,17 @@ impl State for ChannelSim {
             }
         }
         c.field("inflight", &mut self.inflight)?;
+        // In-flight requests are in issue order, which `drain_done` and
+        // `next_event` read as completion order.
+        if let Some(i) =
+            (1..self.inflight.len()).find(|&i| self.inflight[i].done <= self.inflight[i - 1].done)
+        {
+            return Err(format!(
+                "inflight: [{i}]: done {} does not follow the previous entry's {}",
+                self.inflight[i].done.raw(),
+                self.inflight[i - 1].done.raw()
+            ));
+        }
         c.field("draining_writes", &mut self.draining_writes)?;
         c.field("next_refresh", &mut self.next_refresh)?;
         let e = &mut self.energy;
@@ -834,11 +842,6 @@ impl State for ChannelSim {
                 b.derive_miss_first(&self.timing.m2);
             }
             self.sched_hint = None;
-            self.inflight_min_done = self
-                .inflight
-                .iter()
-                .map(|s| s.done)
-                .fold(Cycle::NEVER, Cycle::min);
         }
         Ok(())
     }
@@ -893,7 +896,7 @@ mod tests {
     use profess_check::strategy::{
         any_bool, tuple3, tuple4, u32_range, u64_range, u8_range, vec_of,
     };
-    use profess_check::{check_with, prop_assert_eq, Config, Rng};
+    use profess_check::{check_with, prop_assert, prop_assert_eq, Config, Rng};
     use profess_metrics::Json;
 
     fn save(c: &mut ChannelSim) -> Json {
@@ -1414,6 +1417,99 @@ mod tests {
         assert!(
             cfg!(not(debug_assertions)) || cap_test_visits() > visits,
             "no case reached a starvation test"
+        );
+    }
+
+    /// The scan-and-sort drain the in-order queue replaced: it moves
+    /// every request done by `now` out of `inflight`, whatever its
+    /// position, then sorts the moved ones by `(done, id)`.
+    fn reference_drain(inflight: &mut Vec<Served>, now: Cycle, served: &mut Vec<Served>) {
+        let mut i = 0;
+        let before = served.len();
+        while i < inflight.len() {
+            if inflight[i].done <= now {
+                served.push(inflight.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        served[before..].sort_unstable_by_key(|s| (s.done, s.id));
+    }
+
+    /// Draining the front of the in-order queue yields the served stream
+    /// the scan and sort yields, on reads and writes to both modules with
+    /// swaps between them, advanced at the channel's next event or up to
+    /// 40 cycles later (so one drain can complete several requests); and
+    /// the queue stays strictly increasing in `done`.
+    #[test]
+    fn fifo_drain_matches_the_scan_and_sort_reference() {
+        let completed_several = std::cell::Cell::new(false);
+        check_with(
+            &Config {
+                cases: 256,
+                ..Config::default()
+            },
+            &[],
+            "fifo_drain_matches_the_scan_and_sort_reference",
+            vec_of(
+                tuple4(
+                    u8_range(0..5),
+                    u32_range(0..16),
+                    u64_range(0..4),
+                    u64_range(0..40),
+                ),
+                1..120,
+            ),
+            |steps| {
+                let mut c = ch();
+                let mut now = Cycle::ZERO;
+                for (id, &(action, bank, row, late)) in steps.iter().enumerate() {
+                    let id = id as u64;
+                    match action {
+                        0 => c.push(rd(id, Module::M1, bank, row), now),
+                        1 => c.push(rd(id, Module::M2, bank, row), now),
+                        2 => c.push(wr(id, Module::M1, bank, row), now),
+                        3 => c.push(wr(id, Module::M2, bank, row), now),
+                        _ => {
+                            let m1 = MemLoc {
+                                module: Module::M1,
+                                bank,
+                                row,
+                            };
+                            let m2 = MemLoc {
+                                module: Module::M2,
+                                ..m1
+                            };
+                            c.begin_swap(now, m1, m2);
+                        }
+                    }
+                    let next = c.next_event(now);
+                    now = if next < Cycle::NEVER { next } else { now + 1 } + late;
+                    let mut served = Vec::new();
+                    c.advance(now, &mut served);
+                    // The drain saw what it served and what it left.
+                    let mut seen: Vec<Served> = c.inflight.iter().chain(&served).copied().collect();
+                    seen.reverse();
+                    let mut want = Vec::new();
+                    reference_drain(&mut seen, now, &mut want);
+                    prop_assert_eq!(&served, &want);
+                    seen.sort_unstable_by_key(|s| (s.done, s.id));
+                    prop_assert_eq!(c.inflight.iter().copied().collect::<Vec<_>>(), seen);
+                    prop_assert!(c
+                        .inflight
+                        .iter()
+                        .zip(c.inflight.iter().skip(1))
+                        .all(|(a, b)| a.done < b.done));
+                    if served.len() > 1 {
+                        completed_several.set(true);
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(
+            completed_several.get(),
+            "no drain completed several requests"
         );
     }
 }

@@ -31,6 +31,17 @@ pub trait Pattern {
     fn next_ref(&mut self, rng: &mut Rng) -> Ref;
 }
 
+/// `(x + 1) % n` for `x < n`, without a division.
+#[inline]
+fn wrap_inc(x: u64, n: u64) -> u64 {
+    debug_assert!(x < n);
+    if x + 1 == n {
+        0
+    } else {
+        x + 1
+    }
+}
+
 /// Sequential sweep over the footprint: every line once per sweep, so each
 /// 2 KB block sees 32 consecutive accesses per sweep (bwaves-, lbm-like).
 #[derive(Debug, Clone)]
@@ -54,7 +65,7 @@ impl Streaming {
 impl Pattern for Streaming {
     fn next_ref(&mut self, _rng: &mut Rng) -> Ref {
         let line = self.pos;
-        self.pos = (self.pos + 1) % self.lines;
+        self.pos = wrap_inc(line, self.lines);
         Ref {
             line,
             dependent: false,
@@ -362,9 +373,13 @@ impl MultiStream {
 impl Pattern for MultiStream {
     fn next_ref(&mut self, _rng: &mut Rng) -> Ref {
         let i = self.next;
-        self.next = (self.next + 1) % self.cursors.len();
+        self.next = if i + 1 == self.cursors.len() {
+            0
+        } else {
+            i + 1
+        };
         let line = self.cursors[i];
-        self.cursors[i] = (line + 1) % self.lines;
+        self.cursors[i] = wrap_inc(line, self.lines);
         Ref {
             line,
             dependent: false,

@@ -62,6 +62,11 @@ cargo run --release --offline -q --example perf -- --workload surface_rw > /dev/
 # so it holds the run loop's step-local sets to the goldens there.
 echo "==> golden smoke on MemPod's poll path (perf --workload churn_attack)"
 cargo run --release --offline -q --example perf -- --workload churn_attack > /dev/null
+# fig16_sweep runs the paper's headline cells (w09/w16/w19, PoM and
+# ProFess, 60k ops): long contended quad runs, where the core wake-ups
+# and the channels' in-order completions carry the most traffic.
+echo "==> golden smoke on the headline sweep (perf --workload fig16_sweep)"
+cargo run --release --offline -q --example perf -- --workload fig16_sweep > /dev/null
 
 # Traced smoke: the same figure with --trace must write a well-formed
 # TRACE_fig05.jsonl containing every event kind the tracer promises.

@@ -6,6 +6,11 @@
 //! profess-sim compare --workload w12 [--ops 60000]           # all policies side by side
 //! profess-sim list                                            # programs, workloads, policies
 //! ```
+//!
+//! `--scale` also applies to `solo` and `compare`; `list` takes no flag.
+//! A missing or unknown command, or a flag the command does not read, is
+//! a usage error (exit 2); a run that cannot proceed (a bad value, a
+//! configuration the simulator rejects) is an `error:` line and exit 1.
 
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
@@ -14,22 +19,45 @@ use std::process::ExitCode;
 
 use profess::prelude::*;
 
-fn usage() -> ExitCode {
+/// The exit status of a usage error, as in the bench binaries.
+const USAGE: u8 = 2;
+
+fn usage(code: u8) -> ExitCode {
     eprintln!(
         "usage: profess-sim <run|solo|compare|list> \
          [--workload wNN] [--program NAME] [--policy NAME] \
          [--ops N] [--scale quad|single|paper]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(code)
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags `cmd` reads, or `None` for an unknown command.
+fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
+    match cmd {
+        "list" => Some(&[]),
+        "solo" => Some(&["program", "policy", "ops", "scale"]),
+        "run" => Some(&["workload", "policy", "ops", "scale"]),
+        "compare" => Some(&["workload", "ops", "scale"]),
+        _ => None,
+    }
+}
+
+/// Parses `--key value` pairs, accepting only the keys in `known`: a
+/// misspelt flag must fail, not leave its default in force.
+fn parse_flags(
+    cmd: &str,
+    args: &[String],
+    known: &[&str],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
+        if !known.contains(&key) {
+            return Err(format!("`{cmd}` takes no flag --{key}"));
+        }
         let Some(v) = it.next() else {
             return Err(format!("flag --{key} needs a value"));
         };
@@ -121,13 +149,17 @@ fn run_multi(pk: PolicyKind, w: &Workload, cfg: &SystemConfig, ops: u64) -> Resu
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        return usage();
+        return usage(USAGE);
     };
-    let flags = match parse_flags(&args[1..]) {
+    let Some(known) = flags_of(cmd) else {
+        eprintln!("error: unknown command {cmd:?}");
+        return usage(USAGE);
+    };
+    let flags = match parse_flags(cmd, &args[1..], known) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
-            return usage();
+            return usage(USAGE);
         }
     };
     let result = (|| -> Result<(), String> {
@@ -192,7 +224,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            usage()
+            usage(1)
         }
     }
 }

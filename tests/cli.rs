@@ -2,6 +2,7 @@
 //! its `PolicyKind::cli_name`, and a simulation that cannot run or an
 //! empty op budget ends on the `error:` path with exit status 1 and the
 //! cause on stderr, never a panic (exit 101) and never an empty report.
+//! A flag the command does not read is a usage error, exit 2.
 
 use std::process::{Command, Output};
 
@@ -76,4 +77,31 @@ fn every_policy_kind_is_accepted_by_its_cli_name() {
     ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
+/// A misspelt or foreign flag stops the command before it runs: `--opps`
+/// must not leave the 60,000-op default budget in force.
+#[test]
+fn a_flag_the_command_does_not_read_is_a_usage_error() {
+    for (args, flag) in [
+        (&["run", "--workload", "w01", "--opps", "100"][..], "--opps"),
+        (&["list", "--bogus", "1"], "--bogus"),
+        (
+            &["solo", "--program", "mcf", "--workload", "w01"],
+            "--workload",
+        ),
+        (
+            &["compare", "--workload", "w01", "--policy", "pom"],
+            "--policy",
+        ),
+    ] {
+        let out = profess_sim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: `{}` takes no flag {flag}", args[0])),
+            "{args:?}: stderr: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: the command ran");
+    }
 }

@@ -32,15 +32,15 @@ pub const PINNED: [(&str, u64, u64); 9] = [
 /// `SNAPSHOT_VERSION` bump. Re-pin with `PROFESS_BLESS_FINGERPRINTS=1`
 /// (see `tests/snapshot.rs`).
 pub const SNAPSHOT_PINNED: [(u64, u64); 9] = [
-    (0xddd97ef13ebe5d81, 0x93aee40c918fa937), // Static
-    (0xf92de3b99560a2cb, 0xdbf3a703e07321dc), // CAMEO
-    (0xc52bb9ee62a5599c, 0x6b0e4e02284e3951), // PoM
-    (0x763d31b0b073e878, 0xc234bd5836967be6), // MemPod
-    (0x8fd6816c43fb771b, 0x1bca516c32119516), // MDM
-    (0xfdb561250597210b, 0x55ca1676202b5390), // ProFess
-    (0xf696a0c4d51f724d, 0x4de70c338c7b3c62), // ProFess-noC3
-    (0xac890d2e254a30c2, 0x4b3c1220038756ed), // SILC-FM
-    (0xe4aace133ba21d2a, 0xcf4472cd08831f8c), // RSM+PoM
+    (0x6fe8e3641822c4b9, 0x2b7d0206b32b009d), // Static
+    (0x642c22138f850872, 0xc19e79ee1673405d), // CAMEO
+    (0x7b5e07bb0c180f14, 0xeb7047c0e9707190), // PoM
+    (0x903b4a8b479501e1, 0x5724a5672793a3b8), // MemPod
+    (0xab2da75ed6c04b40, 0x9ce582ca8a96a82a), // MDM
+    (0xbb853768668ac537, 0xfd77990180c7217b), // ProFess
+    (0x7b55d060bc4cfb8d, 0xa818c3719f758694), // ProFess-noC3
+    (0x026997feecbfc5dc, 0x40e750113488cb93), // SILC-FM
+    (0x3cc5e5d15ff5c66a, 0xb275aee4fb7eaa80), // RSM+PoM
 ];
 
 /// The builder behind the pinned single-program (Milc) fingerprints.

@@ -1,6 +1,7 @@
 //! The event loop is gated by the work it does, not the time it takes
 //! (DESIGN.md §7.2, §12): one seeded quad ProFess run costs an exact
-//! number of steps, channel and core advances, completion checks and
+//! number of steps, channel and core advances, completion checks,
+//! responses delivered to cores and the wake-ups among them, and
 //! scheduler picks. The counters are per-thread and exist in debug
 //! builds only; the same-step finish test runs in every build.
 
@@ -18,6 +19,7 @@ use profess::prelude::*;
 fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
     use common::{multi_builder, PINNED};
     use profess::core::work::{channel_advances, completion_checks, core_advances, steps};
+    use profess::cpu::work::{advances, completions, wakes};
     use profess::mem::work::{pick_entries, picks};
 
     let count = || {
@@ -28,22 +30,30 @@ fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
             completion_checks(),
             picks(),
             pick_entries(),
+            advances(),
+            completions(),
+            wakes(),
         ]
     };
     let before = count();
     let report = multi_builder(PolicyKind::Profess).try_run().expect("runs");
     let after = count();
-    let [steps, ch_adv, core_adv, checks, picks, entries] =
+    let [steps, ch_adv, core_adv, checks, picks, entries, cpu_adv, delivered, woke] =
         std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
         fnv64(report_string(&report).as_bytes()),
         PINNED[5].2,
         "the pinned ProFess quad run"
     );
-    // 106 411 steps over 4 cores: about 0.68 core advances per step.
-    assert_eq!((steps, ch_adv, core_adv), (106_411, 80_827, 72_434));
+    // 106 411 steps over 4 cores: about 0.50 core advances per step. A
+    // response wakes its core only when the core is blocked on exactly
+    // that response, or not blocked on one at all (`CoreSim::complete`).
+    assert_eq!((steps, ch_adv, core_adv), (106_411, 80_827, 52_724));
     // Only a core that advanced can have finished.
     assert_eq!(checks, core_adv);
+    // The loop is the core model's only caller.
+    assert_eq!(cpu_adv, core_adv);
+    assert_eq!((delivered, woke), (32_306, 12_482));
     assert_eq!((picks, entries), (129_610, 800_874));
 }
 
