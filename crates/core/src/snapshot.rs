@@ -36,7 +36,7 @@ use crate::errors::SimError;
 
 /// Snapshot wire-format version. Bump on any payload schema change;
 /// restore rejects other versions with [`SimError::SnapshotVersion`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Top-level payload fields, in emission order.
 ///

@@ -147,6 +147,15 @@ pub fn program_seed(base: u64, idx: u64, restart: u32) -> u64 {
 }
 
 /// Per-program results.
+///
+/// `instructions`, `core_cycles` and `ipc` describe the first instance
+/// as it finished. In a run truncated by its cycle cap before that
+/// instance finished, they fall back to the instance's live state: what
+/// the core had executed by its last advance. That depends on when the
+/// run loop last advanced the core, not only on the simulated timeline
+/// (a core asleep in a non-memory gap has not yet counted the gap's
+/// instructions), so a change to the wake rules can move these three
+/// fields of a truncated run.
 #[derive(Debug, Clone)]
 pub struct ProgramReport {
     /// Program name (SPEC name or "custom").
@@ -2389,6 +2398,77 @@ mod tests {
             *field(item(field(p, "cores"), 0), "wait_kind") = Json::UInt(3);
         });
         assert_corrupt(err, "cores: [0]: finished at a step boundary");
+    }
+
+    /// Edits the halfway snapshot's core 0 with `edit`, which gets the
+    /// core's payload and its `exec_seq`.
+    fn restore_edited_core(edit: impl FnOnce(&mut Json, u64)) -> SimError {
+        restore_edited_halfway(|p| {
+            let core = item(field(p, "cores"), 0);
+            let exec_seq = field(core, "exec_seq").as_u64().expect("exec_seq");
+            edit(core, exec_seq);
+        })
+    }
+
+    fn inflight_load(seq: u64, done: Option<u64>) -> Json {
+        Json::obj([
+            ("seq", Json::UInt(seq)),
+            ("done", done.map_or(Json::Null, Json::UInt)),
+        ])
+    }
+
+    /// The ROB arithmetic reads the oldest load in flight as the ROB
+    /// head, so a core's in-flight loads must be in issue order, and
+    /// none may be younger than the last executed instruction.
+    #[test]
+    fn restore_rejects_core_loads_in_flight_out_of_issue_order() {
+        let err = restore_edited_core(|core, exec_seq| {
+            *field(core, "inflight") = Json::Arr(vec![
+                inflight_load(exec_seq, Some(1)),
+                inflight_load(exec_seq - 1, Some(1)),
+            ]);
+            *field(core, "outstanding") = Json::UInt(0);
+        });
+        assert_corrupt(err, "cores: [0]: inflight: [1]: seq ");
+        let err = restore_edited_core(|core, exec_seq| {
+            *field(core, "inflight") = Json::Arr(vec![inflight_load(exec_seq + 1, Some(1))]);
+            *field(core, "outstanding") = Json::UInt(0);
+        });
+        let SimError::SnapshotCorrupt { detail } = err else {
+            panic!("expected SnapshotCorrupt, got {err:?}")
+        };
+        assert!(
+            detail.starts_with("cores: [0]: inflight: [0]: seq ")
+                && detail.contains(" is above exec_seq "),
+            "{detail}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_an_outstanding_count_other_than_the_loads_not_done() {
+        let err = restore_edited_core(|core, exec_seq| {
+            *field(core, "inflight") = Json::Arr(vec![inflight_load(exec_seq, None)]);
+            *field(core, "outstanding") = Json::UInt(0);
+        });
+        assert_corrupt(
+            err,
+            "cores: [0]: outstanding: 0 but 1 loads in flight are not done",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_write_buffer_over_capacity() {
+        let cap = tiny_cfg().cpu.write_buffer;
+        let err = restore_edited_core(|core, _| {
+            *field(core, "wb_used") = Json::UInt(cap as u64 + 1);
+        });
+        assert_corrupt(
+            err,
+            &format!(
+                "cores: [0]: wb_used: {} exceeds the {cap}-entry write buffer",
+                cap + 1
+            ),
+        );
     }
 
     /// The run loop relies on a step boundary having some first

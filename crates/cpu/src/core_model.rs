@@ -15,15 +15,17 @@ use crate::work;
 
 /// Optional per-core profiling histograms, allocated only when the
 /// run is traced (the system's `TraceConfig`); with them off the timing
-/// loop pays one `Option` test per [`CoreSim::advance`] call.
+/// loop pays one `Option` test per issued memory op.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreObs {
-    /// ROB occupancy (unretired instructions) sampled at each advance.
+    /// ROB occupancy sampled once per issued memory op: the instructions
+    /// executed before the op, counted from the oldest load that is not
+    /// done by the op's slot.
     ///
-    /// One sample per [`CoreSim::advance`] call, so the distribution is
-    /// weighted by calls, not by simulated time: a change to when the run
-    /// loop wakes the core (such as sleeping through non-memory gaps)
-    /// moves it without any change to the timing model.
+    /// A function of the simulated timeline alone: the loads it counts
+    /// as done are the ones whose data arrived by that slot, wherever the
+    /// core had retired them, so the histogram does not depend on when
+    /// the run loop advances the core.
     pub rob_occupancy: Log2Histogram,
 }
 
@@ -45,10 +47,17 @@ pub struct CoreRequest {
 pub enum WaitState {
     /// Can make progress now.
     Ready,
-    /// Blocked until the given slot (sub-cycle time unit).
+    /// Asleep until the given slot (sub-cycle time unit), at which its
+    /// next memory op can issue. Until then the core only runs
+    /// non-memory instructions, which read no memory response: a head
+    /// load that is done retired when it went to sleep, and the ROB
+    /// cannot fill before the slot. A response delivered meanwhile is
+    /// read by the advance at the slot, so it does not wake the core.
     UntilSlot(u64),
     /// Blocked until some memory response arrives (ROB-head load, MSHRs
-    /// exhausted, dependent load, or full write buffer).
+    /// exhausted, dependent load, or full write buffer). A gap that would
+    /// fill the ROB behind an outstanding head load blocks here on that
+    /// load, and runs its remaining instructions when the load returns.
     OnResponse,
     /// Program complete: source exhausted and all memory drained.
     Finished,
@@ -89,6 +98,14 @@ struct PendingOp {
 /// Time is tracked in *slots*: one slot is one retire opportunity, i.e.
 /// `1 / width` core cycles or `1 / (width * core_mult)` memory cycles. All
 /// public interfaces use memory [`Cycle`]s.
+///
+/// The core is event-driven: it asks to be advanced only at a slot where
+/// its next memory op can issue ([`WaitState::UntilSlot`]) or at a memory
+/// response it waits for ([`CoreSim::complete`] returns `true`). Advancing
+/// it at any other cycle as well changes none of its outputs: the
+/// requests, their issue cycles, and its instruction count, cycles and
+/// IPC at the end of the program. It may change the instructions counted
+/// so far, since an early advance runs part of a non-memory gap ahead.
 pub struct CoreSim {
     source: Box<dyn OpSource>,
     rob: u64,
@@ -276,6 +293,12 @@ impl CoreSim {
         }
     }
 
+    /// Free ROB entries: the ROB holds every instruction from the oldest
+    /// unretired one on.
+    fn rob_space(&self) -> u64 {
+        self.rob - (self.exec_seq - self.retired_seq())
+    }
+
     /// Pops one completed load from the ROB head to make room, charging
     /// its completion time to the execution clock (the ROB was full, so
     /// execution could not proceed past this retirement). Returns `false`
@@ -291,8 +314,10 @@ impl CoreSim {
         }
     }
 
-    /// Drains completed loads at program end, charging their completion
-    /// times (the program is not finished before its last load returns).
+    /// Pops the done loads at the ROB head, charging their completion
+    /// times: at program end, which is not before the last load returns,
+    /// and at a gap sleep, where each was done by `exec_slot` and so is
+    /// charged nothing.
     fn drain_done_loads(&mut self) {
         while let Some(d) = self.inflight.front().and_then(|l| l.done) {
             self.inflight.pop_front();
@@ -300,13 +325,14 @@ impl CoreSim {
         }
     }
 
-    /// Delivers a memory response for request `id` at memory cycle `at`.
+    /// Delivers a memory response for request `id` at memory cycle `at`,
+    /// which must not be later than the `now` of the next
+    /// [`advance`](Self::advance).
     ///
-    /// Returns whether the run loop should advance the core at `at`. It
-    /// is `false` only when the core is blocked on a memory response and
-    /// this is not one it recorded waiting for: such an advance would
-    /// change nothing. A core that is not blocked on a response may run
-    /// ahead at `at`, so it reports `true`.
+    /// Returns whether the run loop should advance the core at `at`:
+    /// `true` when the core is blocked on this response, or ready;
+    /// `false` when it is blocked on another response, or asleep until a
+    /// slot ([`WaitState::UntilSlot`]), whose advance reads this response.
     #[inline]
     pub fn complete(&mut self, id: u64, at: Cycle) -> bool {
         work::count_completion();
@@ -327,17 +353,19 @@ impl CoreSim {
                 ll.done = Some(slot);
             }
         }
-        let blocked = self.wait == WaitState::OnResponse;
-        let wakes = !blocked
-            || match self.awaits {
+        let wakes = match self.wait {
+            WaitState::UntilSlot(_) => false,
+            WaitState::OnResponse => match self.awaits {
                 Awaits::Load(seq) => seq == id,
                 Awaits::AnyLoad => is_load,
                 Awaits::AnyStore => !is_load,
                 Awaits::Any => true,
-            };
+            },
+            WaitState::Ready | WaitState::Finished => true,
+        };
         if wakes {
             work::count_wake();
-            if blocked {
+            if self.wait == WaitState::OnResponse {
                 self.wait = WaitState::Ready;
             }
         }
@@ -359,16 +387,69 @@ impl CoreSim {
         self.block_on(head);
     }
 
+    /// Sleeps through the rest of a non-memory gap of `gap_left`
+    /// instructions, at a slot the core has caught up with.
+    ///
+    /// First every head load that is done retires: its data arrived by
+    /// `exec_slot` (a response is delivered no later than the advance
+    /// that reads it, and `exec_slot` has caught up with that advance),
+    /// so [`pop_head_for_space`](Self::pop_head_for_space) would charge
+    /// it nothing later. Then, if the ROB would fill behind the
+    /// head load, which is still outstanding, before the memory op can
+    /// issue, the core blocks on that load and runs the rest of the gap
+    /// when it returns, by the same slot arithmetic; otherwise the ROB
+    /// cannot fill during the gap, and the core sleeps to the slot at
+    /// which the memory op can issue.
+    fn sleep_in_gap(&mut self, gap_left: u32) {
+        debug_assert!(
+            self.inflight
+                .iter()
+                .filter_map(|l| l.done)
+                .all(|d| d <= self.exec_slot),
+            "a load done after the slot the core caught up with"
+        );
+        self.drain_done_loads();
+        let gap = u64::from(gap_left);
+        match self.inflight.front() {
+            Some(head) if self.rob_space() <= gap => {
+                self.block_on(Awaits::Load(head.seq));
+            }
+            _ => self.wait = WaitState::UntilSlot(self.exec_slot + gap + 1),
+        }
+    }
+
+    /// Records the ROB occupancy seen by a memory op about to issue at
+    /// `exec_slot`: the instructions executed since the oldest load that
+    /// is not done by then.
+    fn sample_occupancy(&mut self) {
+        let Some(obs) = self.obs.as_mut() else {
+            return;
+        };
+        let slot = self.exec_slot;
+        let occ = self
+            .inflight
+            .iter()
+            .find(|l| l.done.is_none_or(|d| d > slot))
+            .map_or(0, |l| self.exec_seq - (l.seq - 1));
+        obs.rob_occupancy.record(occ);
+    }
+
     /// Advances execution up to memory cycle `now`, appending any issued
     /// memory requests to `out`.
     pub fn advance(&mut self, now: Cycle, out: &mut Vec<CoreRequest>) {
         work::count_advance();
+        let issued = out.len();
+        self.run_to(now, out);
+        if out.len() == issued {
+            work::count_idle_advance();
+        }
+    }
+
+    /// Executes up to memory cycle `now`: the body of
+    /// [`advance`](Self::advance), which counts its work.
+    fn run_to(&mut self, now: Cycle, out: &mut Vec<CoreRequest>) {
         if self.is_finished() {
             return;
-        }
-        let occ = self.exec_seq - self.retired_seq();
-        if let Some(obs) = self.obs.as_mut() {
-            obs.rob_occupancy.record(occ);
         }
         let now_slot = now.raw().saturating_mul(self.spmc.get());
         loop {
@@ -407,16 +488,11 @@ impl CoreSim {
             // Execute the gap (non-memory instructions).
             let gap_left = self.pending.as_ref().map_or(0, |p| p.gap_left);
             if gap_left > 0 {
-                let rob_space = self.rob - (self.exec_seq - self.retired_seq());
                 if self.exec_slot >= now_slot {
-                    // Until the gap ends or the ROB fills, execution only
-                    // retires non-memory instructions: sleep to the first
-                    // slot at which the memory op can issue or the ROB is
-                    // full.
-                    let run = u64::from(gap_left).min(rob_space);
-                    self.wait = WaitState::UntilSlot(self.exec_slot + run + 1);
+                    self.sleep_in_gap(gap_left);
                     return;
                 }
+                let rob_space = self.rob_space();
                 if rob_space == 0 {
                     // ROB full: retire the head load (charging its
                     // completion time) or stall until it returns.
@@ -444,8 +520,7 @@ impl CoreSim {
                 self.wait = WaitState::UntilSlot(self.exec_slot + 1);
                 return;
             }
-            let rob_space = self.rob - (self.exec_seq - self.retired_seq());
-            if rob_space == 0 {
+            if self.rob_space() == 0 {
                 if self.pop_head_for_space() {
                     continue;
                 }
@@ -479,6 +554,7 @@ impl CoreSim {
                             None => {}
                         }
                     }
+                    self.sample_occupancy();
                     self.exec_seq += 1;
                     self.exec_slot += 1;
                     let load = InflightLoad {
@@ -500,6 +576,7 @@ impl CoreSim {
                         self.block_on(Awaits::AnyStore);
                         return;
                     }
+                    self.sample_occupancy();
                     self.exec_seq += 1;
                     self.exec_slot += 1;
                     self.wb_used += 1;
@@ -538,7 +615,11 @@ impl CoreSim {
 /// (`obs`) and what a blocked core waits for (`awaits`, which loads as
 /// "any completion") are excluded. A source that runs dry before the replay
 /// position is an error: the regenerated program differs from the
-/// captured one.
+/// captured one. So is state the timing rules cannot have produced: an
+/// `inflight` list not strictly increasing in `seq` or holding a `seq`
+/// above `exec_seq`, an `outstanding` count other than the number of
+/// loads in flight that are not done, or a `wb_used` above the write
+/// buffer.
 impl State for CoreSim {
     fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
         c.field("ops_consumed", &mut self.ops_consumed)?;
@@ -556,9 +637,44 @@ impl State for CoreSim {
         c.field("exec_seq", &mut self.exec_seq)?;
         c.field("pending", &mut self.pending)?;
         c.field("inflight", &mut self.inflight)?;
+        if c.is_load() {
+            // The ROB arithmetic reads the head's seq as the oldest
+            // unretired instruction, and a response finds its load by seq.
+            let mut prev = 0;
+            for (i, l) in self.inflight.iter().enumerate() {
+                if l.seq <= prev {
+                    return Err(format!(
+                        "inflight: [{i}]: seq {} is not above {prev}",
+                        l.seq
+                    ));
+                }
+                if l.seq > self.exec_seq {
+                    return Err(format!(
+                        "inflight: [{i}]: seq {} is above exec_seq {}",
+                        l.seq, self.exec_seq
+                    ));
+                }
+                prev = l.seq;
+            }
+        }
         c.field("outstanding", &mut self.outstanding)?;
+        if c.is_load() {
+            let waiting = self.inflight.iter().filter(|l| l.done.is_none()).count();
+            if self.outstanding != waiting {
+                return Err(format!(
+                    "outstanding: {} but {waiting} loads in flight are not done",
+                    self.outstanding
+                ));
+            }
+        }
         c.field("last_load", &mut self.last_load)?;
         c.field("wb_used", &mut self.wb_used)?;
+        if c.is_load() && self.wb_used > self.wb_cap {
+            return Err(format!(
+                "wb_used: {} exceeds the {}-entry write buffer",
+                self.wb_used, self.wb_cap
+            ));
+        }
         let (mut wait_kind, mut wait_slot) = match self.wait {
             WaitState::Ready => (0u64, 0),
             WaitState::UntilSlot(s) => (1, s),
@@ -845,16 +961,22 @@ mod tests {
     #[test]
     fn obs_histogram_samples_rob_occupancy() {
         let clock = ClockSpec::paper();
-        let mut core = CoreSim::new(&cfg(), &clock, scripted(vec![load(10, 1)]));
+        let ops = vec![load(10, 1), load(0, 2)];
+        let mut core = CoreSim::new(&cfg(), &clock, scripted(ops));
         assert!(core.take_obs().is_none(), "obs is off by default");
         core.enable_obs();
         let mut out = Vec::new();
         core.advance(Cycle(10), &mut out);
         core.advance(Cycle(20), &mut out);
+        assert_eq!(out.len(), 2);
         let obs = core.take_obs().expect("obs enabled");
+        // One sample per issued op, not per advance.
         assert_eq!(obs.rob_occupancy.count(), 2);
-        // The second sample sees the unretired in-flight load.
-        assert!(obs.rob_occupancy.max() >= 1);
+        // The second load sees the first, unretired, in the ROB.
+        assert_eq!(
+            (obs.rob_occupancy.max(), obs.rob_occupancy.mean()),
+            (1, 0.5)
+        );
     }
 
     /// Mid-run snapshot → restore into a fresh core (with a regenerated

@@ -1,11 +1,12 @@
 //! Property tests of the core model: instruction accounting, IPC bounds,
 //! liveness under random op streams served by a random-latency memory,
-//! equivalence of event-driven and every-cycle advancing, and of precise
-//! wake-ups and waking on every completion.
+//! equivalence of event-driven and every-cycle advancing (requests, IPC
+//! and the ROB-occupancy histogram), and of precise wake-ups and waking
+//! on every completion.
 
 use profess_check::strategy::{any_bool, tuple2, tuple4, u32_range, u8_range, vec_of};
 use profess_check::{check_with, prop_assert, prop_assert_eq, Config, Strategy};
-use profess_cpu::{CoreSim, MemOp, MemOpKind, OpSource, WaitState};
+use profess_cpu::{CoreObs, CoreSim, MemOp, MemOpKind, OpSource, WaitState};
 use profess_types::clock::ClockSpec;
 use profess_types::config::CpuConfig;
 use profess_types::Cycle;
@@ -106,9 +107,16 @@ fn ops_of(specs: &[OpSpec]) -> Vec<MemOp> {
 /// memory cycle or only at the earlier of the core's next event and the
 /// next completion.
 fn run(specs: &[OpSpec], every_cycle: bool) -> Outcome {
+    run_observed(specs, every_cycle).0
+}
+
+/// [`run`] with the core's profiling histograms enabled; returns them
+/// beside the outcome.
+fn run_observed(specs: &[OpSpec], every_cycle: bool) -> (Outcome, Box<CoreObs>) {
     let ops = ops_of(specs);
     let clock = ClockSpec::paper();
     let mut core = CoreSim::new(&cfg(), &clock, Box::new(Scripted { ops, i: 0 }));
+    core.enable_obs();
     let mut pending: Vec<(Cycle, u64)> = Vec::new();
     let mut log = Vec::new();
     let mut now = Cycle(0);
@@ -151,13 +159,14 @@ fn run(specs: &[OpSpec], every_cycle: bool) -> Outcome {
             }
         }
     }
-    Outcome {
+    let outcome = Outcome {
         log,
         instructions: core.instructions(),
         core_cycles: core.instance_core_cycles(),
         ipc_bits: core.ipc().to_bits(),
         finish: now,
-    }
+    };
+    (outcome, core.take_obs().expect("obs enabled"))
 }
 
 #[test]
@@ -293,15 +302,51 @@ fn event_driven_matches_every_cycle() {
     );
 }
 
+/// The ROB-occupancy histogram is a function of the simulated timeline:
+/// one sample per issued op, identical whether the core is advanced at
+/// its own events or at every memory cycle.
+#[test]
+fn rob_occupancy_does_not_depend_on_when_the_core_advances() {
+    check_with(
+        &cases64(),
+        &[],
+        "rob_occupancy_does_not_depend_on_when_the_core_advances",
+        vec_of(
+            tuple4(u32_range(0..360), any_bool(), any_bool(), u8_range(1..200)),
+            1..60,
+        ),
+        |raw| {
+            let specs: Vec<OpSpec> = raw
+                .iter()
+                .map(|&(gap, store, dependent, latency)| OpSpec {
+                    gap,
+                    store,
+                    dependent,
+                    latency,
+                })
+                .collect();
+            let (_, events) = run_observed(&specs, false);
+            let (_, every) = run_observed(&specs, true);
+            prop_assert_eq!(events.rob_occupancy.count(), specs.len() as u64);
+            prop_assert_eq!(events, every);
+            Ok(())
+        },
+    );
+}
+
 /// Precise wake-ups are exact. Two cores run the same op stream against
 /// the same memory: one advances whenever its next event is due or a
 /// response reaches it, the other only when its next event is due or
-/// `complete` reports that the response unblocks it. At every event both
-/// issue the same requests and agree on wait state, next event and
-/// instruction count, so the skipped advances were no-ops. About half
-/// the cases cut each gap to at most 2 instructions, so runs of loads
-/// exhaust the 8 MSHRs and runs of stores the 16-entry write buffer,
-/// beside the ROB-full and dependent-load stalls of long gaps.
+/// `complete` reports that the response unblocks it. At every cycle both
+/// issue the same requests. At every cycle where the precise core
+/// advances, both agree on wait state, next event and instruction
+/// count, and both end at the same cycle with the same instruction count
+/// and IPC. Between its advances the precise core's instruction count
+/// may lag: it runs a non-memory gap only at the slot where the gap ends
+/// or at the response that lets it continue. About half the cases cut
+/// each gap to at most 2 instructions, so runs of loads exhaust the 8
+/// MSHRs and runs of stores the 16-entry write buffer, beside the
+/// ROB-full and dependent-load stalls of long gaps.
 #[test]
 fn precise_wakeups_match_waking_on_every_completion() {
     check_with(
@@ -344,23 +389,18 @@ fn precise_wakeups_match_waking_on_every_completion() {
                 }
                 if precise_due {
                     precise.advance(now, &mut b);
+                    let seen = |c: &CoreSim| (c.wait_state(), c.next_event(now), c.instructions());
+                    prop_assert_eq!((now, seen(&every)), (now, seen(&precise)));
                 }
-                let seen = |c: &CoreSim, out| {
-                    (
-                        now,
-                        out,
-                        c.wait_state(),
-                        c.next_event(now),
-                        c.instructions(),
-                    )
-                };
-                prop_assert_eq!(seen(&every, &a), seen(&precise, &b));
+                prop_assert_eq!((now, &a), (now, &b));
                 for r in a {
                     let lat = u64::from(specs[r.line as usize].latency);
                     pending.push((now + lat, r.id));
                 }
                 if every.is_finished() {
                     prop_assert!(precise.is_finished());
+                    prop_assert_eq!(every.finish_slot(), precise.finish_slot());
+                    prop_assert_eq!(every.instructions(), precise.instructions());
                     prop_assert_eq!(every.ipc().to_bits(), precise.ipc().to_bits());
                     return Ok(());
                 }

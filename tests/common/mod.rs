@@ -32,15 +32,15 @@ pub const PINNED: [(&str, u64, u64); 9] = [
 /// `SNAPSHOT_VERSION` bump. Re-pin with `PROFESS_BLESS_FINGERPRINTS=1`
 /// (see `tests/snapshot.rs`).
 pub const SNAPSHOT_PINNED: [(u64, u64); 9] = [
-    (0x6fe8e3641822c4b9, 0x2b7d0206b32b009d), // Static
-    (0x642c22138f850872, 0xc19e79ee1673405d), // CAMEO
-    (0x7b5e07bb0c180f14, 0xeb7047c0e9707190), // PoM
-    (0x903b4a8b479501e1, 0x5724a5672793a3b8), // MemPod
-    (0xab2da75ed6c04b40, 0x9ce582ca8a96a82a), // MDM
-    (0xbb853768668ac537, 0xfd77990180c7217b), // ProFess
-    (0x7b55d060bc4cfb8d, 0xa818c3719f758694), // ProFess-noC3
-    (0x026997feecbfc5dc, 0x40e750113488cb93), // SILC-FM
-    (0x3cc5e5d15ff5c66a, 0xb275aee4fb7eaa80), // RSM+PoM
+    (0x869db83d04386972, 0x38112ff8802fab29), // Static
+    (0x64d5e47516b2dfce, 0xfab3393d71eacff9), // CAMEO
+    (0xb098812df97f7345, 0xe759982f71b006d7), // PoM
+    (0xd0deb6dde773f20b, 0x5fe764912933d507), // MemPod
+    (0x87d3989ac9d96565, 0x21f109e9e34983a3), // MDM
+    (0x1b58cdd0aac8c64a, 0x58f47fe8d713728b), // ProFess
+    (0x0b4728d7bcb7c703, 0x81994385bc3759de), // ProFess-noC3
+    (0x91d44dbf92ac9668, 0x50e6dd2eb846ce47), // SILC-FM
+    (0xe01697f6d0a88340, 0x288ed78435420885), // RSM+PoM
 ];
 
 /// The builder behind the pinned single-program (Milc) fingerprints.

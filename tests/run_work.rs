@@ -1,8 +1,8 @@
 //! The event loop is gated by the work it does, not the time it takes
 //! (DESIGN.md §7.2, §12): one seeded quad ProFess run costs an exact
-//! number of steps, channel and core advances, completion checks,
-//! responses delivered to cores and the wake-ups among them, and
-//! scheduler picks. The counters are per-thread and exist in debug
+//! number of steps, channel and core advances, the core advances that
+//! issue no request, completion checks, responses delivered to cores
+//! and the wake-ups among them, and scheduler picks. The counters are per-thread and exist in debug
 //! builds only; the same-step finish test runs in every build.
 
 mod common;
@@ -19,7 +19,7 @@ use profess::prelude::*;
 fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
     use common::{multi_builder, PINNED};
     use profess::core::work::{channel_advances, completion_checks, core_advances, steps};
-    use profess::cpu::work::{advances, completions, wakes};
+    use profess::cpu::work::{advances, completions, idle_advances, wakes};
     use profess::mem::work::{pick_entries, picks};
 
     let count = || {
@@ -31,6 +31,7 @@ fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
             picks(),
             pick_entries(),
             advances(),
+            idle_advances(),
             completions(),
             wakes(),
         ]
@@ -38,22 +39,24 @@ fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
     let before = count();
     let report = multi_builder(PolicyKind::Profess).try_run().expect("runs");
     let after = count();
-    let [steps, ch_adv, core_adv, checks, picks, entries, cpu_adv, delivered, woke] =
+    let [steps, ch_adv, core_adv, checks, picks, entries, cpu_adv, idle, delivered, woke] =
         std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
         fnv64(report_string(&report).as_bytes()),
         PINNED[5].2,
         "the pinned ProFess quad run"
     );
-    // 106 411 steps over 4 cores: about 0.50 core advances per step. A
-    // response wakes its core only when the core is blocked on exactly
-    // that response, or not blocked on one at all (`CoreSim::complete`).
-    assert_eq!((steps, ch_adv, core_adv), (106_411, 80_827, 52_724));
+    // A core advances only when its next memory op can issue or a
+    // response it waits for arrives (`CoreSim::complete`), so most core
+    // advances issue a request; the rest are blocked advances at
+    // responses that do not yet unblock the op, and program ends.
+    assert_eq!((steps, ch_adv, core_adv), (97_077, 80_827, 37_898));
+    assert_eq!(idle, 11_100);
     // Only a core that advanced can have finished.
     assert_eq!(checks, core_adv);
     // The loop is the core model's only caller.
     assert_eq!(cpu_adv, core_adv);
-    assert_eq!((delivered, woke), (32_306, 12_482));
+    assert_eq!((delivered, woke), (32_306, 10_390));
     assert_eq!((picks, entries), (129_610, 800_874));
 }
 
