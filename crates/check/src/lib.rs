@@ -91,6 +91,25 @@ impl Default for Config {
     }
 }
 
+impl Config {
+    /// [`Config::default`] with `cases` novel cases, unless
+    /// `PROFESS_CHECK_CASES` sets the count: a property that runs fewer
+    /// cases than the default in the test suite can still be run at
+    /// volume.
+    ///
+    /// # Panics
+    ///
+    /// As [`Config::default`].
+    pub fn with_cases(cases: u32) -> Self {
+        let cfg = Config::default();
+        if std::env::var_os("PROFESS_CHECK_CASES").is_some() {
+            cfg
+        } else {
+            Config { cases, ..cfg }
+        }
+    }
+}
+
 /// Parses the value of the knob `name`: `default` when unset, else an
 /// integer in `range`. Anything else is an error that names the
 /// variable.

@@ -275,6 +275,16 @@ impl Lockstep {
         self.check_next_event(now)
     }
 
+    fn swap(&mut self, now: Cycle, m1: MemLoc, m2: MemLoc) -> Result<(), String> {
+        self.reset_reference();
+        let (t, r) = (
+            self.hinted.begin_swap(now, m1, m2),
+            self.reference.begin_swap(now, m1, m2),
+        );
+        prop_assert!(t == r, "swap at {now}: hinted ends {t}, reference {r}");
+        self.check_next_event(now)
+    }
+
     fn check_next_event(&mut self, now: Cycle) -> Result<(), String> {
         self.reset_reference();
         let (t, r) = (self.hinted.next_event(now), self.reference.next_event(now));
@@ -283,19 +293,22 @@ impl Lockstep {
     }
 }
 
-/// The cached FR-FCFS-Cap refusal is exact at every later cycle: a
-/// channel that keeps it across calls must schedule, complete and report
-/// next events exactly like one that recomputes it on every call. Few
-/// banks and rows make hits, conflicts and the hit cap collide; gap 0
-/// repeats a cycle, and each request is pushed either before or after
-/// the channel advances to its cycle. Streams start shortly before the
-/// first M1 refresh, so refreshes fire among queued requests. Like
+/// The cached FR-FCFS-Cap refusals, lower bounds made exact where they
+/// decide the next event, change nothing: a channel that keeps them
+/// across calls must schedule, complete, swap and report next events
+/// exactly like one that recomputes them on every call. Few banks and
+/// rows make hits, conflicts and the hit cap collide; gap 0 repeats a
+/// cycle. Each step is an M1 or M2 read or write, or (one in 20) a block
+/// swap between M1 and M2, and happens either before or after the
+/// channel advances to its cycle. Streams start shortly before the first
+/// M1 refresh, so refreshes fire among queued requests. Like
 /// `System::run`, the driver advances the channel at every event up to a
-/// request's cycle before that request's calls.
+/// step's cycle before that step's calls. `PROFESS_CHECK_CASES` raises
+/// the case count.
 #[test]
 fn standing_refusal_matches_hint_free_reference() {
     check_with(
-        &cases64(),
+        &Config::with_cases(64),
         &[],
         "standing_refusal_matches_hint_free_reference",
         tuple2(
@@ -305,7 +318,7 @@ fn standing_refusal_matches_hint_free_reference() {
                     u8_range(0..24),
                     u8_range(0..4),
                     u8_range(0..3),
-                    any_bool(),
+                    u8_range(0..20),
                     any_bool(),
                 ),
                 1..120,
@@ -320,7 +333,8 @@ fn standing_refusal_matches_hint_free_reference() {
             };
             let refi = MemTimingConfig::paper().m1.t_refi.expect("M1 refreshes");
             let mut now = Cycle(refi.saturating_sub(*lead));
-            for (i, &(gap, bank, row, write, push_first)) in raw.iter().enumerate() {
+            let mut requests = 0;
+            for (i, &(gap, bank, row, op, act_first)) in raw.iter().enumerate() {
                 let at = now + u64::from(gap);
                 loop {
                     let t = l.hinted.next_event(now);
@@ -331,20 +345,34 @@ fn standing_refusal_matches_hint_free_reference() {
                     l.advance(now)?;
                 }
                 now = at;
+                let loc = |module| MemLoc {
+                    module,
+                    bank: u32::from(bank),
+                    row: u64::from(row),
+                };
+                let (kind, module) = match op {
+                    0..=8 => (AccessKind::Read, Module::M1),
+                    9..=14 => (AccessKind::Write, Module::M1),
+                    15..=16 => (AccessKind::Read, Module::M2),
+                    17..=18 => (AccessKind::Write, Module::M2),
+                    _ => {
+                        if !act_first {
+                            l.advance(now)?;
+                        }
+                        l.swap(now, loc(Module::M1), loc(Module::M2))?;
+                        if act_first {
+                            l.advance(now)?;
+                        }
+                        continue;
+                    }
+                };
+                requests += 1;
                 let req = PhysRequest {
                     id: i as u64,
-                    kind: if write {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    },
-                    loc: MemLoc {
-                        module: Module::M1,
-                        bank: u32::from(bank),
-                        row: u64::from(row),
-                    },
+                    kind,
+                    loc: loc(module),
                 };
-                if push_first {
+                if act_first {
                     l.push(req, now)?;
                     l.advance(now)?;
                 } else {
@@ -358,7 +386,7 @@ fn standing_refusal_matches_hint_free_reference() {
                 l.advance(now)?;
             }
             prop_assert!(l.reference.is_idle());
-            prop_assert_eq!(l.served.len(), raw.len());
+            prop_assert_eq!(l.served.len(), requests);
             prop_assert_eq!(l.hinted.stats(), l.reference.stats());
             Ok(())
         },

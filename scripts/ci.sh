@@ -34,6 +34,14 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+# Scheduler properties at volume: tier-1 runs the lockstep property
+# (a channel keeping its FR-FCFS-Cap refusals against one that re-derives
+# them on every call) at 64 cases; a refusal carried wrongly across an
+# issue can need thousands of random streams to show.
+echo "==> scheduler properties at 4096 cases (release)"
+PROFESS_CHECK_CASES=4096 cargo test --release -q --offline -p profess-mem -- \
+    pick_matches_the_scanning_reference standing_refusal_matches_hint_free_reference
+
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
