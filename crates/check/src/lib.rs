@@ -92,21 +92,23 @@ impl Default for Config {
 }
 
 impl Config {
-    /// [`Config::default`] with `cases` novel cases, unless
-    /// `PROFESS_CHECK_CASES` sets the count: a property that runs fewer
-    /// cases than the default in the test suite can still be run at
-    /// volume.
+    /// [`Config::default`] with at least `cases` novel cases: `cases`,
+    /// or `PROFESS_CHECK_CASES` where that is larger. A property that
+    /// runs fewer cases than the default in the test suite can still be
+    /// run at volume, and a quick run at a small count never cuts a
+    /// property below its own.
     ///
     /// # Panics
     ///
     /// As [`Config::default`].
     pub fn with_cases(cases: u32) -> Self {
         let cfg = Config::default();
-        if std::env::var_os("PROFESS_CHECK_CASES").is_some() {
-            cfg
+        let cases = if std::env::var_os("PROFESS_CHECK_CASES").is_some() {
+            cfg.cases.max(cases)
         } else {
-            Config { cases, ..cfg }
-        }
+            cases
+        };
+        Config { cases, ..cfg }
     }
 }
 

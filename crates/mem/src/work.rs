@@ -2,9 +2,8 @@
 //!
 //! Tests gate the FR-FCFS-Cap scheduler by the work it does, not the time
 //! it takes: how many picks ran, how many queue entries they scanned,
-//! how many of those picks `next_event` ran to make a queue's refusal
-//! exact, how many bank schedules were built, and how many queue entries
-//! a starvation test visited. A release build keeps no counter and
+//! how many bank schedules were built, and how many queue entries a
+//! starvation test visited. A release build keeps no counter and
 //! compiles every count to nothing.
 
 #[cfg(debug_assertions)]
@@ -14,7 +13,6 @@ use std::cell::Cell;
 thread_local! {
     static PICKS: Cell<u64> = const { Cell::new(0) };
     static PICK_ENTRIES: Cell<u64> = const { Cell::new(0) };
-    static REFINEMENTS: Cell<u64> = const { Cell::new(0) };
     static PLANS: Cell<u64> = const { Cell::new(0) };
     static CAP_TEST_VISITS: Cell<u64> = const { Cell::new(0) };
 }
@@ -33,14 +31,6 @@ pub(crate) fn count_pick_entry() {
     PICK_ENTRIES.with(|c| c.set(c.get() + 1));
 }
 
-/// Counts one pick that `ChannelSim::next_event` ran on this thread
-/// because a queue's inexact refusal lay below every other event.
-#[inline]
-pub(crate) fn count_refinement() {
-    #[cfg(debug_assertions)]
-    REFINEMENTS.with(|c| c.set(c.get() + 1));
-}
-
 /// Counts one bank schedule built on this thread.
 #[inline]
 pub(crate) fn count_plan() {
@@ -48,11 +38,10 @@ pub(crate) fn count_plan() {
     PLANS.with(|c| c.set(c.get() + 1));
 }
 
-/// Counts one queue entry visited by a starvation scan on this thread.
-/// The scheduler answers its starvation test from per-bank oldest-miss
-/// slots (`OldestMiss`) and never scans; only the scanning reference
-/// scheduler in the unit tests counts here.
-#[cfg(test)]
+/// Counts one queue entry visited by a starvation test on this thread:
+/// the scheduler's, which scans the entries older than a startable
+/// capped row hit, or the scanning reference scheduler's in the unit
+/// tests.
 #[inline]
 pub(crate) fn count_cap_test_visit() {
     #[cfg(debug_assertions)]
@@ -69,13 +58,6 @@ pub fn picks() -> u64 {
 #[cfg(debug_assertions)]
 pub fn pick_entries() -> u64 {
     PICK_ENTRIES.with(Cell::get)
-}
-
-/// Picks that `next_event` ran on this thread so far to make a refusal
-/// exact (each is also counted by [`picks`]).
-#[cfg(debug_assertions)]
-pub fn refinements() -> u64 {
-    REFINEMENTS.with(Cell::get)
 }
 
 /// Bank schedules built on this thread so far.

@@ -293,10 +293,9 @@ impl Lockstep {
     }
 }
 
-/// The cached FR-FCFS-Cap refusals, lower bounds made exact where they
-/// decide the next event, change nothing: a channel that keeps them
-/// across calls must schedule, complete, swap and report next events
-/// exactly like one that recomputes them on every call. Few banks and
+/// The cached FR-FCFS-Cap refusal is exact at every later cycle: a
+/// channel that keeps it across calls must schedule, complete, swap and
+/// report next events exactly like one that recomputes it on every call. Few banks and
 /// rows make hits, conflicts and the hit cap collide; gap 0 repeats a
 /// cycle. Each step is an M1 or M2 read or write, or (one in 20) a block
 /// swap between M1 and M2, and happens either before or after the

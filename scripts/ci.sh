@@ -35,9 +35,10 @@ echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
 # Scheduler properties at volume: tier-1 runs the lockstep property
-# (a channel keeping its FR-FCFS-Cap refusals against one that re-derives
-# them on every call) at 64 cases; a refusal carried wrongly across an
-# issue can need thousands of random streams to show.
+# (a channel keeping its standing FR-FCFS-Cap refusals against one that
+# re-derives them on every call) at 64 cases and the pick property at
+# 2048. A capped hit that must yield is rare in random streams, so both
+# run again here at 4096 (the variable only raises a property's count).
 echo "==> scheduler properties at 4096 cases (release)"
 PROFESS_CHECK_CASES=4096 cargo test --release -q --offline -p profess-mem -- \
     pick_matches_the_scanning_reference standing_refusal_matches_hint_free_reference

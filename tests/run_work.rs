@@ -2,8 +2,7 @@
 //! (DESIGN.md §7.2, §12): one seeded quad ProFess run costs an exact
 //! number of steps, channel and core advances, the core advances that
 //! issue no request, completion checks, responses delivered to cores
-//! and the wake-ups among them, and scheduler picks and the `next_event`
-//! refinements among them. The counters are per-thread and exist in debug
+//! and the wake-ups among them, and scheduler picks. The counters are per-thread and exist in debug
 //! builds only; the same-step finish test runs in every build.
 
 mod common;
@@ -21,7 +20,7 @@ fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
     use common::{multi_builder, PINNED};
     use profess::core::work::{channel_advances, completion_checks, core_advances, steps};
     use profess::cpu::work::{advances, completions, idle_advances, wakes};
-    use profess::mem::work::{pick_entries, picks, refinements};
+    use profess::mem::work::{pick_entries, picks};
 
     let count = || {
         [
@@ -31,7 +30,6 @@ fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
             completion_checks(),
             picks(),
             pick_entries(),
-            refinements(),
             advances(),
             idle_advances(),
             completions(),
@@ -41,7 +39,7 @@ fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
     let before = count();
     let report = multi_builder(PolicyKind::Profess).try_run().expect("runs");
     let after = count();
-    let [steps, ch_adv, core_adv, checks, picks, entries, refined, cpu_adv, idle, delivered, woke] =
+    let [steps, ch_adv, core_adv, checks, picks, entries, cpu_adv, idle, delivered, woke] =
         std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
         fnv64(report_string(&report).as_bytes()),
@@ -59,7 +57,7 @@ fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
     // The loop is the core model's only caller.
     assert_eq!(cpu_adv, core_adv);
     assert_eq!((delivered, woke), (32_306, 10_390));
-    assert_eq!((picks, entries, refined), (101_520, 688_509, 23_933));
+    assert_eq!((picks, entries), (129_610, 800_874));
 }
 
 /// One load of `gap` non-memory instructions on `line`, per instance.
