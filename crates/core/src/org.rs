@@ -64,6 +64,10 @@ pub struct StEntry {
     pub pom_ctr: i64,
     /// The M2 original slot currently competing for M1 under PoM.
     pub pom_slot: u8,
+    /// The original slot of the block in M1: `resident_of(SlotIdx::M1)`,
+    /// kept by [`swap`](Self::swap) and derived on load, never saved. It
+    /// fits the entry's padding, so the entry stays 48 B.
+    m1_resident: SlotIdx,
 }
 
 impl Default for StEntry {
@@ -74,6 +78,7 @@ impl Default for StEntry {
             m1_owner: None,
             pom_ctr: 0,
             pom_slot: 0,
+            m1_resident: SlotIdx::M1,
         }
     }
 }
@@ -104,10 +109,22 @@ impl StEntry {
         panic!("corrupt ST entry: no block resides at {actual}");
     }
 
+    /// The original slot of the block in M1, without the scan of
+    /// [`resident_of`](Self::resident_of).
+    #[inline]
+    pub fn m1_resident(&self) -> SlotIdx {
+        self.m1_resident
+    }
+
     /// Exchanges the actual locations of two original blocks (a fast swap
     /// within the group).
     pub fn swap(&mut self, a: SlotIdx, b: SlotIdx) {
         self.actual.swap(a.index(), b.index());
+        if self.m1_resident == a {
+            self.m1_resident = b;
+        } else if self.m1_resident == b {
+            self.m1_resident = a;
+        }
     }
 
     /// `true` if every original block sits at its original location.
@@ -157,7 +174,7 @@ impl SwapTable {
     pub fn promoted_groups(&self) -> u64 {
         self.entries
             .iter()
-            .filter(|e| e.resident_of(SlotIdx::M1) != SlotIdx::M1)
+            .filter(|e| e.m1_resident() != SlotIdx::M1)
             .count() as u64
     }
 }
@@ -172,6 +189,7 @@ impl State for StEntry {
                     return Err("actual: slots are not a permutation".to_string());
                 }
             }
+            self.m1_resident = self.resident_of(SlotIdx::M1);
         }
         c.field("qac", &mut self.qac)?;
         c.field("m1_owner", &mut self.m1_owner)?;
@@ -319,6 +337,38 @@ mod tests {
             .replace("\"actual\":[2,1,0", "\"actual\":[2,1,1");
         let j2 = Json::parse(&text).expect("valid");
         assert!(StateCodec::load(&mut st, &j2).is_err());
+    }
+
+    #[test]
+    fn the_cached_m1_resident_fits_the_entry_padding() {
+        assert_eq!(std::mem::size_of::<StEntry>(), 48);
+    }
+
+    /// The cached M1 resident equals the scan after every swap, and a
+    /// load derives it from the loaded mapping, whatever the entry held.
+    #[test]
+    fn cached_m1_resident_matches_the_scan() {
+        use profess_check::strategy::{tuple2, u8_range, vec_of};
+        use profess_check::{check, prop_assert_eq};
+        let slots = SlotIdx::MAX as u8;
+        check(
+            "cached_m1_resident_matches_the_scan",
+            vec_of(tuple2(u8_range(0..slots), u8_range(0..slots)), 0..64),
+            |swaps| {
+                let mut e = StEntry::default();
+                let mut other = StEntry::default();
+                for &(a, b) in swaps {
+                    e.swap(SlotIdx(a), SlotIdx(b));
+                    prop_assert_eq!(e.m1_resident(), e.resident_of(SlotIdx::M1));
+                    other.swap(SlotIdx(b), SlotIdx::M1);
+                }
+                let j = StateCodec::save(&mut e)?;
+                StateCodec::load(&mut other, &j)?;
+                prop_assert_eq!(other.m1_resident(), other.resident_of(SlotIdx::M1));
+                prop_assert_eq!(&other, &e);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -234,7 +234,7 @@ pub(crate) mod testutil {
             is_write: false,
             now: Cycle(0),
             entry,
-            m1_resident: st.resident_of(SlotIdx::M1),
+            m1_resident: st.m1_resident(),
             st_entry: st,
             m1_owner,
             guidance: None,

@@ -107,6 +107,9 @@ pub struct Stc {
 /// Key marking an unoccupied way slot (no valid group id gets close).
 const EMPTY_KEY: u64 = u64::MAX;
 
+/// A way-slot hint that names no slot: [`Stc::peek_at`] searches the set.
+pub const NO_SLOT: u32 = u32::MAX;
+
 impl Stc {
     /// Creates an STC with `entries` total entries and `ways` ways.
     ///
@@ -154,18 +157,20 @@ impl Stc {
     /// Looks up a group's entry; counts a hit or miss.
     #[inline]
     pub fn lookup(&mut self, group: GroupId) -> Option<&mut CachedEntry> {
+        let i = self.lookup_slot(group)?;
+        Some(&mut self.entries[i as usize])
+    }
+
+    /// [`lookup`](Self::lookup), returning the way slot the group's entry
+    /// occupies, a hint for [`peek_at`](Self::peek_at).
+    #[inline]
+    pub fn lookup_slot(&mut self, group: GroupId) -> Option<u32> {
         self.tick += 1;
         self.stats.lookups += 1;
-        let tick = self.tick;
-        match self.slot_of(group) {
-            Some(i) => {
-                let e = &mut self.entries[i];
-                e.stamp = tick;
-                self.stats.hits += 1;
-                Some(e)
-            }
-            None => None,
-        }
+        let i = self.slot_of(group)?;
+        self.entries[i].stamp = self.tick;
+        self.stats.hits += 1;
+        Some(i as u32)
     }
 
     /// Accesses an entry without counting statistics (used by the swap and
@@ -175,6 +180,22 @@ impl Stc {
         self.slot_of(group).map(|i| &mut self.entries[i])
     }
 
+    /// [`peek`](Self::peek) through `slot`, a way slot that an earlier
+    /// [`lookup_slot`](Self::lookup_slot) or
+    /// [`insert_slot`](Self::insert_slot) returned for `group` (or
+    /// [`NO_SLOT`]). A group occupies at most one way, so a slot holding
+    /// its key is its entry; only when the group has left the slot since,
+    /// or the hint is out of range, is the set searched.
+    #[inline]
+    pub fn peek_at(&mut self, group: GroupId, slot: u32) -> Option<&mut CachedEntry> {
+        let i = slot as usize;
+        if self.keys.get(i) == Some(&group.0) {
+            return Some(&mut self.entries[i]);
+        }
+        crate::work::count_stc_search();
+        self.peek(group)
+    }
+
     /// Inserts an entry for `group` with insertion-time QAC values,
     /// evicting the LRU entry of the set if needed. Returns the victim.
     ///
@@ -182,6 +203,20 @@ impl Stc {
     ///
     /// Panics if the group is already cached.
     pub fn insert(&mut self, group: GroupId, q_i: [u8; SlotIdx::MAX]) -> Option<CachedEntry> {
+        self.insert_slot(group, q_i).0
+    }
+
+    /// [`insert`](Self::insert), also returning the way slot the new
+    /// entry fills, a hint for [`peek_at`](Self::peek_at).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group is already cached.
+    pub fn insert_slot(
+        &mut self,
+        group: GroupId,
+        q_i: [u8; SlotIdx::MAX],
+    ) -> (Option<CachedEntry>, u32) {
         self.tick += 1;
         let tick = self.tick;
         let ways = self.ways;
@@ -224,7 +259,7 @@ impl Stc {
         self.keys[base + len] = group.0;
         self.entries[base + len] = e;
         self.lens[set] += 1;
-        victim
+        (victim, (base + len) as u32)
     }
 
     /// Iterates over all currently cached entries (set order, storage
@@ -404,6 +439,52 @@ mod tests {
         donor.insert(GroupId(8), [0; SlotIdx::MAX]);
         let donor = StateCodec::save(&mut donor).expect("saves");
         assert!(StateCodec::load(&mut small, &donor).is_err());
+    }
+
+    /// A hinted peek finds what `peek` finds, through hints that a
+    /// lookup or insert returned, that went stale as groups were evicted
+    /// or moved between ways, or that name no slot or one out of range.
+    #[test]
+    fn hinted_peek_matches_peek() {
+        use profess_check::strategy::{tuple3, u32_range, u64_range, u8_range, vec_of};
+        use profess_check::{check, prop_assert_eq};
+        // Four sets of four ways over 24 groups: most inserts evict.
+        const SLOTS: u32 = 16;
+        check(
+            "hinted_peek_matches_peek",
+            vec_of(
+                tuple3(u8_range(0..4), u64_range(0..24), u32_range(0..SLOTS + 4)),
+                1..300,
+            ),
+            |ops| {
+                let mut stc = Stc::new(SLOTS as usize, 4);
+                let mut hints = [NO_SLOT; 24];
+                for &(op, g, raw) in ops {
+                    let group = GroupId(g);
+                    match op {
+                        0 => {
+                            if let Some(slot) = stc.lookup_slot(group) {
+                                hints[g as usize] = slot;
+                            }
+                        }
+                        1 if stc.peek(group).is_none() => {
+                            hints[g as usize] = stc.insert_slot(group, [0; SlotIdx::MAX]).1;
+                        }
+                        _ => {
+                            let hint = match op {
+                                3 if raw >= SLOTS + 2 => NO_SLOT,
+                                3 => raw,
+                                _ => hints[g as usize],
+                            };
+                            let at = stc.peek_at(group, hint).map(std::ptr::from_mut);
+                            let searched = stc.peek(group).map(std::ptr::from_mut);
+                            prop_assert_eq!(at, searched);
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

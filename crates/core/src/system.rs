@@ -48,7 +48,7 @@ use crate::policies::static_::StaticPolicy;
 use crate::policies::{AccessCtx, Decision, EvictRecord, MigrationPolicy, PolicyDiagnostics};
 use crate::regions::RegionMap;
 use crate::snapshot::{self, SystemSnapshot};
-use crate::stc::{CachedEntry, Stc};
+use crate::stc::{CachedEntry, Stc, NO_SLOT};
 
 /// Which migration policy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -519,6 +519,10 @@ enum Origin {
         group: GroupId,
         orig_slot: SlotIdx,
         from_m1: bool,
+        // The STC way slot the request's lookup (or its ST fetch's
+        // insert) found, a hint `Stc::peek_at` checks at serve. Not
+        // saved: a restored request carries `NO_SLOT`.
+        way: u32,
     },
     StFetch {
         channel: usize,
@@ -529,7 +533,8 @@ enum Origin {
 }
 
 /// Tagged by `"t"`: 0 data, 1 ST fetch, 2 ST write-back. Indices into
-/// system state are bounds-checked by [`System`]'s load.
+/// system state are bounds-checked by [`System`]'s load. A data
+/// request's STC way hint is not saved.
 impl State for Origin {
     fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
         let mut t = match self {
@@ -547,6 +552,7 @@ impl State for Origin {
                     group: GroupId(0),
                     orig_slot: SlotIdx::M1,
                     from_m1: false,
+                    way: NO_SLOT,
                 },
                 1 => Origin::StFetch {
                     channel: 0,
@@ -564,6 +570,7 @@ impl State for Origin {
                 group,
                 orig_slot,
                 from_m1,
+                way: _,
             } => {
                 c.field("core", core)?;
                 c.field("seq", seq)?;
@@ -884,8 +891,8 @@ impl System {
     }
 
     /// Translates and enqueues a data request whose group is resident in
-    /// the STC (or just fetched).
-    fn issue_data(&mut self, p: PendingData, group: GroupId) {
+    /// the STC (or just fetched) at way slot `way`.
+    fn issue_data(&mut self, p: PendingData, group: GroupId, way: u32) {
         let entry = self.st.entry(group);
         let actual = entry.actual_of(p.orig_slot);
         let loc = self.geom.slot_loc(group, actual);
@@ -897,6 +904,7 @@ impl System {
             group,
             orig_slot: p.orig_slot,
             from_m1: actual.is_m1(),
+            way,
         });
         let kind = if p.is_write {
             AccessKind::Write
@@ -939,8 +947,8 @@ impl System {
             is_write: r.kind == MemOpKind::Store,
             orig_slot,
         };
-        if self.stcs[ch].lookup(group).is_some() {
-            self.issue_data(pending, group);
+        if let Some(way) = self.stcs[ch].lookup_slot(group) {
+            self.issue_data(pending, group, way);
         } else {
             let first_miss = !self.pending_st.has(group.0 as usize);
             self.pending_st.push(group.0 as usize, pending);
@@ -1011,7 +1019,7 @@ impl System {
         let ch = self.geom.channel_of(group).index();
         let (actual, m1_res) = {
             let e = self.st.entry(group);
-            (e.actual_of(orig_slot), e.resident_of(SlotIdx::M1))
+            (e.actual_of(orig_slot), e.m1_resident())
         };
         debug_assert!(actual.is_m2());
         let m1_loc = self.geom.slot_loc(group, SlotIdx::M1);
@@ -1081,13 +1089,14 @@ impl System {
             Origin::StWrite => {}
             Origin::StFetch { channel, group } => {
                 let q_i = self.st.entry(group).qac;
-                if let Some(victim) = self.stcs[channel].insert(group, q_i) {
+                let (victim, way) = self.stcs[channel].insert_slot(group, q_i);
+                if let Some(victim) = victim {
                     self.finish_eviction(victim, channel);
                 }
                 let mut waiters = std::mem::take(&mut self.pending_buf);
                 self.pending_st.drain_into(group.0 as usize, &mut waiters);
                 for p in waiters.drain(..) {
-                    self.issue_data(p, group);
+                    self.issue_data(p, group, way);
                 }
                 self.pending_buf = waiters;
             }
@@ -1098,6 +1107,7 @@ impl System {
                 group,
                 orig_slot,
                 from_m1,
+                way,
             } => {
                 let program = ProgramId(core as u8);
                 self.retired += 1;
@@ -1140,7 +1150,7 @@ impl System {
                     1
                 };
                 let ac_max = self.cfg.mdm.ac_max;
-                let Some(entry) = self.stcs[ch].peek(group) else {
+                let Some(entry) = self.stcs[ch].peek_at(group, way) else {
                     return;
                 };
                 entry.bump(orig_slot, w, ac_max);
@@ -1150,7 +1160,7 @@ impl System {
                 let entry_snapshot: &CachedEntry = entry;
                 let st_entry = self.st.entry_mut(group);
                 let actual_slot = st_entry.actual_of(orig_slot);
-                let m1_resident = st_entry.resident_of(SlotIdx::M1);
+                let m1_resident = st_entry.m1_resident();
                 let m1_owner_slot_block =
                     u64::from(m1_resident.0) * self.geom.num_groups() + group.0;
                 let m1_owner = self.alloc.owner_of_block(m1_owner_slot_block);
@@ -1243,9 +1253,9 @@ impl System {
         }
     }
 
-    /// MemPod interval migrations.
+    /// MemPod interval migrations, once the policy's next poll is due.
     fn run_poll(&mut self) {
-        if !self.policy_polls || self.policy.next_poll().is_none() {
+        if !self.policy_polls || self.policy.next_poll().is_none_or(|p| p > self.clock) {
             return;
         }
         let now = self.clock;
@@ -1951,6 +1961,55 @@ mod tests {
         assert!(report.swaps > 0, "MemPod should migrate hot blocks");
     }
 
+    /// The run loop calls `poll` only once `next_poll` is due, as the
+    /// trait documents: a policy whose `poll` panics when called early
+    /// runs to completion, and is polled once per interval.
+    #[test]
+    fn poll_runs_only_once_next_poll_is_due() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        #[derive(Debug)]
+        struct Strict {
+            next: Cycle,
+            polls: Rc<Cell<u64>>,
+        }
+        impl MigrationPolicy for Strict {
+            fn name(&self) -> &'static str {
+                "Strict"
+            }
+            fn on_access(&mut self, _ctx: &mut AccessCtx<'_>) -> Decision {
+                Decision::Stay
+            }
+            fn poll(&mut self, now: Cycle) -> Vec<(GroupId, SlotIdx)> {
+                assert!(now >= self.next, "polled at {now}, before {}", self.next);
+                self.next = now + 500;
+                self.polls.set(self.polls.get() + 1);
+                Vec::new()
+            }
+            fn next_poll(&self) -> Option<Cycle> {
+                Some(self.next)
+            }
+        }
+        let polls = Rc::new(Cell::new(0));
+        let report = SystemBuilder::new(tiny_cfg())
+            .custom_policy(
+                Box::new(Strict {
+                    next: Cycle(500),
+                    polls: Rc::clone(&polls),
+                }),
+                false,
+            )
+            .program("hot", scripted_stream(2000, 1, 10))
+            .try_run()
+            .expect("runs");
+        assert!(polls.get() > 1, "{} polls", polls.get());
+        assert!(
+            polls.get() <= report.elapsed_cycles / 500,
+            "{} polls",
+            polls.get()
+        );
+    }
+
     #[test]
     fn sampling_report_available_when_enabled() {
         let mut cfg = tiny_cfg();
@@ -2440,6 +2499,29 @@ mod tests {
         assert!(
             detail.starts_with("cores: [0]: inflight: [0]: seq ")
                 && detail.contains(" is above exec_seq "),
+            "{detail}"
+        );
+    }
+
+    /// `rob_space` and the load index rely on every load in flight lying
+    /// within one ROB of `exec_seq`, so a snapshot whose oldest load lies
+    /// further back is rejected.
+    #[test]
+    fn restore_rejects_core_loads_in_flight_spanning_more_than_the_rob() {
+        let rob = tiny_cfg().cpu.rob as u64;
+        let err = restore_edited_core(|core, exec_seq| {
+            let Json::Arr(loads) = field(core, "inflight") else {
+                panic!("inflight is not an array")
+            };
+            loads.insert(0, inflight_load(exec_seq - rob - 10, Some(1)));
+        });
+        let SimError::SnapshotCorrupt { detail } = err else {
+            panic!("expected SnapshotCorrupt, got {err:?}")
+        };
+        assert!(
+            detail.starts_with("cores: [0]: inflight: [0]: seq ")
+                && detail.contains(&format!(" lies {} instructions behind exec_seq ", rob + 10))
+                && detail.ends_with(&format!("beyond the {rob}-entry ROB")),
             "{detail}"
         );
     }

@@ -5,9 +5,11 @@
 //! time they take: how often a thread built free-list templates
 //! (`alloc.rs`) and computed a configuration fingerprint (`system.rs`),
 //! and how many steps `System::run` took, how many channel and core
-//! advances they made, and how many cores they asked whether their
-//! program finished. A release build keeps no counter and compiles every
-//! count to nothing.
+//! advances they made, how many cores they asked whether their program
+//! finished, and how many served data requests had to search the STC
+//! for their entry because the way slot their issue found no longer held
+//! it (`Stc::peek_at`). A release build keeps no counter and compiles
+//! every count to nothing.
 
 #[cfg(debug_assertions)]
 use std::cell::Cell;
@@ -20,6 +22,7 @@ thread_local! {
     static CHANNEL_ADVANCES: Cell<u64> = const { Cell::new(0) };
     static CORE_ADVANCES: Cell<u64> = const { Cell::new(0) };
     static COMPLETION_CHECKS: Cell<u64> = const { Cell::new(0) };
+    static STC_SEARCHES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts one free-list template built on this thread.
@@ -64,6 +67,13 @@ pub(crate) fn count_completion_check() {
     COMPLETION_CHECKS.with(|c| c.set(c.get() + 1));
 }
 
+/// Counts one STC set search by a hinted peek on this thread.
+#[inline]
+pub(crate) fn count_stc_search() {
+    #[cfg(debug_assertions)]
+    STC_SEARCHES.with(|c| c.set(c.get() + 1));
+}
+
 /// Free-list templates built on this thread so far.
 #[cfg(debug_assertions)]
 pub fn free_list_builds() -> u64 {
@@ -99,4 +109,11 @@ pub fn core_advances() -> u64 {
 #[cfg(debug_assertions)]
 pub fn completion_checks() -> u64 {
     COMPLETION_CHECKS.with(Cell::get)
+}
+
+/// Hinted STC peeks on this thread so far whose way slot no longer held
+/// the group, so that they searched its set.
+#[cfg(debug_assertions)]
+pub fn stc_searches() -> u64 {
+    STC_SEARCHES.with(Cell::get)
 }

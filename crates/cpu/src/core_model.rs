@@ -117,6 +117,15 @@ pub struct CoreSim {
     exec_seq: u64,
     pending: Option<PendingOp>,
     inflight: VecDeque<InflightLoad>,
+    // Derived from `inflight`, never serialized: `load_index[seq & mask]`
+    // is the ordinal of the last load issued with those low `seq` bits,
+    // where the load at `inflight[i]` has ordinal `next_ord - len + i`
+    // (wrapping). Every load in flight lies within one ROB of `exec_seq`,
+    // and the table has at least `rob` entries, so no two loads in flight
+    // share an entry; an entry another request left behind fails the
+    // `seq` check in `load_pos`.
+    load_index: Box<[u32]>,
+    next_ord: u32,
     outstanding: usize,
     last_load: Option<InflightLoad>,
     wb_used: usize,
@@ -159,6 +168,8 @@ impl CoreSim {
             exec_seq: 0,
             pending: None,
             inflight: VecDeque::new(),
+            load_index: vec![0; cfg.rob.next_power_of_two()].into_boxed_slice(),
+            next_ord: 0,
             outstanding: 0,
             last_load: None,
             wb_used: 0,
@@ -325,6 +336,25 @@ impl CoreSim {
         }
     }
 
+    /// Appends a load to the in-flight list and indexes it by `seq`.
+    fn push_load(&mut self, load: InflightLoad) {
+        let mask = self.load_index.len() as u64 - 1;
+        self.load_index[(load.seq & mask) as usize] = self.next_ord;
+        self.next_ord = self.next_ord.wrapping_add(1);
+        self.inflight.push_back(load);
+    }
+
+    /// Position in `inflight` of the load with sequence number `id`, or
+    /// `None` for a store, in O(1) through `load_index`.
+    #[inline]
+    fn load_pos(&self, id: u64) -> Option<usize> {
+        let mask = self.load_index.len() as u64 - 1;
+        let ord = self.load_index[(id & mask) as usize];
+        let head = self.next_ord.wrapping_sub(self.inflight.len() as u32);
+        let pos = ord.wrapping_sub(head) as usize;
+        (self.inflight.get(pos)?.seq == id).then_some(pos)
+    }
+
     /// Delivers a memory response for request `id` at memory cycle `at`,
     /// which must not be later than the `now` of the next
     /// [`advance`](Self::advance).
@@ -335,9 +365,17 @@ impl CoreSim {
     /// slot ([`WaitState::UntilSlot`]), whose advance reads this response.
     #[inline]
     pub fn complete(&mut self, id: u64, at: Cycle) -> bool {
+        let pos = self.load_pos(id);
+        self.complete_at(id, at, pos)
+    }
+
+    /// [`complete`](Self::complete) for the load at `inflight[pos]`, or
+    /// for a store if `pos` is `None`.
+    #[inline]
+    fn complete_at(&mut self, id: u64, at: Cycle, pos: Option<usize>) -> bool {
         work::count_completion();
         let slot = at.raw() * self.spmc.get();
-        let is_load = if let Some(l) = self.inflight.iter_mut().find(|l| l.seq == id) {
+        let is_load = if let Some(l) = pos.and_then(|p| self.inflight.get_mut(p)) {
             debug_assert!(l.done.is_none(), "duplicate completion for load {id}");
             l.done = Some(slot);
             self.outstanding -= 1;
@@ -561,7 +599,7 @@ impl CoreSim {
                         seq: self.exec_seq,
                         done: None,
                     };
-                    self.inflight.push_back(load);
+                    self.push_load(load);
                     self.last_load = Some(load);
                     self.outstanding += 1;
                     self.loads_issued += 1;
@@ -616,8 +654,9 @@ impl CoreSim {
 /// "any completion") are excluded. A source that runs dry before the replay
 /// position is an error: the regenerated program differs from the
 /// captured one. So is state the timing rules cannot have produced: an
-/// `inflight` list not strictly increasing in `seq` or holding a `seq`
-/// above `exec_seq`, an `outstanding` count other than the number of
+/// `inflight` list not strictly increasing in `seq`, holding a `seq`
+/// above `exec_seq`, or spanning more than the ROB from its head to
+/// `exec_seq`, an `outstanding` count other than the number of
 /// loads in flight that are not done, or a `wb_used` above the write
 /// buffer.
 impl State for CoreSim {
@@ -655,6 +694,23 @@ impl State for CoreSim {
                     ));
                 }
                 prev = l.seq;
+            }
+            // `rob_space` and the load index both rely on every load in
+            // flight lying within one ROB of `exec_seq`.
+            if let Some(head) = self.inflight.front() {
+                if self.exec_seq - head.seq >= self.rob {
+                    return Err(format!(
+                        "inflight: [0]: seq {} lies {} instructions behind exec_seq {}, \
+                         beyond the {}-entry ROB",
+                        head.seq,
+                        self.exec_seq - head.seq,
+                        self.exec_seq,
+                        self.rob
+                    ));
+                }
+            }
+            for l in std::mem::take(&mut self.inflight) {
+                self.push_load(l);
             }
         }
         c.field("outstanding", &mut self.outstanding)?;
@@ -1093,6 +1149,154 @@ mod tests {
         }
         let err = restored(&broken, scripted(vec![load(2, 1), load(2, 2)])).unwrap_err();
         assert!(err.contains("exec_slot"), "{err}");
+    }
+
+    impl CoreSim {
+        /// The reference for the load index: [`CoreSim::complete`]
+        /// finding its load by a scan of the loads in flight.
+        fn complete_by_scan(&mut self, id: u64, at: Cycle) -> bool {
+            let pos = self.scan_pos(id);
+            self.complete_at(id, at, pos)
+        }
+
+        fn scan_pos(&self, id: u64) -> Option<usize> {
+            self.inflight.iter().position(|l| l.seq == id)
+        }
+    }
+
+    /// Drives a core completing through the load index and one
+    /// completing through the scan in lockstep against the same
+    /// random-latency memory, over `instances` run one after another
+    /// (restarts), with both restored from their snapshots once, at step
+    /// `restore_at`. A small ROB and stores slower than most loads make
+    /// store ids share index entries with loads in flight.
+    fn indexed_and_scanning_cores_agree(
+        instances: &[Vec<MemOp>],
+        latencies: &[u32],
+        restore_at: u32,
+    ) -> Result<(), String> {
+        let cfg = CpuConfig {
+            num_cores: 1,
+            rob: 24,
+            width: 4,
+            mshrs: 8,
+            write_buffer: 32,
+        };
+        let clock = ClockSpec::paper();
+        let mut k = 0;
+        let mut a = CoreSim::new(&cfg, &clock, scripted(instances[0].clone()));
+        let mut b = CoreSim::new(&cfg, &clock, scripted(instances[0].clone()));
+        let mut pending: Vec<(Cycle, u64)> = Vec::new();
+        let mut issued = 0usize;
+        let mut now = Cycle(0);
+        for step in 0..100_000u32 {
+            if step == restore_at {
+                for core in [&mut a, &mut b] {
+                    let snap = save(core);
+                    let mut back = CoreSim::new(&cfg, &clock, scripted(instances[k].clone()));
+                    StateCodec::load(&mut back, &snap)?;
+                    *core = back;
+                }
+            }
+            let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+            a.advance(now, &mut out_a);
+            b.advance(now, &mut out_b);
+            if out_a != out_b {
+                return Err(format!("step {step}: requests {out_a:?} != {out_b:?}"));
+            }
+            for r in out_a {
+                let lat = latencies[issued % latencies.len()];
+                let lat = if r.kind == MemOpKind::Store {
+                    4 * lat
+                } else {
+                    lat
+                };
+                pending.push((now + u64::from(lat), r.id));
+                issued += 1;
+            }
+            if a.is_finished() != b.is_finished() {
+                return Err(format!("step {step}: only one core finished"));
+            }
+            if a.is_finished() {
+                k += 1;
+                let Some(ops) = instances.get(k) else {
+                    break;
+                };
+                a.restart(scripted(ops.clone()));
+                b.restart(scripted(ops.clone()));
+                continue;
+            }
+            let next = pending
+                .iter()
+                .map(|&(d, _)| d)
+                .fold(a.next_event(now), Cycle::min);
+            if next
+                != pending
+                    .iter()
+                    .map(|&(d, _)| d)
+                    .fold(b.next_event(now), Cycle::min)
+            {
+                return Err(format!("step {step}: next events differ"));
+            }
+            if next == Cycle::NEVER {
+                return Err(format!("step {step}: deadlock"));
+            }
+            now = next;
+            pending.sort_unstable();
+            let due = pending.iter().take_while(|&&(d, _)| d <= now).count();
+            for (at, id) in pending.drain(..due) {
+                let (pos, reference) = (a.load_pos(id), b.scan_pos(id));
+                if pos != reference || a.scan_pos(id) != reference {
+                    return Err(format!(
+                        "request {id}: found at {pos:?}, scan {reference:?}"
+                    ));
+                }
+                let (wa, wb) = (a.complete(id, at), b.complete_by_scan(id, at));
+                let state = |c: &CoreSim| (c.wait, c.outstanding, c.wb_used);
+                if wa != wb || state(&a) != state(&b) {
+                    return Err(format!(
+                        "request {id}: wake {wa} {:?} != wake {wb} {:?}",
+                        state(&a),
+                        state(&b)
+                    ));
+                }
+            }
+        }
+        if !a.is_finished() || save(&mut a).to_string() != save(&mut b).to_string() {
+            return Err("the cores did not finish alike".to_string());
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn indexed_complete_matches_the_scan() {
+        use profess_check::check;
+        use profess_check::strategy::{any_bool, tuple3, tuple4, u32_range, u8_range, vec_of};
+        let op = tuple4(u8_range(0..40), any_bool(), any_bool(), u32_range(1..300));
+        check(
+            "indexed_complete_matches_the_scan",
+            tuple3(vec_of(op, 1..160), u8_range(1..4), u32_range(0..300)),
+            |(raw, instances, restore_at)| {
+                let ops: Vec<MemOp> = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(gap, is_store, dependent, _))| MemOp {
+                        gap: u32::from(gap),
+                        kind: if is_store {
+                            MemOpKind::Store
+                        } else {
+                            MemOpKind::Load
+                        },
+                        line: i as u64,
+                        dependent,
+                    })
+                    .collect();
+                let latencies: Vec<u32> = raw.iter().map(|r| r.3).collect();
+                let per = ops.len().div_ceil(usize::from(*instances));
+                let instances: Vec<Vec<MemOp>> = ops.chunks(per).map(<[MemOp]>::to_vec).collect();
+                indexed_and_scanning_cores_agree(&instances, &latencies, *restore_at)
+            },
+        );
     }
 
     #[test]

@@ -43,6 +43,15 @@ echo "==> scheduler properties at 4096 cases (release)"
 PROFESS_CHECK_CASES=4096 cargo test --release -q --offline -p profess-mem -- \
     pick_matches_the_scanning_reference standing_refusal_matches_hint_free_reference
 
+# Served-path properties at volume: a completion reuses what its issue
+# found, and each reuse is held to the search it replaced: the hinted
+# STC peek to `peek`, the indexed `CoreSim::complete` to the scan of
+# the loads in flight (across restarts and a snapshot restore), and the
+# cached M1 resident to the 16-slot scan. Tier-1 runs each at 256 cases.
+echo "==> served-path properties at 4096 cases (release)"
+PROFESS_CHECK_CASES=4096 cargo test --release -q --offline -p profess-core -p profess-cpu --lib -- \
+    hinted_peek_matches_peek indexed_complete_matches_the_scan cached_m1_resident_matches_the_scan
+
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 

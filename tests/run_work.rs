@@ -2,7 +2,8 @@
 //! (DESIGN.md §7.2, §12): one seeded quad ProFess run costs an exact
 //! number of steps, channel and core advances, the core advances that
 //! issue no request, completion checks, responses delivered to cores
-//! and the wake-ups among them, and scheduler picks. The counters are per-thread and exist in debug
+//! and the wake-ups among them, scheduler picks, and served data
+//! requests that had to search the STC for their entry. The counters are per-thread and exist in debug
 //! builds only; the same-step finish test runs in every build.
 
 mod common;
@@ -18,7 +19,9 @@ use profess::prelude::*;
 #[test]
 fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
     use common::{multi_builder, PINNED};
-    use profess::core::work::{channel_advances, completion_checks, core_advances, steps};
+    use profess::core::work::{
+        channel_advances, completion_checks, core_advances, stc_searches, steps,
+    };
     use profess::cpu::work::{advances, completions, idle_advances, wakes};
     use profess::mem::work::{pick_entries, picks};
 
@@ -34,12 +37,13 @@ fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
             idle_advances(),
             completions(),
             wakes(),
+            stc_searches(),
         ]
     };
     let before = count();
     let report = multi_builder(PolicyKind::Profess).try_run().expect("runs");
     let after = count();
-    let [steps, ch_adv, core_adv, checks, picks, entries, cpu_adv, idle, delivered, woke] =
+    let [steps, ch_adv, core_adv, checks, picks, entries, cpu_adv, idle, delivered, woke, searches] =
         std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
         fnv64(report_string(&report).as_bytes()),
@@ -58,6 +62,10 @@ fn quad_profess_run_costs_exact_loop_and_scheduler_work() {
     assert_eq!(cpu_adv, core_adv);
     assert_eq!((delivered, woke), (32_306, 10_390));
     assert_eq!((picks, entries), (129_610, 800_874));
+    // A served data request finds its STC entry through the way slot its
+    // issue (or its ST fetch's insert) found; it searches the set only
+    // when an insert moved or evicted the entry in between.
+    assert_eq!(searches, 470);
 }
 
 /// One load of `gap` non-memory instructions on `line`, per instance.
