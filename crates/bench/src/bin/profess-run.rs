@@ -2,14 +2,19 @@
 //! (`profess_bench::experiments`):
 //!
 //! ```text
-//! profess-run <experiment> [--trace] [<target>] [<id>...]
+//! profess-run <experiment> [--trace] [--scale paper] [<target>] [<id>...]
 //! ```
 //!
 //! `<target>` is the memory operations per program (per load generator
 //! for `surface`), a positive integer; the ids select the workloads of
-//! `fig10_12` and `fig13_15`, or the policies of `surface`. `--trace`
-//! writes the event trace of every traced cell to
-//! `TRACE_<experiment>.jsonl`; it is the only tracing switch. The
+//! `fig10_12` and `fig13_15`, the policies of `surface`, or the cells
+//! `<workload|program>[:<policy>]` of `cells` (`w09:profess` one mix
+//! under one policy, `mcf:mdm` one program alone, a bare `w12` the mix
+//! under every policy). `--scale paper` runs `cells` on the paper-size
+//! systems; every other experiment rejects it. `--trace` writes the
+//! event trace of every traced cell to `TRACE_<experiment>.jsonl`; it
+//! is the only tracing switch. With no arguments the usage lists the
+//! experiments, programs, workloads and policies. The
 //! supervision knobs (`PROFESS_THREADS`, `_RETRIES`,
 //! `_TASK_TIMEOUT_MS`, `_FAULT`, `_SNAPSHOT`, `_SNAPSHOT_AT`) apply to
 //! every experiment.
@@ -30,20 +35,37 @@ use std::path::PathBuf;
 use profess_bench::experiments::{self, Experiment, Ids, Setup, EXPERIMENTS};
 use profess_bench::harness::results_dir;
 use profess_bench::surface::{
-    axis_from_env, SurfaceSpec, DEFAULT_INTENSITIES, DEFAULT_POLICIES, DEFAULT_READ_FRACS,
-    INTENSITIES_ENV, RATIOS_ENV,
+    axis_from_env, DEFAULT_INTENSITIES, DEFAULT_READ_FRACS, INTENSITIES_ENV, RATIOS_ENV,
 };
 use profess_bench::{checkpoint, exit, Journal, Pool, SnapshotMode, SuperviseConfig};
 use profess_core::system::PolicyKind;
+use profess_trace::SpecProgram;
 
-const USAGE: &str = "usage: profess-run <experiment> [--trace] [<target>] [<id>...]";
+const USAGE: &str =
+    "usage: profess-run <experiment> [--trace] [--scale paper] [<target>] [<id>...]";
 
-/// Exits with a usage error; the message lists the experiments.
+/// Exits with a usage error; the message lists the experiments,
+/// programs, workloads and policies.
 fn usage_error(msg: &str) -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let programs: Vec<&str> = SpecProgram::ALL
+        .iter()
+        .chain(&SpecProgram::SYNTHETIC)
+        .map(|p| p.name())
+        .collect();
+    let workloads: Vec<&str> = profess_trace::workload::all_workloads()
+        .iter()
+        .map(|w| w.id)
+        .collect();
     eprintln!("profess-run: error: {msg}");
     eprintln!("{USAGE}");
     eprintln!("experiments: {}", names.join(" "));
+    eprintln!("programs:    {}", programs.join(" "));
+    eprintln!("workloads:   {}", workloads.join(" "));
+    eprintln!(
+        "policies:    {}",
+        PolicyKind::ALL.map(PolicyKind::cli_name).join(" ")
+    );
     std::process::exit(exit::USAGE)
 }
 
@@ -52,16 +74,25 @@ fn usage_error(msg: &str) -> ! {
 struct Args {
     exp: &'static Experiment,
     trace: bool,
+    paper: bool,
     target: Option<u64>,
     ids: Vec<String>,
 }
 
 fn parse_args(argv: &[String]) -> Args {
-    let mut trace = false;
+    let (mut trace, mut paper) = (false, false);
     let mut positional = Vec::new();
-    for a in argv {
+    let mut argv = argv.iter();
+    while let Some(a) = argv.next() {
         match a.as_str() {
             "--trace" => trace = true,
+            "--scale" => match argv.next().map(String::as_str) {
+                Some("paper") => paper = true,
+                other => usage_error(&format!(
+                    "`--scale` takes `paper`, not {}",
+                    other.map_or("nothing".to_string(), |s| format!("`{s}`"))
+                )),
+            },
             s if s.starts_with('-') => usage_error(&format!("unknown flag `{s}`")),
             s => positional.push(s),
         }
@@ -82,9 +113,13 @@ fn parse_args(argv: &[String]) -> Args {
     if target == Some(0) {
         usage_error("the memory-operation target must be positive, not 0");
     }
+    if paper && exp.ids != Ids::Cells {
+        usage_error(&format!("`--scale paper` applies to `cells`, not `{name}`"));
+    }
     Args {
         exp,
         trace,
+        paper,
         target,
         ids: rest.into_iter().map(String::from).collect(),
     }
@@ -92,12 +127,8 @@ fn parse_args(argv: &[String]) -> Args {
 
 /// The experiment's setup: the target and what its ids select.
 fn setup(args: &Args) -> Setup {
-    let target = args.target.unwrap_or(args.exp.default_target);
-    let mut setup = Setup {
-        target,
-        workloads: profess_trace::workloads().to_vec(),
-        surface: SurfaceSpec::new(DEFAULT_POLICIES.to_vec()),
-    };
+    let mut setup = Setup::new(args.target.unwrap_or(args.exp.default_target));
+    setup.paper = args.paper;
     match args.exp.ids {
         Ids::None => {
             if let Some(id) = args.ids.first() {
@@ -121,18 +152,12 @@ fn setup(args: &Args) -> Setup {
         Ids::Policies => {
             let spec = &mut setup.surface;
             if !args.ids.is_empty() {
-                let known: Vec<&str> = PolicyKind::ALL.map(PolicyKind::cli_name).to_vec();
-                let policy = |n: &String| {
-                    PolicyKind::from_cli_name(n).unwrap_or_else(|| {
-                        usage_error(&format!(
-                            "unknown policy `{n}` (known: {})",
-                            known.join(" ")
-                        ))
-                    })
-                };
-                spec.policies = args.ids.iter().map(policy).collect();
+                spec.policies = args
+                    .ids
+                    .iter()
+                    .map(|n| experiments::policy_by_name(n).unwrap_or_else(|e| usage_error(&e)))
+                    .collect();
             }
-            spec.target_ops = target;
             spec.read_fracs =
                 axis_from_env(RATIOS_ENV, &DEFAULT_READ_FRACS).unwrap_or_else(|e| usage_error(&e));
             spec.intensities = axis_from_env(INTENSITIES_ENV, &DEFAULT_INTENSITIES)
@@ -141,6 +166,14 @@ fn setup(args: &Args) -> Setup {
                 usage_error(&e);
             }
         }
+        Ids::Cells if !args.ids.is_empty() => {
+            setup.cells = args
+                .ids
+                .iter()
+                .flat_map(|id| experiments::cell_id(id).unwrap_or_else(|e| usage_error(&e)))
+                .collect();
+        }
+        Ids::Cells => {}
     }
     setup
 }

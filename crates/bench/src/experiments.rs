@@ -1,7 +1,8 @@
 //! The experiment registry: one record per paper table, figure or
-//! study. A record declares its cells as data — configuration × policy
-//! × program, workload or surface point ([`Cell`]) — and the reducer
-//! that folds the finished cells into its printed table and artifacts.
+//! study, and `cells`, which runs single cells by id. A record declares
+//! its cells as data — configuration × policy × program, workload or
+//! surface point ([`Cell`]) — and the reducer that folds the finished
+//! cells into its printed table and artifacts.
 //! [`run`] executes any record on the one cell engine
 //! (`run_cells`), so supervision, checkpoint/resume,
 //! snapshots and tracing apply to every experiment alike; `profess-run
@@ -15,6 +16,7 @@ use profess_core::system::PolicyKind::{self, Mdm, MemPod, Pom, Profess, ProfessN
 use profess_metrics::table::TextTable;
 use profess_metrics::BoxPlot;
 use profess_obs::Log2Histogram;
+use profess_trace::workload::workload_by_id;
 use profess_trace::SpecProgram::{self, Bwaves, Libquantum, Mcf, Milc, Omnetpp, Zeusmp};
 use profess_trace::{workloads, Workload};
 use profess_types::SystemConfig;
@@ -22,12 +24,13 @@ use profess_types::SystemConfig;
 use crate::harness::{BenchJson, TraceCollector};
 use crate::surface::{
     surface_cells, surface_points, surface_to_json, write_surface_artifact, SurfaceSpec,
-    DEFAULT_TARGET_OPS,
+    DEFAULT_POLICIES, DEFAULT_TARGET_OPS,
 };
 use crate::{
     distinct, geomean_or_nan, normalized_cells, normalized_rows, print_sweep, report_sweep_health,
     run_cells, slowdown_cells, summarize, write_rows_artifact, Cell, Journal, Pool, Results,
-    Setting, Sim, SnapshotMode, SoloRun, SuperviseConfig, MULTI_TARGET_MISSES, SOLO_TARGET_MISSES,
+    Setting, Sim, SnapshotMode, SoloRun, SuperviseConfig, Value, MULTI_TARGET_MISSES,
+    SOLO_TARGET_MISSES,
 };
 
 /// What an experiment's trailing ids name.
@@ -40,6 +43,10 @@ pub enum Ids {
     /// Policy names ([`PolicyKind::cli_name`]): the policies
     /// characterized (default: [`crate::surface::DEFAULT_POLICIES`]).
     Policies,
+    /// Cell ids, `<workload|program>[:<policy>]` ([`cell_id`]); the only
+    /// ids `--scale paper` applies to (default: `w09` under every
+    /// policy).
+    Cells,
 }
 
 /// An experiment's resolved command line.
@@ -52,6 +59,63 @@ pub struct Setup {
     /// The grid of a [`Ids::Policies`] experiment (`surface`), its
     /// per-generator target included.
     pub surface: SurfaceSpec,
+    /// The cells of a [`Ids::Cells`] experiment.
+    pub cells: Vec<(PolicyKind, Subject)>,
+    /// `--scale paper`: a [`Ids::Cells`] experiment runs on the paper-size
+    /// systems instead of the scaled ones.
+    pub paper: bool,
+}
+
+impl Setup {
+    /// Every experiment's defaults at `target` memory operations per
+    /// program (per load generator for `surface`).
+    pub fn new(target: u64) -> Setup {
+        Setup {
+            target,
+            workloads: workloads().to_vec(),
+            surface: SurfaceSpec {
+                target_ops: target,
+                ..SurfaceSpec::new(DEFAULT_POLICIES.to_vec())
+            },
+            cells: workloads()
+                .into_iter()
+                .filter(|w| w.id == "w09")
+                .flat_map(|w| PolicyKind::ALL.map(|pk| (pk, Subject::Mix(w))))
+                .collect(),
+            paper: false,
+        }
+    }
+}
+
+/// What a `cells` id names.
+#[derive(Debug, Clone, Copy)]
+pub enum Subject {
+    /// A workload, one program per core on the quad-core system.
+    Mix(Workload),
+    /// One program alone on the single-core system.
+    Alone(SpecProgram),
+}
+
+/// The policy named `name` ([`PolicyKind::cli_name`]).
+pub fn policy_by_name(name: &str) -> Result<PolicyKind, String> {
+    PolicyKind::from_cli_name(name).ok_or_else(|| format!("unknown policy `{name}`"))
+}
+
+/// The cells of `cells` id `id`, `<workload|program>[:<policy>]`: what
+/// it names under the named policy or, with none named, every policy.
+pub fn cell_id(id: &str) -> Result<Vec<(PolicyKind, Subject)>, String> {
+    let (name, policy) = match id.split_once(':') {
+        Some((name, policy)) => (name, Some(policy_by_name(policy)?)),
+        None => (id, None),
+    };
+    let subject = match SpecProgram::from_name(name) {
+        Some(p) => Subject::Alone(p),
+        None => Subject::Mix(
+            workload_by_id(name).map_err(|_| format!("`{name}` names no workload or program"))?,
+        ),
+    };
+    let policies = policy.map_or(PolicyKind::ALL.to_vec(), |pk| vec![pk]);
+    Ok(policies.into_iter().map(|pk| (pk, subject)).collect())
 }
 
 /// One registry record.
@@ -89,6 +153,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     exp("sens_ratio",    SOLO_TARGET_MISSES,  Ids::None,      sens_ratio_cells,    sens_ratio),
     exp("sens_wr",       SOLO_TARGET_MISSES,  Ids::None,      sens_wr_cells,       sens_wr),
     exp("surface",       DEFAULT_TARGET_OPS,  Ids::Policies,  surface_exp_cells,   surface),
+    exp("cells",         MULTI_TARGET_MISSES, Ids::Cells,     cells_cells,         cells),
 ];
 
 const fn exp(
@@ -1034,6 +1099,78 @@ fn surface(s: &Setup, r: &Results) -> Option<()> {
             );
         }
     }
+    Some(())
+}
+
+/// The systems of `cells`: the single-core one for a program alone, the
+/// quad-core one for a mix, scaled or (`--scale paper`) at paper size.
+fn cells_settings(s: &Setup) -> (Setting, Setting) {
+    let (one, four) = if s.paper {
+        (SystemConfig::paper_single(), SystemConfig::paper_quad())
+    } else {
+        (SystemConfig::scaled_single(), SystemConfig::scaled_quad())
+    };
+    (Setting::new(one, s.target), Setting::new(four, s.target))
+}
+
+fn cells_cells(s: &Setup) -> Vec<Vec<Cell>> {
+    let (one, four) = cells_settings(s);
+    vec![s
+        .cells
+        .iter()
+        .map(|&(pk, subject)| match subject {
+            Subject::Mix(w) => four.cell(pk, Sim::Multi(w), format!("{}:{}", w.id, pk.name())),
+            Subject::Alone(p) => solo(&one, pk, p, ""),
+        })
+        .collect()]
+}
+
+/// **cells** — the cells `<workload|program>[:<policy>]` names, one row
+/// each (not a paper figure: the simulator's command line). A mix row
+/// gives each core's IPC and the mix's energy efficiency; a program row
+/// its M1 fraction and STC hit rate.
+fn cells(s: &Setup, r: &Results) -> Option<()> {
+    let mut t = TextTable::new(vec![
+        "cell", "IPC", "swaps", "read-lat", "Mreq/J", "m1frac", "STC hit%",
+    ]);
+    for c in distinct(cells_cells(s).concat()) {
+        let (ipc, swaps, lat, more) = match r.value(&c)? {
+            Value::Multi(m) => (
+                m.ipcs
+                    .iter()
+                    .map(|x| format!("{x:.3}"))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+                m.swaps,
+                m.avg_read_latency,
+                [
+                    format!("{:.1}", m.requests_per_joule / 1e6),
+                    "-".into(),
+                    "-".into(),
+                ],
+            ),
+            Value::Run(run) => (
+                format!("{:.3}", run.ipc),
+                run.swaps,
+                run.avg_read_latency,
+                [
+                    "-".into(),
+                    format!("{:.3}", run.m1_fraction),
+                    format!("{:.1}", 100.0 * run.stc_hit_rate),
+                ],
+            ),
+            _ => return None,
+        };
+        let mut row = vec![
+            c.label().to_string(),
+            ipc,
+            swaps.to_string(),
+            format!("{lat:.1}"),
+        ];
+        row.extend(more);
+        t.row(row);
+    }
+    println!("{t}");
     Some(())
 }
 

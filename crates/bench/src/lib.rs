@@ -418,6 +418,11 @@ impl Results {
         self.values.get(&at.key(policy, sim))
     }
 
+    /// The value of `cell`, if it succeeded.
+    pub fn value(&self, cell: &Cell) -> Option<&Value> {
+        self.values.get(&cell.key)
+    }
+
     /// A [`Sim::SoloIpc`] reference.
     pub fn ipc(&self, at: &Setting, policy: PolicyKind, p: SpecProgram) -> Option<f64> {
         match self.get(at, policy, Sim::SoloIpc(p))? {

@@ -1,7 +1,8 @@
 //! End-to-end tests for `profess-run`: every registry entry's stdout at
 //! 400 ops is pinned, a run prints the same on one thread as on two, a
 //! failed cell ends every experiment with the sweep-failure code instead
-//! of a panic, and bad invocations share one usage code.
+//! of a panic, bad invocations share one usage code, and `cells` takes
+//! every policy by its command-line name.
 
 #![expect(
     clippy::disallowed_methods,
@@ -12,8 +13,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use profess_bench::experiments::{Setup, EXPERIMENTS};
-use profess_bench::surface::{SurfaceSpec, DEFAULT_POLICIES};
 use profess_bench::{distinct, exit};
+use profess_core::system::PolicyKind;
 use profess_metrics::fnv64;
 
 /// Every knob the binary reads; cleared before each run so the
@@ -52,6 +53,7 @@ const PINNED: &[(&str, u64)] = &[
     ("sens_ratio", 0xac9a513a8309d2da),
     ("sens_wr", 0xdd7252123493ca78),
     ("surface", 0x798f057b44a8e541),
+    ("cells", 0x74a4a24275d3ceee),
 ];
 
 fn scratch(name: &str) -> PathBuf {
@@ -144,14 +146,7 @@ fn the_environment_does_not_trace_a_run() {
 #[test]
 fn a_failed_cell_ends_every_experiment_with_the_sweep_failure_code() {
     let poison = [("PROFESS_FAULT", "panic@0*9"), ("PROFESS_RETRIES", "0")];
-    let setup = Setup {
-        target: 400,
-        workloads: profess_trace::workloads().to_vec(),
-        surface: SurfaceSpec {
-            target_ops: 400,
-            ..SurfaceSpec::new(DEFAULT_POLICIES.to_vec())
-        },
-    };
+    let setup = Setup::new(400);
     for exp in EXPERIMENTS {
         let dir = scratch(&format!("fault-{}", exp.name));
         let (code, stdout, stderr) = run(&dir, &[exp.name, "400"], &poison);
@@ -192,6 +187,12 @@ fn every_bad_invocation_is_a_usage_error() {
         (&["fig10_12", "400", "w99"], &[], "w99"),
         (&["surface", "400", "lru"], &[], "lru"),
         (&["fig06", "--bogus"], &[], "--bogus"),
+        (&["cells", "400", "w01:lru"], &[], "lru"),
+        (&["cells", "400", "w99"], &[], "w99"),
+        (&["cells", "--opps", "100"], &[], "--opps"),
+        (&["cells", "--scale", "huge"], &[], "huge"),
+        (&["cells", "0", "mcf:pom"], &[], "target must be positive"),
+        (&["fig06", "--scale", "paper"], &[], "fig06"),
         (&["fig10_12", "0", "w01"], &[], "target must be positive"),
         (&["fig06", "0"], &[], "target must be positive"),
         (
@@ -220,5 +221,27 @@ fn every_bad_invocation_is_a_usage_error() {
         assert!(stderr.contains("usage: profess-run"), "{args:?}: {stderr}");
         assert!(stderr.contains(mention), "{args:?}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn cells_accepts_every_policy_by_its_cli_name() {
+    let dir = scratch("cells-policies");
+    for pk in PolicyKind::ALL {
+        let id = format!("mcf:{}", pk.cli_name());
+        let (code, stdout, stderr) = run(&dir, &["cells", "100", &id], &[]);
+        assert_eq!(code, Some(exit::OK), "{id}:\n{stdout}\n{stderr}");
+        assert!(
+            stdout.contains(&format!("mcf:{}", pk.name())),
+            "{id}: {stdout}"
+        );
+    }
+    let (code, _, stderr) = run(&dir, &[], &[]);
+    assert_eq!(code, Some(exit::USAGE));
+    let names = PolicyKind::ALL.map(PolicyKind::cli_name).join(" ");
+    assert!(
+        stderr.contains(&format!("policies:    {names}")),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -12,7 +12,7 @@
 //! The wire format is a single [`Json`] object:
 //!
 //! ```text
-//! {"kind":"system_snapshot","version":2,"config_fp":<u64>,
+//! {"kind":"system_snapshot","version":3,"config_fp":<u64>,
 //!  "fp":<u64>,"payload":{...}}
 //! ```
 //!

@@ -86,10 +86,10 @@ impl StcStats {
 /// per set instead of striding over ~100-byte entries.
 ///
 /// Each set occupies the fixed slice `[set * ways, (set + 1) * ways)` of
-/// both vectors; the first `lens[set]` slots are live, in the exact
-/// storage order of the per-set `Vec` this replaced (appends push at
-/// `len`, eviction moves the last live slot into the hole), which keeps
-/// snapshots byte-identical.
+/// both vectors; the first `lens[set]` slots are live. An insert fills
+/// the next free way, or, in a full set, the LRU victim's way: a live
+/// entry never changes way, so a way slot stays a valid hint for as long
+/// as its entry is cached.
 #[derive(Debug)]
 pub struct Stc {
     /// Group key of each way slot (`EMPTY_KEY` when unoccupied).
@@ -218,52 +218,41 @@ impl Stc {
         q_i: [u8; SlotIdx::MAX],
     ) -> (Option<CachedEntry>, u32) {
         self.tick += 1;
-        let tick = self.tick;
-        let ways = self.ways;
         let set = self.set_of(group);
-        let base = set * ways;
+        let base = set * self.ways;
         let len = self.lens[set] as usize;
         assert!(
             !self.keys[base..base + len].contains(&group.0),
             "group {group} already cached"
         );
-        let victim = if len == ways {
-            // LRU: lowest stamp, first slot on ties (as `min_by_key` did).
-            let mut vi = 0;
-            for j in 1..len {
-                if self.entries[base + j].stamp < self.entries[base + vi].stamp {
-                    vi = j;
-                }
-            }
-            // `swap_remove`: the last live slot fills the hole.
-            let last = len - 1;
-            self.keys.swap(base + vi, base + last);
-            self.entries.swap(base + vi, base + last);
-            self.keys[base + last] = EMPTY_KEY;
-            let v = std::mem::replace(
-                &mut self.entries[base + last],
-                CachedEntry::new(GroupId(EMPTY_KEY), [0; SlotIdx::MAX]),
-            );
-            self.lens[set] -= 1;
-            self.stats.evictions += 1;
-            if v.dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            Some(v)
-        } else {
-            None
-        };
-        let len = self.lens[set] as usize;
         let mut e = CachedEntry::new(group, q_i);
-        e.stamp = tick;
-        self.keys[base + len] = group.0;
-        self.entries[base + len] = e;
-        self.lens[set] += 1;
-        (victim, (base + len) as u32)
+        e.stamp = self.tick;
+        if len < self.ways {
+            self.keys[base + len] = group.0;
+            self.entries[base + len] = e;
+            self.lens[set] += 1;
+            return (None, (base + len) as u32);
+        }
+        // LRU: lowest stamp. Stamps are unique ticks, so the victim does
+        // not depend on storage order; the new entry takes its way and
+        // no other entry moves.
+        let mut vi = base;
+        for i in base + 1..base + len {
+            if self.entries[i].stamp < self.entries[vi].stamp {
+                vi = i;
+            }
+        }
+        self.keys[vi] = group.0;
+        let v = std::mem::replace(&mut self.entries[vi], e);
+        self.stats.evictions += 1;
+        if v.dirty {
+            self.stats.dirty_evictions += 1;
+        }
+        (Some(v), vi as u32)
     }
 
-    /// Iterates over all currently cached entries (set order, storage
-    /// order within each set).
+    /// Iterates over all currently cached entries (set order, way order
+    /// within each set).
     pub fn iter(&self) -> impl Iterator<Item = &CachedEntry> {
         self.lens.iter().enumerate().flat_map(move |(set, &len)| {
             let base = set * self.ways;
@@ -277,10 +266,9 @@ impl Stc {
     }
 }
 
-/// Every set's entries in storage order (order is load-bearing —
-/// `swap_remove` eviction makes it part of the LRU replay), the LRU tick,
-/// and the statistics. Loading requires the same set count, and no set
-/// may hold more entries than the cache has ways.
+/// Every set's entries in way order (a restored entry keeps its way), the
+/// LRU tick, and the statistics. Loading requires the same set count, and
+/// no set may hold more entries than the cache has ways.
 impl State for Stc {
     fn state(&mut self, c: &mut StateCodec<'_>) -> Result<(), String> {
         let mut sets: Vec<Vec<CachedEntry>> = self
@@ -441,9 +429,21 @@ mod tests {
         assert!(StateCodec::load(&mut small, &donor).is_err());
     }
 
+    /// A live entry never changes way: the slot its insert returned still
+    /// names it after an eviction in its set.
+    #[test]
+    fn an_entry_keeps_its_way_across_evictions_in_its_set() {
+        let mut stc = Stc::new(2, 2); // one set of two ways
+        stc.insert(GroupId(0), [0; SlotIdx::MAX]);
+        let (_, slot) = stc.insert_slot(GroupId(2), [0; SlotIdx::MAX]);
+        let (victim, _) = stc.insert_slot(GroupId(4), [0; SlotIdx::MAX]);
+        assert_eq!(victim.map(|v| v.group), Some(GroupId(0)));
+        assert_eq!(stc.keys[slot as usize], 2);
+    }
+
     /// A hinted peek finds what `peek` finds, through hints that a
-    /// lookup or insert returned, that went stale as groups were evicted
-    /// or moved between ways, or that name no slot or one out of range.
+    /// lookup or insert returned, that went stale as groups were
+    /// evicted, or that name no slot or one out of range.
     #[test]
     fn hinted_peek_matches_peek() {
         use profess_check::strategy::{tuple3, u32_range, u64_range, u8_range, vec_of};

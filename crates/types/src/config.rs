@@ -206,30 +206,6 @@ pub struct CpuConfig {
     pub write_buffer: usize,
 }
 
-/// Cache hierarchy geometry (paper Table 8), recorded for reference.
-///
-/// No model reads it: every core is fed a synthetic post-L3 stream
-/// (DESIGN.md §1), so no request passes through a cache. It stays
-/// because [`SystemConfig`]'s `Debug` text, which includes it, is the
-/// config fingerprint of checkpoint keys and snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheHierarchyConfig {
-    /// L1 data cache size in bytes (per core).
-    pub l1_bytes: usize,
-    /// L1 associativity.
-    pub l1_ways: usize,
-    /// L2 size in bytes (per core).
-    pub l2_bytes: usize,
-    /// L2 associativity.
-    pub l2_ways: usize,
-    /// Shared L3 size in bytes.
-    pub l3_bytes: usize,
-    /// L3 associativity.
-    pub l3_ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: usize,
-}
-
 /// PoM migration-algorithm parameters (paper Table 2 row 2 and §4.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PomParams {
@@ -346,9 +322,6 @@ pub struct SystemConfig {
     pub stc: StcConfig,
     /// Core model.
     pub cpu: CpuConfig,
-    /// Cache hierarchy geometry of Table 8. Read by no model; kept in the
-    /// config fingerprint (see [`CacheHierarchyConfig`]).
-    pub caches: CacheHierarchyConfig,
     /// PoM parameters.
     pub pom: PomParams,
     /// MDM parameters.
@@ -384,15 +357,6 @@ impl SystemConfig {
                 mshrs: 16,
                 write_buffer: 64,
             },
-            caches: CacheHierarchyConfig {
-                l1_bytes: 32 << 10,
-                l1_ways: 4,
-                l2_bytes: 256 << 10,
-                l2_ways: 8,
-                l3_bytes: 8 << 20,
-                l3_ways: 16,
-                line_bytes: 64,
-            },
             pom: PomParams {
                 thresholds: vec![1, 6, 18, 48],
                 epoch_requests: 64 * 1024,
@@ -415,12 +379,10 @@ impl SystemConfig {
     }
 
     /// Paper-scale single-core system: 64 MB M1, 512 MB M2, one channel,
-    /// scaled STC and L3 (paper §4.1).
+    /// scaled STC (paper §4.1).
     pub fn paper_single() -> Self {
         let org = Geometry::new(2048, 64, 4096, 1, 64 << 20, 8, 128, 16, 8192, 8);
-        let mut cfg = Self::common(org, 2048, 1);
-        cfg.caches.l3_bytes = 2 << 20;
-        cfg
+        Self::common(org, 2048, 1)
     }
 
     /// Default evaluation preset: the paper quad system with all capacities
@@ -435,7 +397,6 @@ impl SystemConfig {
         // otherwise dominate; 1/8 restores hit rates comparable to the
         // paper's (~94% multiprogram, ~70-90% solo).
         let mut cfg = Self::common(org, 256, 4);
-        cfg.caches.l3_bytes = 256 << 10;
         cfg.rsm.m_samp = 8 * 1024;
         cfg.pom.epoch_requests = 8 * 1024;
         cfg.footprint_div = 32;
@@ -447,7 +408,6 @@ impl SystemConfig {
     pub fn scaled_single() -> Self {
         let org = Geometry::new(2048, 64, 4096, 1, 2 << 20, 8, 128, 16, 8192, 8);
         let mut cfg = Self::common(org, 128, 1);
-        cfg.caches.l3_bytes = 64 << 10;
         cfg.rsm.m_samp = 8 * 1024;
         cfg.pom.epoch_requests = 8 * 1024;
         cfg.footprint_div = 32;

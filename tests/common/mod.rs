@@ -28,19 +28,22 @@ pub const PINNED: [(&str, u64, u64); 9] = [
 /// `(single-program hash, quad-workload hash)` of the halfway snapshot's
 /// wire text (`SystemSnapshot::to_json().to_string()`) per
 /// [`PolicyKind::ALL`] entry, in the same order as [`PINNED`]. Pins the
-/// snapshot encoding itself: a change to these bytes must come with a
-/// `SNAPSHOT_VERSION` bump. Re-pin with `PROFESS_BLESS_FINGERPRINTS=1`
-/// (see `tests/snapshot.rs`).
+/// snapshot encoding itself: a change to the payload schema must come
+/// with a `SNAPSHOT_VERSION` bump. The bytes also move, with the version
+/// kept, when the configuration's `Debug` text changes (it is inside
+/// `config_fp`, so an older snapshot is refused as a configuration
+/// mismatch) or when the order of saved entries does. Re-pin with
+/// `PROFESS_BLESS_FINGERPRINTS=1` (see `tests/snapshot.rs`).
 pub const SNAPSHOT_PINNED: [(u64, u64); 9] = [
-    (0x869db83d04386972, 0x38112ff8802fab29), // Static
-    (0x64d5e47516b2dfce, 0xfab3393d71eacff9), // CAMEO
-    (0xb098812df97f7345, 0xe759982f71b006d7), // PoM
-    (0xd0deb6dde773f20b, 0x5fe764912933d507), // MemPod
-    (0x87d3989ac9d96565, 0x21f109e9e34983a3), // MDM
-    (0x1b58cdd0aac8c64a, 0x58f47fe8d713728b), // ProFess
-    (0x0b4728d7bcb7c703, 0x81994385bc3759de), // ProFess-noC3
-    (0x91d44dbf92ac9668, 0x50e6dd2eb846ce47), // SILC-FM
-    (0xe01697f6d0a88340, 0x288ed78435420885), // RSM+PoM
+    (0x2ef7f17b7f7ca848, 0x0be39e6fe3ad1e7f), // Static
+    (0xc627049c34a8bd04, 0x136e08275afed53d), // CAMEO
+    (0x3813ea57e93a779a, 0x4ee0a2707a096e40), // PoM
+    (0x1613a9e1893ce823, 0x487303e02f481b34), // MemPod
+    (0x0d5fd652b883a877, 0xc6f8a54654078659), // MDM
+    (0xef077ab470cc53f5, 0xab06e2827013026c), // ProFess
+    (0x0e9f667ca4c83e77, 0x4244978aab23dd31), // ProFess-noC3
+    (0x04dedba08acde4c5, 0xc0a2d1819f36e6d0), // SILC-FM
+    (0xc3f022ce9f5a5725, 0x50da63d3234fe819), // RSM+PoM
 ];
 
 /// The builder behind the pinned single-program (Milc) fingerprints.
